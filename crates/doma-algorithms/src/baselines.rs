@@ -1,7 +1,7 @@
 //! Extension/baseline algorithms for the ablation experiments (E14).
 //!
 //! None of these are contributions of the paper; they realize the design
-//! alternatives its §5 discusses, so the benches can quantify what each of
+//! alternatives its §5 discusses, so the experiments can quantify what each of
 //! DA's ingredients buys:
 //!
 //! * [`SlidingWindowConvergent`] — a *convergent* (frequency-driven)
@@ -155,7 +155,7 @@ impl OnlineDom for SlidingWindowConvergent {
 /// CDVM-style write-invalidate caching: every reader caches (saving-read),
 /// every write shrinks the scheme to the writer alone. No availability
 /// core — `t() = 1` — so it is *not* admissible under the paper's `t ≥ 2`
-/// constraint; it exists to price that constraint in the ablation bench.
+/// constraint; it exists to price that constraint in the ablation experiment.
 #[derive(Debug, Clone)]
 pub struct WriteInvalidateCache {
     initial: ProcSet,

@@ -10,9 +10,6 @@
 //!                  [--format json|table] [--events 256]
 //! domactl generate --workload uniform|zipf|hotspot|chaotic|mobile|append
 //!                  [--n 6] [--len 50] [--seed 0] [--read-fraction 0.7]
-//! domactl shard    [--objects 16] [--requests 10000] [--shards 1,2,4,8]
-//!                  [--n 8] [--t 2] [--placement same-core|round-robin|load-aware]
-//!                  [--seed 0] [--read-fraction 0.8]
 //! domactl tournament [--n 6] [--len 40] [--seed 7] [--out BENCH_tournament.json]
 //!                  [--format table|json]
 //! domactl scenario <name|path|all|list> [--format table|json]
@@ -24,28 +21,23 @@
 //!                  [--events N] [--algo sa|da] [--n 6] [--len 50] [--seed 0]
 //!                  [--read-fraction 0.7]
 //! domactl obs diff <a.json> <b.json> [--scenario NAME]
-//! domactl perf     <current.json> [--baseline BENCH_prof.json]
-//!                  [--threshold 0.25]
 //! domactl lint     [--root PATH] [--format table|json] [--rule <id>]
 //! ```
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
 //! tokens. `--file <path>` reads the schedule from a file instead.
 
-use doma_algorithms::multi::Placement;
 use doma_algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
 use doma_core::{
-    run_offline, run_online, schedule_stats, CostModel, ObjectId, ProcSet, ProcessorId, RunOutcome,
-    Schedule,
+    run_offline, run_online, schedule_stats, CostModel, ProcSet, ProcessorId, RunOutcome, Schedule,
 };
-use doma_protocol::{ProtocolConfig, ProtocolSim, ShardedSim};
+use doma_protocol::ProtocolSim;
 use doma_workload::{
-    AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, MobileWorkload, MultiScheduleGen,
-    MultiUniformWorkload, ScheduleGen, UniformWorkload, ZipfWorkload,
+    AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, MobileWorkload, ScheduleGen,
+    UniformWorkload, ZipfWorkload,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Parsed command-line options: positional command + `--key value` flags
 /// (`--verbose` is a bare flag).
@@ -66,7 +58,7 @@ struct Opts {
 /// How many positional operands a command accepts after its name.
 fn positional_arity(command: &str) -> usize {
     match command {
-        "scenario" | "trace" | "perf" | "cluster" => 1,
+        "scenario" | "trace" | "cluster" => 1,
         "obs" => 3, // bare `obs`, or `obs diff <a> <b>`
         _ => 0,
     }
@@ -92,7 +84,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     }
     if opts.command.is_empty() {
         return Err(
-            "missing command (cost | stats | simulate | obs | generate | shard | tournament | scenario | cluster | trace | perf | lint)"
+            "missing command (cost | stats | simulate | obs | generate | tournament | scenario | cluster | trace | lint)"
                 .to_string(),
         );
     }
@@ -307,7 +299,7 @@ fn cmd_obs(opts: &Opts) -> Result<(), String> {
         other => return Err(format!("--algo must be sa or da, got '{other}'")),
     };
     let obs = sim.attach_obs(events);
-    let _trace_handle = sim.attach_tracer_on(obs.events().clone());
+    sim.attach_tracer_on(obs.events().clone());
     sim.execute(&schedule).map_err(err)?;
     sim.obs_flush();
     match opts.get("format", "json").as_str() {
@@ -423,7 +415,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
             other => return Err(format!("--algo must be sa or da, got '{other}'")),
         };
         let obs = sim.attach_obs(events);
-        let _trace_handle = sim.attach_tracer_on(obs.events().clone());
+        sim.attach_tracer_on(obs.events().clone());
         sim.enable_request_spans();
         let report = sim.execute(&schedule).map_err(err)?;
         sim.obs_flush();
@@ -460,37 +452,6 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `domactl perf <current.json>` — the perf-regression gate: compares a
-/// fresh bench report against the committed baseline
-/// (`--baseline BENCH_prof.json`) and exits nonzero when any benchmark's
-/// median regressed beyond `--threshold` (default 0.25 = +25%) or a
-/// baselined benchmark disappeared.
-fn cmd_perf(opts: &Opts) -> Result<(), String> {
-    let current = opts.target.clone().ok_or(
-        "usage: domactl perf <current.json> [--baseline BENCH_prof.json] [--threshold 0.25]",
-    )?;
-    let baseline = opts.get("baseline", "BENCH_prof.json");
-    let threshold = opts.get_f64("threshold", 0.25)?;
-    if !(0.0..10.0).contains(&threshold) {
-        return Err(format!("--threshold {threshold} out of range [0, 10)"));
-    }
-    let baseline_text =
-        std::fs::read_to_string(&baseline).map_err(|e| format!("cannot read {baseline}: {e}"))?;
-    let current_text =
-        std::fs::read_to_string(&current).map_err(|e| format!("cannot read {current}: {e}"))?;
-    let cmp = doma_analysis::perfgate::compare(&baseline_text, &current_text, threshold)?;
-    print!("{}", doma_analysis::perfgate::render(&cmp));
-    if cmp.passed() {
-        Ok(())
-    } else {
-        Err(format!(
-            "perf regression vs {baseline} ({} regressed, {} missing)",
-            cmp.regressions().len(),
-            cmp.missing.len()
-        ))
-    }
-}
-
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let n = opts.get_usize("n", 6)?;
     let len = opts.get_usize("len", 50)?;
@@ -508,108 +469,6 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
         other => return Err(format!("unknown --workload '{other}'")),
     };
     println!("{}", gen.generate(len, seed));
-    Ok(())
-}
-
-/// The shard-scaling experiment: run one multi-object uniform workload
-/// sequentially and at each requested shard count, assert exact parity
-/// (total cost vector, reads completed, mean latency, final holders), and
-/// print the wall-clock table. Scaling is bounded by the machine's cores
-/// — the header prints the count so a flat curve on a small box reads as
-/// what it is.
-fn cmd_shard(opts: &Opts) -> Result<(), String> {
-    let objects = opts.get_usize("objects", 16)? as u64;
-    let requests = opts.get_usize("requests", 10_000)?;
-    let n = opts.get_usize("n", 8)?;
-    let t = opts.get_usize("t", 2)?;
-    let seed = opts.get_usize("seed", 0)? as u64;
-    let rf = opts.get_f64("read-fraction", 0.8)?;
-    if t < 2 || t >= n {
-        return Err(format!("need 2 <= t < n (t={t}, n={n})"));
-    }
-    let placement = match opts.get("placement", "round-robin").as_str() {
-        "same-core" => Placement::SameCore,
-        "round-robin" => Placement::RoundRobin,
-        "load-aware" => Placement::LoadAware,
-        other => {
-            return Err(format!(
-                "--placement must be same-core, round-robin or load-aware, got '{other}'"
-            ))
-        }
-    };
-    let shard_counts: Vec<usize> = opts
-        .get("shards", "1,2,4,8")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("--shards: bad shard count '{s}'"))
-        })
-        .collect::<Result<_, _>>()?;
-    let err = |e: doma_core::DomaError| e.to_string();
-
-    // Alternating SA/DA catalog with scheme size t, rotated around the
-    // cluster — the same shape the shard_scaling bench uses.
-    let configs: BTreeMap<ObjectId, ProtocolConfig> = (0..objects)
-        .map(|o| {
-            let base = (o as usize) % (n - t + 1);
-            let config = if o % 2 == 0 {
-                ProtocolConfig::Sa {
-                    q: (base..base + t).collect(),
-                }
-            } else {
-                ProtocolConfig::Da {
-                    f: (base..base + t - 1).collect(),
-                    p: ProcessorId::new(base + t - 1),
-                }
-            };
-            (ObjectId(o), config)
-        })
-        .collect();
-    let schedule = MultiUniformWorkload::new(objects, n, rf)
-        .map_err(err)?
-        .generate_multi(requests, seed);
-
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "shard scaling: {objects} objects, {requests} requests, n={n}, t={t}, \
-         read fraction {rf}, seed {seed}, {placement:?} placement, {cores} cores"
-    );
-
-    let mut sequential = ProtocolSim::new_catalog(n, configs.clone()).map_err(err)?;
-    let start = Instant::now();
-    let expected = sequential.execute_multi(&schedule).map_err(err)?;
-    let seq_ms = start.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "  sequential: {seq_ms:8.1} ms  {:9.0} req/s  ({} reads completed)",
-        requests as f64 / (seq_ms * 1e-3),
-        expected.reads_completed
-    );
-
-    for shards in shard_counts {
-        let sharded = ShardedSim::new(n, configs.clone(), shards, placement).map_err(err)?;
-        let start = Instant::now();
-        let run = sharded.execute_multi(&schedule).map_err(err)?;
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if run.report != expected {
-            return Err(format!(
-                "parity violation at K={shards}: sharded report diverges from sequential"
-            ));
-        }
-        for object in configs.keys() {
-            if run.holders.get(object) != Some(&sequential.valid_holders_of(*object)) {
-                return Err(format!(
-                    "parity violation at K={shards}: holders of {object} diverge"
-                ));
-            }
-        }
-        println!(
-            "  K={shards:<3}      {wall_ms:8.1} ms  {:9.0} req/s  parity OK",
-            requests as f64 / (wall_ms * 1e-3)
-        );
-    }
     Ok(())
 }
 
@@ -910,7 +769,7 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: domactl <cost|stats|simulate|obs|generate|shard|tournament|scenario|cluster|trace|perf|lint> [--flags]\n\
+    "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace|lint> [--flags]\n\
      try: domactl cost --schedule \"r1 r1 r2 w2 r2 r2 r2\" --cc 0.5 --cd 1.0\n\
      try: domactl scenario list\n\
      try: domactl cluster append-only-6-2 --nodes 3 --transport uds\n\
@@ -927,12 +786,10 @@ fn main() -> ExitCode {
         "simulate" => cmd_simulate(&opts),
         "obs" => cmd_obs(&opts),
         "generate" => cmd_generate(&opts),
-        "shard" => cmd_shard(&opts),
         "tournament" => cmd_tournament(&opts),
         "scenario" => cmd_scenario(&opts),
         "cluster" => cmd_cluster(&opts),
         "trace" => cmd_trace(&opts),
-        "perf" => cmd_perf(&opts),
         "lint" => cmd_lint(&opts),
         other => Err(format!("unknown command '{other}'\n{}", usage())),
     });
@@ -1045,29 +902,6 @@ mod tests {
         ]))
         .unwrap();
         cmd_obs(&o).unwrap();
-    }
-
-    #[test]
-    fn shard_runs_and_validates_flags() {
-        let o = parse_args(&args(&[
-            "shard",
-            "--objects",
-            "6",
-            "--requests",
-            "200",
-            "--shards",
-            "1,2,3",
-            "--n",
-            "6",
-        ]))
-        .unwrap();
-        cmd_shard(&o).unwrap();
-        let o = parse_args(&args(&["shard", "--placement", "zigzag"])).unwrap();
-        assert!(cmd_shard(&o).is_err());
-        let o = parse_args(&args(&["shard", "--shards", "1,x"])).unwrap();
-        assert!(cmd_shard(&o).is_err());
-        let o = parse_args(&args(&["shard", "--t", "9", "--n", "4"])).unwrap();
-        assert!(cmd_shard(&o).is_err());
     }
 
     #[test]
@@ -1191,43 +1025,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(cmd_scenario(&o).unwrap_err().contains("--diff"));
-    }
-
-    #[test]
-    fn perf_gate_passes_and_fails_on_medians() {
-        let base = temp_file(
-            "perf_base.json",
-            "[{\"group\": \"g\", \"name\": \"a\", \"samples\": 3, \
-             \"iters_per_sample\": 1, \"mean_ns\": 100.0, \"median_ns\": 100.0, \
-             \"stddev_ns\": 0.0, \"min_ns\": 100.0, \"max_ns\": 100.0}]",
-        );
-        let ok = temp_file("perf_ok.json", &std::fs::read_to_string(&base).unwrap());
-        let slow = temp_file(
-            "perf_slow.json",
-            &std::fs::read_to_string(&base)
-                .unwrap()
-                .replace("\"median_ns\": 100.0", "\"median_ns\": 200.0"),
-        );
-        let o = parse_args(&args(&[
-            "perf",
-            ok.to_str().unwrap(),
-            "--baseline",
-            base.to_str().unwrap(),
-        ]))
-        .unwrap();
-        cmd_perf(&o).unwrap();
-        let o = parse_args(&args(&[
-            "perf",
-            slow.to_str().unwrap(),
-            "--baseline",
-            base.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(cmd_perf(&o).unwrap_err().contains("perf regression"));
-        let o = parse_args(&args(&["perf"])).unwrap();
-        assert!(cmd_perf(&o).unwrap_err().contains("usage:"));
-        let o = parse_args(&args(&["perf", "x", "--threshold", "99"])).unwrap();
-        assert!(cmd_perf(&o).unwrap_err().contains("--threshold"));
     }
 
     #[test]

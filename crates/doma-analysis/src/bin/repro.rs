@@ -1,7 +1,7 @@
 //! `repro` — regenerates every figure and bound of the paper.
 //!
 //! ```text
-//! repro [all|fig1|fig2|thm1|thm23|thm4|prop2|prop3|sweep|example13|mobile|append|ablation|shard|…]
+//! repro [all|fig1|fig2|thm1|thm23|thm4|prop2|prop3|sweep|example13|mobile|append|ablation|…]
 //!       [--fast]
 //! ```
 //!
@@ -103,13 +103,6 @@ fn run(which: &str, fast: bool) -> doma_core::Result<Vec<experiments::ExpReport>
             11,
         )?);
     }
-    if all || which == "shard" {
-        reports.push(experiments::shard_scaling_e22(
-            if fast { 16 } else { 64 },
-            if fast { 2_000 } else { 100_000 },
-            &[1, 2, 4, 8],
-        )?);
-    }
     if all || which == "placement" {
         reports.push(experiments::placement_e18(
             40,
@@ -149,7 +142,6 @@ fn main() -> ExitCode {
         "fileallocation",
         "loadcurve",
         "failover",
-        "shard",
     ];
     if !known.contains(&which) {
         eprintln!(

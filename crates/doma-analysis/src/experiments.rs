@@ -13,7 +13,8 @@ use doma_algorithms::{adversary, DynamicAllocation, OfflineOptimal, StaticAlloca
 use doma_core::{
     run_online, CostModel, DomAlgorithm, Environment, OnlineDom, ProcSet, ProcessorId, Result,
 };
-use doma_protocol::ProtocolSim;
+use doma_protocol::{ProtocolConfig, ProtocolSim};
+use doma_sim::NetworkConfig;
 use doma_workload::{AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, ScheduleGen};
 use std::collections::BTreeMap;
 
@@ -56,6 +57,18 @@ impl ExpReport {
         }
         out
     }
+}
+
+/// A one-object cluster with an explicit network model and node cache
+/// (E15's shared bus, E16's memory tier).
+fn single_object_sim(
+    n: usize,
+    config: ProtocolConfig,
+    network: NetworkConfig,
+    cache_capacity: usize,
+) -> Result<ProtocolSim> {
+    let catalog = BTreeMap::from([(ProtocolSim::object(), config)]);
+    ProtocolSim::build_catalog(n, catalog, network, cache_capacity)
 }
 
 fn region_report(
@@ -734,7 +747,6 @@ pub fn failover_e21(requests: usize, seed: u64) -> Result<ExpReport> {
 pub fn load_curve_e20(reads: usize) -> Result<ExpReport> {
     use crate::stats::percentile;
     use doma_core::{Request, Schedule};
-    use doma_sim::NetworkConfig;
     let n = 10;
     let q: ProcSet = [0usize, 1].into_iter().collect();
     let schedule: Schedule = (0..reads).map(|k| Request::read(2 + (k % 8))).collect();
@@ -749,7 +761,12 @@ pub fn load_curve_e20(reads: usize) -> Result<ExpReport> {
     for interval in [16u64, 8, 4, 2, 1] {
         let mut p2p = ProtocolSim::new_sa(n, q)?;
         let a = p2p.execute_open_loop(&schedule, interval)?;
-        let mut bus = ProtocolSim::new_sa_with(n, q, NetworkConfig::shared_bus(1, 3))?;
+        let mut bus = single_object_sim(
+            n,
+            ProtocolConfig::Sa { q },
+            NetworkConfig::shared_bus(1, 3),
+            0,
+        )?;
         let b = bus.execute_open_loop(&schedule, interval)?;
         let lat: Vec<f64> = b.latencies.iter().map(|&v| v as f64).collect();
         let p95 = percentile(&lat, 95.0).unwrap_or(f64::NAN);
@@ -782,7 +799,6 @@ pub fn load_curve_e20(reads: usize) -> Result<ExpReport> {
 /// concurrent read bursts on a shared bus vs point-to-point links, and
 /// DA's contention collapse once readers hold local replicas.
 pub fn contention_e15(burst_sizes: &[usize]) -> Result<ExpReport> {
-    use doma_sim::NetworkConfig;
     let n = 24;
     let q: ProcSet = [0usize, 1].into_iter().collect();
     let f: ProcSet = [0usize].into_iter().collect();
@@ -806,9 +822,19 @@ pub fn contention_e15(burst_sizes: &[usize]) -> Result<ExpReport> {
 
         let mut sa_p2p = ProtocolSim::new_sa(n, q)?;
         let a = sa_p2p.execute_read_burst(&readers)?;
-        let mut sa_bus = ProtocolSim::new_sa_with(n, q, NetworkConfig::shared_bus(1, 3))?;
+        let mut sa_bus = single_object_sim(
+            n,
+            ProtocolConfig::Sa { q },
+            NetworkConfig::shared_bus(1, 3),
+            0,
+        )?;
         let b = sa_bus.execute_read_burst(&readers)?;
-        let mut da_bus = ProtocolSim::new_da_with(n, f, p, NetworkConfig::shared_bus(1, 3))?;
+        let mut da_bus = single_object_sim(
+            n,
+            ProtocolConfig::Da { f, p },
+            NetworkConfig::shared_bus(1, 3),
+            0,
+        )?;
         let c1 = da_bus.execute_read_burst(&readers)?;
         let c2 = da_bus.execute_read_burst(&readers)?;
 
@@ -861,11 +887,12 @@ pub fn cache_e16(schedule_len: usize, seed: u64) -> Result<ExpReport> {
     let mut metrics = BTreeMap::new();
     for (name, cached) in [("SA", false), ("SA", true), ("DA", false), ("DA", true)] {
         let cap = usize::from(cached);
-        let mut sim = if name == "SA" {
-            ProtocolSim::new_sa_cached(6, q, cap)?
+        let config = if name == "SA" {
+            ProtocolConfig::Sa { q }
         } else {
-            ProtocolSim::new_da_cached(6, f, p1, cap)?
+            ProtocolConfig::Da { f, p: p1 }
         };
+        let mut sim = single_object_sim(6, config, NetworkConfig::default(), cap)?;
         let report = sim.execute(&schedule)?;
         let hits = sim.cache_stats();
         table.push_row(vec![
@@ -960,105 +987,6 @@ pub fn placement_e18(objects: u64, requests: usize, seed: u64) -> Result<ExpRepo
             .into(),
     );
     report.metrics = metrics;
-    Ok(report)
-}
-
-/// E22: object-sharded parallel execution — the executable counterpart of
-/// E18's analytic placement study. One multi-object uniform workload is
-/// run sequentially and through [`doma_protocol::ShardedSim`] at each
-/// shard count; every sharded run must reproduce the sequential
-/// [`doma_protocol::SimReport`] exactly (the merge is deterministic), and
-/// the table records the wall-clock speedup actually achieved on this
-/// machine's cores.
-pub fn shard_scaling_e22(
-    objects: u64,
-    requests: usize,
-    shard_counts: &[usize],
-) -> Result<ExpReport> {
-    use doma_algorithms::multi::Placement;
-    use doma_core::ObjectId;
-    use doma_protocol::{ProtocolConfig, ShardedSim};
-    use doma_workload::{MultiScheduleGen, MultiUniformWorkload};
-    use std::time::Instant;
-
-    let n = 8;
-    let seed = 42;
-    let configs: BTreeMap<ObjectId, ProtocolConfig> = (0..objects)
-        .map(|o| {
-            let base = (o as usize) % (n - 1);
-            let config = if o % 2 == 0 {
-                ProtocolConfig::Sa {
-                    q: [base, base + 1].into_iter().collect(),
-                }
-            } else {
-                ProtocolConfig::Da {
-                    f: [base].into_iter().collect(),
-                    p: ProcessorId::new(base + 1),
-                }
-            };
-            (ObjectId(o), config)
-        })
-        .collect();
-    let schedule = MultiUniformWorkload::new(objects, n, 0.8)?.generate_multi(requests, seed);
-
-    let mut sequential = ProtocolSim::new_catalog(n, configs.clone())?;
-    let start = Instant::now();
-    let expected = sequential.execute_multi(&schedule)?;
-    let seq_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let mut table = Table::new(vec!["shards", "wall ms", "req/s", "speedup", "parity"]);
-    table.push_row(vec![
-        "sequential".to_string(),
-        format!("{seq_ms:.1}"),
-        format!("{:.0}", requests as f64 / (seq_ms * 1e-3)),
-        "1.00".to_string(),
-        "—".to_string(),
-    ]);
-    let mut metrics = BTreeMap::new();
-    metrics.insert("sequential_wall_ms".into(), seq_ms);
-    let mut all_parity = true;
-    for &shards in shard_counts {
-        let sharded = ShardedSim::new(n, configs.clone(), shards, Placement::RoundRobin)?;
-        let start = Instant::now();
-        let run = sharded.execute_multi(&schedule)?;
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let parity = run.report == expected
-            && configs
-                .keys()
-                .all(|o| run.holders.get(o) == Some(&sequential.valid_holders_of(*o)));
-        all_parity &= parity;
-        table.push_row(vec![
-            shards.to_string(),
-            format!("{wall_ms:.1}"),
-            format!("{:.0}", requests as f64 / (wall_ms * 1e-3)),
-            format!("{:.2}", seq_ms / wall_ms),
-            if parity { "exact" } else { "DIVERGED" }.to_string(),
-        ]);
-        metrics.insert(format!("k{shards}_wall_ms"), wall_ms);
-        metrics.insert(format!("k{shards}_speedup"), seq_ms / wall_ms);
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let mut report = ExpReport::new(
-        "E22",
-        format!(
-            "Object-sharded execution ({objects} uniform objects, {requests} requests, \
-             n={n}, round-robin placement, {cores} cores)"
-        ),
-        table,
-    );
-    report.notes.push(format!(
-        "Speedup is bounded by the {cores} core(s) actually present; parity \
-         (report, holders, obs totals) holds at every K regardless."
-    ));
-    report
-        .metrics
-        .insert("parity".into(), f64::from(all_parity));
-    report.metrics.insert("machine_cores".into(), cores as f64);
-    metrics.into_iter().for_each(|(k, v)| {
-        report.metrics.insert(k, v);
-    });
     Ok(report)
 }
 
@@ -1232,15 +1160,6 @@ mod tests {
             assert!(r.metrics[&format!("sa_worst_t{t}")] <= model.sa_bound().unwrap() + 1e-9);
             assert!(r.metrics[&format!("da_worst_t{t}")] <= model.da_bound().unwrap() + 1e-9);
         }
-    }
-
-    #[test]
-    fn shard_scaling_e22_holds_parity_at_every_k() {
-        let r = shard_scaling_e22(8, 400, &[1, 2, 4]).unwrap();
-        assert_eq!(r.metrics["parity"], 1.0);
-        assert!(r.metrics["machine_cores"] >= 1.0);
-        // One sequential row plus one per shard count.
-        assert_eq!(r.table.len(), 4);
     }
 
     #[test]

@@ -24,15 +24,12 @@
 //! * [`stats`] — summary statistics (means, deviations, percentiles,
 //!   confidence intervals) for the latency and sweep reports.
 //! * [`jsonv`] — a minimal JSON value parser for reading back the
-//!   harness's own byte-stable artifacts (obs snapshots, bench reports).
+//!   harness's own byte-stable artifacts (obs snapshots).
 //! * [`obsdiff`] — structural diff of two obs snapshots
 //!   (`domactl obs diff`).
 //! * [`cluster`] — the real-runtime twin harness: a scenario replayed
 //!   over the socket cluster (`doma-net`) and diffed against the
 //!   deterministic simulator (`domactl cluster`).
-//! * [`perfgate`] — the perf-regression gate comparing a fresh bench
-//!   report against the committed `BENCH_prof.json` baseline
-//!   (`domactl perf`).
 //!
 //! Two binaries ship with the crate: `repro` (regenerates every paper
 //! artifact) and `domactl` (a CLI for costing, simulating, generating and
@@ -46,7 +43,6 @@ pub mod cluster;
 pub mod experiments;
 pub mod jsonv;
 pub mod obsdiff;
-pub mod perfgate;
 pub mod ratio;
 pub mod region;
 pub mod report;

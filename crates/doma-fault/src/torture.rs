@@ -384,7 +384,7 @@ fn run_episode_observed(
     let obs = driver.sim_mut().attach_obs(EPISODE_EVENT_CAPACITY);
     // The message trace shares the bundle's event log, so the failure
     // tail interleaves deliveries with lifecycle events and spans.
-    let _trace_handle = driver.sim_mut().attach_tracer_on(obs.events().clone());
+    driver.sim_mut().attach_tracer_on(obs.events().clone());
     let mut checker = InvariantChecker::new(driver.sim(), n);
     let mut ctx = AuditCtx {
         obs: obs.clone(),

@@ -35,6 +35,11 @@ pub const NO_PRINT_CRATES: &[&str] = &[
 /// Crates whose non-test code must be a pure function of the seed: the
 /// golden obs digests and the sharded-merge bit-identity both assume it.
 pub const DETERMINISM_CRATES: &[&str] = &["doma-sim", "doma-protocol", "doma-obs", "doma-scenario"];
+/// The only crate whose non-test code may read the wall clock
+/// (`Instant`/`SystemTime`): the socket runtime, where real time is the
+/// subject. Everything else under `crates/` stays stopwatch-free —
+/// timing lives in `benchmark/`.
+pub const WALL_CLOCK_CRATE: &str = "doma-net";
 /// Crates audited by the static lock-acquisition-order graph.
 pub const LOCK_ORDER_CRATES: &[&str] = &["doma-sim"];
 /// Crates whose metric registrations must match the DESIGN §8 catalog
@@ -49,14 +54,11 @@ pub const OBS_CATALOG_CRATES: &[&str] = &[
 ];
 /// The only modules allowed to touch `std::thread`: the audited fan-out
 /// points. Everything else — every crate, benches and tests included —
-/// must stay single-threaded or route through `doma_sim::shard`. The
-/// phase profiler is on the list because it re-times the spawn path
-/// itself (the `spawn` phase of `BENCH_prof.json` *is* that overhead).
+/// must stay single-threaded or route through `doma_sim::shard`.
 pub const THREAD_MODULES: &[&str] = &[
     "doma-analysis/src/sweep.rs",
     "doma-sim/src/shard.rs",
     "doma-fault/src/torture.rs",
-    "bench/benches/shard_prof.rs",
     // The real runtime: one thread per node plus per-connection readers,
     // and the driver's quiescence barrier sleeps between poll rounds.
     "doma-net/src/runtime.rs",
@@ -173,6 +175,9 @@ pub fn run(ws: &Workspace) -> Result<LintReport, String> {
         }
         if DETERMINISM_CRATES.contains(&name) {
             findings.extend(rules::check_determinism(&f.path, &p.stripped));
+        }
+        if name != WALL_CLOCK_CRATE {
+            findings.extend(rules::check_wall_clock(&f.path, &p.stripped));
         }
     }
 

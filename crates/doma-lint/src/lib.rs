@@ -36,10 +36,12 @@
 //! * **determinism** — in the deterministic crates (`doma-sim`,
 //!   `doma-protocol`, `doma-obs`, `doma-scenario`) non-test code must
 //!   be a pure function of the seed: no `HashMap`/`HashSet` (random
-//!   iteration order), no `Instant`/`SystemTime` (wall clock), no
-//!   `env::var` (environment branching), no `.partial_cmp(…)` (NaN-
-//!   partial float ordering). This is the invariant behind every golden
-//!   obs digest and bit-identical sharded merge.
+//!   iteration order), no `env::var` (environment branching), no
+//!   `.partial_cmp(…)` (NaN-partial float ordering). This is the
+//!   invariant behind every golden obs digest and bit-identical sharded
+//!   merge. Its wall-clock half — no `Instant`/`SystemTime` — covers
+//!   the non-test code of *every* crate except `doma-net`: the one
+//!   stopwatch lives in `benchmark/`.
 //! * **lint-headers** — every crate's `lib.rs` carries
 //!   `#![warn(missing_docs)]` and `#![warn(rust_2018_idioms)]`.
 //! * **scenario-digest** — every builtin scenario parses as the

@@ -290,14 +290,13 @@ pub fn check_net_containment(file: &str, trees: &[Tree<'_>]) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 
 /// The `determinism` rule: in the deterministic crates' non-test code,
-/// flags the four hazard classes that silently break byte-identical
-/// replay:
+/// flags the hazard classes that silently break byte-identical replay
+/// (the fourth, wall-clock, has a wider scope — see
+/// [`check_wall_clock`]):
 ///
 /// * **hash-iteration** — `HashMap`/`HashSet` (iteration order is
 ///   randomized per process; the deterministic crates use `BTreeMap`/
 ///   `BTreeSet` exclusively);
-/// * **wall-clock** — `Instant`/`SystemTime` (real time leaks
-///   scheduling into results);
 /// * **env-branch** — `env::var*` (environment-dependent behavior
 ///   invisible to a seed; sanctioned overrides go in the allowlist);
 /// * **fp-ordering** — `.partial_cmp(…)` calls (NaN-partial float
@@ -319,16 +318,6 @@ pub fn check_determinism(file: &str, trees: &[Tree<'_>]) -> Vec<Finding> {
                     format!(
                         "[hash-iteration] `{}` in a deterministic crate — iteration \
                          order is process-random; use the BTree equivalent",
-                        tok.text
-                    ),
-                )),
-                "Instant" | "SystemTime" => out.push(finding(
-                    file,
-                    tok,
-                    "determinism",
-                    format!(
-                        "[wall-clock] `{}` in a deterministic crate — real time must \
-                         not influence simulated behavior",
                         tok.text
                     ),
                 )),
@@ -366,6 +355,32 @@ pub fn check_determinism(file: &str, trees: &[Tree<'_>]) -> Vec<Finding> {
                     ))
                 }
                 _ => {}
+            }
+        }
+    });
+    out
+}
+
+/// The **wall-clock** half of the `determinism` rule: `Instant`/
+/// `SystemTime` in non-test code. Unlike the other sub-rules it covers
+/// every crate but the socket runtime — the cost-denominated artefacts
+/// are byte-stable only if no stopwatch reaches them, and wall-clock
+/// measurement has one home, `benchmark/`.
+pub fn check_wall_clock(file: &str, trees: &[Tree<'_>]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    walk_levels(trees, &mut |level| {
+        for tok in level.iter().filter_map(|t| t.leaf()) {
+            if tok.kind == TokKind::Ident && matches!(tok.text, "Instant" | "SystemTime") {
+                out.push(finding(
+                    file,
+                    tok,
+                    "determinism",
+                    format!(
+                        "[wall-clock] `{}` under crates/ — real time must not \
+                         influence results; the one stopwatch lives in benchmark/",
+                        tok.text
+                    ),
+                ));
             }
         }
     });

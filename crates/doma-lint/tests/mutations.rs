@@ -278,10 +278,36 @@ fn determinism_spares_trait_impls_and_nondeterministic_crates() {
                     }\n";
     let report = run(&ws(vec![sf("crates/doma-sim/src/k.rs", impl_src)])).unwrap();
     assert_clean(&report.findings);
-    // The analysis crate may use wall clocks (it times real runs).
-    let src = "fn f() { let t = std::time::Instant::now(); }\n";
+    // Outside the deterministic crates only the wall-clock half applies.
+    let src = "use std::collections::HashMap;\n\
+               fn f() -> Option<String> { std::env::var(\"X\").ok() }\n";
     let report = run(&ws(vec![sf("crates/doma-analysis/src/t.rs", src)])).unwrap();
     assert_clean(&report.findings);
+}
+
+#[test]
+fn wall_clock_is_a_finding_in_every_crate_but_doma_net() {
+    let src = "fn f() -> u128 {\n\
+               \x20   let start = std::time::Instant::now();\n\
+               \x20   start.elapsed().as_nanos()\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               \x20   fn t() { let _ = std::time::SystemTime::now(); }\n\
+               }\n";
+    let f = "crates/doma-analysis/src/experiments.rs";
+    let report = run(&ws(vec![sf(f, src)])).unwrap();
+    assert_finding(&report.findings, f, 2, "determinism");
+    assert_eq!(report.findings.len(), 1, "test code is exempt");
+    // The socket runtime measures real time by design; integration
+    // tests and benches are not `src/`.
+    for spared in [
+        "crates/doma-net/src/runtime.rs",
+        "crates/doma-analysis/tests/t.rs",
+    ] {
+        let report = run(&ws(vec![sf(spared, src)])).unwrap();
+        assert_clean(&report.findings);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@
 //! multi-object allocator uses for core placement, so `LoadAware`
 //! balances shards by request traffic exactly as it balances processors
 //! by I/O. Workers run on scoped threads via
-//! [`doma_sim::shard::run_shards`]; `DOMA_SHARDS=1` in the environment
-//! forces the serial fallback path, which must (and, per the parity
-//! gate, does) produce identical bytes.
+//! [`doma_sim::shard::run_shards`]; a single shard runs serially on the
+//! calling thread, which must (and, per the parity gate, does) produce
+//! identical bytes.
 
 use crate::{DomMsg, DomNode, ProtocolConfig, ProtocolSim, SimReport};
 use doma_algorithms::multi::Placement;
@@ -49,7 +49,7 @@ const _: () = doma_sim::shard::assert_send::<DomNode>();
 const _: () = doma_sim::shard::assert_send::<DomMsg>();
 
 /// One shard's input: its catalog slice and its projected sub-schedule.
-/// Public so the bench harness's phase profiler can drive the same
+/// Public so the benchmark's phase profiler can drive the same
 /// partition → project → setup → execute → merge pipeline
 /// [`ShardedSim::execute_multi`] composes, timing each phase.
 pub type ShardInput = (BTreeMap<ObjectId, ProtocolConfig>, MultiSchedule);

@@ -120,36 +120,12 @@ pub struct ProtocolSim {
 impl ProtocolSim {
     /// Builds an SA cluster of `n` nodes with fixed scheme `q`.
     pub fn new_sa(n: usize, q: ProcSet) -> Result<Self> {
-        Self::new_sa_with(n, q, doma_sim::NetworkConfig::default())
-    }
-
-    /// Builds an SA cluster with an explicit network model (e.g. the
-    /// shared-bus medium for the contention experiments).
-    pub fn new_sa_with(n: usize, q: ProcSet, network: doma_sim::NetworkConfig) -> Result<Self> {
-        if q.len() < 2 {
-            return Err(DomaError::InvalidConfig("SA requires |Q| >= 2".into()));
-        }
-        Self::build(n, ProtocolConfig::Sa { q }, network)
+        Self::new_catalog(n, BTreeMap::from([(OBJECT, ProtocolConfig::Sa { q })]))
     }
 
     /// Builds a DA cluster of `n` nodes with core `f` and floater `p`.
     pub fn new_da(n: usize, f: ProcSet, p: ProcessorId) -> Result<Self> {
-        Self::new_da_with(n, f, p, doma_sim::NetworkConfig::default())
-    }
-
-    /// Builds a DA cluster with an explicit network model.
-    pub fn new_da_with(
-        n: usize,
-        f: ProcSet,
-        p: ProcessorId,
-        network: doma_sim::NetworkConfig,
-    ) -> Result<Self> {
-        if f.is_empty() || f.contains(p) {
-            return Err(DomaError::InvalidConfig(
-                "DA requires non-empty F with p outside F".into(),
-            ));
-        }
-        Self::build(n, ProtocolConfig::Da { f, p }, network)
+        Self::new_catalog(n, BTreeMap::from([(OBJECT, ProtocolConfig::Da { f, p })]))
     }
 
     /// The §2 mobile deployment: `t = 2`, the core is the base station
@@ -173,7 +149,7 @@ impl ProtocolSim {
         let t = oracle.t();
         let initial = oracle.initial_scheme();
         let config = ProtocolConfig::Adaptive { t, initial, algo };
-        let mut sim = Self::build(n, config, doma_sim::NetworkConfig::default())?;
+        let mut sim = Self::new_catalog(n, BTreeMap::from([(OBJECT, config)]))?;
         sim.planner.install_oracle(OBJECT, oracle);
         Ok(sim)
     }
@@ -193,57 +169,6 @@ impl ProtocolSim {
         self.planner.has_oracles()
     }
 
-    /// Builds an SA cluster whose nodes have a memory cache of
-    /// `cache_capacity` objects (0 = the paper's no-cache model). For the
-    /// E16 cache-sensitivity ablation.
-    pub fn new_sa_cached(n: usize, q: ProcSet, cache_capacity: usize) -> Result<Self> {
-        if q.len() < 2 {
-            return Err(DomaError::InvalidConfig("SA requires |Q| >= 2".into()));
-        }
-        Self::build_cached(
-            n,
-            ProtocolConfig::Sa { q },
-            doma_sim::NetworkConfig::default(),
-            cache_capacity,
-        )
-    }
-
-    /// Builds a DA cluster whose nodes have a memory cache of
-    /// `cache_capacity` objects (0 = the paper's no-cache model).
-    pub fn new_da_cached(
-        n: usize,
-        f: ProcSet,
-        p: ProcessorId,
-        cache_capacity: usize,
-    ) -> Result<Self> {
-        if f.is_empty() || f.contains(p) {
-            return Err(DomaError::InvalidConfig(
-                "DA requires non-empty F with p outside F".into(),
-            ));
-        }
-        Self::build_cached(
-            n,
-            ProtocolConfig::Da { f, p },
-            doma_sim::NetworkConfig::default(),
-            cache_capacity,
-        )
-    }
-
-    fn build(n: usize, config: ProtocolConfig, network: doma_sim::NetworkConfig) -> Result<Self> {
-        Self::build_cached(n, config, network, 0)
-    }
-
-    fn build_cached(
-        n: usize,
-        config: ProtocolConfig,
-        network: doma_sim::NetworkConfig,
-        cache_capacity: usize,
-    ) -> Result<Self> {
-        let mut configs = BTreeMap::new();
-        configs.insert(OBJECT, config);
-        Self::build_catalog(n, configs, network, cache_capacity)
-    }
-
     /// Builds a cluster serving a whole catalog of objects, each with its
     /// own SA/DA configuration (the multi-object extension; per-object
     /// costs are independent, and the integration tests verify the
@@ -252,7 +177,12 @@ impl ProtocolSim {
         Self::build_catalog(n, configs, doma_sim::NetworkConfig::default(), 0)
     }
 
-    fn build_catalog(
+    /// The general constructor every other one goes through: a catalog
+    /// with an explicit network model (e.g. the shared-bus medium of the
+    /// E15 contention experiment) and a per-node memory cache of
+    /// `cache_capacity` objects (0 = the paper's no-cache model; E16
+    /// varies it).
+    pub fn build_catalog(
         n: usize,
         configs: BTreeMap<ObjectId, ProtocolConfig>,
         network: doma_sim::NetworkConfig,
@@ -334,23 +264,13 @@ impl ProtocolSim {
         &self.engine
     }
 
-    /// Attaches a message trace (bounded to `capacity` records) and
-    /// returns the handle; every subsequent delivery/drop is recorded with
-    /// a human-readable label.
-    pub fn attach_tracer(&mut self, capacity: usize) -> doma_sim::TraceHandle {
-        let trace = doma_sim::TraceHandle::new(capacity);
-        self.engine.set_tracer(trace.clone(), DomMsg::label);
-        trace
-    }
-
     /// Attaches a message trace that records into an existing event log
     /// (typically [`doma_obs::Obs::events`]), so message deliveries
     /// interleave with the engine's lifecycle events and the protocol's
-    /// spans in one choreography log.
-    pub fn attach_tracer_on(&mut self, log: doma_obs::EventLog) -> doma_sim::TraceHandle {
-        let trace = doma_sim::TraceHandle::on(log);
-        self.engine.set_tracer(trace.clone(), DomMsg::label);
-        trace
+    /// spans in one choreography log: every subsequent delivery/drop is
+    /// one `sim.trace` record with a human-readable label.
+    pub fn attach_tracer_on(&mut self, log: doma_obs::EventLog) {
+        self.engine.set_tracer(log, DomMsg::label);
     }
 
     /// Attaches a fresh observability bundle (event log bounded to
@@ -833,6 +753,17 @@ mod tests {
         v.iter().copied().collect()
     }
 
+    /// An 8-node single-object cluster on the shared-bus medium.
+    fn on_bus(config: ProtocolConfig) -> ProtocolSim {
+        ProtocolSim::build_catalog(
+            8,
+            BTreeMap::from([(OBJECT, config)]),
+            doma_sim::NetworkConfig::shared_bus(1, 3),
+            0,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn construction_validation() {
         assert!(ProtocolSim::new_sa(4, ps(&[0])).is_err());
@@ -921,14 +852,18 @@ mod tests {
     #[test]
     fn trace_records_the_da_message_choreography() {
         let mut sim = ProtocolSim::new_da(4, ps(&[0]), ProcessorId::new(1)).unwrap();
-        let trace = sim.attach_tracer(64);
+        let log = doma_obs::EventLog::new(64);
+        sim.attach_tracer_on(log.clone());
         // Saving-read by 2, then a core write that must invalidate 2.
         sim.execute_request(Request::read(2usize)).unwrap();
         sim.execute_request(Request::write(0usize)).unwrap();
-        let labels: Vec<String> = trace
+        let labels: Vec<String> = log
             .snapshot()
             .iter()
-            .map(|r| format!("{}->{} {}", r.from.0, r.to.0, r.label))
+            .map(|r| {
+                let field = |key: &str| &r.fields.iter().find(|(k, _)| k == key).unwrap().1;
+                format!("{}->{} {}", field("from"), field("to"), field("label"))
+            })
             .collect();
         assert_eq!(
             labels,
@@ -943,7 +878,7 @@ mod tests {
             ],
             "unexpected choreography: {labels:#?}"
         );
-        assert_eq!(trace.discarded(), 0);
+        assert_eq!(log.dropped_events(), 0);
     }
 
     #[test]
@@ -1088,9 +1023,7 @@ mod tests {
         assert_eq!(a.mean_response, 4.0, "no contention on p2p links");
         assert_eq!(a.bus_queue_wait, 0);
 
-        let mut bus =
-            ProtocolSim::new_sa_with(8, ps(&[0, 1]), doma_sim::NetworkConfig::shared_bus(1, 3))
-                .unwrap();
+        let mut bus = on_bus(ProtocolConfig::Sa { q: ps(&[0, 1]) });
         let b = bus.execute_open_loop(&reads, 1).unwrap();
         assert_eq!(b.latencies.len(), 30);
         assert!(
@@ -1123,9 +1056,7 @@ mod tests {
     fn open_loop_under_slow_arrivals_matches_closed_loop_latency() {
         // With arrivals far slower than service, open loop == closed loop.
         let reads: Schedule = (0..10).map(|k| Request::read(2 + (k % 3))).collect();
-        let mut bus =
-            ProtocolSim::new_sa_with(8, ps(&[0, 1]), doma_sim::NetworkConfig::shared_bus(1, 3))
-                .unwrap();
+        let mut bus = on_bus(ProtocolConfig::Sa { q: ps(&[0, 1]) });
         let r = bus.execute_open_loop(&reads, 100).unwrap();
         assert_eq!(r.mean_response, 4.0, "no queueing at low load");
     }
@@ -1143,9 +1074,7 @@ mod tests {
         assert_eq!(r.bus_queue_wait, 0);
 
         // Shared bus: the six requests and six replies serialize.
-        let mut bus =
-            ProtocolSim::new_sa_with(8, ps(&[0, 1]), doma_sim::NetworkConfig::shared_bus(1, 3))
-                .unwrap();
+        let mut bus = on_bus(ProtocolConfig::Sa { q: ps(&[0, 1]) });
         let r = bus.execute_read_burst(&readers).unwrap();
         assert_eq!(r.completed, 6);
         assert!(
@@ -1164,13 +1093,10 @@ mod tests {
         // a saturated bus. This is DA's answer to the intro's Ethernet
         // argument.
         let readers: Vec<ProcessorId> = (2..8).map(ProcessorId::new).collect();
-        let mut bus = ProtocolSim::new_da_with(
-            8,
-            ps(&[0]),
-            ProcessorId::new(1),
-            doma_sim::NetworkConfig::shared_bus(1, 3),
-        )
-        .unwrap();
+        let mut bus = on_bus(ProtocolConfig::Da {
+            f: ps(&[0]),
+            p: ProcessorId::new(1),
+        });
         let first = bus.execute_read_burst(&readers).unwrap();
         assert!(first.mean_response > 4.0);
         let second = bus.execute_read_burst(&readers).unwrap();

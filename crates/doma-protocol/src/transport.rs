@@ -14,8 +14,8 @@
 //!
 //! * **Static dispatch.** Node methods are generic over `T: Transport +
 //!   ?Sized`, not `&mut dyn Transport`, so the sim hot path monomorphizes
-//!   to exactly the code it ran before the refactor (the `domactl perf`
-//!   wall enforces this stays within budget).
+//!   to exactly the code it ran before the refactor (`sim_req_per_s` in
+//!   `benchmark/` is the number that would show otherwise).
 //! * **Buffered sends.** `send` queues; `pending_sends` exposes the queue
 //!   so the node's observability layer can tally per-message costs after
 //!   a step (the engine drains the buffer after each dispatch, the socket

@@ -17,6 +17,7 @@ use doma_algorithms::{
     WriteInvalidateCache,
 };
 use doma_core::{CostModel, CostVector, ProcSet, ProcessorId, Schedule};
+use doma_obs::json::escape;
 use doma_protocol::{AdaptiveAlgo, PlanOracle, ProtocolConfig, ProtocolSim};
 use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind, NodeId};
 use doma_testkit::rng::splitmix64;
@@ -101,39 +102,22 @@ impl RunReport {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"scenario\": {}, \"entrant\": {}, \"requests\": {}, \"digest\": {}, ",
-            json_str(&self.scenario),
-            json_str(self.entrant),
+            "\"scenario\": \"{}\", \"entrant\": \"{}\", \"requests\": {}, \"digest\": \"{}\", ",
+            escape(&self.scenario),
+            escape(self.entrant),
             self.requests,
-            json_str(&self.digest),
+            escape(&self.digest),
         ));
         out.push_str(&format!("\"passed\": {}, \"violations\": [", self.passed()));
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_str(v));
+            out.push_str(&format!("\"{}\"", escape(v)));
         }
         out.push_str(&format!("], \"obs\": {}}}", self.snapshot_json));
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn pair() -> ProcSet {
@@ -342,7 +326,7 @@ fn run_impl(
     let schedule = build_schedule(scenario)?;
     let mut sim = build_sim(scenario)?;
     let obs = sim.attach_obs(scenario.events);
-    let _tracer = sim.attach_tracer_on(obs.events().clone());
+    sim.attach_tracer_on(obs.events().clone());
     if traced {
         sim.enable_request_spans();
     }

@@ -1,7 +1,7 @@
 //! The event loop: actors, contexts, and deterministic dispatch.
 
 use crate::fault::{FaultPlan, FaultState, FaultStats, Judgement};
-use crate::{MsgKind, Network, NetworkConfig, SimTime, StatsHandle, TraceHandle, TraceRecord};
+use crate::{MsgKind, Network, NetworkConfig, SimTime, StatsHandle};
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
@@ -207,9 +207,9 @@ pub struct EngineConfig {
     pub max_events: u64,
 }
 
-/// A message tracer: the sink plus the labelling function applied to each
-/// message before recording.
-type Tracer<M> = (TraceHandle, fn(&M) -> String);
+/// A message tracer: the event log its records go to plus the labelling
+/// function applied to each message before recording.
+type Tracer<M> = (doma_obs::EventLog, fn(&M) -> String);
 
 /// The engine's slice of an attached [`doma_obs::Obs`] bundle: the
 /// bundle itself plus counters resolved once at attach time, so the
@@ -260,9 +260,40 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
     }
 
     /// Attaches a message tracer: every delivery (and drop at a crashed
-    /// node) is recorded into `trace`, labelled by `labeller`.
-    pub fn set_tracer(&mut self, trace: TraceHandle, labeller: fn(&M) -> String) {
-        self.tracer = Some((trace, labeller));
+    /// node, or by a fault) is recorded into `log` as one
+    /// [`doma_obs::trace::MESSAGE_EVENT`] record, labelled by `labeller`.
+    /// Passing an [`doma_obs::Obs`] bundle's own log interleaves the
+    /// deliveries with the engine's lifecycle events and the protocol's
+    /// spans in one choreography log.
+    pub fn set_tracer(&mut self, log: doma_obs::EventLog, labeller: fn(&M) -> String) {
+        self.tracer = Some((log, labeller));
+    }
+
+    /// Records one message into the attached tracer, if any. `prefix`
+    /// names the fault that touched the message (`fault-drop:` …).
+    fn trace(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        kind: MsgKind,
+        delivered: bool,
+        prefix: &str,
+        msg: &M,
+    ) {
+        let Some((log, labeller)) = &self.tracer else {
+            return;
+        };
+        log.record(
+            self.now.ticks(),
+            doma_obs::trace::MESSAGE_EVENT,
+            vec![
+                ("from".to_string(), from.0.to_string()),
+                ("to".to_string(), to.0.to_string()),
+                ("kind".to_string(), format!("{kind:?}")),
+                ("delivered".to_string(), delivered.to_string()),
+                ("label".to_string(), format!("{prefix}{}", labeller(msg))),
+            ],
+        );
     }
 
     /// Attaches an observability bundle: message sends, drops (by
@@ -449,21 +480,12 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                             ],
                         );
                     }
-                    if let Some((trace, labeller)) = &self.tracer {
-                        let cause = if partition {
-                            "fault-partition"
-                        } else {
-                            "fault-drop"
-                        };
-                        trace.record(TraceRecord {
-                            time: self.now,
-                            from: node,
-                            to,
-                            kind,
-                            delivered: false,
-                            label: format!("{cause}:{}", labeller(&msg)),
-                        });
-                    }
+                    let cause = if partition {
+                        "fault-partition:"
+                    } else {
+                        "fault-drop:"
+                    };
+                    self.trace(node, to, kind, false, cause, &msg);
                 }
                 Judgement::Deliveries { extra, action } => {
                     if let Some(o) = &self.obs {
@@ -478,16 +500,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                             ],
                         );
                     }
-                    if let Some((trace, labeller)) = &self.tracer {
-                        trace.record(TraceRecord {
-                            time: self.now,
-                            from: node,
-                            to,
-                            kind,
-                            delivered: true,
-                            label: format!("fault-{action}:{}", labeller(&msg)),
-                        });
-                    }
+                    self.trace(node, to, kind, true, &format!("fault-{action}:"), &msg);
                     for offset in extra {
                         self.push(
                             natural + offset,
@@ -517,16 +530,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 msg,
             } => {
                 let delivered = self.alive[to.0];
-                if let Some((trace, labeller)) = &self.tracer {
-                    trace.record(TraceRecord {
-                        time: self.now,
-                        from,
-                        to,
-                        kind,
-                        delivered,
-                        label: labeller(&msg),
-                    });
-                }
+                self.trace(from, to, kind, delivered, "", &msg);
                 if delivered {
                     self.dispatch_to(to, |a, ctx| a.on_message(ctx, from, kind, msg));
                 } else {
@@ -1049,19 +1053,27 @@ mod tests {
         let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig::default());
         let a = engine.add_node(PingPong::new(Some(NodeId(1))));
         let b = engine.add_node(PingPong::new(Some(NodeId(0))));
-        let trace = TraceHandle::new(16);
-        engine.set_tracer(trace.clone(), |m| format!("m{m}"));
+        let log = doma_obs::EventLog::new(16);
+        engine.set_tracer(log.clone(), |m| format!("m{m}"));
         engine.install_faults(
             FaultPlan::new(0)
                 .rule(FaultRule::always(LinkFilter::link(a, b), FaultAction::Drop).with_budget(1)),
         );
         engine.inject(a, 0, 4);
         engine.run_until_idle();
-        let records = trace.snapshot();
-        assert!(
-            records
+        let records = log.snapshot();
+        let field = |r: &doma_obs::EventRecord, key: &str| {
+            r.fields
                 .iter()
-                .any(|r| r.label == "fault-drop:m3" && !r.delivered),
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        assert!(
+            records.iter().any(|r| {
+                r.name == doma_obs::trace::MESSAGE_EVENT
+                    && field(r, "label").as_deref() == Some("fault-drop:m3")
+                    && field(r, "delivered").as_deref() == Some("false")
+            }),
             "expected a fault-drop trace record, got {records:?}"
         );
     }

@@ -32,10 +32,8 @@ mod fault;
 mod network;
 pub mod shard;
 mod time;
-mod trace;
 
 pub use engine::{Actor, Context, Engine, EngineConfig, NodeId, PendingClass, PendingEvent};
 pub use fault::{CrashEvent, FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, Partition};
 pub use network::{Medium, MsgKind, NetStats, Network, NetworkConfig, StatsHandle};
 pub use time::SimTime;
-pub use trace::{TraceHandle, TraceRecord};

@@ -13,37 +13,24 @@
 //!   cross-thread traffic is moving the input in and the output out;
 //! * outputs come back positionally (slot `i` belongs to shard `i`), so
 //!   the merge sees the same order regardless of thread scheduling;
-//! * `DOMA_SHARDS=1` (or a single input) forces the serial path, giving
-//!   CI a scheduling-free fallback that must produce identical results.
-
-use std::env;
-
-/// The shard-count override from the `DOMA_SHARDS` environment variable,
-/// if set and parseable as a positive integer. `DOMA_SHARDS=1` is the
-/// CI fallback: it forces [`run_shards`] onto the serial in-thread path.
-pub fn shard_override() -> Option<usize> {
-    env::var("DOMA_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&k| k >= 1)
-}
+//! * a single input runs serially on the calling thread, and must
+//!   produce identical results.
 
 /// Runs `worker(shard_index, input)` over every input and returns the
 /// outputs in input order.
 ///
-/// With more than one input (and no `DOMA_SHARDS=1` override) each
-/// worker runs on its own scoped thread; otherwise the workers run
-/// serially on the calling thread. Both paths return positionally
-/// identical results — the parallel path writes each output into its
-/// own pre-allocated slot, so thread completion order cannot reorder
-/// them.
+/// With more than one input each worker runs on its own scoped thread;
+/// otherwise the workers run serially on the calling thread. Both paths
+/// return positionally identical results — the parallel path writes
+/// each output into its own pre-allocated slot, so thread completion
+/// order cannot reorder them.
 pub fn run_shards<T, R, F>(inputs: Vec<T>, worker: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    if inputs.len() <= 1 || shard_override() == Some(1) {
+    if inputs.len() <= 1 {
         return inputs
             .into_iter()
             .enumerate()
@@ -97,16 +84,5 @@ mod tests {
     fn empty_inputs_yield_empty_outputs() {
         let out: Vec<u32> = run_shards(Vec::<u32>::new(), |_, v| v);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn override_parses_positive_integers_only() {
-        // Can't set the process env safely under a parallel test harness;
-        // exercise the parse contract through the same code shape instead.
-        let parse = |v: &str| v.trim().parse::<usize>().ok().filter(|&k| k >= 1);
-        assert_eq!(parse("4"), Some(4));
-        assert_eq!(parse(" 1 "), Some(1));
-        assert_eq!(parse("0"), None);
-        assert_eq!(parse("lots"), None);
     }
 }

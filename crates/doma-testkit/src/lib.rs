@@ -1,8 +1,8 @@
 //! # doma-testkit
 //!
-//! Hermetic correctness tooling for the workspace: everything the tests,
-//! workloads and benches need from `rand`, `proptest` and `criterion`,
-//! reimplemented in-tree with **zero registry dependencies**, so
+//! Hermetic correctness tooling for the workspace: everything the tests
+//! and workloads need from `rand` and `proptest`, reimplemented in-tree
+//! with **zero registry dependencies**, so
 //! `cargo build --offline && cargo test --offline` works from a clean
 //! checkout with an empty cargo registry cache.
 //!
@@ -12,9 +12,6 @@
 //! * [`property`] — a shrinking property-test harness: the [`property!`]
 //!   macro, `Gen` combinators with integer/vector shrinking, and seed
 //!   replay printed on failure (`DOMA_PROP_SEED` / `DOMA_PROP_CASE`).
-//! * [`bench`] — a micro-benchmark harness with warmup, iteration
-//!   calibration and JSON output, driving every `[[bench]]` target via
-//!   [`bench_main!`].
 //! * [`replay`] — shared seed plumbing: `DOMA_*_SEED` parsing and the
 //!   replay-line conventions used by both the property harness and the
 //!   fault-injection torture driver (`DOMA_FAULT_SEED`).
@@ -26,7 +23,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bench;
 pub mod property;
 pub mod replay;
 pub mod rng;

@@ -13,7 +13,7 @@
 //! actually uses: uniform integer/float ranges (Lemire rejection for
 //! integers, so there is no modulo bias), Bernoulli draws, Fisher–Yates
 //! shuffles, and slice choice. [`Zipf`] adds the skewed distribution the
-//! benches sample from.
+//! workloads sample from.
 //!
 //! Everything here is `std`-only: no registry dependencies, so the
 //! workspace builds with an empty cargo registry cache.

@@ -5,8 +5,10 @@
 #   scripts/verify.sh
 #
 # Exits non-zero if (a) any Cargo.toml declares a non-path dependency,
-# (b) Cargo.lock references a crate outside the workspace, or (c) the
-# offline build or test run fails.
+# (b) a Cargo.lock references a crate outside the tree, (c) the offline
+# build or test run fails, or (d) any wall below — lint, byte-stability,
+# cluster parity, model check, shard parity, fault matrix, benchmark
+# smoke — does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -40,15 +42,18 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 # ---------------------------------------------------------------------------
-# Guard 2: the lockfile must contain only workspace members — every package
-# entry must carry no `source` field (registry packages always do).
+# Guard 2: the lockfiles (the workspace's and the benchmark crate's own) must
+# contain only path packages — every package entry must carry no `source`
+# field (registry packages always do). Read-only: neither file is rewritten.
 # ---------------------------------------------------------------------------
-if grep -q '^source = ' Cargo.lock; then
-    echo "error: Cargo.lock references external sources:" >&2
-    grep -B2 '^source = ' Cargo.lock >&2
-    echo "verify: FAILED (lockfile guard)" >&2
-    exit 1
-fi
+for lock in Cargo.lock benchmark/Cargo.lock; do
+    if grep -q '^source = ' "$lock"; then
+        echo "error: $lock references external sources:" >&2
+        grep -B2 '^source = ' "$lock" >&2
+        echo "verify: FAILED (lockfile guard)" >&2
+        exit 1
+    fi
+done
 
 # ---------------------------------------------------------------------------
 # Static-analysis wall: formatting, clippy at -D warnings, and the in-tree
@@ -65,104 +70,95 @@ if ! cargo clippy --workspace --offline --all-targets -q -- -D warnings; then
 fi
 
 # ---------------------------------------------------------------------------
-# Build + test, fully offline.
+# Build + test, fully offline. `--workspace`: the root package alone does
+# not build the `domactl` binary the walls below drive.
 # ---------------------------------------------------------------------------
-cargo build --release --offline
+cargo build --release --offline --workspace
 
 # ---------------------------------------------------------------------------
-# Semantic lint wall: the token-tree engine (determinism, lock-order,
-# message-flow, obs-catalog + the legacy rules) must be findings-free, its
-# JSON report must be byte-identical across two invocations (the same
-# determinism bar the obs/scenario walls hold), and stale lint-allow.list
-# entries fail the run (the engine reports them as findings).
+# Determinism helper: `same_bytes <label> <cmd…>` runs the command twice,
+# keeps the first run's stdout in $out/<label> for the key-presence checks
+# below, and fails the wall unless both runs exit 0 with identical bytes —
+# the bar every byte-stable export (lint, obs, tournament, scenario, trace)
+# is held to, checked end to end through the CLI.
 # ---------------------------------------------------------------------------
-lint_dir=$(mktemp -d)
-trap 'rm -rf "$lint_dir"' EXIT
-if ! ./target/release/domactl lint --format json > "$lint_dir/lint1.json"; then
-    cat "$lint_dir/lint1.json" >&2
-    echo "verify: FAILED (doma-lint wall: findings or stale allowlist entries above)" >&2
-    exit 1
-fi
-./target/release/domactl lint --format json > "$lint_dir/lint2.json"
-if ! cmp -s "$lint_dir/lint1.json" "$lint_dir/lint2.json"; then
-    echo "verify: FAILED (domactl lint JSON differs across identical runs)" >&2
-    exit 1
-fi
-if ! grep -qF '"findings": 0' "$lint_dir/lint1.json"; then
-    echo "verify: FAILED (domactl lint reported findings)" >&2
-    exit 1
-fi
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+domactl=./target/release/domactl
+
+same_bytes() {
+    local label=$1
+    shift
+    if ! "$@" > "$out/$label"; then
+        cat "$out/$label" >&2
+        echo "verify: FAILED ($label: '$*' exited non-zero)" >&2
+        exit 1
+    fi
+    if ! "$@" > "$out/$label.again" || ! cmp -s "$out/$label" "$out/$label.again"; then
+        echo "verify: FAILED ($label: '$*' differs across identical runs)" >&2
+        exit 1
+    fi
+}
+
+# `has_keys <label> <key…>`: every key must appear in $out/<label>.
+has_keys() {
+    local label=$1 key
+    shift
+    for key in "$@"; do
+        if ! grep -qF -- "$key" "$out/$label"; then
+            echo "verify: FAILED ($label output missing $key)" >&2
+            exit 1
+        fi
+    done
+}
+
+# ---------------------------------------------------------------------------
+# Semantic lint wall: the token-tree engine (determinism incl. the
+# no-stopwatch-under-crates/ rule, lock-order, message-flow, obs-catalog +
+# the legacy rules) must be findings-free; stale lint-allow.list entries
+# fail the run (the engine reports them as findings, and exits non-zero).
+# ---------------------------------------------------------------------------
+same_bytes lint "$domactl" lint --format json
+has_keys lint '"findings": 0'
 
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
-# Observability smoke: `domactl obs` must emit a JSON snapshot with the
-# expected shape, byte-identical across two runs of the same inputs — the
-# doma-obs determinism contract, checked end to end through the CLI.
+# Byte-stability table: each row is one CLI export that must be identical
+# across two invocations, plus the keys its JSON must carry.
+#   obs        — the doma-obs snapshot contract.
+#   tournament — a small seven-entrant tournament through the protocol sim:
+#                the stable-bench contract for BENCH_tournament.json.
+#   scenario   — every builtin scenario with obs attached; `domactl scenario`
+#                exits non-zero if any expected-invariant block (cost vs OPT,
+#                t-availability, churn ceilings, obs parity, golden digest)
+#                is violated.
+#   trace      — the doma-trace contract (virtual-tick timestamps, stable
+#                span/message ordering) on the Chrome trace-event export.
 # ---------------------------------------------------------------------------
-obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir" "$lint_dir"' EXIT
-./target/release/domactl obs --schedule "r2 w3 r2 r1 w0 r3 w2 r0" --algo da > "$obs_dir/obs1.json"
-./target/release/domactl obs --schedule "r2 w3 r2 r1 w0 r3 w2 r0" --algo da > "$obs_dir/obs2.json"
-if ! cmp -s "$obs_dir/obs1.json" "$obs_dir/obs2.json"; then
-    echo "verify: FAILED (domactl obs output differs across identical runs)" >&2
-    exit 1
-fi
-for key in '"metrics"' '"events"' '"dropped_events"'; do
-    if ! grep -q "$key" "$obs_dir/obs1.json"; then
-        echo "verify: FAILED (domactl obs JSON missing $key)" >&2
-        exit 1
-    fi
-done
+same_bytes obs "$domactl" obs --schedule "r2 w3 r2 r1 w0 r3 w2 r0" --algo da
+has_keys obs '"metrics"' '"events"' '"dropped_events"'
 
-# ---------------------------------------------------------------------------
-# Tournament smoke: a small seven-entrant tournament must run end to end
-# through the protocol sim, and the JSON export must be byte-identical
-# across two runs — the stable-bench contract for BENCH_tournament.json.
-# ---------------------------------------------------------------------------
-./target/release/domactl tournament --n 5 --len 12 --seed 3 --format json > "$obs_dir/tour1.json"
-./target/release/domactl tournament --n 5 --len 12 --seed 3 --format json > "$obs_dir/tour2.json"
-if ! cmp -s "$obs_dir/tour1.json" "$obs_dir/tour2.json"; then
-    echo "verify: FAILED (domactl tournament JSON differs across identical runs)" >&2
-    exit 1
-fi
-for key in '"group": "tournament"' '"algo": "sa"' '"algo": "da"' '"algo": "convergent"' \
-    '"algo": "write-invalidate"' '"algo": "cost-oblivious"' '"algo": "mobile-mirror"' \
-    '"algo": "clustered"' '"attachment": "tournament/spec"'; do
-    if ! grep -qF "$key" "$obs_dir/tour1.json"; then
-        echo "verify: FAILED (domactl tournament JSON missing $key)" >&2
-        exit 1
-    fi
-done
+same_bytes tournament "$domactl" tournament --n 5 --len 12 --seed 3 --format json
+has_keys tournament '"group": "tournament"' '"algo": "sa"' '"algo": "da"' \
+    '"algo": "convergent"' '"algo": "write-invalidate"' '"algo": "cost-oblivious"' \
+    '"algo": "mobile-mirror"' '"algo": "clustered"' '"attachment": "tournament/spec"'
 
-# ---------------------------------------------------------------------------
-# Scenario wall: every builtin scenario runs end to end through the
-# protocol sim with obs attached; `domactl scenario` exits non-zero if any
-# expected-invariant block (cost vs OPT, t-availability, churn ceilings,
-# obs parity, golden digest) is violated, and the exported JSON — obs
-# snapshot included — must be byte-identical across two invocations: the
-# golden-trace determinism contract, checked end to end through the CLI.
-# ---------------------------------------------------------------------------
-if ! ./target/release/domactl scenario all --format json > "$obs_dir/scen1.json"; then
-    echo "verify: FAILED (a builtin scenario violated its expected-invariant block)" >&2
-    exit 1
-fi
-./target/release/domactl scenario all --format json > "$obs_dir/scen2.json"
-if ! cmp -s "$obs_dir/scen1.json" "$obs_dir/scen2.json"; then
-    echo "verify: FAILED (domactl scenario JSON differs across identical runs)" >&2
-    exit 1
-fi
-for key in '"scenario": "append-only-6-2"' '"scenario": "trace-replay"' \
-    '"scenario": "mobile-handoff"' '"passed": true' '"digest": "0x'; do
-    if ! grep -qF "$key" "$obs_dir/scen1.json"; then
-        echo "verify: FAILED (domactl scenario JSON missing $key)" >&2
-        exit 1
-    fi
-done
-if grep -qF '"passed": false' "$obs_dir/scen1.json"; then
+same_bytes scenario "$domactl" scenario all --format json
+has_keys scenario '"scenario": "append-only-6-2"' '"scenario": "trace-replay"' \
+    '"scenario": "mobile-handoff"' '"passed": true' '"digest": "0x'
+if grep -qF '"passed": false' "$out/scenario"; then
     echo "verify: FAILED (a builtin scenario reported passed: false)" >&2
     exit 1
 fi
+
+same_bytes trace "$domactl" trace append-only-6-2 --format chrome
+has_keys trace '"traceEvents"' '"ph": "X"' '"protocol.request"' '"cp": "1"'
+if ! "$domactl" trace append-only-6-2 --top 5 > "$out/trace_table"; then
+    echo "verify: FAILED (domactl trace table report)" >&2
+    exit 1
+fi
+has_keys trace_table "slowest 5 of"
 
 # ---------------------------------------------------------------------------
 # Cluster-parity wall: the real runtime (doma-net) must reproduce the
@@ -172,15 +168,17 @@ fi
 # metrics. Fully offline (loopback only). Sandboxes that refuse sockets
 # print a notice and skip; anything else is a wall failure.
 # ---------------------------------------------------------------------------
-if ! ./target/release/domactl cluster append-only-6-2 --nodes 3 --transport uds > "$obs_dir/cluster.txt" 2>&1; then
-    cat "$obs_dir/cluster.txt" >&2
+if ! "$domactl" cluster append-only-6-2 --nodes 3 --transport uds > "$out/cluster" 2>&1; then
+    cat "$out/cluster" >&2
     echo "verify: FAILED (cluster diverged from the sim oracle)" >&2
     exit 1
 fi
-if grep -q "notice: sockets unavailable" "$obs_dir/cluster.txt"; then
+sockets=1
+if grep -q "notice: sockets unavailable" "$out/cluster"; then
     echo "verify: NOTICE (sockets unavailable in this sandbox; cluster-parity wall skipped)"
-elif ! grep -q "parity: MATCH" "$obs_dir/cluster.txt"; then
-    cat "$obs_dir/cluster.txt" >&2
+    sockets=0
+elif ! grep -q "parity: MATCH" "$out/cluster"; then
+    cat "$out/cluster" >&2
     echo "verify: FAILED (cluster run produced no parity verdict)" >&2
     exit 1
 fi
@@ -200,15 +198,10 @@ fi
 # ---------------------------------------------------------------------------
 # Shard parity: object-sharded execution must reproduce the sequential
 # driver exactly — report, holders and obs registry — for every shard
-# count × placement cell, then once more with DOMA_SHARDS=1 forcing the
-# serial in-thread worker path (the CI fallback for constrained boxes).
+# count × placement cell (K=1 runs the serial in-thread worker path).
 # ---------------------------------------------------------------------------
 if ! cargo test -q --offline -p doma-protocol --test shard_parity; then
     echo "verify: FAILED (shard parity matrix)" >&2
-    exit 1
-fi
-if ! DOMA_SHARDS=1 cargo test -q --offline -p doma-protocol --test shard_parity; then
-    echo "verify: FAILED (shard parity under DOMA_SHARDS=1 serial fallback)" >&2
     exit 1
 fi
 
@@ -229,51 +222,33 @@ if ! DOMA_FAULT_SEEDS=32 cargo test -q --offline --test fault_torture; then
 fi
 
 # ---------------------------------------------------------------------------
-# Trace-determinism gate: `domactl trace` must export byte-identical
-# Chrome trace-event JSON across two invocations of the same seeded
-# scenario — the doma-trace contract (virtual-tick timestamps, stable
-# span/message ordering), checked end to end through the CLI.
+# Perf wall: the one stopwatch. `benchmark/run.sh --smoke` builds the
+# benchmark crate against this tree (so a change under crates/ that stops
+# it compiling fails here, not only in the pipeline) and runs all three
+# workloads at one-tenth size with every check on — sim/shard/cluster
+# agreement, ok_share, cost_per_req, layer attribution; then the
+# benchmark's own unit tests. Neither may leave a trace in benchmark/
+# (a rewritten benchmark/Cargo.lock means a dependency edge among the
+# crates it links changed). The smoke run opens sockets, so it is skipped
+# with the cluster-parity wall's notice where the sandbox refuses them.
 # ---------------------------------------------------------------------------
-./target/release/domactl trace append-only-6-2 --format chrome > "$obs_dir/trace1.json"
-./target/release/domactl trace append-only-6-2 --format chrome > "$obs_dir/trace2.json"
-if ! cmp -s "$obs_dir/trace1.json" "$obs_dir/trace2.json"; then
-    echo "verify: FAILED (domactl trace Chrome JSON differs across identical runs)" >&2
-    exit 1
-fi
-for key in '"traceEvents"' '"ph": "X"' '"protocol.request"' '"cp": "1"'; do
-    if ! grep -qF "$key" "$obs_dir/trace1.json"; then
-        echo "verify: FAILED (domactl trace Chrome JSON missing $key)" >&2
+if [ "$sockets" -eq 0 ]; then
+    echo "verify: NOTICE (sockets unavailable in this sandbox; benchmark smoke skipped)"
+else
+    if ! benchmark/run.sh --smoke > "$out/smoke" 2> "$out/smoke.err"; then
+        cat "$out/smoke.err" "$out/smoke" >&2
+        echo "verify: FAILED (benchmark/run.sh --smoke)" >&2
         exit 1
     fi
-done
-if ! ./target/release/domactl trace append-only-6-2 --top 5 > "$obs_dir/trace_table.txt"; then
-    echo "verify: FAILED (domactl trace table report)" >&2
-    exit 1
+    if ! (cd benchmark && cargo test --offline -q); then
+        echo "verify: FAILED (benchmark crate unit tests)" >&2
+        exit 1
+    fi
 fi
-if ! grep -q "slowest 5 of" "$obs_dir/trace_table.txt"; then
-    echo "verify: FAILED (domactl trace table missing the slowest-K report)" >&2
-    exit 1
-fi
-
-# ---------------------------------------------------------------------------
-# Perf-regression gate: re-run the phase profiler bench and compare its
-# medians against the committed BENCH_prof.json baseline; any benchmark
-# whose median regressed by more than 25% (or disappeared) fails the
-# wall. The committed baseline itself must attribute at least 90% of the
-# sharded/1 − sequential delta to named phases.
-# ---------------------------------------------------------------------------
-frac=$(grep -o '"attributed_fraction": [0-9.]*' BENCH_prof.json | awk '{print $2}')
-if [ -z "$frac" ] || ! awk -v f="$frac" 'BEGIN { exit !(f >= 0.9) }'; then
-    echo "verify: FAILED (BENCH_prof.json attributed_fraction '$frac' < 0.9)" >&2
-    exit 1
-fi
-if ! DOMA_BENCH_JSON="$obs_dir/prof.json" cargo bench -q --offline -p doma-bench --bench shard_prof > "$obs_dir/prof.log" 2>&1; then
-    cat "$obs_dir/prof.log" >&2
-    echo "verify: FAILED (shard_prof bench run)" >&2
-    exit 1
-fi
-if ! ./target/release/domactl perf "$obs_dir/prof.json" --baseline BENCH_prof.json --threshold 0.25; then
-    echo "verify: FAILED (perf regression vs committed BENCH_prof.json baseline)" >&2
+dirty=$(git status --porcelain benchmark/ 2> /dev/null || true) # no-op outside a git checkout
+if [ -n "$dirty" ]; then
+    echo "$dirty" >&2
+    echo "verify: FAILED (benchmark/ is not clean after the smoke run)" >&2
     exit 1
 fi
 
