@@ -5,8 +5,8 @@
 //!                  [--model sc|mc] [--cc 0.25] [--cd 1.0] [--t 2]
 //!                  [--verbose]
 //! domactl stats    --schedule "r1 r1 w2 r2"
-//! domactl simulate --schedule "..." [--algo sa|da] [--n 6]
-//! domactl obs      --schedule "..." [--algo sa|da] [--n 6]
+//! domactl simulate --schedule "..." [--algo <entrant>] [--n 6]
+//! domactl obs      --schedule "..." [--algo <entrant>] [--n 6]
 //!                  [--format json|table] [--events 256]
 //! domactl generate --workload uniform|zipf|hotspot|chaotic|mobile|append
 //!                  [--n 6] [--len 50] [--seed 0] [--read-fraction 0.7]
@@ -15,27 +15,29 @@
 //! domactl scenario <name|path|all|list> [--format table|json]
 //!                  [--diff <baseline.json>] [--transport sim|tcp|uds]
 //! domactl cluster  <scenario|workload> --nodes N [--transport tcp|uds]
-//!                  [--entrant sa|da|...] [--len 40] [--seed 7]
+//!                  [--entrant <entrant>] [--n 6] [--len 40] [--seed 7]
 //!                  [--read-fraction 0.7]
 //! domactl trace    <scenario|workload> [--format table|chrome] [--top 10]
-//!                  [--events N] [--algo sa|da] [--n 6] [--len 50] [--seed 0]
-//!                  [--read-fraction 0.7]
+//!                  [--events N] [--algo <entrant>] [--n 6] [--len 50]
+//!                  [--seed 0] [--read-fraction 0.7]
 //! domactl obs diff <a.json> <b.json> [--scenario NAME]
 //! domactl lint     [--root PATH] [--format table|json] [--rule <id>]
 //! ```
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
 //! tokens. `--file <path>` reads the schedule from a file instead.
+//! `<entrant>` is any name of the roster ([`doma_protocol::Entrant`]):
+//! `sa`, `da`, `convergent`, `write-invalidate`, `cost-oblivious`,
+//! `mobile-mirror` or `clustered`, always in its canonical deployment.
+//! `<scenario|workload>` is a builtin scenario name, a scenario `.toml`
+//! path, or an ad-hoc workload kind (the `generate --workload` list).
 
 use doma_algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
 use doma_core::{
     run_offline, run_online, schedule_stats, CostModel, ProcSet, ProcessorId, RunOutcome, Schedule,
 };
-use doma_protocol::ProtocolSim;
-use doma_workload::{
-    AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, MobileWorkload, ScheduleGen,
-    UniformWorkload, ZipfWorkload,
-};
+use doma_protocol::Entrant;
+use doma_scenario::{Scenario, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -118,6 +120,11 @@ impl Opts {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
         }
+    }
+
+    /// The roster entrant named by `--<key>`.
+    fn entrant(&self, key: &str, default: &str) -> Result<Entrant, String> {
+        Entrant::from_name(&self.get(key, default)).map_err(|e| format!("--{key}: {e}"))
     }
 
     fn schedule(&self) -> Result<Schedule, String> {
@@ -253,18 +260,13 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
 fn cmd_simulate(opts: &Opts) -> Result<(), String> {
     let schedule = opts.schedule()?;
     let n = universe_for(&schedule, opts)?;
-    let algo = opts.get("algo", "da");
+    let algo = opts.entrant("algo", "da")?;
     let err = |e: doma_core::DomaError| e.to_string();
-    let mut sim = match algo.as_str() {
-        "sa" => ProtocolSim::new_sa(n, ProcSet::from_iter([0usize, 1])).map_err(err)?,
-        "da" => ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1))
-            .map_err(err)?,
-        other => return Err(format!("--algo must be sa or da, got '{other}'")),
-    };
+    let mut sim = algo.sim(n).map_err(err)?;
     let report = sim.execute(&schedule).map_err(err)?;
     println!(
         "{} protocol on {n} simulated nodes: {} control msgs, {} data msgs, {} I/Os",
-        algo.to_uppercase(),
+        algo.as_str().to_uppercase(),
         report.cost.control,
         report.cost.data,
         report.cost.io
@@ -289,15 +291,9 @@ fn cmd_obs(opts: &Opts) -> Result<(), String> {
     }
     let schedule = opts.schedule()?;
     let n = universe_for(&schedule, opts)?;
-    let algo = opts.get("algo", "da");
     let events = opts.get_usize("events", 256)?;
     let err = |e: doma_core::DomaError| e.to_string();
-    let mut sim = match algo.as_str() {
-        "sa" => ProtocolSim::new_sa(n, ProcSet::from_iter([0usize, 1])).map_err(err)?,
-        "da" => ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1))
-            .map_err(err)?,
-        other => return Err(format!("--algo must be sa or da, got '{other}'")),
-    };
+    let mut sim = opts.entrant("algo", "da")?.sim(n).map_err(err)?;
     let obs = sim.attach_obs(events);
     sim.attach_tracer_on(obs.events().clone());
     sim.execute(&schedule).map_err(err)?;
@@ -342,16 +338,14 @@ fn cmd_obs_diff(opts: &Opts) -> Result<(), String> {
 /// causal spans enabled and print either the Chrome trace-event JSON
 /// (`--format chrome`, perfetto-loadable, byte-stable for a fixed seed)
 /// or the slowest-K critical-path report (`--format table`, default).
-/// The target is a builtin scenario name, a scenario `.toml` path, or a
-/// workload kind (`uniform|zipf|hotspot|chaotic|mobile|append`) run
-/// through a single-object SA/DA sim (`--algo`, `--n`, `--len`,
-/// `--seed`, `--read-fraction`).
+/// An ad-hoc workload runs under `--algo` (`--n`, `--len`, `--seed`,
+/// `--read-fraction` shape it).
 fn cmd_trace(opts: &Opts) -> Result<(), String> {
     use doma_obs::trace::{chrome_trace, slowest_report, TraceModel};
-    let target = opts.target.clone().ok_or_else(|| {
+    let target = opts.target.as_deref().ok_or_else(|| {
         format!(
-            "need a target: domactl trace <scenario|workload>\nbuiltins: {}\nworkloads: uniform, zipf, hotspot, chaotic, mobile, append",
-            doma_scenario::builtin::names().join(", ")
+            "need a target: domactl trace <scenario|workload>\n{}",
+            targets_help()
         )
     })?;
     let format = opts.get("format", "table");
@@ -359,87 +353,27 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
         return Err(format!("--format must be table or chrome, got '{format}'"));
     }
     let top = opts.get_usize("top", 10)?;
-    let workloads = ["uniform", "zipf", "hotspot", "chaotic", "mobile", "append"];
-
-    let (model, header) = if target.ends_with(".toml")
-        || target.contains('/')
-        || doma_scenario::builtin::names().contains(&target.as_str())
-    {
-        let mut scenario = if target.ends_with(".toml") || target.contains('/') {
-            let text = std::fs::read_to_string(&target)
-                .map_err(|e| format!("cannot read {target}: {e}"))?;
-            doma_scenario::Scenario::parse(&text).map_err(|e| format!("{target}: {e}"))?
-        } else {
-            doma_scenario::builtin::load(&target).map_err(|e| e.to_string())?
-        };
-        if opts.flags.contains_key("events") {
-            scenario.events = opts.get_usize("events", scenario.events)?;
-        }
-        let (report, obs) =
-            doma_scenario::run_traced(&scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
-        for violation in &report.violations {
-            eprintln!("warning: {}: {violation}", report.scenario);
-        }
-        let header = format!(
-            "trace: scenario {} ({} entrant, {} requests, cost {} control / {} data / {} I/O)",
-            report.scenario,
-            report.entrant,
-            report.requests,
-            report.cost.control,
-            report.cost.data,
-            report.cost.io
-        );
-        (TraceModel::from_obs(&obs), header)
-    } else if workloads.contains(&target.as_str()) {
-        let n = opts.get_usize("n", 6)?;
-        let len = opts.get_usize("len", 50)?;
-        let seed = opts.get_usize("seed", 0)? as u64;
-        let rf = opts.get_f64("read-fraction", 0.7)?;
-        let events = opts.get_usize("events", 65_536)?;
-        let err = |e: doma_core::DomaError| e.to_string();
-        let gen: Box<dyn ScheduleGen> = match target.as_str() {
-            "uniform" => Box::new(UniformWorkload::new(n, rf).map_err(err)?),
-            "zipf" => Box::new(ZipfWorkload::new(n, 1.0, rf).map_err(err)?),
-            "hotspot" => Box::new(HotspotWorkload::new(n, 20, rf).map_err(err)?),
-            "chaotic" => Box::new(ChaoticWorkload::new(n, 8).map_err(err)?),
-            "mobile" => Box::new(MobileWorkload::new(n / 2, n - n / 2 - 1, 0.3, rf).map_err(err)?),
-            "append" => Box::new(AppendOnlyWorkload::new(n, 2, 3.0).map_err(err)?),
-            _ => unreachable!("gated by the workloads list"),
-        };
-        let schedule = gen.generate(len, seed);
-        let algo = opts.get("algo", "da");
-        let mut sim = match algo.as_str() {
-            "sa" => ProtocolSim::new_sa(n, ProcSet::from_iter([0usize, 1])).map_err(err)?,
-            "da" => ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1))
-                .map_err(err)?,
-            other => return Err(format!("--algo must be sa or da, got '{other}'")),
-        };
-        let obs = sim.attach_obs(events);
-        sim.attach_tracer_on(obs.events().clone());
-        sim.enable_request_spans();
-        let report = sim.execute(&schedule).map_err(err)?;
-        sim.obs_flush();
-        let header = format!(
-            "trace: {target} workload ({} on n={n}, {} requests, seed {seed}, cost {} control / {} data / {} I/O)",
-            algo.to_uppercase(),
-            schedule.len(),
-            report.cost.control,
-            report.cost.data,
-            report.cost.io
-        );
-        (TraceModel::from_obs(&obs), header)
-    } else {
-        return Err(format!(
-            "unknown trace target '{target}'\nbuiltins: {}\nworkloads: {}",
-            doma_scenario::builtin::names().join(", "),
-            workloads.join(", ")
-        ));
-    };
+    let mut scenario = resolve_target(opts, target, "algo", "da", 50, 0)?;
+    scenario.events = opts.get_usize("events", scenario.events)?;
+    let (report, obs) =
+        doma_scenario::run_traced(&scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
+    for violation in &report.violations {
+        eprintln!("warning: {}: {violation}", report.scenario);
+    }
+    let model = TraceModel::from_obs(&obs);
 
     match format.as_str() {
         "chrome" => println!("{}", chrome_trace(&model)),
         _ => {
-            println!("{header}");
+            println!(
+                "trace: scenario {} ({} entrant, {} requests, cost {} control / {} data / {} I/O)",
+                report.scenario,
+                report.entrant,
+                report.requests,
+                report.cost.control,
+                report.cost.data,
+                report.cost.io
+            );
             if model.truncated() {
                 println!(
                     "  WARNING: event log truncated ({} dropped, {} orphan exits) — raise --events",
@@ -458,18 +392,103 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let seed = opts.get_usize("seed", 0)? as u64;
     let rf = opts.get_f64("read-fraction", 0.7)?;
     let kind = opts.get("workload", "uniform");
-    let err = |e: doma_core::DomaError| e.to_string();
-    let gen: Box<dyn ScheduleGen> = match kind.as_str() {
-        "uniform" => Box::new(UniformWorkload::new(n, rf).map_err(err)?),
-        "zipf" => Box::new(ZipfWorkload::new(n, 1.0, rf).map_err(err)?),
-        "hotspot" => Box::new(HotspotWorkload::new(n, 20, rf).map_err(err)?),
-        "chaotic" => Box::new(ChaoticWorkload::new(n, 8).map_err(err)?),
-        "mobile" => Box::new(MobileWorkload::new(n / 2, n - n / 2 - 1, 0.3, rf).map_err(err)?),
-        "append" => Box::new(AppendOnlyWorkload::new(n, 2, 3.0).map_err(err)?),
-        other => return Err(format!("unknown --workload '{other}'")),
-    };
-    println!("{}", gen.generate(len, seed));
+    let schedule =
+        doma_scenario::runner::generate_phase(&adhoc_workload(&kind, n, rf)?, n, len, seed)
+            .map_err(|e| e.to_string())?;
+    println!("{schedule}");
     Ok(())
+}
+
+/// The ad-hoc workload kinds `generate`, `trace` and `cluster` accept.
+const WORKLOADS: &[&str] = &["uniform", "zipf", "hotspot", "chaotic", "mobile", "append"];
+
+/// The one table behind [`WORKLOADS`]: each kind's shape on `n`
+/// processors, with the parameters the CLI does not expose fixed.
+fn adhoc_workload(kind: &str, n: usize, rf: f64) -> Result<WorkloadSpec, String> {
+    Ok(match kind {
+        "uniform" => WorkloadSpec::Uniform { read_fraction: rf },
+        "zipf" => WorkloadSpec::Zipf {
+            theta: 1.0,
+            read_fraction: rf,
+        },
+        "hotspot" => WorkloadSpec::Hotspot {
+            phase_len: 20,
+            hot_prob: rf,
+        },
+        "chaotic" => WorkloadSpec::Chaotic { redraw_every: 8 },
+        "mobile" => WorkloadSpec::Mobile {
+            cells: n / 2,
+            callers: n - n / 2 - 1,
+            move_prob: 0.3,
+            read_fraction: rf,
+        },
+        "append" => WorkloadSpec::AppendOnly {
+            generators: 2,
+            reads_per_write: 3.0,
+        },
+        other => return Err(format!("unknown --workload '{other}'")),
+    })
+}
+
+fn targets_help() -> String {
+    format!(
+        "builtins: {}\nworkloads: {}",
+        doma_scenario::builtin::names().join(", "),
+        WORKLOADS.join(", ")
+    )
+}
+
+/// Loads a scenario: a `.toml` file by path, or a builtin by name.
+fn load_scenario(target: &str) -> Result<Scenario, String> {
+    if target.ends_with(".toml") || target.contains('/') {
+        let text =
+            std::fs::read_to_string(target).map_err(|e| format!("cannot read {target}: {e}"))?;
+        Scenario::parse(&text).map_err(|e| format!("{target}: {e}"))
+    } else {
+        doma_scenario::builtin::load(target).map_err(|e| e.to_string())
+    }
+}
+
+/// The one way `trace` and `cluster` name a run: anything
+/// [`load_scenario`] takes, or an ad-hoc workload kind synthesized into a
+/// one-phase scenario so every harness behind the CLI needs only one
+/// input shape. `entrant_flag` and the defaults apply to the ad-hoc case
+/// only; the draft round-trips through the scenario text so the flags get
+/// the validation a scenario file gets.
+fn resolve_target(
+    opts: &Opts,
+    target: &str,
+    entrant_flag: &str,
+    default_entrant: &str,
+    default_len: usize,
+    default_seed: usize,
+) -> Result<Scenario, String> {
+    if !WORKLOADS.contains(&target) {
+        return load_scenario(target)
+            .map_err(|e| format!("{e}\nworkloads: {}", WORKLOADS.join(", ")));
+    }
+    let n = opts.get_usize("n", 6)?;
+    let workload = adhoc_workload(target, n, opts.get_f64("read-fraction", 0.7)?)?;
+    let draft = Scenario {
+        name: format!("adhoc-{}", workload.name()),
+        description: "ad-hoc workload".to_string(),
+        n,
+        seed: opts.get_usize("seed", default_seed)? as u64,
+        entrant: opts.entrant(entrant_flag, default_entrant)?,
+        events: 65_536,
+        environment: "sc".to_string(),
+        cc: 0.25,
+        cd: 1.0,
+        phases: vec![doma_scenario::Phase {
+            name: "main".to_string(),
+            len: opts.get_usize("len", default_len)?,
+            workload,
+        }],
+        faults: Vec::new(),
+        expect: doma_scenario::Expect::default(),
+        golden: None,
+    };
+    Scenario::parse(&draft.to_toml()).map_err(|e| e.to_string())
 }
 
 /// The algorithm tournament: every first-class allocator × every workload
@@ -505,67 +524,10 @@ fn cmd_tournament(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a declarative scenario (builtin by name, or a `.toml` file by
-/// path) through the protocol simulator with obs attached, audits its
-/// expected-invariant block, and prints the report. `scenario list`
-/// prints the builtin roster; `scenario all` replays every builtin and
-/// fails if any expectation (golden digest included) is violated.
 /// Parses a `--transport` value for the socket runtime commands.
 fn socket_transport(value: &str) -> Result<doma_net::TransportKind, String> {
     doma_net::TransportKind::parse(value)
         .ok_or_else(|| format!("--transport must be tcp or uds, got '{value}'"))
-}
-
-/// The ad-hoc workload names `domactl cluster` accepts in place of a
-/// scenario, mirroring `domactl trace`.
-const CLUSTER_WORKLOADS: &[&str] = &["uniform", "zipf", "hotspot", "chaotic", "mobile", "append"];
-
-/// Synthesizes a one-phase scenario for an ad-hoc cluster workload, so
-/// the twin harness needs only one input shape.
-fn synth_workload_scenario(opts: &Opts, workload: &str) -> Result<doma_scenario::Scenario, String> {
-    let n = opts.get_usize("n", 6)?;
-    let len = opts.get_usize("len", 40)?;
-    let seed = opts.get_usize("seed", 7)?;
-    let entrant = opts.get("entrant", "sa");
-    let rf = opts.get_f64("read-fraction", 0.7)?;
-    let phase = match workload {
-        "uniform" => format!("read_fraction = {rf}"),
-        "zipf" => format!("theta = 1.0\nread_fraction = {rf}"),
-        "hotspot" => format!("phase_len = 20\nhot_prob = {rf}"),
-        "chaotic" => "redraw_every = 8".to_string(),
-        "mobile" => format!(
-            "cells = {}\ncallers = {}\nmove_prob = 0.3\nread_fraction = {rf}",
-            n / 2,
-            n - n / 2 - 1
-        ),
-        "append" => "generators = 2\nreads_per_write = 3.0".to_string(),
-        _ => unreachable!("gated by CLUSTER_WORKLOADS"),
-    };
-    let workload = if workload == "append" {
-        "append-only"
-    } else {
-        workload
-    };
-    doma_scenario::Scenario::parse(&format!(
-        "[scenario]\n\
-         name = \"adhoc-{workload}\"\n\
-         description = \"ad-hoc cluster workload\"\n\
-         n = {n}\n\
-         seed = {seed}\n\
-         entrant = \"{entrant}\"\n\
-         [model]\n\
-         environment = \"sc\"\n\
-         cc = 0.25\n\
-         cd = 1.0\n\
-         [[phase]]\n\
-         name = \"main\"\n\
-         workload = \"{workload}\"\n\
-         len = {len}\n\
-         {phase}\n\
-         [expect]\n\
-         max_dropped_messages = 0\n"
-    ))
-    .map_err(|e| e.to_string())
 }
 
 /// `domactl cluster <scenario|workload>` — spawn N protocol nodes over
@@ -574,24 +536,14 @@ fn synth_workload_scenario(opts: &Opts, workload: &str) -> Result<doma_scenario:
 /// same request schedule, therefore (if the transport layer is correct)
 /// the same allocation-scheme trajectory and the same obs cost totals.
 fn cmd_cluster(opts: &Opts) -> Result<(), String> {
-    let target = opts.target.clone().ok_or_else(|| {
+    let target = opts.target.as_deref().ok_or_else(|| {
         format!(
-            "need a target: domactl cluster <scenario|workload> --nodes N [--transport tcp|uds]\n\
-             builtins: {}\nworkloads: {}",
-            doma_scenario::builtin::names().join(", "),
-            CLUSTER_WORKLOADS.join(", ")
+            "need a target: domactl cluster <scenario|workload> --nodes N [--transport tcp|uds]\n{}",
+            targets_help()
         )
     })?;
     let kind = socket_transport(&opts.get("transport", "uds"))?;
-    let scenario = if CLUSTER_WORKLOADS.contains(&target.as_str()) {
-        synth_workload_scenario(opts, &target)?
-    } else if target.ends_with(".toml") || target.contains('/') {
-        let text =
-            std::fs::read_to_string(&target).map_err(|e| format!("cannot read {target}: {e}"))?;
-        doma_scenario::Scenario::parse(&text).map_err(|e| format!("{target}: {e}"))?
-    } else {
-        doma_scenario::builtin::load(&target).map_err(|e| e.to_string())?
-    };
+    let scenario = resolve_target(opts, target, "entrant", "sa", 40, 7)?;
     let nodes = match opts.flags.get("nodes") {
         Some(_) => Some(opts.get_usize("nodes", scenario.n)?),
         None => None,
@@ -616,6 +568,11 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
     }
 }
 
+/// Runs a declarative scenario (builtin by name, or a `.toml` file by
+/// path) through the protocol simulator with obs attached, audits its
+/// expected-invariant block, and prints the report. `scenario list`
+/// prints the builtin roster; `scenario all` replays every builtin and
+/// fails if any expectation (golden digest included) is violated.
 fn cmd_scenario(opts: &Opts) -> Result<(), String> {
     let target = opts
         .target
@@ -644,17 +601,13 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
         }
         return Ok(());
     }
-    let scenarios: Vec<doma_scenario::Scenario> = if target == "all" {
+    let scenarios: Vec<Scenario> = if target == "all" {
         doma_scenario::builtin::names()
             .into_iter()
             .map(|name| doma_scenario::builtin::load(name).map_err(|e| format!("{name}: {e}")))
             .collect::<Result<_, _>>()?
-    } else if target.ends_with(".toml") || target.contains('/') {
-        let text =
-            std::fs::read_to_string(&target).map_err(|e| format!("cannot read {target}: {e}"))?;
-        vec![doma_scenario::Scenario::parse(&text).map_err(|e| format!("{target}: {e}"))?]
     } else {
-        vec![doma_scenario::builtin::load(&target).map_err(|e| e.to_string())?]
+        vec![load_scenario(&target)?]
     };
 
     let baseline = match opts.flags.get("diff") {
@@ -769,13 +722,16 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace|lint> [--flags]\n\
-     try: domactl cost --schedule \"r1 r1 r2 w2 r2 r2 r2\" --cc 0.5 --cd 1.0\n\
-     try: domactl scenario list\n\
-     try: domactl cluster append-only-6-2 --nodes 3 --transport uds\n\
-     try: domactl trace append-only-6-2 --format chrome\n\
-     try: domactl lint --format json"
-        .to_string()
+    format!(
+        "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace|lint> [--flags]\n\
+         try: domactl cost --schedule \"r1 r1 r2 w2 r2 r2 r2\" --cc 0.5 --cd 1.0\n\
+         try: domactl simulate --schedule \"r2 w3 r2\" --algo <{}>\n\
+         try: domactl scenario list\n\
+         try: domactl cluster append-only-6-2 --nodes 3 --transport uds\n\
+         try: domactl trace append-only-6-2 --format chrome\n\
+         try: domactl lint --format json",
+        Entrant::ALL.map(|e| e.as_str()).join("|")
+    )
 }
 
 fn main() -> ExitCode {
@@ -893,6 +849,23 @@ mod tests {
         cmd_generate(&o).unwrap();
         let o = parse_args(&args(&["obs", "--schedule", "r2 w3 r2", "--algo", "sa"])).unwrap();
         cmd_obs(&o).unwrap();
+        // `--algo` takes any roster entrant, and names the roster when it
+        // rejects one.
+        let o = parse_args(&args(&[
+            "simulate",
+            "--schedule",
+            "r2 w3 r2",
+            "--algo",
+            "cost-oblivious",
+        ]))
+        .unwrap();
+        cmd_simulate(&o).unwrap();
+        cmd_obs(&o).unwrap();
+        let o = parse_args(&args(&["simulate", "--schedule", "r2", "--algo", "opt"])).unwrap();
+        let e = cmd_simulate(&o).unwrap_err();
+        for entrant in Entrant::ALL {
+            assert!(e.contains(entrant.as_str()), "{e}");
+        }
         let o = parse_args(&args(&[
             "obs",
             "--schedule",
@@ -970,8 +943,26 @@ mod tests {
         ]))
         .unwrap();
         cmd_trace(&o).unwrap();
+        let o = parse_args(&args(&[
+            "trace",
+            "zipf",
+            "--len",
+            "12",
+            "--algo",
+            "mobile-mirror",
+        ]))
+        .unwrap();
+        cmd_trace(&o).unwrap();
+        let o = parse_args(&args(&["trace", "zipf", "--algo", "opt"])).unwrap();
+        assert!(cmd_trace(&o)
+            .unwrap_err()
+            .contains("expected one of: sa, da"));
         let o = parse_args(&args(&["trace", "no-such-target"])).unwrap();
-        assert!(cmd_trace(&o).unwrap_err().contains("unknown trace target"));
+        let e = cmd_trace(&o).unwrap_err();
+        assert!(
+            e.contains("unknown builtin") && e.contains("workloads:"),
+            "{e}"
+        );
         let o = parse_args(&args(&["trace", "uniform", "--format", "svg"])).unwrap();
         assert!(cmd_trace(&o).unwrap_err().contains("--format"));
         let o = parse_args(&args(&["trace"])).unwrap();

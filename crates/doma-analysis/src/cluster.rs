@@ -3,9 +3,10 @@
 //! deterministic simulator, then structurally diffs the two runs.
 //!
 //! Both twins share one seed of truth: [`doma_scenario::build_schedule`]
-//! materializes the request schedule, [`doma_scenario::build_spec`]
-//! describes the deployment, and [`doma_protocol::ClientPlanner`] plans
-//! every request identically on both sides. A correct transport layer
+//! materializes the request schedule, the roster
+//! ([`doma_protocol::Entrant`]) describes the deployment, and
+//! [`doma_protocol::ClientPlanner`] plans every request identically on
+//! both sides. A correct transport layer
 //! therefore has nothing left to disagree about — the diff covers the
 //! per-request allocation-scheme trajectory, the exact cost totals, and
 //! the byte-stable protocol obs metrics.
@@ -18,6 +19,7 @@
 use doma_core::{CostVector, DomaError, ProcSet, Request, Schedule};
 use doma_net::{Cluster, TransportKind};
 use doma_obs::{MetricsSnapshot, Obs};
+use doma_protocol::Tunables;
 use doma_scenario::Scenario;
 use std::collections::BTreeMap;
 
@@ -126,24 +128,24 @@ pub fn run_twin(
     }
     let schedule =
         doma_scenario::build_schedule(&scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
-    let spec =
-        doma_scenario::build_spec(&scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
-    run_twin_schedule(&scenario, spec, &schedule, kind)
+    run_twin_schedule(&scenario, &schedule, kind)
 }
 
 fn run_twin_schedule(
     scenario: &Scenario,
-    spec: doma_scenario::ClusterSpec,
     schedule: &Schedule,
     kind: TransportKind,
 ) -> Result<TwinReport, String> {
     let object = doma_protocol::ProtocolSim::object();
     let err = |e: DomaError| format!("{}: {e}", scenario.name);
+    let config = scenario.entrant.config();
+    let oracle = config
+        .oracle(scenario.n, Tunables::CANONICAL)
+        .map_err(err)?;
 
     // The deterministic twin, stepped per request to record the
     // trajectory the cluster must reproduce.
-    let mut sim =
-        doma_scenario::build_sim(scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
+    let mut sim = scenario.entrant.sim(scenario.n).map_err(err)?;
     let sim_obs = sim.attach_obs(scenario.events);
     let mut sim_trajectory = Vec::with_capacity(schedule.len());
     for request in schedule.iter() {
@@ -156,9 +158,8 @@ fn run_twin_schedule(
     // The real-runtime twin: same config, same oracle, same planner —
     // only the transport differs. Socket refusal is DomaError::Net and
     // must stay distinguishable from a parity failure.
-    let mut configs = BTreeMap::new();
-    configs.insert(object, spec.config);
-    let oracles = spec.oracle.map(|o| (object, o)).into_iter().collect();
+    let configs = BTreeMap::from([(object, config)]);
+    let oracles = oracle.map(|o| (object, o)).into_iter().collect();
     let net_obs = Obs::new(scenario.events);
     let mut cluster = Cluster::new(scenario.n, configs, oracles, kind, Some(net_obs.clone()))
         .map_err(|e| match e {

@@ -3,9 +3,9 @@
 //! `(cc, cd)` cost-model grid and measured against the exact offline
 //! optimum.
 //!
-//! Each entrant executes once per workload through [`ProtocolSim`] (SA and
-//! DA natively, the adaptive allocators as driver-side plan oracles) with
-//! the observability bundle attached. A run is rejected unless the summed
+//! Each entrant executes once per workload through its roster deployment
+//! ([`Entrant::sim`]: SA and DA natively, the adaptive allocators as
+//! driver-side plan oracles) with the observability bundle attached. A run is rejected unless the summed
 //! `protocol.cost.*` registry counters equal the simulator's exact tallies
 //! — the tournament doubles as a differential test of the obs pipeline.
 //! The measured tally is then priced under every grid model and divided by
@@ -17,12 +17,9 @@
 //! Everything is deterministic: fixed seeds, fixed iteration order, fixed
 //! float formatting — [`render_json`] is byte-identical across runs.
 
-use doma_algorithms::{
-    ClusteredAllocation, CostOblivious, MobileMirror, OfflineOptimal, SlidingWindowConvergent,
-    WriteInvalidateCache,
-};
-use doma_core::{CostModel, CostVector, DomaError, ProcSet, ProcessorId, Result, Schedule};
-use doma_protocol::{PlanOracle, ProtocolSim};
+use doma_algorithms::OfflineOptimal;
+use doma_core::{CostModel, CostVector, DomaError, Result, Schedule};
+use doma_protocol::Entrant;
 use doma_workload::{
     ChaoticWorkload, HotspotWorkload, MobileWorkload, ScheduleGen, UniformWorkload, ZipfWorkload,
 };
@@ -85,77 +82,6 @@ impl TournamentCell {
     }
 }
 
-/// How an entrant is realized on the protocol simulator.
-enum Kind {
-    Sa,
-    Da,
-    Adaptive(fn(usize) -> Result<Box<dyn PlanOracle>>),
-}
-
-/// One first-class allocator entered in the tournament.
-struct Entrant {
-    name: &'static str,
-    t: usize,
-    initial: ProcSet,
-    kind: Kind,
-}
-
-fn pair() -> ProcSet {
-    [0usize, 1].into_iter().collect()
-}
-
-/// The six-plus-one field: SA, DA, the two promoted ablation baselines and
-/// the three contenders. Names match [`doma_protocol::AdaptiveAlgo`]'s
-/// metric labels.
-fn entrants() -> Vec<Entrant> {
-    vec![
-        Entrant {
-            name: "sa",
-            t: 2,
-            initial: pair(),
-            kind: Kind::Sa,
-        },
-        Entrant {
-            name: "da",
-            t: 2,
-            initial: pair(),
-            kind: Kind::Da,
-        },
-        Entrant {
-            name: "convergent",
-            t: 2,
-            initial: pair(),
-            kind: Kind::Adaptive(|n| {
-                Ok(Box::new(SlidingWindowConvergent::new(n, 2, pair(), 8, 4)?))
-            }),
-        },
-        Entrant {
-            name: "write-invalidate",
-            t: 1,
-            initial: pair(),
-            kind: Kind::Adaptive(|_| Ok(Box::new(WriteInvalidateCache::new(pair())?))),
-        },
-        Entrant {
-            name: "cost-oblivious",
-            t: 2,
-            initial: pair(),
-            kind: Kind::Adaptive(|n| Ok(Box::new(CostOblivious::new(n, 2, pair(), 2)?))),
-        },
-        Entrant {
-            name: "mobile-mirror",
-            t: 2,
-            initial: pair(),
-            kind: Kind::Adaptive(|n| Ok(Box::new(MobileMirror::new(n, 2, pair())?))),
-        },
-        Entrant {
-            name: "clustered",
-            t: 2,
-            initial: pair(),
-            kind: Kind::Adaptive(|n| Ok(Box::new(ClusteredAllocation::new(n, 2, pair())?))),
-        },
-    ]
-}
-
 /// The workload roster (every single-object generator the repo ships).
 fn workloads(n: usize) -> Result<Vec<Box<dyn ScheduleGen>>> {
     Ok(vec![
@@ -188,10 +114,10 @@ fn env_label(model: &CostModel) -> &'static str {
     }
 }
 
-fn paper_bound(algo: &str, model: &CostModel) -> Option<f64> {
-    match algo {
-        "sa" => model.sa_bound(),
-        "da" => model.da_bound(),
+fn paper_bound(entrant: Entrant, model: &CostModel) -> Option<f64> {
+    match entrant {
+        Entrant::Sa => model.sa_bound(),
+        Entrant::Da => model.da_bound(),
         _ => None,
     }
 }
@@ -199,19 +125,15 @@ fn paper_bound(algo: &str, model: &CostModel) -> Option<f64> {
 /// Executes one entrant over one schedule through the protocol simulator
 /// with obs attached, returning the exact measured tally after the
 /// registry-parity check.
-fn measure_protocol(entrant: &Entrant, n: usize, schedule: &Schedule) -> Result<CostVector> {
-    let mut sim = match &entrant.kind {
-        Kind::Sa => ProtocolSim::new_sa(n, entrant.initial)?,
-        Kind::Da => ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1))?,
-        Kind::Adaptive(make) => ProtocolSim::new_adaptive(n, make(n)?)?,
-    };
+fn measure_protocol(entrant: Entrant, n: usize, schedule: &Schedule) -> Result<CostVector> {
+    let mut sim = entrant.sim(n)?;
     let obs = sim.attach_obs(64);
     let report = sim.execute(schedule)?;
     sim.obs_flush();
     if report.dropped_messages != 0 {
         return Err(DomaError::InvalidConfig(format!(
-            "tournament run dropped {} messages ({} failure-free)",
-            report.dropped_messages, entrant.name
+            "tournament run dropped {} messages ({entrant} failure-free)",
+            report.dropped_messages
         )));
     }
     let snap = obs.metrics().snapshot();
@@ -222,8 +144,8 @@ fn measure_protocol(entrant: &Entrant, n: usize, schedule: &Schedule) -> Result<
     );
     if counted != report.cost {
         return Err(DomaError::InvalidConfig(format!(
-            "obs parity violation for {}: registry {:?} vs simulator {:?}",
-            entrant.name, counted, report.cost
+            "obs parity violation for {entrant}: registry {counted:?} vs simulator {:?}",
+            report.cost
         )));
     }
     Ok(report.cost)
@@ -235,12 +157,13 @@ fn measure_protocol(entrant: &Entrant, n: usize, schedule: &Schedule) -> Result<
 pub fn run_tournament(spec: &TournamentSpec) -> Result<Vec<TournamentCell>> {
     let grid = standard_grid();
     let mut cells = Vec::new();
-    for entrant in &entrants() {
+    for entrant in Entrant::ALL {
+        let initial = entrant.config().initial_scheme();
         for gen in &workloads(spec.n)? {
             let schedule = gen.generate(spec.len, spec.seed);
             let measured = measure_protocol(entrant, spec.n, &schedule)?;
             for model in &grid {
-                let opt = OfflineOptimal::new(spec.n, entrant.t, entrant.initial, *model)?;
+                let opt = OfflineOptimal::new(spec.n, entrant.t(), initial, *model)?;
                 let opt_cost = opt.optimal_cost(&schedule)?;
                 let algo_cost = measured.eval(model);
                 let ratio = if opt_cost > 0.0 {
@@ -251,7 +174,7 @@ pub fn run_tournament(spec: &TournamentSpec) -> Result<Vec<TournamentCell>> {
                     1.0
                 };
                 cells.push(TournamentCell {
-                    algo: entrant.name,
+                    algo: entrant.as_str(),
                     workload: gen.name().to_string(),
                     environment: env_label(model),
                     cc: model.cc(),
@@ -260,7 +183,7 @@ pub fn run_tournament(spec: &TournamentSpec) -> Result<Vec<TournamentCell>> {
                     algo_cost,
                     opt_cost,
                     ratio,
-                    bound: paper_bound(entrant.name, model),
+                    bound: paper_bound(entrant, model),
                 });
             }
         }
@@ -392,18 +315,7 @@ mod tests {
         // 7 algorithms × 5 workloads × 8 models.
         assert_eq!(cells.len(), 7 * 5 * 8);
         let algos: std::collections::BTreeSet<_> = cells.iter().map(|c| c.algo).collect();
-        assert_eq!(
-            algos.into_iter().collect::<Vec<_>>(),
-            vec![
-                "clustered",
-                "convergent",
-                "cost-oblivious",
-                "da",
-                "mobile-mirror",
-                "sa",
-                "write-invalidate"
-            ]
-        );
+        assert_eq!(algos, Entrant::ALL.iter().map(|e| e.as_str()).collect());
         for cell in &cells {
             assert!(
                 cell.ratio >= 1.0 - 1e-9,
@@ -451,7 +363,9 @@ mod tests {
         assert!(a.ends_with("]\n"));
         assert!(a.contains("\"group\": \"tournament\""));
         assert!(a.contains("\"attachment\": \"tournament/spec\""));
-        assert!(a.contains("\"algo\": \"write-invalidate\""));
+        for entrant in Entrant::ALL {
+            assert!(a.contains(&format!("\"algo\": \"{}\"", entrant.as_str())));
+        }
         // No bare infinities may leak into the JSON.
         assert!(!a.contains("inf"));
     }
@@ -465,15 +379,7 @@ mod tests {
         };
         let table = render_table(&run_tournament(&spec).unwrap());
         assert!(table.contains("standings"));
-        for name in [
-            "sa",
-            "da",
-            "convergent",
-            "write-invalidate",
-            "cost-oblivious",
-            "mobile-mirror",
-            "clustered",
-        ] {
+        for name in Entrant::ALL.map(|e| e.as_str()) {
             assert!(table.contains(name), "missing {name} in standings table");
         }
     }

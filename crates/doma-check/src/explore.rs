@@ -194,7 +194,7 @@ pub(crate) struct SearchState {
 impl SearchState {
     pub(crate) fn initial(scenario: &Scenario) -> Result<Self> {
         let sim = scenario.build_sim()?;
-        let n = scenario.n();
+        let n = scenario.n;
         let t = sim.config().t();
         let checker = InvariantChecker::new(&sim, n);
         Ok(SearchState {

@@ -28,4 +28,4 @@ pub mod replay;
 pub mod scenario;
 
 pub use explore::{check, CheckOptions, CheckReport, Counterexample, TraceStep};
-pub use scenario::{builtin, Action, AdaptiveKind, Cluster, Scenario};
+pub use scenario::{builtin, Action, Scenario};

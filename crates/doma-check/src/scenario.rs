@@ -12,11 +12,8 @@
 //! and writes freely in one phase — the per-read floor capture in
 //! [`doma_fault::InvariantChecker`] keeps the oracle sound under overlap.
 
-use doma_algorithms::{
-    ClusteredAllocation, CostOblivious, MobileMirror, SlidingWindowConvergent, WriteInvalidateCache,
-};
 use doma_core::{DomaError, ProcSet, Result};
-use doma_protocol::{BugSwitches, PlanOracle, ProtocolSim};
+use doma_protocol::{BugSwitches, Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_sim::{FaultAction, FaultPlan, LinkFilter, MsgKind, NodeId};
 
 /// One client- or environment-level action, injected at the start of its
@@ -55,73 +52,20 @@ impl std::fmt::Display for Action {
     }
 }
 
-/// Which adaptive allocator a [`Cluster::Adaptive`] scenario runs as its
-/// plan oracle. Oracle parameters are fixed constants (window 8 / period
-/// 4, threshold 2) so scenario construction stays deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptiveKind {
-    /// Sliding-window convergent baseline (promoted).
-    Convergent,
-    /// Write-invalidate cache baseline (promoted).
-    WriteInvalidate,
-    /// Cost-oblivious reallocation contender.
-    CostOblivious,
-    /// Multiple-mobile-resource mirror contender.
-    MobileMirror,
-    /// Clustering-based fragment allocation contender.
-    Clustered,
-}
-
-/// Which replication scheme the scenario's cluster runs.
-#[derive(Debug, Clone)]
-pub enum Cluster {
-    /// Static allocation: read-one/write-all over `q`.
-    Sa {
-        /// Cluster size.
-        n: usize,
-        /// The static replication scheme Q.
-        q: Vec<usize>,
-    },
-    /// Dynamic allocation: core set `f`, initial floater `p`.
-    Da {
-        /// Cluster size.
-        n: usize,
-        /// The core set F.
-        f: Vec<usize>,
-        /// The initial floater p.
-        p: usize,
-    },
-    /// An adaptive allocator driven as a plan oracle. Oracle state is a
-    /// deterministic function of the injected request sequence (identical
-    /// on every explored path), so the explorer's content-fingerprint
-    /// deduplication stays sound.
-    Adaptive {
-        /// Cluster size.
-        n: usize,
-        /// The initial replication scheme.
-        initial: Vec<usize>,
-        /// Which allocator decides the plans.
-        kind: AdaptiveKind,
-    },
-}
-
-impl Cluster {
-    /// Cluster size.
-    pub fn n(&self) -> usize {
-        match self {
-            Cluster::Sa { n, .. } | Cluster::Da { n, .. } | Cluster::Adaptive { n, .. } => *n,
-        }
-    }
-}
-
 /// A bounded-model-checking scenario: cluster, phased action script,
 /// optional deterministic fault plan and protocol bug toggles.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Name shown in reports and replay lines.
     pub name: String,
-    /// The cluster under test.
-    pub cluster: Cluster,
+    /// Cluster size.
+    pub n: usize,
+    /// What every node of the cluster under test runs. Adaptive
+    /// configurations get their plan oracle with the roster's canonical
+    /// tunables; oracle state is a deterministic function of the injected
+    /// request sequence (identical on every explored path), so the
+    /// explorer's content-fingerprint deduplication stays sound.
+    pub config: ProtocolConfig,
     /// Phases of concurrent actions, barrier-separated.
     pub phases: Vec<Vec<Action>>,
     /// Deterministic message faults (duplicates, drops) applied for the
@@ -135,10 +79,11 @@ pub struct Scenario {
 
 impl Scenario {
     /// A scenario with no phases, faults or bugs.
-    pub fn new(name: impl Into<String>, cluster: Cluster) -> Self {
+    pub fn new(name: impl Into<String>, n: usize, config: ProtocolConfig) -> Self {
         Scenario {
             name: name.into(),
-            cluster,
+            n,
+            config,
             phases: Vec::new(),
             faults: None,
             bugs: BugSwitches::default(),
@@ -163,11 +108,6 @@ impl Scenario {
         self
     }
 
-    /// Cluster size.
-    pub fn n(&self) -> usize {
-        self.cluster.n()
-    }
-
     /// Total number of client requests across all phases.
     pub fn request_count(&self) -> usize {
         self.phases
@@ -187,7 +127,7 @@ impl Scenario {
     /// when fault behaviour cannot depend on virtual time, arrival order
     /// or PRNG draws.
     pub fn build_sim(&self) -> Result<ProtocolSim> {
-        let n = self.n();
+        let n = self.n;
         for action in self.phases.iter().flatten() {
             let p = match action {
                 Action::Read(p)
@@ -222,44 +162,27 @@ impl Scenario {
                 }
             }
         }
-        let mut sim = match &self.cluster {
-            Cluster::Sa { n, q } => ProtocolSim::new_sa(*n, q.iter().copied().collect())?,
-            Cluster::Da { n, f, p } => {
-                ProtocolSim::new_da(*n, f.iter().copied().collect(), (*p).into())?
-            }
-            Cluster::Adaptive { n, initial, kind } => {
-                // Adaptive scenarios stay out of quorum-*exit* territory:
-                // the checker injects ModeChange as raw messages, bypassing
-                // the failover driver's oracle reset, so a scenario that
-                // leaves quorum mode would run with a desynchronized
-                // oracle. Entering quorum mode is fine (plans are ignored
-                // there).
-                for action in self.phases.iter().flatten() {
-                    if matches!(
-                        action,
-                        Action::ModeChange(false) | Action::ModeChangeAt(_, false)
-                    ) {
-                        return Err(DomaError::InvalidConfig(format!(
-                            "scenario {}: adaptive clusters may not leave quorum \
-                             mode (oracle state is only resynchronized by the \
-                             failover driver)",
-                            self.name
-                        )));
-                    }
-                }
-                let init: ProcSet = initial.iter().copied().collect();
-                let oracle: Box<dyn PlanOracle> = match kind {
-                    AdaptiveKind::Convergent => {
-                        Box::new(SlidingWindowConvergent::new(*n, 2, init, 8, 4)?)
-                    }
-                    AdaptiveKind::WriteInvalidate => Box::new(WriteInvalidateCache::new(init)?),
-                    AdaptiveKind::CostOblivious => Box::new(CostOblivious::new(*n, 2, init, 2)?),
-                    AdaptiveKind::MobileMirror => Box::new(MobileMirror::new(*n, 2, init)?),
-                    AdaptiveKind::Clustered => Box::new(ClusteredAllocation::new(*n, 2, init)?),
-                };
-                ProtocolSim::new_adaptive(*n, oracle)?
-            }
-        };
+        // Adaptive scenarios stay out of quorum-*exit* territory: the
+        // checker injects ModeChange as raw messages, bypassing the
+        // failover driver's oracle reset, so a scenario that leaves quorum
+        // mode would run with a desynchronized oracle. Entering quorum
+        // mode is fine (plans are ignored there).
+        if matches!(self.config, ProtocolConfig::Adaptive { .. })
+            && self.phases.iter().flatten().any(|action| {
+                matches!(
+                    action,
+                    Action::ModeChange(false) | Action::ModeChangeAt(_, false)
+                )
+            })
+        {
+            return Err(DomaError::InvalidConfig(format!(
+                "scenario {}: adaptive clusters may not leave quorum \
+                 mode (oracle state is only resynchronized by the \
+                 failover driver)",
+                self.name
+            )));
+        }
+        let mut sim = ProtocolSim::deploy(n, self.config.clone(), Tunables::CANONICAL)?;
         sim.set_bug_switches(self.bugs);
         if let Some(plan) = &self.faults {
             sim.engine_mut().install_faults(plan.clone());
@@ -281,35 +204,22 @@ pub fn duplicate_data_link(from: usize, to: usize) -> FaultPlan {
 /// processors, Q = {0, 1}, 6 requests with reads concurrent between
 /// barrier-separated writes (§3.1 schedule model).
 pub fn sa_small() -> Scenario {
-    Scenario::new(
-        "sa-small",
-        Cluster::Sa {
-            n: 3,
-            q: vec![0, 1],
-        },
-    )
-    .phase(&[Action::Read(2), Action::Read(2)])
-    .phase(&[Action::Write(0)])
-    .phase(&[Action::Read(1), Action::Read(2)])
-    .phase(&[Action::Write(2)])
+    Scenario::new("sa-small", 3, Entrant::Sa.config())
+        .phase(&[Action::Read(2), Action::Read(2)])
+        .phase(&[Action::Write(0)])
+        .phase(&[Action::Read(1), Action::Read(2)])
+        .phase(&[Action::Write(2)])
 }
 
 /// The small-bound DA configuration: 3 processors, F = {0}, floater
 /// p = 1, 6 requests including saving reads and an outsider write that
 /// moves the floater.
 pub fn da_small() -> Scenario {
-    Scenario::new(
-        "da-small",
-        Cluster::Da {
-            n: 3,
-            f: vec![0],
-            p: 1,
-        },
-    )
-    .phase(&[Action::Read(2), Action::Read(2)])
-    .phase(&[Action::Write(0)])
-    .phase(&[Action::Read(2), Action::Read(1)])
-    .phase(&[Action::Write(2)])
+    Scenario::new("da-small", 3, Entrant::Da.config())
+        .phase(&[Action::Read(2), Action::Read(2)])
+        .phase(&[Action::Write(0)])
+        .phase(&[Action::Read(2), Action::Read(1)])
+        .phase(&[Action::Write(2)])
 }
 
 /// Quorum-mode SA scenario with a read/write/read overlap on one node:
@@ -318,15 +228,9 @@ pub fn da_small() -> Scenario {
 /// protocol; flips to a stale read when
 /// [`BugSwitches::ignore_round_tags`] is set.
 pub fn sa_quorum_overlap() -> Scenario {
-    Scenario::new(
-        "sa-quorum-overlap",
-        Cluster::Sa {
-            n: 3,
-            q: vec![0, 1],
-        },
-    )
-    .phase(&[Action::ModeChange(true)])
-    .phase(&[Action::Read(2), Action::Write(0), Action::Read(2)])
+    Scenario::new("sa-quorum-overlap", 3, Entrant::Sa.config())
+        .phase(&[Action::ModeChange(true)])
+        .phase(&[Action::Read(2), Action::Write(0), Action::Read(2)])
 }
 
 /// Normal-mode DA scenario where a duplicated saving-read reply races a
@@ -335,17 +239,10 @@ pub fn sa_quorum_overlap() -> Scenario {
 /// duplicate resurrects the invalidated replica, and the next phase
 /// reads it).
 pub fn da_resurrect() -> Scenario {
-    Scenario::new(
-        "da-resurrect",
-        Cluster::Da {
-            n: 3,
-            f: vec![0],
-            p: 1,
-        },
-    )
-    .with_faults(duplicate_data_link(0, 2))
-    .phase(&[Action::Read(2), Action::Write(0)])
-    .phase(&[Action::Read(2)])
+    Scenario::new("da-resurrect", 3, Entrant::Da.config())
+        .with_faults(duplicate_data_link(0, 2))
+        .phase(&[Action::Read(2), Action::Write(0)])
+        .phase(&[Action::Read(2)])
 }
 
 /// Quorum-mode scenario (5 processors) where a reader can assemble its
@@ -358,23 +255,17 @@ pub fn sa_quorum_duplicates() -> Scenario {
     // explodes the space past the small-bound budget without adding
     // orders that matter to the duplicate-responder race in the final
     // phase.
-    Scenario::new(
-        "sa-quorum-duplicates",
-        Cluster::Sa {
-            n: 5,
-            q: vec![0, 1],
-        },
-    )
-    .with_faults(duplicate_data_link(4, 3))
-    .phase(&[Action::ModeChangeAt(0, true)])
-    .phase(&[Action::ModeChangeAt(1, true)])
-    .phase(&[Action::ModeChangeAt(2, true)])
-    .phase(&[Action::ModeChangeAt(3, true)])
-    .phase(&[Action::ModeChangeAt(4, true)])
-    .phase(&[Action::Crash(3), Action::Crash(4)])
-    .phase(&[Action::Write(0)])
-    .phase(&[Action::Recover(3), Action::Recover(4)])
-    .phase(&[Action::Read(3)])
+    Scenario::new("sa-quorum-duplicates", 5, Entrant::Sa.config())
+        .with_faults(duplicate_data_link(4, 3))
+        .phase(&[Action::ModeChangeAt(0, true)])
+        .phase(&[Action::ModeChangeAt(1, true)])
+        .phase(&[Action::ModeChangeAt(2, true)])
+        .phase(&[Action::ModeChangeAt(3, true)])
+        .phase(&[Action::ModeChangeAt(4, true)])
+        .phase(&[Action::Crash(3), Action::Crash(4)])
+        .phase(&[Action::Write(0)])
+        .phase(&[Action::Recover(3), Action::Recover(4)])
+        .phase(&[Action::Read(3)])
 }
 
 /// Small-bound scenario for the promoted sliding-window convergent
@@ -385,18 +276,11 @@ pub fn sa_quorum_duplicates() -> Scenario {
 /// *different* nodes: adaptive reads are untagged (round 0), so two
 /// overlapping reads on the same node would alias their replies.
 pub fn convergent_small() -> Scenario {
-    Scenario::new(
-        "convergent-small",
-        Cluster::Adaptive {
-            n: 3,
-            initial: vec![0, 1],
-            kind: AdaptiveKind::Convergent,
-        },
-    )
-    .phase(&[Action::Read(2)])
-    .phase(&[Action::Write(0)])
-    .phase(&[Action::Read(2), Action::Read(1)])
-    .phase(&[Action::Write(2)])
+    Scenario::new("convergent-small", 3, Entrant::Convergent.config())
+        .phase(&[Action::Read(2)])
+        .phase(&[Action::Write(0)])
+        .phase(&[Action::Read(2), Action::Read(1)])
+        .phase(&[Action::Write(2)])
 }
 
 /// Small-bound scenario for the promoted write-invalidate baseline
@@ -406,10 +290,11 @@ pub fn convergent_small() -> Scenario {
 pub fn write_invalidate_small() -> Scenario {
     Scenario::new(
         "write-invalidate-small",
-        Cluster::Adaptive {
-            n: 3,
-            initial: vec![0],
-            kind: AdaptiveKind::WriteInvalidate,
+        3,
+        ProtocolConfig::Adaptive {
+            t: Entrant::WriteInvalidate.t(),
+            initial: ProcSet::from_iter([0usize]),
+            algo: Entrant::WriteInvalidate,
         },
     )
     .phase(&[Action::Read(2)])
@@ -425,11 +310,8 @@ pub fn write_invalidate_small() -> Scenario {
 pub fn cost_oblivious_quorum_overlap() -> Scenario {
     Scenario::new(
         "cost-oblivious-quorum-overlap",
-        Cluster::Adaptive {
-            n: 3,
-            initial: vec![0, 1],
-            kind: AdaptiveKind::CostOblivious,
-        },
+        3,
+        Entrant::CostOblivious.config(),
     )
     .phase(&[Action::ModeChange(true)])
     .phase(&[Action::Read(2), Action::Write(0), Action::Read(2)])
@@ -446,36 +328,22 @@ pub fn cost_oblivious_quorum_overlap() -> Scenario {
 /// phase barrier rules out, mirroring the paper's §3.1 schedule model
 /// where the scheme change between writes is well-founded.
 pub fn mobile_mirror_resurrect() -> Scenario {
-    Scenario::new(
-        "mobile-mirror-resurrect",
-        Cluster::Adaptive {
-            n: 3,
-            initial: vec![0, 1],
-            kind: AdaptiveKind::MobileMirror,
-        },
-    )
-    .with_faults(duplicate_data_link(0, 2))
-    .phase(&[Action::Read(2)])
-    .phase(&[Action::Write(0)])
-    .phase(&[Action::Read(2)])
+    Scenario::new("mobile-mirror-resurrect", 3, Entrant::MobileMirror.config())
+        .with_faults(duplicate_data_link(0, 2))
+        .phase(&[Action::Read(2)])
+        .phase(&[Action::Write(0)])
+        .phase(&[Action::Read(2)])
 }
 
 /// Small-bound scenario for the clustered-allocation contender: an
 /// outsider read pulls node 2 toward the scheme, a write re-anchors the
 /// cluster, and the final outsider write forces a full migration plan.
 pub fn clustered_small() -> Scenario {
-    Scenario::new(
-        "clustered-small",
-        Cluster::Adaptive {
-            n: 3,
-            initial: vec![0, 1],
-            kind: AdaptiveKind::Clustered,
-        },
-    )
-    .phase(&[Action::Read(2)])
-    .phase(&[Action::Write(0)])
-    .phase(&[Action::Read(2)])
-    .phase(&[Action::Write(2)])
+    Scenario::new("clustered-small", 3, Entrant::Clustered.config())
+        .phase(&[Action::Read(2)])
+        .phase(&[Action::Write(0)])
+        .phase(&[Action::Read(2)])
+        .phase(&[Action::Write(2)])
 }
 
 /// Every built-in scenario, clean by construction on the fixed protocol.

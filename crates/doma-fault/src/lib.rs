@@ -24,6 +24,6 @@ pub mod torture;
 
 pub use invariants::{InvariantChecker, Regime, Violation};
 pub use torture::{
-    episode_obs_json, run_episode, run_episode_with_bugs, run_sweep, Algo, EpisodeOutcome,
-    FaultClass, TortureFailure,
+    episode_obs_json, run_episode, run_episode_with_bugs, run_sweep, EpisodeOutcome, FaultClass,
+    TortureFailure,
 };

@@ -28,9 +28,9 @@
 //!   rules over random links and message kinds, again under quorum mode.
 
 use crate::invariants::{InvariantChecker, Regime, Violation};
-use doma_core::{ProcessorId, Request};
+use doma_core::{ProcSet, ProcessorId, Request};
 use doma_protocol::failover::FailoverDriver;
-use doma_protocol::{BugSwitches, ProtocolSim};
+use doma_protocol::{BugSwitches, Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_sim::{FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, MsgKind, NodeId};
 use doma_storage::Version;
 use doma_testkit::replay::{replay_line, FaultSeeds};
@@ -45,53 +45,6 @@ const EPISODE_EVENT_CAPACITY: usize = 512;
 
 /// How many trailing event records a failure report carries.
 const EVENT_TAIL_LEN: usize = 12;
-
-/// Which protocol an episode exercises — the full tournament roster: the
-/// paper's SA/DA plus the five adaptive allocators run as plan oracles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    /// Static allocation (read-one-write-all over a fixed `Q`).
-    Sa,
-    /// Dynamic allocation (core `F`, floating member).
-    Da,
-    /// Sliding-window convergent baseline (promoted).
-    Convergent,
-    /// Write-invalidate cache baseline (promoted).
-    WriteInvalidate,
-    /// Cost-oblivious reallocation contender.
-    CostOblivious,
-    /// Multiple-mobile-resource mirror contender.
-    MobileMirror,
-    /// Clustering-based fragment allocation contender.
-    Clustered,
-}
-
-impl Algo {
-    /// Every torture-matrix algorithm, in display order.
-    pub const ALL: [Algo; 7] = [
-        Algo::Sa,
-        Algo::Da,
-        Algo::Convergent,
-        Algo::WriteInvalidate,
-        Algo::CostOblivious,
-        Algo::MobileMirror,
-        Algo::Clustered,
-    ];
-}
-
-impl fmt::Display for Algo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Algo::Sa => "sa",
-            Algo::Da => "da",
-            Algo::Convergent => "convergent",
-            Algo::WriteInvalidate => "write-invalidate",
-            Algo::CostOblivious => "cost-oblivious",
-            Algo::MobileMirror => "mobile-mirror",
-            Algo::Clustered => "clustered",
-        })
-    }
-}
 
 /// The family of faults an episode injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,10 +238,10 @@ fn audit(
 /// and returns either the episode summary or the first violation.
 pub fn run_episode(
     seed: u64,
-    algo: Algo,
+    entrant: Entrant,
     class: FaultClass,
 ) -> Result<EpisodeOutcome, Box<TortureFailure>> {
-    run_episode_observed(seed, algo, class, BugSwitches::default()).0
+    run_episode_observed(seed, entrant, class, BugSwitches::default()).0
 }
 
 /// [`run_episode`] with reverted-fix switches installed (regression
@@ -298,25 +251,25 @@ pub fn run_episode(
 #[doc(hidden)]
 pub fn run_episode_with_bugs(
     seed: u64,
-    algo: Algo,
+    entrant: Entrant,
     class: FaultClass,
     bugs: BugSwitches,
 ) -> Result<EpisodeOutcome, Box<TortureFailure>> {
-    run_episode_observed(seed, algo, class, bugs).0
+    run_episode_observed(seed, entrant, class, bugs).0
 }
 
 /// Runs one episode (violation or not) and returns the final
 /// observability snapshot as stable JSON — same seed ⇒ byte-identical
 /// output, the determinism contract `doma-obs` guarantees and the
 /// root-level property test asserts.
-pub fn episode_obs_json(seed: u64, algo: Algo, class: FaultClass) -> String {
-    let (_, obs) = run_episode_observed(seed, algo, class, BugSwitches::default());
+pub fn episode_obs_json(seed: u64, entrant: Entrant, class: FaultClass) -> String {
+    let (_, obs) = run_episode_observed(seed, entrant, class, BugSwitches::default());
     obs.snapshot_json()
 }
 
 fn run_episode_observed(
     seed: u64,
-    algo: Algo,
+    entrant: Entrant,
     class: FaultClass,
     bugs: BugSwitches,
 ) -> (Result<EpisodeOutcome, Box<TortureFailure>>, doma_obs::Obs) {
@@ -324,59 +277,44 @@ fn run_episode_observed(
     let n = rng.gen_range(4usize..9);
     let mut members: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut members);
-    let sim = match algo {
-        Algo::Sa => {
+    // Draw order is part of the seed contract: the scheme size first,
+    // then the sampled tunables of the entrants that have any.
+    let mut tunables = Tunables::CANONICAL;
+    let config = match entrant {
+        Entrant::Sa => {
             let k = rng.gen_range(2usize..4);
-            ProtocolSim::new_sa(n, members[..k].iter().copied().collect())
+            ProtocolConfig::Sa {
+                q: members[..k].iter().copied().collect(),
+            }
         }
-        Algo::Da => {
+        Entrant::Da => {
             let k = rng.gen_range(1usize..3);
-            ProtocolSim::new_da(
-                n,
-                members[..k].iter().copied().collect(),
-                ProcessorId::new(members[k]),
-            )
+            ProtocolConfig::Da {
+                f: members[..k].iter().copied().collect(),
+                p: ProcessorId::new(members[k]),
+            }
         }
         adaptive => {
             let k = rng.gen_range(2usize..4);
-            let initial: doma_core::ProcSet = members[..k].iter().copied().collect();
-            let oracle: Box<dyn doma_protocol::PlanOracle> = match adaptive {
-                Algo::Convergent => {
-                    let window = rng.gen_range(4usize..12);
-                    let period = rng.gen_range(2usize..8);
-                    Box::new(
-                        doma_algorithms::SlidingWindowConvergent::new(
-                            n, 2, initial, window, period,
-                        )
-                        .expect("sampled configuration is valid"),
-                    )
+            let initial: ProcSet = members[..k].iter().copied().collect();
+            match adaptive {
+                Entrant::Convergent => {
+                    tunables.window = rng.gen_range(4usize..12);
+                    tunables.period = rng.gen_range(2usize..8);
                 }
-                Algo::WriteInvalidate => Box::new(
-                    doma_algorithms::WriteInvalidateCache::new(initial)
-                        .expect("sampled configuration is valid"),
-                ),
-                Algo::CostOblivious => {
-                    let threshold = rng.gen_range(1u32..4);
-                    Box::new(
-                        doma_algorithms::CostOblivious::new(n, 2, initial, threshold)
-                            .expect("sampled configuration is valid"),
-                    )
-                }
-                Algo::MobileMirror => Box::new(
-                    doma_algorithms::MobileMirror::new(n, 2, initial)
-                        .expect("sampled configuration is valid"),
-                ),
-                _ => Box::new(
-                    doma_algorithms::ClusteredAllocation::new(n, 2, initial)
-                        .expect("sampled configuration is valid"),
-                ),
-            };
-            ProtocolSim::new_adaptive(n, oracle)
+                Entrant::CostOblivious => tunables.threshold = rng.gen_range(1u32..4),
+                _ => {}
+            }
+            ProtocolConfig::Adaptive {
+                t: adaptive.t(),
+                initial,
+                algo: adaptive,
+            }
         }
-    }
-    .expect("sampled configuration is valid");
+    };
+    let sim = ProtocolSim::deploy(n, config, tunables).expect("sampled configuration is valid");
     let t = sim.config().t();
-    let scenario = format!("{algo}/{class}/n{n}");
+    let scenario = format!("{entrant}/{class}/n{n}");
     let mut driver = FailoverDriver::new(sim, n);
     if bugs != BugSwitches::default() {
         driver.sim_mut().set_bug_switches(bugs);
@@ -594,13 +532,13 @@ fn drive_episode(
 /// see [`FaultSeeds::from_env`] — for one matrix cell. Stops at the first
 /// violation.
 pub fn run_sweep(
-    algo: Algo,
+    entrant: Entrant,
     class: FaultClass,
 ) -> Result<Vec<EpisodeOutcome>, Box<TortureFailure>> {
     FaultSeeds::from_env()
         .seeds()
         .into_iter()
-        .map(|seed| run_episode(seed, algo, class))
+        .map(|seed| run_episode(seed, entrant, class))
         .collect()
 }
 
@@ -610,8 +548,8 @@ mod tests {
 
     #[test]
     fn episodes_are_deterministic() {
-        let a = run_episode(0x5EED, Algo::Da, FaultClass::Drop).expect("episode holds");
-        let b = run_episode(0x5EED, Algo::Da, FaultClass::Drop).expect("episode holds");
+        let a = run_episode(0x5EED, Entrant::Da, FaultClass::Drop).expect("episode holds");
+        let b = run_episode(0x5EED, Entrant::Da, FaultClass::Drop).expect("episode holds");
         assert_eq!(a.n, b.n);
         assert_eq!(a.requests_issued, b.requests_issued);
         assert_eq!(a.reads_completed, b.reads_completed);
@@ -621,11 +559,11 @@ mod tests {
     #[test]
     fn a_few_episodes_of_every_class_hold() {
         let mut seed = 0u64;
-        for algo in Algo::ALL {
+        for entrant in Entrant::ALL {
             for class in [FaultClass::Crash, FaultClass::Partition, FaultClass::Drop] {
                 seed += 1;
-                let out = run_episode(seed, algo, class).unwrap_or_else(|f| panic!("{f}"));
-                assert!(out.requests_issued > 0, "{algo}/{class} issued nothing");
+                let out = run_episode(seed, entrant, class).unwrap_or_else(|f| panic!("{f}"));
+                assert!(out.requests_issued > 0, "{entrant}/{class} issued nothing");
             }
         }
     }
@@ -654,8 +592,8 @@ mod tests {
 
     #[test]
     fn episode_obs_json_is_deterministic_and_shaped() {
-        let a = episode_obs_json(0x0B5, Algo::Da, FaultClass::Crash);
-        let b = episode_obs_json(0x0B5, Algo::Da, FaultClass::Crash);
+        let a = episode_obs_json(0x0B5, Entrant::Da, FaultClass::Crash);
+        let b = episode_obs_json(0x0B5, Entrant::Da, FaultClass::Crash);
         assert_eq!(a, b, "same seed must produce byte-identical obs JSON");
         assert!(a.contains("\"dropped_events\""), "{a}");
         assert!(a.contains("\"protocol\""), "{a}");

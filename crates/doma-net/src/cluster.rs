@@ -81,7 +81,7 @@ impl Cluster {
     /// Boots a cluster of `n` nodes serving `configs`, over TCP loopback
     /// or UDS per `kind`. Adaptive objects get their driver-side
     /// `oracles` installed in the planner (same contract as
-    /// [`doma_protocol::ProtocolSim::new_adaptive`]). When `obs` is
+    /// [`doma_protocol::ProtocolSim::deploy`]). When `obs` is
     /// given, every node tallies into it — node threads share the bundle,
     /// and all protocol metrics are commutative counters, so totals are
     /// deterministic regardless of delivery interleaving.

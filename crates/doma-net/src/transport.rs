@@ -69,11 +69,6 @@ impl Transport for NetTransport {
     fn pending_sends(&self) -> &[(NodeId, MsgKind, DomMsg)] {
         &self.outbox
     }
-
-    fn set_timer(&mut self, _delay: u64, _token: u64) {
-        // No scheduler: the real runtime executes failure-free workloads
-        // only, so the failover layer's detection timers never matter.
-    }
 }
 
 #[cfg(test)]

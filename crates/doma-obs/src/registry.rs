@@ -91,11 +91,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adjusts the value by `d`.
-    pub fn adjust(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn value(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

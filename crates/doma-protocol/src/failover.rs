@@ -129,17 +129,6 @@ impl FailoverDriver {
         self.pending_detection |= was_scheme;
     }
 
-    /// Runs the cluster to quiescence and lets the failure detector react
-    /// to any crash scheduled via [`FailoverDriver::crash_in`] (switching
-    /// to quorum mode if a home-scheme member went down).
-    pub fn detect_failures(&mut self) {
-        self.sim.engine_mut().run_until_idle();
-        if self.pending_detection {
-            self.pending_detection = false;
-            self.broadcast_mode(true);
-        }
-    }
-
     /// Recovers a processor: replays its log, performs the missing-writes
     /// catch-up, and — once no home-scheme member remains down — returns
     /// the cluster to normal mode.

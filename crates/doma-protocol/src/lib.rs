@@ -29,6 +29,11 @@
 //!   fails, the cluster falls back to majority-quorum reads/writes and a
 //!   recovering node catches up via a quorum read (the missing-writes
 //!   transition) before normal DA operation resumes.
+//! * [`Entrant`] — the roster: the seven allocators every harness
+//!   compares, with their labels, thresholds, canonical deployment
+//!   ([`Entrant::config`], [`Entrant::sim`]) and the one table mapping a
+//!   configuration to its `doma-algorithms` constructor
+//!   ([`ProtocolConfig::algorithm`]).
 //! * [`ProtocolConfig::Adaptive`] — adaptive algorithms (the promoted
 //!   tournament baselines and contenders) run as driver-side
 //!   [`PlanOracle`]s: each injected request is decided by the live
@@ -51,13 +56,15 @@ mod msg;
 mod node;
 mod obs;
 mod planner;
+mod roster;
 mod sharded;
 mod sim;
 mod transport;
 
 pub use msg::{DomMsg, ReadPlan, WritePlan};
-pub use node::{AdaptiveAlgo, BugSwitches, CompletedRead, DomNode, ProtocolConfig};
+pub use node::{BugSwitches, CompletedRead, DomNode, ProtocolConfig};
 pub use planner::{ClientPlanner, PlannedRequest};
+pub use roster::{Entrant, Tunables};
 pub use sharded::{ShardInput, ShardOutcome, ShardedRun, ShardedSim};
 pub use sim::{BurstReport, OpenLoopReport, PlanOracle, ProtocolSim, SimReport};
 pub use transport::Transport;

@@ -1,6 +1,7 @@
 //! The per-processor protocol state machine.
 
 use crate::obs::{algo_label, object_of, op_of, NodeObs};
+use crate::roster::Entrant;
 use crate::transport::Transport;
 use crate::{DomMsg, ReadPlan, WritePlan};
 use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId};
@@ -11,49 +12,6 @@ use std::collections::BTreeMap;
 /// The object id used by the single-object convenience constructors (the
 /// paper analyzes a single object).
 pub(crate) const OBJECT: ObjectId = ObjectId(0);
-
-/// The adaptive algorithm governing an object under
-/// [`ProtocolConfig::Adaptive`] — used only as an observability label;
-/// the actual placement decisions arrive in the client requests' plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptiveAlgo {
-    /// Sliding-window convergent allocation (Wolfson–Jajodia style).
-    Convergent,
-    /// CDVM-style write-invalidate caching.
-    WriteInvalidate,
-    /// Cost-oblivious reallocation (Bender et al.).
-    CostOblivious,
-    /// Mobile-resource mirroring (Feldkord et al.).
-    MobileMirror,
-    /// Clustering-based fragment allocation.
-    Clustered,
-}
-
-impl AdaptiveAlgo {
-    /// The metric-label spelling of the algorithm name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AdaptiveAlgo::Convergent => "convergent",
-            AdaptiveAlgo::WriteInvalidate => "write-invalidate",
-            AdaptiveAlgo::CostOblivious => "cost-oblivious",
-            AdaptiveAlgo::MobileMirror => "mobile-mirror",
-            AdaptiveAlgo::Clustered => "clustered",
-        }
-    }
-
-    /// Maps a [`doma_core::DomAlgorithm::name`] to its label, if it is a
-    /// known adaptive algorithm.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "Convergent" => Some(AdaptiveAlgo::Convergent),
-            "WriteInvalidate" => Some(AdaptiveAlgo::WriteInvalidate),
-            "CostOblivious" => Some(AdaptiveAlgo::CostOblivious),
-            "MobileMirror" => Some(AdaptiveAlgo::MobileMirror),
-            "Clustered" => Some(AdaptiveAlgo::Clustered),
-            _ => None,
-        }
-    }
-}
 
 /// Which DOM algorithm governs one object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,16 +29,16 @@ pub enum ProtocolConfig {
         p: ProcessorId,
     },
     /// An adaptive algorithm whose placement decisions are computed by a
-    /// driver-side oracle ([`crate::ProtocolSim::new_adaptive`]) and
-    /// carried in the client requests' plans. Nodes execute the plans
+    /// driver-side oracle ([`ProtocolConfig::oracle`]) and carried in the
+    /// client requests' plans. Nodes execute the plans
     /// exactly; the quorum failure fallback ignores them.
     Adaptive {
         /// The availability threshold the oracle maintains.
         t: usize,
         /// The oracle's initial allocation scheme (preloaded replicas).
         initial: ProcSet,
-        /// Which algorithm the oracle runs (observability label).
-        algo: AdaptiveAlgo,
+        /// Which adaptive entrant the oracle runs.
+        algo: Entrant,
     },
 }
 

@@ -55,12 +55,7 @@ pub(crate) fn object_of(msg: &DomMsg) -> Option<ObjectId> {
 /// The algorithm governing an object, as a metric label (`cluster` for
 /// whole-node traffic outside any one object's configuration).
 pub(crate) fn algo_label(config: Option<&ProtocolConfig>) -> &'static str {
-    match config {
-        Some(ProtocolConfig::Sa { .. }) => "sa",
-        Some(ProtocolConfig::Da { .. }) => "da",
-        Some(ProtocolConfig::Adaptive { algo, .. }) => algo.as_str(),
-        None => "cluster",
-    }
+    config.map_or("cluster", |c| c.entrant().as_str())
 }
 
 /// One node's attachment to the shared [`Obs`] bundle: cached cost

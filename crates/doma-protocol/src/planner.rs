@@ -95,11 +95,6 @@ impl ClientPlanner {
         }
     }
 
-    /// Whether any object is governed by an adaptive oracle.
-    pub fn has_oracles(&self) -> bool {
-        !self.oracles.is_empty()
-    }
-
     /// The highest version of `object` written so far (INITIAL if none).
     ///
     /// # Panics
@@ -276,6 +271,6 @@ mod tests {
                 plan: None
             }
         );
-        assert!(!p.has_oracles());
+        assert!(p.oracles.is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! The protocol driver: executes a schedule on a simulated cluster.
 
-use crate::node::{AdaptiveAlgo, OBJECT};
+use crate::node::OBJECT;
 use crate::planner::ClientPlanner;
-use crate::{DomMsg, DomNode, ProtocolConfig};
+use crate::{DomMsg, DomNode, Entrant, ProtocolConfig, Tunables};
 use doma_core::{
     CostVector, Decision, DomaError, MultiRequest, MultiSchedule, ObjectId, OnlineDom, ProcSet,
     ProcessorId, Request, Result, Schedule,
@@ -129,28 +129,24 @@ impl ProtocolSim {
     }
 
     /// The §2 mobile deployment: `t = 2`, the core is the base station
-    /// (processor 0), the floater is processor 1; `n` processors total.
+    /// (processor 0), the floater is processor 1; `n` processors total —
+    /// the roster's canonical DA deployment.
     pub fn mobile(n: usize) -> Result<Self> {
-        Self::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1))
+        Entrant::Da.sim(n)
     }
 
-    /// Builds a cluster of `n` nodes governed by an adaptive algorithm:
-    /// the oracle runs inside the driver, each injected request is decided
-    /// by it, and the nodes execute the shipped plans exactly. The
-    /// oracle's `t`/initial scheme/name must describe a valid deployment
-    /// ([`AdaptiveAlgo::from_name`] must recognize the name).
-    pub fn new_adaptive(n: usize, oracle: Box<dyn PlanOracle>) -> Result<Self> {
-        let Some(algo) = AdaptiveAlgo::from_name(oracle.name()) else {
-            return Err(DomaError::InvalidConfig(format!(
-                "unknown adaptive algorithm {:?}",
-                oracle.name()
-            )));
-        };
-        let t = oracle.t();
-        let initial = oracle.initial_scheme();
-        let config = ProtocolConfig::Adaptive { t, initial, algo };
+    /// Stands up one object under `config` on `n` nodes — the way every
+    /// harness builds the cluster of an [`Entrant`]. SA and DA run
+    /// natively; an adaptive configuration additionally gets its plan
+    /// oracle ([`ProtocolConfig::oracle`], built with `tunables`)
+    /// installed in the driver: each injected request is decided by it,
+    /// and the nodes execute the shipped plans exactly.
+    pub fn deploy(n: usize, config: ProtocolConfig, tunables: Tunables) -> Result<Self> {
+        let oracle = config.oracle(n, tunables)?;
         let mut sim = Self::new_catalog(n, BTreeMap::from([(OBJECT, config)]))?;
-        sim.planner.install_oracle(OBJECT, oracle);
+        if let Some(oracle) = oracle {
+            sim.planner.install_oracle(OBJECT, oracle);
+        }
         Ok(sim)
     }
 
@@ -161,12 +157,6 @@ impl ProtocolSim {
     /// must agree.
     pub fn reset_adaptive_oracles(&mut self) {
         self.planner.reset_oracles();
-    }
-
-    /// Whether any object in the catalog is governed by an adaptive
-    /// oracle.
-    pub fn has_adaptive(&self) -> bool {
-        self.planner.has_oracles()
     }
 
     /// Builds a cluster serving a whole catalog of objects, each with its
@@ -211,9 +201,14 @@ impl ProtocolSim {
                         "{object}: DA requires non-empty F with p outside F"
                     )));
                 }
-                ProtocolConfig::Adaptive { t, initial, .. } if *t == 0 || initial.len() < *t => {
+                ProtocolConfig::Adaptive { t, initial, algo }
+                    if *t == 0
+                        || initial.len() < *t
+                        || matches!(algo, Entrant::Sa | Entrant::Da) =>
+                {
                     return Err(DomaError::InvalidConfig(format!(
-                        "{object}: adaptive config requires 1 <= t <= |initial scheme|"
+                        "{object}: adaptive config requires 1 <= t <= |initial scheme| \
+                         and an adaptive entrant"
                     )));
                 }
                 _ => {}
@@ -1210,53 +1205,33 @@ mod tests {
     /// The headline parity property extended to the adaptive algorithms:
     /// the plan-executing protocol's exact tallies equal the analytic
     /// cost engine's run of the *same* algorithm, message for message.
-    fn check_adaptive_parity<A>(algo: A, schedule: &Schedule)
-    where
-        A: doma_core::OnlineDom + Clone + Send + 'static,
-    {
-        let mut analytic_algo = algo.clone();
-        let name = analytic_algo.name().to_string();
-        let n = 6;
-        let mut sim = ProtocolSim::new_adaptive(n, Box::new(algo)).unwrap();
-        let report = sim.execute(schedule).unwrap();
-        let analytic = run_online(&mut analytic_algo, schedule).unwrap();
-        assert_eq!(
-            report.cost, analytic.costed.total,
-            "{name}: protocol tallies diverged from the analytic engine"
-        );
-        assert_eq!(
-            report.final_holders, analytic.costed.final_scheme,
-            "{name}: final replica set diverged from the analytic scheme"
-        );
-        assert_eq!(report.dropped_messages, 0);
-    }
-
     #[test]
     fn adaptive_tallies_match_analytic_cost_engine() {
-        use doma_algorithms::{
-            ClusteredAllocation, CostOblivious, MobileMirror, SlidingWindowConvergent,
-            WriteInvalidateCache,
-        };
         let schedule: Schedule = "r2 r2 w3 r2 r1 w0 r3 w2 r0 r2 w1 r3 r4 r4 w4 r1 r5 w5 r5 r0"
             .parse()
             .unwrap();
-        let initial = ps(&[0, 1]);
-        check_adaptive_parity(
-            SlidingWindowConvergent::new(6, 2, initial, 8, 4).unwrap(),
-            &schedule,
-        );
-        check_adaptive_parity(WriteInvalidateCache::new(ps(&[0])).unwrap(), &schedule);
-        check_adaptive_parity(CostOblivious::new(6, 2, initial, 2).unwrap(), &schedule);
-        check_adaptive_parity(MobileMirror::new(6, 2, initial).unwrap(), &schedule);
-        check_adaptive_parity(ClusteredAllocation::new(6, 2, initial).unwrap(), &schedule);
+        let n = 6;
+        for entrant in Entrant::ALL {
+            let name = entrant.as_str();
+            let mut sim = entrant.sim(n).unwrap();
+            let report = sim.execute(&schedule).unwrap();
+            let mut algo = entrant.config().algorithm(n, Tunables::CANONICAL).unwrap();
+            let analytic = run_online(&mut *algo, &schedule).unwrap();
+            assert_eq!(
+                report.cost, analytic.costed.total,
+                "{name}: protocol tallies diverged from the analytic engine"
+            );
+            assert_eq!(
+                report.final_holders, analytic.costed.final_scheme,
+                "{name}: final replica set diverged from the analytic scheme"
+            );
+            assert_eq!(report.dropped_messages, 0);
+        }
     }
 
     #[test]
     fn adaptive_forks_advance_independent_oracles() {
-        use doma_algorithms::MobileMirror;
-        let mut sim =
-            ProtocolSim::new_adaptive(4, Box::new(MobileMirror::new(4, 2, ps(&[0, 1])).unwrap()))
-                .unwrap();
+        let mut sim = Entrant::MobileMirror.sim(4).unwrap();
         sim.execute_request(Request::read(2usize)).unwrap();
         let mut fork = sim.fork();
         // Diverge: the fork sees a write, the original another read.
@@ -1275,10 +1250,18 @@ mod tests {
 
     #[test]
     fn adaptive_rejects_unknown_oracle_names() {
-        // DA is not an adaptive-plan algorithm: it has its own native
-        // protocol, so the constructor refuses to wrap it.
-        let da = DynamicAllocation::new(ps(&[0]), ProcessorId::new(1)).unwrap();
-        assert!(ProtocolSim::new_adaptive(4, Box::new(da)).is_err());
+        // SA and DA have their own native protocols: neither the oracle
+        // table nor the catalog accepts them as an adaptive configuration.
+        for algo in [Entrant::Sa, Entrant::Da] {
+            let config = ProtocolConfig::Adaptive {
+                t: 2,
+                initial: ps(&[0, 1]),
+                algo,
+            };
+            assert!(config.oracle(4, Tunables::CANONICAL).is_err());
+            assert!(ProtocolSim::deploy(4, config.clone(), Tunables::CANONICAL).is_err());
+            assert!(ProtocolSim::new_catalog(4, BTreeMap::from([(OBJECT, config)])).is_err());
+        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! needs from whatever is carrying its messages.
 //!
 //! The protocol state machine in [`node`](crate::DomNode) never talks to
-//! `doma-sim`'s `Engine` directly — every outbound message, every clock
-//! read, and every timer request goes through this trait. That makes the
-//! deterministic engine *one* implementation (the [`Context`] impl below,
-//! used by every sim, fault, check, shard, and scenario path, byte-for-byte
-//! unchanged) and leaves room for a second: `doma-net`'s socket-backed
-//! transport, which carries the same [`DomMsg`]s over TCP or Unix domain
-//! sockets and lets the real runtime be diffed against the sim oracle.
+//! `doma-sim`'s `Engine` directly — every outbound message and every
+//! clock read goes through this trait. That makes the deterministic
+//! engine *one* implementation (the [`Context`] impl below, used by every
+//! sim, fault, check, shard, and scenario path, byte-for-byte unchanged)
+//! and leaves room for a second: `doma-net`'s socket-backed transport,
+//! which carries the same [`DomMsg`]s over TCP or Unix domain sockets and
+//! lets the real runtime be diffed against the sim oracle.
 //!
 //! Design constraints:
 //!
@@ -24,6 +24,11 @@
 //!   reports simulated time; the socket transport reports a per-node
 //!   delivery tick. Protocol behavior must not depend on the absolute
 //!   values (they only timestamp read-latency samples and obs events).
+//! * **No timers.** No protocol code sets one, and a method one transport
+//!   could only discard would hide a lost failure-detection timer. The
+//!   engine's own `Context::set_timer`/`Actor::on_timer` stay; when the
+//!   failover layer needs timers (ROADMAP item 4) both transports get a
+//!   real implementation together.
 
 use crate::msg::DomMsg;
 use doma_sim::{Context, MsgKind, NodeId, SimTime};
@@ -46,12 +51,6 @@ pub trait Transport {
     /// The messages queued by `send` since the last flush, in send order.
     /// The node's obs layer reads this to attribute per-message costs.
     fn pending_sends(&self) -> &[(NodeId, MsgKind, DomMsg)];
-
-    /// Request a timer callback `delay` ticks from now, carrying `token`.
-    /// The failover layer uses timers for failure detection; transports
-    /// without a scheduler may ignore this (the real runtime runs only
-    /// failure-free workloads, enforced by the cluster driver).
-    fn set_timer(&mut self, delay: u64, token: u64);
 }
 
 impl Transport for Context<DomMsg> {
@@ -66,10 +65,6 @@ impl Transport for Context<DomMsg> {
     fn pending_sends(&self) -> &[(NodeId, MsgKind, DomMsg)] {
         Context::pending_sends(self)
     }
-
-    fn set_timer(&mut self, delay: u64, token: u64) {
-        Context::set_timer(self, delay, token);
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,6 @@ mod tests {
     struct Loopback {
         tick: SimTime,
         outbox: Vec<(NodeId, MsgKind, DomMsg)>,
-        timers: Vec<(u64, u64)>,
     }
 
     impl Transport for Loopback {
@@ -95,9 +89,6 @@ mod tests {
         fn pending_sends(&self) -> &[(NodeId, MsgKind, DomMsg)] {
             &self.outbox
         }
-        fn set_timer(&mut self, delay: u64, token: u64) {
-            self.timers.push((delay, token));
-        }
     }
 
     #[test]
@@ -105,7 +96,6 @@ mod tests {
         let mut t = Loopback {
             tick: SimTime(7),
             outbox: Vec::new(),
-            timers: Vec::new(),
         };
         assert_eq!(Transport::now(&t), SimTime(7));
         t.send(
@@ -117,7 +107,5 @@ mod tests {
         );
         assert_eq!(t.pending_sends().len(), 1);
         assert_eq!(t.pending_sends()[0].0, NodeId(2));
-        t.set_timer(5, 99);
-        assert_eq!(t.timers, vec![(5, 99)]);
     }
 }

@@ -11,16 +11,13 @@
 //! Failures print a `DOMA_PROP_SEED=…` replay line via the testkit
 //! harness.
 
-use doma_algorithms::{
-    ClusteredAllocation, CostOblivious, DynamicAllocation, MobileMirror, SlidingWindowConvergent,
-    StaticAllocation, WriteInvalidateCache,
-};
+use doma_algorithms::{DynamicAllocation, StaticAllocation};
 use doma_core::{
     cost_of_schedule, run_online, AllocationSchedule, CostVector, OnlineDom, ProcSet, ProcessorId,
     Request, Schedule,
 };
 use doma_obs::trace::TraceModel;
-use doma_protocol::ProtocolSim;
+use doma_protocol::{Entrant, ProtocolSim, Tunables};
 use doma_testkit::property::{self as prop, Gen};
 use doma_testkit::rng::Rng;
 use doma_testkit::TestRng;
@@ -138,15 +135,11 @@ fn analytic_total<A: OnlineDom>(algo: &mut A, schedule: &Schedule) -> doma_core:
     cost_of_schedule(&alloc, algo.t()).expect("online DA/SA schedules are always legal")
 }
 
-fn check_adaptive<A>(algo: A, schedule: &Schedule)
-where
-    A: OnlineDom + Clone + Send + 'static,
-{
-    let mut analytic_algo = algo.clone();
-    let name = analytic_algo.name().to_string();
-    let analytic = run_online(&mut analytic_algo, schedule).unwrap();
-    let sim = ProtocolSim::new_adaptive(6, Box::new(algo)).unwrap();
-    let model = traced_model(sim, schedule, analytic.costed.total);
+fn check_adaptive(entrant: Entrant, schedule: &Schedule) {
+    let name = entrant.as_str();
+    let mut algo = entrant.config().algorithm(6, Tunables::CANONICAL).unwrap();
+    let analytic = run_online(&mut *algo, schedule).unwrap();
+    let model = traced_model(entrant.sim(6).unwrap(), schedule, analytic.costed.total);
     // Adaptive requests additionally carry the oracle's plan decision.
     for req in &model.requests {
         assert!(
@@ -193,15 +186,10 @@ doma_testkit::property! {
                 })
                 .collect::<Vec<_>>(),
         );
-        let initial: ProcSet = [0usize, 1].into_iter().collect();
-        let core: ProcSet = [0usize].into_iter().collect();
-        check_adaptive(
-            SlidingWindowConvergent::new(6, 2, initial, 8, 4).unwrap(),
-            &schedule,
-        );
-        check_adaptive(WriteInvalidateCache::new(core).unwrap(), &schedule);
-        check_adaptive(CostOblivious::new(6, 2, initial, 2).unwrap(), &schedule);
-        check_adaptive(MobileMirror::new(6, 2, initial).unwrap(), &schedule);
-        check_adaptive(ClusteredAllocation::new(6, 2, initial).unwrap(), &schedule);
+        for entrant in Entrant::ALL {
+            if !matches!(entrant, Entrant::Sa | Entrant::Da) {
+                check_adaptive(entrant, &schedule);
+            }
+        }
     }
 }

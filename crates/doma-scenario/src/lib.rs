@@ -33,8 +33,9 @@ pub mod model;
 pub mod runner;
 pub mod toml;
 
-pub use model::{Entrant, Expect, FaultKind, FaultSpec, MsgFilter, Phase, Scenario, WorkloadSpec};
-pub use runner::{build_schedule, build_sim, build_spec, run, run_traced, ClusterSpec, RunReport};
+pub use doma_protocol::Entrant;
+pub use model::{Expect, FaultKind, FaultSpec, MsgFilter, Phase, Scenario, WorkloadSpec};
+pub use runner::{build_schedule, run, run_traced, RunReport};
 
 use std::fmt;
 

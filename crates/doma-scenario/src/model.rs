@@ -9,65 +9,7 @@
 use crate::toml::{self, Entry, Table, Value};
 use crate::ScenarioError;
 use doma_core::MAX_PROCESSORS;
-
-/// The seven tournament entrants a scenario may put under test. Names
-/// match the tournament roster and the obs `algo` metric labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Entrant {
-    /// Static allocation (read-one-write-all over a fixed scheme).
-    Sa,
-    /// Dynamic allocation (core + floater).
-    Da,
-    /// Sliding-window convergent allocation.
-    Convergent,
-    /// CDVM-style write-invalidate caching (t = 1).
-    WriteInvalidate,
-    /// Cost-oblivious reallocation.
-    CostOblivious,
-    /// Mobile-resource mirroring.
-    MobileMirror,
-    /// Clustering-based fragment allocation.
-    Clustered,
-}
-
-impl Entrant {
-    /// Every entrant, in tournament roster order.
-    pub const ALL: [Entrant; 7] = [
-        Entrant::Sa,
-        Entrant::Da,
-        Entrant::Convergent,
-        Entrant::WriteInvalidate,
-        Entrant::CostOblivious,
-        Entrant::MobileMirror,
-        Entrant::Clustered,
-    ];
-
-    /// The roster spelling of the entrant name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Entrant::Sa => "sa",
-            Entrant::Da => "da",
-            Entrant::Convergent => "convergent",
-            Entrant::WriteInvalidate => "write-invalidate",
-            Entrant::CostOblivious => "cost-oblivious",
-            Entrant::MobileMirror => "mobile-mirror",
-            Entrant::Clustered => "clustered",
-        }
-    }
-
-    /// Parses a roster name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Entrant::ALL.into_iter().find(|e| e.as_str() == name)
-    }
-
-    /// The availability threshold the entrant maintains.
-    pub fn t(&self) -> usize {
-        match self {
-            Entrant::WriteInvalidate => 1,
-            _ => 2,
-        }
-    }
-}
+use doma_protocol::Entrant;
 
 /// The request mix of one phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -793,16 +735,8 @@ impl Scenario {
         }
         let seed = as_u64(required(scenario, "seed")?)?;
         let entrant_entry = required(scenario, "entrant")?;
-        let entrant = Entrant::from_name(as_str(entrant_entry)?).ok_or_else(|| {
-            fail(
-                entrant_entry.line,
-                format!(
-                    "unknown entrant '{}' (expected one of: {})",
-                    as_str(entrant_entry).unwrap_or_default(),
-                    Entrant::ALL.map(|e| e.as_str()).join(", ")
-                ),
-            )
-        })?;
+        let entrant =
+            Entrant::from_name(as_str(entrant_entry)?).map_err(|e| fail(entrant_entry.line, e))?;
         let events = match scenario.get("events") {
             None => 512,
             Some(entry) => {

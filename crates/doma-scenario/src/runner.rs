@@ -10,15 +10,12 @@
 //! into the scenario's digest; builtin scenarios pin that digest
 //! in-repo, turning every run into a conformance check.
 
-use crate::model::{Entrant, FaultKind, MsgFilter, Scenario, WorkloadSpec};
+use crate::model::{FaultKind, MsgFilter, Scenario, WorkloadSpec};
 use crate::{digest64, format_digest, ScenarioError};
-use doma_algorithms::{
-    ClusteredAllocation, CostOblivious, MobileMirror, OfflineOptimal, SlidingWindowConvergent,
-    WriteInvalidateCache,
-};
-use doma_core::{CostModel, CostVector, ProcSet, ProcessorId, Schedule};
+use doma_algorithms::OfflineOptimal;
+use doma_core::{CostModel, CostVector, ProcSet, Schedule};
 use doma_obs::json::escape;
-use doma_protocol::{AdaptiveAlgo, PlanOracle, ProtocolConfig, ProtocolSim};
+use doma_protocol::ProtocolSim;
 use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind, NodeId};
 use doma_testkit::rng::splitmix64;
 use doma_workload::{
@@ -120,10 +117,6 @@ impl RunReport {
     }
 }
 
-fn pair() -> ProcSet {
-    [0usize, 1].into_iter().collect()
-}
-
 fn runtime(e: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::msg(e.to_string())
 }
@@ -136,52 +129,63 @@ fn phase_seed(seed: u64, index: usize) -> u64 {
     splitmix64(&mut state)
 }
 
+/// Generates `len` requests of one workload on `n` processors from
+/// `seed` — the one table mapping a [`WorkloadSpec`] to its
+/// `doma-workload` generator. Trace workloads replay verbatim (`len` and
+/// `seed` do not apply).
+pub fn generate_phase(
+    workload: &WorkloadSpec,
+    n: usize,
+    len: usize,
+    seed: u64,
+) -> Result<Schedule, ScenarioError> {
+    let gen: Box<dyn ScheduleGen> = match workload {
+        WorkloadSpec::Uniform { read_fraction } => {
+            Box::new(UniformWorkload::new(n, *read_fraction).map_err(runtime)?)
+        }
+        WorkloadSpec::Zipf {
+            theta,
+            read_fraction,
+        } => Box::new(ZipfWorkload::new(n, *theta, *read_fraction).map_err(runtime)?),
+        WorkloadSpec::Hotspot {
+            phase_len,
+            hot_prob,
+        } => Box::new(HotspotWorkload::new(n, *phase_len, *hot_prob).map_err(runtime)?),
+        WorkloadSpec::Chaotic { redraw_every } => {
+            Box::new(ChaoticWorkload::new(n, *redraw_every).map_err(runtime)?)
+        }
+        WorkloadSpec::Mobile {
+            cells,
+            callers,
+            move_prob,
+            read_fraction,
+        } => Box::new(
+            MobileWorkload::new(*cells, *callers, *move_prob, *read_fraction).map_err(runtime)?,
+        ),
+        WorkloadSpec::AppendOnly {
+            generators,
+            reads_per_write,
+        } => Box::new(AppendOnlyWorkload::new(n, *generators, *reads_per_write).map_err(runtime)?),
+        WorkloadSpec::Trace { text } => {
+            return doma_workload::trace::read_trace(text.as_bytes()).map_err(runtime)
+        }
+    };
+    Ok(gen.generate(len, seed))
+}
+
 /// Materializes the scenario's full request schedule: each phase's
 /// generator produces its slice with a derived seed, trace phases replay
 /// verbatim, and the slices concatenate in phase order.
 pub fn build_schedule(scenario: &Scenario) -> Result<Schedule, ScenarioError> {
-    let n = scenario.n;
     let mut schedule = Schedule::new();
     for (i, phase) in scenario.phases.iter().enumerate() {
         let seed = phase_seed(scenario.seed, i);
-        let slice = match &phase.workload {
-            WorkloadSpec::Uniform { read_fraction } => UniformWorkload::new(n, *read_fraction)
-                .map_err(runtime)?
-                .generate(phase.len, seed),
-            WorkloadSpec::Zipf {
-                theta,
-                read_fraction,
-            } => ZipfWorkload::new(n, *theta, *read_fraction)
-                .map_err(runtime)?
-                .generate(phase.len, seed),
-            WorkloadSpec::Hotspot {
-                phase_len,
-                hot_prob,
-            } => HotspotWorkload::new(n, *phase_len, *hot_prob)
-                .map_err(runtime)?
-                .generate(phase.len, seed),
-            WorkloadSpec::Chaotic { redraw_every } => ChaoticWorkload::new(n, *redraw_every)
-                .map_err(runtime)?
-                .generate(phase.len, seed),
-            WorkloadSpec::Mobile {
-                cells,
-                callers,
-                move_prob,
-                read_fraction,
-            } => MobileWorkload::new(*cells, *callers, *move_prob, *read_fraction)
-                .map_err(runtime)?
-                .generate(phase.len, seed),
-            WorkloadSpec::AppendOnly {
-                generators,
-                reads_per_write,
-            } => AppendOnlyWorkload::new(n, *generators, *reads_per_write)
-                .map_err(runtime)?
-                .generate(phase.len, seed),
-            WorkloadSpec::Trace { text } => {
-                doma_workload::trace::read_trace(text.as_bytes()).map_err(runtime)?
-            }
-        };
-        schedule.extend_from(&slice);
+        schedule.extend_from(&generate_phase(
+            &phase.workload,
+            scenario.n,
+            phase.len,
+            seed,
+        )?);
     }
     Ok(schedule)
 }
@@ -223,76 +227,6 @@ pub fn build_fault_plan(scenario: &Scenario) -> FaultPlan {
     plan
 }
 
-/// One entrant's deployment, decomposed so runtimes other than the
-/// simulator (the socket cluster) can stand it up: the node-side
-/// protocol configuration, and — for adaptive entrants — the driver-side
-/// plan oracle.
-pub struct ClusterSpec {
-    /// Cluster size.
-    pub n: usize,
-    /// What every node runs.
-    pub config: ProtocolConfig,
-    /// The driver-side planning oracle (adaptive entrants only).
-    pub oracle: Option<Box<dyn PlanOracle>>,
-}
-
-/// Builds the entrant's deployment spec — the exact constructors the
-/// tournament roster uses, decomposed for transport-agnostic runtimes.
-pub fn build_spec(scenario: &Scenario) -> Result<ClusterSpec, ScenarioError> {
-    let n = scenario.n;
-    let oracle: Option<Box<dyn PlanOracle>> = match scenario.entrant {
-        Entrant::Sa | Entrant::Da => None,
-        Entrant::Convergent => Some(Box::new(
-            SlidingWindowConvergent::new(n, 2, pair(), 8, 4).map_err(runtime)?,
-        )),
-        Entrant::WriteInvalidate => Some(Box::new(
-            WriteInvalidateCache::new(pair()).map_err(runtime)?,
-        )),
-        Entrant::CostOblivious => Some(Box::new(
-            CostOblivious::new(n, 2, pair(), 2).map_err(runtime)?,
-        )),
-        Entrant::MobileMirror => Some(Box::new(MobileMirror::new(n, 2, pair()).map_err(runtime)?)),
-        Entrant::Clustered => Some(Box::new(
-            ClusteredAllocation::new(n, 2, pair()).map_err(runtime)?,
-        )),
-    };
-    let config = match (&scenario.entrant, &oracle) {
-        (Entrant::Sa, _) => ProtocolConfig::Sa { q: pair() },
-        (Entrant::Da, _) => ProtocolConfig::Da {
-            f: ProcSet::from_iter([0usize]),
-            p: ProcessorId::new(1),
-        },
-        (_, Some(o)) => {
-            let algo = AdaptiveAlgo::from_name(o.name()).ok_or_else(|| {
-                ScenarioError::msg(format!("unknown adaptive algorithm {:?}", o.name()))
-            })?;
-            ProtocolConfig::Adaptive {
-                t: o.t(),
-                initial: o.initial_scheme(),
-                algo,
-            }
-        }
-        _ => unreachable!("non-SA/DA entrants always carry an oracle"),
-    };
-    Ok(ClusterSpec { n, config, oracle })
-}
-
-/// Builds the protocol simulator for the scenario's entrant — the same
-/// deployment [`build_spec`] describes, stood up on the deterministic
-/// engine.
-pub fn build_sim(scenario: &Scenario) -> Result<ProtocolSim, ScenarioError> {
-    let spec = build_spec(scenario)?;
-    let sim = match (spec.config, spec.oracle) {
-        (_, Some(oracle)) => ProtocolSim::new_adaptive(spec.n, oracle),
-        (ProtocolConfig::Sa { q }, None) => ProtocolSim::new_sa(spec.n, q),
-        (ProtocolConfig::Da { f, p }, None) => ProtocolSim::new_da(spec.n, f, p),
-        (ProtocolConfig::Adaptive { .. }, None) => {
-            unreachable!("adaptive spec always carries its oracle")
-        }
-    };
-    sim.map_err(runtime)
-}
-
 /// The scenario's cost model.
 pub fn build_model(scenario: &Scenario) -> Result<CostModel, ScenarioError> {
     if scenario.environment == "mc" {
@@ -324,7 +258,7 @@ fn run_impl(
     traced: bool,
 ) -> Result<(RunReport, doma_obs::Obs), ScenarioError> {
     let schedule = build_schedule(scenario)?;
-    let mut sim = build_sim(scenario)?;
+    let mut sim = scenario.entrant.sim(scenario.n).map_err(runtime)?;
     let obs = sim.attach_obs(scenario.events);
     sim.attach_tracer_on(obs.events().clone());
     if traced {
@@ -391,7 +325,8 @@ fn run_impl(
     }
     let (mut opt_cost, mut ratio) = (None, None);
     if let Some(ceiling) = expect.max_ratio_vs_opt {
-        let opt = OfflineOptimal::new(scenario.n, scenario.entrant.t(), pair(), model)
+        let initial = scenario.entrant.config().initial_scheme();
+        let opt = OfflineOptimal::new(scenario.n, scenario.entrant.t(), initial, model)
             .map_err(runtime)?
             .optimal_cost(&schedule)
             .map_err(runtime)?;
@@ -438,6 +373,7 @@ fn run_impl(
 mod tests {
     use super::*;
     use crate::model::Scenario;
+    use crate::Entrant;
 
     fn demo(extra: &str) -> Scenario {
         Scenario::parse(&format!(

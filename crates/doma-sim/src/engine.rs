@@ -104,32 +104,13 @@ struct Event<M> {
     kind: EventKind<M>,
 }
 
-/// The broad class of a queued event — what a model checker needs to know
-/// about a choice point without seeing the message payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PendingClass {
-    /// A network message in flight.
-    Deliver,
-    /// A locally injected client request.
-    Local,
-    /// A timer due to fire.
-    Timer,
-    /// A scheduled crash.
-    Crash,
-    /// A scheduled recovery.
-    Recover,
-}
-
 /// A snapshot of one schedulable event in the queue: the unit of choice
 /// for a model checker driving the engine one delivery at a time via
 /// [`Engine::pending_events`] / [`Engine::dispatch_by_seq`].
 #[derive(Debug, Clone)]
 pub struct PendingEvent {
     seq: u64,
-    time: SimTime,
-    class: PendingClass,
     target: NodeId,
-    source: Option<NodeId>,
     content_hash: u64,
     label: String,
 }
@@ -142,27 +123,11 @@ impl PendingEvent {
         self.seq
     }
 
-    /// When the event would fire under the natural (latency-ordered)
-    /// schedule.
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// The event's class.
-    pub fn class(&self) -> PendingClass {
-        self.class
-    }
-
     /// The node whose state dispatching this event mutates. Two pending
     /// events with different targets commute (with a point-to-point
     /// medium): dispatching them in either order yields the same state.
     pub fn target(&self) -> NodeId {
         self.target
-    }
-
-    /// The sending node, for [`PendingClass::Deliver`] events.
-    pub fn source(&self) -> Option<NodeId> {
-        self.source
     }
 
     /// A hash of the event's content (class, endpoints, payload) that
@@ -643,7 +608,7 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
             .into_iter()
             .map(|e| {
                 let mut h = DefaultHasher::new();
-                let (class, target, source, label) = match &e.kind {
+                let (target, label) = match &e.kind {
                     EventKind::Deliver {
                         from,
                         to,
@@ -655,57 +620,34 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
                         to.hash(&mut h);
                         kind.hash(&mut h);
                         msg.hash(&mut h);
-                        (
-                            PendingClass::Deliver,
-                            *to,
-                            Some(*from),
-                            format!("{from}->{to} {}", labeller(msg)),
-                        )
+                        (*to, format!("{from}->{to} {}", labeller(msg)))
                     }
                     EventKind::Local { to, msg } => {
                         1u8.hash(&mut h);
                         to.hash(&mut h);
                         msg.hash(&mut h);
-                        (
-                            PendingClass::Local,
-                            *to,
-                            None,
-                            format!("local@{to} {}", labeller(msg)),
-                        )
+                        (*to, format!("local@{to} {}", labeller(msg)))
                     }
                     EventKind::Timer { node, token } => {
                         2u8.hash(&mut h);
                         node.hash(&mut h);
                         token.hash(&mut h);
-                        (
-                            PendingClass::Timer,
-                            *node,
-                            None,
-                            format!("timer@{node} t{token}"),
-                        )
+                        (*node, format!("timer@{node} t{token}"))
                     }
                     EventKind::Crash(node) => {
                         3u8.hash(&mut h);
                         node.hash(&mut h);
-                        (PendingClass::Crash, *node, None, format!("crash@{node}"))
+                        (*node, format!("crash@{node}"))
                     }
                     EventKind::Recover(node) => {
                         4u8.hash(&mut h);
                         node.hash(&mut h);
-                        (
-                            PendingClass::Recover,
-                            *node,
-                            None,
-                            format!("recover@{node}"),
-                        )
+                        (*node, format!("recover@{node}"))
                     }
                 };
                 PendingEvent {
                     seq: e.seq,
-                    time: e.time,
-                    class,
                     target,
-                    source,
                     content_hash: h.finish(),
                     label,
                 }
@@ -1119,7 +1061,6 @@ mod tests {
         assert_eq!(pending.len(), 2);
         // Sorted by natural schedule: b's injection (t=1) first.
         assert_eq!(pending[0].target(), b);
-        assert_eq!(pending[0].class(), PendingClass::Local);
         assert_eq!(pending[1].target(), a);
         assert!(pending[1].label().contains("m10"));
         // Dispatch out of natural order: a's event first.

@@ -282,13 +282,6 @@ pub struct FaultStats {
     pub jittered: u64,
 }
 
-impl FaultStats {
-    /// Total number of messages lost to injected faults.
-    pub fn total_lost(&self) -> u64 {
-        self.dropped + self.partition_dropped
-    }
-}
-
 /// What the engine should do with one outgoing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Judgement {

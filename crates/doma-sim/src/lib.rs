@@ -33,7 +33,7 @@ mod network;
 pub mod shard;
 mod time;
 
-pub use engine::{Actor, Context, Engine, EngineConfig, NodeId, PendingClass, PendingEvent};
+pub use engine::{Actor, Context, Engine, EngineConfig, NodeId, PendingEvent};
 pub use fault::{CrashEvent, FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, Partition};
 pub use network::{Medium, MsgKind, NetStats, Network, NetworkConfig, StatsHandle};
 pub use time::SimTime;

@@ -83,12 +83,6 @@ impl CachedStore {
         &self.store
     }
 
-    /// Mutable access to the underlying store (for non-read paths that
-    /// must bypass the cache, e.g. recovery bookkeeping).
-    pub fn store_mut(&mut self) -> &mut LocalStore {
-        &mut self.store
-    }
-
     /// Cache hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.stats

@@ -54,11 +54,6 @@ impl MobileWorkload {
     pub fn universe(&self) -> usize {
         1 + self.cells + self.callers
     }
-
-    /// The base-station processor (always id 0).
-    pub fn base_station(&self) -> ProcessorId {
-        ProcessorId::new(0)
-    }
 }
 
 impl ScheduleGen for MobileWorkload {

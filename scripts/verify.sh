@@ -6,9 +6,9 @@
 #
 # Exits non-zero if (a) any Cargo.toml declares a non-path dependency,
 # (b) a Cargo.lock references a crate outside the tree, (c) the offline
-# build or test run fails, or (d) any wall below — lint, byte-stability,
-# cluster parity, model check, shard parity, fault matrix, benchmark
-# smoke — does.
+# build or test run fails, (d) the entrant roster is spelled out in a second
+# file, or (e) any wall below — lint, byte-stability, cluster parity, model
+# check, shard parity, fault matrix, benchmark smoke — does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,6 +51,23 @@ for lock in Cargo.lock benchmark/Cargo.lock; do
         echo "error: $lock references external sources:" >&2
         grep -B2 '^source = ' "$lock" >&2
         echo "verify: FAILED (lockfile guard)" >&2
+        exit 1
+    fi
+done
+
+# ---------------------------------------------------------------------------
+# Guard 3: the roster is declared once. Outside doma-algorithms, the
+# contenders' constructors and the entrant label table live in
+# doma-protocol's roster module only (unit-test modules included), so a
+# harness cannot quietly grow its own copy of the deployment decision.
+# ---------------------------------------------------------------------------
+roster=crates/doma-protocol/src/roster.rs
+for needle in 'CostOblivious::new' 'MobileMirror::new' 'ClusteredAllocation::new' '"write-invalidate"'; do
+    sites=$(grep -rlF -- "$needle" crates/*/src | grep -v '^crates/doma-algorithms/' || true)
+    if [ "$sites" != "$roster" ]; then
+        echo "error: $needle belongs in $roster alone, found in:" >&2
+        echo "${sites:-<nowhere>}" >&2
+        echo "verify: FAILED (roster declared-once guard)" >&2
         exit 1
     fi
 done

@@ -6,9 +6,10 @@
 //! default 32; `DOMA_FAULT_SEED=0x…` replays exactly one episode). On a
 //! violation the panic message carries the one-line replay recipe.
 
-use doma::fault::{run_sweep, Algo, FaultClass};
+use doma::fault::{run_sweep, FaultClass};
+use doma::protocol::Entrant;
 
-fn torture_cell(algo: Algo, class: FaultClass) {
+fn torture_cell(algo: Entrant, class: FaultClass) {
     match run_sweep(algo, class) {
         Ok(outcomes) => {
             assert!(!outcomes.is_empty(), "sweep ran no episodes");
@@ -23,82 +24,82 @@ fn torture_cell(algo: Algo, class: FaultClass) {
 
 #[test]
 fn fault_torture_sa_crash() {
-    torture_cell(Algo::Sa, FaultClass::Crash);
+    torture_cell(Entrant::Sa, FaultClass::Crash);
 }
 
 #[test]
 fn fault_torture_sa_partition() {
-    torture_cell(Algo::Sa, FaultClass::Partition);
+    torture_cell(Entrant::Sa, FaultClass::Partition);
 }
 
 #[test]
 fn fault_torture_sa_drop() {
-    torture_cell(Algo::Sa, FaultClass::Drop);
+    torture_cell(Entrant::Sa, FaultClass::Drop);
 }
 
 #[test]
 fn fault_torture_da_crash() {
-    torture_cell(Algo::Da, FaultClass::Crash);
+    torture_cell(Entrant::Da, FaultClass::Crash);
 }
 
 #[test]
 fn fault_torture_da_partition() {
-    torture_cell(Algo::Da, FaultClass::Partition);
+    torture_cell(Entrant::Da, FaultClass::Partition);
 }
 
 #[test]
 fn fault_torture_da_drop() {
-    torture_cell(Algo::Da, FaultClass::Drop);
+    torture_cell(Entrant::Da, FaultClass::Drop);
 }
 
 #[test]
 fn fault_torture_convergent_crash() {
-    torture_cell(Algo::Convergent, FaultClass::Crash);
+    torture_cell(Entrant::Convergent, FaultClass::Crash);
 }
 
 #[test]
 fn fault_torture_convergent_drop() {
-    torture_cell(Algo::Convergent, FaultClass::Drop);
+    torture_cell(Entrant::Convergent, FaultClass::Drop);
 }
 
 #[test]
 fn fault_torture_write_invalidate_partition() {
-    torture_cell(Algo::WriteInvalidate, FaultClass::Partition);
+    torture_cell(Entrant::WriteInvalidate, FaultClass::Partition);
 }
 
 #[test]
 fn fault_torture_write_invalidate_drop() {
-    torture_cell(Algo::WriteInvalidate, FaultClass::Drop);
+    torture_cell(Entrant::WriteInvalidate, FaultClass::Drop);
 }
 
 #[test]
 fn fault_torture_cost_oblivious_crash() {
-    torture_cell(Algo::CostOblivious, FaultClass::Crash);
+    torture_cell(Entrant::CostOblivious, FaultClass::Crash);
 }
 
 #[test]
 fn fault_torture_cost_oblivious_partition() {
-    torture_cell(Algo::CostOblivious, FaultClass::Partition);
+    torture_cell(Entrant::CostOblivious, FaultClass::Partition);
 }
 
 #[test]
 fn fault_torture_mobile_mirror_crash() {
-    torture_cell(Algo::MobileMirror, FaultClass::Crash);
+    torture_cell(Entrant::MobileMirror, FaultClass::Crash);
 }
 
 #[test]
 fn fault_torture_mobile_mirror_drop() {
-    torture_cell(Algo::MobileMirror, FaultClass::Drop);
+    torture_cell(Entrant::MobileMirror, FaultClass::Drop);
 }
 
 #[test]
 fn fault_torture_clustered_crash() {
-    torture_cell(Algo::Clustered, FaultClass::Crash);
+    torture_cell(Entrant::Clustered, FaultClass::Crash);
 }
 
 #[test]
 fn fault_torture_clustered_partition() {
-    torture_cell(Algo::Clustered, FaultClass::Partition);
+    torture_cell(Entrant::Clustered, FaultClass::Partition);
 }
 
 /// Pinned regression episodes: one fixed seed per adaptive algorithm,
@@ -114,11 +115,11 @@ fn pinned_adaptive_regression_episodes() {
     // re-run below rather than against literals for the *fault* stats
     // (which depend on sampled plans), but requests/reads are pinned.
     let cells = [
-        (Algo::Convergent, FaultClass::Crash, 0x0C01u64),
-        (Algo::WriteInvalidate, FaultClass::Drop, 0x0C02),
-        (Algo::CostOblivious, FaultClass::Partition, 0x0C03),
-        (Algo::MobileMirror, FaultClass::Crash, 0x0C04),
-        (Algo::Clustered, FaultClass::Drop, 0x0C05),
+        (Entrant::Convergent, FaultClass::Crash, 0x0C01u64),
+        (Entrant::WriteInvalidate, FaultClass::Drop, 0x0C02),
+        (Entrant::CostOblivious, FaultClass::Partition, 0x0C03),
+        (Entrant::MobileMirror, FaultClass::Crash, 0x0C04),
+        (Entrant::Clustered, FaultClass::Drop, 0x0C05),
     ];
     for (algo, class, seed) in cells {
         let a = run_episode(seed, algo, class).unwrap_or_else(|f| panic!("{f}"));
@@ -233,7 +234,7 @@ fn forced_failure_reports_metric_delta_and_event_tail() {
     // time of writing; the scan keeps the test robust to upstream
     // reshuffles of the episode sampler.)
     let failure = (0..250u64)
-        .find_map(|seed| run_episode_with_bugs(seed, Algo::Da, FaultClass::Crash, bugs).err())
+        .find_map(|seed| run_episode_with_bugs(seed, Entrant::Da, FaultClass::Crash, bugs).err())
         .expect("with every hardening fix reverted, some seed must violate an invariant");
     let text = failure.to_string();
     assert!(text.contains("violated an invariant"), "{text}");
@@ -250,7 +251,7 @@ fn forced_failure_reports_metric_delta_and_event_tail() {
     assert!(text.contains("DOMA_FAULT_SEED="), "{text}");
     // The failure itself is reproducible: the same seed and cell fail
     // identically on a second run.
-    let again = run_episode_with_bugs(failure.seed, Algo::Da, FaultClass::Crash, bugs)
+    let again = run_episode_with_bugs(failure.seed, Entrant::Da, FaultClass::Crash, bugs)
         .expect_err("the forced failure must reproduce from its seed");
     assert_eq!(
         again.to_string(),

@@ -4,7 +4,8 @@
 //! fault-class cell. This is the contract that makes obs output safe to
 //! diff in CI and to attach to replay lines.
 
-use doma::fault::{episode_obs_json, Algo, FaultClass};
+use doma::fault::{episode_obs_json, FaultClass};
+use doma::protocol::Entrant;
 use doma_testkit::property as prop;
 
 doma_testkit::property! {
@@ -12,7 +13,7 @@ doma_testkit::property! {
     /// Same seed ⇒ byte-identical snapshot; the cell is derived from the
     /// seed so shrinking keeps the failing cell stable.
     fn episode_obs_json_is_byte_identical(seed in prop::range(0u64..1_000_000)) {
-        let algo = if seed % 2 == 0 { Algo::Sa } else { Algo::Da };
+        let algo = if seed % 2 == 0 { Entrant::Sa } else { Entrant::Da };
         let class = match seed % 3 {
             0 => FaultClass::Crash,
             1 => FaultClass::Partition,

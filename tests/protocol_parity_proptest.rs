@@ -5,83 +5,22 @@
 //! Runs on the in-tree `doma-testkit` harness with a reduced case count:
 //! each case drives a full protocol simulation.
 
-use doma::algorithms::{
-    ClusteredAllocation, CostOblivious, DynamicAllocation, MobileMirror, OfflineOptimal,
-    SlidingWindowConvergent, StaticAllocation, WriteInvalidateCache,
-};
-use doma::core::{run_online, CostModel, OnlineDom, ProcSet, ProcessorId, Request, Schedule};
-use doma::protocol::{PlanOracle, ProtocolSim};
+use doma::algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
+use doma::core::{run_online, CostModel, ProcSet, ProcessorId, Request, Schedule};
+use doma::protocol::{Entrant, ProtocolSim, Tunables};
 use doma_testkit::property::{self as prop, Gen};
 use doma_testkit::TestRng;
 
 const N: usize = 6;
 
-fn init_pair() -> ProcSet {
-    ProcSet::from_iter([0, 1])
-}
-
-/// Every first-class allocator as an analytic instance — the tournament
-/// roster (SA, DA, promoted baselines, contenders) behind one trait
-/// object.
-fn analytic_roster() -> Vec<Box<dyn OnlineDom>> {
-    vec![
-        Box::new(StaticAllocation::new(init_pair()).unwrap()),
-        Box::new(DynamicAllocation::new(ProcSet::from_iter([0]), ProcessorId::new(1)).unwrap()),
-        Box::new(SlidingWindowConvergent::new(N, 2, init_pair(), 8, 4).unwrap()),
-        Box::new(WriteInvalidateCache::new(init_pair()).unwrap()),
-        Box::new(CostOblivious::new(N, 2, init_pair(), 2).unwrap()),
-        Box::new(MobileMirror::new(N, 2, init_pair()).unwrap()),
-        Box::new(ClusteredAllocation::new(N, 2, init_pair()).unwrap()),
-    ]
-}
-
-/// The same roster as protocol simulators (adaptive entrants via the
-/// plan-oracle driver), labeled with the obs `algo` metric label.
-fn sim_roster() -> Vec<(&'static str, ProtocolSim)> {
-    let adaptive: Vec<(&'static str, Box<dyn PlanOracle>)> = vec![
-        (
-            "convergent",
-            Box::new(SlidingWindowConvergent::new(N, 2, init_pair(), 8, 4).unwrap()),
-        ),
-        (
-            "write-invalidate",
-            Box::new(WriteInvalidateCache::new(init_pair()).unwrap()),
-        ),
-        (
-            "cost-oblivious",
-            Box::new(CostOblivious::new(N, 2, init_pair(), 2).unwrap()),
-        ),
-        (
-            "mobile-mirror",
-            Box::new(MobileMirror::new(N, 2, init_pair()).unwrap()),
-        ),
-        (
-            "clustered",
-            Box::new(ClusteredAllocation::new(N, 2, init_pair()).unwrap()),
-        ),
-    ];
-    let mut roster = vec![
-        ("sa", ProtocolSim::new_sa(N, init_pair()).unwrap()),
-        (
-            "da",
-            ProtocolSim::new_da(N, ProcSet::from_iter([0]), ProcessorId::new(1)).unwrap(),
-        ),
-    ];
-    for (name, oracle) in adaptive {
-        roster.push((name, ProtocolSim::new_adaptive(N, oracle).unwrap()));
-    }
-    roster
-}
-
-/// One adaptive entrant: the plan-executing protocol must match
-/// `run_online` on the same algorithm exactly.
-fn check_adaptive_parity<A: OnlineDom + Clone + Send + 'static>(algo: A, schedule: &Schedule) {
-    let mut sim = ProtocolSim::new_adaptive(N, Box::new(algo.clone())).unwrap();
-    let report = sim.execute(schedule).unwrap();
-    let mut analytic_algo = algo;
-    analytic_algo.reset();
-    let name = analytic_algo.name().to_string();
-    let analytic = run_online(&mut analytic_algo, schedule).unwrap();
+/// One roster entrant in its canonical deployment: the plan-executing
+/// protocol must match `run_online` on the roster's own algorithm
+/// instance exactly.
+fn check_entrant_parity(entrant: Entrant, schedule: &Schedule) {
+    let name = entrant.as_str();
+    let report = entrant.sim(N).unwrap().execute(schedule).unwrap();
+    let mut algo = entrant.config().algorithm(N, Tunables::CANONICAL).unwrap();
+    let analytic = run_online(&mut *algo, schedule).unwrap();
     assert_eq!(report.cost, analytic.costed.total, "{name} on {schedule}");
     assert_eq!(report.final_holders, analytic.costed.final_scheme, "{name}");
     assert_eq!(report.dropped_messages, 0, "{name}");
@@ -178,19 +117,16 @@ doma_testkit::property! {
     /// `run_online` exactly — the tournament-promotion analogue of
     /// `sa_parity`/`da_parity`.
     fn promoted_baseline_parity(schedule in arb_schedule()) {
-        check_adaptive_parity(
-            SlidingWindowConvergent::new(N, 2, init_pair(), 8, 4).unwrap(),
-            &schedule,
-        );
-        check_adaptive_parity(WriteInvalidateCache::new(init_pair()).unwrap(), &schedule);
+        check_entrant_parity(Entrant::Convergent, &schedule);
+        check_entrant_parity(Entrant::WriteInvalidate, &schedule);
     }
 
     #[cases(16)]
     /// The three tournament contenders match `run_online` exactly too.
     fn contender_parity(schedule in arb_schedule()) {
-        check_adaptive_parity(CostOblivious::new(N, 2, init_pair(), 2).unwrap(), &schedule);
-        check_adaptive_parity(MobileMirror::new(N, 2, init_pair()).unwrap(), &schedule);
-        check_adaptive_parity(ClusteredAllocation::new(N, 2, init_pair()).unwrap(), &schedule);
+        check_entrant_parity(Entrant::CostOblivious, &schedule);
+        check_entrant_parity(Entrant::MobileMirror, &schedule);
+        check_entrant_parity(Entrant::Clustered, &schedule);
     }
 
     #[cases(16)]
@@ -200,7 +136,9 @@ doma_testkit::property! {
     /// the parity properties above, the registry therefore agrees with
     /// the analytic cost engine too.
     fn obs_registry_parity(schedule in arb_schedule()) {
-        for (algo, mut sim) in sim_roster() {
+        for entrant in Entrant::ALL {
+            let algo = entrant.as_str();
+            let mut sim = entrant.sim(N).unwrap();
             let obs = sim.attach_obs(64);
             let report = sim.execute(&schedule).unwrap();
             sim.obs_flush();
@@ -232,10 +170,10 @@ doma_testkit::property! {
             CostModel::stationary(0.25, 1.0).unwrap(),
             CostModel::mobile(1.0, 4.0).unwrap(),
         ];
-        for algo in &mut analytic_roster() {
-            algo.reset();
-            let name = algo.name().to_string();
-            let outcome = run_online(&mut **algo, &schedule).unwrap();
+        for entrant in Entrant::ALL {
+            let mut algo = entrant.config().algorithm(N, Tunables::CANONICAL).unwrap();
+            let name = entrant.as_str();
+            let outcome = run_online(&mut *algo, &schedule).unwrap();
             for model in &models {
                 let opt = OfflineOptimal::new(N, algo.t(), algo.initial_scheme(), *model).unwrap();
                 let opt_cost = opt.optimal_cost(&schedule).unwrap();
