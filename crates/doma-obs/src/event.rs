@@ -7,6 +7,7 @@
 //! counts every discarded record.
 
 use crate::json::escape;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -25,6 +26,207 @@ pub enum EventPhase {
     },
 }
 
+/// One field's value as an instrumentation site hands it over: held as
+/// is and turned into text only when a record is rendered — recording a
+/// number, a flag, a literal or an id therefore allocates nothing.
+/// Built through `From`: `u64`, `usize`, `bool`, `&'static str`,
+/// [`FieldRef`] (for ids) and `String`.
+#[derive(Debug, Clone)]
+pub enum FieldValue {
+    /// A value that owns nothing.
+    Plain(FieldRef<'static>),
+    /// Text only known at run time (message labels, plan decisions).
+    Text(String),
+}
+
+impl FieldValue {
+    /// The value as a record hands it back.
+    pub fn as_ref(&self) -> FieldRef<'_> {
+        match self {
+            FieldValue::Plain(value) => *value,
+            FieldValue::Text(s) => FieldRef::Str(s),
+        }
+    }
+}
+
+impl From<FieldRef<'static>> for FieldValue {
+    fn from(value: FieldRef<'static>) -> Self {
+        FieldValue::Plain(value)
+    }
+}
+
+impl From<&'static str> for FieldValue {
+    fn from(s: &'static str) -> Self {
+        FieldRef::Str(s).into()
+    }
+}
+
+impl From<u64> for FieldValue {
+    fn from(n: u64) -> Self {
+        FieldRef::U64(n).into()
+    }
+}
+
+impl From<usize> for FieldValue {
+    fn from(n: usize) -> Self {
+        FieldRef::U64(n as u64).into()
+    }
+}
+
+impl From<bool> for FieldValue {
+    fn from(b: bool) -> Self {
+        FieldRef::Bool(b).into()
+    }
+}
+
+impl From<String> for FieldValue {
+    fn from(s: String) -> Self {
+        FieldValue::Text(s)
+    }
+}
+
+/// One field's value as a record hands it back: a borrowed, `Copy` view
+/// that renders through [`fmt::Display`].
+///
+/// Two values are equal when they render the same: the string-pair entry
+/// point ([`Fields::from`] over a `Vec<(String, String)>`) stores `"3"`
+/// as text where a typed site stores [`FieldRef::U64`], and the two
+/// records must compare (and export) identically.
+#[derive(Debug, Clone, Copy)]
+pub enum FieldRef<'a> {
+    /// Literal or run-time text.
+    Str(&'a str),
+    /// A count, index or tick value.
+    U64(u64),
+    /// A flag; renders `true` / `false`.
+    Bool(bool),
+    /// A prefixed id: `Id("N", 3)` renders `N3`.
+    Id(&'static str, u64),
+}
+
+impl fmt::Display for FieldRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldRef::Str(s) => f.write_str(s),
+            FieldRef::U64(n) => write!(f, "{n}"),
+            FieldRef::Bool(b) => write!(f, "{b}"),
+            FieldRef::Id(prefix, n) => write!(f, "{prefix}{n}"),
+        }
+    }
+}
+
+impl PartialEq for FieldRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (FieldRef::Str(a), FieldRef::Str(b)) => a == b,
+            (FieldRef::U64(a), FieldRef::U64(b)) => a == b,
+            (FieldRef::Bool(a), FieldRef::Bool(b)) => a == b,
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
+impl Eq for FieldRef<'_> {}
+
+impl FieldRef<'_> {
+    /// The value as a number: a [`FieldRef::U64`] directly, text when it
+    /// parses as one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            FieldRef::U64(n) => Some(*n),
+            FieldRef::Str(s) => s.parse().ok(),
+            FieldRef::Bool(_) | FieldRef::Id(..) => None,
+        }
+    }
+}
+
+/// Fields a record holds without touching the heap — the widest record
+/// the workspace emits (`sim.trace`, five fields) plus the `shard` label
+/// a merge appends.
+const INLINE_FIELDS: usize = 6;
+
+/// A record's ordered `(key, value)` payload.
+///
+/// The leading fields with a literal key and a value that owns no heap
+/// text — every field of every record on the request path — live inside
+/// the record as plain data: building, cloning and dropping them is a
+/// copy. From the first field that owns something (run-time text, or a
+/// key from the string-pair entry point) onwards, and past the sixth
+/// field, the payload continues on the heap.
+#[derive(Debug, Clone)]
+pub struct Fields {
+    /// Fields held in `inline`; slots past it are padding.
+    len: usize,
+    inline: [(&'static str, FieldRef<'static>); INLINE_FIELDS],
+    /// Keys are literals at typed sites, owned only when they came in
+    /// through the string-pair entry point.
+    rest: Vec<(Cow<'static, str>, FieldValue)>,
+}
+
+impl Default for Fields {
+    fn default() -> Self {
+        Fields::new()
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Fields {}
+
+impl Fields {
+    /// No fields.
+    pub const fn new() -> Self {
+        Fields {
+            len: 0,
+            inline: [("", FieldRef::U64(0)); INLINE_FIELDS],
+            rest: Vec::new(),
+        }
+    }
+
+    /// Appends one field.
+    #[inline]
+    pub fn push(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<FieldValue>) {
+        let (key, value) = (key.into(), value.into());
+        if self.rest.is_empty() && self.len < INLINE_FIELDS {
+            if let (Cow::Borrowed(key), FieldValue::Plain(value)) = (&key, &value) {
+                self.inline[self.len] = (key, *value);
+                self.len += 1;
+                return;
+            }
+        }
+        self.rest.push((key, value));
+    }
+
+    /// The fields in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, FieldRef<'_>)> {
+        let inline = self.inline[..self.len].iter().copied();
+        let rest = self.rest.iter().map(|(k, v)| (k.as_ref(), v.as_ref()));
+        inline.chain(rest)
+    }
+
+    /// The first value recorded under `key`.
+    pub fn get(&self, key: &str) -> Option<FieldRef<'_>> {
+        self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
+/// The string-pair entry point: every pair becomes an owned key and a
+/// [`FieldValue::Text`].
+impl From<Vec<(String, String)>> for Fields {
+    fn from(pairs: Vec<(String, String)>) -> Self {
+        let mut out = Fields::new();
+        out.rest.reserve_exact(pairs.len());
+        for (key, value) in pairs {
+            out.push(key, value);
+        }
+        out
+    }
+}
+
 /// One structured record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
@@ -34,9 +236,9 @@ pub struct EventRecord {
     pub time: u64,
     /// Dot-separated event name, `component.event` by convention
     /// (`sim.crash`, `protocol.quorum_read`…).
-    pub name: String,
+    pub name: &'static str,
     /// Ordered `(key, value)` payload fields.
-    pub fields: Vec<(String, String)>,
+    pub fields: Fields,
     /// Point, span-enter or span-exit.
     pub phase: EventPhase,
 }
@@ -48,7 +250,7 @@ impl EventRecord {
             "{{\"index\": {}, \"time\": {}, \"name\": \"{}\", \"phase\": ",
             self.index,
             self.time,
-            escape(&self.name)
+            escape(self.name)
         );
         match &self.phase {
             EventPhase::Point => out.push_str("\"point\""),
@@ -62,7 +264,11 @@ impl EventRecord {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": \"{}\"", escape(k), escape(v)));
+            out.push_str(&format!(
+                "\"{}\": \"{}\"",
+                escape(k),
+                escape(&v.to_string())
+            ));
         }
         out.push_str("}}");
         out
@@ -72,7 +278,7 @@ impl EventRecord {
 impl fmt::Display for EventRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{} t={} {}", self.index, self.time, self.name)?;
-        for (k, v) in &self.fields {
+        for (k, v) in self.fields.iter() {
             write!(f, " {k}={v}")?;
         }
         match &self.phase {
@@ -85,8 +291,8 @@ impl fmt::Display for EventRecord {
 
 #[derive(Debug)]
 struct OpenSpan {
-    name: String,
-    fields: Vec<(String, String)>,
+    name: &'static str,
+    fields: Fields,
     enter_time: u64,
 }
 
@@ -141,8 +347,8 @@ impl EventLog {
     fn push(
         inner: &mut Inner,
         time: u64,
-        name: &str,
-        fields: Vec<(String, String)>,
+        name: &'static str,
+        fields: Fields,
         phase: EventPhase,
     ) -> u64 {
         if inner.records.len() == inner.capacity {
@@ -154,23 +360,28 @@ impl EventLog {
         inner.records.push_back(EventRecord {
             index,
             time,
-            name: name.to_string(),
+            name,
             fields,
             phase,
         });
         index
     }
 
-    /// Appends a point event; returns its global index.
-    pub fn record(&self, time: u64, name: &str, fields: Vec<(String, String)>) -> u64 {
+    /// Appends a point event; returns its global index. `fields` is a
+    /// typed [`Fields`] (what [`event!`](crate::event!) builds) or a
+    /// `Vec<(String, String)>`.
+    pub fn record(&self, time: u64, name: &'static str, fields: impl Into<Fields>) -> u64 {
         let mut inner = self.lock();
-        Self::push(&mut inner, time, name, fields, EventPhase::Point)
+        Self::push(&mut inner, time, name, fields.into(), EventPhase::Point)
     }
 
     /// Opens a span: appends an enter record and remembers the enter
     /// time so the matching [`EventLog::span_exit`] can carry the
-    /// sim-time duration.
-    pub fn span_enter(&self, time: u64, name: &str, fields: Vec<(String, String)>) -> SpanId {
+    /// sim-time duration. The fields are kept with the open span and
+    /// move into the exit record, so an exit carries them even after the
+    /// ring evicted its enter.
+    pub fn span_enter(&self, time: u64, name: &'static str, fields: impl Into<Fields>) -> SpanId {
+        let fields = fields.into();
         let mut inner = self.lock();
         Self::push(&mut inner, time, name, fields.clone(), EventPhase::Enter);
         let id = inner.next_span;
@@ -178,7 +389,7 @@ impl EventLog {
         inner.open_spans.insert(
             id,
             OpenSpan {
-                name: name.to_string(),
+                name,
                 fields,
                 enter_time: time,
             },
@@ -195,7 +406,7 @@ impl EventLog {
             Self::push(
                 &mut inner,
                 time,
-                &span.name,
+                span.name,
                 span.fields,
                 EventPhase::Exit { duration },
             );
@@ -213,7 +424,7 @@ impl EventLog {
         Self::push(
             &mut inner,
             record.time,
-            &record.name,
+            record.name,
             record.fields.clone(),
             record.phase.clone(),
         )
@@ -291,17 +502,27 @@ impl EventLog {
     }
 }
 
+/// Builds a typed [`Fields`] from `key = value` pairs; each value goes
+/// through `FieldValue::from`. The payload half of [`span!`] and
+/// [`event!`].
+#[macro_export]
+macro_rules! fields {
+    ($($key:ident = $val:expr),* $(,)?) => {{
+        #[allow(unused_mut)]
+        let mut fields = $crate::Fields::new();
+        $(fields.push(stringify!($key), $val);)*
+        fields
+    }};
+}
+
 /// Opens a span on an [`EventLog`]: `span!(log, time, "da.write",
 /// obj = o, node = n)` appends an enter record with the named fields and
-/// returns the [`SpanId`] to pass to [`EventLog::span_exit`].
+/// returns the [`SpanId`] to pass to [`EventLog::span_exit`]. Values are
+/// anything `FieldValue::from` accepts — nothing is formatted here.
 #[macro_export]
 macro_rules! span {
     ($log:expr, $time:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $log.span_enter(
-            $time,
-            $name,
-            vec![$((stringify!($key).to_string(), format!("{}", $val)),)*],
-        )
+        $log.span_enter($time, $name, $crate::fields!($($key = $val),*))
     };
 }
 
@@ -309,11 +530,7 @@ macro_rules! span {
 #[macro_export]
 macro_rules! event {
     ($log:expr, $time:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $log.record(
-            $time,
-            $name,
-            vec![$((stringify!($key).to_string(), format!("{}", $val)),)*],
-        )
+        $log.record($time, $name, $crate::fields!($($key = $val),*))
     };
 }
 
@@ -349,7 +566,7 @@ mod tests {
     #[test]
     fn spans_carry_sim_time_durations() {
         let log = EventLog::new(10);
-        let id = span!(log, 5, "da.write", obj = "obj0", node = 2);
+        let id = span!(log, 5, "da.write", obj = "obj0", node = 2u64);
         log.record(6, "between", vec![]);
         log.span_exit(id, 9);
         let snap = log.snapshot();
@@ -357,7 +574,10 @@ mod tests {
         assert_eq!(snap[0].phase, EventPhase::Enter);
         assert_eq!(snap[2].phase, EventPhase::Exit { duration: 4 });
         assert_eq!(snap[2].name, "da.write");
-        assert_eq!(snap[2].fields[0], ("obj".to_string(), "obj0".to_string()));
+        assert_eq!(
+            snap[2].fields.iter().next(),
+            Some(("obj", FieldRef::Str("obj0")))
+        );
         log.span_exit(id, 20); // double-exit is ignored
         assert_eq!(log.len(), 3);
     }
@@ -365,7 +585,7 @@ mod tests {
     #[test]
     fn tail_and_render_and_clear() {
         let log = EventLog::new(10);
-        event!(log, 1, "a.one", k = 1);
+        event!(log, 1, "a.one", k = 1u64);
         event!(log, 2, "a.two");
         assert_eq!(log.tail(1)[0].name, "a.two");
         assert_eq!(log.render(), "#0 t=1 a.one k=1\n#1 t=2 a.two");
@@ -386,5 +606,103 @@ mod tests {
             "{\"index\": 1, \"time\": 7, \"name\": \"p.span\", \"phase\": \"exit\", \
              \"duration\": 5, \"fields\": {\"node\": \"N1\"}}"
         );
+    }
+
+    /// One value of every variant, with characters JSON must escape.
+    fn every_variant() -> Fields {
+        fields!(
+            op = "save-read",
+            io = 42u64,
+            quorum = true,
+            node = FieldRef::Id("N", 3),
+            label = String::from("fault-\"drop\":\tm3\n"),
+        )
+    }
+
+    #[test]
+    fn every_value_variant_renders_byte_for_byte() {
+        let log = EventLog::new(4);
+        let id = log.span_enter(7, "p.all", every_variant());
+        log.span_exit(id, 9);
+        log.record(9, "p.none", Fields::new());
+        let snap = log.snapshot();
+        assert_eq!(
+            snap[0].to_string(),
+            "#0 t=7 p.all op=save-read io=42 quorum=true node=N3 \
+             label=fault-\"drop\":\tm3\n [span enter]"
+        );
+        assert_eq!(
+            snap[1].to_json(),
+            "{\"index\": 1, \"time\": 9, \"name\": \"p.all\", \"phase\": \"exit\", \
+             \"duration\": 2, \"fields\": {\"op\": \"save-read\", \"io\": \"42\", \
+             \"quorum\": \"true\", \"node\": \"N3\", \
+             \"label\": \"fault-\\\"drop\\\":\\tm3\\n\"}}"
+        );
+        assert_eq!(
+            snap[2].to_json(),
+            "{\"index\": 2, \"time\": 9, \"name\": \"p.none\", \"phase\": \"point\", \
+             \"fields\": {}}"
+        );
+    }
+
+    #[test]
+    fn string_pairs_and_typed_fields_make_equal_records() {
+        let pairs = || -> Vec<(String, String)> {
+            every_variant()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        let (typed, stringly) = (EventLog::new(8), EventLog::new(8));
+        typed.record(1, "p.point", every_variant());
+        stringly.record(1, "p.point", pairs());
+        let id = typed.span_enter(2, "p.span", every_variant());
+        typed.span_exit(id, 5);
+        let id = stringly.span_enter(2, "p.span", pairs());
+        stringly.span_exit(id, 5);
+        assert_eq!(typed.snapshot(), stringly.snapshot());
+        assert_eq!(typed.render(), stringly.render());
+        let json = |log: &EventLog| -> Vec<String> {
+            log.snapshot().iter().map(EventRecord::to_json).collect()
+        };
+        assert_eq!(json(&typed), json(&stringly));
+        // Same key, different rendering: not equal.
+        assert_ne!(fields!(io = 42u64), fields!(io = 43u64));
+        assert_ne!(fields!(io = 42u64), fields!(io = "forty-two"));
+    }
+
+    #[test]
+    fn payloads_wider_than_the_inline_slots_keep_their_order() {
+        // Literal keys and plain values: six stay inline, the rest spill.
+        let wide = fields!(
+            k0 = 0u64,
+            k1 = 1u64,
+            k2 = 2u64,
+            k3 = 3u64,
+            k4 = 4u64,
+            k5 = 5u64,
+            k6 = 6u64,
+            k7 = 7u64,
+            k8 = 8u64,
+        );
+        let pairs: Vec<(String, String)> =
+            (0..9).map(|i| (format!("k{i}"), i.to_string())).collect();
+        assert_eq!(wide, Fields::from(pairs));
+        assert_eq!(wide.get("k7"), Some(FieldRef::U64(7)));
+        assert_eq!(wide.get("k9"), None);
+        let keys: Vec<&str> = wide.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8"]);
+        // An owning field in the middle keeps its place too.
+        let mixed = fields!(a = 1u64, b = String::from("text"), c = true);
+        assert_eq!(
+            mixed
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>(),
+            ["a=1", "b=text", "c=true"]
+        );
+        let log = EventLog::new(2);
+        log.record(0, "p.wide", wide.clone());
+        assert_eq!(log.snapshot()[0].fields, wide);
     }
 }

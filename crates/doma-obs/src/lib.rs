@@ -11,7 +11,10 @@
 //!   paths pay one relaxed atomic add per event.
 //! * [`EventLog`] — a bounded, seekable log of structured records with
 //!   span support ([`span!`] → enter/exit pairs carrying sim-time
-//!   durations). When the bound is hit the oldest records are discarded
+//!   durations). Fields are typed ([`FieldValue`]) and held inside the
+//!   record ([`Fields`]); text is produced only when a record is
+//!   rendered, so recording numbers, flags, ids and literals allocates
+//!   nothing. When the bound is hit the oldest records are discarded
 //!   **and counted**: [`EventLog::dropped_events`] exposes the
 //!   truncation instead of wrapping silently.
 //! * [`Obs`] — the bundle the harnesses attach (registry + log), with a
@@ -43,7 +46,7 @@ pub mod json;
 pub mod registry;
 pub mod trace;
 
-pub use event::{EventLog, EventPhase, EventRecord, SpanId};
+pub use event::{EventLog, EventPhase, EventRecord, FieldRef, FieldValue, Fields, SpanId};
 pub use registry::{
     Counter, Gauge, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
@@ -108,7 +111,7 @@ impl Obs {
         }
         records.sort_by_key(|(time, shard, index, _)| (*time, *shard, *index));
         for (_, shard, _, mut record) in records {
-            record.fields.push(("shard".to_string(), shard.to_string()));
+            record.fields.push("shard", shard);
             self.events.append_record(&record);
         }
     }
@@ -206,9 +209,9 @@ mod tests {
         // Events interleave by (time, shard, index) and carry the label.
         let events = merged.events().snapshot();
         assert_eq!(events[0].name, "early");
-        assert_eq!(events[0].fields, vec![("shard".into(), "1".into())]);
+        assert_eq!(events[0].fields, fields!(shard = 1u64));
         assert_eq!(events[1].name, "late");
-        assert_eq!(events[1].fields, vec![("shard".into(), "0".into())]);
+        assert_eq!(events[1].fields, fields!(shard = 0u64));
     }
 
     #[test]
@@ -234,5 +237,64 @@ mod tests {
         let text = obs.to_string();
         assert!(text.contains("cost.io"), "{text}");
         assert!(text.contains("2 retained, 1 dropped"), "{text}");
+    }
+
+    #[test]
+    fn typed_fields_render_identically_through_snapshot_and_merge() {
+        let record_into = |obs: &Obs, stringly: bool| {
+            if stringly {
+                obs.events().record(
+                    3,
+                    "sim.drop",
+                    vec![
+                        ("from".to_string(), "N1".to_string()),
+                        ("kind".to_string(), "Data".to_string()),
+                        ("delivered".to_string(), "false".to_string()),
+                        ("round".to_string(), "7".to_string()),
+                        ("label".to_string(), "Lost(\"x\")".to_string()),
+                    ],
+                );
+            } else {
+                event!(
+                    obs.events(),
+                    3,
+                    "sim.drop",
+                    from = FieldRef::Id("N", 1),
+                    kind = "Data",
+                    delivered = false,
+                    round = 7u64,
+                    label = String::from("Lost(\"x\")"),
+                );
+            }
+        };
+        let (typed, stringly) = (Obs::new(4), Obs::new(4));
+        record_into(&typed, false);
+        record_into(&stringly, true);
+        assert_eq!(
+            typed.snapshot_json(),
+            "{\"dropped_events\": 0, \"events\": [{\"index\": 0, \"time\": 3, \
+             \"name\": \"sim.drop\", \"phase\": \"point\", \"fields\": {\"from\": \"N1\", \
+             \"kind\": \"Data\", \"delivered\": \"false\", \"round\": \"7\", \
+             \"label\": \"Lost(\\\"x\\\")\"}}], \"metrics\": []}"
+        );
+        assert_eq!(typed.snapshot_json(), stringly.snapshot_json());
+        assert_eq!(typed.to_string(), stringly.to_string());
+
+        // The merge appends `shard` as the sixth field of either form.
+        let (merged_typed, merged_stringly) = (Obs::new(4), Obs::new(4));
+        merged_typed.merge_shards(&[Obs::new(1), typed]);
+        merged_stringly.merge_shards(&[Obs::new(1), stringly]);
+        assert_eq!(
+            merged_typed.events().render(),
+            "#0 t=3 sim.drop from=N1 kind=Data delivered=false round=7 label=Lost(\"x\") shard=1"
+        );
+        assert_eq!(
+            merged_typed.snapshot_json(),
+            merged_stringly.snapshot_json()
+        );
+        assert_eq!(
+            merged_typed.events().snapshot(),
+            merged_stringly.events().snapshot()
+        );
     }
 }

@@ -142,20 +142,19 @@ pub struct TraceModel {
     pub orphan_exits: u64,
 }
 
-fn field<'a>(record: &'a EventRecord, key: &str) -> Option<&'a str> {
-    record
-        .fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+/// One field rendered as text — the model holds what the exporters
+/// print, whichever entry point recorded it.
+fn text(record: &EventRecord, key: &str) -> Option<String> {
+    record.fields.get(key).map(|v| v.to_string())
+}
+
+fn number(record: &EventRecord, key: &str) -> u64 {
+    record.fields.get(key).and_then(|v| v.as_u64()).unwrap_or(0)
 }
 
 fn shard_of(record: &EventRecord) -> Option<usize> {
-    field(record, "shard").and_then(|v| v.parse().ok())
-}
-
-fn parse_u64(s: Option<&str>) -> u64 {
-    s.and_then(|v| v.parse().ok()).unwrap_or(0)
+    let shard = record.fields.get("shard")?.as_u64()?;
+    usize::try_from(shard).ok()
 }
 
 impl TraceModel {
@@ -183,10 +182,10 @@ impl TraceModel {
                     EventPhase::Enter => {
                         model.requests.push(RequestTrace {
                             shard,
-                            req: parse_u64(field(record, "req")),
-                            op: field(record, "op").unwrap_or("?").to_string(),
-                            object: field(record, "object").unwrap_or("?").to_string(),
-                            issuer: field(record, "issuer").unwrap_or("?").to_string(),
+                            req: number(record, "req"),
+                            op: text(record, "op").unwrap_or_else(|| "?".into()),
+                            object: text(record, "object").unwrap_or_else(|| "?".into()),
+                            issuer: text(record, "issuer").unwrap_or_else(|| "?".into()),
                             start: record.time,
                             duration: 0,
                             complete: false,
@@ -215,24 +214,24 @@ impl TraceModel {
             let Some(req) = model.requests.get_mut(i) else {
                 continue;
             };
-            match record.name.as_str() {
+            match record.name {
                 MESSAGE_EVENT => req.messages.push(MsgEdge {
                     time: record.time,
-                    from: field(record, "from").unwrap_or("?").to_string(),
-                    to: field(record, "to").unwrap_or("?").to_string(),
-                    kind: field(record, "kind").unwrap_or("?").to_string(),
-                    delivered: field(record, "delivered") == Some("true"),
-                    label: field(record, "label").unwrap_or("").to_string(),
+                    from: text(record, "from").unwrap_or_else(|| "?".into()),
+                    to: text(record, "to").unwrap_or_else(|| "?".into()),
+                    kind: text(record, "kind").unwrap_or_else(|| "?".into()),
+                    delivered: text(record, "delivered").as_deref() == Some("true"),
+                    label: text(record, "label").unwrap_or_default(),
                 }),
                 REQUEST_COST_EVENT => {
                     req.cost = Some((
-                        parse_u64(field(record, "control")),
-                        parse_u64(field(record, "data")),
-                        parse_u64(field(record, "io")),
+                        number(record, "control"),
+                        number(record, "data"),
+                        number(record, "io"),
                     ));
                 }
                 PLAN_EVENT => {
-                    req.plan = field(record, "decision").map(str::to_string);
+                    req.plan = text(record, "decision");
                 }
                 _ => {}
             }
@@ -679,5 +678,90 @@ mod tests {
         let pos0 = report.find("req #0").unwrap();
         assert!(pos1 < pos0, "slowest first: {report}");
         assert!(report.contains("critical path: local"), "{report}");
+    }
+
+    /// [`one_request_log`] as the instrumented crates record it: typed
+    /// values through the macros.
+    fn one_request_log_typed() -> EventLog {
+        use crate::{event, span, FieldRef};
+        let log = EventLog::new(64);
+        let id = span!(
+            log,
+            10,
+            REQUEST_SPAN,
+            issuer = 2u64,
+            object = FieldRef::Id("obj", 0),
+            op = "read",
+            req = 0u64,
+        );
+        for (time, from, to, kind, label) in [
+            (11, 2u64, 0u64, "Control", "ReadReq(obj0)"),
+            (14, 0, 2, "Data", "ObjData(obj0,v0)"),
+        ] {
+            event!(
+                log,
+                time,
+                MESSAGE_EVENT,
+                from = from,
+                to = to,
+                kind = kind,
+                delivered = true,
+                label = label.to_string(),
+            );
+        }
+        event!(
+            log,
+            14,
+            REQUEST_COST_EVENT,
+            control = 1u64,
+            data = 1u64,
+            io = 2u64,
+            req = 0u64,
+        );
+        log.span_exit(id, 14);
+        log
+    }
+
+    #[test]
+    fn typed_and_string_records_reconstruct_the_same_model() {
+        let (typed, stringly) = (one_request_log_typed(), one_request_log());
+        assert_eq!(typed.snapshot(), stringly.snapshot());
+        let model = TraceModel::from_records(&typed.snapshot(), 0);
+        let req = &model.requests[0];
+        assert_eq!((req.req, req.op.as_str()), (0, "read"));
+        assert_eq!((req.object.as_str(), req.issuer.as_str()), ("obj0", "2"));
+        assert_eq!(req.cost, Some((1, 1, 2)));
+        assert_eq!(
+            req.messages[1],
+            MsgEdge {
+                time: 14,
+                from: "0".into(),
+                to: "2".into(),
+                kind: "Data".into(),
+                delivered: true,
+                label: "ObjData(obj0,v0)".into(),
+            }
+        );
+        let reference = TraceModel::from_records(&stringly.snapshot(), 0);
+        assert_eq!(chrome_trace(&model), chrome_trace(&reference));
+        assert_eq!(slowest_report(&model, 1), slowest_report(&reference, 1));
+        assert_eq!(
+            slowest_report(&model, 1),
+            "slowest 1 of 1 requests (by span duration, ticks):\n  \
+             req #0 read obj0 by 2 t=[10, 14] dur=4 cost=1c/1d/2io\n    \
+             critical path (2 of 2 msgs): [Control]2->0 ReadReq(obj0) @11 \
+             [Data]0->2 ObjData(obj0,v0) @14\n"
+        );
+
+        // A merged record's `shard` label reads the same from either form.
+        let sharded = Obs::new(64);
+        let bundle = Obs::new(64);
+        for record in typed.snapshot() {
+            bundle.events().append_record(&record);
+        }
+        sharded.merge_shards(&[Obs::new(1), bundle]);
+        let merged = TraceModel::from_obs(&sharded);
+        assert_eq!(merged.requests[0].shard, Some(1));
+        assert_eq!(merged.requests[0].messages.len(), 2);
     }
 }

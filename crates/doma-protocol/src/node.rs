@@ -1,10 +1,11 @@
 //! The per-processor protocol state machine.
 
-use crate::obs::{algo_label, object_of, op_of, NodeObs};
+use crate::obs::{object_field, object_of, op_of, Dim, NodeObs, NodeTally, Op};
 use crate::roster::Entrant;
 use crate::transport::Transport;
 use crate::{DomMsg, ReadPlan, WritePlan};
 use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId};
+use doma_obs::{event, span};
 use doma_sim::{Actor, Context, MsgKind, NodeId, SimTime};
 use doma_storage::{CacheStats, CachedStore, IoStats, LocalStore, Version};
 use std::collections::BTreeMap;
@@ -269,8 +270,9 @@ pub struct DomNode {
     /// Live observability attachment (see [`DomNode::set_obs`]); `None`
     /// until a bundle is attached. Deliberately excluded from
     /// [`DomNode::fingerprint`] — instrumentation must never influence
-    /// state-space deduplication.
-    obs: Option<NodeObs>,
+    /// state-space deduplication. Boxed: a detached node carries one
+    /// pointer, not the counter table.
+    obs: Option<Box<NodeObs>>,
 }
 
 impl DomNode {
@@ -336,7 +338,7 @@ impl DomNode {
     pub fn set_obs(&mut self, bundle: doma_obs::Obs) {
         let label = format!("N{}", self.id.index());
         let io_seen = self.io_stats().total();
-        self.obs = Some(NodeObs::new(bundle, label, io_seen));
+        self.obs = Some(Box::new(NodeObs::new(bundle, label, io_seen)));
     }
 
     /// Detaches observability. Forks of instrumented clusters call this
@@ -350,7 +352,7 @@ impl DomNode {
     /// Drivers call this before snapshotting, after which the summed
     /// `protocol.cost.io` equals the node's exact I/O tally.
     pub fn obs_flush(&mut self) {
-        self.obs_account_io("other", None);
+        self.obs_account_io(Op::Other, None);
     }
 
     /// End-of-dispatch accounting: the I/O delta since the cursor is
@@ -358,89 +360,63 @@ impl DomNode {
     /// buffered is counted under the *sent* message's own op class (so
     /// e.g. the invalidations a write fans out land under
     /// `op=invalidate` while the propagation lands under `op=write`).
-    fn obs_account<T: Transport + ?Sized>(
-        &mut self,
-        ctx: &T,
-        op: &'static str,
-        object: Option<ObjectId>,
-    ) {
-        if self.obs.is_none() {
-            return;
-        }
-        let sends: Vec<(&'static str, &'static str, &'static str)> = ctx
-            .pending_sends()
-            .iter()
-            .map(|(_, kind, msg)| {
-                let dim = match kind {
-                    MsgKind::Control => "cost.control",
-                    MsgKind::Data => "cost.data",
-                };
-                let config = object_of(msg).and_then(|o| self.catalog.get(o));
-                (dim, algo_label(config), op_of(msg))
-            })
-            .collect();
+    fn obs_account<T: Transport + ?Sized>(&mut self, ctx: &T, op: Op, object: Option<ObjectId>) {
         self.obs_account_io(op, object);
         let Some(obs) = self.obs.as_mut() else { return };
-        for (dim, algo, sent_op) in sends {
-            obs.cost(dim, algo, sent_op).inc();
+        for (_, kind, msg) in ctx.pending_sends() {
+            let config = object_of(msg).and_then(|o| self.catalog.get(o));
+            let algo = config.map(ProtocolConfig::entrant);
+            obs.cost(Dim::from(*kind), algo, op_of(msg)).inc();
         }
     }
 
-    fn obs_account_io(&mut self, op: &'static str, object: Option<ObjectId>) {
-        let io_now = self.store.store().io_stats().total();
-        let algo = algo_label(object.and_then(|o| self.catalog.get(o)));
+    fn obs_account_io(&mut self, op: Op, object: Option<ObjectId>) {
         let Some(obs) = self.obs.as_mut() else { return };
+        let io_now = self.store.store().io_stats().total();
         let delta = io_now.saturating_sub(obs.io_seen);
         obs.io_seen = io_now;
         if delta > 0 {
-            obs.cost("cost.io", algo, op).add(delta);
+            let config = object.and_then(|o| self.catalog.get(o));
+            obs.cost(Dim::Io, config.map(ProtocolConfig::entrant), op)
+                .add(delta);
         }
     }
 
     fn obs_join(&mut self, now: SimTime, object: ObjectId, joiner: NodeId) {
-        let Some(obs) = self.obs.as_ref() else { return };
-        obs.bundle()
-            .metrics()
-            .add("protocol", "joins", &[("node", obs.label())], 1);
-        obs.bundle().events().record(
+        let Some(obs) = self.obs.as_mut() else { return };
+        obs.tally(NodeTally::Joins).inc();
+        event!(
+            obs.bundle().events(),
             now.ticks(),
             "protocol.join",
-            vec![
-                ("node".to_string(), obs.label().to_string()),
-                ("object".to_string(), object.to_string()),
-                ("joiner".to_string(), joiner.to_string()),
-            ],
+            node = node(self.id),
+            object = object_field(object),
+            joiner = joiner,
         );
     }
 
     fn obs_mode_change(&mut self, now: SimTime, quorum: bool) {
-        let Some(obs) = self.obs.as_ref() else { return };
-        obs.bundle()
-            .metrics()
-            .add("protocol", "mode_changes", &[("node", obs.label())], 1);
-        obs.bundle().events().record(
+        let Some(obs) = self.obs.as_mut() else { return };
+        obs.tally(NodeTally::ModeChanges).inc();
+        event!(
+            obs.bundle().events(),
             now.ticks(),
             "protocol.mode",
-            vec![
-                ("node".to_string(), obs.label().to_string()),
-                ("quorum".to_string(), quorum.to_string()),
-            ],
+            node = node(self.id),
+            quorum = quorum,
         );
     }
 
     fn obs_scheme_churn(&mut self, now: SimTime, object: ObjectId, flushed: usize) {
-        let Some(obs) = self.obs.as_ref() else { return };
-        obs.bundle()
-            .metrics()
-            .add("protocol", "scheme_churn", &[("node", obs.label())], 1);
-        obs.bundle().events().record(
+        let Some(obs) = self.obs.as_mut() else { return };
+        obs.tally(NodeTally::SchemeChurn).inc();
+        event!(
+            obs.bundle().events(),
             now.ticks(),
             "protocol.scheme",
-            vec![
-                ("node".to_string(), obs.label().to_string()),
-                ("object".to_string(), object.to_string()),
-                ("flushed".to_string(), flushed.to_string()),
-            ],
+            node = node(self.id),
+            object = object_field(object),
+            flushed = flushed,
         );
     }
 
@@ -733,17 +709,14 @@ impl DomNode {
         self.quorum_round += 1;
         let round = self.quorum_round;
         if let Some(obs) = self.obs.as_mut() {
-            obs.bundle()
-                .metrics()
-                .add("protocol", "quorum_rounds", &[("node", obs.label())], 1);
-            let span = obs.bundle().events().span_enter(
+            obs.tally(NodeTally::QuorumRounds).inc();
+            let span = span!(
+                obs.bundle().events(),
                 ctx.now().ticks(),
                 "protocol.quorum",
-                vec![
-                    ("node".to_string(), obs.label().to_string()),
-                    ("object".to_string(), object.to_string()),
-                    ("round".to_string(), round.to_string()),
-                ],
+                node = node(self.id),
+                object = object_field(object),
+                round = round,
             );
             obs.open_quorum.insert((object, round), span);
         }
@@ -1432,7 +1405,7 @@ impl Actor<DomMsg> for DomNode {
 
     fn on_recover(&mut self, ctx: &mut Context<DomMsg>) {
         self.recover_from_log();
-        self.obs_account(ctx, "recovery", None);
+        self.obs_account(ctx, Op::Recovery, None);
     }
 }
 

@@ -502,12 +502,12 @@ mod tests {
         let mut last = (0u64, 0usize);
         let mut seen_shards = std::collections::BTreeSet::new();
         for record in &events {
-            let shard: usize = record
+            let shard = record
                 .fields
-                .iter()
-                .find(|(k, _)| k == "shard")
-                .map(|(_, v)| v.parse().unwrap())
-                .expect("every merged record carries a shard label");
+                .get("shard")
+                .and_then(|v| v.as_u64())
+                .expect("every merged record carries a shard label")
+                as usize;
             assert!((record.time, shard) >= last, "merge order violated");
             last = (record.time, shard);
             seen_shards.insert(shard);

@@ -1,12 +1,14 @@
 //! The protocol driver: executes a schedule on a simulated cluster.
 
 use crate::node::OBJECT;
+use crate::obs::{object_field, processor_field};
 use crate::planner::ClientPlanner;
 use crate::{DomMsg, DomNode, Entrant, ProtocolConfig, Tunables};
 use doma_core::{
     CostVector, Decision, DomaError, MultiRequest, MultiSchedule, ObjectId, OnlineDom, ProcSet,
     ProcessorId, Request, Result, Schedule,
 };
+use doma_obs::{event, span};
 use doma_sim::{Engine, EngineConfig, NodeId};
 use doma_storage::Version;
 use std::collections::BTreeMap;
@@ -25,6 +27,15 @@ pub trait PlanOracle: OnlineDom + Send {
 impl<T: OnlineDom + Clone + Send + 'static> PlanOracle for T {
     fn clone_box(&self) -> Box<dyn PlanOracle> {
         Box::new(self.clone())
+    }
+}
+
+/// The `op` field of request spans and plan events.
+fn op_name(request: Request) -> &'static str {
+    if request.is_read() {
+        "read"
+    } else {
+        "write"
     }
 }
 
@@ -215,6 +226,8 @@ impl ProtocolSim {
             }
         }
         let mut engine = Engine::new(EngineConfig {
+            // Per settle: no request comes within orders of magnitude of
+            // this, so only a protocol that never quiesces trips it.
             max_events: 1_000_000,
             network,
         });
@@ -316,24 +329,19 @@ impl ProtocolSim {
         if !self.request_spans {
             return None;
         }
-        let before = self.report().cost;
+        let obs = self.obs.as_ref()?;
         let seq = self.request_seq;
         self.request_seq += 1;
-        let obs = self.obs.as_ref()?;
-        let id = obs.events().span_enter(
+        let id = span!(
+            obs.events(),
             self.engine.now().ticks(),
             "protocol.request",
-            vec![
-                ("issuer".to_string(), request.issuer.to_string()),
-                ("object".to_string(), object.to_string()),
-                (
-                    "op".to_string(),
-                    if request.is_read() { "read" } else { "write" }.to_string(),
-                ),
-                ("req".to_string(), seq.to_string()),
-            ],
+            issuer = processor_field(request.issuer),
+            object = object_field(object),
+            op = op_name(request),
+            req = seq,
         );
-        Some((id, seq, before))
+        Some((id, seq, self.cost()))
     }
 
     /// Emits the request's exact cost delta and closes its span.
@@ -341,29 +349,19 @@ impl ProtocolSim {
         let Some((id, seq, before)) = span else {
             return;
         };
-        let after = self.report().cost;
         let Some(obs) = self.obs.as_ref() else {
             return;
         };
+        let after = self.cost();
         let now = self.engine.now().ticks();
-        obs.events().record(
+        event!(
+            obs.events(),
             now,
             "protocol.request_cost",
-            vec![
-                (
-                    "control".to_string(),
-                    after.control.saturating_sub(before.control).to_string(),
-                ),
-                (
-                    "data".to_string(),
-                    after.data.saturating_sub(before.data).to_string(),
-                ),
-                (
-                    "io".to_string(),
-                    after.io.saturating_sub(before.io).to_string(),
-                ),
-                ("req".to_string(), seq.to_string()),
-            ],
+            control = after.control.saturating_sub(before.control),
+            data = after.data.saturating_sub(before.data),
+            io = after.io.saturating_sub(before.io),
+            req = seq,
         );
         obs.events().span_exit(id, now);
     }
@@ -421,25 +419,19 @@ impl ProtocolSim {
             return;
         }
         let Some(obs) = self.obs.as_ref() else { return };
-        obs.events().record(
+        event!(
+            obs.events(),
             self.engine.now().ticks(),
             "protocol.plan",
-            vec![
-                (
-                    "decision".to_string(),
-                    format!("exec={} saving={}", decision.exec, decision.saving),
-                ),
-                ("object".to_string(), object.to_string()),
-                (
-                    "op".to_string(),
-                    if request.is_read() { "read" } else { "write" }.to_string(),
-                ),
-            ],
+            decision = format!("exec={} saving={}", decision.exec, decision.saving),
+            object = object_field(object),
+            op = op_name(request),
         );
     }
 
-    /// Drains the event queue, surfacing the engine's event-budget valve
-    /// as an error instead of a panic.
+    /// Drains the event queue, surfacing the engine's event budget (a
+    /// livelock guard counted from the start of this settle) as an error
+    /// instead of a hang.
     fn run_settle(&mut self) -> Result<u64> {
         let dispatched = self.engine.run_until_idle();
         if self.engine.budget_exhausted() {
@@ -660,16 +652,24 @@ impl ProtocolSim {
         Ok(self.report())
     }
 
+    /// The exact cost tallies since construction: messages sent on the
+    /// wire and I/O against the local stores — [`SimReport::cost`]
+    /// without the per-node replica lookups the rest of a report needs.
+    fn cost(&self) -> CostVector {
+        let net = self.engine.net_stats().snapshot();
+        let io = (0..self.n)
+            .map(|i| self.engine.actor(NodeId(i)).io_stats().total())
+            .sum();
+        CostVector::new(net.control_sent, net.data_sent, io)
+    }
+
     /// The current report (tallies since construction).
     pub fn report(&self) -> SimReport {
-        let net = self.engine.net_stats().snapshot();
-        let mut io = 0u64;
         let mut holders = ProcSet::EMPTY;
         let mut reads = 0u64;
         let mut latency = 0u64;
         for i in 0..self.n {
             let node = self.engine.actor(NodeId(i));
-            io += node.io_stats().total();
             if node.holds_valid() {
                 holders.insert(ProcessorId::new(i));
             }
@@ -678,7 +678,7 @@ impl ProtocolSim {
             latency += l;
         }
         SimReport {
-            cost: CostVector::new(net.control_sent, net.data_sent, io),
+            cost: self.cost(),
             final_holders: holders,
             reads_completed: reads,
             read_latency_ticks: latency,
@@ -687,7 +687,7 @@ impl ProtocolSim {
             } else {
                 0.0
             },
-            dropped_messages: net.dropped,
+            dropped_messages: self.engine.net_stats().snapshot().dropped,
         }
     }
 
@@ -856,7 +856,7 @@ mod tests {
             .snapshot()
             .iter()
             .map(|r| {
-                let field = |key: &str| &r.fields.iter().find(|(k, _)| k == key).unwrap().1;
+                let field = |key: &str| r.fields.get(key).unwrap();
                 format!("{}->{} {}", field("from"), field("to"), field("label"))
             })
             .collect();
@@ -1147,6 +1147,33 @@ mod tests {
             .snapshot()
             .iter()
             .any(|e| e.name == "protocol.join"));
+    }
+
+    #[test]
+    fn request_spans_number_from_the_first_span_opened() {
+        let mut sim = ProtocolSim::new_da(4, ps(&[0]), ProcessorId::new(1)).unwrap();
+        // Enabled but detached: a no-op, so these two open no span and
+        // must not use up sequence numbers.
+        sim.enable_request_spans();
+        sim.execute_request(Request::read(2usize)).unwrap();
+        sim.execute_request(Request::write(3usize)).unwrap();
+        let obs = sim.attach_obs(64);
+        sim.execute_request(Request::read(1usize)).unwrap();
+        sim.execute_request(Request::read(2usize)).unwrap();
+        let opened: Vec<String> = obs
+            .events()
+            .snapshot()
+            .iter()
+            .filter(|e| e.name == "protocol.request" && e.phase == doma_obs::EventPhase::Enter)
+            .map(|e| e.to_string())
+            .collect();
+        assert_eq!(
+            opened,
+            [
+                "#0 t=10 protocol.request issuer=P1 object=obj0 op=read req=0 [span enter]",
+                "#4 t=15 protocol.request issuer=P2 object=obj0 op=read req=1 [span enter]",
+            ]
+        );
     }
 
     #[test]

@@ -19,6 +19,13 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// As an event field a node renders the way it prints (`N3`).
+impl From<NodeId> for doma_obs::FieldValue {
+    fn from(node: NodeId) -> Self {
+        doma_obs::FieldRef::Id("N", node.0 as u64).into()
+    }
+}
+
 /// A protocol participant. Actors receive messages, timers and failure
 /// notifications, and emit messages/timers through the [`Context`].
 pub trait Actor<M> {
@@ -166,9 +173,11 @@ impl<M> Ord for Event<M> {
 pub struct EngineConfig {
     /// Network latencies.
     pub network: NetworkConfig,
-    /// Safety valve: abort after this many dispatched events (0 = no
-    /// limit). A protocol bug that floods the network trips this instead
-    /// of hanging the test suite.
+    /// Livelock guard: one [`Engine::run_until_idle`] call stops after
+    /// dispatching this many events (0 = no limit). A protocol bug that
+    /// floods the network trips this instead of hanging the test suite;
+    /// the budget restarts with every call, so it bounds how long one
+    /// settle may take, not how long an engine may live.
     pub max_events: u64,
 }
 
@@ -187,6 +196,36 @@ struct EngineObs {
     dropped_fault: doma_obs::Counter,
     dropped_partition: doma_obs::Counter,
     faulted: doma_obs::Counter,
+    /// `sim.crashes` / `sim.recoveries` per node, resolved at a node's
+    /// first crash or recovery: registering them at attach time would put
+    /// zero-valued keys into every failure-free snapshot.
+    lifecycle: [Vec<Option<doma_obs::Counter>>; 2],
+}
+
+#[derive(Clone, Copy)]
+enum Lifecycle {
+    Crash,
+    Recover,
+}
+
+impl EngineObs {
+    fn lifecycle(&mut self, which: Lifecycle, node: NodeId) -> &doma_obs::Counter {
+        let EngineObs {
+            bundle, lifecycle, ..
+        } = self;
+        let slots = &mut lifecycle[which as usize];
+        if slots.len() <= node.0 {
+            slots.resize(node.0 + 1, None);
+        }
+        slots[node.0].get_or_insert_with(|| {
+            let m = bundle.metrics();
+            let label = node.to_string();
+            match which {
+                Lifecycle::Crash => m.counter("sim", "crashes", &[("node", &label)]),
+                Lifecycle::Recover => m.counter("sim", "recoveries", &[("node", &label)]),
+            }
+        })
+    }
 }
 
 /// The deterministic discrete-event engine.
@@ -248,16 +287,15 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         let Some((log, labeller)) = &self.tracer else {
             return;
         };
-        log.record(
+        doma_obs::event!(
+            log,
             self.now.ticks(),
             doma_obs::trace::MESSAGE_EVENT,
-            vec![
-                ("from".to_string(), from.0.to_string()),
-                ("to".to_string(), to.0.to_string()),
-                ("kind".to_string(), format!("{kind:?}")),
-                ("delivered".to_string(), delivered.to_string()),
-                ("label".to_string(), format!("{prefix}{}", labeller(msg))),
-            ],
+            from = from.0,
+            to = to.0,
+            kind = kind,
+            delivered = delivered,
+            label = format!("{prefix}{}", labeller(msg)),
         );
     }
 
@@ -276,6 +314,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             dropped_fault: m.counter("sim", "msgs_dropped", &[("reason", "fault")]),
             dropped_partition: m.counter("sim", "msgs_dropped", &[("reason", "partition")]),
             faulted: m.counter("sim", "msgs_faulted", &[]),
+            lifecycle: [Vec::new(), Vec::new()],
             bundle: obs,
         });
     }
@@ -431,18 +470,14 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                         } else {
                             o.dropped_fault.inc();
                         }
-                        o.bundle.events().record(
+                        doma_obs::event!(
+                            o.bundle.events(),
                             self.now.ticks(),
                             "sim.drop",
-                            vec![
-                                ("from".to_string(), node.to_string()),
-                                ("to".to_string(), to.to_string()),
-                                ("kind".to_string(), format!("{kind:?}")),
-                                (
-                                    "cause".to_string(),
-                                    if partition { "partition" } else { "fault" }.to_string(),
-                                ),
-                            ],
+                            from = node,
+                            to = to,
+                            kind = kind,
+                            cause = if partition { "partition" } else { "fault" },
                         );
                     }
                     let cause = if partition {
@@ -455,14 +490,13 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 Judgement::Deliveries { extra, action } => {
                     if let Some(o) = &self.obs {
                         o.faulted.inc();
-                        o.bundle.events().record(
+                        doma_obs::event!(
+                            o.bundle.events(),
                             self.now.ticks(),
                             "sim.fault",
-                            vec![
-                                ("from".to_string(), node.to_string()),
-                                ("to".to_string(), to.to_string()),
-                                ("action".to_string(), action.to_string()),
-                            ],
+                            from = node,
+                            to = to,
+                            action = action.to_string(),
                         );
                     }
                     self.trace(node, to, kind, true, &format!("fault-{action}:"), &msg);
@@ -502,15 +536,14 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                     self.network.stats().record_drop();
                     if let Some(o) = &self.obs {
                         o.dropped_crashed.inc();
-                        o.bundle.events().record(
+                        doma_obs::event!(
+                            o.bundle.events(),
                             self.now.ticks(),
                             "sim.drop",
-                            vec![
-                                ("from".to_string(), from.to_string()),
-                                ("to".to_string(), to.to_string()),
-                                ("kind".to_string(), format!("{kind:?}")),
-                                ("cause".to_string(), "crashed".to_string()),
-                            ],
+                            from = from,
+                            to = to,
+                            kind = kind,
+                            cause = "crashed",
                         );
                     }
                 }
@@ -530,15 +563,13 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 if self.alive[node.0] {
                     self.alive[node.0] = false;
                     self.actors[node.0].on_crash();
-                    if let Some(o) = &self.obs {
-                        let label = node.to_string();
-                        o.bundle
-                            .metrics()
-                            .add("sim", "crashes", &[("node", &label)], 1);
-                        o.bundle.events().record(
+                    if let Some(o) = &mut self.obs {
+                        o.lifecycle(Lifecycle::Crash, node).inc();
+                        doma_obs::event!(
+                            o.bundle.events(),
                             self.now.ticks(),
                             "sim.crash",
-                            vec![("node".to_string(), label)],
+                            node = node
                         );
                     }
                 }
@@ -546,15 +577,13 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             EventKind::Recover(node) => {
                 if !self.alive[node.0] {
                     self.alive[node.0] = true;
-                    if let Some(o) = &self.obs {
-                        let label = node.to_string();
-                        o.bundle
-                            .metrics()
-                            .add("sim", "recoveries", &[("node", &label)], 1);
-                        o.bundle.events().record(
+                    if let Some(o) = &mut self.obs {
+                        o.lifecycle(Lifecycle::Recover, node).inc();
+                        doma_obs::event!(
+                            o.bundle.events(),
                             self.now.ticks(),
                             "sim.recover",
-                            vec![("node".to_string(), label)],
+                            node = node
                         );
                     }
                     self.dispatch_to(node, |a, ctx| a.on_recover(ctx));
@@ -568,9 +597,12 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
     /// queue is left untouched — the driver decides how to report it).
     /// Returns the number of events dispatched by this call.
     pub fn run_until_idle(&mut self) -> u64 {
+        if self.overflowed {
+            return 0;
+        }
         let start = self.dispatched;
         while let Some(Reverse(event)) = self.queue.pop() {
-            if self.max_events > 0 && self.dispatched >= self.max_events {
+            if self.max_events > 0 && self.dispatched - start >= self.max_events {
                 // Put the event back: the state is inspectable, just not
                 // runnable any further under this budget.
                 self.queue.push(Reverse(event));
@@ -658,11 +690,12 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
     /// Removes the queued event with sequence number `seq` and dispatches
     /// it now, regardless of its scheduled time (virtual time stays
     /// monotone: it only advances, to the event's time if that is later).
-    /// Returns `false` if no such event is queued, or the event budget is
-    /// already exhausted (the event stays queued).
+    /// Returns `false` if no such event is queued, or an earlier
+    /// [`Engine::run_until_idle`] tripped the event budget (the event
+    /// stays queued). Single steps are not budgeted themselves: a driver
+    /// stepping the engine bounds its own depth.
     pub fn dispatch_by_seq(&mut self, seq: u64) -> bool {
-        if self.max_events > 0 && self.dispatched >= self.max_events {
-            self.overflowed = true;
+        if self.overflowed {
             return false;
         }
         let mut rest = Vec::with_capacity(self.queue.len());
@@ -876,6 +909,31 @@ mod tests {
     }
 
     #[test]
+    fn event_budget_restarts_with_every_run() {
+        let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig {
+            network: NetworkConfig::default(),
+            max_events: 8,
+        });
+        let a = engine.add_node(PingPong::new(Some(NodeId(1))));
+        let _b = engine.add_node(PingPong::new(Some(NodeId(0))));
+        // Five events per exchange, forty over the engine's life: each
+        // run stays under the budget, so the guard never trips.
+        for _ in 0..8 {
+            engine.inject(a, 0, 4);
+            assert_eq!(engine.run_until_idle(), 5);
+        }
+        assert!(!engine.budget_exhausted());
+        assert_eq!(engine.dispatched(), 40);
+        // One exchange longer than the budget still trips it, and a
+        // tripped engine stays stopped.
+        engine.inject(a, 0, 20);
+        assert_eq!(engine.run_until_idle(), 8);
+        assert!(engine.budget_exhausted());
+        assert_eq!(engine.run_until_idle(), 0);
+        assert!(engine.has_pending());
+    }
+
+    #[test]
     fn installed_drop_rule_loses_the_message_but_keeps_the_send_tally() {
         use crate::fault::{FaultAction, FaultPlan, FaultRule, LinkFilter};
         let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig::default());
@@ -1004,12 +1062,7 @@ mod tests {
         engine.inject(a, 0, 4);
         engine.run_until_idle();
         let records = log.snapshot();
-        let field = |r: &doma_obs::EventRecord, key: &str| {
-            r.fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        };
+        let field = |r: &doma_obs::EventRecord, key: &str| r.fields.get(key).map(|v| v.to_string());
         assert!(
             records.iter().any(|r| {
                 r.name == doma_obs::trace::MESSAGE_EVENT
@@ -1114,12 +1167,7 @@ mod tests {
         );
         assert_eq!(snap.counter("sim", "crashes", &[("node", "N1")]), 1);
         assert_eq!(snap.counter("sim", "recoveries", &[("node", "N1")]), 1);
-        let names: Vec<String> = obs
-            .events()
-            .snapshot()
-            .iter()
-            .map(|e| e.name.clone())
-            .collect();
+        let names: Vec<&str> = obs.events().snapshot().iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["sim.crash", "sim.drop", "sim.recover"]);
         assert!(engine.obs().is_some());
 

@@ -13,6 +13,17 @@ pub enum MsgKind {
     Data,
 }
 
+/// As an event field a kind renders as its variant name.
+impl From<MsgKind> for doma_obs::FieldValue {
+    fn from(kind: MsgKind) -> Self {
+        match kind {
+            MsgKind::Control => "Control",
+            MsgKind::Data => "Data",
+        }
+        .into()
+    }
+}
+
 /// Exact message tallies, mirroring [`doma_core::CostVector`]'s
 /// communication components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -7,8 +7,10 @@
 # Exits non-zero if (a) any Cargo.toml declares a non-path dependency,
 # (b) a Cargo.lock references a crate outside the tree, (c) the offline
 # build or test run fails, (d) the entrant roster is spelled out in a second
-# file, or (e) any wall below — lint, byte-stability, cluster parity, model
-# check, shard parity, fault matrix, benchmark smoke — does.
+# file, (e) an event record or a registry lookup bypasses the typed/pre-resolved
+# obs path, or (f) any wall below — lint, allocation wall, byte-stability,
+# cluster parity, model check, shard parity, fault matrix, benchmark smoke —
+# does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,6 +73,37 @@ for needle in 'CostOblivious::new' 'MobileMirror::new' 'ClusteredAllocation::new
         exit 1
     fi
 done
+
+# ---------------------------------------------------------------------------
+# Guard 4: obs at handle price. Outside doma-obs, (a) every event record is
+# an `event!`/`span!` over typed values — no direct `.record(`/`.span_enter(`
+# call, which is where hand-built `("key".to_string(), v.to_string())`
+# vectors came from — and (b) the metrics registry is looked up by name only
+# where handles are resolved: doma-protocol's `NodeObs` (lazily, once per
+# cell) and doma-sim's `Engine::set_obs`/`EngineObs`. A `.metrics().add(…)`
+# on a request path is ≈200 ns of key strings, mutex and B-tree per call.
+# ---------------------------------------------------------------------------
+obs_src=$(find crates/*/src -name '*.rs' -not -path 'crates/doma-obs/*')
+# shellcheck disable=SC2086
+stringly=$(grep -nE '\.(record|span_enter)\(' $obs_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$stringly" ]; then
+    echo "error: record events through event!/span! (typed fields), not:" >&2
+    echo "$stringly" >&2
+    echo "verify: FAILED (typed event record guard)" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+by_name=$(awk '
+    /\.metrics\(\)[ \t]*(;|\.(add|counter|gauge|histogram)\()/ { print FILENAME }
+    chained && /^[ \t]*\.(add|counter|gauge|histogram)\(/ { print FILENAME }
+    { chained = ($0 ~ /\.metrics\(\)[ \t]*$/) }
+' $obs_src | sort -u | tr '\n' ' ')
+if [ "$by_name" != "crates/doma-protocol/src/obs.rs crates/doma-sim/src/engine.rs " ]; then
+    echo "error: the metrics registry is resolved by name outside NodeObs / Engine::set_obs:" >&2
+    echo "${by_name:-<nowhere>}" >&2
+    echo "verify: FAILED (pre-resolved counter guard)" >&2
+    exit 1
+fi
 
 # ---------------------------------------------------------------------------
 # Static-analysis wall: formatting, clippy at -D warnings, and the in-tree
@@ -139,6 +172,17 @@ same_bytes lint "$domactl" lint --format json
 has_keys lint '"findings": 0'
 
 cargo test -q --offline --workspace
+
+# ---------------------------------------------------------------------------
+# Allocation wall, in the build the benchmark measures: with obs attached a
+# warm request allocates exactly as often as a detached one, and request
+# spans add at most 0.05 allocations per request (tests/alloc_wall.rs) —
+# the regression gate for Guard 4's mechanisms that needs no quiet box.
+# ---------------------------------------------------------------------------
+if ! cargo test -q --offline --release --test alloc_wall; then
+    echo "verify: FAILED (allocation wall, release build)" >&2
+    exit 1
+fi
 
 # ---------------------------------------------------------------------------
 # Byte-stability table: each row is one CLI export that must be identical
