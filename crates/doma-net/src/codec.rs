@@ -18,7 +18,7 @@
 use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId, Result};
 use doma_protocol::{DomMsg, ReadPlan, WritePlan};
 use doma_sim::{MsgKind, NodeId};
-use doma_storage::Version;
+use doma_storage::{Payload, Version};
 
 /// Maximum frame body length the codec will accept or produce (1 MiB).
 /// Protocol payloads are tiny; anything bigger is a corrupt length
@@ -175,14 +175,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>> {
+    /// A byte string as a message payload: the one copy between the
+    /// frame and the store the payload ends up in.
+    fn bytes(&mut self) -> Result<Payload> {
         let len = self.u32()? as usize;
         if len > MAX_FRAME {
             return Err(DomaError::WireCorrupt {
                 context: "byte-string length",
             });
         }
-        Ok(self.take(len)?.to_vec())
+        Ok(self.take(len)?.into())
     }
 
     fn proc(&mut self) -> Result<ProcessorId> {
@@ -583,7 +585,7 @@ mod tests {
         DomMsg::ClientWrite {
             object: ObjectId(3),
             version: Version(9),
-            payload: b"payload-3-9".to_vec(),
+            payload: b"payload-3-9"[..].into(),
             plan: Some(WritePlan {
                 exec: ProcSet::from_iter([0usize, 2]),
                 invalidate: ProcSet::from_iter([1usize]),

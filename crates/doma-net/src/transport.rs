@@ -94,7 +94,7 @@ mod tests {
             DomMsg::ObjData {
                 object: ObjectId(0),
                 version: doma_storage::Version(1),
-                payload: vec![1],
+                payload: [1].into(),
                 save: false,
                 round: 0,
             },

@@ -37,7 +37,7 @@ fn rand_msg(rng: &mut TestRng) -> DomMsg {
         1 => DomMsg::ClientWrite {
             object,
             version,
-            payload: rand_payload(rng),
+            payload: rand_payload(rng).into(),
             plan: rng.gen_bool(0.5).then(|| WritePlan {
                 exec: ProcSet::from_bits(rng.next_u64()),
                 invalidate: ProcSet::from_bits(rng.next_u64()),
@@ -52,7 +52,7 @@ fn rand_msg(rng: &mut TestRng) -> DomMsg {
         3 => DomMsg::ObjData {
             object,
             version,
-            payload: rand_payload(rng),
+            payload: rand_payload(rng).into(),
             save: rng.gen_bool(0.5),
             round: rng.next_u64(),
         },
@@ -63,7 +63,7 @@ fn rand_msg(rng: &mut TestRng) -> DomMsg {
         5 => DomMsg::WriteProp {
             object,
             version,
-            payload: rand_payload(rng),
+            payload: rand_payload(rng).into(),
             writer: NodeId(rng.gen_range(0..64usize)),
         },
         6 => DomMsg::Invalidate { object, version },

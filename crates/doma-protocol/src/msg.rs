@@ -2,7 +2,7 @@
 
 use doma_core::{ObjectId, ProcSet, ProcessorId};
 use doma_sim::NodeId;
-use doma_storage::Version;
+use doma_storage::{Payload, Version};
 
 /// A driver-computed read placement for an adaptive-algorithm object
 /// (see [`crate::ProtocolConfig::Adaptive`]): the online algorithm runs
@@ -45,7 +45,9 @@ pub struct WritePlan {
 /// Control messages (priced `cc`): [`DomMsg::ReadReq`],
 /// [`DomMsg::Invalidate`], [`DomMsg::NoData`], [`DomMsg::ModeChange`].
 /// Data messages (priced `cd`): [`DomMsg::ObjData`], [`DomMsg::WriteProp`]
-/// — they carry the object payload.
+/// — they carry the object payload, as a [`Payload`] shared with the
+/// store it was read from (cloning a message bumps a reference count;
+/// only the wire codec copies the bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DomMsg {
     /// Client request: read the object (injected locally by the driver).
@@ -65,7 +67,7 @@ pub enum DomMsg {
         /// The globally assigned version.
         version: Version,
         /// The new object payload.
-        payload: Vec<u8>,
+        payload: Payload,
         /// Placement computed by the driver-side decision oracle
         /// (`None` for SA/DA objects).
         plan: Option<WritePlan>,
@@ -93,7 +95,7 @@ pub enum DomMsg {
         /// The version carried.
         version: Version,
         /// The payload.
-        payload: Vec<u8>,
+        payload: Payload,
         /// Whether the requester should output it to its local database.
         save: bool,
         /// The round of the [`DomMsg::ReadReq`] this answers (0 = not a
@@ -114,7 +116,7 @@ pub enum DomMsg {
         /// The version being written.
         version: Version,
         /// The payload.
-        payload: Vec<u8>,
+        payload: Payload,
         /// The writing processor (needed by DA core members to compute the
         /// execution set and exclude the writer from invalidation).
         writer: NodeId,
@@ -190,7 +192,7 @@ mod tests {
         assert!(DomMsg::ObjData {
             object: OBJ,
             version: Version(1),
-            payload: vec![],
+            payload: Payload::from([]),
             save: false,
             round: 0
         }
@@ -198,7 +200,7 @@ mod tests {
         assert!(DomMsg::WriteProp {
             object: OBJ,
             version: Version(1),
-            payload: vec![],
+            payload: Payload::from([]),
             writer: NodeId(0)
         }
         .is_data());

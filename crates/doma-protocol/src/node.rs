@@ -7,8 +7,8 @@ use crate::{DomMsg, ReadPlan, WritePlan};
 use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId};
 use doma_obs::{event, span};
 use doma_sim::{Actor, Context, MsgKind, NodeId, SimTime};
-use doma_storage::{CacheStats, CachedStore, IoStats, LocalStore, Version};
-use std::collections::BTreeMap;
+use doma_storage::{CacheStats, CachedStore, IoStats, LocalStore, Payload, RedoLog, Version};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The object id used by the single-object convenience constructors (the
 /// paper analyzes a single object).
@@ -109,7 +109,7 @@ struct PendingQuorum {
     /// the set-based dedup (regression testing); `responders` is
     /// authoritative otherwise.
     counted: usize,
-    best: Option<(Version, Vec<u8>)>,
+    best: Option<(Version, Payload)>,
     store_result: bool,
     started: SimTime,
 }
@@ -149,8 +149,9 @@ pub struct CompletedRead {
     pub latency: u64,
 }
 
-/// The node's object catalog, stored densely: ids sorted ascending with
-/// the per-object configurations in matching slots.
+/// A catalog of objects, stored densely: ids sorted ascending with one
+/// value per object (the node's configurations, the planner's version
+/// counters) in matching slots.
 ///
 /// Hot-path per-object state (`da`, `invalidated_below`, `pending`,
 /// `read_started`) lives in parallel `Vec`s indexed by the catalog
@@ -160,21 +161,21 @@ pub struct CompletedRead {
 /// check; non-contiguous catalogs fall back to binary search over the
 /// sorted ids.
 #[derive(Debug, Clone)]
-struct ObjectCatalog {
+pub(crate) struct ObjectCatalog<T> {
     /// Object ids, ascending.
     ids: Vec<ObjectId>,
-    /// Per-object configuration, aligned with `ids`.
-    configs: Vec<ProtocolConfig>,
+    /// Per-object value, aligned with `ids`.
+    pub(crate) values: Vec<T>,
     /// `ids[0]`, the offset of the contiguous fast path.
     base: u64,
     /// Whether `ids` is exactly `base..base + ids.len()`.
     contiguous: bool,
 }
 
-impl ObjectCatalog {
-    fn from_map(map: BTreeMap<ObjectId, ProtocolConfig>) -> Self {
+impl<T> ObjectCatalog<T> {
+    pub(crate) fn from_map(map: BTreeMap<ObjectId, T>) -> Self {
         let ids: Vec<ObjectId> = map.keys().copied().collect();
-        let configs: Vec<ProtocolConfig> = map.into_values().collect();
+        let values: Vec<T> = map.into_values().collect();
         let base = ids.first().map(|o| o.0).unwrap_or(0);
         let contiguous = ids
             .iter()
@@ -182,7 +183,7 @@ impl ObjectCatalog {
             .all(|(i, o)| o.0 == base.wrapping_add(i as u64));
         ObjectCatalog {
             ids,
-            configs,
+            values,
             base,
             contiguous,
         }
@@ -194,7 +195,7 @@ impl ObjectCatalog {
 
     /// The dense slot of `object`, if catalogued.
     #[inline]
-    fn slot(&self, object: ObjectId) -> Option<usize> {
+    pub(crate) fn slot(&self, object: ObjectId) -> Option<usize> {
         if self.contiguous {
             let idx = object.0.checked_sub(self.base)? as usize;
             (idx < self.ids.len()).then_some(idx)
@@ -203,10 +204,10 @@ impl ObjectCatalog {
         }
     }
 
-    /// The configuration of `object`, if catalogued.
+    /// The value of `object`, if catalogued.
     #[inline]
-    fn get(&self, object: ObjectId) -> Option<&ProtocolConfig> {
-        self.slot(object).map(|slot| &self.configs[slot])
+    fn get(&self, object: ObjectId) -> Option<&T> {
+        self.slot(object).map(|slot| &self.values[slot])
     }
 }
 
@@ -233,7 +234,7 @@ struct DaObjectState {
 pub struct DomNode {
     id: ProcessorId,
     n: usize,
-    catalog: ObjectCatalog,
+    catalog: ObjectCatalog<ProtocolConfig>,
     store: CachedStore,
     /// Per-slot DA bookkeeping (aligned with the catalog).
     da: Vec<DaObjectState>,
@@ -256,10 +257,9 @@ pub struct DomNode {
     // --- metrics ---
     /// Per-slot FIFO queues of outstanding read start-times (open-loop
     /// execution can have several reads of one object in flight at once).
-    read_started: Vec<Vec<SimTime>>,
+    read_started: Vec<VecDeque<SimTime>>,
     reads_completed: u64,
     read_latency_ticks: u64,
-    read_latencies: Vec<u64>,
     completed_reads: Vec<CompletedRead>,
     /// Protocol-level errors (for example a request for an unconfigured
     /// object). [`Actor::on_message`] cannot return them, so they are
@@ -290,11 +290,14 @@ impl DomNode {
         cache_capacity: usize,
     ) -> Self {
         let catalog = ObjectCatalog::from_map(configs);
+        // Version 0 of every preloaded object is the same bytes: one
+        // allocation per node, shared by table and log.
+        let initial = Payload::from(*b"initial");
         let mut store = LocalStore::new();
         let mut da = Vec::with_capacity(catalog.len());
-        for (object, config) in catalog.ids.iter().zip(&catalog.configs) {
+        for (object, config) in catalog.ids.iter().zip(&catalog.values) {
             if config.initial_scheme().contains(id) {
-                store = preload(store, *object);
+                store.output(*object, Version::INITIAL, initial.clone());
             }
             let is_primary =
                 matches!(config, ProtocolConfig::Da { f, .. } if f.any_member() == Some(id));
@@ -308,6 +311,8 @@ impl DomNode {
                 serve_cursor: 0,
             });
         }
+        // Preloads are free: the initial scheme is given, not written.
+        store.reset_io_stats();
         let slots = catalog.len();
         DomNode {
             id,
@@ -319,10 +324,9 @@ impl DomNode {
             quorum_mode: false,
             pending: vec![None; slots],
             quorum_round: 0,
-            read_started: vec![Vec::new(); slots],
+            read_started: vec![VecDeque::new(); slots],
             reads_completed: 0,
             read_latency_ticks: 0,
-            read_latencies: Vec::new(),
             completed_reads: Vec::new(),
             errors: Vec::new(),
             bugs: BugSwitches::default(),
@@ -524,14 +528,19 @@ impl DomNode {
         self.store.store().io_stats()
     }
 
+    /// The redo log the node's store writes through.
+    pub fn redo_log(&self) -> &RedoLog {
+        self.store.store().log()
+    }
+
     /// Completed reads and their total latency in ticks.
     pub fn read_metrics(&self) -> (u64, u64) {
         (self.reads_completed, self.read_latency_ticks)
     }
 
     /// Every completed read's individual latency, in completion order.
-    pub fn read_latencies(&self) -> &[u64] {
-        &self.read_latencies
+    pub fn read_latencies(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.completed_reads.iter().map(|read| read.latency)
     }
 
     /// Every completed read with the version it returned, in completion
@@ -655,20 +664,23 @@ impl DomNode {
         }
     }
 
+    /// Inputs the local replica for handing on (a reply, a propagation, a
+    /// quorum's best so far): the bytes stay shared with the store.
+    fn input_shared(&mut self, object: ObjectId) -> Option<(Version, Payload)> {
+        self.store.input(object).map(|(v, d)| (v, d.clone()))
+    }
+
     fn complete_read(&mut self, object: ObjectId, version: Option<Version>, now: SimTime) {
         let Some(slot) = self.catalog.slot(object) else {
             return;
         };
-        let queue = &mut self.read_started[slot];
-        if !queue.is_empty() {
-            // Replies are served FIFO (the engine and the bus are
-            // order-preserving), so the oldest outstanding read is the
-            // one completing.
-            let started = queue.remove(0);
+        // Replies are served FIFO (the engine and the bus are
+        // order-preserving), so the oldest outstanding read is the one
+        // completing.
+        if let Some(started) = self.read_started[slot].pop_front() {
             self.reads_completed += 1;
             let latency = now.ticks() - started.ticks();
             self.read_latency_ticks += latency;
-            self.read_latencies.push(latency);
             self.completed_reads.push(CompletedRead {
                 object,
                 version,
@@ -680,11 +692,9 @@ impl DomNode {
     /// All other nodes. Quorum operations contact everyone and complete
     /// once a majority of *responses* is assembled, so individual crashed
     /// peers cannot stall them.
-    fn all_peers(&self) -> Vec<NodeId> {
-        (0..self.n)
-            .filter(|&i| i != self.id.index())
-            .map(NodeId)
-            .collect()
+    fn all_peers(&self) -> impl Iterator<Item = NodeId> {
+        let me = self.id.index();
+        (0..self.n).filter(move |&i| i != me).map(NodeId)
     }
 
     /// Read/write quorum size: a majority of the cluster.
@@ -701,7 +711,7 @@ impl DomNode {
         let Some(slot) = self.slot_or_record(object) else {
             return;
         };
-        let local = self.store.input(object);
+        let local = self.input_shared(object);
         let mut responders = ProcSet::EMPTY;
         if local.is_some() {
             responders.insert(self.id);
@@ -754,7 +764,7 @@ impl DomNode {
             let Some(slot) = self.slot_or_record(object) else {
                 return;
             };
-            self.read_started[slot].push(ctx.now());
+            self.read_started[slot].push_back(ctx.now());
             self.start_quorum_read(ctx, object, false);
             return;
         }
@@ -764,7 +774,7 @@ impl DomNode {
         let Some(slot) = self.catalog.slot(object) else {
             return;
         };
-        self.read_started[slot].push(ctx.now());
+        self.read_started[slot].push_back(ctx.now());
         match config {
             ProtocolConfig::Sa { q } => {
                 if q.contains(self.id) {
@@ -796,19 +806,21 @@ impl DomNode {
                     let version = got.map(|(v, _)| v);
                     self.complete_read(object, version, ctx.now());
                 } else {
-                    let members: Vec<ProcessorId> = f.iter().collect();
                     let state = &mut self.da[slot];
-                    let server = members[state.serve_cursor % members.len()];
-                    state.serve_cursor = state.serve_cursor.wrapping_add(1);
-                    ctx.send(
-                        node(server),
-                        MsgKind::Control,
-                        DomMsg::ReadReq {
-                            object,
-                            saving: true,
-                            round: 0,
-                        },
-                    );
+                    // `F` is non-empty (checked at configuration time).
+                    let turn = state.serve_cursor % f.len().max(1);
+                    if let Some(server) = f.iter().nth(turn) {
+                        state.serve_cursor = state.serve_cursor.wrapping_add(1);
+                        ctx.send(
+                            node(server),
+                            MsgKind::Control,
+                            DomMsg::ReadReq {
+                                object,
+                                saving: true,
+                                round: 0,
+                            },
+                        );
+                    }
                 }
             }
             ProtocolConfig::Adaptive { .. } => {
@@ -865,7 +877,7 @@ impl DomNode {
         ctx: &mut T,
         object: ObjectId,
         version: Version,
-        payload: Vec<u8>,
+        payload: Payload,
         plan: Option<WritePlan>,
     ) {
         if self.quorum_mode {
@@ -1041,7 +1053,7 @@ impl DomNode {
         from: NodeId,
         object: ObjectId,
         round: u64,
-        reply: Option<(Version, Vec<u8>)>,
+        reply: Option<(Version, Payload)>,
     ) {
         let Some(slot) = self.catalog.slot(object) else {
             return;
@@ -1112,23 +1124,6 @@ impl DomNode {
     }
 }
 
-fn preload(mut store: LocalStore, object: ObjectId) -> LocalStore {
-    // Same semantics as LocalStore::with_initial, but composable over
-    // many objects: preload without charging I/O.
-    let preloaded = LocalStore::with_initial(object, Version::INITIAL, b"initial".to_vec());
-    if store.is_empty() {
-        return preloaded;
-    }
-    // Merge: replay is cheap at construction time.
-    for (obj, version, payload, valid) in preloaded.log().replay() {
-        if valid {
-            store.output(obj, version, payload);
-        }
-    }
-    store.reset_io_stats();
-    store
-}
-
 impl DomNode {
     /// Deliver one inbound message through any [`Transport`]: classify it,
     /// run the state machine, then account the step's I/O and buffered
@@ -1164,7 +1159,7 @@ impl DomNode {
                 saving,
                 round,
             } => {
-                match self.store.input(object) {
+                match self.input_shared(object) {
                     Some((version, payload)) => {
                         if saving && self.is_da_core(object) {
                             // is_da_core implies the object is catalogued,
@@ -1267,12 +1262,10 @@ impl DomNode {
                     // peers (receivers keep the freshest), putting the
                     // latest committed version on a write-majority before
                     // quorum service starts.
-                    let objects: Vec<ObjectId> = self.catalog.ids.clone();
-                    for object in objects {
-                        if !self.store.holds_valid(object) {
-                            continue;
-                        }
-                        if let Some((version, payload)) = self.store.input(object) {
+                    for slot in 0..self.catalog.len() {
+                        let object = self.catalog.ids[slot];
+                        let held = self.input_shared(object);
+                        if let Some((version, payload)) = held {
                             for peer in self.all_peers() {
                                 ctx.send(
                                     peer,
@@ -1299,7 +1292,7 @@ impl DomNode {
                         .ids
                         .iter()
                         .copied()
-                        .zip(self.catalog.configs.iter().cloned())
+                        .zip(self.catalog.values.iter().cloned())
                         .collect();
                     for (object, config) in objects {
                         match config {
@@ -1464,7 +1457,7 @@ mod tests {
     fn quorum_peers_exclude_self_and_quorum_is_majority() {
         let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
         let n = DomNode::new(ProcessorId::new(1), 5, cfg);
-        let peers = n.all_peers();
+        let peers: Vec<NodeId> = n.all_peers().collect();
         assert_eq!(peers.len(), 4);
         assert!(!peers.contains(&NodeId(1)));
         assert_eq!(n.quorum_size(), 3);
@@ -1532,7 +1525,7 @@ mod tests {
             DomMsg::ClientWrite {
                 object: ObjectId(9),
                 version: Version(1),
-                payload: vec![1],
+                payload: [1].into(),
                 plan: None,
             },
         );
@@ -1543,7 +1536,7 @@ mod tests {
             .iter()
             .all(|e| *e == DomaError::UnknownObject { node: 0, object: 9 }));
         // No messages escaped: the error path is local.
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 0);
         assert_eq!(engine.actor(a).read_metrics(), (0, 0));
     }
@@ -1558,7 +1551,7 @@ mod tests {
         let wp = |v: u64| DomMsg::WriteProp {
             object: OBJECT,
             version: Version(v),
-            payload: vec![v as u8],
+            payload: [v as u8].into(),
             writer: NodeId(1),
         };
         engine.inject(a, 0, wp(5));

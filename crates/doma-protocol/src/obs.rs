@@ -251,7 +251,7 @@ mod tests {
             op_of(&DomMsg::ObjData {
                 object: obj,
                 version: Version(1),
-                payload: vec![],
+                payload: [].into(),
                 save: false,
                 round: 3
             }),
@@ -261,7 +261,7 @@ mod tests {
             op_of(&DomMsg::WriteProp {
                 object: obj,
                 version: Version(1),
-                payload: vec![],
+                payload: [].into(),
                 writer: NodeId(0)
             }),
             Op::Write

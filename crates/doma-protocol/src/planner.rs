@@ -12,14 +12,16 @@
 //! [`ClientPlanner::plan`] to turn a [`Request`] into the client
 //! [`DomMsg`] they inject.
 
+use crate::node::ObjectCatalog;
 use crate::sim::PlanOracle;
 use crate::{DomMsg, ReadPlan, WritePlan};
 use doma_core::{
     scheme_after, AllocatedRequest, Decision, DomaError, ObjectId, ProcSet, Request, Result,
 };
 use doma_sim::NodeId;
-use doma_storage::Version;
+use doma_storage::{Payload, Version};
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// A client request turned into the wire message a driver injects.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +48,7 @@ pub struct ClientPlanner {
     n: usize,
     /// Next write version per catalogued object (doubles as the catalog
     /// membership set for validation).
-    next_version: BTreeMap<ObjectId, Version>,
+    next_version: ObjectCatalog<Version>,
     /// Live decision oracles for adaptive objects. Deterministic: oracle
     /// state is a pure function of the planned request sequence.
     oracles: BTreeMap<ObjectId, Box<dyn PlanOracle>>,
@@ -62,12 +64,13 @@ impl ClientPlanner {
     /// replica); no oracles — install them with
     /// [`ClientPlanner::install_oracle`].
     pub fn new(n: usize, objects: impl IntoIterator<Item = ObjectId>) -> Self {
+        let first = objects
+            .into_iter()
+            .map(|object| (object, Version::INITIAL.next()))
+            .collect();
         ClientPlanner {
             n,
-            next_version: objects
-                .into_iter()
-                .map(|object| (object, Version::INITIAL.next()))
-                .collect(),
+            next_version: ObjectCatalog::from_map(first),
             oracles: BTreeMap::new(),
             oracle_scheme: BTreeMap::new(),
         }
@@ -100,7 +103,9 @@ impl ClientPlanner {
     /// # Panics
     /// If `object` is not in the catalog.
     pub fn latest_version(&self, object: ObjectId) -> Version {
-        Version(self.next_version[&object].0 - 1)
+        let slot = self.next_version.slot(object);
+        assert!(slot.is_some(), "{object} not in the cluster's catalog");
+        Version(slot.map_or(0, |slot| self.next_version.values[slot].0 - 1))
     }
 
     /// Validates `request` against the cluster and catalog, runs the
@@ -114,11 +119,11 @@ impl ClientPlanner {
                 self.n
             )));
         }
-        if !self.next_version.contains_key(&object) {
+        let Some(slot) = self.next_version.slot(object) else {
             return Err(DomaError::InvalidConfig(format!(
                 "{object} not in the cluster's catalog"
             )));
-        }
+        };
         let to = NodeId(request.issuer.index());
         let planned = self.decide(object, request);
         let (read_plan, write_plan, decision) = match planned {
@@ -131,12 +136,12 @@ impl ClientPlanner {
                 plan: read_plan,
             }
         } else {
-            let version = self.next_version[&object];
-            self.next_version.insert(object, version.next());
+            let version = self.next_version.values[slot];
+            self.next_version.values[slot] = version.next();
             DomMsg::ClientWrite {
                 object,
                 version,
-                payload: format!("payload-{}-{}", object.0, version.0).into_bytes(),
+                payload: write_payload(object, version),
                 plan: write_plan,
             }
         };
@@ -154,6 +159,9 @@ impl ClientPlanner {
         object: ObjectId,
         request: Request,
     ) -> Option<(Option<ReadPlan>, Option<WritePlan>, Decision)> {
+        if self.oracles.is_empty() {
+            return None;
+        }
         let oracle = self.oracles.get_mut(&object)?;
         let scheme = *self.oracle_scheme.get(&object)?;
         let decision = oracle.decide(request);
@@ -204,6 +212,19 @@ impl ClientPlanner {
     }
 }
 
+/// The bytes a client writes as `version` of `object`:
+/// `payload-<object>-<version>`, formatted on the stack so the payload's
+/// own allocation is the only one a write plan makes.
+fn write_payload(object: ObjectId, version: Version) -> Payload {
+    // Nine bytes of text and two u64s in decimal come to at most 49.
+    let mut buf = [0u8; 64];
+    let mut rest = &mut buf[..];
+    let fits = write!(rest, "payload-{}-{}", object.0, version.0).is_ok();
+    debug_assert!(fits, "64 bytes hold any payload text");
+    let unused = rest.len();
+    Payload::from(&buf[..buf.len() - unused])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,12 +256,31 @@ mod tests {
                 },
             ) => {
                 assert_eq!(v1.next(), *v2);
-                assert_eq!(p1, b"payload-0-1");
-                assert_eq!(p2, b"payload-0-2");
+                assert_eq!(&p1[..], b"payload-0-1");
+                assert_eq!(&p2[..], b"payload-0-2");
             }
             other => panic!("expected two writes, got {other:?}"),
         }
         assert_eq!(p.latest_version(OBJ), Version(2));
+    }
+
+    #[test]
+    fn the_widest_payload_fits_and_sparse_catalogs_keep_their_own_versions() {
+        let last = ObjectId(u64::MAX);
+        assert_eq!(
+            &write_payload(last, Version(u64::MAX))[..],
+            b"payload-18446744073709551615-18446744073709551615"
+        );
+        // Unsorted, repeated, non-contiguous ids: one counter each.
+        let mut p = ClientPlanner::new(4, [last, ObjectId(7), ObjectId(7), ObjectId(3)]);
+        let w = Request::write(ProcessorId::new(0));
+        p.plan(ObjectId(7), w).unwrap();
+        p.plan(ObjectId(7), w).unwrap();
+        p.plan(last, w).unwrap();
+        assert_eq!(p.latest_version(ObjectId(3)), Version::INITIAL);
+        assert_eq!(p.latest_version(ObjectId(7)), Version(2));
+        assert_eq!(p.latest_version(last), Version(1));
+        assert!(p.plan(ObjectId(4), w).is_err());
     }
 
     #[test]

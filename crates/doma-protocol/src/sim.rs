@@ -564,10 +564,8 @@ impl ProtocolSim {
         }
         self.run_settle()?;
         let mut latencies = Vec::new();
-        #[allow(clippy::needless_range_loop)] // i is both NodeId and index
-        for i in 0..self.n {
-            latencies
-                .extend_from_slice(&self.engine.actor(NodeId(i)).read_latencies()[lat_before[i]..]);
+        for (i, seen) in lat_before.into_iter().enumerate() {
+            latencies.extend(self.engine.actor(NodeId(i)).read_latencies().skip(seen));
         }
         let mean = if latencies.is_empty() {
             0.0
@@ -656,7 +654,7 @@ impl ProtocolSim {
     /// wire and I/O against the local stores — [`SimReport::cost`]
     /// without the per-node replica lookups the rest of a report needs.
     fn cost(&self) -> CostVector {
-        let net = self.engine.net_stats().snapshot();
+        let net = self.engine.net_stats();
         let io = (0..self.n)
             .map(|i| self.engine.actor(NodeId(i)).io_stats().total())
             .sum();
@@ -687,7 +685,7 @@ impl ProtocolSim {
             } else {
                 0.0
             },
-            dropped_messages: self.engine.net_stats().snapshot().dropped,
+            dropped_messages: self.engine.net_stats().dropped,
         }
     }
 

@@ -1,10 +1,9 @@
 //! The event loop: actors, contexts, and deterministic dispatch.
 
 use crate::fault::{FaultPlan, FaultState, FaultStats, Judgement};
-use crate::{MsgKind, Network, NetworkConfig, SimTime, StatsHandle};
-use std::cmp::Reverse;
+use crate::{MsgKind, NetStats, Network, NetworkConfig, SimTime};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -43,7 +42,9 @@ pub trait Actor<M> {
     fn on_recover(&mut self, _ctx: &mut Context<M>) {}
 }
 
-/// The per-dispatch effect buffer an actor writes its outputs into.
+/// The per-dispatch effect buffer an actor writes its outputs into. The
+/// engine keeps the two buffers' storage between dispatches and hands
+/// them to each handler empty.
 pub struct Context<M> {
     now: SimTime,
     self_id: NodeId,
@@ -75,8 +76,8 @@ impl<M> Context<M> {
     }
 
     /// The messages queued by this dispatch so far, in send order. The
-    /// buffer is fresh per dispatch, so an actor's instrumentation can
-    /// attribute exactly the sends its current handler produced.
+    /// buffer starts every dispatch empty, so an actor's instrumentation
+    /// can attribute exactly the sends its current handler produced.
     pub fn pending_sends(&self) -> &[(NodeId, MsgKind, M)] {
         &self.sends
     }
@@ -151,23 +152,6 @@ impl PendingEvent {
     }
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// Engine construction parameters.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
@@ -232,7 +216,12 @@ impl EngineObs {
 pub struct Engine<M, A: Actor<M>> {
     actors: Vec<A>,
     alive: Vec<bool>,
-    queue: BinaryHeap<Reverse<Event<M>>>,
+    /// Pending events in dispatch order, ascending `(time, seq)`: the
+    /// invariant [`Engine::push`] keeps (see the crate docs for its cost).
+    queue: VecDeque<Event<M>>,
+    /// The storage of [`Context`]'s buffers, kept between dispatches.
+    sends: Vec<(NodeId, MsgKind, M)>,
+    timers: Vec<(u64, u64)>,
     network: Network,
     now: SimTime,
     seq: u64,
@@ -250,7 +239,9 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         Engine {
             actors: Vec::new(),
             alive: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: VecDeque::new(),
+            sends: Vec::new(),
+            timers: Vec::new(),
             network: Network::new(config.network),
             now: SimTime::ZERO,
             seq: 0,
@@ -353,8 +344,8 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         self.alive[node.0]
     }
 
-    /// The shared network statistics handle.
-    pub fn net_stats(&self) -> StatsHandle {
+    /// The network's message tallies so far.
+    pub fn net_stats(&self) -> NetStats {
         self.network.stats()
     }
 
@@ -372,7 +363,10 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
     fn push(&mut self, time: SimTime, kind: EventKind<M>) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        // The largest `seq` yet: behind every event not timed later.
+        let later = self.queue.iter().rev().take_while(|e| e.time > time);
+        let at = self.queue.len() - later.count();
+        self.queue.insert(at, Event { time, seq, kind });
         seq
     }
 
@@ -430,15 +424,15 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         let mut ctx = Context {
             now: self.now,
             self_id: node,
-            sends: Vec::new(),
-            timers: Vec::new(),
+            sends: std::mem::take(&mut self.sends),
+            timers: std::mem::take(&mut self.timers),
         };
         f(&mut self.actors[node.0], &mut ctx);
-        for (to, kind, msg) in ctx.sends {
+        for (to, kind, msg) in ctx.sends.drain(..) {
             // The sender pays for the transmission before any fault can
             // eat it — send tallies match the paper's cost model even on
             // lossy runs.
-            self.network.stats().record_send(kind);
+            self.network.stats.record_send(kind);
             if let Some(o) = &self.obs {
                 match kind {
                     MsgKind::Control => o.sent_control.inc(),
@@ -463,7 +457,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                     );
                 }
                 Judgement::Lost { partition } => {
-                    self.network.stats().record_drop();
+                    self.network.stats.dropped += 1;
                     if let Some(o) = &self.obs {
                         if partition {
                             o.dropped_partition.inc();
@@ -514,10 +508,12 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 }
             }
         }
-        for (delay, token) in ctx.timers {
+        for (delay, token) in ctx.timers.drain(..) {
             let time = self.now + delay;
             self.push(time, EventKind::Timer { node, token });
         }
+        self.sends = ctx.sends;
+        self.timers = ctx.timers;
     }
 
     fn dispatch_event(&mut self, kind: EventKind<M>) {
@@ -533,7 +529,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 if delivered {
                     self.dispatch_to(to, |a, ctx| a.on_message(ctx, from, kind, msg));
                 } else {
-                    self.network.stats().record_drop();
+                    self.network.stats.dropped += 1;
                     if let Some(o) = &self.obs {
                         o.dropped_crashed.inc();
                         doma_obs::event!(
@@ -601,11 +597,11 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             return 0;
         }
         let start = self.dispatched;
-        while let Some(Reverse(event)) = self.queue.pop() {
+        while let Some(event) = self.queue.pop_front() {
             if self.max_events > 0 && self.dispatched - start >= self.max_events {
                 // Put the event back: the state is inspectable, just not
                 // runnable any further under this budget.
-                self.queue.push(Reverse(event));
+                self.queue.push_front(event);
                 self.overflowed = true;
                 break;
             }
@@ -634,10 +630,8 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
     /// ordered by the natural schedule (time, then send order). `labeller`
     /// renders message payloads for counterexample traces.
     pub fn pending_events(&self, labeller: impl Fn(&M) -> String) -> Vec<PendingEvent> {
-        let mut events: Vec<&Event<M>> = self.queue.iter().map(|Reverse(e)| e).collect();
-        events.sort_by_key(|e| (e.time, e.seq));
-        events
-            .into_iter()
+        self.queue
+            .iter()
             .map(|e| {
                 let mut h = DefaultHasher::new();
                 let (target, label) = match &e.kind {
@@ -698,25 +692,18 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
         if self.overflowed {
             return false;
         }
-        let mut rest = Vec::with_capacity(self.queue.len());
-        let mut chosen = None;
-        for Reverse(e) in self.queue.drain() {
-            if e.seq == seq && chosen.is_none() {
-                chosen = Some(e);
-            } else {
-                rest.push(Reverse(e));
-            }
-        }
-        self.queue = rest.into();
-        match chosen {
-            Some(event) => {
-                self.now = self.now.max(event.time);
-                self.dispatched += 1;
-                self.dispatch_event(event.kind);
-                true
-            }
-            None => false,
-        }
+        let Some(event) = self
+            .queue
+            .iter()
+            .position(|e| e.seq == seq)
+            .and_then(|at| self.queue.remove(at))
+        else {
+            return false;
+        };
+        self.now = self.now.max(event.time);
+        self.dispatched += 1;
+        self.dispatch_event(event.kind);
+        true
     }
 
     /// Whether any event is queued.
@@ -732,8 +719,8 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
 
 impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
     /// Deep-copies the engine: actors, liveness, the event queue, virtual
-    /// clock, fault state, and an *independent* copy of the network
-    /// statistics (mutating the fork never shows in the original). The
+    /// clock, fault state, and the network with its tallies (the fork's
+    /// traffic never shows in the original). The
     /// tracer is not carried over. Sequence numbers continue from the
     /// same counter, so the same `inject`/`dispatch_by_seq` calls on two
     /// forks name the same events — the property a model checker's DFS
@@ -743,7 +730,9 @@ impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
             actors: self.actors.clone(),
             alive: self.alive.clone(),
             queue: self.queue.clone(),
-            network: self.network.fork(),
+            sends: Vec::new(),
+            timers: Vec::new(),
+            network: self.network.clone(),
             now: self.now,
             seq: self.seq,
             dispatched: self.dispatched,
@@ -814,7 +803,7 @@ mod tests {
         engine.run_until_idle();
         // 4 messages sent on the wire: 3→b, 2→a, 1→b, 0→a... wait: a sees 4
         // (local), sends 3; b sends 2; a sends 1; b sends 0; a sees 0, stops.
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 4);
         // Kinds alternate with parity of the value sent: 3(data→wait msg=4
         // even→Control carrying 3), 2 is sent while msg=3 odd→Data, etc.
@@ -850,7 +839,7 @@ mod tests {
         engine.schedule_crash(b, 0);
         engine.inject(a, 1, 3); // a replies 2 to b, which is down
         engine.run_until_idle();
-        assert_eq!(engine.net_stats().snapshot().dropped, 1);
+        assert_eq!(engine.net_stats().dropped, 1);
         assert!(engine.actor(b).seen.is_empty());
         assert!(!engine.is_alive(b));
         assert_eq!(engine.actor(b).crashed, 1);
@@ -948,7 +937,7 @@ mod tests {
         // a's first reply (3→b) is eaten; the exchange dies there.
         assert_eq!(engine.actor(a).seen, vec![4]);
         assert!(engine.actor(b).seen.is_empty());
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 1, "sender still pays");
         assert_eq!(stats.dropped, 1);
         assert_eq!(engine.fault_stats().dropped, 1);
@@ -991,7 +980,7 @@ mod tests {
         assert_eq!(engine.actor(b).got, vec![9, 9], "original plus one copy");
         assert_eq!(engine.fault_stats().duplicated, 1);
         // Exactly one send was tallied: the duplicate is injected, not paid.
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.data_sent, 1);
     }
 
@@ -1044,7 +1033,7 @@ mod tests {
         assert_eq!(engine.actor(b).crashed, 1);
         assert_eq!(engine.actor(b).recovered, 1);
         assert!(engine.actor(b).seen.is_empty());
-        assert_eq!(engine.net_stats().snapshot().dropped, 1);
+        assert_eq!(engine.net_stats().dropped, 1);
     }
 
     #[test]
@@ -1191,8 +1180,23 @@ mod tests {
         assert_eq!(fork.actor(a).got, vec![1, 2]);
         assert!(engine.actor(a).got.is_empty(), "original untouched");
         assert_eq!(engine.pending_len(), 2);
-        // Network stats are deep-copied, not shared.
-        fork.net_stats().record_drop();
-        assert_eq!(engine.net_stats().snapshot().dropped, 0);
+    }
+
+    #[test]
+    fn fork_keeps_its_own_network_tallies() {
+        let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig::default());
+        let a = engine.add_node(PingPong::new(Some(NodeId(1))));
+        let b = engine.add_node(PingPong::new(Some(NodeId(0))));
+        engine.inject(a, 0, 1);
+        engine.run_until_idle();
+        let before = engine.net_stats();
+        assert_eq!(before.data_sent, 1);
+        let mut fork = engine.fork();
+        fork.schedule_crash(b, 0);
+        fork.inject(a, 1, 3); // a replies 2 to b, which is down in the fork
+        fork.run_until_idle();
+        assert_eq!(fork.net_stats().data_sent, 2);
+        assert_eq!(fork.net_stats().dropped, 1);
+        assert_eq!(engine.net_stats(), before, "original untouched");
     }
 }

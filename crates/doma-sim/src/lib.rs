@@ -5,13 +5,25 @@
 //!
 //! * [`SimTime`] — a virtual clock in abstract ticks.
 //! * [`Network`] — point-to-point links with distinct control/data message
-//!   latencies and exact per-kind message tallies ([`NetStats`]), shared
-//!   through a cloneable [`StatsHandle`]. Messages count when *sent*
+//!   latencies and exact per-kind message tallies ([`NetStats`]): plain
+//!   counters the network owns and the engine bumps through `&mut`, read
+//!   as a `Copy` value ([`Engine::net_stats`]). Messages count when *sent*
 //!   (matching the paper's cost model, which prices transmissions).
 //! * [`Engine`] — the event loop: actors implement [`Actor`]; events are
 //!   delivered in `(time, sequence)` order, so runs are fully
 //!   deterministic. Crash/recover events model processor failures:
 //!   messages to a crashed node are dropped (and counted as such).
+//!
+//!   The pending events sit in a `VecDeque` kept sorted by `(time, seq)`,
+//!   the order they are dispatched in. Sequence numbers only grow, so a
+//!   new event goes behind every queued event not timed later than it,
+//!   found by scanning from the back: O(1) for the non-decreasing times a
+//!   closed-loop run produces (one to three events are queued at once),
+//!   O(k) for an event with k later-timed events behind it (a far-future
+//!   crash at the back costs each send one comparison). The model
+//!   checker's [`Engine::pending_events`] reads the queue as it lies, and
+//!   [`Engine::dispatch_by_seq`] removes one element; neither rebuilds
+//!   anything.
 //! * [`FaultPlan`] — deterministic fault injection: declarative
 //!   drop/delay/duplicate/jitter rules, partitions and crash schedules,
 //!   installed via [`Engine::install_faults`] and reproducible from a
@@ -35,5 +47,5 @@ mod time;
 
 pub use engine::{Actor, Context, Engine, EngineConfig, NodeId, PendingEvent};
 pub use fault::{CrashEvent, FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, Partition};
-pub use network::{Medium, MsgKind, NetStats, Network, NetworkConfig, StatsHandle};
+pub use network::{Medium, MsgKind, NetStats, Network, NetworkConfig};
 pub use time::SimTime;

@@ -1,7 +1,5 @@
 //! Point-to-point network model with per-kind message accounting.
 
-use std::sync::{Arc, Mutex};
-
 /// The two message classes of the cost model (§1.2): short control
 /// messages (requests, invalidations) priced at `cc`, and data messages
 /// (carrying the object) priced at `cd`.
@@ -36,45 +34,12 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
-/// A cloneable handle onto the engine's live network statistics; tests and
-/// drivers hold one while the engine mutates the shared tallies.
-#[derive(Debug, Clone, Default)]
-pub struct StatsHandle(Arc<Mutex<NetStats>>);
-
-impl StatsHandle {
-    /// Creates a zeroed handle.
-    pub fn new() -> Self {
-        StatsHandle::default()
-    }
-
-    /// A snapshot of the current tallies.
-    pub fn snapshot(&self) -> NetStats {
-        // A poisoned lock only means another thread panicked mid-update;
-        // the u64 tallies are always structurally valid, so keep going.
-        *self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Zeroes the tallies (e.g. between experiment phases).
-    pub fn reset(&self) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = NetStats::default();
-    }
-
-    /// An independent handle starting from the same tallies (used by
-    /// [`crate::Engine::fork`]; updates no longer flow between the two).
-    pub fn fork(&self) -> Self {
-        StatsHandle(Arc::new(Mutex::new(self.snapshot())))
-    }
-
-    pub(crate) fn record_send(&self, kind: MsgKind) {
-        let mut s = self.0.lock().unwrap_or_else(|e| e.into_inner());
+impl NetStats {
+    pub(crate) fn record_send(&mut self, kind: MsgKind) {
         match kind {
-            MsgKind::Control => s.control_sent += 1,
-            MsgKind::Data => s.data_sent += 1,
+            MsgKind::Control => self.control_sent += 1,
+            MsgKind::Data => self.data_sent += 1,
         }
-    }
-
-    pub(crate) fn record_drop(&self) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).dropped += 1;
     }
 }
 
@@ -134,7 +99,7 @@ impl NetworkConfig {
 #[derive(Debug, Clone)]
 pub struct Network {
     config: NetworkConfig,
-    stats: StatsHandle,
+    pub(crate) stats: NetStats,
     /// SharedBus only: the tick until which the bus is occupied.
     bus_busy_until: u64,
     /// SharedBus only: cumulative ticks messages spent waiting for the bus.
@@ -142,11 +107,11 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with the given config and a fresh stats handle.
+    /// Creates a network with the given config and zeroed tallies.
     pub fn new(config: NetworkConfig) -> Self {
         Network {
             config,
-            stats: StatsHandle::new(),
+            stats: NetStats::default(),
             bus_busy_until: 0,
             total_queue_wait: 0,
         }
@@ -185,21 +150,9 @@ impl Network {
         self.config.medium
     }
 
-    /// The shared statistics handle.
-    pub fn stats(&self) -> StatsHandle {
-        self.stats.clone()
-    }
-
-    /// Deep copy: same config, bus state, and tallies, but an independent
-    /// stats cell — a plain `clone()` would share the `Arc`'d tallies and
-    /// let a forked engine's traffic leak into the original's accounting.
-    pub fn fork(&self) -> Self {
-        Network {
-            config: self.config,
-            stats: self.stats.fork(),
-            bus_busy_until: self.bus_busy_until,
-            total_queue_wait: self.total_queue_wait,
-        }
+    /// The message tallies so far.
+    pub fn stats(&self) -> NetStats {
+        self.stats
     }
 }
 
@@ -208,19 +161,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_handle_shares_state() {
-        let net = Network::new(NetworkConfig::default());
-        let h1 = net.stats();
-        let h2 = net.stats();
-        h1.record_send(MsgKind::Control);
-        h1.record_send(MsgKind::Data);
-        h1.record_drop();
-        let s = h2.snapshot();
-        assert_eq!(s.control_sent, 1);
-        assert_eq!(s.data_sent, 1);
-        assert_eq!(s.dropped, 1);
-        h2.reset();
-        assert_eq!(h1.snapshot(), NetStats::default());
+    fn tallies_count_by_kind() {
+        let mut net = Network::new(NetworkConfig::default());
+        net.stats.record_send(MsgKind::Control);
+        net.stats.record_send(MsgKind::Data);
+        net.stats.record_send(MsgKind::Data);
+        net.stats.dropped += 1;
+        assert_eq!(
+            net.stats(),
+            NetStats {
+                control_sent: 1,
+                data_sent: 2,
+                dropped: 1
+            }
+        );
+        // A clone carries its own tallies.
+        let mut fork = net.clone();
+        fork.stats.dropped += 1;
+        assert_eq!((net.stats().dropped, fork.stats().dropped), (1, 2));
     }
 
     #[test]

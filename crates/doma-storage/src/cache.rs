@@ -8,7 +8,7 @@
 //! database — so the cache-sensitivity ablation (E16) can measure how much
 //! that modelling choice matters.
 
-use crate::{LocalStore, Version};
+use crate::{LocalStore, Payload, Version};
 use doma_core::ObjectId;
 
 /// Cache observability counters.
@@ -93,45 +93,29 @@ impl CachedStore {
         &self.lru
     }
 
-    fn touch(&mut self, object: ObjectId) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.lru.retain(|&o| o != object);
-        self.lru.push(object);
-        while self.lru.len() > self.capacity {
-            self.lru.remove(0);
-        }
-    }
-
     fn cached(&self, object: ObjectId) -> bool {
         self.lru.contains(&object)
     }
 
     /// Reads the latest valid replica: from memory if cached (no I/O),
     /// otherwise from the local database (one input I/O, then cached).
-    pub fn input(&mut self, object: ObjectId) -> Option<(Version, Vec<u8>)> {
+    pub fn input(&mut self, object: ObjectId) -> Option<(Version, &Payload)> {
         if self.cached(object) && self.store.holds_valid(object) {
             self.stats.hits += 1;
-            self.touch(object);
-            let o = self.store.peek(object).expect("cached implies present");
-            return Some((o.version, o.payload.clone()));
+            touch(&mut self.lru, self.capacity, object);
+            let o = self.store.peek(object)?;
+            return Some((o.version, &o.payload));
         }
-        match self.store.input(object) {
-            Some((v, d)) => {
-                self.stats.misses += 1;
-                let data = d.to_vec();
-                self.touch(object);
-                Some((v, data))
-            }
-            None => None,
-        }
+        let found = self.store.input(object)?;
+        self.stats.misses += 1;
+        touch(&mut self.lru, self.capacity, object);
+        Some(found)
     }
 
     /// Writes through: one output I/O, cache refreshed.
-    pub fn output(&mut self, object: ObjectId, version: Version, payload: Vec<u8>) {
+    pub fn output(&mut self, object: ObjectId, version: Version, payload: impl Into<Payload>) {
         self.store.output(object, version, payload);
-        self.touch(object);
+        touch(&mut self.lru, self.capacity, object);
     }
 
     /// Invalidates the replica and evicts it from memory.
@@ -150,6 +134,20 @@ impl CachedStore {
     pub fn crash_and_recover(&mut self) -> usize {
         self.lru.clear();
         self.store.recover()
+    }
+}
+
+/// Makes `object` the most recently used of `lru`, evicting down to
+/// `capacity`. A function of the two fields, not a method: `input` calls
+/// it while the replica it returns is still borrowed from the store.
+fn touch(lru: &mut Vec<ObjectId>, capacity: usize, object: ObjectId) {
+    if capacity == 0 {
+        return;
+    }
+    lru.retain(|&o| o != object);
+    lru.push(object);
+    while lru.len() > capacity {
+        lru.remove(0);
     }
 }
 

@@ -1,11 +1,12 @@
 //! Append-only redo log with replay-based recovery.
 
-use crate::Version;
+use crate::store::Table;
+use crate::{Payload, StoredObject, Version};
 use doma_core::ObjectId;
 
 /// One durable log record. The store appends a record *before* applying
-/// the corresponding mutation (write-ahead), so replaying the log from the
-/// last checkpoint reconstructs the exact store state.
+/// the corresponding mutation (write-ahead), so replaying the log
+/// reconstructs the exact store state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// A new version of an object was stored locally.
@@ -14,8 +15,8 @@ pub enum LogRecord {
         object: ObjectId,
         /// The version stored.
         version: Version,
-        /// The object payload.
-        payload: Vec<u8>,
+        /// The object payload, shared with the store's table.
+        payload: Payload,
     },
     /// The local replica of an object was invalidated (marked stale).
     Invalidate {
@@ -29,12 +30,15 @@ pub enum LogRecord {
     },
 }
 
-/// A per-processor append-only redo log (simulated stable storage).
+/// A per-processor redo log (simulated stable storage): append-only
+/// between compactions, and a compaction ([`RedoLog::compact`]) keeps
+/// exactly what a replay needs, so the log's size follows the data a node
+/// holds, not how long it has run.
 #[derive(Debug, Clone, Default)]
 pub struct RedoLog {
     records: Vec<LogRecord>,
-    /// Index of the first record after the last checkpoint.
-    checkpoint: usize,
+    /// Records appended over the log's life, compacted-away ones included.
+    appended: usize,
 }
 
 impl RedoLog {
@@ -46,69 +50,80 @@ impl RedoLog {
     /// Appends a record (write-ahead).
     pub fn append(&mut self, record: LogRecord) {
         self.records.push(record);
+        self.appended += 1;
     }
 
-    /// All records since the last checkpoint, in append order.
-    pub fn tail(&self) -> &[LogRecord] {
-        &self.records[self.checkpoint..]
-    }
-
-    /// Total records ever appended (including checkpointed ones).
+    /// Total records ever appended, including those a compaction has since
+    /// folded away (see [`RedoLog::retained`] for what is held now).
     pub fn len(&self) -> usize {
+        self.appended
+    }
+
+    /// Whether nothing was ever appended.
+    pub fn is_empty(&self) -> bool {
+        self.appended == 0
+    }
+
+    /// Records physically held: what [`RedoLog::replay`] walks.
+    pub fn retained(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether the log has no records at all.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Marks everything up to now as checkpointed; [`tail`](Self::tail)
-    /// becomes empty. (The store must have been flushed first; in this
-    /// simulated substrate every mutation is immediately durable, so a
-    /// checkpoint is always safe.)
-    pub fn checkpoint(&mut self) {
-        self.checkpoint = self.records.len();
-    }
-
-    /// Physically discards checkpointed records (log truncation).
-    pub fn truncate_checkpointed(&mut self) {
-        self.records.drain(..self.checkpoint);
-        self.checkpoint = 0;
-    }
-
-    /// Replays the full log into a fresh store state, returning
-    /// `(object, version, payload, valid)` tuples. Used by
-    /// [`crate::LocalStore::recover`].
-    pub fn replay(&self) -> Vec<(ObjectId, Version, Vec<u8>, bool)> {
-        let mut state: Vec<(ObjectId, Version, Vec<u8>, bool)> = Vec::new();
-        for record in &self.records {
-            match record {
-                LogRecord::Put {
-                    object,
-                    version,
-                    payload,
-                } => {
-                    if let Some(e) = state.iter_mut().find(|e| e.0 == *object) {
-                        e.1 = *version;
-                        e.2 = payload.clone();
-                        e.3 = true;
-                    } else {
-                        state.push((*object, *version, payload.clone(), true));
-                    }
-                }
-                LogRecord::Invalidate { object } => {
-                    if let Some(e) = state.iter_mut().find(|e| e.0 == *object) {
-                        e.3 = false;
-                    }
-                }
-                LogRecord::Remove { object } => {
-                    state.retain(|e| e.0 != *object);
-                }
+    /// Folds the records into the state they describe and keeps only that:
+    /// one `Put` per object held (its latest version), followed by its
+    /// `Invalidate` if the replica is stale, in object order. A replay
+    /// gives the same table before and after.
+    pub fn compact(&mut self) {
+        let mut live: Vec<(ObjectId, StoredObject)> =
+            fold(self.records.drain(..)).into_iter().collect();
+        live.sort_unstable_by_key(|(object, _)| *object);
+        for (object, replica) in live {
+            self.records.push(LogRecord::Put {
+                object,
+                version: replica.version,
+                payload: replica.payload,
+            });
+            if !replica.valid {
+                self.records.push(LogRecord::Invalidate { object });
             }
         }
-        state
     }
+
+    /// Replays the log into the table it describes. Used by
+    /// [`crate::LocalStore::recover`].
+    pub(crate) fn replay(&self) -> Table {
+        fold(self.records.iter().cloned())
+    }
+}
+
+/// The table a sequence of records describes.
+fn fold(records: impl Iterator<Item = LogRecord>) -> Table {
+    let mut state = Table::default();
+    for record in records {
+        match record {
+            LogRecord::Put {
+                object,
+                version,
+                payload,
+            } => {
+                let replica = StoredObject {
+                    version,
+                    payload,
+                    valid: true,
+                };
+                state.insert(object, replica);
+            }
+            LogRecord::Invalidate { object } => {
+                if let Some(replica) = state.get_mut(&object) {
+                    replica.valid = false;
+                }
+            }
+            LogRecord::Remove { object } => {
+                state.remove(&object);
+            }
+        }
+    }
+    state
 }
 
 #[cfg(test)]
@@ -119,26 +134,29 @@ mod tests {
         LogRecord::Put {
             object: ObjectId(o),
             version: Version(v),
-            payload: b.to_vec(),
+            payload: b.into(),
+        }
+    }
+
+    fn invalidate(o: u64) -> LogRecord {
+        LogRecord::Invalidate {
+            object: ObjectId(o),
         }
     }
 
     #[test]
-    fn append_and_tail() {
+    fn len_counts_every_append_and_retained_what_is_held() {
         let mut log = RedoLog::new();
         assert!(log.is_empty());
         log.append(put(1, 1, b"a"));
-        log.append(LogRecord::Invalidate {
-            object: ObjectId(1),
-        });
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.tail().len(), 2);
-        log.checkpoint();
-        assert!(log.tail().is_empty());
+        log.append(invalidate(1));
         log.append(put(1, 2, b"b"));
-        assert_eq!(log.tail().len(), 1);
-        log.truncate_checkpointed();
-        assert_eq!(log.len(), 1);
+        assert_eq!((log.len(), log.retained()), (3, 3));
+        log.compact();
+        assert_eq!((log.len(), log.retained()), (3, 1));
+        assert!(!log.is_empty());
+        log.append(invalidate(1));
+        assert_eq!((log.len(), log.retained()), (4, 2));
     }
 
     #[test]
@@ -147,17 +165,17 @@ mod tests {
         log.append(put(1, 1, b"a"));
         log.append(put(2, 1, b"x"));
         log.append(put(1, 2, b"b"));
-        log.append(LogRecord::Invalidate {
-            object: ObjectId(2),
-        });
+        log.append(invalidate(2));
         let state = log.replay();
-        let o1 = state.iter().find(|e| e.0 == ObjectId(1)).unwrap();
+        let o1 = &state[&ObjectId(1)];
         assert_eq!(
-            (o1.1, o1.2.as_slice(), o1.3),
+            (o1.version, &o1.payload[..], o1.valid),
             (Version(2), b"b".as_ref(), true)
         );
-        let o2 = state.iter().find(|e| e.0 == ObjectId(2)).unwrap();
-        assert!(!o2.3, "object 2 must be stale after invalidation");
+        assert!(
+            !state[&ObjectId(2)].valid,
+            "object 2 must be stale after invalidation"
+        );
     }
 
     #[test]
@@ -168,5 +186,60 @@ mod tests {
             object: ObjectId(1),
         });
         assert!(log.replay().is_empty());
+    }
+
+    #[test]
+    fn compaction_keeps_the_live_state_in_object_order() {
+        let mut log = RedoLog::new();
+        log.append(put(7, 1, b"old"));
+        log.append(put(3, 1, b"x"));
+        log.append(put(7, 2, b"new"));
+        log.append(invalidate(3));
+        log.append(put(5, 1, b"gone"));
+        log.append(LogRecord::Remove {
+            object: ObjectId(5),
+        });
+        let before = log.replay();
+        log.compact();
+        assert_eq!(log.replay(), before);
+        assert_eq!(
+            log.records,
+            [put(3, 1, b"x"), invalidate(3), put(7, 2, b"new")]
+        );
+        // Compacting a compacted log changes nothing.
+        log.compact();
+        assert_eq!(log.retained(), 3);
+    }
+
+    doma_testkit::property! {
+        /// Compacting at any points of any record stream leaves the
+        /// replayed table what the uncompacted stream replays to.
+        fn compaction_never_changes_what_a_replay_rebuilds(
+            steps in doma_testkit::property::vec_in(
+                doma_testkit::property::pair(
+                    doma_testkit::property::range(0u8..4),
+                    doma_testkit::property::range(0u64..4),
+                ),
+                0..80,
+            ),
+        ) {
+            let (mut plain, mut compacted) = (RedoLog::new(), RedoLog::new());
+            for (step, (kind, object)) in steps.into_iter().enumerate() {
+                let record = match kind {
+                    0 => put(object, step as u64, &[step as u8]),
+                    1 => invalidate(object),
+                    2 => LogRecord::Remove { object: ObjectId(object) },
+                    _ => {
+                        compacted.compact();
+                        continue;
+                    }
+                };
+                plain.append(record.clone());
+                compacted.append(record);
+            }
+            assert_eq!(compacted.replay(), plain.replay());
+            assert_eq!(compacted.len(), plain.len());
+            assert!(compacted.retained() <= plain.retained());
+        }
     }
 }

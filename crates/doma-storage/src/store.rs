@@ -3,6 +3,44 @@
 use crate::{LogRecord, RedoLog, Version};
 use doma_core::ObjectId;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
+
+/// An object's bytes: one immutable allocation shared by every table, log
+/// record and message that holds them (see the crate docs). Handing one
+/// on is a reference-count bump.
+pub type Payload = Arc<[u8]>;
+
+/// Hashes an [`ObjectId`] with one multiply (Fibonacci hashing). The ids
+/// are the catalog's small dense integers, not keys an adversary picks,
+/// and a store access is on every request's path.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ObjectIdHasher(u64);
+
+impl Hasher for ObjectIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+}
+
+/// The store's table, also what a log replay rebuilds.
+pub(crate) type Table = HashMap<ObjectId, StoredObject, BuildHasherDefault<ObjectIdHasher>>;
+
+/// How many records beyond two per held object (the most a compacted log
+/// keeps) the redo log may hold before the store compacts it: the log is
+/// bounded by the live data, not by how long the node has run, and a
+/// compaction is paid for by the `LOG_BUDGET` appends before it.
+pub const LOG_BUDGET: usize = 1024;
 
 /// I/O accounting: how many object inputs (reads from the local database)
 /// and outputs (writes to it) this store performed. These are the units
@@ -28,7 +66,7 @@ pub struct StoredObject {
     /// The version held locally.
     pub version: Version,
     /// The object payload.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// `false` once the replica has been invalidated (a newer version
     /// exists elsewhere); stale replicas are never served.
     pub valid: bool,
@@ -44,12 +82,12 @@ pub struct StoredObject {
 /// let mut store = LocalStore::new();
 /// store.output(ObjectId(7), Version(1), b"hello".to_vec());
 /// let (v, data) = store.input(ObjectId(7)).unwrap();
-/// assert_eq!((v, data), (Version(1), b"hello".as_ref()));
+/// assert_eq!((v, &data[..]), (Version(1), b"hello".as_ref()));
 /// assert_eq!(store.io_stats().total(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LocalStore {
-    objects: HashMap<ObjectId, StoredObject>,
+    objects: Table,
     log: RedoLog,
     io: IoStats,
 }
@@ -62,27 +100,22 @@ impl LocalStore {
 
     /// Creates a store that already holds `version` of `object` (the
     /// initial allocation scheme) without charging I/O.
-    pub fn with_initial(object: ObjectId, version: Version, payload: Vec<u8>) -> Self {
+    pub fn with_initial(object: ObjectId, version: Version, payload: impl Into<Payload>) -> Self {
         let mut s = LocalStore::new();
-        s.log.append(LogRecord::Put {
-            object,
-            version,
-            payload: payload.clone(),
-        });
-        s.objects.insert(
-            object,
-            StoredObject {
-                version,
-                payload,
-                valid: true,
-            },
-        );
+        s.put(object, version, payload.into());
         s
     }
 
     /// Stores (outputs) a version of an object — one output I/O. Replaces
     /// any older replica and revalidates it.
-    pub fn output(&mut self, object: ObjectId, version: Version, payload: Vec<u8>) {
+    pub fn output(&mut self, object: ObjectId, version: Version, payload: impl Into<Payload>) {
+        self.put(object, version, payload.into());
+        self.io.outputs += 1;
+    }
+
+    /// Write-ahead: the record first, then the table; the payload is
+    /// shared between the two.
+    fn put(&mut self, object: ObjectId, version: Version, payload: Payload) {
         self.log.append(LogRecord::Put {
             object,
             version,
@@ -96,7 +129,15 @@ impl LocalStore {
                 valid: true,
             },
         );
-        self.io.outputs += 1;
+        self.bound_log();
+    }
+
+    /// Compacts the redo log once it holds [`LOG_BUDGET`] records more
+    /// than a compacted log could need. Called after every append.
+    fn bound_log(&mut self) {
+        if self.log.retained() >= LOG_BUDGET + 2 * self.objects.len() {
+            self.log.compact();
+        }
     }
 
     /// Inputs (reads) the latest valid replica of an object — one input
@@ -104,11 +145,11 @@ impl LocalStore {
     /// has no valid replica: in the protocol that situation is a bug the
     /// integration tests assert against, since a legal allocation schedule
     /// only reads from data processors.
-    pub fn input(&mut self, object: ObjectId) -> Option<(Version, &[u8])> {
+    pub fn input(&mut self, object: ObjectId) -> Option<(Version, &Payload)> {
         match self.objects.get(&object) {
             Some(o) if o.valid => {
                 self.io.inputs += 1;
-                Some((o.version, o.payload.as_slice()))
+                Some((o.version, &o.payload))
             }
             _ => None,
         }
@@ -127,6 +168,7 @@ impl LocalStore {
             if o.valid {
                 self.log.append(LogRecord::Invalidate { object });
                 o.valid = false;
+                self.bound_log();
             }
         }
     }
@@ -156,20 +198,7 @@ impl LocalStore {
     /// experiment bookkeeping, not node state). Returns the number of
     /// objects recovered.
     pub fn recover(&mut self) -> usize {
-        let state = self.log.replay();
-        self.objects = state
-            .into_iter()
-            .map(|(object, version, payload, valid)| {
-                (
-                    object,
-                    StoredObject {
-                        version,
-                        payload,
-                        valid,
-                    },
-                )
-            })
-            .collect();
+        self.objects = self.log.replay();
         self.objects.len()
     }
 
@@ -198,7 +227,7 @@ mod tests {
         s.output(OBJ, Version(1), b"v1".to_vec());
         let (v, data) = s.input(OBJ).expect("replica present");
         assert_eq!(v, Version(1));
-        assert_eq!(data, b"v1");
+        assert_eq!(&data[..], b"v1");
         assert_eq!(
             s.io_stats(),
             IoStats {
@@ -246,19 +275,52 @@ mod tests {
         s.output(ObjectId(2), Version(1), b"x".to_vec());
         s.output(OBJ, Version(2), b"b".to_vec());
         s.invalidate(ObjectId(2));
-        let before: Vec<_> = {
-            let mut v: Vec<_> = s.objects.iter().map(|(k, o)| (*k, o.clone())).collect();
-            v.sort_by_key(|(k, _)| k.0);
-            v
-        };
+        let before = table(&s);
         let recovered = s.recover();
         assert_eq!(recovered, 2);
-        let after: Vec<_> = {
-            let mut v: Vec<_> = s.objects.iter().map(|(k, o)| (*k, o.clone())).collect();
-            v.sort_by_key(|(k, _)| k.0);
-            v
-        };
-        assert_eq!(before, after, "recovery must be exact");
+        assert_eq!(before, table(&s), "recovery must be exact");
+    }
+
+    /// The table as a sorted list, for comparing across a recovery.
+    fn table(s: &LocalStore) -> Vec<(ObjectId, StoredObject)> {
+        let mut v: Vec<_> = s.objects.iter().map(|(k, o)| (*k, o.clone())).collect();
+        v.sort_by_key(|(k, _)| *k);
+        v
+    }
+
+    #[test]
+    fn recovery_after_compaction_rebuilds_the_identical_table() {
+        // Objects last written long before the compaction, stale ones and
+        // re-validated ones all have to survive it.
+        let mut s = LocalStore::new();
+        s.output(ObjectId(100), Version(1), b"early".to_vec());
+        s.output(ObjectId(101), Version(1), b"early-stale".to_vec());
+        s.invalidate(ObjectId(101));
+        let mut version = Version(1);
+        while s.log().len() < 3 * LOG_BUDGET {
+            version = version.next();
+            let object = ObjectId(version.0 % 5);
+            s.output(object, version, version.0.to_le_bytes().to_vec());
+            if version.0.is_multiple_of(3) {
+                s.invalidate(object);
+            }
+        }
+        assert!(
+            s.log().retained() < s.log().len(),
+            "the log was compacted on the way"
+        );
+        assert!(s.log().retained() < LOG_BUDGET + 2 * s.len());
+        let before = table(&s);
+        assert_eq!(before.len(), 7);
+        assert_eq!(s.recover(), 7);
+        assert_eq!(table(&s), before, "recovery must be exact");
+        // And from a freshly compacted log: at most two records an object.
+        let mut log = s.log().clone();
+        log.compact();
+        assert!(log.retained() <= 2 * s.len());
+        s.log = log;
+        s.recover();
+        assert_eq!(table(&s), before);
     }
 
     #[test]

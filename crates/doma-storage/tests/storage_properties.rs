@@ -161,7 +161,7 @@ doma_testkit::property! {
                     cached.output(ObjectId(*obj as u64), Version(vc_b), vec![*payload]);
                 }
                 Op::Input { obj } => {
-                    let a = plain.input(ObjectId(*obj as u64)).map(|(v, d)| (v, d.to_vec()));
+                    let a = plain.input(ObjectId(*obj as u64));
                     let b = cached.input(ObjectId(*obj as u64));
                     assert_eq!(a, b, "cached read diverged");
                 }

@@ -1,12 +1,17 @@
-//! The allocation wall: what observability may cost on the request path,
-//! counted in heap allocations instead of nanoseconds so the gate holds
-//! on a noisy box.
+//! The allocation wall: what the request path and its observability may
+//! cost, counted in heap allocations instead of nanoseconds so the gate
+//! holds on a noisy box.
 //!
-//! On the benchmark's 64-object SA/DA mix, once every counter cell is
-//! resolved and the event ring has filled, a request served with
-//! `attach_obs` allocates exactly as often as a detached one (counters
-//! are pre-resolved handles, event records hold their fields inline), and
-//! per-request spans add at most 0.05 allocations per request.
+//! On the benchmark's 64-object SA/DA mix, once warm, the detached sim
+//! allocates at most 0.5 times per request: a read allocates nothing, a
+//! client write (0.2 of the mix) allocates its payload once — store, redo
+//! log and every message share it — and the rest is amortised growth of
+//! the completed-read record and the redo log's compactions. Once every
+//! counter cell is resolved and the event ring has filled, a request
+//! served with `attach_obs` allocates exactly as often as a detached one
+//! (counters are pre-resolved handles, event records hold their fields
+//! inline), and per-request spans add at most 0.05 allocations per
+//! request.
 //!
 //! Own test binary, one test: the counting `#[global_allocator]` sees
 //! every thread of the process, so nothing else may run beside it.
@@ -126,17 +131,34 @@ fn allocations(schedule: &MultiSchedule, mode: Mode) -> u64 {
     counted
 }
 
+/// The counter counts: one deliberate allocation inside a measured
+/// window reads as exactly one.
+fn assert_counter_is_live() {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    ON.store(true, Ordering::Relaxed);
+    let probe = std::hint::black_box(Box::new(0u64));
+    ON.store(false, Ordering::Relaxed);
+    assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 1);
+    drop(probe);
+}
+
 #[test]
-fn observability_allocates_nothing_per_request_once_warm() {
+fn a_warm_request_allocates_for_its_payload_and_observability_for_nothing() {
+    assert_counter_is_live();
     let schedule = MultiUniformWorkload::new(OBJECTS, NODES, 0.8)
         .unwrap()
         .generate_multi(WARMUP + MEASURED, 42);
     let detached = allocations(&schedule, Mode::Detached);
     let obs = allocations(&schedule, Mode::Obs);
     let spans = allocations(&schedule, Mode::Spans);
+    let per_request = detached as f64 / MEASURED as f64;
+    eprintln!(
+        "allocations in {MEASURED} warm requests: detached {detached}, obs {obs}, spans {spans}"
+    );
     assert!(
-        detached > MEASURED as u64,
-        "the detached path allocates per request ({detached}); a zero here means the counter is off"
+        per_request <= 0.5,
+        "the detached path allocates {per_request:.3} times per request \
+         ({detached} in {MEASURED} requests)"
     );
     assert_eq!(
         obs, detached,
