@@ -182,7 +182,7 @@ impl Scenario {
                 self.name
             )));
         }
-        let mut sim = ProtocolSim::deploy(n, self.config.clone(), Tunables::CANONICAL)?;
+        let mut sim = ProtocolSim::deploy(n, self.config, Tunables::CANONICAL)?;
         sim.set_bug_switches(self.bugs);
         if let Some(plan) = &self.faults {
             sim.engine_mut().install_faults(plan.clone());

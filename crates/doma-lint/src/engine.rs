@@ -40,8 +40,10 @@ pub const DETERMINISM_CRATES: &[&str] = &["doma-sim", "doma-protocol", "doma-obs
 /// subject. Everything else under `crates/` stays stopwatch-free —
 /// timing lives in `benchmark/`.
 pub const WALL_CLOCK_CRATE: &str = "doma-net";
-/// Crates audited by the static lock-acquisition-order graph.
-pub const LOCK_ORDER_CRATES: &[&str] = &["doma-sim"];
+/// Crates audited by the static lock-acquisition-order graph: the ones
+/// holding a `Mutex` in non-test code — `doma-obs`'s metric registry and
+/// event log.
+pub const LOCK_ORDER_CRATES: &[&str] = &["doma-obs"];
 /// Crates whose metric registrations must match the DESIGN §8 catalog
 /// and whose literal span names must match the DESIGN §13 span catalog.
 pub const OBS_CATALOG_CRATES: &[&str] = &[
@@ -94,8 +96,6 @@ pub struct SourceFile {
 pub struct Workspace {
     /// All `.rs` files under `crates/*/{src,benches,tests}`.
     pub files: Vec<SourceFile>,
-    /// Builtin scenario files: `(path, text)`.
-    pub scenarios: Vec<(String, String)>,
     /// `DESIGN.md` contents (source of the §8 metric catalog and the
     /// §13 span catalog).
     pub design: String,
@@ -110,7 +110,7 @@ pub struct Workspace {
 pub struct LintReport {
     /// Findings, sorted by `(file, line, col, rule, message)`.
     pub findings: Vec<Finding>,
-    /// Number of files (sources + scenarios) checked.
+    /// Number of source files checked.
     pub files_checked: usize,
     /// Number of crate directories seen.
     pub crates: usize,
@@ -204,10 +204,6 @@ pub fn run(ws: &Workspace) -> Result<LintReport, String> {
         &spans,
     ));
 
-    for (path, text) in &ws.scenarios {
-        findings.extend(rules::check_scenario_file(path, text));
-    }
-
     if let Some(text) = &ws.allowlist {
         let list = Allowlist::parse(text)?;
         findings = list.apply(findings, ALLOWLIST_FILE);
@@ -215,7 +211,7 @@ pub fn run(ws: &Workspace) -> Result<LintReport, String> {
     sort_findings(&mut findings);
     Ok(LintReport {
         findings,
-        files_checked: ws.files.len() + ws.scenarios.len(),
+        files_checked: ws.files.len(),
         crates: ws.crates,
     })
 }
@@ -278,27 +274,6 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
                     in_src: sub == "src",
                     text,
                 });
-            }
-        }
-        if crate_name == "doma-scenario" {
-            let mut scenario_files: Vec<_> = std::fs::read_dir(dir.join("scenarios"))
-                .map(|entries| {
-                    entries
-                        .flatten()
-                        .map(|e| e.path())
-                        .filter(|p| p.extension().is_some_and(|e| e == "toml"))
-                        .collect()
-                })
-                .unwrap_or_default();
-            scenario_files.sort();
-            if scenario_files.is_empty() {
-                return Err(format!("no builtin scenarios under {}", dir.display()));
-            }
-            for file in scenario_files {
-                let Ok(text) = std::fs::read_to_string(&file) else {
-                    continue;
-                };
-                ws.scenarios.push((rel(&file), text));
             }
         }
     }

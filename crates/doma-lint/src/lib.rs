@@ -44,15 +44,14 @@
 //!   stopwatch lives in `benchmark/`.
 //! * **lint-headers** — every crate's `lib.rs` carries
 //!   `#![warn(missing_docs)]` and `#![warn(rust_2018_idioms)]`.
-//! * **scenario-digest** — every builtin scenario parses as the
-//!   TOML-subset and pins a `[golden]` digest.
 //!
 //! Cross-file rules (facts that only exist across the file set):
 //!
 //! * **lock-order** — the static lock-acquisition graph over
-//!   `Mutex`/`RwLock` guards in `doma-sim`: re-entrant acquisition in
-//!   one scope and any cycle in the acquire-while-holding graph are
-//!   rejected — the static shape of a deadlock.
+//!   `Mutex`/`RwLock` guards in `doma-obs` (the metric registry and the
+//!   event log, each behind a `fn lock(&self)` helper): re-entrant
+//!   acquisition in one scope and any cycle in the acquire-while-holding
+//!   graph are rejected — the static shape of a deadlock.
 //! * **message-flow** — every `DomMsg` variant must be both constructed
 //!   and dispatched somewhere in `doma-protocol`; dead or unsendable
 //!   protocol messages are lint errors.
@@ -85,8 +84,7 @@ pub use engine::{load_workspace, render_json, render_table, run, LintReport, Wor
 pub use rules::{
     check_determinism, check_dispatch_exhaustive, check_lint_headers, check_lock_order,
     check_message_flow, check_no_adhoc_prints, check_no_panics, check_obs_catalog,
-    check_scenario_file, check_span_catalog, check_thread_containment, design_metric_catalog,
-    design_span_catalog,
+    check_span_catalog, check_thread_containment, design_metric_catalog, design_span_catalog,
 };
 
 /// A single lint violation.

@@ -1177,7 +1177,7 @@ pub fn check_span_catalog(
 }
 
 // ---------------------------------------------------------------------------
-// lint-headers & scenario-digest (text-level, ported unchanged)
+// lint-headers (text-level)
 // ---------------------------------------------------------------------------
 
 /// The `lint-headers` rule: every crate root must opt into the
@@ -1194,87 +1194,4 @@ pub fn check_lint_headers(file: &str, src: &str) -> Vec<Finding> {
             message: format!("crate root missing `{pragma}`"),
         })
         .collect()
-}
-
-/// The `scenario-digest` rule: every builtin scenario file must be
-/// syntactically well-formed TOML-subset (each non-blank line a
-/// `[section]` / `[[section]]` header or a `key = value` entry) and must
-/// pin a golden obs digest — a `[golden]` section whose `digest` entry is
-/// `"0x"` + 16 hex digits. A builtin without a pin is a hole in the
-/// golden-trace conformance wall. (Deliberately text-level: the real
-/// parser and digest replay run in `doma-scenario`'s own tests.)
-pub fn check_scenario_file(file: &str, src: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut in_golden = false;
-    let mut digest_line: Option<(usize, String)> = None;
-    for (idx, raw) in src.lines().enumerate() {
-        // Strip a `#` comment, ignoring `#` inside double quotes.
-        let mut in_str = false;
-        let mut escaped = false;
-        let mut body = raw;
-        for (pos, c) in raw.char_indices() {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' if in_str => escaped = true,
-                '"' => in_str = !in_str,
-                '#' if !in_str => {
-                    body = &raw[..pos];
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let line = body.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(section) = line
-            .strip_prefix("[[")
-            .and_then(|r| r.strip_suffix("]]"))
-            .or_else(|| line.strip_prefix('[').and_then(|r| r.strip_suffix(']')))
-        {
-            in_golden = section.trim() == "golden";
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            out.push(Finding {
-                file: file.to_string(),
-                line: idx + 1,
-                col: 1,
-                rule: "scenario-digest",
-                message: format!("not a section header or `key = value` entry: `{line}`"),
-            });
-            continue;
-        };
-        if in_golden && key.trim() == "digest" {
-            digest_line = Some((idx + 1, value.trim().to_string()));
-        }
-    }
-    match digest_line {
-        None => out.push(Finding {
-            file: file.to_string(),
-            line: 1,
-            col: 1,
-            rule: "scenario-digest",
-            message: "no `[golden]` digest pinned — every builtin scenario must name its \
-                      golden obs digest"
-                .to_string(),
-        }),
-        Some((line, value)) => {
-            let hex = value
-                .strip_prefix("\"0x")
-                .and_then(|r| r.strip_suffix('"'))
-                .unwrap_or("");
-            if hex.len() != 16 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
-                out.push(Finding {
-                    file: file.to_string(),
-                    line,
-                    col: 1,
-                    rule: "scenario-digest",
-                    message: format!("golden digest must be \"0x\" + 16 hex digits, got {value}"),
-                });
-            }
-        }
-    }
-    out
 }

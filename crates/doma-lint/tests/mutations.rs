@@ -9,7 +9,9 @@
 //! live in string literals the token-level rules cannot see when this
 //! file itself is linted.
 
-use doma_lint::engine::{SourceFile, Workspace};
+use doma_lint::engine::{SourceFile, Workspace, LOCK_ORDER_CRATES};
+use doma_lint::lex::Delim;
+use doma_lint::tree::{parse, strip_cfg_test, walk_levels};
 use doma_lint::{run, Finding};
 
 fn sf(path: &str, text: &str) -> SourceFile {
@@ -220,35 +222,6 @@ fn lint_headers_catch_missing_pragmas() {
     assert_eq!(report.findings.len(), 2, "both pragmas missing");
 }
 
-#[test]
-fn scenario_digest_catches_missing_and_malformed_pins() {
-    let mut w = ws(vec![]);
-    w.scenarios.push((
-        "crates/doma-scenario/scenarios/x.toml".to_string(),
-        "[scenario]\nname = \"x\"\n".to_string(),
-    ));
-    let report = run(&w).unwrap();
-    assert_finding(
-        &report.findings,
-        "crates/doma-scenario/scenarios/x.toml",
-        1,
-        "scenario-digest",
-    );
-
-    let mut w = ws(vec![]);
-    w.scenarios.push((
-        "crates/doma-scenario/scenarios/y.toml".to_string(),
-        "[scenario]\nname = \"y\"\n[golden]\ndigest = \"0x123\"\n".to_string(),
-    ));
-    let report = run(&w).unwrap();
-    assert_finding(
-        &report.findings,
-        "crates/doma-scenario/scenarios/y.toml",
-        4,
-        "scenario-digest",
-    );
-}
-
 // ---------------------------------------------------------------------------
 // determinism
 // ---------------------------------------------------------------------------
@@ -322,10 +295,10 @@ fn lock_order_catches_reentrant_acquisition() {
                \x20       let b = self.queue.lock();\n\
                \x20   }\n\
                }\n";
-    let report = run(&ws(vec![sf("crates/doma-sim/src/net.rs", src)])).unwrap();
+    let report = run(&ws(vec![sf("crates/doma-obs/src/event.rs", src)])).unwrap();
     assert_finding(
         &report.findings,
-        "crates/doma-sim/src/net.rs",
+        "crates/doma-obs/src/event.rs",
         4,
         "lock-order",
     );
@@ -343,7 +316,7 @@ fn lock_order_catches_acquisition_cycles_across_functions() {
                \x20       let a = self.m1.lock();\n\
                \x20   }\n\
                }\n";
-    let report = run(&ws(vec![sf("crates/doma-sim/src/net.rs", src)])).unwrap();
+    let report = run(&ws(vec![sf("crates/doma-obs/src/event.rs", src)])).unwrap();
     let cyc: Vec<_> = report
         .findings
         .iter()
@@ -352,6 +325,47 @@ fn lock_order_catches_acquisition_cycles_across_functions() {
     assert_eq!(cyc.len(), 1, "{report:?}");
     assert_eq!(cyc[0].line, 4, "first edge site anchors the cycle");
     assert!(cyc[0].message.contains("cycle"));
+}
+
+#[test]
+fn lock_order_sees_through_a_lock_helper_across_methods() {
+    // doma-obs's shape: the mutex sits behind `fn lock(&self)`, so every
+    // acquisition reads `<receiver>.lock()`. Two methods nesting two
+    // logs' guards in opposite orders deadlock when they race.
+    let src = "impl EventLog {\n\
+               \x20   fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {\n\
+               \x20       self.inner.lock().unwrap_or_else(|e| e.into_inner())\n\
+               \x20   }\n\
+               \x20   pub fn absorb(&self, other: &EventLog) {\n\
+               \x20       let mut mine = self.lock();\n\
+               \x20       let theirs = other.lock();\n\
+               \x20       mine.dropped += theirs.dropped;\n\
+               \x20   }\n\
+               \x20   pub fn drain_into(&self, other: &EventLog) {\n\
+               \x20       let mut theirs = other.lock();\n\
+               \x20       let mine = self.lock();\n\
+               \x20       theirs.dropped += mine.dropped;\n\
+               \x20   }\n\
+               \x20   pub fn len_twice(&self) -> usize {\n\
+               \x20       let inner = self.lock();\n\
+               \x20       inner.records.len() + self.lock().records.len()\n\
+               \x20   }\n\
+               }\n";
+    let f = "crates/doma-obs/src/event.rs";
+    let report = run(&ws(vec![sf(f, src)])).unwrap();
+    let found: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|x| x.rule == "lock-order")
+        .collect();
+    assert_eq!(found.len(), 2, "{report:?}");
+    assert_finding(&report.findings, f, 7, "lock-order");
+    assert!(found[0].message.contains("cycle"), "{found:?}");
+    assert_finding(&report.findings, f, 17, "lock-order");
+    assert!(found[1].message.contains("re-entrant"), "{found:?}");
+    // The same file in a crate the rule does not audit is not its business.
+    let report = run(&ws(vec![sf("crates/doma-sim/src/net.rs", src)])).unwrap();
+    assert!(report.findings.iter().all(|x| x.rule != "lock-order"));
 }
 
 #[test]
@@ -369,7 +383,7 @@ fn lock_order_respects_drop_and_scope_ends() {
                }\n";
     // Neither function holds two guards at once, so no edges and no
     // cycle — even though the orders would conflict if held.
-    let report = run(&ws(vec![sf("crates/doma-sim/src/net.rs", src)])).unwrap();
+    let report = run(&ws(vec![sf("crates/doma-obs/src/event.rs", src)])).unwrap();
     assert_clean(&report.findings);
 }
 
@@ -580,4 +594,29 @@ fn the_real_tree_is_findings_free() {
         report.findings
     );
     assert!(report.files_checked > 100, "walker saw the whole tree");
+
+    // A rule that audits nothing passes forever: the lock-order crates
+    // must hold at least one lock for the clean verdict above to mean
+    // anything.
+    let mut acquisitions = 0;
+    for f in &ws.files {
+        if f.in_src && LOCK_ORDER_CRATES.contains(&f.crate_name.as_str()) {
+            walk_levels(&strip_cfg_test(parse(&f.text)), &mut |level| {
+                acquisitions += level
+                    .windows(3)
+                    .filter(|w| {
+                        w[0].is_punct('.')
+                            && w[1].is_ident("lock")
+                            && w[2]
+                                .group_with(Delim::Paren)
+                                .is_some_and(|args| args.children.is_empty())
+                    })
+                    .count();
+            });
+        }
+    }
+    assert!(
+        acquisitions > 0,
+        "no `.lock()` in {LOCK_ORDER_CRATES:?}: the lock-order rule audits an empty set"
+    );
 }

@@ -371,7 +371,7 @@ fn reply_driver(driver: &mut Option<Conn>, frame: &WireFrame) -> Result<()> {
 }
 
 /// Drains the transport's outbox onto the peer sockets. Called after
-/// every `deliver` — the obs layer has read `pending_sends` by then.
+/// every `deliver`.
 fn flush(id: usize, transport: &mut NetTransport, out: &mut [Option<Conn>]) -> Result<()> {
     for (to, kind, msg) in transport.drain() {
         let conn = out

@@ -7,8 +7,7 @@ use doma_sim::{MsgKind, NodeId, SimTime};
 ///
 /// Sends are buffered exactly like the sim engine's [`doma_sim::Context`]
 /// buffers them: the node's event loop calls
-/// [`doma_protocol::DomNode::deliver`], lets the observability layer read
-/// [`Transport::pending_sends`], and only then [`NetTransport::drain`]s
+/// [`doma_protocol::DomNode::deliver`] and then [`NetTransport::drain`]s
 /// the buffer onto the peer sockets. Time is a logical per-node delivery
 /// tick — it timestamps latency samples, never drives protocol decisions
 /// (see the trait docs).

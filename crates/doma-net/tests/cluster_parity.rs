@@ -35,7 +35,7 @@ fn boot(n: usize, config: ProtocolConfig, kind: TransportKind) -> Option<(Cluste
 /// holder trajectories and identical final cost/holders/read tallies.
 fn assert_parity(n: usize, config: ProtocolConfig, kind: TransportKind, schedule: &str) {
     let schedule: Schedule = schedule.parse().unwrap();
-    let Some((mut cluster, object)) = boot(n, config.clone(), kind) else {
+    let Some((mut cluster, object)) = boot(n, config, kind) else {
         return;
     };
 

@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod catalog;
 pub mod failover;
 mod msg;
 mod node;

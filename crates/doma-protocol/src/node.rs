@@ -1,5 +1,6 @@
 //! The per-processor protocol state machine.
 
+use crate::catalog::ObjectCatalog;
 use crate::obs::{object_field, object_of, op_of, Dim, NodeObs, NodeTally, Op};
 use crate::roster::Entrant;
 use crate::transport::Transport;
@@ -15,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 pub(crate) const OBJECT: ObjectId = ObjectId(0);
 
 /// Which DOM algorithm governs one object.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolConfig {
     /// Static allocation over the fixed scheme `Q` (read-one-write-all).
     Sa {
@@ -59,6 +60,26 @@ impl ProtocolConfig {
             ProtocolConfig::Sa { q } => *q,
             ProtocolConfig::Da { f, p } => f.with(*p),
             ProtocolConfig::Adaptive { initial, .. } => *initial,
+        }
+    }
+
+    /// Whether `id` is a DA core member: it keeps a join-list and owes
+    /// the invalidations of every write it learns of.
+    fn is_core(&self, id: ProcessorId) -> bool {
+        matches!(self, ProtocolConfig::Da { f, .. } if f.contains(id))
+    }
+
+    /// Whether `id` is the primary core member, the one that tracks the
+    /// floating member.
+    fn is_primary(&self, id: ProcessorId) -> bool {
+        matches!(self, ProtocolConfig::Da { f, .. } if f.any_member() == Some(id))
+    }
+
+    /// DA's a-priori floating member `p`.
+    fn floater(&self) -> Option<ProcessorId> {
+        match self {
+            ProtocolConfig::Da { p, .. } => Some(*p),
+            ProtocolConfig::Sa { .. } | ProtocolConfig::Adaptive { .. } => None,
         }
     }
 
@@ -111,7 +132,6 @@ struct PendingQuorum {
     counted: usize,
     best: Option<(Version, Payload)>,
     store_result: bool,
-    started: SimTime,
 }
 
 /// Test-only switches that revert individual hardening fixes, so the
@@ -149,79 +169,34 @@ pub struct CompletedRead {
     pub latency: u64,
 }
 
-/// A catalog of objects, stored densely: ids sorted ascending with one
-/// value per object (the node's configurations, the planner's version
-/// counters) in matching slots.
-///
-/// Hot-path per-object state (`da`, `invalidated_below`, `pending`,
-/// `read_started`) lives in parallel `Vec`s indexed by the catalog
-/// *slot*, replacing the previous per-lookup `BTreeMap` walks. For a
-/// contiguous catalog — the common case; every multi-object generator
-/// produces `0..objects` — the slot is one subtraction and a bounds
-/// check; non-contiguous catalogs fall back to binary search over the
-/// sorted ids.
+/// Everything one processor keeps about one object — §4.2's logical
+/// record: the governing scheme, the DA core member's bookkeeping, and
+/// the per-object failure-mode and metric state. One per catalog slot;
+/// [`DomNode::deliver`] resolves a message's object to its slot once and
+/// every handler indexes this record by it.
 #[derive(Debug, Clone)]
-pub(crate) struct ObjectCatalog<T> {
-    /// Object ids, ascending.
-    ids: Vec<ObjectId>,
-    /// Per-object value, aligned with `ids`.
-    pub(crate) values: Vec<T>,
-    /// `ids[0]`, the offset of the contiguous fast path.
-    base: u64,
-    /// Whether `ids` is exactly `base..base + ids.len()`.
-    contiguous: bool,
-}
-
-impl<T> ObjectCatalog<T> {
-    pub(crate) fn from_map(map: BTreeMap<ObjectId, T>) -> Self {
-        let ids: Vec<ObjectId> = map.keys().copied().collect();
-        let values: Vec<T> = map.into_values().collect();
-        let base = ids.first().map(|o| o.0).unwrap_or(0);
-        let contiguous = ids
-            .iter()
-            .enumerate()
-            .all(|(i, o)| o.0 == base.wrapping_add(i as u64));
-        ObjectCatalog {
-            ids,
-            values,
-            base,
-            contiguous,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// The dense slot of `object`, if catalogued.
-    #[inline]
-    pub(crate) fn slot(&self, object: ObjectId) -> Option<usize> {
-        if self.contiguous {
-            let idx = object.0.checked_sub(self.base)? as usize;
-            (idx < self.ids.len()).then_some(idx)
-        } else {
-            self.ids.binary_search(&object).ok()
-        }
-    }
-
-    /// The value of `object`, if catalogued.
-    #[inline]
-    fn get(&self, object: ObjectId) -> Option<&T> {
-        self.slot(object).map(|slot| &self.values[slot])
-    }
-}
-
-/// Per-object DA bookkeeping held by core members.
-#[derive(Debug, Clone, Default)]
-struct DaObjectState {
-    /// Processors that joined via saving-reads and must be invalidated on
-    /// the next write (core members only).
+struct ObjectState {
+    config: ProtocolConfig,
+    /// Core members only: processors that joined via saving-reads and
+    /// must be invalidated on the next write.
     join_list: ProcSet,
     /// Primary core member only: the current scheme member in no
     /// join-list — the original floater `p`, or the last outsider writer.
     extra: Option<ProcessorId>,
     /// Round-robin cursor for picking a serving core member.
     serve_cursor: usize,
+    /// The highest version an [`DomMsg::Invalidate`] named as superseding
+    /// the local replica ([`Version::INITIAL`] = no floor). Replicas
+    /// older than this must never be (re-)validated or served: under
+    /// fault injection a delayed or duplicated data message could
+    /// otherwise resurrect a replica whose invalidation was already
+    /// processed.
+    invalidated_below: Version,
+    /// The in-flight quorum operation (failure mode; at most one).
+    pending: Option<PendingQuorum>,
+    /// FIFO queue of outstanding read start-times (open-loop execution
+    /// can have several reads of one object in flight at once).
+    read_started: VecDeque<SimTime>,
 }
 
 /// One processor: local store + protocol state machine, serving a catalog
@@ -234,36 +209,23 @@ struct DaObjectState {
 pub struct DomNode {
     id: ProcessorId,
     n: usize,
-    catalog: ObjectCatalog<ProtocolConfig>,
+    /// The node's only per-object table.
+    catalog: ObjectCatalog<ObjectState>,
     store: CachedStore,
-    /// Per-slot DA bookkeeping (aligned with the catalog).
-    da: Vec<DaObjectState>,
-    /// Per slot, the highest version an [`DomMsg::Invalidate`] named as
-    /// superseding the local replica ([`Version::INITIAL`] = no floor).
-    /// Replicas older than this must never be (re-)validated or served:
-    /// under fault injection a delayed or duplicated data message could
-    /// otherwise resurrect a replica whose invalidation was already
-    /// processed.
-    invalidated_below: Vec<Version>,
     // --- failure mode ---
     quorum_mode: bool,
-    /// Per-slot in-flight quorum operation (at most one per object).
-    pending: Vec<Option<PendingQuorum>>,
     /// Monotone counter tagging each quorum operation this node starts
     /// (round 0 is reserved for plain forwarded reads). Deliberately NOT
     /// reset on crash: a reply to a pre-crash operation must never match a
     /// post-recovery one.
     quorum_round: u64,
     // --- metrics ---
-    /// Per-slot FIFO queues of outstanding read start-times (open-loop
-    /// execution can have several reads of one object in flight at once).
-    read_started: Vec<VecDeque<SimTime>>,
     reads_completed: u64,
     read_latency_ticks: u64,
     completed_reads: Vec<CompletedRead>,
-    /// Protocol-level errors (for example a request for an unconfigured
-    /// object). [`Actor::on_message`] cannot return them, so they are
-    /// recorded here for harnesses to assert on.
+    /// Protocol-level errors (for example a message naming an
+    /// unconfigured object). [`Actor::on_message`] cannot return them, so
+    /// they are recorded here for harnesses to assert on.
     errors: Vec<DomaError>,
     /// Reverted-fix switches for regression testing (all off normally).
     bugs: BugSwitches,
@@ -289,42 +251,37 @@ impl DomNode {
         configs: BTreeMap<ObjectId, ProtocolConfig>,
         cache_capacity: usize,
     ) -> Self {
-        let catalog = ObjectCatalog::from_map(configs);
         // Version 0 of every preloaded object is the same bytes: one
         // allocation per node, shared by table and log.
         let initial = Payload::from(*b"initial");
         let mut store = LocalStore::new();
-        let mut da = Vec::with_capacity(catalog.len());
-        for (object, config) in catalog.ids.iter().zip(&catalog.values) {
-            if config.initial_scheme().contains(id) {
-                store.output(*object, Version::INITIAL, initial.clone());
-            }
-            let is_primary =
-                matches!(config, ProtocolConfig::Da { f, .. } if f.any_member() == Some(id));
-            let extra = match (is_primary, config) {
-                (true, ProtocolConfig::Da { p, .. }) => Some(*p),
-                _ => None,
-            };
-            da.push(DaObjectState {
-                join_list: ProcSet::EMPTY,
-                extra,
-                serve_cursor: 0,
-            });
-        }
+        let records = configs
+            .into_iter()
+            .map(|(object, config)| {
+                if config.initial_scheme().contains(id) {
+                    store.output(object, Version::INITIAL, initial.clone());
+                }
+                let state = ObjectState {
+                    config,
+                    join_list: ProcSet::EMPTY,
+                    extra: config.floater().filter(|_| config.is_primary(id)),
+                    serve_cursor: 0,
+                    invalidated_below: Version::INITIAL,
+                    pending: None,
+                    read_started: VecDeque::new(),
+                };
+                (object, state)
+            })
+            .collect();
         // Preloads are free: the initial scheme is given, not written.
         store.reset_io_stats();
-        let slots = catalog.len();
         DomNode {
             id,
             n,
-            catalog,
+            catalog: ObjectCatalog::from_map(records),
             store: CachedStore::wrap(store, cache_capacity),
-            da,
-            invalidated_below: vec![Version::INITIAL; slots],
             quorum_mode: false,
-            pending: vec![None; slots],
             quorum_round: 0,
-            read_started: vec![VecDeque::new(); slots],
             reads_completed: 0,
             read_latency_ticks: 0,
             completed_reads: Vec::new(),
@@ -360,29 +317,16 @@ impl DomNode {
     }
 
     /// End-of-dispatch accounting: the I/O delta since the cursor is
-    /// charged to the handled operation, and every message the handler
-    /// buffered is counted under the *sent* message's own op class (so
-    /// e.g. the invalidations a write fans out land under
-    /// `op=invalidate` while the propagation lands under `op=write`).
-    fn obs_account<T: Transport + ?Sized>(&mut self, ctx: &T, op: Op, object: Option<ObjectId>) {
-        self.obs_account_io(op, object);
-        let Some(obs) = self.obs.as_mut() else { return };
-        for (_, kind, msg) in ctx.pending_sends() {
-            let config = object_of(msg).and_then(|o| self.catalog.get(o));
-            let algo = config.map(ProtocolConfig::entrant);
-            obs.cost(Dim::from(*kind), algo, op_of(msg)).inc();
-        }
-    }
-
-    fn obs_account_io(&mut self, op: Op, object: Option<ObjectId>) {
+    /// charged to the handled operation, under the entrant governing the
+    /// delivered message's object (`None`: a whole-node message).
+    fn obs_account_io(&mut self, op: Op, slot: Option<usize>) {
         let Some(obs) = self.obs.as_mut() else { return };
         let io_now = self.store.store().io_stats().total();
         let delta = io_now.saturating_sub(obs.io_seen);
         obs.io_seen = io_now;
         if delta > 0 {
-            let config = object.and_then(|o| self.catalog.get(o));
-            obs.cost(Dim::Io, config.map(ProtocolConfig::entrant), op)
-                .add(delta);
+            let algo = slot.map(|slot| self.catalog[slot].config.entrant());
+            obs.cost(Dim::Io, algo, op).add(delta);
         }
     }
 
@@ -447,16 +391,15 @@ impl DomNode {
         self.quorum_round.hash(&mut h);
         self.reads_completed.hash(&mut h);
         self.errors.len().hash(&mut h);
-        for (slot, object) in self.catalog.ids.iter().enumerate() {
+        for (object, state) in self.catalog.iter() {
             object.hash(&mut h);
-            self.replica_version_of(*object).hash(&mut h);
-            self.store.holds_valid(*object).hash(&mut h);
-            self.invalidated_floor(*object).hash(&mut h);
-            let state = &self.da[slot];
+            self.replica_version_of(object).hash(&mut h);
+            self.store.holds_valid(object).hash(&mut h);
+            state.invalidated_below.hash(&mut h);
             state.join_list.hash(&mut h);
             state.extra.hash(&mut h);
             state.serve_cursor.hash(&mut h);
-            if let Some(p) = &self.pending[slot] {
+            if let Some(p) = &state.pending {
                 p.responders.hash(&mut h);
                 p.needed.hash(&mut h);
                 p.round.hash(&mut h);
@@ -464,7 +407,7 @@ impl DomNode {
                 p.best.as_ref().map(|(v, _)| *v).hash(&mut h);
                 p.store_result.hash(&mut h);
             }
-            self.read_started[slot].len().hash(&mut h);
+            state.read_started.len().hash(&mut h);
         }
         // The record of which versions reads returned, in order: the
         // oracle audits it against a rising floor, so it is part of the
@@ -554,19 +497,10 @@ impl DomNode {
         &self.errors
     }
 
-    /// The core member's current join-list for object 0.
-    pub fn join_list(&self) -> ProcSet {
-        self.catalog
-            .slot(OBJECT)
-            .map(|slot| self.da[slot].join_list)
-            .unwrap_or(ProcSet::EMPTY)
-    }
-
     /// The tracked "extra" (floater) member for `object`, if any.
     #[cfg(test)]
     fn da_extra(&self, object: ObjectId) -> Option<ProcessorId> {
-        let slot = self.catalog.slot(object)?;
-        self.da.get(slot)?.extra
+        self.catalog[self.catalog.slot(object)?].extra
     }
 
     /// Whether the node is in quorum (failure) mode.
@@ -578,63 +512,30 @@ impl DomNode {
     /// redo log (used by failure tests around engine crash events).
     pub fn recover_from_log(&mut self) {
         self.store.crash_and_recover();
-        self.clear_volatile_tables();
+        self.clear_volatile_state();
     }
 
-    /// Drops the volatile per-slot state a crash loses: in-flight quorum
-    /// operations and outstanding-read queues. Slot tables keep their
-    /// (fixed) shape — only the contents reset.
-    fn clear_volatile_tables(&mut self) {
-        for p in &mut self.pending {
-            *p = None;
+    /// Drops the volatile per-object state a crash loses: in-flight
+    /// quorum operations and outstanding-read queues.
+    fn clear_volatile_state(&mut self) {
+        for state in self.catalog.records_mut() {
+            state.pending = None;
+            state.read_started.clear();
         }
-        for q in &mut self.read_started {
-            q.clear();
-        }
-    }
-
-    fn config(&self, object: ObjectId) -> Result<&ProtocolConfig, DomaError> {
-        self.catalog.get(object).ok_or(DomaError::UnknownObject {
-            node: self.id.index(),
-            object: object.0,
-        })
     }
 
     /// The catalog slot of `object`, recording [`DomaError::UnknownObject`]
-    /// when uncatalogued — the shape message handlers need, since
+    /// when uncatalogued — the shape [`DomNode::deliver`] needs, since
     /// [`Actor::on_message`] cannot propagate a `Result`.
     fn slot_or_record(&mut self, object: ObjectId) -> Option<usize> {
-        match self.catalog.slot(object) {
-            Some(slot) => Some(slot),
-            None => {
-                self.errors.push(DomaError::UnknownObject {
-                    node: self.id.index(),
-                    object: object.0,
-                });
-                None
-            }
+        let slot = self.catalog.slot(object);
+        if slot.is_none() {
+            self.errors.push(DomaError::UnknownObject {
+                node: self.id.index(),
+                object: object.0,
+            });
         }
-    }
-
-    /// Like [`DomNode::config`] but records the error and returns `None`
-    /// — the shape message handlers need, since [`Actor::on_message`]
-    /// cannot propagate a `Result`.
-    fn config_or_record(&mut self, object: ObjectId) -> Option<ProtocolConfig> {
-        match self.config(object) {
-            Ok(c) => Some(c.clone()),
-            Err(e) => {
-                self.errors.push(e);
-                None
-            }
-        }
-    }
-
-    fn is_da_core(&self, object: ObjectId) -> bool {
-        matches!(self.config(object), Ok(ProtocolConfig::Da { f, .. }) if f.contains(self.id))
-    }
-
-    fn is_da_primary(&self, object: ObjectId) -> bool {
-        matches!(self.config(object), Ok(ProtocolConfig::Da { f, .. }) if f.any_member() == Some(self.id))
+        slot
     }
 
     /// Whether `version` is news to the local store: strictly newer than
@@ -642,22 +543,14 @@ impl DomNode {
     /// invalid (re-validation). Under fault injection, delayed or
     /// duplicated `WriteProp`/`ObjData` messages can arrive out of order;
     /// applying them blindly would regress the replica.
-    /// The lowest version still allowed to (re-)validate the local
-    /// replica, per processed invalidations.
-    fn invalidated_floor(&self, object: ObjectId) -> Version {
-        self.catalog
-            .slot(object)
-            .map(|slot| self.invalidated_below[slot])
-            .unwrap_or(Version::INITIAL)
-    }
-
-    fn fresher_than_local(&self, object: ObjectId, version: Version) -> bool {
-        if version < self.invalidated_floor(object) && !self.bugs.no_invalidated_floor {
+    fn fresher_than_local(&self, slot: usize, version: Version) -> bool {
+        if version < self.catalog[slot].invalidated_below && !self.bugs.no_invalidated_floor {
             // An already-processed invalidation proved this version
             // obsolete; a delayed or duplicated carrier must not
             // resurrect it.
             return false;
         }
+        let object = self.catalog.id(slot);
         match self.replica_version_of(object) {
             Some(local) => version > local || (version == local && !self.store.holds_valid(object)),
             None => true,
@@ -670,31 +563,35 @@ impl DomNode {
         self.store.input(object).map(|(v, d)| (v, d.clone()))
     }
 
-    fn complete_read(&mut self, object: ObjectId, version: Option<Version>, now: SimTime) {
-        let Some(slot) = self.catalog.slot(object) else {
-            return;
-        };
+    /// Drops the local replica because `version` superseded it, raising
+    /// the floor below which nothing may re-validate it.
+    fn invalidate_local(&mut self, slot: usize, version: Version) {
+        let floor = &mut self.catalog[slot].invalidated_below;
+        *floor = version.max(*floor);
+        self.store.invalidate(self.catalog.id(slot));
+    }
+
+    fn complete_read(&mut self, slot: usize, version: Option<Version>, now: SimTime) {
         // Replies are served FIFO (the engine and the bus are
         // order-preserving), so the oldest outstanding read is the one
         // completing.
-        if let Some(started) = self.read_started[slot].pop_front() {
+        if let Some(started) = self.catalog[slot].read_started.pop_front() {
             self.reads_completed += 1;
             let latency = now.ticks() - started.ticks();
             self.read_latency_ticks += latency;
             self.completed_reads.push(CompletedRead {
-                object,
+                object: self.catalog.id(slot),
                 version,
                 latency,
             });
         }
     }
 
-    /// All other nodes. Quorum operations contact everyone and complete
-    /// once a majority of *responses* is assembled, so individual crashed
-    /// peers cannot stall them.
-    fn all_peers(&self) -> impl Iterator<Item = NodeId> {
-        let me = self.id.index();
-        (0..self.n).filter(move |&i| i != me).map(NodeId)
+    /// All other processors. Quorum operations contact everyone and
+    /// complete once a majority of *responses* is assembled, so
+    /// individual crashed peers cannot stall them.
+    fn all_peers(&self) -> ProcSet {
+        ProcSet::universe(self.n).without(self.id)
     }
 
     /// Read/write quorum size: a majority of the cluster.
@@ -702,15 +599,94 @@ impl DomNode {
         self.n / 2 + 1
     }
 
+    /// The one way a message leaves the node: queued on the transport
+    /// and, with obs attached, charged to the entrant governing its
+    /// object under the *sent* message's own op class (so the
+    /// invalidations a write fans out land under `op=invalidate` while
+    /// the propagation lands under `op=write`).
+    fn send<T: Transport + ?Sized>(
+        &mut self,
+        ctx: &mut T,
+        slot: usize,
+        to: ProcessorId,
+        msg: DomMsg,
+    ) {
+        let kind = if msg.is_data() {
+            MsgKind::Data
+        } else {
+            MsgKind::Control
+        };
+        if let Some(obs) = self.obs.as_mut() {
+            let algo = self.catalog[slot].config.entrant();
+            obs.cost(Dim::from(kind), Some(algo), op_of(&msg)).inc();
+        }
+        ctx.send(node(to), kind, msg);
+    }
+
+    /// Asks every member of `servers` for the object.
+    fn send_read_req<T: Transport + ?Sized>(
+        &mut self,
+        ctx: &mut T,
+        slot: usize,
+        servers: impl IntoIterator<Item = ProcessorId>,
+        saving: bool,
+        round: u64,
+    ) {
+        let object = self.catalog.id(slot);
+        for server in servers {
+            let msg = DomMsg::ReadReq {
+                object,
+                saving,
+                round,
+            };
+            self.send(ctx, slot, server, msg);
+        }
+    }
+
+    /// Propagates this node's write of `version` to every member of
+    /// `targets` but itself.
+    fn send_write_prop<T: Transport + ?Sized>(
+        &mut self,
+        ctx: &mut T,
+        slot: usize,
+        targets: ProcSet,
+        version: Version,
+        payload: &Payload,
+    ) {
+        let object = self.catalog.id(slot);
+        for target in targets.without(self.id) {
+            let msg = DomMsg::WriteProp {
+                object,
+                version,
+                payload: payload.clone(),
+                writer: node(self.id),
+            };
+            self.send(ctx, slot, target, msg);
+        }
+    }
+
+    /// Tells every member of `targets` that `version` superseded its
+    /// replica.
+    fn send_invalidate<T: Transport + ?Sized>(
+        &mut self,
+        ctx: &mut T,
+        slot: usize,
+        targets: impl IntoIterator<Item = ProcessorId>,
+        version: Version,
+    ) {
+        let object = self.catalog.id(slot);
+        for target in targets {
+            self.send(ctx, slot, target, DomMsg::Invalidate { object, version });
+        }
+    }
+
     fn start_quorum_read<T: Transport + ?Sized>(
         &mut self,
         ctx: &mut T,
-        object: ObjectId,
+        slot: usize,
         store_result: bool,
     ) {
-        let Some(slot) = self.slot_or_record(object) else {
-            return;
-        };
+        let object = self.catalog.id(slot);
         let local = self.input_shared(object);
         let mut responders = ProcSet::EMPTY;
         if local.is_some() {
@@ -730,98 +706,61 @@ impl DomNode {
             );
             obs.open_quorum.insert((object, round), span);
         }
-        self.pending[slot] = Some(PendingQuorum {
+        self.catalog[slot].pending = Some(PendingQuorum {
             counted: responders.len(),
             responders,
             needed: self.quorum_size(),
             round,
             best: local,
             store_result,
-            started: ctx.now(),
         });
-        for peer in self.all_peers() {
-            ctx.send(
-                peer,
-                MsgKind::Control,
-                DomMsg::ReadReq {
-                    object,
-                    saving: false,
-                    round,
-                },
-            );
-        }
+        self.send_read_req(ctx, slot, self.all_peers(), false, round);
         // Degenerate single-node cluster: the local replica is the quorum.
-        self.maybe_finish_quorum(ctx, object);
+        self.maybe_finish_quorum(ctx, slot);
     }
 
     fn handle_client_read<T: Transport + ?Sized>(
         &mut self,
         ctx: &mut T,
-        object: ObjectId,
+        slot: usize,
         plan: Option<ReadPlan>,
     ) {
+        let object = self.catalog.id(slot);
+        let state = &mut self.catalog[slot];
+        state.read_started.push_back(ctx.now());
         if self.quorum_mode {
-            let Some(slot) = self.slot_or_record(object) else {
-                return;
-            };
-            self.read_started[slot].push_back(ctx.now());
-            self.start_quorum_read(ctx, object, false);
-            return;
+            return self.start_quorum_read(ctx, slot, false);
         }
-        let Some(config) = self.config_or_record(object) else {
-            return;
-        };
-        let Some(slot) = self.catalog.slot(object) else {
-            return;
-        };
-        self.read_started[slot].push_back(ctx.now());
-        match config {
+        // Where the read is served: `Some((server, saving))` forwards it,
+        // `None` reads the local replica.
+        let remote = match state.config {
+            ProtocolConfig::Sa { q } if q.contains(self.id) => {
+                debug_assert!(
+                    self.store.holds_valid(object),
+                    "SA member must hold a valid replica"
+                );
+                None
+            }
             ProtocolConfig::Sa { q } => {
-                if q.contains(self.id) {
-                    let got = self.store.input(object);
-                    debug_assert!(got.is_some(), "SA member must hold a valid replica");
-                    let version = got.map(|(v, _)| v);
-                    self.complete_read(object, version, ctx.now());
-                } else if let Some(server) = q.any_member() {
-                    ctx.send(
-                        node(server),
-                        MsgKind::Control,
-                        DomMsg::ReadReq {
-                            object,
-                            saving: false,
-                            round: 0,
-                        },
-                    );
-                } else {
+                let Some(server) = q.any_member() else {
                     // An empty Q is rejected at configuration time; a
                     // request that still lands here is a harness bug worth
                     // surfacing, not worth crashing the cluster for.
                     self.errors
                         .push(DomaError::InvalidConfig("SA scheme Q is empty".into()));
-                }
+                    return;
+                };
+                Some((server, false))
             }
+            ProtocolConfig::Da { .. } if self.store.holds_valid(object) => None,
             ProtocolConfig::Da { f, .. } => {
-                if self.store.holds_valid(object) {
-                    let got = self.store.input(object);
-                    let version = got.map(|(v, _)| v);
-                    self.complete_read(object, version, ctx.now());
-                } else {
-                    let state = &mut self.da[slot];
-                    // `F` is non-empty (checked at configuration time).
-                    let turn = state.serve_cursor % f.len().max(1);
-                    if let Some(server) = f.iter().nth(turn) {
-                        state.serve_cursor = state.serve_cursor.wrapping_add(1);
-                        ctx.send(
-                            node(server),
-                            MsgKind::Control,
-                            DomMsg::ReadReq {
-                                object,
-                                saving: true,
-                                round: 0,
-                            },
-                        );
-                    }
-                }
+                // `F` is non-empty (checked at configuration time).
+                let turn = state.serve_cursor % f.len().max(1);
+                let Some(server) = f.iter().nth(turn) else {
+                    return;
+                };
+                state.serve_cursor = state.serve_cursor.wrapping_add(1);
+                Some((server, true))
             }
             ProtocolConfig::Adaptive { .. } => {
                 let Some(plan) = plan else {
@@ -830,44 +769,29 @@ impl DomNode {
                     ));
                     return;
                 };
-                match plan.server {
-                    None if self.store.holds_valid(object) => {
-                        let got = self.store.input(object);
-                        let version = got.map(|(v, _)| v);
-                        self.complete_read(object, version, ctx.now());
-                    }
-                    None => {
-                        // The oracle believes we hold a replica, but a
-                        // fault episode dropped it: fetch (saving) from a
-                        // scheme member to restore the oracle's invariant.
-                        if let Some(fallback) = plan.fallback {
-                            ctx.send(
-                                node(fallback),
-                                MsgKind::Control,
-                                DomMsg::ReadReq {
-                                    object,
-                                    saving: true,
-                                    round: 0,
-                                },
-                            );
-                        } else {
-                            self.errors.push(DomaError::InvalidConfig(
-                                "adaptive local read found no valid replica".into(),
-                            ));
-                        }
-                    }
-                    Some(server) => {
-                        ctx.send(
-                            node(server),
-                            MsgKind::Control,
-                            DomMsg::ReadReq {
-                                object,
-                                saving: plan.saving,
-                                round: 0,
-                            },
-                        );
+                match (plan.server, plan.fallback) {
+                    (Some(server), _) => Some((server, plan.saving)),
+                    (None, _) if self.store.holds_valid(object) => None,
+                    // The oracle believes we hold a replica, but a fault
+                    // episode dropped it: fetch (saving) from a scheme
+                    // member to restore the oracle's invariant.
+                    (None, Some(fallback)) => Some((fallback, true)),
+                    (None, None) => {
+                        self.errors.push(DomaError::InvalidConfig(
+                            "adaptive local read found no valid replica".into(),
+                        ));
+                        return;
                     }
                 }
+            }
+        };
+        match remote {
+            Some((server, saving)) => {
+                self.send_read_req(ctx, slot, [server], saving, 0);
+            }
+            None => {
+                let version = self.store.input(object).map(|(v, _)| v);
+                self.complete_read(slot, version, ctx.now());
             }
         }
     }
@@ -875,117 +799,52 @@ impl DomNode {
     fn handle_client_write<T: Transport + ?Sized>(
         &mut self,
         ctx: &mut T,
-        object: ObjectId,
+        slot: usize,
         version: Version,
         payload: Payload,
         plan: Option<WritePlan>,
     ) {
-        if self.quorum_mode {
+        let config = self.catalog[slot].config;
+        // The execution set: every member stores the new version.
+        let exec = match (config, plan) {
             // Quorum write: store locally, propagate to all peers; the
             // live ones (a majority, else the cluster is unavailable
-            // anyway) apply it.
-            self.store.output(object, version, payload.clone());
-            for peer in self.all_peers() {
-                ctx.send(
-                    peer,
-                    MsgKind::Data,
-                    DomMsg::WriteProp {
-                        object,
-                        version,
-                        payload: payload.clone(),
-                        writer: node(self.id),
-                    },
-                );
+            // anyway) apply it. Plans are ignored.
+            _ if self.quorum_mode => ProcSet::universe(self.n),
+            (ProtocolConfig::Sa { .. } | ProtocolConfig::Da { .. }, _) => {
+                config.da_exec_set(self.id)
             }
+            (ProtocolConfig::Adaptive { .. }, Some(plan)) => plan.exec,
+            (ProtocolConfig::Adaptive { .. }, None) => {
+                self.errors.push(DomaError::InvalidConfig(
+                    "adaptive write injected without a plan".into(),
+                ));
+                return;
+            }
+        };
+        if exec.contains(self.id) {
+            self.store
+                .output(self.catalog.id(slot), version, payload.clone());
+        }
+        self.send_write_prop(ctx, slot, exec, version, &payload);
+        if self.quorum_mode {
             return;
         }
-        let Some(config) = self.config_or_record(object) else {
-            return;
-        };
-        match config {
-            ProtocolConfig::Sa { q } => {
-                if q.contains(self.id) {
-                    self.store.output(object, version, payload.clone());
-                }
-                for member in q.iter().filter(|&m| m != self.id) {
-                    ctx.send(
-                        node(member),
-                        MsgKind::Data,
-                        DomMsg::WriteProp {
-                            object,
-                            version,
-                            payload: payload.clone(),
-                            writer: node(self.id),
-                        },
-                    );
-                }
-            }
-            ProtocolConfig::Da { .. } => {
-                let exec = config.da_exec_set(self.id);
-                debug_assert!(exec.contains(self.id), "DA writers are always in X");
-                self.store.output(object, version, payload.clone());
-                for member in exec.iter().filter(|&m| m != self.id) {
-                    ctx.send(
-                        node(member),
-                        MsgKind::Data,
-                        DomMsg::WriteProp {
-                            object,
-                            version,
-                            payload: payload.clone(),
-                            writer: node(self.id),
-                        },
-                    );
-                }
-                if self.is_da_core(object) {
-                    // The writer is itself a core member: do its
-                    // invalidation duties immediately.
-                    self.da_invalidate_duties(ctx, object, version, self.id);
-                }
-            }
-            ProtocolConfig::Adaptive { .. } => {
-                let Some(plan) = plan else {
-                    self.errors.push(DomaError::InvalidConfig(
-                        "adaptive write injected without a plan".into(),
-                    ));
-                    return;
-                };
-                if plan.exec.contains(self.id) {
-                    self.store.output(object, version, payload.clone());
-                }
-                for member in plan.exec.iter().filter(|&m| m != self.id) {
-                    ctx.send(
-                        node(member),
-                        MsgKind::Data,
-                        DomMsg::WriteProp {
-                            object,
-                            version,
-                            payload: payload.clone(),
-                            writer: node(self.id),
-                        },
-                    );
-                }
-                // The issuer performs the invalidation duties itself: the
-                // driver already computed `Y \ X \ {i}` from the oracle's
-                // scheme.
-                for member in plan.invalidate.iter().filter(|&m| m != self.id) {
-                    ctx.send(
-                        node(member),
-                        MsgKind::Control,
-                        DomMsg::Invalidate { object, version },
-                    );
-                }
-                if plan.self_invalidate && !plan.exec.contains(self.id) {
-                    // A scheme member writing remotely drops its own
-                    // replica without any message — the analytic model
-                    // charges nothing for it.
-                    if let Some(slot) = self.catalog.slot(object) {
-                        let floor = &mut self.invalidated_below[slot];
-                        if version > *floor {
-                            *floor = version;
-                        }
-                    }
-                    self.store.invalidate(object);
-                }
+        if config.is_core(self.id) {
+            // The writer is itself a core member: do its invalidation
+            // duties immediately.
+            self.da_invalidate_duties(ctx, slot, version, self.id);
+        }
+        if let (ProtocolConfig::Adaptive { .. }, Some(plan)) = (config, plan) {
+            // The issuer performs the invalidation duties itself: the
+            // driver already computed `Y \ X \ {i}` from the oracle's
+            // scheme.
+            self.send_invalidate(ctx, slot, plan.invalidate.without(self.id), version);
+            if plan.self_invalidate && !plan.exec.contains(self.id) {
+                // A scheme member writing remotely drops its own replica
+                // without any message — the analytic model charges
+                // nothing for it.
+                self.invalidate_local(slot, version);
             }
         }
     }
@@ -996,54 +855,28 @@ impl DomNode {
     fn da_invalidate_duties<T: Transport + ?Sized>(
         &mut self,
         ctx: &mut T,
-        object: ObjectId,
+        slot: usize,
         version: Version,
         writer: ProcessorId,
     ) {
-        let Some(config) = self.config_or_record(object) else {
-            return;
-        };
-        let exec = config.da_exec_set(writer);
-        let spare = exec.with(writer);
-        let primary = self.is_da_primary(object);
-        let Some(slot) = self.catalog.slot(object) else {
-            return;
-        };
-        let state = &mut self.da[slot];
-        let flushed = state.join_list.len();
-        for member in state.join_list.iter().filter(|m| !spare.contains(*m)) {
-            ctx.send(
-                node(member),
-                MsgKind::Control,
-                DomMsg::Invalidate { object, version },
-            );
-        }
-        state.join_list = ProcSet::EMPTY;
-        if primary {
-            if let Some(extra) = state.extra {
-                if !spare.contains(extra) {
-                    ctx.send(
-                        node(extra),
-                        MsgKind::Control,
-                        DomMsg::Invalidate { object, version },
-                    );
-                }
-            }
+        let state = &mut self.catalog[slot];
+        let config = state.config;
+        let spare = config.da_exec_set(writer).with(writer);
+        let joined = std::mem::take(&mut state.join_list);
+        // Only the primary ever tracks an extra member.
+        let stale_extra = state.extra.filter(|extra| !spare.contains(*extra));
+        if config.is_primary(self.id) {
             // The new extra member: the original floater if the writer is
             // core-or-floater, otherwise the writer itself.
-            state.extra = match &config {
-                ProtocolConfig::Da { f, p } => {
-                    if f.with(*p).contains(writer) {
-                        Some(*p)
-                    } else {
-                        Some(writer)
-                    }
-                }
-                ProtocolConfig::Sa { .. } | ProtocolConfig::Adaptive { .. } => None,
-            };
+            let scheme = config.initial_scheme();
+            state.extra = config
+                .floater()
+                .map(|p| if scheme.contains(writer) { p } else { writer });
         }
-        if flushed > 0 {
-            self.obs_scheme_churn(ctx.now(), object, flushed);
+        self.send_invalidate(ctx, slot, joined.difference(spare), version);
+        self.send_invalidate(ctx, slot, stale_extra, version);
+        if !joined.is_empty() {
+            self.obs_scheme_churn(ctx.now(), self.catalog.id(slot), joined.len());
         }
     }
 
@@ -1051,14 +884,11 @@ impl DomNode {
         &mut self,
         ctx: &mut T,
         from: NodeId,
-        object: ObjectId,
+        slot: usize,
         round: u64,
         reply: Option<(Version, Payload)>,
     ) {
-        let Some(slot) = self.catalog.slot(object) else {
-            return;
-        };
-        let Some(pending) = self.pending[slot].as_mut() else {
+        let Some(pending) = self.catalog[slot].pending.as_mut() else {
             // No operation in flight (or it already assembled its
             // majority): a straggler reply, not actionable.
             return;
@@ -1084,117 +914,153 @@ impl DomNode {
                 _ => pending.best = Some((v, d)),
             }
         }
-        self.maybe_finish_quorum(ctx, object);
+        self.maybe_finish_quorum(ctx, slot);
     }
 
-    fn maybe_finish_quorum<T: Transport + ?Sized>(&mut self, ctx: &mut T, object: ObjectId) {
-        let Some(slot) = self.catalog.slot(object) else {
-            return;
-        };
-        let finished = self.pending[slot].as_ref().is_some_and(|p| {
-            let reached = if self.bugs.count_duplicate_responders {
+    fn maybe_finish_quorum<T: Transport + ?Sized>(&mut self, ctx: &mut T, slot: usize) {
+        let count_duplicates = self.bugs.count_duplicate_responders;
+        let assembled = |p: &mut PendingQuorum| {
+            let reached = if count_duplicates {
                 p.counted
             } else {
                 p.responders.len()
             };
             reached >= p.needed
-        });
-        if finished {
-            let Some(done) = self.pending[slot].take() else {
-                return;
-            };
-            if let Some(obs) = self.obs.as_mut() {
-                if let Some(span) = obs.open_quorum.remove(&(object, done.round)) {
-                    obs.bundle().events().span_exit(span, ctx.now().ticks());
-                }
+        };
+        let Some(done) = self.catalog[slot].pending.take_if(assembled) else {
+            return;
+        };
+        let object = self.catalog.id(slot);
+        if let Some(obs) = self.obs.as_mut() {
+            if let Some(span) = obs.open_quorum.remove(&(object, done.round)) {
+                obs.bundle().events().span_exit(span, ctx.now().ticks());
             }
-            let version = done.best.as_ref().map(|(v, _)| *v);
-            if let Some((v, d)) = done.best {
-                if done.store_result && self.fresher_than_local(object, v) {
-                    self.store.output(object, v, d);
-                }
+        }
+        let version = done.best.as_ref().map(|(v, _)| *v);
+        if let Some((v, d)) = done.best {
+            if done.store_result && self.fresher_than_local(slot, v) {
+                self.store.output(object, v, d);
             }
-            if !self.read_started[slot].is_empty() {
-                self.complete_read(object, version, ctx.now());
+        }
+        // A CatchUp's quorum read has no client read waiting on it.
+        self.complete_read(slot, version, ctx.now());
+    }
+
+    /// A whole-node mode switch: every object's record is visited.
+    fn handle_mode_change<T: Transport + ?Sized>(&mut self, ctx: &mut T, quorum: bool) {
+        self.obs_mode_change(ctx.now(), quorum);
+        self.quorum_mode = quorum;
+        for slot in 0..self.catalog.len() {
+            let object = self.catalog.id(slot);
+            if quorum {
+                // Missing-writes transition (§2): a normal-mode write
+                // lives on only t replicas — not necessarily a majority —
+                // so quorum reads alone could miss it. Every valid holder
+                // pushes its current version to all peers (receivers keep
+                // the freshest), putting the latest committed version on
+                // a write-majority before quorum service starts.
+                if let Some((version, payload)) = self.input_shared(object) {
+                    self.send_write_prop(ctx, slot, self.all_peers(), version, &payload);
+                }
             } else {
-                // CatchUp completion: nothing further to do.
-                let _ = done.started;
+                // Re-entering normal mode: quorum writes replicated to
+                // everyone, but each algorithm's invariant is that exactly
+                // its initial scheme holds the object — DA's F ∪ {p} with
+                // join-lists empty and floater = p, SA's Q, and the
+                // adaptive oracle's initial scheme (the driver resets the
+                // oracle on this transition). Nodes outside that set drop
+                // their replicas locally — no messages, the mode change
+                // itself was the coordination.
+                let state = &mut self.catalog[slot];
+                let config = state.config;
+                if !config.initial_scheme().contains(self.id) {
+                    self.store.invalidate(object);
+                }
+                if config.is_core(self.id) {
+                    state.join_list = ProcSet::EMPTY;
+                }
+                if config.is_primary(self.id) {
+                    state.extra = config.floater();
+                }
             }
         }
     }
 }
 
 impl DomNode {
-    /// Deliver one inbound message through any [`Transport`]: classify it,
-    /// run the state machine, then account the step's I/O and buffered
-    /// sends to observability. This is the single entry point both
+    /// Deliver one inbound message through any [`Transport`]: resolve the
+    /// object it names to its catalog slot — once; every handler below
+    /// takes the slot — run the state machine, then account the step's
+    /// I/O to observability. This is the single entry point both
     /// runtimes share — the sim engine's [`Actor::on_message`] delegates
     /// here, and `doma-net`'s event loop calls it directly, so the two
     /// execute literally the same code path.
     ///
-    /// The transport's send buffer must hold only this delivery's sends
-    /// when the call returns (flush it *after* `deliver`, never during).
+    /// A message naming an object outside the catalog — whoever sent it —
+    /// records [`DomaError::UnknownObject`] and does nothing else: no
+    /// store or log write, no reply.
     pub fn deliver<T: Transport + ?Sized>(&mut self, t: &mut T, from: NodeId, msg: DomMsg) {
         // Classify before handling (the handler consumes the message),
-        // account after: the transport's send buffer then holds exactly
-        // this dispatch's sends and the I/O cursor delta exactly its
-        // I/O.
+        // account after: the I/O cursor delta is then exactly this
+        // dispatch's I/O.
         let op = op_of(&msg);
-        let object = object_of(&msg);
-        self.handle_message(t, from, msg);
-        self.obs_account(t, op, object);
+        if let DomMsg::ModeChange { quorum } = msg {
+            // The one message naming no object: it visits every record.
+            self.handle_mode_change(t, quorum);
+            return self.obs_account_io(op, None);
+        }
+        let Some(slot) = object_of(&msg).and_then(|object| self.slot_or_record(object)) else {
+            return;
+        };
+        self.handle_message(t, from, slot, msg);
+        self.obs_account_io(op, Some(slot));
     }
 
-    fn handle_message<T: Transport + ?Sized>(&mut self, ctx: &mut T, from: NodeId, msg: DomMsg) {
+    /// Runs the state machine for a message about the object in `slot`.
+    fn handle_message<T: Transport + ?Sized>(
+        &mut self,
+        ctx: &mut T,
+        from: NodeId,
+        slot: usize,
+        msg: DomMsg,
+    ) {
         match msg {
-            DomMsg::ClientRead { object, plan } => self.handle_client_read(ctx, object, plan),
+            DomMsg::ClientRead { plan, .. } => self.handle_client_read(ctx, slot, plan),
             DomMsg::ClientWrite {
-                object,
                 version,
                 payload,
                 plan,
-            } => self.handle_client_write(ctx, object, version, payload, plan),
+                ..
+            } => self.handle_client_write(ctx, slot, version, payload, plan),
             DomMsg::ReadReq {
                 object,
                 saving,
                 round,
             } => {
-                match self.input_shared(object) {
+                let reply = match self.input_shared(object) {
                     Some((version, payload)) => {
-                        if saving && self.is_da_core(object) {
-                            // is_da_core implies the object is catalogued,
-                            // so the slot lookup always succeeds.
-                            let joined = match self.catalog.slot(object) {
-                                Some(slot) => {
-                                    let state = &mut self.da[slot];
-                                    let grew = !state.join_list.contains(proc(from));
-                                    state.join_list.insert(proc(from));
-                                    grew
-                                }
-                                None => false,
-                            };
-                            if joined {
-                                self.obs_join(ctx.now(), object, from);
-                            }
+                        let state = &mut self.catalog[slot];
+                        let joiner = proc(from);
+                        if saving
+                            && state.config.is_core(self.id)
+                            && !state.join_list.contains(joiner)
+                        {
+                            state.join_list.insert(joiner);
+                            self.obs_join(ctx.now(), object, from);
                         }
-                        ctx.send(
-                            from,
-                            MsgKind::Data,
-                            DomMsg::ObjData {
-                                object,
-                                version,
-                                payload,
-                                save: saving,
-                                round,
-                            },
-                        );
+                        DomMsg::ObjData {
+                            object,
+                            version,
+                            payload,
+                            save: saving,
+                            round,
+                        }
                     }
-                    None => {
-                        // Only possible in quorum mode (normal-mode servers
-                        // always hold valid replicas — asserted by tests).
-                        ctx.send(from, MsgKind::Control, DomMsg::NoData { object, round });
-                    }
-                }
+                    // Only possible in quorum mode (normal-mode servers
+                    // always hold valid replicas — asserted by tests).
+                    None => DomMsg::NoData { object, round },
+                };
+                self.send(ctx, slot, proc(from), reply);
             }
             DomMsg::ObjData {
                 object,
@@ -1208,24 +1074,28 @@ impl DomNode {
                     // that solicited it; handle_quorum_reply drops it when
                     // that operation is gone or superseded. It must never
                     // complete a forwarded read.
-                    self.handle_quorum_reply(ctx, from, object, round, Some((version, payload)));
-                } else {
-                    if version < self.invalidated_floor(object) && !self.bugs.no_invalidated_floor {
-                        // A delayed or duplicated reply carrying data an
-                        // invalidation already proved obsolete: answering
-                        // a read with it would violate one-copy
-                        // semantics. Drop it.
-                        return;
-                    }
-                    if save && self.fresher_than_local(object, version) {
-                        self.store.output(object, version, payload);
-                    }
-                    self.complete_read(object, Some(version), ctx.now());
+                    return self.handle_quorum_reply(
+                        ctx,
+                        from,
+                        slot,
+                        round,
+                        Some((version, payload)),
+                    );
                 }
+                if version < self.catalog[slot].invalidated_below && !self.bugs.no_invalidated_floor
+                {
+                    // A delayed or duplicated reply carrying data an
+                    // invalidation already proved obsolete: answering a
+                    // read with it would violate one-copy semantics. Drop
+                    // it.
+                    return;
+                }
+                if save && self.fresher_than_local(slot, version) {
+                    self.store.output(object, version, payload);
+                }
+                self.complete_read(slot, Some(version), ctx.now());
             }
-            DomMsg::NoData { object, round } => {
-                self.handle_quorum_reply(ctx, from, object, round, None)
-            }
+            DomMsg::NoData { round, .. } => self.handle_quorum_reply(ctx, from, slot, round, None),
             DomMsg::WriteProp {
                 object,
                 version,
@@ -1235,103 +1105,17 @@ impl DomNode {
                 // A delayed/duplicated propagation must not regress the
                 // replica; core invalidation duties still run so late
                 // joiners are flushed exactly once per write.
-                if self.fresher_than_local(object, version) {
+                if self.fresher_than_local(slot, version) {
                     self.store.output(object, version, payload);
-                    if !self.quorum_mode && self.is_da_core(object) {
-                        self.da_invalidate_duties(ctx, object, version, proc(writer));
+                    if !self.quorum_mode && self.catalog[slot].config.is_core(self.id) {
+                        self.da_invalidate_duties(ctx, slot, version, proc(writer));
                     }
                 }
             }
-            DomMsg::Invalidate { object, version } => {
-                if let Some(slot) = self.catalog.slot(object) {
-                    let floor = &mut self.invalidated_below[slot];
-                    if version > *floor {
-                        *floor = version;
-                    }
-                }
-                self.store.invalidate(object);
-            }
-            DomMsg::ModeChange { quorum } => {
-                self.obs_mode_change(ctx.now(), quorum);
-                self.quorum_mode = quorum;
-                if quorum {
-                    // Missing-writes transition (§2): a normal-mode write
-                    // lives on only t replicas — not necessarily a
-                    // majority — so quorum reads alone could miss it.
-                    // Every valid holder pushes its current version to all
-                    // peers (receivers keep the freshest), putting the
-                    // latest committed version on a write-majority before
-                    // quorum service starts.
-                    for slot in 0..self.catalog.len() {
-                        let object = self.catalog.ids[slot];
-                        let held = self.input_shared(object);
-                        if let Some((version, payload)) = held {
-                            for peer in self.all_peers() {
-                                ctx.send(
-                                    peer,
-                                    MsgKind::Data,
-                                    DomMsg::WriteProp {
-                                        object,
-                                        version,
-                                        payload: payload.clone(),
-                                        writer: node(self.id),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                } else {
-                    // Re-entering normal mode: quorum writes replicated to
-                    // everyone, but DA's invariant is that exactly
-                    // F ∪ {p} hold each object (join-lists empty, floater
-                    // = p). Nodes outside that set drop their replicas
-                    // locally — no messages, the mode change itself was
-                    // the coordination.
-                    let objects: Vec<(ObjectId, ProtocolConfig)> = self
-                        .catalog
-                        .ids
-                        .iter()
-                        .copied()
-                        .zip(self.catalog.values.iter().cloned())
-                        .collect();
-                    for (object, config) in objects {
-                        match config {
-                            ProtocolConfig::Da { f, p } => {
-                                if !f.with(p).contains(self.id) {
-                                    self.store.invalidate(object);
-                                }
-                                let primary = self.is_da_primary(object);
-                                let Some(slot) = self.catalog.slot(object) else {
-                                    continue;
-                                };
-                                let state = &mut self.da[slot];
-                                if f.contains(self.id) {
-                                    state.join_list = ProcSet::EMPTY;
-                                }
-                                if primary {
-                                    state.extra = Some(p);
-                                }
-                            }
-                            ProtocolConfig::Sa { q } => {
-                                // SA's scheme is exactly Q; replicas that
-                                // quorum writes left elsewhere are dropped.
-                                if !q.contains(self.id) {
-                                    self.store.invalidate(object);
-                                }
-                            }
-                            ProtocolConfig::Adaptive { initial, .. } => {
-                                // The driver resets its oracle to the
-                                // initial scheme on this transition, so the
-                                // replica set snaps back to match it.
-                                if !initial.contains(self.id) {
-                                    self.store.invalidate(object);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            DomMsg::CatchUp { object } => {
+            DomMsg::Invalidate { version, .. } => self.invalidate_local(slot, version),
+            // Handled by `deliver`: it names no object, so it has no slot.
+            DomMsg::ModeChange { .. } => {}
+            DomMsg::CatchUp { .. } => {
                 if self.quorum_mode {
                     // Missing-writes transition: quorum-read the latest
                     // version and store it locally before resuming service.
@@ -1339,42 +1123,26 @@ impl DomNode {
                     // mode-entry push) put the latest version on a
                     // majority, which every assembled read quorum
                     // intersects.
-                    self.start_quorum_read(ctx, object, true);
-                } else {
-                    // In normal mode the latest write lives on only t
-                    // replicas — not necessarily a majority — so a quorum
-                    // read could legitimately miss it (fast NoData control
-                    // replies can assemble a majority before any data
-                    // arrives). The scheme members are known and always
-                    // current, so fetch from them directly; the freshest
-                    // reply wins and a saving fetch re-enters the join
-                    // list, restoring invalidation duties.
-                    let Some(config) = self.config_or_record(object) else {
-                        return;
-                    };
-                    // Adaptive schemes move with the workload, so the
-                    // initial members may no longer hold the object: ask
-                    // everyone, keep the freshest reply (stale and NoData
-                    // round-0 replies drop harmlessly).
-                    let targets = match config {
-                        ProtocolConfig::Adaptive { .. } => ProcSet::universe(self.n),
-                        other => other.initial_scheme(),
-                    };
-                    for member in targets.iter() {
-                        if member == self.id {
-                            continue;
-                        }
-                        ctx.send(
-                            node(member),
-                            MsgKind::Control,
-                            DomMsg::ReadReq {
-                                object,
-                                saving: true,
-                                round: 0,
-                            },
-                        );
-                    }
+                    return self.start_quorum_read(ctx, slot, true);
                 }
+                // In normal mode the latest write lives on only t
+                // replicas — not necessarily a majority — so a quorum
+                // read could legitimately miss it (fast NoData control
+                // replies can assemble a majority before any data
+                // arrives). The scheme members are known and always
+                // current, so fetch from them directly; the freshest
+                // reply wins and a saving fetch re-enters the join
+                // list, restoring invalidation duties.
+                //
+                // Adaptive schemes move with the workload, so the
+                // initial members may no longer hold the object: ask
+                // everyone, keep the freshest reply (stale and NoData
+                // round-0 replies drop harmlessly).
+                let targets = match self.catalog[slot].config {
+                    ProtocolConfig::Adaptive { .. } => ProcSet::universe(self.n),
+                    other => other.initial_scheme(),
+                };
+                self.send_read_req(ctx, slot, targets.without(self.id), true, 0);
             }
         }
     }
@@ -1388,7 +1156,7 @@ impl Actor<DomMsg> for DomNode {
     fn on_crash(&mut self) {
         // Volatile state is lost; the store survives on "stable storage"
         // (its redo log). In-memory table is rebuilt on recovery.
-        self.clear_volatile_tables();
+        self.clear_volatile_state();
         // In-flight quorum spans died with the volatile state; their
         // enter records stay in the log as evidence.
         if let Some(obs) = self.obs.as_mut() {
@@ -1396,9 +1164,9 @@ impl Actor<DomMsg> for DomNode {
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<DomMsg>) {
+    fn on_recover(&mut self, _ctx: &mut Context<DomMsg>) {
         self.recover_from_log();
-        self.obs_account(ctx, Op::Recovery, None);
+        self.obs_account_io(Op::Recovery, None);
     }
 }
 
@@ -1432,7 +1200,7 @@ mod tests {
             f: ps(&[0]),
             p: ProcessorId::new(1),
         };
-        let member = DomNode::new(ProcessorId::new(0), 4, cfg.clone());
+        let member = DomNode::new(ProcessorId::new(0), 4, cfg);
         assert!(member.holds_valid());
         assert_eq!(member.io_stats().total(), 0);
         let outsider = DomNode::new(ProcessorId::new(3), 4, cfg);
@@ -1445,21 +1213,22 @@ mod tests {
             f: ps(&[0, 2]),
             p: ProcessorId::new(3),
         };
-        let primary = DomNode::new(ProcessorId::new(0), 5, cfg.clone());
-        assert!(primary.is_da_primary(OBJECT));
+        assert!(cfg.is_primary(ProcessorId::new(0)));
+        let primary = DomNode::new(ProcessorId::new(0), 5, cfg);
         assert_eq!(primary.da_extra(OBJECT), Some(ProcessorId::new(3)));
+        assert!(cfg.is_core(ProcessorId::new(2)) && !cfg.is_primary(ProcessorId::new(2)));
         let other_core = DomNode::new(ProcessorId::new(2), 5, cfg);
-        assert!(!other_core.is_da_primary(OBJECT));
         assert_eq!(other_core.da_extra(OBJECT), None);
+        assert!(!cfg.is_core(ProcessorId::new(3)), "the floater is not core");
     }
 
     #[test]
     fn quorum_peers_exclude_self_and_quorum_is_majority() {
         let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
         let n = DomNode::new(ProcessorId::new(1), 5, cfg);
-        let peers: Vec<NodeId> = n.all_peers().collect();
+        let peers = n.all_peers();
         assert_eq!(peers.len(), 4);
-        assert!(!peers.contains(&NodeId(1)));
+        assert!(!peers.contains(ProcessorId::new(1)));
         assert_eq!(n.quorum_size(), 3);
     }
 
@@ -1492,10 +1261,13 @@ mod tests {
     #[test]
     fn unknown_object_is_an_error_not_a_panic() {
         let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
-        let n = DomNode::new(ProcessorId::new(0), 4, cfg);
-        let err = n.config(ObjectId(99)).unwrap_err();
+        let mut n = DomNode::new(ProcessorId::new(0), 4, cfg);
+        assert_eq!(n.slot_or_record(ObjectId(99)), None);
+        let [err] = n.protocol_errors() else {
+            panic!("one error, got {:?}", n.protocol_errors());
+        };
         assert_eq!(
-            err,
+            *err,
             DomaError::UnknownObject {
                 node: 0,
                 object: 99
@@ -1506,39 +1278,65 @@ mod tests {
 
     #[test]
     fn unknown_object_requests_record_errors_and_send_nothing() {
-        use doma_sim::{Engine, EngineConfig};
-        let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
-        let mut engine: Engine<DomMsg, DomNode> = Engine::new(EngineConfig::default());
-        let a = engine.add_node(DomNode::new(ProcessorId::new(0), 2, cfg.clone()));
-        engine.add_node(DomNode::new(ProcessorId::new(1), 2, cfg));
-        engine.inject(
-            a,
-            0,
-            DomMsg::ClientRead {
-                object: ObjectId(9),
-                plan: None,
-            },
-        );
-        engine.inject(
-            a,
-            1,
+        use crate::transport::tests::Loopback;
+        let object = ObjectId(9);
+        let version = Version(1);
+        let payload = || Payload::from([1]);
+        // Every variant that names an object — from a client or a peer.
+        let msgs = [
+            DomMsg::ClientRead { object, plan: None },
             DomMsg::ClientWrite {
-                object: ObjectId(9),
-                version: Version(1),
-                payload: [1].into(),
+                object,
+                version,
+                payload: payload(),
                 plan: None,
             },
-        );
-        engine.run_until_idle();
-        let errors = engine.actor(a).protocol_errors();
-        assert_eq!(errors.len(), 2, "{errors:?}");
-        assert!(errors
-            .iter()
-            .all(|e| *e == DomaError::UnknownObject { node: 0, object: 9 }));
-        // No messages escaped: the error path is local.
-        let stats = engine.net_stats();
-        assert_eq!(stats.control_sent + stats.data_sent, 0);
-        assert_eq!(engine.actor(a).read_metrics(), (0, 0));
+            DomMsg::ReadReq {
+                object,
+                saving: true,
+                round: 0,
+            },
+            DomMsg::ObjData {
+                object,
+                version,
+                payload: payload(),
+                save: true,
+                round: 0,
+            },
+            DomMsg::NoData { object, round: 1 },
+            DomMsg::WriteProp {
+                object,
+                version,
+                payload: payload(),
+                writer: NodeId(1),
+            },
+            DomMsg::Invalidate { object, version },
+            DomMsg::CatchUp { object },
+        ];
+        for quorum in [false, true] {
+            let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
+            let mut node = DomNode::new(ProcessorId::new(0), 2, cfg);
+            let mut t = Loopback::default();
+            if quorum {
+                node.deliver(&mut t, NodeId(1), DomMsg::ModeChange { quorum });
+                t.outbox.clear();
+            }
+            let (io, logged) = (node.io_stats(), node.redo_log().len());
+            for (i, msg) in msgs.iter().enumerate() {
+                node.deliver(&mut t, NodeId(1), msg.clone());
+                // The error path is local: nothing stored, logged or sent.
+                assert_eq!(node.protocol_errors().len(), i + 1, "{msg:?}");
+                assert_eq!(node.io_stats(), io, "{msg:?}");
+                assert_eq!(node.redo_log().len(), logged, "{msg:?}");
+                assert!(t.pending_sends().is_empty(), "{msg:?}");
+                assert_eq!(node.replica_version_of(object), None, "{msg:?}");
+            }
+            assert!(node
+                .protocol_errors()
+                .iter()
+                .all(|e| *e == DomaError::UnknownObject { node: 0, object: 9 }));
+            assert_eq!(node.read_metrics(), (0, 0));
+        }
     }
 
     #[test]
@@ -1546,7 +1344,7 @@ mod tests {
         use doma_sim::{Engine, EngineConfig};
         let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
         let mut engine: Engine<DomMsg, DomNode> = Engine::new(EngineConfig::default());
-        let a = engine.add_node(DomNode::new(ProcessorId::new(0), 2, cfg.clone()));
+        let a = engine.add_node(DomNode::new(ProcessorId::new(0), 2, cfg));
         engine.add_node(DomNode::new(ProcessorId::new(1), 2, cfg));
         let wp = |v: u64| DomMsg::WriteProp {
             object: OBJECT,

@@ -6,11 +6,11 @@
 //! `{algo, node, op}`. Summed across all label sets they equal the
 //! engine's exact network/I-O tallies (and therefore
 //! [`doma_core::cost_of_schedule`]'s totals on failure-free runs) —
-//! message for message, I/O for I/O. The accounting rides the engine's
-//! fresh-`Context`-per-dispatch guarantee: every `ctx.send` a handler
-//! buffers is still in [`doma_sim::Context::pending_sends`] when the
-//! handler returns, so each message is counted exactly once, by the node
-//! that sent it.
+//! message for message, I/O for I/O. Each message is counted exactly
+//! once, by the node that sent it, as it is queued (`DomNode::send`, the
+//! one place a message leaves a node — where the governing entrant is at
+//! hand from the slot the delivery resolved); store I/O is charged per
+//! delivery from a cursor over the store's own tally.
 
 use crate::{DomMsg, Entrant};
 use doma_core::{ObjectId, ProcessorId};

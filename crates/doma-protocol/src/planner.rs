@@ -12,7 +12,7 @@
 //! [`ClientPlanner::plan`] to turn a [`Request`] into the client
 //! [`DomMsg`] they inject.
 
-use crate::node::ObjectCatalog;
+use crate::catalog::ObjectCatalog;
 use crate::sim::PlanOracle;
 use crate::{DomMsg, ReadPlan, WritePlan};
 use doma_core::{
@@ -20,7 +20,6 @@ use doma_core::{
 };
 use doma_sim::NodeId;
 use doma_storage::{Payload, Version};
-use std::collections::BTreeMap;
 use std::io::Write;
 
 /// A client request turned into the wire message a driver injects.
@@ -37,8 +36,34 @@ pub struct PlannedRequest {
     pub decision: Option<Decision>,
 }
 
-/// The deterministic planning state of a protocol driver: write-version
-/// counters, adaptive oracles, and the oracle-tracked allocation schemes.
+/// What the planner keeps about one object.
+struct ObjectPlan {
+    /// The next write version.
+    next_version: Version,
+    /// Adaptive objects only: the live decision oracle — deterministic,
+    /// its state a pure function of the planned request sequence — and
+    /// the allocation scheme it believes is current, folded per decision
+    /// with [`scheme_after`]: the `Y` the write plans' invalidation sets
+    /// are computed from.
+    oracle: Option<(Box<dyn PlanOracle>, ProcSet)>,
+}
+
+impl Clone for ObjectPlan {
+    /// Deep copy: the oracle via [`PlanOracle::clone_box`].
+    fn clone(&self) -> Self {
+        ObjectPlan {
+            next_version: self.next_version,
+            oracle: self
+                .oracle
+                .as_ref()
+                .map(|(oracle, scheme)| (oracle.clone_box(), *scheme)),
+        }
+    }
+}
+
+/// The deterministic planning state of a protocol driver: per object, the
+/// write-version counter and — for adaptive objects — the oracle with the
+/// allocation scheme it tracks.
 ///
 /// Two drivers constructed with the same catalog and oracles that feed the
 /// same request sequence through [`ClientPlanner::plan`] produce the same
@@ -46,16 +71,9 @@ pub struct PlannedRequest {
 /// twin check.
 pub struct ClientPlanner {
     n: usize,
-    /// Next write version per catalogued object (doubles as the catalog
+    /// One record per catalogued object (doubles as the catalog
     /// membership set for validation).
-    next_version: ObjectCatalog<Version>,
-    /// Live decision oracles for adaptive objects. Deterministic: oracle
-    /// state is a pure function of the planned request sequence.
-    oracles: BTreeMap<ObjectId, Box<dyn PlanOracle>>,
-    /// The allocation scheme each oracle believes is current, folded per
-    /// decision with [`scheme_after`] — the `Y` the write plans'
-    /// invalidation sets are computed from.
-    oracle_scheme: BTreeMap<ObjectId, ProcSet>,
+    objects: ObjectCatalog<ObjectPlan>,
 }
 
 impl ClientPlanner {
@@ -64,15 +82,16 @@ impl ClientPlanner {
     /// replica); no oracles — install them with
     /// [`ClientPlanner::install_oracle`].
     pub fn new(n: usize, objects: impl IntoIterator<Item = ObjectId>) -> Self {
-        let first = objects
-            .into_iter()
-            .map(|object| (object, Version::INITIAL.next()))
-            .collect();
+        let fresh = |object| {
+            let plan = ObjectPlan {
+                next_version: Version::INITIAL.next(),
+                oracle: None,
+            };
+            (object, plan)
+        };
         ClientPlanner {
             n,
-            next_version: ObjectCatalog::from_map(first),
-            oracles: BTreeMap::new(),
-            oracle_scheme: BTreeMap::new(),
+            objects: ObjectCatalog::from_map(objects.into_iter().map(fresh).collect()),
         }
     }
 
@@ -82,19 +101,24 @@ impl ClientPlanner {
     }
 
     /// Installs (and resets) the adaptive oracle governing `object`; its
-    /// tracked scheme starts at the oracle's initial scheme.
+    /// tracked scheme starts at the oracle's initial scheme. An object
+    /// outside the catalog has no request to plan, so its oracle is
+    /// dropped.
     pub fn install_oracle(&mut self, object: ObjectId, mut oracle: Box<dyn PlanOracle>) {
-        oracle.reset();
-        self.oracle_scheme.insert(object, oracle.initial_scheme());
-        self.oracles.insert(object, oracle);
+        if let Some(slot) = self.objects.slot(object) {
+            oracle.reset();
+            let scheme = oracle.initial_scheme();
+            self.objects[slot].oracle = Some((oracle, scheme));
+        }
     }
 
     /// Resets every oracle to its initial state (scheme included) — the
     /// failover driver's companion to `ModeChange { quorum: false }`.
+    /// Write versions keep counting.
     pub fn reset_oracles(&mut self) {
-        for (object, oracle) in self.oracles.iter_mut() {
+        for (oracle, scheme) in self.objects.records_mut().filter_map(|o| o.oracle.as_mut()) {
             oracle.reset();
-            self.oracle_scheme.insert(*object, oracle.initial_scheme());
+            *scheme = oracle.initial_scheme();
         }
     }
 
@@ -103,9 +127,9 @@ impl ClientPlanner {
     /// # Panics
     /// If `object` is not in the catalog.
     pub fn latest_version(&self, object: ObjectId) -> Version {
-        let slot = self.next_version.slot(object);
+        let slot = self.objects.slot(object);
         assert!(slot.is_some(), "{object} not in the cluster's catalog");
-        Version(slot.map_or(0, |slot| self.next_version.values[slot].0 - 1))
+        Version(slot.map_or(0, |slot| self.objects[slot].next_version.0 - 1))
     }
 
     /// Validates `request` against the cluster and catalog, runs the
@@ -119,15 +143,18 @@ impl ClientPlanner {
                 self.n
             )));
         }
-        let Some(slot) = self.next_version.slot(object) else {
+        let Some(slot) = self.objects.slot(object) else {
             return Err(DomaError::InvalidConfig(format!(
                 "{object} not in the cluster's catalog"
             )));
         };
+        let record = &mut self.objects[slot];
         let to = NodeId(request.issuer.index());
-        let planned = self.decide(object, request);
-        let (read_plan, write_plan, decision) = match planned {
-            Some((r, w, d)) => (r, w, Some(d)),
+        let (read_plan, write_plan, decision) = match record.oracle.as_mut() {
+            Some((oracle, scheme)) => {
+                let (r, w, d) = decide(oracle.as_mut(), scheme, request);
+                (r, w, Some(d))
+            }
             None => (None, None, None),
         };
         let msg = if request.is_read() {
@@ -136,8 +163,8 @@ impl ClientPlanner {
                 plan: read_plan,
             }
         } else {
-            let version = self.next_version.values[slot];
-            self.next_version.values[slot] = version.next();
+            let version = record.next_version;
+            record.next_version = version.next();
             DomMsg::ClientWrite {
                 object,
                 version,
@@ -148,68 +175,50 @@ impl ClientPlanner {
         Ok(PlannedRequest { to, msg, decision })
     }
 
-    /// Runs the object's adaptive oracle (if any) on `request`: advances
-    /// the oracle and its tracked scheme, and maps the decision to the
-    /// read/write plan the issuing node will execute. Returns `None` for
-    /// SA/DA objects. No validation — [`ClientPlanner::plan`] is the
-    /// checked entry point.
-    #[allow(clippy::type_complexity)]
-    fn decide(
-        &mut self,
-        object: ObjectId,
-        request: Request,
-    ) -> Option<(Option<ReadPlan>, Option<WritePlan>, Decision)> {
-        if self.oracles.is_empty() {
-            return None;
-        }
-        let oracle = self.oracles.get_mut(&object)?;
-        let scheme = *self.oracle_scheme.get(&object)?;
-        let decision = oracle.decide(request);
-        let i = request.issuer;
-        let pair = if request.is_read() {
-            let server = if decision.exec.contains(i) {
-                None
-            } else {
-                decision.exec.any_member()
-            };
-            (
-                Some(ReadPlan {
-                    server,
-                    saving: decision.saving,
-                    fallback: scheme.without(i).any_member(),
-                }),
-                None,
-            )
-        } else {
-            (
-                None,
-                Some(WritePlan {
-                    exec: decision.exec,
-                    invalidate: scheme.difference(decision.exec).without(i),
-                    self_invalidate: scheme.contains(i) && !decision.exec.contains(i),
-                }),
-            )
-        };
-        let step = AllocatedRequest::new(request, decision);
-        self.oracle_scheme
-            .insert(object, scheme_after(scheme, &step));
-        Some((pair.0, pair.1, decision))
-    }
-
     /// Deep copy (oracles included, via [`PlanOracle::clone_box`]) so a
     /// model checker's speculative branches advance independent state.
     pub fn fork(&self) -> Self {
         ClientPlanner {
             n: self.n,
-            next_version: self.next_version.clone(),
-            oracles: self
-                .oracles
-                .iter()
-                .map(|(object, oracle)| (*object, oracle.clone_box()))
-                .collect(),
-            oracle_scheme: self.oracle_scheme.clone(),
+            objects: self.objects.clone(),
         }
     }
+}
+
+/// Runs an adaptive object's oracle on `request`: advances the oracle and
+/// its tracked `scheme`, and maps the decision to the read/write plan the
+/// issuing node will execute. No validation — [`ClientPlanner::plan`] is
+/// the checked entry point.
+fn decide(
+    oracle: &mut dyn PlanOracle,
+    scheme: &mut ProcSet,
+    request: Request,
+) -> (Option<ReadPlan>, Option<WritePlan>, Decision) {
+    let current = *scheme;
+    let decision = oracle.decide(request);
+    let i = request.issuer;
+    let (read_plan, write_plan) = if request.is_read() {
+        let server = if decision.exec.contains(i) {
+            None
+        } else {
+            decision.exec.any_member()
+        };
+        let plan = ReadPlan {
+            server,
+            saving: decision.saving,
+            fallback: current.without(i).any_member(),
+        };
+        (Some(plan), None)
+    } else {
+        let plan = WritePlan {
+            exec: decision.exec,
+            invalidate: current.difference(decision.exec).without(i),
+            self_invalidate: current.contains(i) && !decision.exec.contains(i),
+        };
+        (None, Some(plan))
+    };
+    *scheme = scheme_after(current, &AllocatedRequest::new(request, decision));
+    (read_plan, write_plan, decision)
 }
 
 /// The bytes a client writes as `version` of `object`:
@@ -299,6 +308,61 @@ mod tests {
     }
 
     #[test]
+    fn fork_and_reset_act_on_the_one_record_per_object() {
+        use crate::{Entrant, Tunables};
+        let n = 4;
+        let p = ProcessorId::new;
+        let adaptive = || {
+            let mut planner = ClientPlanner::new(n, [OBJ, ObjectId(1)]);
+            let oracle = Entrant::WriteInvalidate
+                .config()
+                .algorithm(n, Tunables::CANONICAL)
+                .unwrap();
+            planner.install_oracle(OBJ, oracle);
+            planner
+        };
+        let tracked = |planner: &ClientPlanner| planner.objects[0].oracle.as_ref().map(|o| o.1);
+        let mut original = adaptive();
+        let initial = tracked(&original);
+        assert!(initial.is_some() && original.objects[1].oracle.is_none());
+
+        // A saving-read by an outsider grows the tracked scheme.
+        original.plan(OBJ, Request::read(p(3))).unwrap();
+        original.plan(OBJ, Request::write(p(1))).unwrap();
+        original.plan(OBJ, Request::read(p(2))).unwrap();
+        let before_fork = tracked(&original);
+        assert_ne!(before_fork, initial);
+
+        // The fork's oracle, tracked scheme and version counter all
+        // advance without touching the original's.
+        let mut fork = original.fork();
+        let in_fork = fork.plan(OBJ, Request::write(p(3))).unwrap();
+        assert_eq!(fork.latest_version(OBJ), Version(2));
+        assert_ne!(tracked(&fork), before_fork);
+        assert_eq!(original.latest_version(OBJ), Version(1));
+        assert_eq!(tracked(&original), before_fork);
+        // ... so the original still plans that request exactly as the
+        // fork did.
+        assert_eq!(original.plan(OBJ, Request::write(p(3))).unwrap(), in_fork);
+
+        // Reset restarts oracle and scheme; versions keep counting.
+        original.reset_oracles();
+        assert_eq!(tracked(&original), initial);
+        assert_eq!(original.latest_version(OBJ), Version(2));
+        let replanned = original.plan(OBJ, Request::read(p(3))).unwrap();
+        assert_eq!(
+            replanned,
+            adaptive().plan(OBJ, Request::read(p(3))).unwrap()
+        );
+        let DomMsg::ClientWrite { version, .. } =
+            original.plan(OBJ, Request::write(p(0))).unwrap().msg
+        else {
+            panic!("a write plans a ClientWrite");
+        };
+        assert_eq!(version, Version(3));
+    }
+
+    #[test]
     fn sa_objects_plan_without_decisions() {
         let mut p = planner();
         let planned = p.plan(OBJ, Request::read(ProcessorId::new(2))).unwrap();
@@ -311,6 +375,6 @@ mod tests {
                 plan: None
             }
         );
-        assert!(p.oracles.is_empty());
+        assert!(p.objects.iter().all(|(_, plan)| plan.oracle.is_none()));
     }
 }

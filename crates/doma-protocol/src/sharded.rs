@@ -203,7 +203,7 @@ impl ShardedSim {
         for (object, config) in &self.configs {
             let shard = assignment.get(object).copied().unwrap_or(0);
             if let Some(catalog) = catalogs.get_mut(shard) {
-                catalog.insert(*object, config.clone());
+                catalog.insert(*object, *config);
             }
         }
         catalogs.into_iter().zip(schedules).collect()

@@ -1284,7 +1284,7 @@ mod tests {
                 algo,
             };
             assert!(config.oracle(4, Tunables::CANONICAL).is_err());
-            assert!(ProtocolSim::deploy(4, config.clone(), Tunables::CANONICAL).is_err());
+            assert!(ProtocolSim::deploy(4, config, Tunables::CANONICAL).is_err());
             assert!(ProtocolSim::new_catalog(4, BTreeMap::from([(OBJECT, config)])).is_err());
         }
     }

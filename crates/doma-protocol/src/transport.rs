@@ -16,10 +16,11 @@
 //!   ?Sized`, not `&mut dyn Transport`, so the sim hot path monomorphizes
 //!   to exactly the code it ran before the refactor (`sim_req_per_s` in
 //!   `benchmark/` is the number that would show otherwise).
-//! * **Buffered sends.** `send` queues; `pending_sends` exposes the queue
-//!   so the node's observability layer can tally per-message costs after
-//!   a step (the engine drains the buffer after each dispatch, the socket
-//!   transport after each [`DomNode::deliver`](crate::DomNode::deliver)).
+//! * **Buffered sends.** `send` queues; the engine drains the buffer
+//!   after each dispatch, the socket transport after each
+//!   [`DomNode::deliver`](crate::DomNode::deliver). `pending_sends`
+//!   shows the queue to tests; the node accounts a message as it queues
+//!   it and never reads the queue back.
 //! * **Logical time.** `now` is the transport's logical clock. The engine
 //!   reports simulated time; the socket transport reports a per-node
 //!   delivery tick. Protocol behavior must not depend on the absolute
@@ -49,7 +50,6 @@ pub trait Transport {
     fn send(&mut self, to: NodeId, kind: MsgKind, msg: DomMsg);
 
     /// The messages queued by `send` since the last flush, in send order.
-    /// The node's obs layer reads this to attribute per-message costs.
     fn pending_sends(&self) -> &[(NodeId, MsgKind, DomMsg)];
 }
 
@@ -68,15 +68,16 @@ impl Transport for Context<DomMsg> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use doma_core::ObjectId;
 
     /// A minimal in-memory transport proving the trait is implementable
     /// outside the sim engine (the real implementation lives in doma-net).
-    struct Loopback {
-        tick: SimTime,
-        outbox: Vec<(NodeId, MsgKind, DomMsg)>,
+    #[derive(Default)]
+    pub(crate) struct Loopback {
+        pub(crate) tick: SimTime,
+        pub(crate) outbox: Vec<(NodeId, MsgKind, DomMsg)>,
     }
 
     impl Transport for Loopback {

@@ -114,6 +114,26 @@ mod tests {
     }
 
     #[test]
+    fn every_scenario_file_on_disk_is_listed() {
+        // A `.toml` dropped into `scenarios/` without a `BUILTINS` entry
+        // would be parsed, pinned and replayed by nothing.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+            .map(|path| {
+                path.file_stem()
+                    .expect("file stem")
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        on_disk.sort_unstable();
+        assert_eq!(on_disk, names(), "scenarios/*.toml and BUILTINS differ");
+    }
+
+    #[test]
     fn builtin_names_are_sorted_and_unique() {
         let names = names();
         let mut sorted = names.clone();
