@@ -3,17 +3,15 @@
 //! integration tests assert on and the `repro` binary prints.
 
 use crate::battery::standard_battery;
-use crate::ratio::{standard_algorithms, summarize};
+use crate::ratio::summarize;
 use crate::region::{empirical_region_map, RegionConfig, RegionMap};
 use crate::report::{fmt_f64, Table};
 use crate::sweep::{da_crossover, read_write_mix_sweep, SweepConfig};
 use doma_algorithms::baselines::{DaNoSave, SlidingWindowConvergent, WriteInvalidateCache};
 use doma_algorithms::search::{exhaustive_worst_case, SearchConfig};
 use doma_algorithms::{adversary, DynamicAllocation, OfflineOptimal, StaticAllocation};
-use doma_core::{
-    run_online, CostModel, DomAlgorithm, Environment, OnlineDom, ProcSet, ProcessorId, Result,
-};
-use doma_protocol::{ProtocolConfig, ProtocolSim};
+use doma_core::{run_online, CostModel, Environment, OnlineDom, ProcSet, ProcessorId, Result};
+use doma_protocol::{Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_sim::NetworkConfig;
 use doma_workload::{AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, ScheduleGen};
 use std::collections::BTreeMap;
@@ -130,7 +128,7 @@ pub fn fig2(config: &RegionConfig) -> Result<ExpReport> {
 pub fn thm1_sa_tightness(lengths: &[usize]) -> Result<ExpReport> {
     let model = CostModel::stationary(0.5, 1.5).expect("valid");
     let bound = model.sa_bound().expect("SC");
-    let (mut sa, _) = standard_algorithms();
+    let mut sa = Entrant::Sa.config().algorithm(5, Tunables::CANONICAL)?;
     let opt = OfflineOptimal::new(5, 2, sa.initial_scheme(), model)?;
     let mut table = Table::new(vec![
         "schedule length",
@@ -141,7 +139,7 @@ pub fn thm1_sa_tightness(lengths: &[usize]) -> Result<ExpReport> {
     let mut last_ratio = 0.0;
     for &len in lengths {
         let schedule = adversary::remote_reader(ProcessorId::new(2), len);
-        let point = crate::ratio::measure(&mut sa, &opt, &model, &schedule)?;
+        let point = crate::ratio::measure(&mut *sa, &opt, &model, &schedule)?;
         table.push_row(vec![
             len.to_string(),
             fmt_f64(point.ratio),
@@ -152,7 +150,7 @@ pub fn thm1_sa_tightness(lengths: &[usize]) -> Result<ExpReport> {
     }
     // Upper-bound validation over the battery too.
     let battery = standard_battery(5, 60, 3);
-    let battery_worst = summarize(&mut sa, &model, 5, &battery)?;
+    let battery_worst = summarize(&mut *sa, &model, 5, &battery)?;
     let mut report = ExpReport::new(
         "E3",
         format!(
@@ -198,11 +196,11 @@ pub fn thm23_da_upper_bounds() -> Result<ExpReport> {
     for (cc, cd) in points {
         let model = CostModel::stationary(cc, cd).expect("valid");
         let bound = model.da_bound().expect("SC");
-        let (_, mut da) = standard_algorithms();
+        let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
         let battery = standard_battery(5, 48, 2);
-        let battery_worst = summarize(&mut da, &model, 5, &battery)?.worst;
+        let battery_worst = summarize(&mut *da, &model, 5, &battery)?.worst;
         let search = exhaustive_worst_case(
-            &mut da,
+            &mut *da,
             &SearchConfig {
                 n: 3,
                 t: 2,
@@ -245,9 +243,9 @@ pub fn prop2_da_lower_bound(wide: bool) -> Result<ExpReport> {
     // Exhaustive short-schedule searches (prefix ratios include the
     // additive constant β of the competitiveness definition).
     for len in [4usize, 5, 6] {
-        let (_, mut da) = standard_algorithms();
+        let mut da = Entrant::Da.config().algorithm(3, Tunables::CANONICAL)?;
         let r = exhaustive_worst_case(
-            &mut da,
+            &mut *da,
             &SearchConfig {
                 n: 3,
                 t: 2,
@@ -275,8 +273,8 @@ pub fn prop2_da_lower_bound(wide: bool) -> Result<ExpReport> {
     };
     let mut amplified = 0.0;
     for repeats in [10usize, 50, 200] {
-        let (_, mut da) = standard_algorithms();
-        amplified = amplified_ratio(&mut da, &cfg, &best_witness, repeats)?;
+        let mut da = Entrant::Da.config().algorithm(cfg.n, Tunables::CANONICAL)?;
+        amplified = amplified_ratio(&mut *da, &cfg, &best_witness, repeats)?;
         table.push_row(vec![
             format!("witness x{repeats}"),
             fmt_f64(amplified),
@@ -295,9 +293,9 @@ pub fn prop2_da_lower_bound(wide: bool) -> Result<ExpReport> {
         searches.push((4, 6));
     }
     for (n, pattern_len) in searches {
-        let (_, mut da) = standard_algorithms();
+        let mut da = Entrant::Da.config().algorithm(n, Tunables::CANONICAL)?;
         let r = doma_algorithms::search::best_amplified_pattern(
-            &mut da,
+            &mut *da,
             &SearchConfig {
                 n,
                 t: 2,
@@ -340,13 +338,13 @@ pub fn prop2_da_lower_bound(wide: bool) -> Result<ExpReport> {
 /// ratio grows linearly with schedule length.
 pub fn prop3_sa_mc_divergence(lengths: &[usize]) -> Result<ExpReport> {
     let model = CostModel::mobile(0.5, 1.5).expect("valid");
-    let (mut sa, _) = standard_algorithms();
+    let mut sa = Entrant::Sa.config().algorithm(5, Tunables::CANONICAL)?;
     let opt = OfflineOptimal::new(5, 2, sa.initial_scheme(), model)?;
     let mut table = Table::new(vec!["schedule length", "SA/OPT ratio"]);
     let mut ratios = Vec::new();
     for &len in lengths {
         let schedule = adversary::remote_reader(ProcessorId::new(2), len);
-        let point = crate::ratio::measure(&mut sa, &opt, &model, &schedule)?;
+        let point = crate::ratio::measure(&mut *sa, &opt, &model, &schedule)?;
         table.push_row(vec![len.to_string(), fmt_f64(point.ratio)]);
         ratios.push(point.ratio);
     }
@@ -376,9 +374,9 @@ pub fn thm4_da_mobile() -> Result<ExpReport> {
         let cc = r * cd;
         let model = CostModel::mobile(cc, cd).expect("valid");
         let bound = model.da_bound().expect("cd > 0");
-        let (_, mut da) = standard_algorithms();
+        let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
         let battery = standard_battery(5, 48, 2);
-        let worst = summarize(&mut da, &model, 5, &battery)?.worst;
+        let worst = summarize(&mut *da, &model, 5, &battery)?.worst;
         max_frac = max_frac.max(worst / bound);
         table.push_row(vec![
             format!("{r:.2}"),
@@ -537,9 +535,10 @@ pub fn append_e12(schedule_len: usize, seed: u64) -> Result<ExpReport> {
             CostModel::mobile(0.2, 0.8).expect("valid"),
         ),
     ] {
-        let (mut sa, mut da) = standard_algorithms();
-        let sa_cost = run_online(&mut sa, &schedule)?.costed.total_cost(&model);
-        let da_cost = run_online(&mut da, &schedule)?.costed.total_cost(&model);
+        let mut sa = Entrant::Sa.config().algorithm(6, Tunables::CANONICAL)?;
+        let mut da = Entrant::Da.config().algorithm(6, Tunables::CANONICAL)?;
+        let sa_cost = run_online(&mut *sa, &schedule)?.costed.total_cost(&model);
+        let da_cost = run_online(&mut *da, &schedule)?.costed.total_cost(&model);
         table.push_row(vec![
             name.to_string(),
             fmt_f64(sa_cost),
@@ -586,9 +585,10 @@ pub fn ablation_e14(schedule_len: usize, seed: u64) -> Result<ExpReport> {
         Ok(())
     };
 
-    let (mut sa, mut da) = standard_algorithms();
-    run_all("SA", &mut sa)?;
-    run_all("DA", &mut da)?;
+    let mut sa = Entrant::Sa.config().algorithm(5, Tunables::CANONICAL)?;
+    let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
+    run_all("SA", &mut *sa)?;
+    run_all("DA", &mut *da)?;
     let init = sa.initial_scheme();
     let mut nosave = DaNoSave::new([0usize].into_iter().collect(), ProcessorId::new(1))?;
     run_all("DA-nosave", &mut nosave)?;
@@ -638,8 +638,8 @@ pub fn file_allocation_e19(schedule_len: usize, seed: u64) -> Result<ExpReport> 
     let mut metrics = BTreeMap::new();
     for (name, gen) in workloads {
         let schedule = gen.generate(schedule_len, seed);
-        let (mut sa, _) = standard_algorithms();
-        let sa_cost = run_online(&mut sa, &schedule)?.costed.total_cost(&model);
+        let mut sa = Entrant::Sa.config().algorithm(n, Tunables::CANONICAL)?;
+        let sa_cost = run_online(&mut *sa, &schedule)?.costed.total_cost(&model);
         let bs = BestStaticAllocation::new(n, 2, model)?;
         let (_, best_static) = bs.best_scheme(&schedule)?;
         let opt = OfflineOptimal::new(n, 2, sa.initial_scheme(), model)?;

@@ -3,7 +3,7 @@
 
 use crate::battery::NamedSchedule;
 use doma_algorithms::OfflineOptimal;
-use doma_core::{run_online, CostModel, OnlineDom, ProcSet, Result, Schedule};
+use doma_core::{run_online, CostModel, OnlineDom, Result, Schedule};
 
 /// One algorithm-vs-OPT measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,35 +92,21 @@ pub fn summarize<A: OnlineDom + ?Sized>(
     })
 }
 
-/// Convenience: the standard SA and DA instances used throughout the
-/// experiments (SA over `{0,1}`, DA with core `{0}` and floater `1`,
-/// i.e. `t = 2`).
-pub fn standard_algorithms() -> (
-    doma_algorithms::StaticAllocation,
-    doma_algorithms::DynamicAllocation,
-) {
-    let q: ProcSet = [0usize, 1].into_iter().collect();
-    let sa = doma_algorithms::StaticAllocation::new(q).expect("valid Q");
-    let da = doma_algorithms::DynamicAllocation::new(
-        [0usize].into_iter().collect(),
-        doma_core::ProcessorId::new(1),
-    )
-    .expect("valid F/p");
-    (sa, da)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::battery::standard_battery;
-    use doma_core::DomAlgorithm;
+    use doma_protocol::{Entrant, Tunables};
 
     #[test]
     fn sa_summary_respects_theorem_1() {
         let model = CostModel::stationary(0.3, 0.8).unwrap();
         let battery = standard_battery(5, 40, 2);
-        let (mut sa, _) = standard_algorithms();
-        let s = summarize(&mut sa, &model, 5, &battery).unwrap();
+        let mut sa = Entrant::Sa
+            .config()
+            .algorithm(5, Tunables::CANONICAL)
+            .unwrap();
+        let s = summarize(&mut *sa, &model, 5, &battery).unwrap();
         assert!(
             s.worst <= model.sa_bound().unwrap() + 1e-9,
             "worst={}",
@@ -137,8 +123,11 @@ mod tests {
     fn da_summary_respects_theorem_2() {
         let model = CostModel::stationary(0.3, 0.8).unwrap();
         let battery = standard_battery(5, 40, 2);
-        let (_, mut da) = standard_algorithms();
-        let s = summarize(&mut da, &model, 5, &battery).unwrap();
+        let mut da = Entrant::Da
+            .config()
+            .algorithm(5, Tunables::CANONICAL)
+            .unwrap();
+        let s = summarize(&mut *da, &model, 5, &battery).unwrap();
         assert!(
             s.worst <= model.da_bound().unwrap() + 1e-9,
             "worst={}",
@@ -152,8 +141,11 @@ mod tests {
         // SA still pays per remote read.
         let model = CostModel::mobile(0.3, 0.8).unwrap();
         let battery = standard_battery(5, 40, 1);
-        let (mut sa, _) = standard_algorithms();
-        let s = summarize(&mut sa, &model, 5, &battery).unwrap();
+        let mut sa = Entrant::Sa
+            .config()
+            .algorithm(5, Tunables::CANONICAL)
+            .unwrap();
+        let s = summarize(&mut *sa, &model, 5, &battery).unwrap();
         assert!(
             s.worst > 10.0,
             "SA in MC should blow up on the remote-reader battery entry, got {}",
@@ -165,10 +157,13 @@ mod tests {
     fn ratio_of_identical_costs_is_one() {
         // A schedule of local reads by a member is optimal for SA itself.
         let model = CostModel::stationary(0.3, 0.8).unwrap();
-        let (mut sa, _) = standard_algorithms();
+        let mut sa = Entrant::Sa
+            .config()
+            .algorithm(4, Tunables::CANONICAL)
+            .unwrap();
         let opt = OfflineOptimal::new(4, 2, sa.initial_scheme(), model).unwrap();
         let schedule: Schedule = "r0 r1 r0".parse().unwrap();
-        let p = measure(&mut sa, &opt, &model, &schedule).unwrap();
+        let p = measure(&mut *sa, &opt, &model, &schedule).unwrap();
         assert!((p.ratio - 1.0).abs() < 1e-9);
     }
 }

@@ -18,8 +18,9 @@
 //! battery against the exact offline optimum.
 
 use crate::battery::{standard_battery, NamedSchedule};
-use crate::ratio::{standard_algorithms, summarize};
+use crate::ratio::summarize;
 use doma_core::{CostModel, Environment, Result};
+use doma_protocol::{Entrant, Tunables};
 use std::fmt;
 
 /// A cell of the region map.
@@ -179,9 +180,10 @@ fn measure_point(
         Environment::Mobile => CostModel::mobile(cc, cd),
     }
     .expect("cc <= cd on the feasible half");
-    let (mut sa, mut da) = standard_algorithms();
-    let sa_summary = summarize(&mut sa, &model, n, battery)?;
-    let da_summary = summarize(&mut da, &model, n, battery)?;
+    let mut sa = Entrant::Sa.config().algorithm(n, Tunables::CANONICAL)?;
+    let mut da = Entrant::Da.config().algorithm(n, Tunables::CANONICAL)?;
+    let sa_summary = summarize(&mut *sa, &model, n, battery)?;
+    let da_summary = summarize(&mut *da, &model, n, battery)?;
     // Winner by worst-case ratio, with a 2% dead-band reported as Unknown.
     let measured = if !sa_summary.worst.is_finite() && !da_summary.worst.is_finite() {
         Region::Unknown

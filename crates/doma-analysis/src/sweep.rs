@@ -2,7 +2,8 @@
 //! `std::thread::scope`.
 
 use doma_algorithms::baselines::SlidingWindowConvergent;
-use doma_core::{run_online, CostModel, DomAlgorithm, OnlineDom, Result};
+use doma_core::{run_online, CostModel, OnlineDom, Result};
+use doma_protocol::{Entrant, Tunables};
 use doma_workload::{ScheduleGen, UniformWorkload};
 
 /// Mean cost-per-request of SA, DA and the convergent baseline at one
@@ -65,13 +66,18 @@ fn mean_cost_per_request<A: OnlineDom + ?Sized>(
 
 fn sweep_point(config: &SweepConfig, read_fraction: f64) -> Result<SweepPoint> {
     let gen = UniformWorkload::new(config.n, read_fraction)?;
-    let (mut sa, mut da) = crate::ratio::standard_algorithms();
+    let mut sa = Entrant::Sa
+        .config()
+        .algorithm(config.n, Tunables::CANONICAL)?;
+    let mut da = Entrant::Da
+        .config()
+        .algorithm(config.n, Tunables::CANONICAL)?;
     let init = sa.initial_scheme();
     let mut conv = SlidingWindowConvergent::new(config.n, 2, init, 40, 20)?;
     Ok(SweepPoint {
         read_fraction,
-        sa: mean_cost_per_request(&mut sa, &config.model, &gen, config.len, config.seeds)?,
-        da: mean_cost_per_request(&mut da, &config.model, &gen, config.len, config.seeds)?,
+        sa: mean_cost_per_request(&mut *sa, &config.model, &gen, config.len, config.seeds)?,
+        da: mean_cost_per_request(&mut *da, &config.model, &gen, config.len, config.seeds)?,
         convergent: mean_cost_per_request(
             &mut conv,
             &config.model,

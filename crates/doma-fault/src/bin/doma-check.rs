@@ -3,20 +3,16 @@
 //! explored, pruned and any counterexample found.
 //!
 //! ```text
-//! doma-check [--scenario NAME] [--max-states N] [--max-depth N]
-//!            [--no-sleep-sets] [--no-minimize] [--list]
+//! doma-check [--scenario NAME] [--max-states N] [--max-depth N] [--list]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violation found, 2 usage or budget exhaustion.
 
-use doma_check::{builtin, check, CheckOptions};
+use doma_fault::{builtin, check, CheckOptions};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: doma-check [--scenario NAME] [--max-states N] [--max-depth N] \
-         [--no-sleep-sets] [--no-minimize] [--list]"
-    );
+    eprintln!("usage: doma-check [--scenario NAME] [--max-states N] [--max-depth N] [--list]");
     ExitCode::from(2)
 }
 
@@ -38,8 +34,6 @@ fn main() -> ExitCode {
                 Some(v) => opts.max_depth = v,
                 None => return usage(),
             },
-            "--no-sleep-sets" => opts.sleep_sets = false,
-            "--no-minimize" => opts.minimize = false,
             "--list" => {
                 for s in builtin() {
                     println!(
@@ -83,10 +77,7 @@ fn main() -> ExitCode {
                             println!("    {line}");
                         }
                     }
-                    println!(
-                        "  {}",
-                        cex.replay_line(&scenario.name, "replay_trace_from_env")
-                    );
+                    println!("  {}", cex.replay_line(scenario, "replay_trace_from_env"));
                     worst = worst.max(1);
                 } else if !report.complete {
                     worst = worst.max(2);

@@ -1,7 +1,7 @@
 //! The exhaustive interleaving explorer: a depth-first search over
 //! message-delivery choice points with state-fingerprint deduplication
 //! and sleep-set partial-order reduction, auditing every reached state
-//! with [`doma_fault::InvariantChecker`].
+//! with [`InvariantChecker`].
 //!
 //! # Search space
 //!
@@ -32,9 +32,10 @@
 //! sleep set no larger than the current one (Godefroid's subset rule) —
 //! otherwise the state is re-expanded with the intersection.
 
+use crate::invariants::{InvariantChecker, Violation};
+use crate::replay::{format_bugs, format_trace, BUGS_ENV, TRACE_ENV};
 use crate::scenario::{Action, Scenario};
 use doma_core::{DomaError, Result};
-use doma_fault::{InvariantChecker, Regime, Violation};
 use doma_protocol::{DomMsg, ProtocolSim};
 use doma_sim::{NodeId, PendingEvent};
 use doma_storage::Version;
@@ -54,8 +55,8 @@ pub struct CheckOptions {
     pub max_states: u64,
     /// Maximum dispatches along any single path (the depth budget).
     pub max_depth: usize,
-    /// Apply sleep-set partial-order reduction (on by default; turning
-    /// it off is useful to measure how much it prunes).
+    /// Apply sleep-set partial-order reduction (on by default; the
+    /// unreduced search is the reference that proves it sound).
     pub sleep_sets: bool,
     /// On violation, re-search breadth-first for a globally shortest
     /// counterexample trace.
@@ -106,11 +107,17 @@ impl Counterexample {
         self.steps.iter().map(|s| s.seq).collect()
     }
 
-    /// A copy-pasteable reproduction line in the house replay style.
-    pub fn replay_line(&self, scenario: &str, test: &str) -> String {
+    /// A copy-pasteable reproduction line in the house replay style; it
+    /// re-applies the scenario's bug switches, if any are on.
+    pub fn replay_line(&self, scenario: &Scenario, test: &str) -> String {
+        let bugs = match format_bugs(scenario.bugs) {
+            tokens if tokens.is_empty() => tokens,
+            tokens => format!("{BUGS_ENV}={tokens} "),
+        };
         format!(
-            "replay: DOMA_CHECK_SCENARIO={scenario} DOMA_CHECK_TRACE={} cargo test -p doma-check {test} -- --nocapture",
-            crate::replay::format_trace(&self.trace())
+            "replay: DOMA_CHECK_SCENARIO={} {bugs}{TRACE_ENV}={} cargo test -p doma-fault {test} -- --nocapture",
+            scenario.name,
+            format_trace(&self.trace())
         )
     }
 }
@@ -185,24 +192,20 @@ pub(crate) struct SearchState {
     pub(crate) checker: InvariantChecker,
     /// Next phase to inject once the queue drains.
     pub(crate) phase: usize,
-    /// Versions written by the current phase (committed-floor rule at
-    /// the next barrier).
+    /// Versions written by the current phase (commit candidates at the
+    /// next barrier).
     writes_this_phase: Vec<Version>,
     /// Injected-but-undispatched client reads, seq → issuing node; used
     /// to capture each read's start floor at dispatch.
     read_nodes: Lookup<u64, usize>,
     /// Dispatches taken along this path.
     pub(crate) depth: usize,
-    n: usize,
-    t: usize,
 }
 
 impl SearchState {
     pub(crate) fn initial(scenario: &Scenario) -> Result<Self> {
         let sim = scenario.build_sim()?;
-        let n = scenario.n;
-        let t = sim.config().t();
-        let checker = InvariantChecker::new(&sim, n);
+        let checker = InvariantChecker::new(&sim);
         Ok(SearchState {
             sim,
             checker,
@@ -210,8 +213,6 @@ impl SearchState {
             writes_this_phase: Vec::new(),
             read_nodes: Lookup::new(),
             depth: 0,
-            n,
-            t,
         })
     }
 
@@ -223,23 +224,6 @@ impl SearchState {
             writes_this_phase: self.writes_this_phase.clone(),
             read_nodes: self.read_nodes.clone(),
             depth: self.depth,
-            n: self.n,
-            t: self.t,
-        }
-    }
-
-    /// Degraded as soon as any live node serves in quorum mode — the
-    /// regime rule the torture harness uses.
-    fn regime(&self) -> Regime {
-        let engine = self.sim.engine_ref();
-        let degraded = (0..self.n).any(|i| {
-            let id = NodeId(i);
-            engine.is_alive(id) && engine.actor(id).in_quorum_mode()
-        });
-        if degraded {
-            Regime::Degraded
-        } else {
-            Regime::Normal
         }
     }
 
@@ -267,29 +251,16 @@ impl SearchState {
             if self.sim.engine_ref().has_pending() {
                 return Ok(Progress::Ready);
             }
-            // Quiescence barrier for the phase that just drained. In the
-            // normal regime a write commits here — and only here — when
-            // it reached at least t valid holders (the committed-write
-            // rule the torture harness uses); mid-phase the floor is
-            // frozen, because §3.1 promises nothing for reads overlapping
-            // a write. In the degraded regime quorum evidence raises the
-            // floor inside check_sim itself.
-            let regime = self.regime();
-            let wrote = if regime == Regime::Normal {
-                self.writes_this_phase
-                    .iter()
-                    .max()
-                    .copied()
-                    .filter(|v| self.sim.holders_of(*v).len() >= self.t)
-            } else {
-                None
-            };
+            // Quiescence barrier for the phase that just drained. The
+            // phase's newest write is a commit candidate here — and only
+            // here: mid-phase the floor is frozen, because §3.1 promises
+            // nothing for reads overlapping a write.
+            let wrote = self.writes_this_phase.iter().max().copied();
             let context = format!(
                 "scenario {}, barrier before phase {}",
                 scenario.name, self.phase
             );
-            self.checker
-                .check_sim(&self.sim, None, regime, wrote, &context)?;
+            self.checker.check(&self.sim, None, wrote, &context)?;
             self.writes_this_phase.clear();
             if self.phase >= scenario.phases.len() {
                 return Ok(Progress::Done);
@@ -323,7 +294,7 @@ impl SearchState {
                 self.sim.engine_mut().schedule_recover(NodeId(p), 0);
             }
             Action::ModeChange(quorum) => {
-                for i in 0..self.n {
+                for i in 0..self.sim.engine_ref().node_count() {
                     self.sim
                         .engine_mut()
                         .inject(NodeId(i), 0, DomMsg::ModeChange { quorum });
@@ -347,10 +318,9 @@ impl SearchState {
         let read_node = self.read_nodes.remove(&seq);
         if !self.sim.dispatch_by_seq(seq) {
             // Either the seq is not queued (replaying a stale trace) or
-            // the engine's event budget tripped; check_sim distinguishes.
+            // the engine's event budget tripped; the audit distinguishes.
             let context = format!("scenario {}: dispatch of seq {seq} refused", scenario.name);
-            self.checker
-                .check_sim(&self.sim, None, self.regime(), None, &context)?;
+            self.checker.check(&self.sim, None, None, &context)?;
             return Err(Violation::ProtocolError {
                 node: 0,
                 error: DomaError::InvalidConfig(format!("no queued event with seq {seq}")),
@@ -368,8 +338,7 @@ impl SearchState {
             "scenario {}, phase {}, depth {}",
             scenario.name, self.phase, self.depth
         );
-        self.checker
-            .check_sim(&self.sim, None, self.regime(), None, &context)
+        self.checker.check(&self.sim, None, None, &context)
     }
 }
 

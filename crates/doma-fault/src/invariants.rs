@@ -1,48 +1,41 @@
 //! The invariant checker: after every step of a fault schedule, asserts
-//! the paper's safety properties on the live cluster state.
+//! the paper's safety properties on the live cluster state. Both drivers
+//! — the sampled torture episodes and the exhaustive explorer — hand it
+//! the cluster and nothing else: the rules that decide which invariants
+//! apply live here.
 //!
-//! Three families of invariants (ISSUE/DESIGN mapping):
-//!
+//! * **Regime.** The cluster is *degraded* as soon as a live node serves
+//!   in quorum mode, and *normal* otherwise. Normal-mode SA/DA is not
+//!   loss-tolerant by design, so t-availability is asserted only in the
+//!   normal regime.
 //! * **t-availability** (§3.1): in normal mode the valid-replica set of
 //!   the object never silently drops below `t` — stable storage of
 //!   crashed processors counts, because their replicas survive the crash
 //!   and are replayed from the redo log on recovery.
 //! * **One-copy semantics** (§2, through quorum mode): every *completed*
 //!   read returns a version at least as new as the committed floor at the
-//!   time the read was issued. The floor rises with normal-mode writes
-//!   (committed by the protocol's own replication) and, in degraded mode,
-//!   with quorum evidence — the highest version validly held by a
-//!   majority of stores. Blocked reads (server crashed, quorum
-//!   unreachable) never complete and are therefore never audited: safety,
-//!   not liveness, is checked.
+//!   time the read was issued. In the normal regime the floor rises with
+//!   a write the caller names, once at least `t` replicas validly hold it
+//!   (the paper promises nothing more when `t` or more processors are
+//!   down); in the degraded regime, with quorum evidence — the highest
+//!   version validly held by a majority of stores. Blocked reads (server
+//!   crashed, quorum unreachable) never complete and are therefore never
+//!   audited: safety, not liveness, is checked.
 //! * **Cost conservation**: `SimReport.cost` tallies are component-wise
 //!   non-decreasing, and the pre-failure snapshot taken by
-//!   [`FailoverDriver`] never exceeds the running totals (failure
-//!   overhead is attributed separately, per that type's contract).
+//!   [`FailoverDriver`](doma_protocol::failover::FailoverDriver) never
+//!   exceeds the running totals (failure overhead is attributed
+//!   separately, per that type's contract).
 //!
 //! Two low-level guards back these up: per-node store versions are
 //! monotone (a delayed or duplicated message must never regress a
 //! replica), and no node records a protocol error.
 
 use doma_core::{CostVector, DomaError};
-use doma_protocol::failover::FailoverDriver;
 use doma_protocol::ProtocolSim;
 use doma_sim::NodeId;
 use doma_storage::Version;
 use std::fmt;
-
-/// Which service regime the cluster is believed to be in — decides which
-/// invariants are meaningful (normal-mode DA/SA is not tolerant of
-/// message loss by design, so t-availability is only asserted when the
-/// only faults are crashes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Regime {
-    /// Normal SA/DA service; faults are limited to crash/recover.
-    Normal,
-    /// Quorum (failure) mode, possibly with a lossy network: only
-    /// quorum-established guarantees are asserted.
-    Degraded,
-}
 
 /// One detected invariant violation. `context` is the step description
 /// the driver passed to [`InvariantChecker::check`].
@@ -59,7 +52,7 @@ pub enum Violation {
     },
     /// The pre-failure cost snapshot exceeds the running totals.
     AttributionInverted {
-        /// The snapshot [`FailoverDriver::normal_mode_cost`] reported.
+        /// The snapshot the driver passed as `normal_cost`.
         normal: CostVector,
         /// Tallies now.
         total: CostVector,
@@ -166,11 +159,11 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Stateful auditor over a [`FailoverDriver`]-wrapped cluster: call
+/// Stateful auditor over a [`ProtocolSim`]: call
 /// [`InvariantChecker::check`] after every step (request executed, fault
-/// injected, crash, heal) and it compares the cluster against what the
-/// previous steps committed. Single-object clusters (object 0) only — the
-/// shape every torture scenario uses.
+/// injected, crash, heal, single delivery) and it compares the cluster
+/// against what the previous steps committed. Single-object clusters
+/// (object 0) only — the shape every torture and checker scenario uses.
 ///
 /// `Clone` so a model checker can carry an independent copy of the
 /// auditor down each branch of its state-space search (the checker state
@@ -201,7 +194,8 @@ pub struct InvariantChecker {
 
 impl InvariantChecker {
     /// Captures the initial state of a freshly built cluster.
-    pub fn new(sim: &ProtocolSim, n: usize) -> Self {
+    pub fn new(sim: &ProtocolSim) -> Self {
+        let n = sim.engine_ref().node_count();
         let t = sim.config().t();
         let node_versions = (0..n)
             .map(|i| sim.engine_ref().actor(NodeId(i)).replica_version())
@@ -252,39 +246,18 @@ impl InvariantChecker {
         h.finish()
     }
 
-    /// Audits the cluster after one step.
+    /// Audits the cluster after one step and returns the first violation
+    /// found, if any.
     ///
-    /// `wrote` is the version a write committed during this step under
-    /// *normal-mode* guarantees (ignored in [`Regime::Degraded`], where
-    /// only quorum evidence raises the floor). Returns the first
-    /// violation found, if any.
+    /// `normal_cost` is the pre-failure snapshot when one exists (a
+    /// `FailoverDriver`'s `normal_mode_cost`; drives the attribution
+    /// invariant). `wrote` is the newest version a write produced during
+    /// the step, if any: it raises the committed floor only in the normal
+    /// regime, and only once at least `t` replicas validly hold it.
     pub fn check(
-        &mut self,
-        driver: &FailoverDriver,
-        regime: Regime,
-        wrote: Option<Version>,
-        context: &str,
-    ) -> Result<(), Violation> {
-        self.check_sim(
-            driver.sim(),
-            driver.normal_mode_cost(),
-            regime,
-            wrote,
-            context,
-        )
-    }
-
-    /// Audits a bare [`ProtocolSim`] after one step — the
-    /// [`InvariantChecker::check`] body without the [`FailoverDriver`]
-    /// wrapper, so a model checker stepping the engine delivery-by-
-    /// delivery can reuse the same oracle. `normal_cost` is the
-    /// pre-failure snapshot when one exists (drives the attribution
-    /// invariant); pass `None` for failure-free exploration.
-    pub fn check_sim(
         &mut self,
         sim: &ProtocolSim,
         normal_cost: Option<CostVector>,
-        regime: Regime,
         wrote: Option<Version>,
         context: &str,
     ) -> Result<(), Violation> {
@@ -354,7 +327,8 @@ impl InvariantChecker {
 
         // t-availability (normal mode only): valid replicas — including
         // crashed nodes' stable stores — never drop below t.
-        if regime == Regime::Normal {
+        let degraded = degraded(sim);
+        if !degraded {
             let holders = (0..self.n)
                 .filter(|&i| sim.engine_ref().actor(NodeId(i)).holds_valid())
                 .count();
@@ -394,58 +368,69 @@ impl InvariantChecker {
         }
 
         // Raise the committed floor.
-        match regime {
-            Regime::Normal => {
-                if let Some(v) = wrote {
-                    if v > self.floor {
-                        self.floor = v;
-                    }
-                }
+        if degraded {
+            // Quorum evidence: the highest version validly held by a
+            // majority of stores (crashed stores count — any read
+            // majority still intersects the holder set, see module
+            // docs). Thanks to the missing-writes push on mode entry
+            // and the store monotonicity guard, this never shrinks.
+            let mut versions: Vec<Version> = (0..self.n)
+                .map(|i| sim.engine_ref().actor(NodeId(i)))
+                .filter(|node| node.holds_valid())
+                .filter_map(|node| node.replica_version())
+                .collect();
+            versions.sort_unstable_by(|a, b| b.cmp(a));
+            if versions.len() >= self.quorum {
+                self.floor = self.floor.max(versions[self.quorum - 1]);
             }
-            Regime::Degraded => {
-                // Quorum evidence: the highest version validly held by a
-                // majority of stores (crashed stores count — any read
-                // majority still intersects the holder set, see module
-                // docs). Thanks to the missing-writes push on mode entry
-                // and the store monotonicity guard, this never shrinks.
-                let mut versions: Vec<Version> = (0..self.n)
-                    .filter_map(|i| {
-                        let node = sim.engine_ref().actor(NodeId(i));
-                        if node.holds_valid() {
-                            node.replica_version()
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                versions.sort_unstable_by(|a, b| b.cmp(a));
-                if versions.len() >= self.quorum {
-                    let candidate = versions[self.quorum - 1];
-                    if candidate > self.floor {
-                        self.floor = candidate;
-                    }
-                }
-            }
+        } else if let Some(v) = wrote.filter(|&v| sim.holders_of(v).len() >= self.t) {
+            // A normal-mode write commits once it reached t valid
+            // replicas. With crashed execution-set members it can land on
+            // fewer: the paper assumes fewer than t failures, and the
+            // auditor must not assert more than the protocol promises.
+            self.floor = self.floor.max(v);
         }
         Ok(())
     }
+}
+
+/// Degraded as soon as any live node serves in quorum mode; a crashed
+/// node's stale mode flag does not count.
+fn degraded(sim: &ProtocolSim) -> bool {
+    let engine = sim.engine_ref();
+    (0..engine.node_count())
+        .any(|i| engine.is_alive(NodeId(i)) && engine.actor(NodeId(i)).in_quorum_mode())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use doma_core::{ProcSet, ProcessorId, Request};
+    use doma_protocol::failover::FailoverDriver;
+    use doma_protocol::DomMsg;
+    use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind};
+
+    fn da_sim(n: usize) -> ProtocolSim {
+        ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1)).unwrap()
+    }
 
     fn da_driver(n: usize) -> FailoverDriver {
-        let sim =
-            ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1)).unwrap();
-        FailoverDriver::new(sim, n)
+        FailoverDriver::new(da_sim(n), n)
+    }
+
+    fn audit(
+        checker: &mut InvariantChecker,
+        d: &FailoverDriver,
+        wrote: Option<Version>,
+        context: &str,
+    ) -> Result<(), Violation> {
+        checker.check(d.sim(), d.normal_mode_cost(), wrote, context)
     }
 
     #[test]
     fn healthy_run_passes_every_check() {
         let mut d = da_driver(5);
-        let mut checker = InvariantChecker::new(d.sim(), 5);
+        let mut checker = InvariantChecker::new(d.sim());
         for (i, req) in [
             Request::read(3usize),
             Request::write(2usize),
@@ -458,9 +443,7 @@ mod tests {
         {
             d.execute_request(req).unwrap();
             let wrote = (!req.is_read()).then(|| d.sim().latest_version());
-            checker
-                .check(&d, Regime::Normal, wrote, &format!("req {i}"))
-                .unwrap();
+            audit(&mut checker, &d, wrote, &format!("req {i}")).unwrap();
         }
         assert_eq!(checker.committed_floor(), Version(2));
     }
@@ -468,39 +451,72 @@ mod tests {
     #[test]
     fn floor_rises_with_quorum_evidence_in_degraded_mode() {
         let mut d = da_driver(5);
-        let mut checker = InvariantChecker::new(d.sim(), 5);
+        let mut checker = InvariantChecker::new(d.sim());
         d.crash(ProcessorId::new(0)); // core down -> quorum mode
-        checker.check(&d, Regime::Degraded, None, "crash").unwrap();
+        audit(&mut checker, &d, None, "crash").unwrap();
         d.execute_request(Request::write(2usize)).unwrap();
-        checker.check(&d, Regime::Degraded, None, "w2").unwrap();
+        audit(&mut checker, &d, None, "w2").unwrap();
         assert_eq!(
             checker.committed_floor(),
             d.sim().latest_version(),
             "quorum write must commit"
         );
         d.execute_request(Request::read(4usize)).unwrap();
-        checker.check(&d, Regime::Degraded, None, "r4").unwrap();
+        audit(&mut checker, &d, None, "r4").unwrap();
     }
 
     #[test]
     fn failover_and_heal_keep_invariants() {
         let mut d = da_driver(5);
-        let mut checker = InvariantChecker::new(d.sim(), 5);
+        let mut checker = InvariantChecker::new(d.sim());
         d.execute_request(Request::write(3usize)).unwrap();
         let v = d.sim().latest_version();
-        checker.check(&d, Regime::Normal, Some(v), "w3").unwrap();
+        audit(&mut checker, &d, Some(v), "w3").unwrap();
         d.crash(ProcessorId::new(0));
-        checker
-            .check(&d, Regime::Degraded, None, "crash 0")
-            .unwrap();
+        audit(&mut checker, &d, None, "crash 0").unwrap();
         // The missing-writes push on mode entry keeps v quorum-visible.
         d.execute_request(Request::read(4usize)).unwrap();
-        checker.check(&d, Regime::Degraded, None, "r4").unwrap();
+        audit(&mut checker, &d, None, "r4").unwrap();
         d.heal();
-        checker.check(&d, Regime::Normal, None, "heal").unwrap();
+        audit(&mut checker, &d, None, "heal").unwrap();
         d.execute_request(Request::read(2usize)).unwrap();
-        checker.check(&d, Regime::Normal, None, "r2").unwrap();
+        audit(&mut checker, &d, None, "r2").unwrap();
         assert!(checker.committed_floor() >= v);
+    }
+
+    #[test]
+    fn a_write_below_t_holders_does_not_raise_the_floor() {
+        // DA with F = {0}, p = 1 (t = 2): the floater's write lands on
+        // {0, 1}. Eating its propagation to the core leaves one holder.
+        for eaten in [false, true] {
+            let mut sim = da_sim(5);
+            let mut checker = InvariantChecker::new(&sim);
+            if eaten {
+                let link = LinkFilter::link(NodeId(1), NodeId(0)).of_kind(MsgKind::Data);
+                let plan = FaultPlan::new(0).rule(FaultRule::always(link, FaultAction::Drop));
+                sim.engine_mut().install_faults(plan);
+            }
+            sim.execute_request(Request::write(1usize)).unwrap();
+            let v = sim.latest_version();
+            assert_eq!(sim.holders_of(v).len(), if eaten { 1 } else { 2 });
+            checker.check(&sim, None, Some(v), "w1").unwrap();
+            let floor = if eaten { Version::INITIAL } else { v };
+            assert_eq!(checker.committed_floor(), floor, "eaten: {eaten}");
+        }
+    }
+
+    #[test]
+    fn only_a_live_node_in_quorum_mode_degrades_the_regime() {
+        let mut sim = da_sim(5);
+        assert!(!degraded(&sim));
+        let quorum = DomMsg::ModeChange { quorum: true };
+        sim.engine_mut().inject(NodeId(2), 0, quorum);
+        sim.engine_mut().run_until_idle();
+        assert!(degraded(&sim), "a live node serves in quorum mode");
+        sim.engine_mut().schedule_crash(NodeId(2), 0);
+        sim.engine_mut().run_until_idle();
+        assert!(sim.engine_ref().actor(NodeId(2)).in_quorum_mode());
+        assert!(!degraded(&sim), "a crashed node's mode flag must not count");
     }
 
     #[test]
@@ -508,12 +524,10 @@ mod tests {
         // Manufacture a violation without touching the cluster: floor at
         // 5, then a read completing at version 1.
         let mut d = da_driver(4);
-        let mut checker = InvariantChecker::new(d.sim(), 4);
+        let mut checker = InvariantChecker::new(d.sim());
         checker.floor = Version(5);
         d.execute_request(Request::read(3usize)).unwrap();
-        let err = checker
-            .check(&d, Regime::Normal, None, "stale")
-            .unwrap_err();
+        let err = audit(&mut checker, &d, None, "stale").unwrap_err();
         match &err {
             Violation::StaleRead { floor, .. } => assert_eq!(*floor, Version(5)),
             other => panic!("expected StaleRead, got {other}"),

@@ -1,30 +1,35 @@
-//! Deterministic fault-injection harness for the SA/DA protocols.
+//! Deterministic fault harness for the SA/DA protocols: one auditor, two
+//! drivers.
 //!
-//! Ties together the workspace's fault machinery into a torture-testing
-//! subsystem:
-//!
-//! * `doma-sim`'s [`doma_sim::FaultPlan`] DSL injects drops, delays,
-//!   duplicates, jitter, partitions and crash schedules into the
-//!   deterministic engine;
-//! * [`invariants::InvariantChecker`] audits the cluster after every step
-//!   for the paper's safety properties — t-availability (§3.1), one-copy
-//!   read semantics, and cost-tally conservation with failure overhead
-//!   attributed per the [`doma_protocol::failover::FailoverDriver`]
-//!   contract;
-//! * [`torture::run_episode`] generates fully seeded random episodes
-//!   (cluster shape × workload × fault schedule) and replays them from a
+//! * [`invariants::InvariantChecker`] audits a cluster for the paper's
+//!   safety properties — t-availability (§3.1), one-copy reads (§2) and
+//!   cost-tally conservation — and owns the rules that decide how: the
+//!   regime a cluster is in, and when a write counts as committed.
+//! * [`torture::run_episode`] *samples*: fully seeded random episodes
+//!   (cluster shape × workload × `doma_sim::FaultPlan`) replayed from a
 //!   single `u64`; `DOMA_FAULT_SEED=…` reproduces any failure exactly
 //!   (see [`doma_testkit::replay`]).
+//! * [`explore::check`] *exhausts*: every message-delivery interleaving
+//!   of a small phased [`scenario::Scenario`], with fingerprint
+//!   deduplication and sleep-set reduction; a violation comes back as a
+//!   minimal trace that `DOMA_CHECK_TRACE` replays (see [`replay`]). The
+//!   `doma-check` binary runs the built-in scenarios.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// Output flows through doma-obs (or `doma_obs::console`).
+// Library output flows through doma-obs; the `doma-check` binary prints.
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
+pub mod explore;
 pub mod invariants;
+mod minimize;
+pub mod replay;
+pub mod scenario;
 pub mod torture;
 
-pub use invariants::{InvariantChecker, Regime, Violation};
+pub use explore::{check, CheckOptions, CheckReport, Counterexample, TraceStep};
+pub use invariants::{InvariantChecker, Violation};
+pub use scenario::{builtin, Action, Scenario};
 pub use torture::{
     episode_obs_json, run_episode, run_episode_with_bugs, run_sweep, EpisodeOutcome, FaultClass,
     TortureFailure,

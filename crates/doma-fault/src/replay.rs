@@ -5,16 +5,54 @@
 //! the same scenario injects and sends events in the same order along
 //! the same schedule — so a trace replays exactly, in the style of the
 //! testkit's seed-replay convention (`DOMA_CHECK_TRACE=12-7-3 cargo test
-//! -p doma-check <test>`).
+//! -p doma-fault <test>`). A trace minted with bug switches on replays
+//! only with the same switches, named in `DOMA_CHECK_BUGS`.
 
 use crate::explore::{Progress, SearchState};
+use crate::invariants::Violation;
 use crate::scenario::Scenario;
 use doma_core::Result;
-use doma_fault::Violation;
+use doma_protocol::BugSwitches;
 use doma_testkit::replay::parse_u64;
 
 /// Environment variable carrying a dash-separated trace to replay.
 pub const TRACE_ENV: &str = "DOMA_CHECK_TRACE";
+
+/// Environment variable naming the bug switches a trace was minted under.
+pub const BUGS_ENV: &str = "DOMA_CHECK_BUGS";
+
+/// The [`BUGS_ENV`] token of each [`BugSwitches`] field — the one table
+/// both [`format_bugs`] and [`parse_bugs`] read.
+fn bug_tokens(bugs: &mut BugSwitches) -> [(&'static str, &mut bool); 3] {
+    [
+        ("round", &mut bugs.ignore_round_tags),
+        ("dup", &mut bugs.count_duplicate_responders),
+        ("floor", &mut bugs.no_invalidated_floor),
+    ]
+}
+
+/// Formats the switches that are on as comma-separated tokens (empty
+/// when none is).
+pub fn format_bugs(mut bugs: BugSwitches) -> String {
+    let on: Vec<&str> = bug_tokens(&mut bugs)
+        .into_iter()
+        .filter_map(|(token, on)| on.then_some(token))
+        .collect();
+    on.join(",")
+}
+
+/// Parses comma-separated bug tokens (`"round,floor"`); any unknown
+/// token is `None`.
+pub fn parse_bugs(s: &str) -> Option<BugSwitches> {
+    let mut bugs = BugSwitches::default();
+    for token in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        let (_, on) = bug_tokens(&mut bugs)
+            .into_iter()
+            .find(|(t, _)| *t == token)?;
+        *on = true;
+    }
+    Some(bugs)
+}
 
 /// One replayed dispatch.
 #[derive(Debug, Clone)]

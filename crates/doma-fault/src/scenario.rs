@@ -10,7 +10,7 @@
 //! and a scenario that wants the normal-mode one-copy guarantee audited
 //! puts each write in its own phase. Quorum-mode scenarios may mix reads
 //! and writes freely in one phase — the per-read floor capture in
-//! [`doma_fault::InvariantChecker`] keeps the oracle sound under overlap.
+//! [`crate::InvariantChecker`] keeps the oracle sound under overlap.
 
 use doma_core::{DomaError, ProcSet, Result};
 use doma_protocol::{BugSwitches, Entrant, ProtocolConfig, ProtocolSim, Tunables};

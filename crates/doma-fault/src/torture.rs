@@ -9,10 +9,11 @@
 //! generator, so an episode is fully reproduced by re-running with the
 //! same seed. On an invariant violation, [`TortureFailure`] carries the
 //! one-line `DOMA_FAULT_SEED=…` replay recipe **plus the observability
-//! evidence**: the metric delta since the last passing audit and the
-//! tail of the shared event log (message trace, engine lifecycle and
-//! protocol spans interleaved), so the report shows *what the cluster
-//! was doing* when the invariant broke, not just that it broke.
+//! evidence**: each node's replica, the metric delta since the last
+//! passing audit and the tail of the shared event log (message trace,
+//! engine lifecycle and protocol spans interleaved), so the report shows
+//! *what the cluster was doing* when the invariant broke, not just that
+//! it broke.
 //!
 //! Three fault classes, deliberately disjoint so every episode's checks
 //! stay sound (the comments in [`run_episode`] spell out why each phase
@@ -27,12 +28,11 @@
 //! * [`FaultClass::Drop`] — probabilistic drop/delay/duplicate/jitter
 //!   rules over random links and message kinds, again under quorum mode.
 
-use crate::invariants::{InvariantChecker, Regime, Violation};
+use crate::invariants::{InvariantChecker, Violation};
 use doma_core::{ProcSet, ProcessorId, Request};
 use doma_protocol::failover::FailoverDriver;
 use doma_protocol::{BugSwitches, Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_sim::{FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, MsgKind, NodeId};
-use doma_storage::Version;
 use doma_testkit::replay::{replay_line, FaultSeeds};
 use doma_testkit::rng::{Rng, TestRng};
 use doma_workload::{HotspotWorkload, ScheduleGen, UniformWorkload, ZipfWorkload};
@@ -93,6 +93,9 @@ pub struct TortureFailure {
     pub scenario: String,
     /// The violated invariant.
     pub violation: Violation,
+    /// Each node's replica at the violation: `p{i}[X]{+|-}={version}`
+    /// (`X` crashed, `+`/`-` valid or invalid), after the latest version.
+    pub replicas: String,
     /// The rendered metric delta since the last *passing* audit — the
     /// cost and lifecycle activity of exactly the step that broke.
     pub metrics_delta: String,
@@ -111,6 +114,9 @@ impl fmt::Display for TortureFailure {
             self.scenario, self.seed
         )?;
         writeln!(f, "  {}", self.violation)?;
+        if !self.replicas.is_empty() {
+            writeln!(f, "  replicas: {}", self.replicas)?;
+        }
         if !self.metrics_delta.is_empty() {
             writeln!(f, "  metric delta since the last passing audit:")?;
             for line in self.metrics_delta.lines() {
@@ -127,62 +133,6 @@ impl fmt::Display for TortureFailure {
     }
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "replay knob: DOMA_FAULT_TRACE only adds debug lines to stderr"
-)]
-fn trace(driver: &FailoverDriver, n: usize, what: &str) {
-    if std::env::var("DOMA_FAULT_TRACE").is_err() {
-        return;
-    }
-    let state: Vec<String> = (0..n)
-        .map(|i| {
-            let a = driver.sim().engine_ref().actor(NodeId(i));
-            format!(
-                "p{i}{}{}={:?}",
-                if driver.is_crashed(ProcessorId::new(i)) {
-                    "X"
-                } else {
-                    ""
-                },
-                if a.holds_valid() { "+" } else { "-" },
-                a.replica_version().map(|v| v.0)
-            )
-        })
-        .collect();
-    doma_obs::console::debug_line(&format!(
-        "TRACE [{what}] latest={} {}",
-        driver.sim().latest_version().0,
-        state.join(" ")
-    ));
-}
-
-fn regime_of(driver: &FailoverDriver, n: usize) -> Regime {
-    let degraded = (0..n).any(|i| {
-        !driver.is_crashed(ProcessorId::new(i))
-            && driver.sim().engine_ref().actor(NodeId(i)).in_quorum_mode()
-    });
-    if degraded {
-        Regime::Degraded
-    } else {
-        Regime::Normal
-    }
-}
-
-/// The version a just-executed write committed under normal-mode
-/// guarantees: only a write that actually reached `t` valid replicas
-/// raises the one-copy floor. (With crashed execution-set members a
-/// normal-mode write can land on fewer replicas — the paper's guarantees
-/// assume fewer than `t` failures, and the checker must not assert more
-/// than the protocol promises.)
-fn committed_write(driver: &FailoverDriver, req: Request, t: usize) -> Option<Version> {
-    if req.is_read() {
-        return None;
-    }
-    let v = driver.sim().latest_version();
-    (driver.sim().holders_of(v).len() >= t).then_some(v)
-}
-
 /// Shared audit state: the episode identity the failure report carries,
 /// plus the observability checkpoint that turns a violation into a
 /// metric *delta* (the activity of exactly the failing step, not
@@ -197,7 +147,17 @@ struct AuditCtx {
 }
 
 impl AuditCtx {
-    fn failure(&self, violation: Violation) -> TortureFailure {
+    fn failure(&self, violation: Violation, driver: &FailoverDriver) -> TortureFailure {
+        let sim = driver.sim();
+        let replicas: Vec<String> = (0..self.n)
+            .map(|i| {
+                let node = sim.engine_ref().actor(NodeId(i));
+                let crashed = driver.is_crashed(ProcessorId::new(i)).then_some("X");
+                let valid = if node.holds_valid() { '+' } else { '-' };
+                let version = node.replica_version().map(|v| v.0);
+                format!("p{i}{}{valid}={version:?}", crashed.unwrap_or_default())
+            })
+            .collect();
         let delta = self.obs.metrics().snapshot().delta(&self.last);
         let tail: Vec<String> = self
             .obs
@@ -210,6 +170,7 @@ impl AuditCtx {
             seed: self.seed,
             scenario: self.scenario.clone(),
             violation,
+            replicas: format!("latest={} {}", sim.latest_version().0, replicas.join(" ")),
             metrics_delta: delta.to_string(),
             event_tail: tail.join("\n"),
             replay: replay_line(self.seed, &self.scenario, "fault_torture"),
@@ -217,23 +178,26 @@ impl AuditCtx {
     }
 }
 
+/// Audits the step that just ran; `req` is the request it executed, if
+/// any (a write's version is the auditor's commit candidate).
 fn audit(
     checker: &mut InvariantChecker,
     driver: &mut FailoverDriver,
     ctx: &mut AuditCtx,
-    wrote: Option<Version>,
+    req: Option<&Request>,
     context: &str,
 ) -> Result<(), Box<TortureFailure>> {
-    let regime = regime_of(driver, ctx.n);
     // Attribute any I/O performed outside message dispatch before
     // snapshotting, so the delta is exact.
     driver.sim_mut().obs_flush();
-    match checker.check(driver, regime, wrote, context) {
+    let sim = driver.sim();
+    let wrote = req.filter(|r| !r.is_read()).map(|_| sim.latest_version());
+    match checker.check(sim, driver.normal_mode_cost(), wrote, context) {
         Ok(()) => {
             ctx.last = ctx.obs.metrics().snapshot();
             Ok(())
         }
-        Err(violation) => Err(Box::new(ctx.failure(violation))),
+        Err(violation) => Err(Box::new(ctx.failure(violation, driver))),
     }
 }
 
@@ -317,7 +281,6 @@ fn run_episode_observed(
         }
     };
     let sim = ProtocolSim::deploy(n, config, tunables).expect("sampled configuration is valid");
-    let t = sim.config().t();
     let scenario = format!("{entrant}/{class}/n{n}");
     let mut driver = FailoverDriver::new(sim, n);
     if bugs != BugSwitches::default() {
@@ -327,7 +290,7 @@ fn run_episode_observed(
     // The message trace shares the bundle's event log, so the failure
     // tail interleaves deliveries with lifecycle events and spans.
     driver.sim_mut().attach_tracer_on(obs.events().clone());
-    let mut checker = InvariantChecker::new(driver.sim(), n);
+    let mut checker = InvariantChecker::new(driver.sim());
     let mut ctx = AuditCtx {
         obs: obs.clone(),
         last: obs.metrics().snapshot(),
@@ -358,7 +321,6 @@ fn run_episode_observed(
         &mut checker,
         &mut ctx,
         &requests,
-        t,
         class,
     );
     // Attribute any trailing out-of-dispatch I/O before the caller
@@ -373,10 +335,10 @@ fn drive_episode(
     checker: &mut InvariantChecker,
     ctx: &mut AuditCtx,
     requests: &[Request],
-    t: usize,
     class: FaultClass,
 ) -> Result<EpisodeOutcome, Box<TortureFailure>> {
     let n = ctx.n;
+    let t = driver.sim().config().t();
     let mut issued = 0usize;
     let mut crashes = 0usize;
     let mut faults = FaultStats::default();
@@ -400,34 +362,20 @@ fn drive_episode(
                     let victim = *rng.choose(&up).expect("a node is up");
                     driver.crash(ProcessorId::new(victim));
                     crashes += 1;
-                    audit(
-                        checker,
-                        driver,
-                        ctx,
-                        None,
-                        &format!("crash p{victim} before req {i}"),
-                    )?;
-                    trace(driver, n, &format!("crash p{victim} before req {i}"));
+                    let context = format!("crash p{victim} before req {i}");
+                    audit(checker, driver, ctx, None, &context)?;
                 } else if !down.is_empty() && rng.gen_bool(0.3) {
                     let back = *rng.choose(&down).expect("a node is down");
                     driver.recover(ProcessorId::new(back));
-                    audit(
-                        checker,
-                        driver,
-                        ctx,
-                        None,
-                        &format!("recover p{back} before req {i}"),
-                    )?;
-                    trace(driver, n, &format!("recover p{back} before req {i}"));
+                    let context = format!("recover p{back} before req {i}");
+                    audit(checker, driver, ctx, None, &context)?;
                 }
                 if driver.is_crashed(req.issuer) {
                     continue;
                 }
                 driver.execute_request(*req).expect("request executes");
                 issued += 1;
-                let wrote = committed_write(driver, *req, t);
-                audit(checker, driver, ctx, wrote, &format!("req {i}: {req}"))?;
-                trace(driver, n, &format!("req {i}: {req} wrote={wrote:?}"));
+                audit(checker, driver, ctx, Some(req), &format!("req {i}: {req}"))?;
             }
             for j in 0..n {
                 if driver.is_crashed(ProcessorId::new(j)) {
@@ -442,8 +390,7 @@ fn drive_episode(
             for (i, req) in requests[..prefix].iter().enumerate() {
                 driver.execute_request(*req).expect("request executes");
                 issued += 1;
-                let wrote = committed_write(driver, *req, t);
-                audit(checker, driver, ctx, wrote, &format!("req {i}: {req}"))?;
+                audit(checker, driver, ctx, Some(req), &format!("req {i}: {req}"))?;
             }
             // Normal SA/DA is not loss-tolerant by design: degrade to
             // quorum mode BEFORE the network turns hostile, so the
@@ -496,14 +443,8 @@ fn drive_episode(
             for (i, req) in requests[prefix..hostile_end].iter().enumerate() {
                 driver.execute_request(*req).expect("request executes");
                 issued += 1;
-                // Quorum mode: the floor moves on quorum evidence only.
-                audit(
-                    checker,
-                    driver,
-                    ctx,
-                    None,
-                    &format!("hostile req {i}: {req}"),
-                )?;
+                let context = format!("hostile req {i}: {req}");
+                audit(checker, driver, ctx, Some(req), &context)?;
             }
             faults = driver.sim_mut().engine_mut().clear_faults();
             driver.heal();
@@ -511,14 +452,8 @@ fn drive_episode(
             for (i, req) in requests[hostile_end..].iter().enumerate() {
                 driver.execute_request(*req).expect("request executes");
                 issued += 1;
-                let wrote = committed_write(driver, *req, t);
-                audit(
-                    checker,
-                    driver,
-                    ctx,
-                    wrote,
-                    &format!("post-heal req {i}: {req}"),
-                )?;
+                let context = format!("post-heal req {i}: {req}");
+                audit(checker, driver, ctx, Some(req), &context)?;
             }
         }
     }
@@ -582,12 +517,17 @@ mod tests {
                 t: 2,
                 context: "req 3".into(),
             },
+            replicas: "latest=3 p0+=Some(3) p1X-=Some(2)".into(),
             metrics_delta: String::new(),
             event_tail: String::new(),
             replay: replay_line(0xBEEF, "da/drop/n5", "fault_torture"),
         };
         let text = failure.to_string();
         assert!(text.contains("DOMA_FAULT_SEED=0xbeef"), "{text}");
+        assert!(
+            text.contains("replicas: latest=3 p0+=Some(3) p1X-"),
+            "{text}"
+        );
         assert!(text.contains("t-availability"), "{text}");
         // Empty observability sections render no headers.
         assert!(!text.contains("metric delta"), "{text}");

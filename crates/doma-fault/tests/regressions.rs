@@ -3,13 +3,12 @@
 //! fixed protocol and demonstrably catches when the fix is reverted via
 //! its test-only toggle — with a minimal, replayable counterexample.
 
-use doma_check::replay::replay;
-use doma_check::scenario::{
+use doma_core::{ProcessorId, Request};
+use doma_fault::replay::{parse_bugs, replay, trace_from_env, BUGS_ENV};
+use doma_fault::scenario::{
     da_resurrect, da_small, sa_quorum_duplicates, sa_quorum_overlap, sa_small,
 };
-use doma_check::{builtin, check, CheckOptions};
-use doma_core::{ProcessorId, Request};
-use doma_fault::{InvariantChecker, Regime, Violation};
+use doma_fault::{builtin, check, CheckOptions, InvariantChecker, Scenario, Violation};
 use doma_protocol::failover::FailoverDriver;
 use doma_protocol::{BugSwitches, ProtocolSim};
 
@@ -44,12 +43,8 @@ fn every_builtin_scenario_is_exhaustively_clean() {
 
 /// Runs a bug-toggled scenario, asserts the checker catches it with the
 /// expected violation shape, and proves the minimal trace replays to the
-/// same violation.
-fn assert_caught(
-    scenario: doma_check::Scenario,
-    bugs: BugSwitches,
-    expect: impl Fn(&Violation) -> bool,
-) {
+/// same violation under the switches its printed replay line names.
+fn assert_caught(scenario: Scenario, bugs: BugSwitches, expect: impl Fn(&Violation) -> bool) {
     let clean = check(&scenario, &opts()).unwrap();
     assert!(
         clean.complete && clean.counterexample.is_none(),
@@ -76,9 +71,15 @@ fn assert_caught(
         "metric table must show protocol cost activity:\n{metrics}"
     );
     eprintln!("{report}");
-    eprintln!(
-        "  {}",
-        cex.replay_line(&buggy.name, "replay_trace_from_env")
+    let line = cex.replay_line(&buggy, "replay_trace_from_env");
+    eprintln!("  {line}");
+    let printed = line
+        .split_whitespace()
+        .find_map(|word| word.strip_prefix(&format!("{BUGS_ENV}=")));
+    assert_eq!(
+        printed.and_then(parse_bugs),
+        Some(buggy.bugs),
+        "the replay line must name the switches: {line}"
     );
     let replayed = replay(&buggy, &cex.trace()).unwrap();
     let violation = replayed
@@ -149,19 +150,18 @@ fn reverting_the_mode_reset_gate_is_caught() {
         let sim =
             ProtocolSim::new_da(4, [0usize].into_iter().collect(), ProcessorId::new(1)).unwrap();
         let mut driver = FailoverDriver::new(sim, 4);
-        let mut checker = InvariantChecker::new(driver.sim(), 4);
+        let mut checker = InvariantChecker::new(driver.sim());
         driver.set_destructive_mode_reset(buggy);
+        let mut audit = |driver: &FailoverDriver, context: &str| {
+            checker.check(driver.sim(), driver.normal_mode_cost(), None, context)
+        };
 
         driver.execute_request(Request::write(3usize)).unwrap();
-        checker
-            .check(&driver, Regime::Normal, None, "outsider write")
-            .unwrap();
+        audit(&driver, "outsider write").unwrap();
         driver.crash(ProcessorId::new(2));
-        checker
-            .check(&driver, Regime::Normal, None, "non-scheme crash")
-            .unwrap();
+        audit(&driver, "non-scheme crash").unwrap();
         driver.recover(ProcessorId::new(2));
-        let verdict = checker.check(&driver, Regime::Normal, None, "recovery");
+        let verdict = audit(&driver, "recovery");
         if buggy {
             let violation = verdict.expect_err("ungated mode reset must be caught");
             assert!(
@@ -217,16 +217,16 @@ fn state_budget_is_reported_as_incomplete() {
 
 /// Replays a trace from the environment against a named built-in
 /// scenario, printing every step — the `DOMA_CHECK_TRACE` convention
-/// printed by [`doma_check::Counterexample::replay_line`]. A no-op when
-/// the variable is unset. Optional `DOMA_CHECK_BUGS` re-applies toggles
-/// (substrings: `round`, `dup`, `floor`).
+/// printed by [`doma_fault::Counterexample::replay_line`]. A no-op when
+/// the variable is unset. `DOMA_CHECK_BUGS` re-applies the switches the
+/// trace was minted under (comma-separated `round`, `dup`, `floor`).
 #[test]
 #[expect(
     clippy::disallowed_methods,
     reason = "replay knob: a no-op unless DOMA_CHECK_TRACE is set"
 )]
 fn replay_trace_from_env() {
-    let Some(trace) = doma_check::replay::trace_from_env() else {
+    let Some(trace) = trace_from_env() else {
         return;
     };
     let name = std::env::var("DOMA_CHECK_SCENARIO").expect("set DOMA_CHECK_SCENARIO");
@@ -234,12 +234,8 @@ fn replay_trace_from_env() {
         .into_iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("unknown scenario {name:?}"));
-    if let Ok(bugs) = std::env::var("DOMA_CHECK_BUGS") {
-        scenario.bugs = BugSwitches {
-            ignore_round_tags: bugs.contains("round"),
-            count_duplicate_responders: bugs.contains("dup"),
-            no_invalidated_floor: bugs.contains("floor"),
-        };
+    if let Ok(bugs) = std::env::var(BUGS_ENV) {
+        scenario.bugs = parse_bugs(&bugs).unwrap_or_else(|| panic!("bad {BUGS_ENV}={bugs:?}"));
     }
     let report = replay(&scenario, &trace).unwrap();
     for (i, step) in report.steps.iter().enumerate() {

@@ -32,7 +32,6 @@ pub const OBS_CATALOG_CRATES: &[&str] = &[
     "doma-sim",
     "doma-protocol",
     "doma-fault",
-    "doma-check",
     "doma-scenario",
 ];
 /// The enum audited by the `message-flow` rule.

@@ -39,10 +39,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// Output flows through the event log and the registry (or `console`).
+// Output flows through the event log and the registry.
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
-pub mod console;
 pub mod event;
 pub mod json;
 pub mod registry;

@@ -136,8 +136,8 @@ struct PendingQuorum {
 
 /// Test-only switches that revert individual hardening fixes, so the
 /// model checker's regression suite can demonstrate each fix is load-
-/// bearing: with the switch on, `doma-check` must find the interleaving
-/// that violates the corresponding safety property.
+/// bearing: with the switch on, `doma_fault::explore` must find the
+/// interleaving that violates the corresponding safety property.
 ///
 /// Not part of the public protocol surface — never set these outside
 /// tests.
@@ -379,9 +379,9 @@ impl DomNode {
     /// state, in-flight quorum operations, outstanding-read depth and
     /// completed-read count. Pure metrics (latencies, I/O tallies) are
     /// excluded — two states differing only in them behave identically
-    /// going forward. `doma-check` combines these per-node hashes with
-    /// the pending-message multiset to deduplicate states reached along
-    /// different delivery schedules.
+    /// going forward. The model checker (`doma_fault::explore`) combines
+    /// these per-node hashes with the pending-message multiset to
+    /// deduplicate states reached along different delivery schedules.
     pub fn fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};

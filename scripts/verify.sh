@@ -9,8 +9,8 @@
 # build or test run fails, (d) the entrant roster is spelled out in a second
 # file, (e) an event record or a registry lookup bypasses the typed/pre-resolved
 # obs path, or (f) any wall below — lint, allocation wall, byte-stability,
-# cluster parity, model check, shard parity, fault matrix, benchmark smoke —
-# does.
+# paper evidence, cluster parity, model check, shard parity, fault matrix,
+# benchmark smoke — does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -223,6 +223,18 @@ fi
 has_keys trace_table "slowest 5 of"
 
 # ---------------------------------------------------------------------------
+# Paper evidence: `repro all` (every figure, theorem and extension row that
+# EXPERIMENTS.md quotes) must reproduce the committed repro_full_output.md
+# byte for byte. A deliberate change regenerates the file in the same commit
+# and says in CHANGES.md which rows moved and why.
+# ---------------------------------------------------------------------------
+if ! ./target/release/repro all > "$out/repro" || ! cmp -s "$out/repro" repro_full_output.md; then
+    diff repro_full_output.md "$out/repro" | head -40 >&2 || true
+    echo "verify: FAILED (repro all differs from repro_full_output.md)" >&2
+    exit 1
+fi
+
+# ---------------------------------------------------------------------------
 # Cluster-parity wall: the real runtime (doma-net) must reproduce the
 # deterministic sim twin exactly — §6.2 append-only scenario over Unix
 # domain sockets on loopback, 3 nodes, same seed and request schedule ⇒
@@ -246,13 +258,13 @@ elif ! grep -q "parity: MATCH" "$out/cluster"; then
 fi
 
 # ---------------------------------------------------------------------------
-# Exhaustive small-bound model check: every built-in doma-check scenario
+# Exhaustive small-bound model check: every built-in checker scenario
 # (3–5 processors, up to 6 requests) must be explored to completion with
-# zero violations. Exit 1 = counterexample (the tool prints the replayable
-# trace); exit 2 = a budget was hit, which also fails tier-1 because the
-# built-ins are sized to finish.
+# zero violations by doma-fault's `doma-check` binary. Exit 1 =
+# counterexample (the tool prints the replayable trace); exit 2 = a budget
+# was hit, which also fails tier-1 because the built-ins are sized to finish.
 # ---------------------------------------------------------------------------
-if ! cargo run -q --release --offline -p doma-check --bin doma-check; then
+if ! cargo run -q --release --offline -p doma-fault --bin doma-check; then
     echo "verify: FAILED (doma-check exhaustive small-bound scenarios)" >&2
     exit 1
 fi
@@ -279,7 +291,7 @@ fi
 if ! DOMA_FAULT_SEEDS=32 cargo test -q --offline --test fault_torture; then
     echo "verify: FAILED (fault matrix)" >&2
     echo "hint: rerun one episode with DOMA_FAULT_SEED=0x<seed> cargo test --test fault_torture <cell>," >&2
-    echo "      using the seed from the 'replay:' line above; DOMA_FAULT_TRACE=1 dumps per-step state." >&2
+    echo "      using the seed from the 'replay:' line above; its report shows every replica." >&2
     exit 1
 fi
 
