@@ -18,8 +18,10 @@
 //!   implementations of OPT used to cross-validate the fast DP.
 //! * [`adversary`] — the explicit worst-case schedules behind
 //!   Propositions 1–3.
-//! * [`search`] — exhaustive worst-case-ratio search over all short
-//!   schedules (empirical lower bounds on competitiveness).
+//! * [`search`] — the one competitive-ratio measurement (`ratio`,
+//!   `measure`, the first-max-wins `WorstCase`) and the worst-case
+//!   searches built on it: exhaustive, random, greedy and repeated-pattern
+//!   (empirical lower bounds on competitiveness).
 //! * [`baselines`] — first-class tournament baselines: a convergent
 //!   frequency-based allocator (à la Wolfson–Jajodia) and CDVM-style
 //!   caching variants, promoted from ablation-only code so the fault

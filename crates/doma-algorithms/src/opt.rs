@@ -96,18 +96,16 @@ impl OfflineOptimal {
     }
 
     /// Computes only the optimal cost (no allocation schedule
-    /// reconstruction); slightly cheaper when just a ratio denominator is
-    /// needed.
+    /// reconstruction, so no per-request rows are kept) — the ratio
+    /// denominator every worst-case search pays once per candidate.
     pub fn optimal_cost(&self, schedule: &Schedule) -> Result<f64> {
-        let table = self.forward(schedule)?;
-        Ok(table
-            .rows
-            .last()
-            .map(|row| row.cost.iter().copied().fold(f64::INFINITY, f64::min))
-            .unwrap_or(0.0))
+        let last = self.forward(schedule, None)?;
+        Ok(last.iter().copied().fold(f64::INFINITY, f64::min))
     }
 
-    fn forward(&self, schedule: &Schedule) -> Result<DpTable> {
+    /// Runs the DP over `schedule` and returns the last row's costs; with
+    /// `rows`, also records every row for [`Self::backtrack`].
+    fn forward(&self, schedule: &Schedule, mut rows: Option<&mut Vec<DpRow>>) -> Result<Vec<f64>> {
         if schedule.min_processors() > self.n {
             return Err(DomaError::InvalidConfig(format!(
                 "schedule references processor {} but n={}",
@@ -122,17 +120,18 @@ impl OfflineOptimal {
 
         let mut cur = vec![f64::INFINITY; size];
         cur[self.initial.bits() as usize] = 0.0;
-        let mut rows: Vec<DpRow> = Vec::with_capacity(schedule.len());
 
         // Scratch buffers reused across requests.
+        let mut next = vec![f64::INFINITY; size];
+        let mut prev = vec![u32::MAX; size];
         let mut relax = vec![f64::INFINITY; size];
         let mut relax_arg = vec![u32::MAX; size];
 
         for request in schedule.iter() {
             let i = request.issuer.index();
             let ibit = 1usize << i;
-            let mut next = vec![f64::INFINITY; size];
-            let mut prev = vec![u32::MAX; size];
+            next.fill(f64::INFINITY);
+            prev.fill(u32::MAX);
 
             if request.is_read() {
                 for (y, &c) in cur.iter().enumerate() {
@@ -212,23 +211,25 @@ impl OfflineOptimal {
                 }
             }
 
-            rows.push(DpRow {
-                cost: next.clone(),
-                prev,
-            });
-            cur = next;
+            if let Some(rows) = rows.as_deref_mut() {
+                rows.push(DpRow {
+                    cost: next.clone(),
+                    prev: prev.clone(),
+                });
+            }
+            std::mem::swap(&mut cur, &mut next);
         }
 
-        Ok(DpTable { rows })
+        Ok(cur)
     }
 
-    /// Reconstructs the optimal allocation schedule from the DP table.
-    fn backtrack(&self, schedule: &Schedule, table: &DpTable) -> AllocationSchedule {
+    /// Reconstructs the optimal allocation schedule from the DP rows.
+    fn backtrack(&self, schedule: &Schedule, rows: &[DpRow]) -> AllocationSchedule {
         let mut alloc = AllocationSchedule::new(self.initial);
         if schedule.is_empty() {
             return alloc;
         }
-        let Some(last) = table.rows.last() else {
+        let Some(last) = rows.last() else {
             return alloc;
         };
         // At least one final state is reachable (the forward pass
@@ -247,7 +248,7 @@ impl OfflineOptimal {
         // Walk backwards collecting (request, decision) pairs.
         let mut decisions: Vec<Decision> = Vec::with_capacity(schedule.len());
         for (k, &request) in schedule.requests().iter().enumerate().rev() {
-            let row = &table.rows[k];
+            let row = &rows[k];
             let y = row.prev[state] as usize;
             debug_assert_ne!(row.prev[state], u32::MAX, "backpointer must exist");
             let i = request.issuer;
@@ -296,10 +297,6 @@ struct DpRow {
     prev: Vec<u32>,
 }
 
-struct DpTable {
-    rows: Vec<DpRow>,
-}
-
 impl DomAlgorithm for OfflineOptimal {
     fn name(&self) -> &str {
         "OPT"
@@ -316,8 +313,9 @@ impl DomAlgorithm for OfflineOptimal {
 
 impl OfflineDom for OfflineOptimal {
     fn allocate(&self, schedule: &Schedule) -> Result<AllocationSchedule> {
-        let table = self.forward(schedule)?;
-        Ok(self.backtrack(schedule, &table))
+        let mut rows = Vec::with_capacity(schedule.len());
+        self.forward(schedule, Some(&mut rows))?;
+        Ok(self.backtrack(schedule, &rows))
     }
 }
 

@@ -1,5 +1,11 @@
 //! Worst-case-schedule search: empirical lower bounds on the competitive
-//! ratio of an online algorithm.
+//! ratio of an online algorithm, and the one place a ratio is measured.
+//!
+//! [`ratio`] holds the zero/∞ convention, [`measure`] prices one schedule
+//! against OPT, and [`WorstCase`] keeps the first-max-wins worst case. The
+//! searches below and the analysis crate's battery summaries use all
+//! three; the tournament and the scenario audit price protocol runs and
+//! use [`ratio`].
 //!
 //! [`exhaustive_worst_case`] enumerates *every* schedule of a given length
 //! over a given universe — `(2n)^len` schedules — and reports the one
@@ -13,6 +19,75 @@ use doma_core::{
     run_online, CostModel, DomaError, OnlineDom, ProcessorId, Request, Result, Schedule,
 };
 use doma_testkit::rng::{Rng, TestRng};
+
+/// `algo_cost / opt_cost`: `f64::INFINITY` when OPT is free but the
+/// algorithm paid (possible in the mobile model), `1.0` when both are free.
+pub fn ratio(algo_cost: f64, opt_cost: f64) -> f64 {
+    if opt_cost > 0.0 {
+        algo_cost / opt_cost
+    } else if algo_cost > 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
+    }
+}
+
+/// One algorithm-vs-OPT measurement of a schedule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measurement {
+    /// The online algorithm's cost.
+    pub algo_cost: f64,
+    /// The offline optimum's cost.
+    pub opt_cost: f64,
+    /// [`ratio`]`(algo_cost, opt_cost)`.
+    pub ratio: f64,
+}
+
+/// Runs `algo` over `schedule` and prices it, and OPT, under `model`.
+pub fn measure<A: OnlineDom + ?Sized>(
+    algo: &mut A,
+    opt: &OfflineOptimal,
+    model: &CostModel,
+    schedule: &Schedule,
+) -> Result<Measurement> {
+    let algo_cost = run_online(algo, schedule)?.costed.total_cost(model);
+    let opt_cost = opt.optimal_cost(schedule)?;
+    Ok(Measurement {
+        algo_cost,
+        opt_cost,
+        ratio: ratio(algo_cost, opt_cost),
+    })
+}
+
+/// The first-max-wins worst case over a stream of measured candidates:
+/// the earliest candidate with the largest ratio, and its witness.
+#[derive(Debug, Clone)]
+pub struct WorstCase<W> {
+    worst: Option<(Measurement, W)>,
+}
+
+impl<W> Default for WorstCase<W> {
+    fn default() -> Self {
+        WorstCase { worst: None }
+    }
+}
+
+impl<W> WorstCase<W> {
+    /// Offers a candidate. It replaces the worst case only if its ratio is
+    /// strictly larger, and `witness` is called only then — a losing
+    /// candidate costs one comparison and no allocation.
+    pub fn offer(&mut self, m: Measurement, witness: impl FnOnce() -> W) {
+        if self.worst.as_ref().is_none_or(|(w, _)| m.ratio > w.ratio) {
+            self.worst = Some((m, witness()));
+        }
+    }
+
+    /// The worst measurement offered and its witness (`None` if nothing
+    /// was offered).
+    pub fn into_worst(self) -> Option<(Measurement, W)> {
+        self.worst
+    }
+}
 
 /// Configuration of a worst-case search.
 #[derive(Debug, Clone)]
@@ -43,6 +118,25 @@ pub struct SearchResult {
     pub evaluated: u64,
 }
 
+impl SearchResult {
+    fn of(worst: WorstCase<Schedule>, evaluated: u64, empty: &str) -> Result<SearchResult> {
+        let (m, witness) = worst
+            .into_worst()
+            .ok_or_else(|| DomaError::InvalidConfig(empty.into()))?;
+        Ok(SearchResult {
+            ratio: m.ratio,
+            witness,
+            algo_cost: m.algo_cost,
+            opt_cost: m.opt_cost,
+            evaluated,
+        })
+    }
+}
+
+fn opt_for<A: OnlineDom + ?Sized>(algo: &A, cfg: &SearchConfig) -> Result<OfflineOptimal> {
+    OfflineOptimal::new(cfg.n, cfg.t, algo.initial_scheme(), cfg.model)
+}
+
 fn decode_schedule(mut code: u64, len: usize, n: usize) -> Schedule {
     let base = (2 * n) as u64;
     let mut s = Schedule::new();
@@ -59,40 +153,37 @@ fn decode_schedule(mut code: u64, len: usize, n: usize) -> Schedule {
     s
 }
 
-fn evaluate<A: OnlineDom + ?Sized>(
+/// Enumerates all `(2n)^len` patterns (at most `2^cap_bits`) and keeps the
+/// one whose `repeats`-fold repetition maximizes the ratio; the witness is
+/// the pattern itself.
+fn exhaust<A: OnlineDom + ?Sized>(
     algo: &mut A,
-    opt: &OfflineOptimal,
-    model: &CostModel,
-    schedule: &Schedule,
-    best: &mut Option<SearchResult>,
-) -> Result<()> {
-    let algo_cost = run_online(algo, schedule)?.costed.total_cost(model);
-    let opt_cost = opt.optimal_cost(schedule)?;
-    let ratio = if opt_cost > 0.0 {
-        algo_cost / opt_cost
-    } else if algo_cost > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    let better = match best {
-        None => true,
-        Some(b) => ratio > b.ratio,
-    };
-    if better {
-        let evaluated = best.as_ref().map_or(0, |b| b.evaluated);
-        *best = Some(SearchResult {
-            ratio,
-            witness: schedule.clone(),
-            algo_cost,
-            opt_cost,
-            evaluated,
-        });
+    cfg: &SearchConfig,
+    len: usize,
+    repeats: usize,
+    cap_bits: u32,
+) -> Result<SearchResult> {
+    let base = 2u64 * cfg.n as u64;
+    let total = base
+        .checked_pow(len as u32)
+        .ok_or_else(|| DomaError::InvalidConfig("search space overflows u64".into()))?;
+    if total > (1 << cap_bits) {
+        return Err(DomaError::InvalidConfig(format!(
+            "search space {total} exceeds 2^{cap_bits}; reduce n or the length"
+        )));
     }
-    if let Some(b) = best {
-        b.evaluated += 1;
+    let opt = opt_for(algo, cfg)?;
+    let mut worst = WorstCase::default();
+    for code in 0..total {
+        let pattern = decode_schedule(code, len, cfg.n);
+        let m = if repeats == 1 {
+            measure(algo, &opt, &cfg.model, &pattern)?
+        } else {
+            measure(algo, &opt, &cfg.model, &pattern.repeated(repeats))?
+        };
+        worst.offer(m, || pattern);
     }
-    Ok(())
+    SearchResult::of(worst, total, "empty search space")
 }
 
 /// Exhaustively searches all `(2n)^len` schedules for the one maximizing
@@ -104,22 +195,7 @@ pub fn exhaustive_worst_case<A: OnlineDom + ?Sized>(
     algo: &mut A,
     cfg: &SearchConfig,
 ) -> Result<SearchResult> {
-    let base = 2u64 * cfg.n as u64;
-    let total = base
-        .checked_pow(cfg.len as u32)
-        .ok_or_else(|| DomaError::InvalidConfig("search space overflows u64".into()))?;
-    if total > (1 << 24) {
-        return Err(DomaError::InvalidConfig(format!(
-            "search space {total} exceeds 2^24; reduce n or len"
-        )));
-    }
-    let opt = OfflineOptimal::new(cfg.n, cfg.t, algo.initial_scheme(), cfg.model)?;
-    let mut best: Option<SearchResult> = None;
-    for code in 0..total {
-        let schedule = decode_schedule(code, cfg.len, cfg.n);
-        evaluate(algo, &opt, &cfg.model, &schedule, &mut best)?;
-    }
-    best.ok_or_else(|| DomaError::InvalidConfig("empty search space".into()))
+    exhaust(algo, cfg, cfg.len, 1, 24)
 }
 
 /// The outcome of the greedy adaptive adversary: the best *prefix* ratio
@@ -150,18 +226,14 @@ pub fn greedy_adversary<A: OnlineDom + ?Sized>(
     algo: &mut A,
     cfg: &SearchConfig,
 ) -> Result<GreedyResult> {
-    let opt = OfflineOptimal::new(cfg.n, cfg.t, algo.initial_scheme(), cfg.model)?;
+    let opt = opt_for(algo, cfg)?;
     let mut schedule = Schedule::new();
-    let mut best = SearchResult {
-        ratio: 1.0,
-        witness: Schedule::new(),
-        algo_cost: 0.0,
-        opt_cost: 0.0,
-        evaluated: 0,
-    };
+    // The empty prefix (ratio 1) is the floor a prefix must beat.
+    let mut best = WorstCase::default();
+    best.offer(measure(algo, &opt, &cfg.model, &schedule)?, Schedule::new);
     let mut last_ratio = 1.0;
     for _ in 0..cfg.len {
-        let mut step_best: Option<(Request, SearchResult)> = None;
+        let mut step = WorstCase::default();
         for proc in 0..cfg.n {
             for request in [
                 Request::read(ProcessorId::new(proc)),
@@ -169,49 +241,21 @@ pub fn greedy_adversary<A: OnlineDom + ?Sized>(
             ] {
                 let mut candidate = schedule.clone();
                 candidate.push(request);
-                let algo_cost = run_online(algo, &candidate)?.costed.total_cost(&cfg.model);
-                let opt_cost = opt.optimal_cost(&candidate)?;
-                let ratio = if opt_cost > 0.0 {
-                    algo_cost / opt_cost
-                } else if algo_cost > 0.0 {
-                    f64::INFINITY
-                } else {
-                    1.0
-                };
-                best.evaluated += 1;
-                let better = match &step_best {
-                    None => true,
-                    Some((_, r)) => ratio > r.ratio,
-                };
-                if better {
-                    step_best = Some((
-                        request,
-                        SearchResult {
-                            ratio,
-                            witness: candidate,
-                            algo_cost,
-                            opt_cost,
-                            evaluated: best.evaluated,
-                        },
-                    ));
-                }
+                step.offer(measure(algo, &opt, &cfg.model, &candidate)?, || request);
             }
         }
-        let Some((request, result)) = step_best else {
+        let Some((m, request)) = step.into_worst() else {
             return Err(DomaError::InvalidConfig(
                 "greedy step found no candidate request (n must be >= 1)".to_string(),
             ));
         };
         schedule.push(request);
-        last_ratio = result.ratio;
-        if result.ratio > best.ratio {
-            let evaluated = best.evaluated;
-            best = result;
-            best.evaluated = evaluated;
-        }
+        last_ratio = m.ratio;
+        best.offer(m, || schedule.clone());
     }
+    let evaluated = (cfg.len * 2 * cfg.n) as u64;
     Ok(GreedyResult {
-        best_prefix: best,
+        best_prefix: SearchResult::of(best, evaluated, "greedy kept no prefix")?,
         full_schedule: schedule,
         full_ratio: last_ratio,
     })
@@ -228,23 +272,15 @@ pub fn amplified_ratio<A: OnlineDom + ?Sized>(
     pattern: &Schedule,
     repeats: usize,
 ) -> Result<f64> {
-    let opt = OfflineOptimal::new(cfg.n, cfg.t, algo.initial_scheme(), cfg.model)?;
-    let long = pattern.repeated(repeats);
-    let algo_cost = run_online(algo, &long)?.costed.total_cost(&cfg.model);
-    let opt_cost = opt.optimal_cost(&long)?;
-    Ok(if opt_cost > 0.0 {
-        algo_cost / opt_cost
-    } else if algo_cost > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    })
+    let opt = opt_for(algo, cfg)?;
+    Ok(measure(algo, &opt, &cfg.model, &pattern.repeated(repeats))?.ratio)
 }
 
 /// Exhaustively searches all `(2n)^pattern_len` *patterns* for the one
 /// whose `repeats`-fold repetition maximizes the cost ratio — i.e. it
 /// optimizes the **asymptotic** ratio directly instead of a short-prefix
-/// ratio that the additive constant β can inflate.
+/// ratio that the additive constant β can inflate. The witness is the
+/// pattern, not its repetition.
 ///
 /// The search space cap is `2^18` patterns (pattern lengths ≤ 6 at
 /// `n = 4`).
@@ -254,48 +290,7 @@ pub fn best_amplified_pattern<A: OnlineDom + ?Sized>(
     pattern_len: usize,
     repeats: usize,
 ) -> Result<SearchResult> {
-    let base = 2u64 * cfg.n as u64;
-    let total = base
-        .checked_pow(pattern_len as u32)
-        .ok_or_else(|| DomaError::InvalidConfig("pattern space overflows u64".into()))?;
-    if total > (1 << 18) {
-        return Err(DomaError::InvalidConfig(format!(
-            "pattern space {total} exceeds 2^18; reduce n or pattern_len"
-        )));
-    }
-    let opt = OfflineOptimal::new(cfg.n, cfg.t, algo.initial_scheme(), cfg.model)?;
-    let mut best: Option<SearchResult> = None;
-    for code in 0..total {
-        let pattern = decode_schedule(code, pattern_len, cfg.n);
-        let long = pattern.repeated(repeats);
-        let algo_cost = run_online(algo, &long)?.costed.total_cost(&cfg.model);
-        let opt_cost = opt.optimal_cost(&long)?;
-        let ratio = if opt_cost > 0.0 {
-            algo_cost / opt_cost
-        } else if algo_cost > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => ratio > b.ratio,
-        };
-        if better {
-            let evaluated = best.as_ref().map_or(0, |b| b.evaluated);
-            best = Some(SearchResult {
-                ratio,
-                witness: pattern,
-                algo_cost,
-                opt_cost,
-                evaluated,
-            });
-        }
-        if let Some(b) = &mut best {
-            b.evaluated += 1;
-        }
-    }
-    best.ok_or_else(|| DomaError::InvalidConfig("empty pattern space".into()))
+    exhaust(algo, cfg, pattern_len, repeats, 18)
 }
 
 /// Samples `samples` uniformly random schedules of length `cfg.len` and
@@ -306,9 +301,9 @@ pub fn random_worst_case<A: OnlineDom + ?Sized>(
     samples: u64,
     seed: u64,
 ) -> Result<SearchResult> {
-    let opt = OfflineOptimal::new(cfg.n, cfg.t, algo.initial_scheme(), cfg.model)?;
+    let opt = opt_for(algo, cfg)?;
     let mut rng = TestRng::seed_from_u64(seed);
-    let mut best: Option<SearchResult> = None;
+    let mut worst = WorstCase::default();
     for _ in 0..samples {
         let schedule: Schedule = (0..cfg.len)
             .map(|_| {
@@ -320,9 +315,9 @@ pub fn random_worst_case<A: OnlineDom + ?Sized>(
                 }
             })
             .collect();
-        evaluate(algo, &opt, &cfg.model, &schedule, &mut best)?;
+        worst.offer(measure(algo, &opt, &cfg.model, &schedule)?, || schedule);
     }
-    best.ok_or_else(|| DomaError::InvalidConfig("samples must be > 0".into()))
+    SearchResult::of(worst, samples, "samples must be > 0")
 }
 
 #[cfg(test)]
@@ -345,6 +340,44 @@ mod tests {
         assert_eq!(s.to_string(), "r1");
         let s = decode_schedule(3, 1, 2);
         assert_eq!(s.to_string(), "w1");
+    }
+
+    #[test]
+    fn ratio_rule_covers_free_opt() {
+        assert_eq!(ratio(3.0, 2.0), 1.5);
+        assert_eq!(ratio(1.0, 0.0), f64::INFINITY);
+        assert_eq!(ratio(0.0, 0.0), 1.0);
+    }
+
+    #[test]
+    fn ratio_of_identical_costs_is_one() {
+        // A schedule of local reads by members is optimal for SA itself.
+        let model = CostModel::stationary(0.3, 0.8).unwrap();
+        let mut sa = StaticAllocation::new(ps(&[0, 1])).unwrap();
+        let opt = OfflineOptimal::new(4, 2, ps(&[0, 1]), model).unwrap();
+        let schedule: Schedule = "r0 r1 r0".parse().unwrap();
+        let m = measure(&mut sa, &opt, &model, &schedule).unwrap();
+        assert!((m.ratio - 1.0).abs() < 1e-9);
+        assert_eq!(m.algo_cost, m.opt_cost);
+    }
+
+    #[test]
+    fn worst_case_keeps_the_first_maximum_and_builds_only_its_witness() {
+        let at = |ratio| Measurement {
+            algo_cost: ratio,
+            opt_cost: 1.0,
+            ratio,
+        };
+        let mut built = Vec::new();
+        let mut worst = WorstCase::default();
+        for (i, r) in [1.0, 2.0, 2.0, 0.5, 3.0, 3.0].into_iter().enumerate() {
+            worst.offer(at(r), || {
+                built.push(i);
+                i
+            });
+        }
+        assert_eq!(worst.into_worst(), Some((at(3.0), 4)));
+        assert_eq!(built, [0, 1, 4]);
     }
 
     #[test]

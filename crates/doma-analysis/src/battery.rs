@@ -1,8 +1,9 @@
 //! Schedule batteries: the fixed mix of adversarial and random schedules
 //! the region maps and bound checks are measured over.
 
-use doma_algorithms::adversary;
-use doma_core::{ProcessorId, Schedule};
+use doma_algorithms::search::{measure, WorstCase};
+use doma_algorithms::{adversary, OfflineOptimal};
+use doma_core::{CostModel, DomaError, OnlineDom, ProcessorId, Result, Schedule};
 use doma_workload::{ScheduleGen, UniformWorkload, ZipfWorkload};
 
 /// A named schedule (for witness reporting).
@@ -82,9 +83,31 @@ pub fn battery_with_outsiders(
     battery
 }
 
+/// The worst ratio `algo` reaches against OPT over `battery`, with the name
+/// of the first schedule that reaches it.
+pub fn worst_ratio<'a, A: OnlineDom + ?Sized>(
+    algo: &mut A,
+    model: &CostModel,
+    n: usize,
+    battery: &'a [NamedSchedule],
+) -> Result<(f64, &'a str)> {
+    let opt = OfflineOptimal::new(n, algo.t(), algo.initial_scheme(), *model)?;
+    let mut worst = WorstCase::default();
+    for named in battery {
+        worst.offer(measure(algo, &opt, model, &named.schedule)?, || {
+            named.name.as_str()
+        });
+    }
+    worst
+        .into_worst()
+        .map(|(m, name)| (m.ratio, name))
+        .ok_or_else(|| DomaError::InvalidConfig("empty battery".into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doma_protocol::{Entrant, Tunables};
 
     #[test]
     fn battery_composition() {
@@ -103,5 +126,41 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn battery_needs_four_processors() {
         let _ = standard_battery(3, 30, 1);
+    }
+
+    fn canonical(entrant: Entrant) -> Box<dyn OnlineDom> {
+        entrant.config().algorithm(5, Tunables::CANONICAL).unwrap()
+    }
+
+    #[test]
+    fn sa_worst_ratio_respects_theorem_1() {
+        let model = CostModel::stationary(0.3, 0.8).unwrap();
+        let battery = standard_battery(5, 40, 2);
+        let (worst, witness) =
+            worst_ratio(&mut *canonical(Entrant::Sa), &model, 5, &battery).unwrap();
+        assert!(worst <= model.sa_bound().unwrap() + 1e-9, "worst={worst}");
+        assert!(worst >= 1.0);
+        assert!(battery.iter().any(|s| s.name == witness), "{witness}");
+    }
+
+    #[test]
+    fn da_worst_ratio_respects_theorem_2() {
+        let model = CostModel::stationary(0.3, 0.8).unwrap();
+        let battery = standard_battery(5, 40, 2);
+        let (worst, _) = worst_ratio(&mut *canonical(Entrant::Da), &model, 5, &battery).unwrap();
+        assert!(worst <= model.da_bound().unwrap() + 1e-9, "worst={worst}");
+    }
+
+    #[test]
+    fn mobile_sa_shows_huge_ratios() {
+        // In MC a read-only battery entry served locally by OPT is free;
+        // SA still pays per remote read.
+        let model = CostModel::mobile(0.3, 0.8).unwrap();
+        let battery = standard_battery(5, 40, 1);
+        let (worst, _) = worst_ratio(&mut *canonical(Entrant::Sa), &model, 5, &battery).unwrap();
+        assert!(
+            worst > 10.0,
+            "SA in MC should blow up on the remote-reader battery entry, got {worst}"
+        );
     }
 }

@@ -1,20 +1,146 @@
 //! One driver per experiment (the E-ids of DESIGN.md §4). Each returns an
 //! [`ExpReport`]: a rendered table plus machine-readable `metrics` the
-//! integration tests assert on and the `repro` binary prints.
+//! integration tests assert on and the `repro` binary prints. [`run`]
+//! picks drivers from the one roster by name, and [`render`] turns their
+//! reports into the document `repro` prints.
 
-use crate::battery::standard_battery;
-use crate::ratio::summarize;
+use crate::battery::{standard_battery, worst_ratio};
 use crate::region::{empirical_region_map, RegionConfig, RegionMap};
 use crate::report::{fmt_f64, Table};
-use crate::sweep::{da_crossover, read_write_mix_sweep, SweepConfig};
 use doma_algorithms::baselines::{DaNoSave, SlidingWindowConvergent, WriteInvalidateCache};
-use doma_algorithms::search::{exhaustive_worst_case, SearchConfig};
+use doma_algorithms::search::{exhaustive_worst_case, measure, SearchConfig};
 use doma_algorithms::{adversary, DynamicAllocation, OfflineOptimal, StaticAllocation};
-use doma_core::{run_online, CostModel, Environment, OnlineDom, ProcSet, ProcessorId, Result};
+use doma_core::{
+    run_online, CostModel, DomaError, Environment, OnlineDom, ProcSet, ProcessorId, Result,
+    Schedule,
+};
 use doma_protocol::{Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_sim::NetworkConfig;
-use doma_workload::{AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, ScheduleGen};
+use doma_workload::{
+    AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, ScheduleGen, UniformWorkload,
+};
 use std::collections::BTreeMap;
+
+type Driver = fn(bool) -> Result<ExpReport>;
+
+/// `repro`'s roster, in `repro all` order: each experiment's name and its
+/// driver at fast (`true`) or full settings. EXPERIMENTS.md quotes the
+/// full settings.
+const EXPERIMENTS: [(&str, Driver); 19] = [
+    ("fig1", |fast| fig1(&region_config(fast))),
+    ("fig2", |fast| fig2(&region_config(fast))),
+    ("thm1", |fast| thm1_sa_tightness(lengths(fast))),
+    ("thm23", |_| thm23_da_upper_bounds()),
+    ("thm4", |_| thm4_da_mobile()),
+    ("prop2", |fast| prop2_da_lower_bound(!fast)),
+    ("prop3", |fast| prop3_sa_mc_divergence(lengths(fast))),
+    ("sweep", |_| {
+        sweep_e9(CostModel::stationary(0.25, 1.0).expect("valid model"))
+    }),
+    ("example13", |_| example13()),
+    ("mobile", |fast| mobile_e11(if fast { 60 } else { 400 }, 3)),
+    ("append", |fast| {
+        append_e12(if fast { 150 } else { 1000 }, 5)
+    }),
+    ("ablation", |fast| {
+        ablation_e14(if fast { 300 } else { 2000 }, 7)
+    }),
+    ("failover", |fast| {
+        failover_e21(if fast { 60 } else { 300 }, 5)
+    }),
+    ("loadcurve", |fast| {
+        load_curve_e20(if fast { 60 } else { 200 })
+    }),
+    ("contention", |fast| {
+        contention_e15(if fast { &[1, 4, 8] } else { &[1, 2, 4, 8, 16] })
+    }),
+    ("cache", |fast| cache_e16(if fast { 300 } else { 1500 }, 3)),
+    ("tindep", |_| t_independence_e17()),
+    ("fileallocation", |fast| {
+        file_allocation_e19(if fast { 200 } else { 1000 }, 11)
+    }),
+    ("placement", |fast| {
+        placement_e18(40, if fast { 600 } else { 4000 }, 3)
+    }),
+];
+
+/// The Figure 1/2 grid at fast or full settings.
+pub fn region_config(fast: bool) -> RegionConfig {
+    if fast {
+        RegionConfig {
+            n: 5,
+            step: 0.5,
+            max: 2.0,
+            schedule_len: 24,
+            seeds: 1,
+        }
+    } else {
+        RegionConfig {
+            n: 5,
+            step: 0.25,
+            max: 2.0,
+            schedule_len: 48,
+            seeds: 3,
+        }
+    }
+}
+
+/// The remote-reader schedule lengths of E3 and E7.
+fn lengths(fast: bool) -> &'static [usize] {
+    if fast {
+        &[8, 32, 128]
+    } else {
+        &[8, 32, 128, 512, 2048]
+    }
+}
+
+/// Runs the experiment named `which` (`"all"` runs every one, in roster
+/// order). An unknown name is an error that lists the roster.
+pub fn run(which: &str, fast: bool) -> Result<Vec<ExpReport>> {
+    let picked: Vec<Driver> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || *name == which)
+        .map(|&(_, driver)| driver)
+        .collect();
+    if picked.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        return Err(DomaError::InvalidConfig(format!(
+            "unknown experiment '{which}'; choose one of: all, {}",
+            names.join(", ")
+        )));
+    }
+    picked.into_iter().map(|driver| driver(fast)).collect()
+}
+
+/// The reproduction document: a title naming the mode, then each report.
+pub fn render(reports: &[ExpReport], fast: bool) -> String {
+    let mut out = format!(
+        "# Reproduction of Huang & Wolfson, ICDE 1994 ({} mode)\n\n",
+        if fast { "fast" } else { "full" }
+    );
+    for report in reports {
+        out.push_str(&report.to_markdown());
+        out.push_str("\n\n");
+    }
+    out
+}
+
+/// The priced cost of each algorithm on each schedule: `costs[a][s]`.
+fn cost_table(
+    algos: &mut [&mut dyn OnlineDom],
+    schedules: &[Schedule],
+    model: &CostModel,
+) -> Result<Vec<Vec<f64>>> {
+    algos
+        .iter_mut()
+        .map(|algo| {
+            schedules
+                .iter()
+                .map(|s| Ok(run_online(&mut **algo, s)?.costed.total_cost(model)))
+                .collect()
+        })
+        .collect()
+}
 
 /// A rendered, machine-checkable experiment result.
 #[derive(Debug, Clone)]
@@ -139,18 +265,18 @@ pub fn thm1_sa_tightness(lengths: &[usize]) -> Result<ExpReport> {
     let mut last_ratio = 0.0;
     for &len in lengths {
         let schedule = adversary::remote_reader(ProcessorId::new(2), len);
-        let point = crate::ratio::measure(&mut *sa, &opt, &model, &schedule)?;
+        let ratio = measure(&mut *sa, &opt, &model, &schedule)?.ratio;
         table.push_row(vec![
             len.to_string(),
-            fmt_f64(point.ratio),
+            fmt_f64(ratio),
             fmt_f64(bound),
-            format!("{:.1}%", 100.0 * point.ratio / bound),
+            format!("{:.1}%", 100.0 * ratio / bound),
         ]);
-        last_ratio = point.ratio;
+        last_ratio = ratio;
     }
     // Upper-bound validation over the battery too.
     let battery = standard_battery(5, 60, 3);
-    let battery_worst = summarize(&mut *sa, &model, 5, &battery)?;
+    let (battery_worst, witness) = worst_ratio(&mut *sa, &model, 5, &battery)?;
     let mut report = ExpReport::new(
         "E3",
         format!(
@@ -160,16 +286,13 @@ pub fn thm1_sa_tightness(lengths: &[usize]) -> Result<ExpReport> {
         table,
     );
     report.notes.push(format!(
-        "battery worst ratio {} (witness: {}) — must be <= bound {}",
-        fmt_f64(battery_worst.worst),
-        battery_worst.worst_witness,
+        "battery worst ratio {} (witness: {witness}) — must be <= bound {}",
+        fmt_f64(battery_worst),
         fmt_f64(bound)
     ));
     report.metrics.insert("bound".into(), bound);
     report.metrics.insert("adversary_ratio".into(), last_ratio);
-    report
-        .metrics
-        .insert("battery_worst".into(), battery_worst.worst);
+    report.metrics.insert("battery_worst".into(), battery_worst);
     Ok(report)
 }
 
@@ -198,7 +321,7 @@ pub fn thm23_da_upper_bounds() -> Result<ExpReport> {
         let bound = model.da_bound().expect("SC");
         let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
         let battery = standard_battery(5, 48, 2);
-        let battery_worst = summarize(&mut *da, &model, 5, &battery)?.worst;
+        let (battery_worst, _) = worst_ratio(&mut *da, &model, 5, &battery)?;
         let search = exhaustive_worst_case(
             &mut *da,
             &SearchConfig {
@@ -222,9 +345,8 @@ pub fn thm23_da_upper_bounds() -> Result<ExpReport> {
     let mut report = ExpReport::new(
         "E4/E5",
         "Theorems 2 & 3 — DA upper bounds (2+2cc; 2+cc when cd>1)",
-        Table::new(vec![""]), // replaced below
+        table,
     );
-    report.table = table;
     report
         .metrics
         .insert("max_fraction_of_bound".into(), max_frac);
@@ -344,9 +466,9 @@ pub fn prop3_sa_mc_divergence(lengths: &[usize]) -> Result<ExpReport> {
     let mut ratios = Vec::new();
     for &len in lengths {
         let schedule = adversary::remote_reader(ProcessorId::new(2), len);
-        let point = crate::ratio::measure(&mut *sa, &opt, &model, &schedule)?;
-        table.push_row(vec![len.to_string(), fmt_f64(point.ratio)]);
-        ratios.push(point.ratio);
+        let ratio = measure(&mut *sa, &opt, &model, &schedule)?.ratio;
+        table.push_row(vec![len.to_string(), fmt_f64(ratio)]);
+        ratios.push(ratio);
     }
     let mut report = ExpReport::new(
         "E7",
@@ -376,7 +498,7 @@ pub fn thm4_da_mobile() -> Result<ExpReport> {
         let bound = model.da_bound().expect("cd > 0");
         let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
         let battery = standard_battery(5, 48, 2);
-        let worst = summarize(&mut *da, &model, 5, &battery)?.worst;
+        let (worst, _) = worst_ratio(&mut *da, &model, 5, &battery)?;
         max_frac = max_frac.max(worst / bound);
         table.push_row(vec![
             format!("{r:.2}"),
@@ -385,12 +507,7 @@ pub fn thm4_da_mobile() -> Result<ExpReport> {
             (worst <= bound + 1e-9).to_string(),
         ]);
     }
-    let mut report = ExpReport::new(
-        "E8",
-        "Theorem 4 — DA in MC, bound 2+3cc/cd (≤5)",
-        Table::new(vec![""]),
-    );
-    report.table = table;
+    let mut report = ExpReport::new("E8", "Theorem 4 — DA in MC, bound 2+3cc/cd (≤5)", table);
     report
         .metrics
         .insert("max_fraction_of_bound".into(), max_frac);
@@ -398,20 +515,39 @@ pub fn thm4_da_mobile() -> Result<ExpReport> {
 }
 
 /// E9: the §1.3 trade-off measured on average-case workloads: mean cost
-/// per request vs read fraction, with the DA-beats-SA crossover.
+/// per request of SA, DA and the convergent baseline vs read fraction
+/// (0.05 … 0.95; 5 processors, 8 seeded 200-request uniform schedules per
+/// point), with the first read fraction at which DA beats SA.
 pub fn sweep_e9(model: CostModel) -> Result<ExpReport> {
-    let config = SweepConfig::default_for(model);
-    let points = read_write_mix_sweep(&config)?;
+    let (n, len, seeds) = (5, 200, 8);
+    let mut sa = Entrant::Sa.config().algorithm(n, Tunables::CANONICAL)?;
+    let mut da = Entrant::Da.config().algorithm(n, Tunables::CANONICAL)?;
+    let mut conv = SlidingWindowConvergent::new(n, 2, sa.initial_scheme(), 40, 20)?;
     let mut table = Table::new(vec!["read fraction", "SA", "DA", "Convergent"]);
-    for p in &points {
+    let mut metrics = BTreeMap::new();
+    let mut crossover = None;
+    for i in 1..20 {
+        let read_fraction = i as f64 * 0.05;
+        let gen = UniformWorkload::new(n, read_fraction)?;
+        let schedules: Vec<Schedule> = (0..seeds).map(|seed| gen.generate(len, seed)).collect();
+        let costs = cost_table(&mut [&mut *sa, &mut *da, &mut conv], &schedules, &model)?;
+        let mean: Vec<f64> = costs
+            .iter()
+            .map(|row| row.iter().fold(0.0, |total, c| total + c) / (seeds as f64 * len as f64))
+            .collect();
         table.push_row(vec![
-            format!("{:.2}", p.read_fraction),
-            fmt_f64(p.sa),
-            fmt_f64(p.da),
-            fmt_f64(p.convergent),
+            format!("{read_fraction:.2}"),
+            fmt_f64(mean[0]),
+            fmt_f64(mean[1]),
+            fmt_f64(mean[2]),
         ]);
+        for (algo, cost) in ["sa", "da", "convergent"].into_iter().zip(&mean) {
+            metrics.insert(format!("{algo}_{read_fraction:.2}"), *cost);
+        }
+        if crossover.is_none() && mean[1] < mean[0] {
+            crossover = Some(read_fraction);
+        }
     }
-    let crossover = da_crossover(&points);
     let mut report = ExpReport::new(
         "E9",
         format!(
@@ -422,6 +558,7 @@ pub fn sweep_e9(model: CostModel) -> Result<ExpReport> {
         ),
         table,
     );
+    report.metrics = metrics;
     if let Some(c) = crossover {
         report
             .notes
@@ -525,6 +662,8 @@ pub fn append_e12(schedule_len: usize, seed: u64) -> Result<ExpReport> {
     let schedule = workload.generate(schedule_len, seed);
     let mut table = Table::new(vec!["model", "SA", "DA", "DA/SA"]);
     let mut metrics = BTreeMap::new();
+    let mut sa = Entrant::Sa.config().algorithm(6, Tunables::CANONICAL)?;
+    let mut da = Entrant::Da.config().algorithm(6, Tunables::CANONICAL)?;
     for (name, model) in [
         (
             "SC cc=0.2 cd=0.8",
@@ -535,10 +674,12 @@ pub fn append_e12(schedule_len: usize, seed: u64) -> Result<ExpReport> {
             CostModel::mobile(0.2, 0.8).expect("valid"),
         ),
     ] {
-        let mut sa = Entrant::Sa.config().algorithm(6, Tunables::CANONICAL)?;
-        let mut da = Entrant::Da.config().algorithm(6, Tunables::CANONICAL)?;
-        let sa_cost = run_online(&mut *sa, &schedule)?.costed.total_cost(&model);
-        let da_cost = run_online(&mut *da, &schedule)?.costed.total_cost(&model);
+        let costs = cost_table(
+            &mut [&mut *sa, &mut *da],
+            std::slice::from_ref(&schedule),
+            &model,
+        )?;
+        let (sa_cost, da_cost) = (costs[0][0], costs[1][0]);
         table.push_row(vec![
             name.to_string(),
             fmt_f64(sa_cost),
@@ -566,39 +707,47 @@ pub fn append_e12(schedule_len: usize, seed: u64) -> Result<ExpReport> {
 /// chaotic workloads.
 pub fn ablation_e14(schedule_len: usize, seed: u64) -> Result<ExpReport> {
     let model = CostModel::stationary(0.25, 1.0).expect("valid");
-    let hotspot = HotspotWorkload::new(5, 40, 0.85)?.generate(schedule_len, seed);
-    let chaotic = ChaoticWorkload::new(5, 10)?.generate(schedule_len, seed);
+    let schedules = [
+        HotspotWorkload::new(5, 40, 0.85)?.generate(schedule_len, seed),
+        ChaoticWorkload::new(5, 10)?.generate(schedule_len, seed),
+    ];
+    let mut sa = Entrant::Sa.config().algorithm(5, Tunables::CANONICAL)?;
+    let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
+    let init = sa.initial_scheme();
+    let mut nosave = DaNoSave::new([0usize].into_iter().collect(), ProcessorId::new(1))?;
+    let mut conv = SlidingWindowConvergent::new(5, 2, init, 40, 20)?;
+    let mut cache = WriteInvalidateCache::new(init)?;
+    let mut quorum =
+        doma_algorithms::QuorumConsensus::majority(5, ProcSet::from_iter([0usize, 1, 2]))?;
+    let names = [
+        "SA",
+        "DA",
+        "DA-nosave",
+        "Convergent",
+        "WriteInvalidate (t=1)",
+        "QuorumConsensus",
+    ];
+    let mut algos: [&mut dyn OnlineDom; 6] = [
+        &mut *sa,
+        &mut *da,
+        &mut nosave,
+        &mut conv,
+        &mut cache,
+        &mut quorum,
+    ];
+    let costs = cost_table(&mut algos, &schedules, &model)?;
     let mut table = Table::new(vec!["algorithm", "t", "hotspot (regular)", "chaotic"]);
     let mut metrics = BTreeMap::new();
-
-    let mut run_all = |name: &str, algo: &mut dyn OnlineDom| -> Result<()> {
-        let hot = run_online(algo, &hotspot)?.costed.total_cost(&model);
-        let cha = run_online(algo, &chaotic)?.costed.total_cost(&model);
+    for ((name, algo), row) in names.iter().zip(&algos).zip(&costs) {
         table.push_row(vec![
             name.to_string(),
             algo.t().to_string(),
-            fmt_f64(hot),
-            fmt_f64(cha),
+            fmt_f64(row[0]),
+            fmt_f64(row[1]),
         ]);
-        metrics.insert(format!("{name}_hotspot"), hot);
-        metrics.insert(format!("{name}_chaotic"), cha);
-        Ok(())
-    };
-
-    let mut sa = Entrant::Sa.config().algorithm(5, Tunables::CANONICAL)?;
-    let mut da = Entrant::Da.config().algorithm(5, Tunables::CANONICAL)?;
-    run_all("SA", &mut *sa)?;
-    run_all("DA", &mut *da)?;
-    let init = sa.initial_scheme();
-    let mut nosave = DaNoSave::new([0usize].into_iter().collect(), ProcessorId::new(1))?;
-    run_all("DA-nosave", &mut nosave)?;
-    let mut conv = SlidingWindowConvergent::new(5, 2, init, 40, 20)?;
-    run_all("Convergent", &mut conv)?;
-    let mut cache = WriteInvalidateCache::new(init)?;
-    run_all("WriteInvalidate (t=1)", &mut cache)?;
-    let mut quorum =
-        doma_algorithms::QuorumConsensus::majority(5, ProcSet::from_iter([0usize, 1, 2]))?;
-    run_all("QuorumConsensus", &mut quorum)?;
+        metrics.insert(format!("{name}_hotspot"), row[0]);
+        metrics.insert(format!("{name}_chaotic"), row[1]);
+    }
 
     let mut report = ExpReport::new(
         "E14",
@@ -618,7 +767,7 @@ pub fn ablation_e14(schedule_len: usize, seed: u64) -> Result<ExpReport> {
 /// * **value of dynamism** = best static vs the dynamic offline optimum.
 pub fn file_allocation_e19(schedule_len: usize, seed: u64) -> Result<ExpReport> {
     use doma_algorithms::BestStaticAllocation;
-    use doma_workload::{UniformWorkload, ZipfWorkload};
+    use doma_workload::ZipfWorkload;
     let model = CostModel::stationary(0.25, 1.0).expect("valid");
     let n = 5;
     let workloads: Vec<(&str, Box<dyn ScheduleGen>)> = vec![
@@ -636,14 +785,17 @@ pub fn file_allocation_e19(schedule_len: usize, seed: u64) -> Result<ExpReport> 
         "dynamism gap",
     ]);
     let mut metrics = BTreeMap::new();
-    for (name, gen) in workloads {
-        let schedule = gen.generate(schedule_len, seed);
-        let mut sa = Entrant::Sa.config().algorithm(n, Tunables::CANONICAL)?;
-        let sa_cost = run_online(&mut *sa, &schedule)?.costed.total_cost(&model);
-        let bs = BestStaticAllocation::new(n, 2, model)?;
-        let (_, best_static) = bs.best_scheme(&schedule)?;
-        let opt = OfflineOptimal::new(n, 2, sa.initial_scheme(), model)?;
-        let opt_cost = opt.optimal_cost(&schedule)?;
+    let schedules: Vec<Schedule> = workloads
+        .iter()
+        .map(|(_, gen)| gen.generate(schedule_len, seed))
+        .collect();
+    let mut sa = Entrant::Sa.config().algorithm(n, Tunables::CANONICAL)?;
+    let sa_costs = cost_table(&mut [&mut *sa], &schedules, &model)?;
+    let best_static = BestStaticAllocation::new(n, 2, model)?;
+    let opt = OfflineOptimal::new(n, 2, sa.initial_scheme(), model)?;
+    for (((name, _), schedule), &sa_cost) in workloads.iter().zip(&schedules).zip(&sa_costs[0]) {
+        let (_, best_static) = best_static.best_scheme(schedule)?;
+        let opt_cost = opt.optimal_cost(schedule)?;
         table.push_row(vec![
             name.to_string(),
             fmt_f64(sa_cost),
@@ -1008,10 +1160,10 @@ pub fn t_independence_e17() -> Result<ExpReport> {
         let scheme: ProcSet = (0..t).collect();
         let battery = crate::battery::battery_with_outsiders(n, 40, 2, t);
         let mut sa = StaticAllocation::new(scheme)?;
-        let sa_worst = summarize(&mut sa, &model, n, &battery)?.worst;
+        let (sa_worst, _) = worst_ratio(&mut sa, &model, n, &battery)?;
         let f: ProcSet = (0..t - 1).collect();
         let mut da = DynamicAllocation::new(f, ProcessorId::new(t - 1))?;
-        let da_worst = summarize(&mut da, &model, n, &battery)?.worst;
+        let (da_worst, _) = worst_ratio(&mut da, &model, n, &battery)?;
         table.push_row(vec![
             t.to_string(),
             fmt_f64(sa_worst),
@@ -1029,146 +1181,4 @@ pub fn t_independence_e17() -> Result<ExpReport> {
     );
     report.metrics = metrics;
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thm1_report_shows_tightness() {
-        let r = thm1_sa_tightness(&[8, 32, 128]).unwrap();
-        assert!(r.metrics["adversary_ratio"] <= r.metrics["bound"] + 1e-9);
-        assert!(r.metrics["adversary_ratio"] > 0.95 * r.metrics["bound"]);
-        assert!(r.metrics["battery_worst"] <= r.metrics["bound"] + 1e-9);
-        assert_eq!(r.table.len(), 3);
-        assert!(r.to_markdown().contains("E3"));
-    }
-
-    #[test]
-    fn thm23_bounds_hold() {
-        let r = thm23_da_upper_bounds().unwrap();
-        assert!(r.metrics["max_fraction_of_bound"] <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn prop2_shows_nontrivial_lower_bound() {
-        let r = prop2_da_lower_bound(false).unwrap();
-        assert!(
-            r.metrics["best_ratio"] >= 1.3,
-            "exhaustive search should find ratio >= 1.3, got {}",
-            r.metrics["best_ratio"]
-        );
-    }
-
-    #[test]
-    fn prop3_diverges() {
-        let r = prop3_sa_mc_divergence(&[8, 64]).unwrap();
-        assert!(r.metrics["growth"] > 4.0, "growth {}", r.metrics["growth"]);
-    }
-
-    #[test]
-    fn thm4_bound_holds() {
-        let r = thm4_da_mobile().unwrap();
-        assert!(r.metrics["max_fraction_of_bound"] <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn example13_ordering() {
-        let r = example13().unwrap();
-        assert!(r.metrics["opt"] <= r.metrics["da"] + 1e-9);
-        assert!(r.metrics["da"] < r.metrics["sa"]);
-    }
-
-    #[test]
-    fn mobile_e11_exactly_matches() {
-        let r = mobile_e11(60, 3).unwrap();
-        assert_eq!(r.metrics["exact_match"], 1.0);
-    }
-
-    #[test]
-    fn append_e12_da_wins_in_mobile() {
-        let r = append_e12(150, 5).unwrap();
-        assert!(r.metrics["da_over_sa_MC"] < 1.0, "{:?}", r.metrics);
-    }
-
-    #[test]
-    fn file_allocation_e19_gaps_are_sensible() {
-        let r = file_allocation_e19(300, 11).unwrap();
-        for (k, v) in &r.metrics {
-            assert!(*v >= 1.0 - 1e-9, "{k} below 1: {v}");
-        }
-        // On a hotspot workload the dynamism gap is substantial: no fixed
-        // scheme can chase a rotating hotspot.
-        assert!(r.metrics["hotspot_dynamism_gap"] > 1.05);
-    }
-
-    #[test]
-    fn failover_e21_quorum_is_dearer() {
-        let r = failover_e21(60, 5).unwrap();
-        assert!(
-            r.metrics["overhead"] > 1.5,
-            "quorum mode should cost well above normal DA, got {}",
-            r.metrics["overhead"]
-        );
-    }
-
-    #[test]
-    fn load_curve_e20_shows_the_knee() {
-        let r = load_curve_e20(60).unwrap();
-        // Below saturation the bus matches p2p; past it, it blows up.
-        assert_eq!(r.metrics["bus_mean_16"], r.metrics["p2p_mean_16"]);
-        assert!(r.metrics["bus_mean_1"] > 4.0 * r.metrics["bus_mean_16"]);
-    }
-
-    #[test]
-    fn contention_e15_shapes() {
-        let r = contention_e15(&[1, 4, 8]).unwrap();
-        // Bus response grows with burst size; repeat bursts under DA are free.
-        assert!(r.metrics["sa_bus_8"] > r.metrics["sa_bus_1"]);
-        assert_eq!(r.metrics["da_bus_second_8"], 0.0);
-    }
-
-    #[test]
-    fn cache_e16_reduces_io_preserves_ranking() {
-        let r = cache_e16(300, 3).unwrap();
-        // Caching strictly reduces I/O for both algorithms…
-        assert!(r.metrics["SA_cached_io"] < r.metrics["SA_plain_io"]);
-        assert!(r.metrics["DA_cached_io"] < r.metrics["DA_plain_io"]);
-        // …and DA still beats SA on the hotspot workload either way.
-        assert!(r.metrics["DA_plain_cost"] < r.metrics["SA_plain_cost"]);
-        assert!(r.metrics["DA_cached_cost"] < r.metrics["SA_cached_cost"]);
-    }
-
-    #[test]
-    fn placement_e18_spreading_beats_same_core() {
-        let r = placement_e18(20, 600, 3).unwrap();
-        assert!(r.metrics["round-robin_max_load"] < r.metrics["same-core_max_load"]);
-        assert!(r.metrics["load-aware_max_load"] < r.metrics["same-core_max_load"]);
-        // Cost stays within a few percent across placements.
-        let base = r.metrics["same-core_cost"];
-        for k in ["round-robin_cost", "load-aware_cost"] {
-            assert!((r.metrics[k] - base).abs() / base < 0.1, "{k} drifted");
-        }
-    }
-
-    #[test]
-    fn t_independence_e17_bounds_hold_for_all_t() {
-        let r = t_independence_e17().unwrap();
-        let model = CostModel::stationary(0.3, 0.8).unwrap();
-        for t in [2usize, 3, 4, 5] {
-            assert!(r.metrics[&format!("sa_worst_t{t}")] <= model.sa_bound().unwrap() + 1e-9);
-            assert!(r.metrics[&format!("da_worst_t{t}")] <= model.da_bound().unwrap() + 1e-9);
-        }
-    }
-
-    #[test]
-    fn ablation_e14_sanity() {
-        let r = ablation_e14(300, 7).unwrap();
-        // Saving-reads must pay off on the hotspot workload.
-        assert!(r.metrics["DA_hotspot"] < r.metrics["DA-nosave_hotspot"]);
-        // The unconstrained cache (t=1) is at least as cheap as DA — that
-        // difference is the price of availability.
-        assert!(r.metrics["WriteInvalidate (t=1)_hotspot"] <= r.metrics["DA_hotspot"] + 1e-9);
-    }
 }

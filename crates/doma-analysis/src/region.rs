@@ -17,8 +17,7 @@
 //! *measurement*: worst-case ratio of SA and of DA over the standard
 //! battery against the exact offline optimum.
 
-use crate::battery::{standard_battery, NamedSchedule};
-use crate::ratio::summarize;
+use crate::battery::{standard_battery, worst_ratio, NamedSchedule};
 use doma_core::{CostModel, Environment, Result};
 use doma_protocol::{Entrant, Tunables};
 use std::fmt;
@@ -124,18 +123,6 @@ pub struct RegionConfig {
     pub seeds: u64,
 }
 
-impl Default for RegionConfig {
-    fn default() -> Self {
-        RegionConfig {
-            n: 5,
-            step: 0.25,
-            max: 2.0,
-            schedule_len: 40,
-            seeds: 2,
-        }
-    }
-}
-
 /// Measures the winner at each feasible grid point (the `cc > cd` half is
 /// marked [`Region::CannotBeTrue`] without measurement — those models are
 /// unconstructible by [`CostModel`]'s invariant).
@@ -182,14 +169,14 @@ fn measure_point(
     .expect("cc <= cd on the feasible half");
     let mut sa = Entrant::Sa.config().algorithm(n, Tunables::CANONICAL)?;
     let mut da = Entrant::Da.config().algorithm(n, Tunables::CANONICAL)?;
-    let sa_summary = summarize(&mut *sa, &model, n, battery)?;
-    let da_summary = summarize(&mut *da, &model, n, battery)?;
+    let (sa_worst, _) = worst_ratio(&mut *sa, &model, n, battery)?;
+    let (da_worst, _) = worst_ratio(&mut *da, &model, n, battery)?;
     // Winner by worst-case ratio, with a 2% dead-band reported as Unknown.
-    let measured = if !sa_summary.worst.is_finite() && !da_summary.worst.is_finite() {
+    let measured = if !sa_worst.is_finite() && !da_worst.is_finite() {
         Region::Unknown
-    } else if sa_summary.worst > 1.02 * da_summary.worst {
+    } else if sa_worst > 1.02 * da_worst {
         Region::DaSuperior
-    } else if da_summary.worst > 1.02 * sa_summary.worst {
+    } else if da_worst > 1.02 * sa_worst {
         Region::SaSuperior
     } else {
         Region::Unknown
@@ -197,8 +184,8 @@ fn measure_point(
     Ok(RegionPoint {
         cc,
         cd,
-        sa_worst: sa_summary.worst,
-        da_worst: da_summary.worst,
+        sa_worst,
+        da_worst,
         measured,
         analytic,
     })

@@ -1,5 +1,5 @@
-//! Minimal markdown / CSV table rendering (no serde needed — the tables
-//! are small and the formats trivial).
+//! Minimal markdown table rendering (no serde needed — the tables are
+//! small and the format trivial).
 
 use std::fmt::Write as _;
 
@@ -69,29 +69,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (quotes cells containing commas, quotes or
-    /// newlines).
-    pub fn to_csv(&self) -> String {
-        let esc = |cell: &str| -> String {
-            if cell.contains(['"', ',', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let mut render = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| esc(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        render(&self.header);
-        for row in &self.rows {
-            render(row);
-        }
-        out
-    }
 }
 
 /// Formats an `f64` compactly for tables: up to 3 decimals, `inf` for
@@ -123,17 +100,6 @@ mod tests {
         assert!(lines[1].starts_with("|--"));
         // All lines equal width (aligned).
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.push_row(vec!["a,b", "he said \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(
-            csv.lines().nth(1).unwrap(),
-            "\"a,b\",\"he said \"\"hi\"\"\""
-        );
     }
 
     #[test]

@@ -1,54 +1,5 @@
-//! Small summary-statistics toolkit for experiment reports: means,
-//! deviations, percentiles and normal-approximation confidence intervals.
-//! Hand-rolled (the sample sizes here are tiny; no dependency warranted).
-
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (Bessel-corrected; 0 for n < 2).
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary; returns `None` for an empty sample or one
-    /// containing non-finite values.
-    pub fn of(sample: &[f64]) -> Option<Summary> {
-        if sample.is_empty() || sample.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let n = sample.len();
-        let mean = sample.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            sample.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        let min = sample.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = sample.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some(Summary {
-            n,
-            mean,
-            std_dev: var.sqrt(),
-            min,
-            max,
-        })
-    }
-
-    /// A 95% normal-approximation confidence interval for the mean
-    /// (`mean ± 1.96·σ/√n`). Degenerate (width 0) for n = 1.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_dev / (self.n as f64).sqrt();
-        (self.mean - half, self.mean + half)
-    }
-}
+//! Percentiles for experiment reports. Hand-rolled (the sample sizes here
+//! are tiny; no dependency warranted).
 
 /// The `q`-th percentile (0–100) by linear interpolation between order
 /// statistics. Returns `None` on empty or non-finite input or `q` outside
@@ -69,27 +20,6 @@ pub fn percentile(sample: &[f64], q: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basics() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.n, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!((s.min, s.max), (1.0, 4.0));
-        let (lo, hi) = s.ci95();
-        assert!(lo < s.mean && s.mean < hi);
-    }
-
-    #[test]
-    fn summary_edge_cases() {
-        assert!(Summary::of(&[]).is_none());
-        assert!(Summary::of(&[1.0, f64::NAN]).is_none());
-        assert!(Summary::of(&[1.0, f64::INFINITY]).is_none());
-        let one = Summary::of(&[7.0]).unwrap();
-        assert_eq!(one.std_dev, 0.0);
-        assert_eq!(one.ci95(), (7.0, 7.0));
-    }
 
     #[test]
     fn percentiles() {

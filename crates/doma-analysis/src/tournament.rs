@@ -17,9 +17,10 @@
 //! Everything is deterministic: fixed seeds, fixed iteration order, fixed
 //! float formatting — [`render_json`] is byte-identical across runs.
 
+use doma_algorithms::search::ratio;
 use doma_algorithms::OfflineOptimal;
 use doma_core::{CostModel, CostVector, DomaError, Result, Schedule};
-use doma_protocol::Entrant;
+use doma_protocol::{registry_cost, Entrant};
 use doma_workload::{
     ChaoticWorkload, HotspotWorkload, MobileWorkload, ScheduleGen, UniformWorkload, ZipfWorkload,
 };
@@ -66,8 +67,7 @@ pub struct TournamentCell {
     /// The exact offline optimum for the same schedule, threshold and
     /// initial scheme.
     pub opt_cost: f64,
-    /// `algo_cost / opt_cost` (`f64::INFINITY` when OPT is free but the
-    /// algorithm paid; `1.0` when both are free).
+    /// [`ratio`]`(algo_cost, opt_cost)`.
     pub ratio: f64,
     /// The paper's competitiveness bound where one exists (SA in SC, DA in
     /// SC and MC), else `None`.
@@ -136,12 +136,7 @@ fn measure_protocol(entrant: Entrant, n: usize, schedule: &Schedule) -> Result<C
             report.dropped_messages
         )));
     }
-    let snap = obs.metrics().snapshot();
-    let counted = CostVector::new(
-        snap.sum_counters("protocol", "cost.control"),
-        snap.sum_counters("protocol", "cost.data"),
-        snap.sum_counters("protocol", "cost.io"),
-    );
+    let counted = registry_cost(&obs.metrics().snapshot());
     if counted != report.cost {
         return Err(DomaError::InvalidConfig(format!(
             "obs parity violation for {entrant}: registry {counted:?} vs simulator {:?}",
@@ -166,13 +161,6 @@ pub fn run_tournament(spec: &TournamentSpec) -> Result<Vec<TournamentCell>> {
                 let opt = OfflineOptimal::new(spec.n, entrant.t(), initial, *model)?;
                 let opt_cost = opt.optimal_cost(&schedule)?;
                 let algo_cost = measured.eval(model);
-                let ratio = if opt_cost > 0.0 {
-                    algo_cost / opt_cost
-                } else if algo_cost > 0.0 {
-                    f64::INFINITY
-                } else {
-                    1.0
-                };
                 cells.push(TournamentCell {
                     algo: entrant.as_str(),
                     workload: gen.name().to_string(),
@@ -182,7 +170,7 @@ pub fn run_tournament(spec: &TournamentSpec) -> Result<Vec<TournamentCell>> {
                     measured,
                     algo_cost,
                     opt_cost,
-                    ratio,
+                    ratio: ratio(algo_cost, opt_cost),
                     bound: paper_bound(entrant, model),
                 });
             }

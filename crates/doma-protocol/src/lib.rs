@@ -73,6 +73,7 @@ mod transport;
 
 pub use msg::{DomMsg, ReadPlan, WritePlan};
 pub use node::{BugSwitches, CompletedRead, DomNode, ProtocolConfig};
+pub use obs::registry_cost;
 pub use planner::{ClientPlanner, PlannedRequest};
 pub use roster::{Entrant, Tunables};
 pub use sharded::{ShardInput, ShardOutcome, ShardedRun, ShardedSim};

@@ -13,8 +13,8 @@
 //! delivery from a cursor over the store's own tally.
 
 use crate::{DomMsg, Entrant};
-use doma_core::{ObjectId, ProcessorId};
-use doma_obs::{Counter, FieldRef, FieldValue, Obs, SpanId};
+use doma_core::{CostVector, ObjectId, ProcessorId};
+use doma_obs::{Counter, FieldRef, FieldValue, MetricsSnapshot, Obs, SpanId};
 use doma_sim::MsgKind;
 use std::collections::BTreeMap;
 
@@ -119,6 +119,14 @@ impl From<MsgKind> for Dim {
             MsgKind::Data => Dim::Data,
         }
     }
+}
+
+/// The registry's `protocol.cost.*` counters summed over every
+/// `{algo, node, op}` cell — on a failure-free run, exactly the engine's
+/// cost tally (the obs-parity check).
+pub fn registry_cost(snapshot: &MetricsSnapshot) -> CostVector {
+    let sum = |dim: Dim| snapshot.sum_counters("protocol", dim.name());
+    CostVector::new(sum(Dim::Control), sum(Dim::Data), sum(Dim::Io))
 }
 
 /// The per-node protocol tallies outside the cost breakdown

@@ -1116,12 +1116,7 @@ mod tests {
         let snap = obs.metrics().snapshot();
         // The headline property, extended to the registry: the summed
         // per-(algo,node,op) breakdown equals the exact cost vector.
-        assert_eq!(
-            snap.sum_counters("protocol", "cost.control"),
-            report.cost.control
-        );
-        assert_eq!(snap.sum_counters("protocol", "cost.data"), report.cost.data);
-        assert_eq!(snap.sum_counters("protocol", "cost.io"), report.cost.io);
+        assert_eq!(crate::registry_cost(&snap), report.cost);
         // The engine-level send tallies agree with the protocol-level
         // decomposition (both count every ctx.send exactly once).
         assert_eq!(

@@ -14,7 +14,7 @@
 
 use doma_algorithms::multi::Placement;
 use doma_core::{MultiSchedule, ObjectId, ProcessorId, Request};
-use doma_protocol::{ProtocolConfig, ProtocolSim, ShardedSim};
+use doma_protocol::{registry_cost, ProtocolConfig, ProtocolSim, ShardedSim};
 use doma_testkit::property::{self as prop, Gen};
 use doma_testkit::TestRng;
 use doma_workload::{MultiScheduleGen, MultiUniformWorkload};
@@ -56,12 +56,7 @@ fn sharded_execution_matches_sequential_for_all_k_and_placements() {
     let seq_obs = sequential.attach_obs(1 << 16);
     let expected = sequential.execute_multi(&schedule).unwrap();
     let expected_metrics = seq_obs.metrics().snapshot().to_json();
-    let snap = seq_obs.metrics().snapshot();
-    let expected_cost_sums = [
-        snap.sum_counters("protocol", "cost.control"),
-        snap.sum_counters("protocol", "cost.data"),
-        snap.sum_counters("protocol", "cost.io"),
-    ];
+    let expected_cost_sums = registry_cost(&seq_obs.metrics().snapshot());
 
     for placement in PLACEMENTS {
         for shards in SHARD_COUNTS {
@@ -85,13 +80,9 @@ fn sharded_execution_matches_sequential_for_all_k_and_placements() {
             }
             let obs = run.obs.expect("obs requested");
             let merged = obs.metrics().snapshot();
-            let cost_sums = [
-                merged.sum_counters("protocol", "cost.control"),
-                merged.sum_counters("protocol", "cost.data"),
-                merged.sum_counters("protocol", "cost.io"),
-            ];
             assert_eq!(
-                cost_sums, expected_cost_sums,
+                registry_cost(&merged),
+                expected_cost_sums,
                 "cost.* sums diverged at {cell}"
             );
             assert_eq!(

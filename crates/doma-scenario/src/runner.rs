@@ -12,10 +12,11 @@
 
 use crate::model::{FaultKind, MsgFilter, Scenario, WorkloadSpec};
 use crate::{digest64, format_digest, ScenarioError};
+use doma_algorithms::search::ratio;
 use doma_algorithms::OfflineOptimal;
 use doma_core::{CostModel, CostVector, ProcSet, Schedule};
 use doma_obs::json::escape;
-use doma_protocol::ProtocolSim;
+use doma_protocol::{registry_cost, ProtocolSim};
 use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind, NodeId};
 use doma_testkit::rng::splitmix64;
 use doma_workload::{
@@ -311,11 +312,7 @@ fn run_impl(
         }
     }
     if expect.obs_parity {
-        let counted = CostVector::new(
-            snap.sum_counters("protocol", "cost.control"),
-            snap.sum_counters("protocol", "cost.data"),
-            snap.sum_counters("protocol", "cost.io"),
-        );
+        let counted = registry_cost(&snap);
         if counted != report.cost {
             violations.push(format!(
                 "obs parity violation: registry {counted:?} vs simulator {:?}",
@@ -323,22 +320,16 @@ fn run_impl(
             ));
         }
     }
-    let (mut opt_cost, mut ratio) = (None, None);
+    let (mut opt_cost, mut measured_ratio) = (None, None);
     if let Some(ceiling) = expect.max_ratio_vs_opt {
         let initial = scenario.entrant.config().initial_scheme();
         let opt = OfflineOptimal::new(scenario.n, scenario.entrant.t(), initial, model)
             .map_err(runtime)?
             .optimal_cost(&schedule)
             .map_err(runtime)?;
-        let r = if opt > 0.0 {
-            algo_cost / opt
-        } else if algo_cost > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
+        let r = ratio(algo_cost, opt);
         opt_cost = Some(opt);
-        ratio = Some(r);
+        measured_ratio = Some(r);
         if r > ceiling + 1e-9 {
             violations.push(format!("ratio vs OPT {r:.4} exceeds ceiling {ceiling}"));
         }
@@ -357,7 +348,7 @@ fn run_impl(
         cost: report.cost,
         algo_cost,
         opt_cost,
-        ratio,
+        ratio: measured_ratio,
         reads_completed: report.reads_completed,
         dropped_messages: report.dropped_messages,
         scheme_churn,

@@ -1,24 +1,50 @@
 //! Smoke-runs every experiment driver at fast settings and asserts the
-//! paper-shaped outcomes (who wins, bounds hold, tightness reached).
-//! EXPERIMENTS.md's claims are backed by these assertions.
+//! paper-shaped outcomes (who wins, bounds hold, tightness reached), and
+//! pins the whole fast-mode reproduction byte for byte against
+//! `tests/golden/repro_fast.md`. EXPERIMENTS.md's claims are backed by
+//! these assertions.
 
 use doma::analysis::experiments;
-use doma::analysis::region::RegionConfig;
 use doma::core::CostModel;
 
-fn fast_region() -> RegionConfig {
-    RegionConfig {
-        n: 5,
-        step: 0.5,
-        max: 2.0,
-        schedule_len: 24,
-        seeds: 1,
+/// `repro all --fast`, rendered, must equal the committed golden document:
+/// a change that moves any E-row fails here, not only in the full-mode
+/// wall. After a deliberate change, regenerate with
+/// `cargo run --release -p doma-analysis --bin repro -- all --fast > tests/golden/repro_fast.md`.
+#[test]
+fn fast_reproduction_matches_the_golden_document() {
+    let doc = experiments::render(&experiments::run("all", true).unwrap(), true);
+    let golden = include_str!("golden/repro_fast.md");
+    if doc != golden {
+        let (line, want, got) = golden
+            .lines()
+            .zip(doc.lines())
+            .enumerate()
+            .find(|(_, (want, got))| want != got)
+            .map_or(
+                (golden.lines().count().min(doc.lines().count()), "", ""),
+                |(i, (w, g))| (i, w, g),
+            );
+        panic!(
+            "repro all --fast drifted from tests/golden/repro_fast.md at line {}:\n  golden: {want}\n  now:    {got}",
+            line + 1
+        );
     }
 }
 
 #[test]
+fn roster_runs_one_experiment_by_name_and_rejects_unknown_names() {
+    let picked = experiments::run("thm4", true).unwrap();
+    assert_eq!(picked.len(), 1);
+    assert_eq!(picked[0].id, "E8");
+    let err = experiments::run("thm2", true).unwrap_err().to_string();
+    assert!(err.contains("unknown experiment 'thm2'"), "{err}");
+    assert!(err.contains("thm23") && err.contains("placement"), "{err}");
+}
+
+#[test]
 fn e1_figure1_agrees_with_paper() {
-    let r = experiments::fig1(&fast_region()).unwrap();
+    let r = experiments::fig1(&experiments::region_config(true)).unwrap();
     assert!(
         r.metrics["agreement"] >= 0.9,
         "Figure 1 agreement too low: {}",
@@ -29,7 +55,7 @@ fn e1_figure1_agrees_with_paper() {
 
 #[test]
 fn e2_figure2_agrees_with_paper() {
-    let r = experiments::fig2(&fast_region()).unwrap();
+    let r = experiments::fig2(&experiments::region_config(true)).unwrap();
     assert!(
         r.metrics["agreement"] >= 0.99,
         "Figure 2: DA must never lose in MC, agreement {}",
@@ -42,6 +68,9 @@ fn e3_sa_bound_is_tight() {
     let r = experiments::thm1_sa_tightness(&[8, 64, 256]).unwrap();
     assert!(r.metrics["adversary_ratio"] <= r.metrics["bound"] + 1e-9);
     assert!(r.metrics["adversary_ratio"] >= 0.97 * r.metrics["bound"]);
+    assert!(r.metrics["battery_worst"] <= r.metrics["bound"] + 1e-9);
+    assert_eq!(r.table.len(), 3);
+    assert!(r.to_markdown().contains("E3"));
 }
 
 #[test]
@@ -53,7 +82,11 @@ fn e4_e5_da_bounds_hold() {
 #[test]
 fn e6_da_lower_bound_nontrivial() {
     let r = experiments::prop2_da_lower_bound(false).unwrap();
-    assert!(r.metrics["best_ratio"] >= 1.3);
+    assert!(
+        r.metrics["best_ratio"] >= 1.3,
+        "exhaustive search should find ratio >= 1.3, got {}",
+        r.metrics["best_ratio"]
+    );
 }
 
 #[test]
@@ -71,10 +104,27 @@ fn e8_da_mc_bound_holds() {
 
 #[test]
 fn e9_sweep_crosses_to_da_as_reads_grow() {
-    let r = experiments::sweep_e9(CostModel::stationary(0.25, 1.0).unwrap()).unwrap();
+    let model = CostModel::stationary(0.25, 1.0).unwrap();
+    let r = experiments::sweep_e9(model).unwrap();
+    assert_eq!(r.table.len(), 19, "one row per read fraction 0.05 … 0.95");
     assert!(
         r.metrics.contains_key("crossover"),
         "expected a DA-beats-SA crossover in the swept range"
+    );
+    for (k, v) in &r.metrics {
+        assert!(*v > 0.0, "{k} = {v}");
+    }
+    // With reads spread over 5 processors and Q = {0,1}, most reads are
+    // remote for SA; DA's saving-reads amortize them.
+    assert!(
+        r.metrics["da_0.95"] < r.metrics["sa_0.95"],
+        "DA ({}) should beat SA ({}) at 95% reads",
+        r.metrics["da_0.95"],
+        r.metrics["sa_0.95"]
+    );
+    assert_eq!(
+        experiments::sweep_e9(model).unwrap().to_markdown(),
+        r.to_markdown()
     );
 }
 
@@ -94,13 +144,86 @@ fn e11_protocol_matches_model_exactly() {
 #[test]
 fn e12_append_only_da_dominates_in_mc() {
     let r = experiments::append_e12(200, 9).unwrap();
-    assert!(r.metrics["da_over_sa_MC"] < 1.0);
+    assert!(r.metrics["da_over_sa_MC"] < 1.0, "{:?}", r.metrics);
 }
 
 #[test]
 fn e14_ablations_have_the_expected_signs() {
     let r = experiments::ablation_e14(400, 13).unwrap();
+    // Saving-reads must pay off on the hotspot workload.
     assert!(r.metrics["DA_hotspot"] < r.metrics["DA-nosave_hotspot"]);
     assert!(r.metrics["DA_hotspot"] < r.metrics["SA_hotspot"]);
+    // The unconstrained cache (t=1) is at least as cheap as DA — that
+    // difference is the price of availability.
     assert!(r.metrics["WriteInvalidate (t=1)_hotspot"] <= r.metrics["DA_hotspot"] + 1e-9);
+}
+
+#[test]
+fn e15_contention_shapes() {
+    let r = experiments::contention_e15(&[1, 4, 8]).unwrap();
+    // Bus response grows with burst size; repeat bursts under DA are free.
+    assert!(r.metrics["sa_bus_8"] > r.metrics["sa_bus_1"]);
+    assert_eq!(r.metrics["da_bus_second_8"], 0.0);
+}
+
+#[test]
+fn e16_cache_reduces_io_preserves_ranking() {
+    let r = experiments::cache_e16(300, 3).unwrap();
+    // Caching strictly reduces I/O for both algorithms…
+    assert!(r.metrics["SA_cached_io"] < r.metrics["SA_plain_io"]);
+    assert!(r.metrics["DA_cached_io"] < r.metrics["DA_plain_io"]);
+    // …and DA still beats SA on the hotspot workload either way.
+    assert!(r.metrics["DA_plain_cost"] < r.metrics["SA_plain_cost"]);
+    assert!(r.metrics["DA_cached_cost"] < r.metrics["SA_cached_cost"]);
+}
+
+#[test]
+fn e17_t_independence_bounds_hold_for_all_t() {
+    let r = experiments::t_independence_e17().unwrap();
+    let model = CostModel::stationary(0.3, 0.8).unwrap();
+    for t in [2usize, 3, 4, 5] {
+        assert!(r.metrics[&format!("sa_worst_t{t}")] <= model.sa_bound().unwrap() + 1e-9);
+        assert!(r.metrics[&format!("da_worst_t{t}")] <= model.da_bound().unwrap() + 1e-9);
+    }
+}
+
+#[test]
+fn e18_placement_spreading_beats_same_core() {
+    let r = experiments::placement_e18(20, 600, 3).unwrap();
+    assert!(r.metrics["round-robin_max_load"] < r.metrics["same-core_max_load"]);
+    assert!(r.metrics["load-aware_max_load"] < r.metrics["same-core_max_load"]);
+    // Cost stays within a few percent across placements.
+    let base = r.metrics["same-core_cost"];
+    for k in ["round-robin_cost", "load-aware_cost"] {
+        assert!((r.metrics[k] - base).abs() / base < 0.1, "{k} drifted");
+    }
+}
+
+#[test]
+fn e19_file_allocation_gaps_are_sensible() {
+    let r = experiments::file_allocation_e19(300, 11).unwrap();
+    for (k, v) in &r.metrics {
+        assert!(*v >= 1.0 - 1e-9, "{k} below 1: {v}");
+    }
+    // On a hotspot workload the dynamism gap is substantial: no fixed
+    // scheme can chase a rotating hotspot.
+    assert!(r.metrics["hotspot_dynamism_gap"] > 1.05);
+}
+
+#[test]
+fn e20_load_curve_shows_the_knee() {
+    let r = experiments::load_curve_e20(60).unwrap();
+    // Below saturation the bus matches p2p; past it, it blows up.
+    assert_eq!(r.metrics["bus_mean_16"], r.metrics["p2p_mean_16"]);
+    assert!(r.metrics["bus_mean_1"] > 4.0 * r.metrics["bus_mean_16"]);
+}
+
+#[test]
+fn e21_failover_quorum_is_dearer() {
+    let r = experiments::failover_e21(60, 5).unwrap();
+    assert!(
+        r.metrics["overhead"] > 1.5,
+        "quorum mode should cost well above normal DA, got {}",
+        r.metrics["overhead"]
+    );
 }

@@ -7,7 +7,7 @@
 
 use doma::algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
 use doma::core::{run_online, CostModel, ProcSet, ProcessorId, Request, Schedule};
-use doma::protocol::{Entrant, ProtocolSim, Tunables};
+use doma::protocol::{registry_cost, Entrant, ProtocolSim, Tunables};
 use doma_testkit::property::{self as prop, Gen};
 use doma_testkit::TestRng;
 
@@ -142,21 +142,10 @@ doma_testkit::property! {
             let obs = sim.attach_obs(64);
             let report = sim.execute(&schedule).unwrap();
             sim.obs_flush();
-            let snap = obs.metrics().snapshot();
             assert_eq!(
-                snap.sum_counters("protocol", "cost.control"),
-                report.cost.control,
-                "{algo} control on {}", schedule
-            );
-            assert_eq!(
-                snap.sum_counters("protocol", "cost.data"),
-                report.cost.data,
-                "{algo} data on {}", schedule
-            );
-            assert_eq!(
-                snap.sum_counters("protocol", "cost.io"),
-                report.cost.io,
-                "{algo} io on {}", schedule
+                registry_cost(&obs.metrics().snapshot()),
+                report.cost,
+                "{algo} on {}", schedule
             );
         }
     }
