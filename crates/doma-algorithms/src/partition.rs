@@ -1,19 +1,19 @@
-//! The shared placement partitioner: one member-selection kernel serving
-//! both the *analytic* path ([`crate::multi::MultiObjectDa`] placing DA
-//! cores on processors) and the *executable* path (the sharded protocol
-//! executor placing catalog objects on worker shards).
+//! Placement over a pool: the one member-selection kernel, and the shard
+//! picker built on it.
 //!
-//! Both problems have the same shape — "the k-th distinct object picks
-//! `take` members from a pool of `pool` slots, optionally steered by a
-//! running load tally" — so the three [`Placement`] policies are
-//! implemented exactly once, in [`select_members`]. The analytic
-//! allocator feeds it exact per-processor I/O attribution; the shard
-//! partitioner feeds it per-shard request counts; the core planner feeds
-//! it a deterministic write/read residence proxy.
+//! Two problems share the shape "the k-th distinct object picks `take`
+//! members from a pool of `pool` slots, optionally steered by a running
+//! load tally", so the three [`Placement`] policies are implemented once,
+//! in [`select_members`]:
+//!
+//! * [`crate::multi::MultiObjectDa`] places each object's DA core
+//!   (`take = t`) on processors, steered by exact per-processor I/O;
+//! * [`ShardPartitioner`] places each object on one of K worker shards
+//!   (`take = 1`) for the sharded protocol executor, steered by the
+//!   requests routed to each shard so far.
 
 use crate::multi::Placement;
-use doma_core::{DomaError, MultiSchedule, ObjectId, ProcSet, ProcessorId, Result};
-use std::collections::BTreeMap;
+use doma_core::{DomaError, Result};
 
 /// Selects `take` members out of `pool` slots for the `created`-th
 /// distinct object under a placement policy. `load` is the caller's
@@ -47,19 +47,20 @@ pub fn select_members(
     }
 }
 
-/// Assigns each distinct object of a multi-object workload to one of `k`
-/// shards in first-touch order, through the same [`select_members`]
-/// kernel the core placement uses (`take = 1`): `SameCore` sends every
-/// object to shard 0 (the degenerate serial partition), `RoundRobin`
-/// tiles objects over shards, `LoadAware` sends each new object to the
-/// currently lightest shard (load = requests routed so far).
+/// Picks a shard out of `k` for each newly touched object, through
+/// [`select_members`] with `take = 1`: `SameCore` sends every object to
+/// shard 0 (the degenerate serial partition), `RoundRobin` tiles objects
+/// over shards in the order they are first touched, `LoadAware` sends
+/// each new object to the shard with the least load attributed so far.
+///
+/// The partitioner does not remember which object went where: the caller
+/// asks once per object, on its first touch, and keeps the answer.
 #[derive(Debug, Clone)]
 pub struct ShardPartitioner {
     placement: Placement,
     shards: usize,
     load: Vec<u64>,
     created: usize,
-    assignment: BTreeMap<ObjectId, usize>,
 }
 
 impl ShardPartitioner {
@@ -73,25 +74,14 @@ impl ShardPartitioner {
             shards,
             load: vec![0; shards],
             created: 0,
-            assignment: BTreeMap::new(),
         })
     }
 
-    /// The number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard of `object`, assigning one on first touch.
-    pub fn assign(&mut self, object: ObjectId) -> usize {
-        if let Some(&shard) = self.assignment.get(&object) {
-            return shard;
-        }
+    /// The shard of the next newly touched object.
+    pub fn assign(&mut self) -> usize {
         let members = select_members(self.placement, self.created, self.shards, 1, &self.load);
-        let shard = members.first().copied().unwrap_or(0);
-        self.assignment.insert(object, shard);
         self.created += 1;
-        shard
+        members.first().copied().unwrap_or(0)
     }
 
     /// Attributes `weight` units of load to `shard` (drives `LoadAware`).
@@ -100,151 +90,11 @@ impl ShardPartitioner {
             *slot += weight;
         }
     }
-
-    /// The object → shard map built so far.
-    pub fn assignment(&self) -> &BTreeMap<ObjectId, usize> {
-        &self.assignment
-    }
-}
-
-/// A schedule split into per-shard projections: `shards[s]` holds
-/// exactly the requests of the objects assigned to shard `s`, in their
-/// original relative order.
-#[derive(Debug)]
-pub struct SchedulePartition {
-    /// Which shard each distinct object landed on.
-    pub assignment: BTreeMap<ObjectId, usize>,
-    /// The per-shard sub-schedules (length = shard count).
-    pub shards: Vec<MultiSchedule>,
-}
-
-/// Partitions a multi-object schedule over `k` shards under a placement
-/// policy. Each request counts one unit of shard load, so `LoadAware`
-/// balances by traffic, not object count. The projection preserves each
-/// object's request order (the property the sharded executor's
-/// determinism rests on — objects are independent, so only per-object
-/// order matters).
-pub fn partition_schedule(
-    schedule: &MultiSchedule,
-    k: usize,
-    placement: Placement,
-) -> Result<SchedulePartition> {
-    let mut partitioner = ShardPartitioner::new(k, placement)?;
-    let mut shards: Vec<MultiSchedule> = (0..k).map(|_| MultiSchedule::default()).collect();
-    for mr in schedule.requests() {
-        let shard = partitioner.assign(mr.object);
-        partitioner.attribute(shard, 1);
-        if let Some(sub) = shards.get_mut(shard) {
-            sub.push(mr.object, mr.request);
-        }
-    }
-    Ok(SchedulePartition {
-        assignment: partitioner.assignment,
-        shards,
-    })
-}
-
-/// Plans a DA core `(F, p)` per distinct object in first-touch order —
-/// the executable path's mirror of the analytic allocator's placement,
-/// built on the same [`select_members`] kernel.
-///
-/// The load it feeds `LoadAware` is a deterministic residence proxy
-/// computed without running the protocol: each write charges one unit to
-/// every core member (the `t` stored copies), each read one unit to its
-/// issuer (a DA saving-read leaves a replica there).
-#[derive(Debug, Clone)]
-pub struct CorePlanner {
-    n: usize,
-    t: usize,
-    placement: Placement,
-    load: Vec<u64>,
-    created: usize,
-    cores: BTreeMap<ObjectId, (ProcSet, ProcessorId)>,
-}
-
-impl CorePlanner {
-    /// A planner for an `n`-processor system with threshold `t`.
-    pub fn new(n: usize, t: usize, placement: Placement) -> Result<Self> {
-        if t < 2 || t >= n {
-            return Err(DomaError::InvalidConfig(format!(
-                "need 2 <= t < n (t={t}, n={n})"
-            )));
-        }
-        Ok(CorePlanner {
-            n,
-            t,
-            placement,
-            load: vec![0; n],
-            created: 0,
-            cores: BTreeMap::new(),
-        })
-    }
-
-    /// The core of `object`, choosing one on first touch.
-    pub fn core_for(&mut self, object: ObjectId) -> (ProcSet, ProcessorId) {
-        if let Some(&core) = self.cores.get(&object) {
-            return core;
-        }
-        let members = select_members(self.placement, self.created, self.n, self.t, &self.load);
-        let f: ProcSet = members[..self.t - 1].iter().copied().collect();
-        let p = ProcessorId::new(members[self.t - 1]);
-        self.cores.insert(object, (f, p));
-        self.created += 1;
-        (f, p)
-    }
-
-    /// Attributes `weight` units of load to a processor.
-    pub fn attribute(&mut self, processor: ProcessorId, weight: u64) {
-        if let Some(slot) = self.load.get_mut(processor.index()) {
-            *slot += weight;
-        }
-    }
-
-    /// The cores planned so far.
-    pub fn cores(&self) -> &BTreeMap<ObjectId, (ProcSet, ProcessorId)> {
-        &self.cores
-    }
-}
-
-/// Plans every object's DA core for a whole schedule, feeding the
-/// planner the write/read residence proxy described on [`CorePlanner`].
-pub fn plan_cores(
-    n: usize,
-    t: usize,
-    placement: Placement,
-    schedule: &MultiSchedule,
-) -> Result<BTreeMap<ObjectId, (ProcSet, ProcessorId)>> {
-    let mut planner = CorePlanner::new(n, t, placement)?;
-    for mr in schedule.requests() {
-        let (f, p) = planner.core_for(mr.object);
-        if mr.request.is_read() {
-            planner.attribute(mr.request.issuer, 1);
-        } else {
-            for member in f.with(p).iter() {
-                planner.attribute(member, 1);
-            }
-        }
-    }
-    Ok(planner.cores)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doma_core::Request;
-
-    fn sched(pairs: &[(u64, bool, usize)]) -> MultiSchedule {
-        let mut s = MultiSchedule::default();
-        for &(obj, read, issuer) in pairs {
-            let r = if read {
-                Request::read(issuer)
-            } else {
-                Request::write(issuer)
-            };
-            s.push(ObjectId(obj), r);
-        }
-        s
-    }
 
     #[test]
     fn kernel_matches_the_analytic_placement_rules() {
@@ -272,114 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitioner_policies() {
-        let s = sched(&[
-            (10, true, 0),
-            (11, false, 1),
-            (10, true, 2),
-            (12, true, 0),
-            (13, false, 3),
-        ]);
-        let same = partition_schedule(&s, 4, Placement::SameCore).unwrap();
-        assert!(same.assignment.values().all(|&sh| sh == 0));
-        assert_eq!(same.shards[0].len(), 5);
-
-        let rr = partition_schedule(&s, 4, Placement::RoundRobin).unwrap();
-        assert_eq!(rr.assignment[&ObjectId(10)], 0);
-        assert_eq!(rr.assignment[&ObjectId(11)], 1);
-        assert_eq!(rr.assignment[&ObjectId(12)], 2);
-        assert_eq!(rr.assignment[&ObjectId(13)], 3);
-    }
-
-    #[test]
-    fn load_aware_sharding_balances_by_traffic() {
-        // Object 1 is hot (4 requests) before 2 and 3 appear: the
-        // lightest shard takes each newcomer.
-        let s = sched(&[
-            (1, true, 0),
-            (1, true, 1),
-            (1, true, 2),
-            (1, true, 3),
-            (2, false, 0),
-            (3, false, 1),
-        ]);
-        let p = partition_schedule(&s, 2, Placement::LoadAware).unwrap();
-        assert_eq!(p.assignment[&ObjectId(1)], 0);
-        assert_eq!(p.assignment[&ObjectId(2)], 1);
-        assert_eq!(p.assignment[&ObjectId(3)], 1);
-    }
-
-    #[test]
-    fn projection_preserves_per_object_order_and_every_request() {
-        let s = sched(&[
-            (1, true, 0),
-            (2, false, 1),
-            (1, false, 2),
-            (2, true, 3),
-            (1, true, 4),
-        ]);
-        let p = partition_schedule(&s, 2, Placement::RoundRobin).unwrap();
-        let total: usize = p.shards.iter().map(|sub| sub.len()).sum();
-        assert_eq!(total, s.len());
-        for (shard, sub) in p.shards.iter().enumerate() {
-            let mut cursor: BTreeMap<ObjectId, usize> = BTreeMap::new();
-            for mr in sub.requests() {
-                assert_eq!(p.assignment[&mr.object], shard);
-                // Each object's requests appear in original order.
-                let seen = cursor.entry(mr.object).or_insert(0);
-                let originals: Vec<_> = s
-                    .requests()
-                    .iter()
-                    .filter(|o| o.object == mr.object)
-                    .collect();
-                assert_eq!(originals[*seen].request, mr.request);
-                *seen += 1;
-            }
-        }
-    }
-
-    #[test]
     fn zero_shards_rejected() {
         assert!(ShardPartitioner::new(0, Placement::SameCore).is_err());
-        assert!(partition_schedule(&MultiSchedule::default(), 0, Placement::SameCore).is_err());
-    }
-
-    #[test]
-    fn core_planner_matches_policy_semantics() {
-        assert!(CorePlanner::new(4, 1, Placement::SameCore).is_err());
-        assert!(CorePlanner::new(4, 4, Placement::SameCore).is_err());
-        let s = sched(&[(1, false, 2), (2, false, 2), (3, false, 2), (4, false, 2)]);
-        let cores = plan_cores(8, 2, Placement::RoundRobin, &s).unwrap();
-        // t = 2 → |F| = 1, advancing by 1 per object (the analytic rule).
-        assert_eq!(cores[&ObjectId(1)].0, ProcSet::from_iter([0usize]));
-        assert_eq!(cores[&ObjectId(2)].0, ProcSet::from_iter([1usize]));
-        assert_eq!(cores[&ObjectId(3)].0, ProcSet::from_iter([2usize]));
-        assert_eq!(cores[&ObjectId(4)].0, ProcSet::from_iter([3usize]));
-        for (f, p) in cores.values() {
-            assert!(!f.contains(*p));
-        }
-    }
-
-    #[test]
-    fn load_aware_core_planning_spreads_hot_writers() {
-        // Two write-hot objects then a third: its core avoids the first
-        // two cores' processors.
-        let mut reqs = Vec::new();
-        for _ in 0..5 {
-            reqs.push((1u64, false, 0usize));
-            reqs.push((2, false, 1));
-        }
-        reqs.push((3, false, 2));
-        let cores = plan_cores(6, 2, Placement::LoadAware, &sched(&reqs)).unwrap();
-        let used: ProcSet = cores[&ObjectId(1)]
-            .0
-            .with(cores[&ObjectId(1)].1)
-            .iter()
-            .chain(cores[&ObjectId(2)].0.with(cores[&ObjectId(2)].1).iter())
-            .collect();
-        let third = cores[&ObjectId(3)].0.with(cores[&ObjectId(3)].1);
-        for member in third.iter() {
-            assert!(!used.contains(member), "hot processors reused: {third:?}");
-        }
     }
 }

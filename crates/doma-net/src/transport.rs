@@ -33,15 +33,16 @@ impl NetTransport {
 
     /// Takes the buffered sends, tallying them per pricing class. The
     /// event loop calls this after every
-    /// [`doma_protocol::DomNode::deliver`].
-    pub fn drain(&mut self) -> Vec<(NodeId, MsgKind, DomMsg)> {
+    /// [`doma_protocol::DomNode::deliver`]; the outbox keeps its buffer,
+    /// so a delivery allocates nothing once it has grown.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, MsgKind, DomMsg)> {
         for (_, kind, _) in &self.outbox {
             match kind {
                 MsgKind::Control => self.control_sent += 1,
                 MsgKind::Data => self.data_sent += 1,
             }
         }
-        std::mem::take(&mut self.outbox)
+        self.outbox.drain(..)
     }
 
     /// Control messages drained so far (mirrors the sim engine's
@@ -95,9 +96,19 @@ mod tests {
             },
         );
         assert_eq!(t.outbox.len(), 2);
-        let drained = t.drain();
-        assert_eq!(drained.len(), 2);
+        let capacity = t.outbox.capacity();
+        assert_eq!(t.drain().count(), 2);
         assert_eq!((t.control_sent(), t.data_sent()), (1, 1));
         assert!(t.outbox.is_empty());
+        // The next delivery reuses the buffer instead of allocating one.
+        assert_eq!(t.outbox.capacity(), capacity);
+        let catch_up = DomMsg::CatchUp {
+            object: ObjectId(0),
+        };
+        t.send(NodeId(3), MsgKind::Control, catch_up);
+        assert_eq!(t.outbox.capacity(), capacity);
+        assert_eq!(t.drain().count(), 1);
+        assert_eq!((t.control_sent(), t.data_sent()), (2, 1));
+        assert_eq!(t.outbox.capacity(), capacity);
     }
 }

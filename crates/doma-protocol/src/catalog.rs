@@ -1,6 +1,8 @@
 //! The one per-object table of the crate: [`DomNode`](crate::DomNode) keeps
 //! its per-object protocol record in one, [`ClientPlanner`](crate::ClientPlanner)
-//! its per-object planning record in another.
+//! its per-object planning record in another, and
+//! [`ShardedSim`](crate::ShardedSim) the catalog it splits into shards in a
+//! third.
 
 use doma_core::ObjectId;
 use std::collections::BTreeMap;

@@ -32,10 +32,11 @@
 //! calling thread, which must (and, per the parity gate, does) produce
 //! identical bytes.
 
+use crate::catalog::ObjectCatalog;
 use crate::{DomMsg, DomNode, ProtocolConfig, ProtocolSim, SimReport};
 use doma_algorithms::multi::Placement;
 use doma_algorithms::partition::ShardPartitioner;
-use doma_core::{CostVector, DomaError, MultiRequest, MultiSchedule, ObjectId, ProcSet, Result};
+use doma_core::{DomaError, MultiRequest, MultiSchedule, ObjectId, ProcSet, Result};
 use doma_obs::Obs;
 use doma_sim::shard::run_shards;
 use std::collections::BTreeMap;
@@ -95,7 +96,7 @@ pub struct ShardOutcome {
 #[derive(Debug, Clone)]
 pub struct ShardedSim {
     n: usize,
-    configs: BTreeMap<ObjectId, ProtocolConfig>,
+    configs: ObjectCatalog<ProtocolConfig>,
     shards: usize,
     placement: Placement,
     event_capacity: Option<usize>,
@@ -118,7 +119,7 @@ impl ShardedSim {
         ProtocolSim::new_catalog(n, configs.clone())?;
         Ok(ShardedSim {
             n,
-            configs,
+            configs: ObjectCatalog::from_map(configs),
             shards,
             placement,
             event_capacity: None,
@@ -160,63 +161,77 @@ impl ShardedSim {
 
     /// Phase 1, shard partition: assigns every catalog object to a
     /// shard. Schedule objects are assigned on first touch (so
-    /// `LoadAware` sees traffic as it accrues, one request per
-    /// attribution, exactly like the analytic partitioner); catalog
-    /// objects the schedule never touches are then assigned in ascending
-    /// id order, so *every* object — and therefore every initial-scheme
-    /// replica holder — lands in exactly one shard.
+    /// `LoadAware` sees traffic as it accrues, one unit of load per
+    /// request, attributed in schedule order); catalog objects the
+    /// schedule never touches are then assigned in ascending id order, so
+    /// *every* object — and therefore every initial-scheme replica holder
+    /// — lands in exactly one shard.
+    ///
+    /// Each request resolves its object to a catalog slot (one
+    /// subtraction on a contiguous catalog, a binary search otherwise)
+    /// and reads the slot's shard from a dense table; the partitioner
+    /// is consulted once per object.
     pub fn partition(&self, schedule: &MultiSchedule) -> Result<BTreeMap<ObjectId, usize>> {
         let mut partitioner = ShardPartitioner::new(self.shards, self.placement)?;
+        let mut shard_of: Vec<Option<usize>> = vec![None; self.configs.len()];
         for &MultiRequest { object, .. } in schedule.requests() {
-            if !self.configs.contains_key(&object) {
-                return Err(DomaError::InvalidConfig(format!(
-                    "{object} not in the cluster's catalog"
-                )));
-            }
-            let shard = partitioner.assign(object);
+            let slot = self.configs.slot(object).ok_or_else(|| {
+                DomaError::InvalidConfig(format!("{object} not in the cluster's catalog"))
+            })?;
+            let shard = *shard_of[slot].get_or_insert_with(|| partitioner.assign());
             partitioner.attribute(shard, 1);
         }
-        for object in self.configs.keys() {
-            partitioner.assign(*object);
-        }
-        Ok(partitioner.assignment().clone())
+        Ok(self
+            .configs
+            .iter()
+            .zip(shard_of)
+            .map(|((object, _), shard)| (object, shard.unwrap_or_else(|| partitioner.assign())))
+            .collect())
     }
 
     /// Phase 2, projection copy: materializes each shard's catalog slice
     /// and projected sub-schedule from a [`ShardedSim::partition`]
     /// assignment. Requests keep their relative order within a shard.
+    ///
+    /// The assignment becomes a per-slot shard table once (objects it
+    /// leaves out, and requests naming objects outside the catalog, go to
+    /// shard 0); one pass counts each shard's requests and a second
+    /// copies them into schedules allocated at exactly that size.
     pub fn project(
         &self,
         schedule: &MultiSchedule,
         assignment: &BTreeMap<ObjectId, usize>,
     ) -> Vec<ShardInput> {
-        let mut schedules: Vec<MultiSchedule> = Vec::new();
-        schedules.resize_with(self.shards, MultiSchedule::default);
-        for &MultiRequest { object, request } in schedule.requests() {
-            let shard = assignment.get(&object).copied().unwrap_or(0);
-            if let Some(s) = schedules.get_mut(shard) {
-                s.push(object, request);
+        let shard_of: Vec<usize> = self
+            .configs
+            .iter()
+            .map(|(object, _)| assignment.get(&object).copied().unwrap_or(0))
+            .collect();
+        let shard_of_object = |object| self.configs.slot(object).map_or(0, |slot| shard_of[slot]);
+        let mut sizes = vec![0usize; self.shards];
+        for request in schedule.requests() {
+            if let Some(size) = sizes.get_mut(shard_of_object(request.object)) {
+                *size += 1;
+            }
+        }
+        let mut projected: Vec<Vec<MultiRequest>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
+        for &request in schedule.requests() {
+            if let Some(requests) = projected.get_mut(shard_of_object(request.object)) {
+                requests.push(request);
             }
         }
         let mut catalogs: Vec<BTreeMap<ObjectId, ProtocolConfig>> =
             vec![BTreeMap::new(); self.shards];
-        for (object, config) in &self.configs {
-            let shard = assignment.get(object).copied().unwrap_or(0);
+        for ((object, config), &shard) in self.configs.iter().zip(&shard_of) {
             if let Some(catalog) = catalogs.get_mut(shard) {
-                catalog.insert(*object, *config);
+                catalog.insert(object, *config);
             }
         }
-        catalogs.into_iter().zip(schedules).collect()
-    }
-
-    /// Phases 1+2 together, as the worker fan-out consumes them.
-    fn split(
-        &self,
-        schedule: &MultiSchedule,
-    ) -> Result<(BTreeMap<ObjectId, usize>, Vec<ShardInput>)> {
-        let assignment = self.partition(schedule)?;
-        let inputs = self.project(schedule, &assignment);
-        Ok((assignment, inputs))
+        catalogs
+            .into_iter()
+            .zip(projected.into_iter().map(MultiSchedule::from_requests))
+            .collect()
     }
 
     /// Executes an interleaved multi-object schedule across the shards
@@ -224,18 +239,16 @@ impl ShardedSim {
     /// [`ProtocolSim::execute_multi`] of the same schedule on the same
     /// catalog, component for component.
     pub fn execute_multi(&self, schedule: &MultiSchedule) -> Result<ShardedRun> {
-        let (assignment, inputs) = self.split(schedule)?;
+        let assignment = self.partition(schedule)?;
+        let inputs = self.project(schedule, &assignment);
         let n = self.n;
         let event_capacity = self.event_capacity;
         let traced = self.traced;
         let outcomes = run_shards(inputs, |_, (catalog, shard_schedule)| {
             Self::run_shard(n, event_capacity, traced, catalog, &shard_schedule)
         });
-        let mut collected = Vec::new();
-        for outcome in outcomes {
-            collected.push(outcome?);
-        }
-        Ok(self.merge_outcomes(assignment, collected))
+        let outcomes = outcomes.into_iter().collect::<Result<Vec<_>>>()?;
+        Ok(self.merge_outcomes(assignment, outcomes))
     }
 
     /// Phases 3+4 for one shard, inline (no worker thread): builds the
@@ -253,14 +266,7 @@ impl ShardedSim {
         assignment: BTreeMap<ObjectId, usize>,
         outcomes: Vec<ShardOutcome>,
     ) -> ShardedRun {
-        let mut report = SimReport {
-            cost: CostVector::ZERO,
-            final_holders: ProcSet::EMPTY,
-            reads_completed: 0,
-            read_latency_ticks: 0,
-            mean_read_latency: 0.0,
-            dropped_messages: 0,
-        };
+        let mut report = SimReport::default();
         let mut holders = BTreeMap::new();
         let mut bundles = Vec::new();
         for shard in outcomes {
@@ -314,14 +320,7 @@ impl ShardedSim {
     ) -> Result<ShardOutcome> {
         if catalog.is_empty() {
             return Ok(ShardOutcome {
-                report: SimReport {
-                    cost: CostVector::ZERO,
-                    final_holders: ProcSet::EMPTY,
-                    reads_completed: 0,
-                    read_latency_ticks: 0,
-                    mean_read_latency: 0.0,
-                    dropped_messages: 0,
-                },
+                report: SimReport::default(),
                 holders: BTreeMap::new(),
                 obs: event_capacity.map(Obs::new),
             });
@@ -353,9 +352,9 @@ mod tests {
     use super::*;
     use doma_core::{ProcessorId, Request};
 
-    fn catalog(objects: u64, n: usize) -> BTreeMap<ObjectId, ProtocolConfig> {
+    fn catalog(ids: impl IntoIterator<Item = u64>, n: usize) -> BTreeMap<ObjectId, ProtocolConfig> {
         // Alternate SA and DA configurations around the ring.
-        (0..objects)
+        ids.into_iter()
             .map(|o| {
                 let base = (o as usize) % (n - 1);
                 let config = if o % 2 == 0 {
@@ -390,15 +389,15 @@ mod tests {
 
     #[test]
     fn construction_validates_catalog_and_shard_count() {
-        assert!(ShardedSim::new(6, catalog(4, 6), 0, Placement::RoundRobin).is_err());
-        assert!(ShardedSim::new(0, catalog(4, 6), 2, Placement::RoundRobin).is_err());
+        assert!(ShardedSim::new(6, catalog(0..4, 6), 0, Placement::RoundRobin).is_err());
+        assert!(ShardedSim::new(0, catalog(0..4, 6), 2, Placement::RoundRobin).is_err());
         assert!(ShardedSim::new(6, BTreeMap::new(), 2, Placement::RoundRobin).is_err());
-        assert!(ShardedSim::new(6, catalog(4, 6), 2, Placement::RoundRobin).is_ok());
+        assert!(ShardedSim::new(6, catalog(0..4, 6), 2, Placement::RoundRobin).is_ok());
     }
 
     #[test]
     fn schedule_objects_outside_the_catalog_are_rejected() {
-        let sharded = ShardedSim::new(6, catalog(4, 6), 2, Placement::RoundRobin).unwrap();
+        let sharded = ShardedSim::new(6, catalog(0..4, 6), 2, Placement::RoundRobin).unwrap();
         let mut s = MultiSchedule::default();
         s.push(ObjectId(9), Request::read(0usize));
         assert!(sharded.execute_multi(&s).is_err());
@@ -406,7 +405,7 @@ mod tests {
 
     #[test]
     fn merged_report_matches_sequential_execution() {
-        let configs = catalog(6, 8);
+        let configs = catalog(0..6, 8);
         let schedule = traffic(6, 60, 8);
         let mut sequential = ProtocolSim::new_catalog(8, configs.clone()).unwrap();
         let expected = sequential.execute_multi(&schedule).unwrap();
@@ -428,7 +427,7 @@ mod tests {
 
     #[test]
     fn every_catalog_object_is_assigned_even_when_untouched() {
-        let configs = catalog(5, 6);
+        let configs = catalog(0..5, 6);
         // Traffic touches only object 1.
         let mut schedule = MultiSchedule::default();
         schedule.push(ObjectId(1), Request::read(4usize));
@@ -449,9 +448,96 @@ mod tests {
         }
     }
 
+    fn sched(pairs: &[(u64, bool, usize)]) -> MultiSchedule {
+        let mut s = MultiSchedule::default();
+        for &(object, read, issuer) in pairs {
+            let request = if read {
+                Request::read(issuer)
+            } else {
+                Request::write(issuer)
+            };
+            s.push(ObjectId(object), request);
+        }
+        s
+    }
+
+    fn assignment_of(
+        ids: impl IntoIterator<Item = u64>,
+        shards: usize,
+        placement: Placement,
+        schedule: &MultiSchedule,
+    ) -> BTreeMap<ObjectId, usize> {
+        ShardedSim::new(6, catalog(ids, 6), shards, placement)
+            .unwrap()
+            .partition(schedule)
+            .unwrap()
+    }
+
+    #[test]
+    fn placements_tile_objects_over_shards_in_first_touch_order() {
+        let s = sched(&[
+            (12, true, 0),
+            (11, false, 1),
+            (12, true, 2),
+            (10, true, 0),
+            (13, false, 3),
+        ]);
+        let same = assignment_of(10..14, 4, Placement::SameCore, &s);
+        assert!(same.values().all(|&shard| shard == 0));
+        let rr = assignment_of(10..14, 4, Placement::RoundRobin, &s);
+        let order: Vec<usize> = [12, 11, 10, 13].map(|o| rr[&ObjectId(o)]).to_vec();
+        assert_eq!(order, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn load_aware_sends_a_new_object_to_the_shard_with_the_least_traffic() {
+        // Object 1 is hot (4 requests) before 2 and 3 appear: counted by
+        // objects the shards would tie when 3 arrives; counted by traffic
+        // shard 1 is still the lighter.
+        let s = sched(&[
+            (1, true, 0),
+            (1, true, 1),
+            (1, true, 2),
+            (1, true, 3),
+            (2, false, 0),
+            (3, false, 1),
+        ]);
+        let p = assignment_of(1..4, 2, Placement::LoadAware, &s);
+        assert_eq!(p[&ObjectId(1)], 0);
+        assert_eq!(p[&ObjectId(2)], 1);
+        assert_eq!(p[&ObjectId(3)], 1);
+    }
+
+    #[test]
+    fn projection_keeps_every_request_and_each_objects_order() {
+        let s = sched(&[
+            (1, true, 0),
+            (2, false, 1),
+            (1, false, 2),
+            (2, true, 3),
+            (1, true, 4),
+            (3, true, 5),
+        ]);
+        let sharded = ShardedSim::new(6, catalog(1..4, 6), 2, Placement::RoundRobin).unwrap();
+        let assignment = sharded.partition(&s).unwrap();
+        let inputs = sharded.project(&s, &assignment);
+        assert_eq!(inputs.len(), 2);
+        let total: usize = inputs.iter().map(|(_, sub)| sub.len()).sum();
+        assert_eq!(total, s.len());
+        let mut per_object = BTreeMap::new();
+        for (shard, (catalog, sub)) in inputs.iter().enumerate() {
+            for request in sub.requests() {
+                assert_eq!(assignment[&request.object], shard);
+                assert!(catalog.contains_key(&request.object));
+            }
+            per_object.extend(sub.per_object());
+        }
+        assert_eq!(per_object, s.per_object());
+    }
+
     #[test]
     fn merged_obs_metrics_are_byte_identical_to_sequential() {
-        let configs = catalog(4, 6);
+        let configs = catalog(0..4, 6);
         let schedule = traffic(4, 40, 6);
         let mut sequential = ProtocolSim::new_catalog(6, configs.clone()).unwrap();
         let seq_obs = sequential.attach_obs(4096);

@@ -39,8 +39,10 @@ fn op_name(request: Request) -> &'static str {
     }
 }
 
-/// The outcome of executing a schedule on the simulated cluster.
-#[derive(Debug, Clone, PartialEq)]
+/// The outcome of executing a schedule on the simulated cluster. The
+/// default (zero cost, no holders, no reads) is what a shard without
+/// objects reports.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
     /// Exact resource tallies: control/data messages sent on the wire and
     /// I/O operations performed against the local stores. Directly

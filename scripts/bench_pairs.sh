@@ -14,7 +14,10 @@
 # because `--agree` compares runs of one seed only: pass a SEED nobody
 # used while writing the change (default: the clock). Prints, per
 # workload and end-to-end metric, both medians, the parent's
-# interquartile range and how many pairs the change won, then the
+# interquartile range, the change's interquartile range as a share of
+# the parent's median (marked `!` where it exceeds the metric's bound in
+# BENCHMARK.json: spread that wide leaves the benchmark's check unable
+# to resolve the change) and how many pairs the change won, then the
 # benchmark's own `--agree` verdicts (set A = parent, set B = change).
 # Exits non-zero if a run fails or `--agree` says `outside`.
 #
@@ -80,21 +83,23 @@ value() {
     grep -o "\"$2\": {\"value\": [^,}]*" "$1" | sed 's/.*: //'
 }
 
-# Which way each end-to-end metric is better, from BENCHMARK.json.
+# Which way each end-to-end metric is better, and its bound, from
+# BENCHMARK.json.
 directions="$(awk '
     /"end_to_end"/ { on = 1 }
     /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, ""); name = $2 }
-    on && /"better"/ { gsub(/[",]/, ""); print name, $2 }
+    on && /"better"/ { gsub(/[",]/, ""); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }
 ' "$repo/BENCHMARK.json")"
 
-printf '\n%-9s %-17s %14s %14s %7s %12s  %s\n' \
-    workload metric "median A" "median B" "B/A" "IQR A" "B wins"
+printf '\n%-9s %-17s %14s %14s %7s %12s %13s  %s\n' \
+    workload metric "median A" "median B" "B/A" "IQR A" "IQR B/med A" "B wins"
 for w in "${workloads[@]}"; do
-    while read -r metric better; do
+    while read -r metric better bound; do
         for ((i = 0; i < pairs; i++)); do
             echo "$(value "$work/out/a/$w.$i.line" "$metric") $(value "$work/out/b/$w.$i.line" "$metric")"
-        done | awk -v w="$w" -v m="$metric" -v better="$better" -v n="$pairs" '
+        done | awk -v w="$w" -v m="$metric" -v better="$better" -v bound="$bound" -v n="$pairs" '
             function quantile(v, q,    pos, lo) {
                 pos = 1 + (n - 1) * q; lo = int(pos)
                 return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
@@ -114,9 +119,12 @@ for w in "${workloads[@]}"; do
             END {
                 sorted(a, sa); sorted(b, sb)
                 ma = quantile(sa, 0.5); mb = quantile(sb, 0.5)
-                printf "%-9s %-17s %14.4f %14.4f %7.3f %12.4f  %d of %d (%d lost)\n", \
+                spread = ma ? (quantile(sb, 0.75) - quantile(sb, 0.25)) / ma : 0
+                mark = spread > bound ? "!" : " "
+                printf "%-9s %-17s %14.4f %14.4f %7.3f %12.4f %10.1f%% %s  %d of %d (%d lost)\n", \
                     w, m, ma, mb, ma ? mb / ma : 0, \
-                    quantile(sa, 0.75) - quantile(sa, 0.25), wins, n, losses
+                    quantile(sa, 0.75) - quantile(sa, 0.25), 100 * spread, mark, \
+                    wins, n, losses
             }'
     done <<< "$directions"
 done
