@@ -1,14 +1,12 @@
-//! The bounded, seekable event log and span records.
+//! The bounded event log and span records.
 //!
-//! Records carry a global monotone `index`, so a consumer can *seek*:
-//! remember the last index it saw and fetch only newer records with
-//! [`EventLog::snapshot_from`], even across ring-buffer wraps. A wrap
-//! never loses information silently — [`EventLog::dropped_events`]
-//! counts every discarded record.
+//! Records carry a global monotone `index` that survives ring-buffer
+//! wraps. A wrap never loses information silently —
+//! [`EventLog::dropped_events`] counts every discarded record.
 
 use crate::json::escape;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -140,27 +138,33 @@ impl FieldRef<'_> {
     }
 }
 
-/// Fields a record holds without touching the heap — the widest record
-/// the workspace emits (`sim.trace`, five fields) plus the `shard` label
-/// a merge appends.
-const INLINE_FIELDS: usize = 6;
+/// Fields a record holds without touching the heap: the widest plain
+/// prefix any site records — `protocol.request`,
+/// `protocol.request_cost` and `sim.drop` have four fields, `sim.trace`
+/// four before its `Text` label.
+const INLINE_FIELDS: usize = 4;
+
+/// Fields past the inline slots. Keys are literals at typed sites, owned
+/// only when they came in through the string-pair entry point.
+type Spill = Vec<(Cow<'static, str>, FieldValue)>;
 
 /// A record's ordered `(key, value)` payload.
 ///
 /// The leading fields with a literal key and a value that owns no heap
-/// text — every field of every record on the request path — live inside
-/// the record as plain data: building, cloning and dropping them is a
-/// copy. From the first field that owns something (run-time text, or a
-/// key from the string-pair entry point) onwards, and past the sixth
-/// field, the payload continues on the heap.
+/// text — every plain field of every record on the request path — live
+/// inside the record as plain data: building, cloning and dropping them
+/// is a copy. From the first field that owns something (run-time text,
+/// or a key from the string-pair entry point) onwards, and past the
+/// fourth field, the payload continues on the heap. The spill sits
+/// behind one pointer rather than an inline `Vec`, which keeps an
+/// [`EventRecord`] at 256 bytes: the largest move x86-64 codegen inlines
+/// instead of calling `memcpy`.
 #[derive(Debug, Clone)]
 pub struct Fields {
     /// Fields held in `inline`; slots past it are padding.
     len: usize,
     inline: [(&'static str, FieldRef<'static>); INLINE_FIELDS],
-    /// Keys are literals at typed sites, owned only when they came in
-    /// through the string-pair entry point.
-    rest: Vec<(Cow<'static, str>, FieldValue)>,
+    rest: Option<Box<Spill>>,
 }
 
 impl Default for Fields {
@@ -183,7 +187,7 @@ impl Fields {
         Fields {
             len: 0,
             inline: [("", FieldRef::U64(0)); INLINE_FIELDS],
-            rest: Vec::new(),
+            rest: None,
         }
     }
 
@@ -191,21 +195,23 @@ impl Fields {
     #[inline]
     pub fn push(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<FieldValue>) {
         let (key, value) = (key.into(), value.into());
-        if self.rest.is_empty() && self.len < INLINE_FIELDS {
+        if self.rest.is_none() && self.len < INLINE_FIELDS {
             if let (Cow::Borrowed(key), FieldValue::Plain(value)) = (&key, &value) {
                 self.inline[self.len] = (key, *value);
                 self.len += 1;
                 return;
             }
         }
-        self.rest.push((key, value));
+        self.rest
+            .get_or_insert_with(Box::default)
+            .push((key, value));
     }
 
     /// The fields in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, FieldRef<'_>)> {
         let inline = self.inline[..self.len].iter().copied();
-        let rest = self.rest.iter().map(|(k, v)| (k.as_ref(), v.as_ref()));
-        inline.chain(rest)
+        let rest = self.rest.iter().flat_map(|rest| rest.iter());
+        inline.chain(rest.map(|(k, v)| (k.as_ref(), v.as_ref())))
     }
 
     /// The first value recorded under `key`.
@@ -219,7 +225,6 @@ impl Fields {
 impl From<Vec<(String, String)>> for Fields {
     fn from(pairs: Vec<(String, String)>) -> Self {
         let mut out = Fields::new();
-        out.rest.reserve_exact(pairs.len());
         for (key, value) in pairs {
             out.push(key, value);
         }
@@ -291,6 +296,7 @@ impl fmt::Display for EventRecord {
 
 #[derive(Debug)]
 struct OpenSpan {
+    id: u64,
     name: &'static str,
     fields: Fields,
     enter_time: u64,
@@ -302,7 +308,10 @@ struct Inner {
     capacity: usize,
     dropped: u64,
     next_index: u64,
-    open_spans: BTreeMap<u64, OpenSpan>,
+    /// Open spans in opening order, so ids ascend bottom to top. Spans
+    /// close last-in-first-out (a node's quorum spans nest inside a
+    /// request span), so an exit finds its span at or near the top.
+    open_spans: Vec<OpenSpan>,
     next_span: u64,
 }
 
@@ -334,7 +343,7 @@ impl EventLog {
                 capacity: capacity.max(1),
                 dropped: 0,
                 next_index: 0,
-                open_spans: BTreeMap::new(),
+                open_spans: Vec::new(),
                 next_span: 0,
             })),
         }
@@ -386,31 +395,33 @@ impl EventLog {
         Self::push(&mut inner, time, name, fields.clone(), EventPhase::Enter);
         let id = inner.next_span;
         inner.next_span += 1;
-        inner.open_spans.insert(
+        inner.open_spans.push(OpenSpan {
             id,
-            OpenSpan {
-                name,
-                fields,
-                enter_time: time,
-            },
-        );
+            name,
+            fields,
+            enter_time: time,
+        });
         SpanId(id)
     }
 
     /// Closes a span: appends an exit record carrying
-    /// `time - enter_time`. Unknown (or already-closed) ids are ignored.
+    /// `time - enter_time`. Unknown (or already-closed) ids are ignored;
+    /// an exit out of order closes its own span and leaves the others
+    /// open.
     pub fn span_exit(&self, id: SpanId, time: u64) {
         let mut inner = self.lock();
-        if let Some(span) = inner.open_spans.remove(&id.0) {
-            let duration = time.saturating_sub(span.enter_time);
-            Self::push(
-                &mut inner,
-                time,
-                span.name,
-                span.fields,
-                EventPhase::Exit { duration },
-            );
-        }
+        let Some(at) = inner.open_spans.iter().rposition(|span| span.id == id.0) else {
+            return;
+        };
+        let span = inner.open_spans.remove(at);
+        let duration = time.saturating_sub(span.enter_time);
+        Self::push(
+            &mut inner,
+            time,
+            span.name,
+            span.fields,
+            EventPhase::Exit { duration },
+        );
     }
 
     /// Appends a pre-built record (typically taken from another log's
@@ -441,18 +452,6 @@ impl EventLog {
         self.lock().records.iter().cloned().collect()
     }
 
-    /// Seek: the retained records with `index >= from`, oldest first.
-    /// Records older than the retention window are gone (but counted in
-    /// [`EventLog::dropped_events`]).
-    pub fn snapshot_from(&self, from: u64) -> Vec<EventRecord> {
-        self.lock()
-            .records
-            .iter()
-            .filter(|r| r.index >= from)
-            .cloned()
-            .collect()
-    }
-
     /// The last `n` retained records, oldest first.
     pub fn tail(&self, n: usize) -> Vec<EventRecord> {
         let inner = self.lock();
@@ -461,13 +460,13 @@ impl EventLog {
     }
 
     /// Number of records discarded by the capacity bound since
-    /// construction (or the last [`EventLog::clear`]).
+    /// construction.
     pub fn dropped_events(&self) -> u64 {
         self.lock().dropped
     }
 
     /// The index the *next* record will get (== total records ever
-    /// appended). A consumer stores this to seek later.
+    /// appended).
     pub fn next_index(&self) -> u64 {
         self.lock().next_index
     }
@@ -480,16 +479,6 @@ impl EventLog {
     /// Whether no records are retained.
     pub fn is_empty(&self) -> bool {
         self.lock().records.is_empty()
-    }
-
-    /// Drops all retained records, the dropped counter and any open
-    /// spans; indices restart from zero.
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.records.clear();
-        inner.dropped = 0;
-        inner.next_index = 0;
-        inner.open_spans.clear();
     }
 
     /// Renders the retained records one per line.
@@ -553,17 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_from_seeks_by_global_index() {
-        let log = EventLog::new(10);
-        for t in 0..6u64 {
-            log.record(t, "e", vec![]);
-        }
-        let newer = log.snapshot_from(4);
-        assert_eq!(newer.len(), 2);
-        assert_eq!(newer[0].index, 4);
-    }
-
-    #[test]
     fn spans_carry_sim_time_durations() {
         let log = EventLog::new(10);
         let id = span!(log, 5, "da.write", obj = "obj0", node = 2u64);
@@ -583,16 +561,67 @@ mod tests {
     }
 
     #[test]
-    fn tail_and_render_and_clear() {
+    fn tail_and_render() {
         let log = EventLog::new(10);
+        assert!(log.is_empty());
         event!(log, 1, "a.one", k = 1u64);
         event!(log, 2, "a.two");
         assert_eq!(log.tail(1)[0].name, "a.two");
         assert_eq!(log.render(), "#0 t=1 a.one k=1\n#1 t=2 a.two");
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.dropped_events(), 0);
-        assert_eq!(log.next_index(), 0);
+    }
+
+    #[test]
+    fn every_request_path_record_fits_inline() {
+        assert!(std::mem::size_of::<EventRecord>() <= 256);
+        let id = |prefix, n| FieldValue::from(FieldRef::Id(prefix, n));
+        let shapes = [
+            (
+                "protocol.request",
+                fields!(
+                    issuer = id("P", 2),
+                    object = id("obj", 9),
+                    op = "read",
+                    req = 7u64
+                ),
+            ),
+            (
+                "protocol.request_cost",
+                fields!(control = 1u64, data = 1u64, io = 2u64, req = 7u64),
+            ),
+            (
+                "protocol.join",
+                fields!(
+                    node = id("N", 1),
+                    object = id("obj", 9),
+                    joiner = id("N", 4)
+                ),
+            ),
+            (
+                "protocol.quorum",
+                fields!(node = id("N", 1), object = id("obj", 9), round = 3u64),
+            ),
+            (
+                "sim.drop",
+                fields!(
+                    from = id("N", 1),
+                    to = id("N", 2),
+                    kind = "Data",
+                    cause = "fault"
+                ),
+            ),
+            (
+                "sim.trace",
+                fields!(
+                    from = 1usize,
+                    to = 2usize,
+                    kind = "Control",
+                    delivered = true
+                ),
+            ),
+        ];
+        for (name, fields) in shapes {
+            assert!(fields.rest.is_none(), "{name} spills to the heap");
+        }
     }
 
     #[test]
@@ -673,7 +702,7 @@ mod tests {
 
     #[test]
     fn payloads_wider_than_the_inline_slots_keep_their_order() {
-        // Literal keys and plain values: six stay inline, the rest spill.
+        // Literal keys and plain values: four stay inline, the rest spill.
         let wide = fields!(
             k0 = 0u64,
             k1 = 1u64,

@@ -9,7 +9,7 @@
 //!   histograms keyed by `(component, name, labels)`. Handles resolve
 //!   once under a lock and then update atomics, so the hot simulation
 //!   paths pay one relaxed atomic add per event.
-//! * [`EventLog`] — a bounded, seekable log of structured records with
+//! * [`EventLog`] — a bounded log of structured records with
 //!   span support ([`span!`] → enter/exit pairs carrying sim-time
 //!   durations). Fields are typed ([`FieldValue`]) and held inside the
 //!   record ([`Fields`]); text is produced only when a record is

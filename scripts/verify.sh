@@ -175,10 +175,10 @@ has_keys lint '"findings": 0'
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
-# Allocation wall, in the build the benchmark measures: with obs attached a
-# warm request allocates exactly as often as a detached one, and request
-# spans add at most 0.05 allocations per request (tests/alloc_wall.rs) —
-# the regression gate for Guard 4's mechanisms that needs no quiet box.
+# Allocation wall, in the build the benchmark measures: with obs attached,
+# and with request spans on top, a warm request allocates exactly as often
+# as a detached one (tests/alloc_wall.rs) — the regression gate for Guard
+# 4's mechanisms that needs no quiet box.
 # ---------------------------------------------------------------------------
 if ! cargo test -q --offline --release --test alloc_wall; then
     echo "verify: FAILED (allocation wall, release build)" >&2
