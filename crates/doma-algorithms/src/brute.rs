@@ -15,8 +15,7 @@ use doma_core::{
 };
 
 /// O(4ⁿ)-per-write reference DP. Produces the same costs as
-/// [`crate::OfflineOptimal`]; kept as an oracle for tests and the
-/// `opt_scaling` bench.
+/// [`crate::OfflineOptimal`]; kept as an oracle for tests.
 #[derive(Debug, Clone)]
 pub struct NaiveDpOptimal {
     n: usize,

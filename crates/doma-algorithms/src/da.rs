@@ -73,28 +73,13 @@ impl DynamicAllocation {
         })
     }
 
-    /// The fixed core set `F`.
-    pub fn f(&self) -> ProcSet {
-        self.f
-    }
-
-    /// The initial floating member `p`.
-    pub fn p(&self) -> ProcessorId {
-        self.p
-    }
-
     /// The current allocation scheme (the data processors).
     pub fn current_scheme(&self) -> ProcSet {
         self.scheme
     }
 
-    /// The join-list of each core member: who it would send invalidations
-    /// to on the next write. Exposed for the protocol crate and tests.
-    pub fn join_lists(&self) -> &[(ProcessorId, ProcSet)] {
-        &self.join_lists
-    }
-
-    /// Union of all join-lists.
+    /// Union of all join-lists: who the core would send invalidations to
+    /// on the next write.
     pub fn joined_processors(&self) -> ProcSet {
         self.join_lists
             .iter()
@@ -242,7 +227,7 @@ mod tests {
         d.decide(Request::read(6usize));
         assert_eq!(d.joined_processors(), ps(&[5, 6]));
         // Round-robin spread over F.
-        assert!(d.join_lists().iter().all(|(_, l)| l.len() == 1));
+        assert!(d.join_lists.iter().all(|(_, l)| l.len() == 1));
         // A write from core clears all join-lists.
         d.decide(Request::write(0usize));
         assert!(d.joined_processors().is_empty());

@@ -1,4 +1,4 @@
-//! Multi-object allocation — the natural extension of the paper's
+//! Placement of many objects — the natural extension of the paper's
 //! single-object analysis (§6.1 notes the results "extend to other
 //! models"; a real distributed database manages many objects at once).
 //!
@@ -6,22 +6,13 @@
 //! interleaved multi-object schedule is the sum of the per-object costs.
 //! What *isn't* independent is **load**: if every object's DA core `F`
 //! sits on the same processor, that processor performs the I/O of every
-//! write and serves every first read. [`MultiObjectDa`] therefore assigns
-//! each object a core when it is first touched, under a configurable
-//! [`Placement`] policy, and [`run_multi`] reports both the total cost and
-//! the per-processor I/O load so the E18 experiment can quantify the
-//! placement trade-off.
+//! write and serves every first read. A [`Placement`] policy decides
+//! where each object goes when it is first touched;
+//! [`crate::partition::select_members`] implements the policies, for DA
+//! cores on processors and for objects on worker shards alike.
 
-use crate::DynamicAllocation;
-use doma_core::{
-    cost_of_schedule, per_processor_io, AllocationSchedule, CostVector, DomAlgorithm, DomaError,
-    ObjectId, OnlineDom, ProcSet, ProcessorId, Result,
-};
-use std::collections::BTreeMap;
-
-pub use doma_core::{MultiRequest, MultiSchedule};
-
-/// How DA cores are placed across processors as objects are first touched.
+/// How objects are placed over a pool of slots (processors for DA cores,
+/// worker shards for the sharded executor) as they are first touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Every object's core is `{0, …, t-2}` with floater `t-1` — the
@@ -30,283 +21,7 @@ pub enum Placement {
     /// The k-th distinct object's core starts at processor
     /// `(k·(t-1)) mod n` — spreads core duty round-robin.
     RoundRobin,
-    /// Each new object's core is placed on the currently least-loaded
-    /// processors (load = I/O attributed so far).
+    /// Each new object goes to the currently least-loaded slots (load =
+    /// requests routed to each slot so far).
     LoadAware,
-}
-
-/// A catalog of per-object [`DynamicAllocation`] instances under a common
-/// placement policy.
-pub struct MultiObjectDa {
-    n: usize,
-    t: usize,
-    placement: Placement,
-    instances: BTreeMap<ObjectId, DynamicAllocation>,
-    /// Allocation schedules built per object, for costing.
-    transcripts: BTreeMap<ObjectId, AllocationSchedule>,
-    /// Running per-processor I/O attribution (drives LoadAware).
-    load: Vec<u64>,
-    created: usize,
-}
-
-impl MultiObjectDa {
-    /// Creates the catalog for an `n`-processor system with threshold `t`.
-    pub fn new(n: usize, t: usize, placement: Placement) -> Result<Self> {
-        if t < 2 || t >= n {
-            return Err(DomaError::InvalidConfig(format!(
-                "need 2 <= t < n (t={t}, n={n})"
-            )));
-        }
-        Ok(MultiObjectDa {
-            n,
-            t,
-            placement,
-            instances: BTreeMap::new(),
-            transcripts: BTreeMap::new(),
-            load: vec![0; n],
-            created: 0,
-        })
-    }
-
-    /// The placement policy in force.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// The core chosen for `object`, if it has been touched.
-    pub fn core_of(&self, object: ObjectId) -> Option<ProcSet> {
-        self.instances.get(&object).map(|da| da.f())
-    }
-
-    fn place(&mut self, object: ObjectId) -> Result<&mut DynamicAllocation> {
-        if !self.instances.contains_key(&object) {
-            let members = crate::partition::select_members(
-                self.placement,
-                self.created,
-                self.n,
-                self.t,
-                &self.load,
-            );
-            let f: ProcSet = members[..self.t - 1].iter().copied().collect();
-            let p = ProcessorId::new(members[self.t - 1]);
-            let da = DynamicAllocation::new(f, p)?;
-            self.transcripts
-                .insert(object, AllocationSchedule::new(da.initial_scheme()));
-            self.instances.insert(object, da);
-            self.created += 1;
-        }
-        self.instances.get_mut(&object).ok_or_else(|| {
-            DomaError::InvalidConfig(format!("object {object:?} vanished after placement"))
-        })
-    }
-
-    /// Serves one request, updating the object's transcript and the load
-    /// attribution.
-    pub fn serve(&mut self, mr: MultiRequest) -> Result<()> {
-        let t = self.t;
-        let da = self.place(mr.object)?;
-        let decision = da.decide(mr.request);
-        let transcript = self.transcripts.get_mut(&mr.object).ok_or_else(|| {
-            DomaError::InvalidConfig(format!("object {:?} has no transcript", mr.object))
-        })?;
-        transcript.push(mr.request, decision);
-        // Incremental load attribution (same rule as per_processor_io).
-        for member in decision.exec.iter() {
-            self.load[member.index()] += 1;
-        }
-        if decision.saving && mr.request.is_read() {
-            self.load[mr.request.issuer.index()] += 1;
-        }
-        let _ = t;
-        Ok(())
-    }
-
-    /// Validates and costs every per-object transcript.
-    pub fn finish(self) -> Result<MultiRunReport> {
-        let mut per_object = BTreeMap::new();
-        let mut total = CostVector::ZERO;
-        let mut load = vec![0u64; self.n];
-        for (object, transcript) in &self.transcripts {
-            let costed = cost_of_schedule(transcript, self.t)?;
-            for (slot, l) in load.iter_mut().zip(per_processor_io(&costed, self.n)) {
-                *slot += l;
-            }
-            total += costed.total;
-            per_object.insert(*object, costed.total);
-        }
-        Ok(MultiRunReport {
-            per_object,
-            total,
-            load,
-        })
-    }
-}
-
-/// The outcome of a multi-object run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiRunReport {
-    /// Exact tally per object.
-    pub per_object: BTreeMap<ObjectId, CostVector>,
-    /// Sum over objects.
-    pub total: CostVector,
-    /// I/O operations attributed to each processor.
-    pub load: Vec<u64>,
-}
-
-impl MultiRunReport {
-    /// The highest per-processor I/O load — the hotspot metric the
-    /// placement policies compete on.
-    pub fn max_load(&self) -> u64 {
-        self.load.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Ratio of the hottest processor's load to the mean (1.0 = perfectly
-    /// balanced).
-    pub fn imbalance(&self) -> f64 {
-        let total: u64 = self.load.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / self.load.len() as f64;
-        self.max_load() as f64 / mean
-    }
-}
-
-/// Runs a whole multi-object schedule under a placement policy.
-pub fn run_multi(
-    n: usize,
-    t: usize,
-    placement: Placement,
-    schedule: &MultiSchedule,
-) -> Result<MultiRunReport> {
-    let mut catalog = MultiObjectDa::new(n, t, placement)?;
-    for &mr in schedule.requests() {
-        catalog.serve(mr)?;
-    }
-    catalog.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use doma_core::{run_online, Request};
-
-    fn sched(pairs: &[(u64, &str)]) -> MultiSchedule {
-        let mut s = MultiSchedule::default();
-        for (obj, text) in pairs {
-            let single: doma_core::Schedule = text.parse().unwrap();
-            for r in single.iter() {
-                s.push(ObjectId(*obj), r);
-            }
-        }
-        s
-    }
-
-    #[test]
-    fn validation() {
-        assert!(MultiObjectDa::new(4, 1, Placement::SameCore).is_err());
-        assert!(MultiObjectDa::new(4, 4, Placement::SameCore).is_err());
-        assert!(MultiObjectDa::new(4, 2, Placement::SameCore).is_ok());
-    }
-
-    #[test]
-    fn schedule_bookkeeping() {
-        let s = sched(&[(1, "r2 w3"), (2, "r4")]);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.objects(), vec![ObjectId(1), ObjectId(2)]);
-        let per = s.per_object();
-        assert_eq!(per[&ObjectId(1)].to_string(), "r2 w3");
-        assert_eq!(per[&ObjectId(2)].to_string(), "r4");
-    }
-
-    /// Objects are independent in the cost model: the multi-object total
-    /// equals the sum of single-object DA runs with the same cores.
-    #[test]
-    fn total_cost_equals_sum_of_single_object_runs() {
-        let s = sched(&[(1, "r2 r2 w3 r2"), (2, "w4 r0 r0"), (3, "r1 w1 r2")]);
-        let report = run_multi(6, 2, Placement::SameCore, &s).unwrap();
-        let mut expected = CostVector::ZERO;
-        for (_, single) in s.per_object() {
-            let mut da =
-                DynamicAllocation::new(ProcSet::from_iter([0usize]), ProcessorId::new(1)).unwrap();
-            expected += run_online(&mut da, &single).unwrap().costed.total;
-        }
-        assert_eq!(report.total, expected);
-        assert_eq!(report.per_object.len(), 3);
-    }
-
-    #[test]
-    fn round_robin_spreads_cores() {
-        let s = sched(&[(1, "w2"), (2, "w2"), (3, "w2"), (4, "w2")]);
-        let mut catalog = MultiObjectDa::new(8, 2, Placement::RoundRobin).unwrap();
-        for &mr in s.requests() {
-            catalog.serve(mr).unwrap();
-        }
-        let cores: Vec<ProcSet> = (1..=4)
-            .map(|o| catalog.core_of(ObjectId(o)).unwrap())
-            .collect();
-        // t = 2 → |F| = 1, advancing by 1 each object.
-        assert_eq!(cores[0], ProcSet::from_iter([0usize]));
-        assert_eq!(cores[1], ProcSet::from_iter([1usize]));
-        assert_eq!(cores[2], ProcSet::from_iter([2usize]));
-        assert_eq!(cores[3], ProcSet::from_iter([3usize]));
-    }
-
-    #[test]
-    fn placement_reduces_hotspot_load_without_changing_cost() {
-        // 12 objects, each written repeatedly by scattered writers: with
-        // SameCore all core I/O lands on processors {0,1}; RoundRobin and
-        // LoadAware spread it.
-        let mut s = MultiSchedule::default();
-        for obj in 0..12u64 {
-            for k in 0..6 {
-                s.push(ObjectId(obj), Request::write(((obj as usize) + k) % 8));
-            }
-        }
-        let same = run_multi(8, 2, Placement::SameCore, &s).unwrap();
-        let rr = run_multi(8, 2, Placement::RoundRobin, &s).unwrap();
-        let aware = run_multi(8, 2, Placement::LoadAware, &s).unwrap();
-        // Data-message and I/O tallies are placement-invariant (every DA
-        // write ships t-1 copies and stores t); control messages may vary,
-        // since invalidation counts depend on whether writers happen to be
-        // core members under a given placement.
-        assert_eq!(same.total.data, rr.total.data);
-        assert_eq!(same.total.io, rr.total.io);
-        assert_eq!(same.total.data, aware.total.data);
-        assert_eq!(same.total.io, aware.total.io);
-        // The hotspot load drops markedly under spreading placements.
-        assert!(rr.max_load() < same.max_load());
-        assert!(aware.max_load() < same.max_load());
-        assert!(rr.imbalance() < same.imbalance());
-    }
-
-    #[test]
-    fn report_helpers() {
-        let r = MultiRunReport {
-            per_object: BTreeMap::new(),
-            total: CostVector::ZERO,
-            load: vec![4, 0, 0, 0],
-        };
-        assert_eq!(r.max_load(), 4);
-        assert!((r.imbalance() - 4.0).abs() < 1e-12);
-        let empty = MultiRunReport {
-            per_object: BTreeMap::new(),
-            total: CostVector::ZERO,
-            load: vec![0, 0],
-        };
-        assert_eq!(empty.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn load_attribution_matches_costed_transcripts() {
-        let s = sched(&[(1, "r2 r2 w3"), (2, "r5 w0 r5")]);
-        let mut catalog = MultiObjectDa::new(6, 2, Placement::RoundRobin).unwrap();
-        for &mr in s.requests() {
-            catalog.serve(mr).unwrap();
-        }
-        let incremental = catalog.load.clone();
-        let report = catalog.finish().unwrap();
-        assert_eq!(incremental, report.load);
-        assert_eq!(report.load.iter().sum::<u64>(), report.total.io);
-    }
 }

@@ -6,11 +6,15 @@
 //! load tally", so the three [`Placement`] policies are implemented once,
 //! in [`select_members`]:
 //!
-//! * [`crate::multi::MultiObjectDa`] places each object's DA core
-//!   (`take = t`) on processors, steered by exact per-processor I/O;
+//! * E18's first-touch walk (`doma_analysis::experiments::run_placement`)
+//!   places each object's DA core (`take = t`) on processors, steered by
+//!   the requests routed to each core processor so far;
 //! * [`ShardPartitioner`] places each object on one of K worker shards
 //!   (`take = 1`) for the sharded protocol executor, steered by the
 //!   requests routed to each shard so far.
+//!
+//! Both steer `LoadAware` by the same signal, so the repo has one
+//! definition of it.
 
 use crate::multi::Placement;
 use doma_core::{DomaError, Result};
@@ -20,8 +24,7 @@ use doma_core::{DomaError, Result};
 /// running load attribution per slot (only consulted by
 /// [`Placement::LoadAware`]; missing entries count as zero).
 ///
-/// This is the member-selection kernel lifted out of the analytic
-/// multi-object allocator; its `RoundRobin` stride is `take - 1` (an
+/// Its `RoundRobin` stride is `take - 1` (an
 /// object's core size) so consecutive cores tile the pool, degrading to
 /// stride 1 when `take == 1` (the shard-assignment case).
 pub fn select_members(

@@ -175,26 +175,6 @@ pub fn cost_of_schedule(alloc: &AllocationSchedule, t: usize) -> Result<CostedSc
     })
 }
 
-/// Attributes the I/O operations of a costed schedule to the processors
-/// that performed them: every member of a request's execution set performs
-/// one I/O (input for reads, output for writes), plus one extra output at
-/// the issuer of a saving-read.
-///
-/// The returned vector has `n` entries; a schedule referencing processors
-/// outside `0..n` panics (callers size `n` from their system config).
-pub fn per_processor_io(costed: &CostedSchedule, n: usize) -> Vec<u64> {
-    let mut load = vec![0u64; n];
-    for pr in &costed.per_request {
-        for member in pr.step.exec.iter() {
-            load[member.index()] += 1;
-        }
-        if pr.step.saving {
-            load[pr.step.request.issuer.index()] += 1;
-        }
-    }
-    load
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,19 +345,6 @@ mod tests {
             cost_of_schedule(&a, 2),
             Err(DomaError::EmptyExecutionSet { position: 0 })
         ));
-    }
-
-    #[test]
-    fn per_processor_io_attribution() {
-        let mut a = AllocationSchedule::new(ps(&[0, 1]));
-        a.push(Request::read(2usize), Decision::saving(ps(&[0]))); // io at 0, save at 2
-        a.push(Request::write(1usize), Decision::exec(ps(&[0, 1]))); // io at 0 and 1
-        a.push(Request::read(1usize), Decision::exec(ps(&[1]))); // io at 1
-        let costed = cost_of_schedule(&a, 2).unwrap();
-        let load = per_processor_io(&costed, 4);
-        assert_eq!(load, vec![2, 2, 1, 0]);
-        // Attribution totals match the engine's io tally.
-        assert_eq!(load.iter().sum::<u64>(), costed.total.io);
     }
 
     #[test]

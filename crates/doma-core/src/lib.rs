@@ -59,9 +59,7 @@ mod validate;
 pub use alloc::{AllocatedRequest, AllocationSchedule, Decision};
 pub use cost::{CostBreakdown, CostModel, CostVector, Environment};
 pub use dom::{run_offline, run_online, DomAlgorithm, OfflineDom, OnlineDom, RunOutcome};
-pub use engine::{
-    cost_of_schedule, per_processor_io, request_cost, scheme_after, CostedSchedule, PerRequestCost,
-};
+pub use engine::{cost_of_schedule, request_cost, scheme_after, CostedSchedule, PerRequestCost};
 pub use error::{DomaError, Result};
 pub use ids::{ObjectId, ProcessorId};
 pub use multi::{MultiRequest, MultiSchedule};

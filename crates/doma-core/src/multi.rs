@@ -49,17 +49,6 @@ impl MultiSchedule {
         self.requests.push(MultiRequest { object, request });
     }
 
-    /// The distinct objects referenced, in first-touch order.
-    pub fn objects(&self) -> Vec<ObjectId> {
-        let mut seen = Vec::new();
-        for r in &self.requests {
-            if !seen.contains(&r.object) {
-                seen.push(r.object);
-            }
-        }
-        seen
-    }
-
     /// Splits into per-object schedules (preserving per-object order),
     /// keyed by object — the paper's single-object analysis applies to
     /// each independently.
@@ -84,7 +73,6 @@ mod tests {
         s.push(ObjectId(1), Request::write(0usize));
         s.push(ObjectId(2), Request::write(3usize));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.objects(), vec![ObjectId(2), ObjectId(1)]);
         assert_eq!(s.requests()[1].object, ObjectId(1));
     }
 

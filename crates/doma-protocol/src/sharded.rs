@@ -24,10 +24,10 @@
 //!   is the one documented divergence from the sequential event log).
 //!
 //! Shard assignment reuses the same [`Placement`] policies — through the
-//! same [`doma_algorithms::partition`] kernel — that the analytic
-//! multi-object allocator uses for core placement, so `LoadAware`
-//! balances shards by request traffic exactly as it balances processors
-//! by I/O. Workers run on scoped threads via
+//! same [`doma_algorithms::partition`] kernel — that E18's first-touch
+//! walk uses to place DA cores, so `LoadAware` balances shards by the
+//! requests routed to each so far, exactly as it balances core
+//! processors. Workers run on scoped threads via
 //! [`doma_sim::shard::run_shards`]; a single shard runs serially on the
 //! calling thread, which must (and, per the parity gate, does) produce
 //! identical bytes.

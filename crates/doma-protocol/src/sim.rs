@@ -174,8 +174,8 @@ impl ProtocolSim {
 
     /// Builds a cluster serving a whole catalog of objects, each with its
     /// own SA/DA configuration (the multi-object extension; per-object
-    /// costs are independent, and the integration tests verify the
-    /// protocol's tallies match the analytic multi-object allocator).
+    /// costs are independent, and the unit tests verify the protocol's
+    /// tallies equal the per-object analytic runs, summed).
     pub fn new_catalog(n: usize, configs: BTreeMap<ObjectId, ProtocolConfig>) -> Result<Self> {
         Self::build_catalog(n, configs, doma_sim::NetworkConfig::default(), 0)
     }

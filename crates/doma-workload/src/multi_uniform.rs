@@ -98,6 +98,6 @@ mod tests {
             assert!(r.request.issuer.index() < 8);
         }
         // Every object is touched: contiguous catalogs stay contiguous.
-        assert_eq!(a.objects().len(), 16);
+        assert_eq!(a.per_object().len(), 16);
     }
 }

@@ -6,10 +6,12 @@
 //! by callers. With many users there are many objects; the paper's
 //! single-object analysis applies to each independently, but *load* does
 //! not — if every user's DA core lands on the same processor, that
-//! processor does all the work. This example measures the three placement
-//! policies on a Zipf-popular population of mobile users.
+//! processor does all the work. This example runs a Zipf-popular
+//! population of mobile users on the DA protocol under the three
+//! placement policies and reads each node's store I/O.
 
-use doma::algorithms::multi::{run_multi, Placement};
+use doma::algorithms::multi::Placement;
+use doma::analysis::experiments::run_placement;
 use doma::core::CostModel;
 use doma::workload::MultiMobileWorkload;
 
@@ -27,25 +29,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("  placement   | priced cost | max node I/O | imbalance");
-    let mut loads = Vec::new();
+    let mut runs = Vec::new();
     for (name, placement) in [
         ("same-core", Placement::SameCore),
         ("round-robin", Placement::RoundRobin),
         ("load-aware", Placement::LoadAware),
     ] {
-        let report = run_multi(n, 2, placement, &schedule)?;
+        let run = run_placement(n, 2, placement, &schedule)?;
         println!(
             "  {name:<11} | {:>11.0} | {:>12} | {:>8.2}x",
-            report.total.eval(&model),
-            report.max_load(),
-            report.imbalance()
+            run.cost.eval(&model),
+            run.max_load(),
+            run.imbalance()
         );
-        loads.push((name, report));
+        runs.push(run);
     }
 
-    let same = &loads[0].1;
-    let aware = &loads[2].1;
-    println!("\nper-processor I/O load (same-core → load-aware):");
+    let same = &runs[0];
+    let aware = &runs[2];
+    println!("\nper-node I/O load (same-core → load-aware):");
     for i in 0..n {
         println!(
             "  P{i:<2} {:>6} → {:>6}  {}",
@@ -57,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     assert!(aware.max_load() < same.max_load());
     println!(
-        "\nSpreading the per-user cores cut the hottest processor's I/O from {} to {} \
+        "\nSpreading the per-user cores cut the hottest node's I/O from {} to {} \
          at (near) identical total cost — the multi-object extension the paper's \
          §6.1 'other models' remark invites.",
         same.max_load(),

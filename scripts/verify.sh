@@ -64,7 +64,8 @@ done
 # harness cannot quietly grow its own copy of the deployment decision.
 # ---------------------------------------------------------------------------
 roster=crates/doma-protocol/src/roster.rs
-for needle in 'CostOblivious::new' 'MobileMirror::new' 'ClusteredAllocation::new' '"write-invalidate"'; do
+for needle in 'CostOblivious::new' 'MobileMirror::new' 'ClusteredAllocation::new' \
+    'SlidingWindowConvergent::new' 'WriteInvalidateCache::new' '"write-invalidate"'; do
     sites=$(grep -rlF -- "$needle" crates/*/src | grep -v '^crates/doma-algorithms/' || true)
     if [ "$sites" != "$roster" ]; then
         echo "error: $needle belongs in $roster alone, found in:" >&2
