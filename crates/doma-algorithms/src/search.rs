@@ -11,14 +11,11 @@
 //! over a given universe — `(2n)^len` schedules — and reports the one
 //! maximizing `algorithm cost / OPT cost`. This is how we exhibit
 //! Proposition 2's 1.5 lower bound for DA without the omitted proof.
-//! [`random_worst_case`] samples schedules instead, for lengths where
-//! exhaustion is infeasible.
 
 use crate::OfflineOptimal;
 use doma_core::{
     run_online, CostModel, DomaError, OnlineDom, ProcessorId, Request, Result, Schedule,
 };
-use doma_testkit::rng::{Rng, TestRng};
 
 /// `algo_cost / opt_cost`: `f64::INFINITY` when OPT is free but the
 /// algorithm paid (possible in the mobile model), `1.0` when both are free.
@@ -293,33 +290,6 @@ pub fn best_amplified_pattern<A: OnlineDom + ?Sized>(
     exhaust(algo, cfg, pattern_len, repeats, 18)
 }
 
-/// Samples `samples` uniformly random schedules of length `cfg.len` and
-/// reports the worst ratio seen. Deterministic for a given `seed`.
-pub fn random_worst_case<A: OnlineDom + ?Sized>(
-    algo: &mut A,
-    cfg: &SearchConfig,
-    samples: u64,
-    seed: u64,
-) -> Result<SearchResult> {
-    let opt = opt_for(algo, cfg)?;
-    let mut rng = TestRng::seed_from_u64(seed);
-    let mut worst = WorstCase::default();
-    for _ in 0..samples {
-        let schedule: Schedule = (0..cfg.len)
-            .map(|_| {
-                let proc = ProcessorId::new(rng.gen_range(0..cfg.n));
-                if rng.gen_bool(0.5) {
-                    Request::read(proc)
-                } else {
-                    Request::write(proc)
-                }
-            })
-            .collect();
-        worst.offer(measure(algo, &opt, &cfg.model, &schedule)?, || schedule);
-    }
-    SearchResult::of(worst, samples, "samples must be > 0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,23 +482,5 @@ mod tests {
         );
         assert!(r.ratio <= model.da_bound().unwrap() + 1e-9);
         assert_eq!(r.witness.len(), 4);
-    }
-
-    #[test]
-    fn random_search_is_deterministic_and_bounded() {
-        let model = CostModel::stationary(0.2, 0.6).unwrap();
-        let cfg = SearchConfig {
-            n: 4,
-            t: 2,
-            len: 8,
-            model,
-        };
-        let mut sa = StaticAllocation::new(ps(&[0, 1])).unwrap();
-        let a = random_worst_case(&mut sa, &cfg, 200, 42).unwrap();
-        let b = random_worst_case(&mut sa, &cfg, 200, 42).unwrap();
-        assert_eq!(a.witness, b.witness);
-        assert_eq!(a.ratio, b.ratio);
-        let bound = model.sa_bound().unwrap();
-        assert!(a.ratio <= bound + 1e-9, "Theorem 1 violated: {}", a.ratio);
     }
 }

@@ -25,7 +25,9 @@
 //! ```
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
-//! tokens. `--file <path>` reads the schedule from a file instead.
+//! tokens. `--file <path>` reads the schedule from a trace file instead
+//! (the format `doma_workload::trace::write_trace` emits: `#` comments,
+//! blank lines and any line wrapping are fine).
 //! `<entrant>` is any name of the roster ([`doma_protocol::Entrant`]):
 //! `sa`, `da`, `convergent`, `write-invalidate`, `cost-oblivious`,
 //! `mobile-mirror` or `clustered`, always in its canonical deployment.
@@ -38,6 +40,7 @@ use doma_core::{
 };
 use doma_protocol::Entrant;
 use doma_scenario::{Scenario, WorkloadSpec};
+use doma_workload::trace::read_trace;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -128,14 +131,14 @@ impl Opts {
     }
 
     fn schedule(&self) -> Result<Schedule, String> {
-        let text = if let Some(path) = self.flags.get("file") {
-            std::fs::read_to_string(path).map_err(|e| format!("--file {path}: {e}"))?
+        if let Some(path) = self.flags.get("file") {
+            let file = std::fs::File::open(path).map_err(|e| format!("--file {path}: {e}"))?;
+            read_trace(file).map_err(|e| format!("--file {path}: {e}"))
         } else if let Some(s) = self.flags.get("schedule") {
-            s.clone()
+            s.parse::<Schedule>().map_err(|e| e.to_string())
         } else {
-            return Err("need --schedule \"r1 w2 ...\" or --file <path>".to_string());
-        };
-        text.parse::<Schedule>().map_err(|e| e.to_string())
+            Err("need --schedule \"r1 w2 ...\" or --file <path>".to_string())
+        }
     }
 
     fn model(&self) -> Result<CostModel, String> {
@@ -916,6 +919,21 @@ mod tests {
         assert!(cmd_scenario(&o).unwrap_err().contains("unknown builtin"));
         let o = parse_args(&args(&["scenario", "/no/such/file.toml"])).unwrap();
         assert!(cmd_scenario(&o).unwrap_err().contains("cannot read"));
+    }
+
+    #[test]
+    fn file_reads_the_trace_format() {
+        let schedule: Schedule = "r1 w2 r3 r3 w0".parse().unwrap();
+        let mut buf = Vec::new();
+        doma_workload::trace::write_trace(&mut buf, &schedule, Some("written by write_trace"), 2)
+            .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.starts_with("# written by write_trace\n"));
+        let path = temp_file("trace.txt", &text);
+        let o = parse_args(&args(&["cost", "--file", path.to_str().unwrap()])).unwrap();
+        assert_eq!(o.schedule().unwrap(), schedule);
+        let missing = parse_args(&args(&["cost", "--file", "/no/such/trace.txt"])).unwrap();
+        assert!(missing.schedule().unwrap_err().starts_with("--file "));
     }
 
     #[test]

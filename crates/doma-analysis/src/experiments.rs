@@ -14,7 +14,7 @@ use doma_algorithms::search::{exhaustive_worst_case, measure, SearchConfig};
 use doma_algorithms::{adversary, DynamicAllocation, OfflineOptimal, StaticAllocation};
 use doma_core::{
     run_online, CostModel, CostVector, DomaError, Environment, MultiRequest, MultiSchedule,
-    ObjectId, OnlineDom, ProcSet, ProcessorId, Result, Schedule,
+    ObjectId, OnlineDom, ProcSet, ProcessorId, Request, Result, Schedule,
 };
 use doma_protocol::{Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_sim::{NetworkConfig, NodeId};
@@ -633,7 +633,7 @@ pub fn mobile_e11(schedule_len: usize, seed: u64) -> Result<ExpReport> {
     let n = workload.universe();
     let schedule = workload.generate(schedule_len, seed);
 
-    let mut sim = ProtocolSim::mobile(n)?;
+    let mut sim = Entrant::Da.sim(n)?;
     let sim_report = sim.execute(&schedule)?;
 
     let mut da = DynamicAllocation::new([0usize].into_iter().collect(), ProcessorId::new(1))?;
@@ -924,7 +924,6 @@ pub fn failover_e21(requests: usize, seed: u64) -> Result<ExpReport> {
 /// service time.
 pub fn load_curve_e20(reads: usize) -> Result<ExpReport> {
     use crate::stats::percentile;
-    use doma_core::{Request, Schedule};
     let n = 10;
     let q: ProcSet = [0usize, 1].into_iter().collect();
     let schedule: Schedule = (0..reads).map(|k| Request::read(2 + (k % 8))).collect();
@@ -996,25 +995,26 @@ pub fn contention_e15(burst_sizes: &[usize]) -> Result<ExpReport> {
                 "burst {k} too large for cluster of {n}"
             )));
         }
-        let readers: Vec<ProcessorId> = (2..2 + k).map(ProcessorId::new).collect();
+        // A burst is an open-loop run of reads at arrival interval 0.
+        let burst: Schedule = (2..2 + k).map(Request::read).collect();
 
         let mut sa_p2p = ProtocolSim::new_sa(n, q)?;
-        let a = sa_p2p.execute_read_burst(&readers)?;
+        let a = sa_p2p.execute_open_loop(&burst, 0)?;
         let mut sa_bus = single_object_sim(
             n,
             ProtocolConfig::Sa { q },
             NetworkConfig::shared_bus(1, 3),
             0,
         )?;
-        let b = sa_bus.execute_read_burst(&readers)?;
+        let b = sa_bus.execute_open_loop(&burst, 0)?;
         let mut da_bus = single_object_sim(
             n,
             ProtocolConfig::Da { f, p },
             NetworkConfig::shared_bus(1, 3),
             0,
         )?;
-        let c1 = da_bus.execute_read_burst(&readers)?;
-        let c2 = da_bus.execute_read_burst(&readers)?;
+        let c1 = da_bus.execute_open_loop(&burst, 0)?;
+        let c2 = da_bus.execute_open_loop(&burst, 0)?;
 
         table.push_row(vec![
             k.to_string(),
@@ -1179,7 +1179,6 @@ pub fn run_placement(
 /// the protocol under each placement policy ([`run_placement`]) and
 /// compare total cost and per-node store I/O.
 pub fn placement_e18(objects: u64, requests: usize, seed: u64) -> Result<ExpReport> {
-    use doma_core::Request;
     use doma_testkit::rng::{Rng, TestRng};
 
     let n = 8;

@@ -316,6 +316,12 @@ mod tests {
                 cell.ratio
             );
         }
+        // The committed artifact is the default run, byte for byte.
+        assert!(
+            render_json(&spec, &cells) == include_str!("../../../BENCH_tournament.json"),
+            "BENCH_tournament.json is stale; regenerate it with \
+             `domactl tournament --out BENCH_tournament.json`"
+        );
     }
 
     #[test]

@@ -257,33 +257,6 @@ impl fmt::Display for CostVector {
     }
 }
 
-/// A scalar cost broken out by resource kind, for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CostBreakdown {
-    /// Communication cost attributable to control messages.
-    pub control: f64,
-    /// Communication cost attributable to data messages.
-    pub data: f64,
-    /// I/O cost.
-    pub io: f64,
-}
-
-impl CostBreakdown {
-    /// Builds a breakdown by pricing a tally under a model.
-    pub fn from_vector(v: &CostVector, model: &CostModel) -> Self {
-        CostBreakdown {
-            control: v.control as f64 * model.cc(),
-            data: v.data as f64 * model.cd(),
-            io: v.io as f64 * model.cio(),
-        }
-    }
-
-    /// Total scalar cost.
-    pub fn total(&self) -> f64 {
-        self.control + self.data + self.io
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,17 +324,6 @@ mod tests {
         assert_eq!(b.saturating_sub(&a), CostVector::ZERO);
         assert!(CostVector::ZERO.is_zero());
         assert!(!a.is_zero());
-    }
-
-    #[test]
-    fn breakdown_totals() {
-        let m = CostModel::stationary(0.25, 0.75).unwrap();
-        let v = CostVector::new(4, 2, 5);
-        let b = CostBreakdown::from_vector(&v, &m);
-        assert!((b.control - 1.0).abs() < 1e-12);
-        assert!((b.data - 1.5).abs() < 1e-12);
-        assert!((b.io - 5.0).abs() < 1e-12);
-        assert!((b.total() - v.eval(&m)).abs() < 1e-12);
     }
 
     #[test]

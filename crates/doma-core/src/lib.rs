@@ -57,7 +57,7 @@ mod stats;
 mod validate;
 
 pub use alloc::{AllocatedRequest, AllocationSchedule, Decision};
-pub use cost::{CostBreakdown, CostModel, CostVector, Environment};
+pub use cost::{CostModel, CostVector, Environment};
 pub use dom::{run_offline, run_online, DomAlgorithm, OfflineDom, OnlineDom, RunOutcome};
 pub use engine::{cost_of_schedule, request_cost, scheme_after, CostedSchedule, PerRequestCost};
 pub use error::{DomaError, Result};

@@ -47,13 +47,6 @@ impl ScheduleStats {
             .collect()
     }
 
-    /// The busiest `k` processors by total activity (ties by index).
-    pub fn top_k(&self, k: usize) -> ProcSet {
-        let mut order: Vec<usize> = (0..self.per_processor.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(self.per_processor[i].total()), i));
-        order.into_iter().take(k).collect()
-    }
-
     /// Mean read-run length (0 if there are no reads).
     pub fn mean_read_run(&self) -> f64 {
         if self.read_run_lengths.is_empty() {
@@ -156,11 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn active_and_top_k() {
+    fn active_processors_are_the_issuers() {
         let s = stats_of("r3 r3 r3 w1 r2");
         assert_eq!(s.active_processors(), ProcSet::from_iter([1usize, 2, 3]));
-        assert_eq!(s.top_k(1), ProcSet::from_iter([3usize]));
-        assert_eq!(s.top_k(2), ProcSet::from_iter([1usize, 3])); // tie 1 vs 2 → lower index
     }
 
     #[test]

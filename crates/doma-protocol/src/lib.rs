@@ -77,5 +77,5 @@ pub use obs::registry_cost;
 pub use planner::{ClientPlanner, PlannedRequest};
 pub use roster::{Entrant, Tunables};
 pub use sharded::{ShardInput, ShardOutcome, ShardedRun, ShardedSim};
-pub use sim::{BurstReport, OpenLoopReport, PlanOracle, ProtocolSim, SimReport};
+pub use sim::{OpenLoopReport, PlanOracle, ProtocolSim, SimReport};
 pub use transport::Transport;

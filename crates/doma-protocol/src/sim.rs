@@ -64,21 +64,6 @@ pub struct SimReport {
     pub dropped_messages: u64,
 }
 
-/// Response statistics of one concurrent read burst (see
-/// [`ProtocolSim::execute_read_burst`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstReport {
-    /// Reads completed in the burst.
-    pub completed: u64,
-    /// Mean response time of the burst's reads, in ticks.
-    pub mean_response: f64,
-    /// Ticks from injection until the cluster went quiet.
-    pub makespan: u64,
-    /// Ticks the burst's messages spent queueing for the shared bus
-    /// (0 with the point-to-point medium).
-    pub bus_queue_wait: u64,
-}
-
 /// The outcome of an open-loop run (see
 /// [`ProtocolSim::execute_open_loop`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -139,13 +124,6 @@ impl ProtocolSim {
     /// Builds a DA cluster of `n` nodes with core `f` and floater `p`.
     pub fn new_da(n: usize, f: ProcSet, p: ProcessorId) -> Result<Self> {
         Self::new_catalog(n, BTreeMap::from([(OBJECT, ProtocolConfig::Da { f, p })]))
-    }
-
-    /// The §2 mobile deployment: `t = 2`, the core is the base station
-    /// (processor 0), the floater is processor 1; `n` processors total —
-    /// the roster's canonical DA deployment.
-    pub fn mobile(n: usize) -> Result<Self> {
-        Entrant::Da.sim(n)
     }
 
     /// Stands up one object under `config` on `n` nodes — the way every
@@ -533,6 +511,9 @@ impl ProtocolSim {
     /// as a barrier: the cluster quiesces before and after it, preserving
     /// the total order of writes the model assumes.
     ///
+    /// At interval 0 every read of a run arrives at once: a concurrent
+    /// read burst, the introduction's Ethernet-contention case.
+    ///
     /// Returns per-read latencies so callers can compute percentiles —
     /// this is the "load → contention → response time" experiment of the
     /// paper's introduction, in its general form.
@@ -590,60 +571,6 @@ impl ProtocolSim {
             self.execute_request_on(*object, *request)?;
         }
         Ok(self.report())
-    }
-
-    /// Injects simultaneous reads of object 0 from all `readers` — see
-    /// [`ProtocolSim::execute_read_burst_on`].
-    pub fn execute_read_burst(&mut self, readers: &[ProcessorId]) -> Result<BurstReport> {
-        self.execute_read_burst_on(OBJECT, readers)
-    }
-
-    /// Injects simultaneous reads of `object` from all `readers` (legal
-    /// under the model — reads between consecutive writes may execute
-    /// concurrently, §3.1) and runs to quiescence. Returns the burst's
-    /// response statistics — the quantity the introduction's
-    /// Ethernet-contention argument is about.
-    pub fn execute_read_burst_on(
-        &mut self,
-        object: ObjectId,
-        readers: &[ProcessorId],
-    ) -> Result<BurstReport> {
-        if !self.configs.contains_key(&object) {
-            return Err(DomaError::InvalidConfig(format!(
-                "object {object} not in the cluster catalog"
-            )));
-        }
-        for reader in readers {
-            if reader.index() >= self.n {
-                return Err(DomaError::InvalidConfig(format!(
-                    "reader {reader} outside cluster of {}",
-                    self.n
-                )));
-            }
-        }
-        let before = self.report();
-        let wait_before = self.engine.bus_queue_wait();
-        let start = self.engine.now();
-        for reader in readers {
-            let request = Request::read(*reader);
-            let planned = self.planner.plan(object, request)?;
-            self.record_plan_event(object, request, planned.decision);
-            self.engine.inject(planned.to, 1, planned.msg);
-        }
-        self.run_settle()?;
-        let after = self.report();
-        let completed = after.reads_completed - before.reads_completed;
-        let latency = after.read_latency_ticks - before.read_latency_ticks;
-        Ok(BurstReport {
-            completed,
-            mean_response: if completed > 0 {
-                latency as f64 / completed as f64
-            } else {
-                0.0
-            },
-            makespan: self.engine.now().ticks().saturating_sub(start.ticks() + 1),
-            bus_queue_wait: self.engine.bus_queue_wait() - wait_before,
-        })
     }
 
     /// Executes a whole schedule to quiescence and reports exact tallies.
@@ -942,44 +869,46 @@ mod tests {
     }
 
     #[test]
-    fn read_burst_targets_the_named_object() {
+    fn injected_reads_target_the_named_object() {
         use doma_core::ObjectId;
         use std::collections::BTreeMap;
         let mut configs = BTreeMap::new();
         configs.insert(ObjectId(5), ProtocolConfig::Sa { q: ps(&[0, 1]) });
         configs.insert(ObjectId(7), ProtocolConfig::Sa { q: ps(&[2, 3]) });
         let mut sim = ProtocolSim::new_catalog(6, configs).unwrap();
-        let burst = sim
-            .execute_read_burst_on(ObjectId(7), &[ProcessorId::new(4), ProcessorId::new(5)])
+        sim.inject_request_on(ObjectId(7), Request::read(4usize))
             .unwrap();
-        assert_eq!(burst.completed, 2);
-        assert!(burst.mean_response > 0.0);
+        sim.inject_request_on(ObjectId(7), Request::read(5usize))
+            .unwrap();
+        sim.settle().unwrap();
+        let report = sim.report();
+        assert_eq!(report.reads_completed, 2);
+        assert!(report.mean_read_latency > 0.0);
         // Only object 7's replicas served: object 5's holders unchanged,
-        // and a burst on an uncatalogued object is rejected.
+        // and a reader outside the cluster is rejected.
         assert_eq!(sim.valid_holders_of(ObjectId(5)), ps(&[0, 1]));
+        assert_eq!(sim.valid_holders_of(ObjectId(7)), ps(&[2, 3]));
         assert!(sim
-            .execute_read_burst_on(ObjectId(9), &[ProcessorId::new(0)])
-            .is_err());
-        assert!(sim
-            .execute_read_burst_on(ObjectId(7), &[ProcessorId::new(9)])
+            .inject_request_on(ObjectId(7), Request::read(9usize))
             .is_err());
     }
 
     #[test]
-    fn burst_report_is_burst_local() {
-        // A prior read must not pollute the burst's mean: the burst delta
-        // uses exact tick sums, not back-multiplied means.
+    fn open_loop_report_is_run_local() {
+        // A prior read must not pollute the run's latencies or mean.
         let mut sim = ProtocolSim::new_sa(4, ps(&[0, 1])).unwrap();
         sim.execute_request(Request::read(3usize)).unwrap();
         let before = sim.report();
         assert_eq!(before.reads_completed, 1);
-        let burst = sim.execute_read_burst(&[ProcessorId::new(2)]).unwrap();
-        assert_eq!(burst.completed, 1);
+        let burst: Schedule = "r2".parse().unwrap();
+        let run = sim.execute_open_loop(&burst, 0).unwrap();
+        assert_eq!(run.latencies.len(), 1);
         let after = sim.report();
         assert_eq!(
             after.read_latency_ticks - before.read_latency_ticks,
-            burst.mean_response as u64
+            run.latencies[0]
         );
+        assert_eq!(run.mean_response, run.latencies[0] as f64);
     }
 
     #[test]
@@ -1060,20 +989,21 @@ mod tests {
 
     #[test]
     fn read_burst_contends_on_bus_but_not_point_to_point() {
-        let readers: Vec<ProcessorId> = (2..8).map(ProcessorId::new).collect();
+        // A burst is an open-loop run of reads at interval 0.
+        let burst: Schedule = (2..8).map(Request::read).collect();
 
         // Point-to-point: every remote read completes in cc + cd ticks,
         // regardless of burst size.
         let mut p2p = ProtocolSim::new_sa(8, ps(&[0, 1])).unwrap();
-        let r = p2p.execute_read_burst(&readers).unwrap();
-        assert_eq!(r.completed, 6);
+        let r = p2p.execute_open_loop(&burst, 0).unwrap();
+        assert_eq!(r.latencies.len(), 6);
         assert_eq!(r.mean_response, 4.0);
         assert_eq!(r.bus_queue_wait, 0);
 
         // Shared bus: the six requests and six replies serialize.
         let mut bus = on_bus(ProtocolConfig::Sa { q: ps(&[0, 1]) });
-        let r = bus.execute_read_burst(&readers).unwrap();
-        assert_eq!(r.completed, 6);
+        let r = bus.execute_open_loop(&burst, 0).unwrap();
+        assert_eq!(r.latencies.len(), 6);
         assert!(
             r.mean_response > 4.0,
             "bus contention must raise response time, got {}",
@@ -1089,15 +1019,15 @@ mod tests {
         // Second burst: all reads are local — zero response time even on
         // a saturated bus. This is DA's answer to the intro's Ethernet
         // argument.
-        let readers: Vec<ProcessorId> = (2..8).map(ProcessorId::new).collect();
+        let burst: Schedule = (2..8).map(Request::read).collect();
         let mut bus = on_bus(ProtocolConfig::Da {
             f: ps(&[0]),
             p: ProcessorId::new(1),
         });
-        let first = bus.execute_read_burst(&readers).unwrap();
+        let first = bus.execute_open_loop(&burst, 0).unwrap();
         assert!(first.mean_response > 4.0);
-        let second = bus.execute_read_burst(&readers).unwrap();
-        assert_eq!(second.completed, 6);
+        let second = bus.execute_open_loop(&burst, 0).unwrap();
+        assert_eq!(second.latencies.len(), 6);
         assert_eq!(second.mean_response, 0.0);
         assert_eq!(second.bus_queue_wait, 0);
     }
@@ -1105,7 +1035,8 @@ mod tests {
     #[test]
     fn burst_rejects_unknown_readers() {
         let mut sim = ProtocolSim::new_sa(4, ps(&[0, 1])).unwrap();
-        assert!(sim.execute_read_burst(&[ProcessorId::new(9)]).is_err());
+        let burst: Schedule = "r9".parse().unwrap();
+        assert!(sim.execute_open_loop(&burst, 0).is_err());
     }
 
     #[test]
@@ -1289,8 +1220,8 @@ mod tests {
     }
 
     #[test]
-    fn mobile_constructor_is_base_station_da() {
-        let sim = ProtocolSim::mobile(6).unwrap();
+    fn da_entrant_is_the_base_station_deployment() {
+        let sim = Entrant::Da.sim(6).unwrap();
         let ProtocolConfig::Da { f, p } = sim.config() else {
             panic!("expected DA, got {:?}", sim.config());
         };

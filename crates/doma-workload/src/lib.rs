@@ -25,7 +25,6 @@
 
 mod append_only;
 mod chaotic;
-mod composite;
 mod hotspot;
 mod mobile;
 mod multi_mobile;
@@ -36,7 +35,6 @@ mod zipf;
 
 pub use append_only::AppendOnlyWorkload;
 pub use chaotic::ChaoticWorkload;
-pub use composite::CompositeWorkload;
 pub use hotspot::HotspotWorkload;
 pub use mobile::MobileWorkload;
 pub use multi_mobile::MultiMobileWorkload;

@@ -1,4 +1,4 @@
-//! Schedule trace files: load and store schedules in the paper's textual
+//! Schedule trace files: read and write schedules in the paper's textual
 //! notation, one or more requests per line, with `#` comments.
 //!
 //! ```text
@@ -10,7 +10,6 @@
 
 use doma_core::{DomaError, Result, Schedule};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::path::Path;
 
 /// Parses a trace from any reader: whitespace/newline separated `r<i>` /
 /// `w<i>` tokens; `#` starts a comment running to end of line.
@@ -33,14 +32,6 @@ pub fn read_trace<R: Read>(reader: R) -> Result<Schedule> {
     tokens
         .parse::<Schedule>()
         .map_err(|e| DomaError::InvalidConfig(format!("bad trace: {e}")))
-}
-
-/// Loads a trace file from disk.
-pub fn load_trace(path: impl AsRef<Path>) -> Result<Schedule> {
-    let file = std::fs::File::open(path.as_ref()).map_err(|e| {
-        DomaError::InvalidConfig(format!("cannot open {}: {e}", path.as_ref().display()))
-    })?;
-    read_trace(file)
 }
 
 /// Writes a schedule as a trace, wrapping at `per_line` requests per line
@@ -66,19 +57,6 @@ pub fn write_trace<W: Write>(
         writeln!(writer, "{}", line.join(" ")).map_err(io_err)?;
     }
     Ok(())
-}
-
-/// Stores a trace file on disk (see [`write_trace`]).
-pub fn store_trace(
-    path: impl AsRef<Path>,
-    schedule: &Schedule,
-    comment: Option<&str>,
-    per_line: usize,
-) -> Result<()> {
-    let file = std::fs::File::create(path.as_ref()).map_err(|e| {
-        DomaError::InvalidConfig(format!("cannot create {}: {e}", path.as_ref().display()))
-    })?;
-    write_trace(std::io::BufWriter::new(file), schedule, comment, per_line)
 }
 
 #[cfg(test)]
@@ -137,18 +115,5 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, &schedule, None, 0).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "r1 w2\n");
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("doma-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.txt");
-        let schedule: Schedule = "r4 w1 r4 r4".parse().unwrap();
-        store_trace(&path, &schedule, Some("file roundtrip"), 2).unwrap();
-        let back = load_trace(&path).unwrap();
-        assert_eq!(back, schedule);
-        assert!(load_trace(dir.join("missing.txt")).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -17,7 +17,7 @@
 use doma::algorithms::{DynamicAllocation, StaticAllocation};
 use doma::core::{run_online, CostModel, ProcSet, ProcessorId, Request};
 use doma::protocol::failover::FailoverDriver;
-use doma::protocol::ProtocolSim;
+use doma::protocol::Entrant;
 use doma::workload::{MobileWorkload, ScheduleGen};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 1. The real protocol, on the simulator ---------------------------
-    let mut sim = ProtocolSim::mobile(n)?;
+    let mut sim = Entrant::Da.sim(n)?;
     let report = sim.execute(&schedule)?;
     println!(
         "\nprotocol run: {} control msgs, {} data msgs, {} I/Os, mean read latency {:.1} ticks",
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. Base-station failure and recovery -----------------------------
     println!("\ninjecting base-station failure…");
-    let sim = ProtocolSim::mobile(n)?;
+    let sim = Entrant::Da.sim(n)?;
     let mut driver = FailoverDriver::new(sim, n);
     driver.execute_request(Request::write(2usize))?;
     driver.crash(ProcessorId::new(0)); // the core fails → quorum mode

@@ -4,7 +4,7 @@
 
 use doma::algorithms::{DynamicAllocation, StaticAllocation};
 use doma::core::{run_online, ProcSet, ProcessorId, Schedule};
-use doma::protocol::ProtocolSim;
+use doma::protocol::{Entrant, ProtocolSim};
 use doma::workload::{
     AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, MobileWorkload, ScheduleGen,
     UniformWorkload, ZipfWorkload,
@@ -73,7 +73,7 @@ fn da_protocol_matches_on_mobile_traces() {
     let n = workload.universe();
     for seed in 0..8 {
         let schedule = workload.generate(120, seed);
-        let mut sim = ProtocolSim::mobile(n).unwrap();
+        let mut sim = Entrant::Da.sim(n).unwrap();
         let report = sim.execute(&schedule).unwrap();
         let mut da = DynamicAllocation::new(ProcSet::from_iter([0]), ProcessorId::new(1)).unwrap();
         let analytic = run_online(&mut da, &schedule).unwrap();
