@@ -204,8 +204,8 @@ pub(crate) struct SearchState {
 
 impl SearchState {
     pub(crate) fn initial(scenario: &Scenario) -> Result<Self> {
-        let sim = scenario.build_sim()?;
-        let checker = InvariantChecker::new(&sim);
+        let mut sim = scenario.build_sim()?;
+        let checker = InvariantChecker::new(&mut sim);
         Ok(SearchState {
             sim,
             checker,
@@ -260,7 +260,7 @@ impl SearchState {
                 "scenario {}, barrier before phase {}",
                 scenario.name, self.phase
             );
-            self.checker.check(&self.sim, None, wrote, &context)?;
+            self.checker.check(&mut self.sim, None, wrote, &context)?;
             self.writes_this_phase.clear();
             if self.phase >= scenario.phases.len() {
                 return Ok(Progress::Done);
@@ -320,7 +320,7 @@ impl SearchState {
             // Either the seq is not queued (replaying a stale trace) or
             // the engine's event budget tripped; the audit distinguishes.
             let context = format!("scenario {}: dispatch of seq {seq} refused", scenario.name);
-            self.checker.check(&self.sim, None, None, &context)?;
+            self.checker.check(&mut self.sim, None, None, &context)?;
             return Err(Violation::ProtocolError {
                 node: 0,
                 error: DomaError::InvalidConfig(format!("no queued event with seq {seq}")),
@@ -338,7 +338,7 @@ impl SearchState {
             "scenario {}, phase {}, depth {}",
             scenario.name, self.phase, self.depth
         );
-        self.checker.check(&self.sim, None, None, &context)
+        self.checker.check(&mut self.sim, None, None, &context)
     }
 }
 

@@ -35,6 +35,7 @@ use doma_core::{CostVector, DomaError};
 use doma_protocol::ProtocolSim;
 use doma_sim::NodeId;
 use doma_storage::Version;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// One detected invariant violation. `context` is the step description
@@ -167,7 +168,7 @@ impl fmt::Display for Violation {
 ///
 /// `Clone` so a model checker can carry an independent copy of the
 /// auditor down each branch of its state-space search (the checker state
-/// — floor, cursors, last versions — is part of the explored state).
+/// — floor, start floors, last versions — is part of the explored state).
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     n: usize,
@@ -179,8 +180,6 @@ pub struct InvariantChecker {
     floor: Version,
     /// Last observed replica version per node (valid or stale).
     node_versions: Vec<Option<Version>>,
-    /// Completed reads already audited, per node.
-    read_cursor: Vec<usize>,
     /// Floors captured when a read was *issued* (per node, FIFO). A model
     /// checker stepping individual deliveries registers each read via
     /// [`InvariantChecker::note_read_started`]; the audit then holds the
@@ -189,14 +188,19 @@ pub struct InvariantChecker {
     /// quorum writes (a read issued before a write quorum assembled may
     /// legally return the old version). Empty when driven at quiescence
     /// (the torture-harness path), where both floors coincide.
-    read_start_floors: Vec<Vec<Version>>,
+    read_start_floors: Vec<VecDeque<Version>>,
 }
 
 impl InvariantChecker {
-    /// Captures the initial state of a freshly built cluster.
-    pub fn new(sim: &ProtocolSim) -> Self {
+    /// Captures the initial state of a freshly built cluster and starts
+    /// recording completed reads on every node, for
+    /// [`InvariantChecker::check`] to take and audit.
+    pub fn new(sim: &mut ProtocolSim) -> Self {
         let n = sim.engine_ref().node_count();
         let t = sim.config().t();
+        for i in 0..n {
+            sim.engine_mut().actor_mut(NodeId(i)).record_reads();
+        }
         let node_versions = (0..n)
             .map(|i| sim.engine_ref().actor(NodeId(i)).replica_version())
             .collect();
@@ -207,8 +211,7 @@ impl InvariantChecker {
             last_cost: sim.report().cost,
             floor: Version::INITIAL,
             node_versions,
-            read_cursor: vec![0; n],
-            read_start_floors: vec![Vec::new(); n],
+            read_start_floors: vec![VecDeque::new(); n],
         }
     }
 
@@ -218,7 +221,7 @@ impl InvariantChecker {
     /// quiescence between requests never need this.
     pub fn note_read_started(&mut self, node: usize) {
         if node < self.n {
-            self.read_start_floors[node].push(self.floor);
+            self.read_start_floors[node].push_back(self.floor);
         }
     }
 
@@ -228,17 +231,18 @@ impl InvariantChecker {
         self.floor
     }
 
-    /// A hash of the auditor's own state (floor, audited-read cursors,
-    /// last seen versions and tallies). A model checker must fold this
-    /// into its state fingerprints: two identical cluster states under
-    /// *different* audit states can still diverge on a future check.
+    /// A hash of the auditor's own state (floor, the start floors of
+    /// reads in flight, last seen versions and tallies). A model checker
+    /// must fold this into its state fingerprints: two identical cluster
+    /// states under *different* audit states can still diverge on a
+    /// future check. Reads already audited are not part of it: a future
+    /// audit depends only on the floor and the start floors.
     pub fn fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
         self.floor.hash(&mut h);
         self.node_versions.hash(&mut h);
-        self.read_cursor.hash(&mut h);
         self.read_start_floors.hash(&mut h);
         self.last_cost.control.hash(&mut h);
         self.last_cost.data.hash(&mut h);
@@ -247,7 +251,8 @@ impl InvariantChecker {
     }
 
     /// Audits the cluster after one step and returns the first violation
-    /// found, if any.
+    /// found, if any. Takes every node's recorded reads and audits them,
+    /// so a node holds at most one step's reads.
     ///
     /// `normal_cost` is the pre-failure snapshot when one exists (a
     /// `FailoverDriver`'s `normal_mode_cost`; drives the attribution
@@ -256,7 +261,7 @@ impl InvariantChecker {
     /// regime, and only once at least `t` replicas validly hold it.
     pub fn check(
         &mut self,
-        sim: &ProtocolSim,
+        sim: &mut ProtocolSim,
         normal_cost: Option<CostVector>,
         wrote: Option<Version>,
         context: &str,
@@ -341,19 +346,16 @@ impl InvariantChecker {
             }
         }
 
-        // One-copy semantics: audit reads completed since the last check.
-        // Each read is held to the floor captured when it was issued
-        // (model-checker path, [`InvariantChecker::note_read_started`]) or,
-        // absent that, the floor as it stood *before* this step.
+        // One-copy semantics: take and audit the reads completed since the
+        // last check. Each read is held to the floor captured when it was
+        // issued (model-checker path,
+        // [`InvariantChecker::note_read_started`]) or, absent that, the
+        // floor as it stood *before* this step.
         for i in 0..self.n {
-            let reads = sim.engine_ref().actor(NodeId(i)).completed_reads();
-            for read in &reads[self.read_cursor[i]..] {
-                let expected = if self.read_start_floors[i].is_empty() {
-                    self.floor
-                } else {
-                    // Reads complete FIFO per node, matching issue order.
-                    self.read_start_floors[i].remove(0)
-                };
+            let node = sim.engine_mut().actor_mut(NodeId(i));
+            for read in node.take_recorded_reads() {
+                // Reads complete FIFO per node, matching issue order.
+                let expected = self.read_start_floors[i].pop_front().unwrap_or(self.floor);
                 let got = read.version.unwrap_or(Version::INITIAL);
                 if got < expected {
                     return Err(Violation::StaleRead {
@@ -364,7 +366,6 @@ impl InvariantChecker {
                     });
                 }
             }
-            self.read_cursor[i] = reads.len();
         }
 
         // Raise the committed floor.
@@ -420,17 +421,18 @@ mod tests {
 
     fn audit(
         checker: &mut InvariantChecker,
-        d: &FailoverDriver,
+        d: &mut FailoverDriver,
         wrote: Option<Version>,
         context: &str,
     ) -> Result<(), Violation> {
-        checker.check(d.sim(), d.normal_mode_cost(), wrote, context)
+        let normal_cost = d.normal_mode_cost();
+        checker.check(d.sim_mut(), normal_cost, wrote, context)
     }
 
     #[test]
     fn healthy_run_passes_every_check() {
         let mut d = da_driver(5);
-        let mut checker = InvariantChecker::new(d.sim());
+        let mut checker = InvariantChecker::new(d.sim_mut());
         for (i, req) in [
             Request::read(3usize),
             Request::write(2usize),
@@ -443,7 +445,7 @@ mod tests {
         {
             d.execute_request(req).unwrap();
             let wrote = (!req.is_read()).then(|| d.sim().latest_version());
-            audit(&mut checker, &d, wrote, &format!("req {i}")).unwrap();
+            audit(&mut checker, &mut d, wrote, &format!("req {i}")).unwrap();
         }
         assert_eq!(checker.committed_floor(), Version(2));
     }
@@ -451,36 +453,36 @@ mod tests {
     #[test]
     fn floor_rises_with_quorum_evidence_in_degraded_mode() {
         let mut d = da_driver(5);
-        let mut checker = InvariantChecker::new(d.sim());
+        let mut checker = InvariantChecker::new(d.sim_mut());
         d.crash(ProcessorId::new(0)); // core down -> quorum mode
-        audit(&mut checker, &d, None, "crash").unwrap();
+        audit(&mut checker, &mut d, None, "crash").unwrap();
         d.execute_request(Request::write(2usize)).unwrap();
-        audit(&mut checker, &d, None, "w2").unwrap();
+        audit(&mut checker, &mut d, None, "w2").unwrap();
         assert_eq!(
             checker.committed_floor(),
             d.sim().latest_version(),
             "quorum write must commit"
         );
         d.execute_request(Request::read(4usize)).unwrap();
-        audit(&mut checker, &d, None, "r4").unwrap();
+        audit(&mut checker, &mut d, None, "r4").unwrap();
     }
 
     #[test]
     fn failover_and_heal_keep_invariants() {
         let mut d = da_driver(5);
-        let mut checker = InvariantChecker::new(d.sim());
+        let mut checker = InvariantChecker::new(d.sim_mut());
         d.execute_request(Request::write(3usize)).unwrap();
         let v = d.sim().latest_version();
-        audit(&mut checker, &d, Some(v), "w3").unwrap();
+        audit(&mut checker, &mut d, Some(v), "w3").unwrap();
         d.crash(ProcessorId::new(0));
-        audit(&mut checker, &d, None, "crash 0").unwrap();
+        audit(&mut checker, &mut d, None, "crash 0").unwrap();
         // The missing-writes push on mode entry keeps v quorum-visible.
         d.execute_request(Request::read(4usize)).unwrap();
-        audit(&mut checker, &d, None, "r4").unwrap();
+        audit(&mut checker, &mut d, None, "r4").unwrap();
         d.heal();
-        audit(&mut checker, &d, None, "heal").unwrap();
+        audit(&mut checker, &mut d, None, "heal").unwrap();
         d.execute_request(Request::read(2usize)).unwrap();
-        audit(&mut checker, &d, None, "r2").unwrap();
+        audit(&mut checker, &mut d, None, "r2").unwrap();
         assert!(checker.committed_floor() >= v);
     }
 
@@ -490,7 +492,7 @@ mod tests {
         // {0, 1}. Eating its propagation to the core leaves one holder.
         for eaten in [false, true] {
             let mut sim = da_sim(5);
-            let mut checker = InvariantChecker::new(&sim);
+            let mut checker = InvariantChecker::new(&mut sim);
             if eaten {
                 let link = LinkFilter::link(NodeId(1), NodeId(0)).of_kind(MsgKind::Data);
                 let plan = FaultPlan::new(0).rule(FaultRule::always(link, FaultAction::Drop));
@@ -499,7 +501,7 @@ mod tests {
             sim.execute_request(Request::write(1usize)).unwrap();
             let v = sim.latest_version();
             assert_eq!(sim.holders_of(v).len(), if eaten { 1 } else { 2 });
-            checker.check(&sim, None, Some(v), "w1").unwrap();
+            checker.check(&mut sim, None, Some(v), "w1").unwrap();
             let floor = if eaten { Version::INITIAL } else { v };
             assert_eq!(checker.committed_floor(), floor, "eaten: {eaten}");
         }
@@ -524,10 +526,10 @@ mod tests {
         // Manufacture a violation without touching the cluster: floor at
         // 5, then a read completing at version 1.
         let mut d = da_driver(4);
-        let mut checker = InvariantChecker::new(d.sim());
+        let mut checker = InvariantChecker::new(d.sim_mut());
         checker.floor = Version(5);
         d.execute_request(Request::read(3usize)).unwrap();
-        let err = audit(&mut checker, &d, None, "stale").unwrap_err();
+        let err = audit(&mut checker, &mut d, None, "stale").unwrap_err();
         match &err {
             Violation::StaleRead { floor, .. } => assert_eq!(*floor, Version(5)),
             other => panic!("expected StaleRead, got {other}"),

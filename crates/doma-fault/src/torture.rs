@@ -190,9 +190,11 @@ fn audit(
     // Attribute any I/O performed outside message dispatch before
     // snapshotting, so the delta is exact.
     driver.sim_mut().obs_flush();
-    let sim = driver.sim();
-    let wrote = req.filter(|r| !r.is_read()).map(|_| sim.latest_version());
-    match checker.check(sim, driver.normal_mode_cost(), wrote, context) {
+    let wrote = req
+        .filter(|r| !r.is_read())
+        .map(|_| driver.sim().latest_version());
+    let normal_cost = driver.normal_mode_cost();
+    match checker.check(driver.sim_mut(), normal_cost, wrote, context) {
         Ok(()) => {
             ctx.last = ctx.obs.metrics().snapshot();
             Ok(())
@@ -290,7 +292,7 @@ fn run_episode_observed(
     // The message trace shares the bundle's event log, so the failure
     // tail interleaves deliveries with lifecycle events and spans.
     driver.sim_mut().attach_tracer_on(obs.events().clone());
-    let mut checker = InvariantChecker::new(driver.sim());
+    let mut checker = InvariantChecker::new(driver.sim_mut());
     let mut ctx = AuditCtx {
         obs: obs.clone(),
         last: obs.metrics().snapshot(),

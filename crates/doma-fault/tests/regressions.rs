@@ -150,18 +150,19 @@ fn reverting_the_mode_reset_gate_is_caught() {
         let sim =
             ProtocolSim::new_da(4, [0usize].into_iter().collect(), ProcessorId::new(1)).unwrap();
         let mut driver = FailoverDriver::new(sim, 4);
-        let mut checker = InvariantChecker::new(driver.sim());
+        let mut checker = InvariantChecker::new(driver.sim_mut());
         driver.set_destructive_mode_reset(buggy);
-        let mut audit = |driver: &FailoverDriver, context: &str| {
-            checker.check(driver.sim(), driver.normal_mode_cost(), None, context)
+        let mut audit = |driver: &mut FailoverDriver, context: &str| {
+            let normal_cost = driver.normal_mode_cost();
+            checker.check(driver.sim_mut(), normal_cost, None, context)
         };
 
         driver.execute_request(Request::write(3usize)).unwrap();
-        audit(&driver, "outsider write").unwrap();
+        audit(&mut driver, "outsider write").unwrap();
         driver.crash(ProcessorId::new(2));
-        audit(&driver, "non-scheme crash").unwrap();
+        audit(&mut driver, "non-scheme crash").unwrap();
         driver.recover(ProcessorId::new(2));
-        let verdict = audit(&driver, "recovery");
+        let verdict = audit(&mut driver, "recovery");
         if buggy {
             let violation = verdict.expect_err("ungated mode reset must be caught");
             assert!(

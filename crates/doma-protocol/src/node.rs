@@ -157,7 +157,9 @@ pub struct BugSwitches {
 }
 
 /// One completed read, as observed by the issuing node — the record the
-/// fault-injection invariant checker audits for one-copy semantics.
+/// fault-injection invariant checker audits for one-copy semantics. A
+/// node keeps these only while a consumer records them (see
+/// [`DomNode::record_reads`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedRead {
     /// The object read.
@@ -222,7 +224,10 @@ pub struct DomNode {
     // --- metrics ---
     reads_completed: u64,
     read_latency_ticks: u64,
-    completed_reads: Vec<CompletedRead>,
+    /// Completed reads not yet taken, in completion order; `None` until
+    /// a consumer starts recording ([`DomNode::record_reads`]), so a node
+    /// nobody audits keeps memory flat in the length of its run.
+    read_record: Option<Vec<CompletedRead>>,
     /// Protocol-level errors (for example a message naming an
     /// unconfigured object). [`Actor::on_message`] cannot return them, so
     /// they are recorded here for harnesses to assert on.
@@ -284,7 +289,7 @@ impl DomNode {
             quorum_round: 0,
             reads_completed: 0,
             read_latency_ticks: 0,
-            completed_reads: Vec::new(),
+            read_record: None,
             errors: Vec::new(),
             bugs: BugSwitches::default(),
             obs: None,
@@ -376,12 +381,13 @@ impl DomNode {
 
     /// A hash of the node's *semantic* protocol state: replica versions
     /// and validity, DA bookkeeping, invalidation floors, quorum-mode
-    /// state, in-flight quorum operations, outstanding-read depth and
-    /// completed-read count. Pure metrics (latencies, I/O tallies) are
-    /// excluded — two states differing only in them behave identically
-    /// going forward. The model checker (`doma_fault::explore`) combines
-    /// these per-node hashes with the pending-message multiset to
-    /// deduplicate states reached along different delivery schedules.
+    /// state, in-flight quorum operations, outstanding-read depth,
+    /// completed-read count and the recorded reads not yet taken. Pure
+    /// metrics (latencies, I/O tallies) are excluded — two states
+    /// differing only in them behave identically going forward. The
+    /// model checker (`doma_fault::explore`) combines these per-node
+    /// hashes with the pending-message multiset to deduplicate states
+    /// reached along different delivery schedules.
     pub fn fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -409,10 +415,11 @@ impl DomNode {
             }
             state.read_started.len().hash(&mut h);
         }
-        // The record of which versions reads returned, in order: the
-        // oracle audits it against a rising floor, so it is part of the
-        // state a schedule can distinguish.
-        for read in &self.completed_reads {
+        // The versions the reads not yet audited returned, in order: the
+        // oracle will hold them to a rising floor, so they are part of
+        // the state a schedule can distinguish. Reads already taken have
+        // left the node, and with them its hash.
+        for read in self.recorded_reads().unwrap_or_default() {
             read.object.hash(&mut h);
             read.version.hash(&mut h);
         }
@@ -481,15 +488,32 @@ impl DomNode {
         (self.reads_completed, self.read_latency_ticks)
     }
 
-    /// Every completed read's individual latency, in completion order.
-    pub fn read_latencies(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.completed_reads.iter().map(|read| read.latency)
+    /// Starts recording every completed read with the version it
+    /// returned (the one-copy-semantics audit trail); a no-op while
+    /// already recording. The consumer that starts the record drains it
+    /// with [`DomNode::take_recorded_reads`].
+    pub fn record_reads(&mut self) {
+        self.read_record.get_or_insert_with(Vec::new);
     }
 
-    /// Every completed read with the version it returned, in completion
-    /// order (the one-copy-semantics audit trail).
-    pub fn completed_reads(&self) -> &[CompletedRead] {
-        &self.completed_reads
+    /// Stops recording and drops the reads not yet taken.
+    pub(crate) fn stop_recording_reads(&mut self) {
+        self.read_record = None;
+    }
+
+    /// The recorded reads not yet taken, in completion order; `None`
+    /// while not recording.
+    pub fn recorded_reads(&self) -> Option<&[CompletedRead]> {
+        self.read_record.as_deref()
+    }
+
+    /// Takes the recorded reads not yet taken, in completion order;
+    /// recording goes on. Reads the caller leaves unconsumed are dropped
+    /// with the iterator.
+    pub fn take_recorded_reads(&mut self) -> impl Iterator<Item = CompletedRead> + '_ {
+        self.read_record
+            .iter_mut()
+            .flat_map(|record| record.drain(..))
     }
 
     /// Protocol-level errors recorded so far (empty on healthy runs).
@@ -579,11 +603,13 @@ impl DomNode {
             self.reads_completed += 1;
             let latency = now.ticks() - started.ticks();
             self.read_latency_ticks += latency;
-            self.completed_reads.push(CompletedRead {
-                object: self.catalog.id(slot),
-                version,
-                latency,
-            });
+            if let Some(record) = &mut self.read_record {
+                record.push(CompletedRead {
+                    object: self.catalog.id(slot),
+                    version,
+                    latency,
+                });
+            }
         }
     }
 

@@ -516,17 +516,58 @@ impl ProtocolSim {
     ///
     /// Returns per-read latencies so callers can compute percentiles —
     /// this is the "load → contention → response time" experiment of the
-    /// paper's introduction, in its general form.
+    /// paper's introduction, in its general form. Latencies are listed by
+    /// node, then in completion order.
+    ///
+    /// The run records completed reads for its own length and leaves
+    /// recording as it found it, on every exit: nodes that were not
+    /// recording stop again, and an auditor's record keeps the run's
+    /// reads for that auditor to take.
     pub fn execute_open_loop(
         &mut self,
         schedule: &Schedule,
         interval: u64,
     ) -> Result<OpenLoopReport> {
-        let lat_before: Vec<usize> = (0..self.n)
-            .map(|i| self.engine.actor(NodeId(i)).read_latencies().len())
+        let marks: Vec<Option<usize>> = (0..self.n)
+            .map(|i| {
+                self.engine
+                    .actor(NodeId(i))
+                    .recorded_reads()
+                    .map(<[_]>::len)
+            })
             .collect();
+        for i in 0..self.n {
+            self.engine.actor_mut(NodeId(i)).record_reads();
+        }
         let wait_before = self.engine.bus_queue_wait();
         let start = self.engine.now();
+        let run = self.inject_open_loop(schedule, interval);
+        let mut latencies = Vec::new();
+        for (i, mark) in marks.into_iter().enumerate() {
+            let node = self.engine.actor_mut(NodeId(i));
+            let reads = node.recorded_reads().unwrap_or_default();
+            latencies.extend(reads[mark.unwrap_or(0)..].iter().map(|read| read.latency));
+            if mark.is_none() {
+                node.stop_recording_reads();
+            }
+        }
+        run?;
+        let mean = if latencies.is_empty() {
+            0.0
+        } else {
+            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+        };
+        Ok(OpenLoopReport {
+            mean_response: mean,
+            latencies,
+            makespan: self.engine.now().ticks().saturating_sub(start.ticks()),
+            bus_queue_wait: self.engine.bus_queue_wait() - wait_before,
+        })
+    }
+
+    /// [`ProtocolSim::execute_open_loop`]'s injection loop, run to
+    /// quiescence.
+    fn inject_open_loop(&mut self, schedule: &Schedule, interval: u64) -> Result<()> {
         let mut pending_offset = 0u64;
         for request in schedule.iter() {
             if request.issuer.index() >= self.n {
@@ -548,21 +589,7 @@ impl ProtocolSim {
             }
         }
         self.run_settle()?;
-        let mut latencies = Vec::new();
-        for (i, seen) in lat_before.into_iter().enumerate() {
-            latencies.extend(self.engine.actor(NodeId(i)).read_latencies().skip(seen));
-        }
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-        };
-        Ok(OpenLoopReport {
-            mean_response: mean,
-            latencies,
-            makespan: self.engine.now().ticks().saturating_sub(start.ticks()),
-            bus_queue_wait: self.engine.bus_queue_wait() - wait_before,
-        })
+        Ok(())
     }
 
     /// Executes an interleaved multi-object schedule to quiescence.
@@ -1037,6 +1064,57 @@ mod tests {
         let mut sim = ProtocolSim::new_sa(4, ps(&[0, 1])).unwrap();
         let burst: Schedule = "r9".parse().unwrap();
         assert!(sim.execute_open_loop(&burst, 0).is_err());
+    }
+
+    /// How many reads each node holds, `None` for a node not recording.
+    fn records(sim: &ProtocolSim) -> Vec<Option<usize>> {
+        (0..sim.n)
+            .map(|i| sim.engine.actor(NodeId(i)).recorded_reads().map(<[_]>::len))
+            .collect()
+    }
+
+    #[test]
+    fn open_loop_leaves_an_existing_record_to_its_consumer() {
+        let schedule: Schedule = "r2 r3 w0 r2 r4".parse().unwrap();
+        let sa = || on_bus(ProtocolConfig::Sa { q: ps(&[0, 1]) });
+        let mut fresh = sa();
+        let mut recording = sa();
+        for i in 0..recording.n {
+            recording.engine.actor_mut(NodeId(i)).record_reads();
+        }
+        // A read completed before the run is no part of its latencies.
+        for sim in [&mut fresh, &mut recording] {
+            sim.execute_request(Request::read(5usize)).unwrap();
+        }
+        let expected = fresh.execute_open_loop(&schedule, 1).unwrap();
+        let run = recording.execute_open_loop(&schedule, 1).unwrap();
+        assert_eq!(run.latencies, expected.latencies);
+        assert_eq!(
+            records(&fresh),
+            vec![None; 8],
+            "the run stops what it started"
+        );
+        let held: usize = records(&recording).into_iter().flatten().sum();
+        assert_eq!(held, 1 + run.latencies.len(), "the auditor's reads stay");
+        let taken: usize = (0..recording.n)
+            .map(|i| {
+                recording
+                    .engine
+                    .actor_mut(NodeId(i))
+                    .take_recorded_reads()
+                    .count()
+            })
+            .sum();
+        assert_eq!(taken, held);
+        assert_eq!(records(&recording), vec![Some(0); 8]);
+    }
+
+    #[test]
+    fn a_rejected_open_loop_run_leaves_no_node_recording() {
+        let mut sim = ProtocolSim::new_sa(4, ps(&[0, 1])).unwrap();
+        let schedule: Schedule = "r2 r3 w0 r2 r9".parse().unwrap();
+        assert!(sim.execute_open_loop(&schedule, 1).is_err());
+        assert_eq!(records(&sim), vec![None; 4]);
     }
 
     #[test]

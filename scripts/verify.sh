@@ -9,8 +9,8 @@
 # build or test run fails, (d) the entrant roster is spelled out in a second
 # file, (e) an event record or a registry lookup bypasses the typed/pre-resolved
 # obs path, or (f) any wall below — lint, allocation wall, byte-stability,
-# paper evidence, cluster parity, model check, shard parity, fault matrix,
-# benchmark smoke — does.
+# paper evidence, cluster parity, model check (and its pinned counts), shard
+# parity, fault matrix, benchmark smoke — does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -264,9 +264,20 @@ fi
 # zero violations by doma-fault's `doma-check` binary. Exit 1 =
 # counterexample (the tool prints the replayable trace); exit 2 = a budget
 # was hit, which also fails tier-1 because the built-ins are sized to finish.
+# Its report — state, transition, dedup and prune counts per scenario —
+# must equal tests/golden/doma_check.txt, which EXPERIMENTS.md cites: a
+# change that moves a count regenerates it and says why.
 # ---------------------------------------------------------------------------
-if ! cargo run -q --release --offline -p doma-fault --bin doma-check; then
+if ! cargo run -q --release --offline -p doma-fault --bin doma-check > "$out/doma_check"; then
+    cat "$out/doma_check" >&2
     echo "verify: FAILED (doma-check exhaustive small-bound scenarios)" >&2
+    exit 1
+fi
+cat "$out/doma_check"
+if ! cmp -s "$out/doma_check" tests/golden/doma_check.txt; then
+    diff tests/golden/doma_check.txt "$out/doma_check" >&2 || true
+    echo "regenerate: cargo run -q --release --offline -p doma-fault --bin doma-check > tests/golden/doma_check.txt" >&2
+    echo "verify: FAILED (doma-check differs from tests/golden/doma_check.txt)" >&2
     exit 1
 fi
 

@@ -5,8 +5,11 @@
 //! On the benchmark's 64-object SA/DA mix, once warm, the detached sim
 //! allocates at most 0.5 times per request: a read allocates nothing, a
 //! client write (0.2 of the mix) allocates its payload once — store, redo
-//! log and every message share it — and the rest is amortised growth of
-//! the completed-read record and the redo log's compactions. Once every
+//! log and every message share it — and the rest is the redo log's
+//! compactions. Nothing it retains grows with the run: a node records
+//! completed reads only while an auditor listens, and the log compacts
+//! to a bounded size, so the live heap after 10⁵ requests is the live
+//! heap after 2×10⁴. Once every
 //! counter cell is resolved and the event ring has filled, a request
 //! served with `attach_obs` allocates exactly as often as a detached one,
 //! and so does one that also records its request span (counters are
@@ -28,6 +31,8 @@ struct Counting;
 // Statistics only: nothing is published through these, so Relaxed.
 static ON: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, counted from the first allocation.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter touches no allocator state.
@@ -36,11 +41,13 @@ unsafe impl GlobalAlloc for Counting {
         if ON.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -49,6 +56,11 @@ unsafe impl GlobalAlloc for Counting {
         if ON.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        // Wrapping: a shrink adds the two's complement of the difference.
+        LIVE.fetch_add(
+            new_size.wrapping_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,6 +76,16 @@ const OBJECTS: u64 = 64;
 const EVENT_CAPACITY: usize = 256;
 const WARMUP: usize = 8_000;
 const MEASURED: usize = 20_000;
+/// The measured stretch's allocations on its seed-42 schedule: the
+/// payloads of its writes and the redo log's compactions.
+const MEASURED_ALLOCS: u64 = 4_064;
+/// The long run for the retained-heap check, and the point at which its
+/// baseline is taken.
+const LONG_RUN: usize = 100_000;
+const LONG_RUN_BASELINE: usize = 20_000;
+/// How far the live heap may drift between the baseline and the end of
+/// the long run (the redo log's compaction cycle).
+const LIVE_DRIFT: u64 = 64 * 1024;
 
 /// The benchmark's `mix64` catalog: SA `q = {b, b+1}` and DA `f = {b}`,
 /// `p = b+1` alternating, `b = o mod 7`.
@@ -131,6 +153,24 @@ fn allocations(schedule: &MultiSchedule, mode: Mode) -> u64 {
     counted
 }
 
+/// Live heap bytes after `LONG_RUN_BASELINE` and after `LONG_RUN`
+/// detached requests on one sim.
+fn live_bytes_over_a_long_run() -> (u64, u64) {
+    let schedule = MultiUniformWorkload::new(OBJECTS, NODES, 0.8)
+        .unwrap()
+        .generate_multi(LONG_RUN, 42);
+    let mut sim = ProtocolSim::new_catalog(NODES, catalog()).unwrap();
+    let (head, tail) = schedule.requests().split_at(LONG_RUN_BASELINE);
+    for r in head {
+        sim.execute_request_on(r.object, r.request).unwrap();
+    }
+    let baseline = LIVE.load(Ordering::Relaxed);
+    for r in tail {
+        sim.execute_request_on(r.object, r.request).unwrap();
+    }
+    (baseline, LIVE.load(Ordering::Relaxed))
+}
+
 /// The counter counts: one deliberate allocation inside a measured
 /// window reads as exactly one.
 fn assert_counter_is_live() {
@@ -167,5 +207,19 @@ fn a_warm_request_allocates_for_its_payload_and_observability_for_nothing() {
     assert_eq!(
         spans, detached,
         "request spans must not allocate on a warm request path"
+    );
+    assert_eq!(
+        detached, MEASURED_ALLOCS,
+        "the detached path's allocations moved"
+    );
+
+    let (baseline, end) = live_bytes_over_a_long_run();
+    eprintln!(
+        "live heap: {baseline} bytes after {LONG_RUN_BASELINE} requests, {end} after {LONG_RUN}"
+    );
+    assert!(
+        end.abs_diff(baseline) <= LIVE_DRIFT,
+        "the live heap grew with the run: {baseline} bytes after \
+         {LONG_RUN_BASELINE} requests, {end} after {LONG_RUN}"
     );
 }

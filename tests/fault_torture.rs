@@ -161,12 +161,12 @@ fn fault_torture_catches_a_seeded_one_copy_violation() {
     let sim = ProtocolSim::new_da(5, f, ProcessorId::new(1)).expect("valid DA config");
     let t = sim.config().t();
     let mut driver = FailoverDriver::new(sim, 5);
-    let mut checker = InvariantChecker::new(driver.sim());
+    let mut checker = InvariantChecker::new(driver.sim_mut());
 
     // An outsider saving-read: node 4 stores the replica and joins.
     driver.execute_request(Request::read(4usize)).unwrap();
     checker
-        .check(driver.sim(), None, None, "saving read by p4")
+        .check(driver.sim_mut(), None, None, "saving read by p4")
         .expect("healthy step");
 
     // The mutation: eat the single invalidation the core member owes the
@@ -187,14 +187,14 @@ fn fault_torture_catches_a_seeded_one_copy_violation() {
         "the write must still commit to t replicas"
     );
     checker
-        .check(driver.sim(), None, Some(v), "write by p2")
+        .check(driver.sim_mut(), None, Some(v), "write by p2")
         .expect("the write itself is clean");
 
     // Node 4 still believes its replica is valid: its local read returns
     // the superseded version, and the checker must flag it.
     driver.execute_request(Request::read(4usize)).unwrap();
     let violation = checker
-        .check(driver.sim(), None, None, "stale re-read by p4")
+        .check(driver.sim_mut(), None, None, "stale re-read by p4")
         .expect_err("the eaten invalidation must surface as a violation");
     match &violation {
         Violation::StaleRead { node, floor, .. } => {
