@@ -298,7 +298,7 @@ fn cmd_obs(opts: &Opts) -> Result<(), String> {
     let err = |e: doma_core::DomaError| e.to_string();
     let mut sim = opts.entrant("algo", "da")?.sim(n).map_err(err)?;
     let obs = sim.attach_obs(events);
-    sim.attach_tracer_on(obs.events().clone());
+    sim.attach_tracer();
     sim.execute(&schedule).map_err(err)?;
     sim.obs_flush();
     match opts.get("format", "json").as_str() {

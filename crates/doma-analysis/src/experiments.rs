@@ -876,13 +876,13 @@ pub fn failover_e21(requests: usize, seed: u64) -> Result<ExpReport> {
     // mode, then recover.
     let sim = ProtocolSim::new_da(n, ProcSet::from_iter([0usize]), ProcessorId::new(1))?;
     let mut driver = FailoverDriver::new(sim, n);
-    driver.crash(ProcessorId::new(0));
+    driver.crash(ProcessorId::new(0))?;
     let after_switch = driver.sim().report().cost;
     for request in schedule.iter() {
         driver.execute_request(request)?;
     }
     let after_outage = driver.sim().report().cost;
-    driver.recover(ProcessorId::new(0));
+    driver.recover(ProcessorId::new(0))?;
     let after_recovery = driver.sim().report().cost;
 
     let outage_cost = after_outage.saturating_sub(&after_switch);

@@ -85,16 +85,9 @@ pub fn extract_obs<'a>(doc: &'a Jv, which: Option<&str>) -> Result<&'a Jv, Strin
 
 /// Renders a metric row's value for diff display.
 fn metric_value(row: &Jv) -> String {
-    match row.get("kind").and_then(Jv::as_str) {
-        Some("histogram") => row
-            .get("buckets")
-            .map(Jv::render)
-            .unwrap_or_else(|| "<no buckets>".to_string()),
-        _ => row
-            .get("value")
-            .map(Jv::render)
-            .unwrap_or_else(|| "<no value>".to_string()),
-    }
+    row.get("value")
+        .map(Jv::render)
+        .unwrap_or_else(|| "<no value>".to_string())
 }
 
 /// The metric identity key: `component/name{k=v,…} kind`. Labels are

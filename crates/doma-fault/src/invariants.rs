@@ -454,7 +454,7 @@ mod tests {
     fn floor_rises_with_quorum_evidence_in_degraded_mode() {
         let mut d = da_driver(5);
         let mut checker = InvariantChecker::new(d.sim_mut());
-        d.crash(ProcessorId::new(0)); // core down -> quorum mode
+        d.crash(ProcessorId::new(0)).unwrap(); // core down -> quorum mode
         audit(&mut checker, &mut d, None, "crash").unwrap();
         d.execute_request(Request::write(2usize)).unwrap();
         audit(&mut checker, &mut d, None, "w2").unwrap();
@@ -474,12 +474,12 @@ mod tests {
         d.execute_request(Request::write(3usize)).unwrap();
         let v = d.sim().latest_version();
         audit(&mut checker, &mut d, Some(v), "w3").unwrap();
-        d.crash(ProcessorId::new(0));
+        d.crash(ProcessorId::new(0)).unwrap();
         audit(&mut checker, &mut d, None, "crash 0").unwrap();
         // The missing-writes push on mode entry keeps v quorum-visible.
         d.execute_request(Request::read(4usize)).unwrap();
         audit(&mut checker, &mut d, None, "r4").unwrap();
-        d.heal();
+        d.heal().unwrap();
         audit(&mut checker, &mut d, None, "heal").unwrap();
         d.execute_request(Request::read(2usize)).unwrap();
         audit(&mut checker, &mut d, None, "r2").unwrap();
@@ -513,10 +513,10 @@ mod tests {
         assert!(!degraded(&sim));
         let quorum = DomMsg::ModeChange { quorum: true };
         sim.engine_mut().inject(NodeId(2), 0, quorum);
-        sim.engine_mut().run_until_idle();
+        sim.settle().unwrap();
         assert!(degraded(&sim), "a live node serves in quorum mode");
         sim.engine_mut().schedule_crash(NodeId(2), 0);
-        sim.engine_mut().run_until_idle();
+        sim.settle().unwrap();
         assert!(sim.engine_ref().actor(NodeId(2)).in_quorum_mode());
         assert!(!degraded(&sim), "a crashed node's mode flag must not count");
     }

@@ -125,7 +125,7 @@ pub fn replay_observed(
 ) -> Result<(ReplayReport, doma_obs::Obs)> {
     let mut state = SearchState::initial(scenario)?;
     let obs = state.sim.attach_obs(REPLAY_EVENT_CAPACITY);
-    state.sim.attach_tracer_on(obs.events().clone());
+    state.sim.attach_tracer();
     let report = drive(scenario, &mut state, trace);
     state.sim.obs_flush();
     Ok((report, obs))

@@ -122,7 +122,7 @@ impl Scenario {
     ///
     /// Fault plans are restricted to shapes whose judgements are a pure
     /// function of the message (probability 1, no budget, unbounded
-    /// window, no partitions, no scheduled crashes): the explorer
+    /// window, no partitions): the explorer
     /// deduplicates states by content fingerprint, which is only sound
     /// when fault behaviour cannot depend on virtual time, arrival order
     /// or PRNG draws.
@@ -145,10 +145,10 @@ impl Scenario {
             }
         }
         if let Some(plan) = &self.faults {
-            if !plan.crashes().is_empty() || !plan.partitions().is_empty() {
+            if !plan.partitions().is_empty() {
                 return Err(DomaError::InvalidConfig(format!(
                     "scenario {}: fault plans for the checker may not schedule \
-                     crashes or partitions (use Action::Crash / phases instead)",
+                     partitions (use Action::Crash / phases instead)",
                     self.name
                 )));
             }

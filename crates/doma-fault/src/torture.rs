@@ -291,7 +291,7 @@ fn run_episode_observed(
     let obs = driver.sim_mut().attach_obs(EPISODE_EVENT_CAPACITY);
     // The message trace shares the bundle's event log, so the failure
     // tail interleaves deliveries with lifecycle events and spans.
-    driver.sim_mut().attach_tracer_on(obs.events().clone());
+    driver.sim_mut().attach_tracer();
     let mut checker = InvariantChecker::new(driver.sim_mut());
     let mut ctx = AuditCtx {
         obs: obs.clone(),
@@ -362,13 +362,17 @@ fn drive_episode(
                         .filter(|&j| !driver.is_crashed(ProcessorId::new(j)))
                         .collect();
                     let victim = *rng.choose(&up).expect("a node is up");
-                    driver.crash(ProcessorId::new(victim));
+                    driver
+                        .crash(ProcessorId::new(victim))
+                        .expect("crash settles");
                     crashes += 1;
                     let context = format!("crash p{victim} before req {i}");
                     audit(checker, driver, ctx, None, &context)?;
                 } else if !down.is_empty() && rng.gen_bool(0.3) {
                     let back = *rng.choose(&down).expect("a node is down");
-                    driver.recover(ProcessorId::new(back));
+                    driver
+                        .recover(ProcessorId::new(back))
+                        .expect("recovery settles");
                     let context = format!("recover p{back} before req {i}");
                     audit(checker, driver, ctx, None, &context)?;
                 }
@@ -381,7 +385,9 @@ fn drive_episode(
             }
             for j in 0..n {
                 if driver.is_crashed(ProcessorId::new(j)) {
-                    driver.recover(ProcessorId::new(j));
+                    driver
+                        .recover(ProcessorId::new(j))
+                        .expect("recovery settles");
                     audit(checker, driver, ctx, None, &format!("final recover p{j}"))?;
                 }
             }
@@ -398,7 +404,7 @@ fn drive_episode(
             // quorum mode BEFORE the network turns hostile, so the
             // mode-change broadcast and its missing-writes push are not
             // themselves eaten by the fault plan.
-            driver.set_quorum_mode(true);
+            driver.set_quorum_mode(true).expect("mode change settles");
             audit(checker, driver, ctx, None, "enter quorum mode")?;
             let plan = match class {
                 FaultClass::Partition => {
@@ -449,7 +455,7 @@ fn drive_episode(
                 audit(checker, driver, ctx, Some(req), &context)?;
             }
             faults = driver.sim_mut().engine_mut().clear_faults();
-            driver.heal();
+            driver.heal().expect("heal settles");
             audit(checker, driver, ctx, None, "heal")?;
             for (i, req) in requests[hostile_end..].iter().enumerate() {
                 driver.execute_request(*req).expect("request executes");

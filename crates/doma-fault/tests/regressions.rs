@@ -159,9 +159,9 @@ fn reverting_the_mode_reset_gate_is_caught() {
 
         driver.execute_request(Request::write(3usize)).unwrap();
         audit(&mut driver, "outsider write").unwrap();
-        driver.crash(ProcessorId::new(2));
+        driver.crash(ProcessorId::new(2)).unwrap();
         audit(&mut driver, "non-scheme crash").unwrap();
-        driver.recover(ProcessorId::new(2));
+        driver.recover(ProcessorId::new(2)).unwrap();
         let verdict = audit(&mut driver, "recovery");
         if buggy {
             let violation = verdict.expect_err("ungated mode reset must be caught");

@@ -721,15 +721,15 @@ fn split_args<'a, 'b>(children: &'b [Tree<'a>]) -> Vec<&'b [Tree<'a>]> {
 
 /// The `obs-catalog` rule: every metric registered through the
 /// `doma-obs` registry with literal `(component, name)` arguments —
-/// `.counter(…)`, `.gauge(…)`, `.histogram(…)` and registry `.add(…)` —
-/// must appear as `component.name` in the DESIGN §8 catalog, and literal
-/// label keys must be sorted (the registry sorts labels for key
-/// identity; unsorted call sites drift apart under grep and diff).
+/// `.counter(…)` and registry `.add(…)` — must appear as
+/// `component.name` in the DESIGN §8 catalog, and literal label keys
+/// must be sorted (the registry sorts labels for key identity; unsorted
+/// call sites drift apart under grep and diff).
 pub fn check_obs_catalog(
     files: &[(&str, &[Tree<'_>])],
     catalog: &BTreeSet<String>,
 ) -> Vec<Finding> {
-    const METHODS: &[&str] = &["counter", "gauge", "histogram", "add"];
+    const METHODS: &[&str] = &["counter", "add"];
     let mut out = Vec::new();
     for (file, trees) in files {
         walk_levels(trees, &mut |level| {

@@ -5,10 +5,12 @@
 //! and this crate makes that accounting visible *while it accrues*
 //! instead of only as end-of-run totals:
 //!
-//! * [`MetricsRegistry`] — lock-cheap counters, gauges and fixed-bucket
-//!   histograms keyed by `(component, name, labels)`. Handles resolve
-//!   once under a lock and then update atomics, so the hot simulation
-//!   paths pay one relaxed atomic add per event.
+//! * [`MetricsRegistry`] — lock-cheap counters keyed by
+//!   `(component, name, labels)`, one per tally the cost model and the
+//!   engine keep (the paper's costs are monotone counts, so counters are
+//!   the only metric kind). Handles resolve once under a lock and then
+//!   update atomics, so the hot simulation paths pay one relaxed atomic
+//!   add per event.
 //! * [`EventLog`] — a bounded log of structured records with
 //!   span support ([`span!`] → enter/exit pairs carrying sim-time
 //!   durations). Fields are typed ([`FieldValue`]) and held inside the
@@ -48,9 +50,7 @@ pub mod registry;
 pub mod trace;
 
 pub use event::{EventLog, EventPhase, EventRecord, FieldRef, FieldValue, Fields, SpanId};
-pub use registry::{
-    Counter, Gauge, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
-};
+pub use registry::{Counter, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use trace::{MsgEdge, RequestTrace, TraceModel};
 
 use std::fmt;
@@ -88,9 +88,8 @@ impl Obs {
     /// Folds per-shard bundles into this one, deterministically:
     ///
     /// * metric snapshots merge via [`MetricsRegistry::merge`], so
-    ///   counter totals, histogram tallies and the registered key set
-    ///   are identical to a sequential run regardless of how many
-    ///   shards produced them;
+    ///   counter totals and the registered key set are identical to a
+    ///   sequential run regardless of how many shards produced them;
     /// * every shard's retained event records are interleaved by
     ///   `(time, shard, index)` — a total order, since indices are
     ///   unique within a shard — and appended with a `shard` label
@@ -186,19 +185,15 @@ mod tests {
         let seq = Obs::new(16);
         seq.metrics().add("p", "cost.io", &[("op", "read")], 3);
         seq.metrics().add("p", "cost.io", &[("op", "write")], 5);
-        seq.metrics().histogram("p", "lat", &[], &[2, 8]).observe(1);
-        seq.metrics().histogram("p", "lat", &[], &[2, 8]).observe(9);
 
         // Same totals split across two shard bundles.
         let s0 = Obs::new(16);
         s0.metrics().add("p", "cost.io", &[("op", "read")], 3);
-        s0.metrics().histogram("p", "lat", &[], &[2, 8]).observe(9);
         s0.events().record(4, "late", vec![]);
         let s1 = Obs::new(16);
         s1.metrics().add("p", "cost.io", &[("op", "write")], 5);
         // Zero-valued key must still register so key sets match.
         s1.metrics().add("p", "cost.io", &[("op", "read")], 0);
-        s1.metrics().histogram("p", "lat", &[], &[2, 8]).observe(1);
         s1.events().record(2, "early", vec![]);
 
         let merged = Obs::new(16);

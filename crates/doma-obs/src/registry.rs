@@ -1,11 +1,10 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms with label sets, resolved once under a lock and updated
-//! through lock-free atomic handles thereafter.
+//! The metrics registry: named counters with label sets, resolved once
+//! under a lock and updated through lock-free atomic handles thereafter.
 
 use crate::json::escape;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A metric's identity: `(component, name, labels)`. Labels are sorted
@@ -81,93 +80,14 @@ impl Counter {
     }
 }
 
-/// A pre-resolved gauge handle (a signed last-written value).
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Overwrites the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug)]
-struct HistogramCore {
-    /// Inclusive upper bounds of the finite buckets; an implicit
-    /// overflow bucket follows.
-    bounds: Vec<u64>,
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// A pre-resolved fixed-bucket histogram handle.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        let core = &self.0;
-        let idx = core
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(core.bounds.len());
-        core.counts[idx].fetch_add(1, Ordering::Relaxed);
-        core.total.fetch_add(1, Ordering::Relaxed);
-        core.sum.fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-/// An immutable point-in-time metric value.
+/// An immutable point-in-time metric value: the paper's cost model is
+/// three monotone tallies, so a metric is a counter. Non-exhaustive so
+/// that a match outside this crate keeps a fallback arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum MetricValue {
     /// A monotone tally.
     Counter(u64),
-    /// A last-written value.
-    Gauge(i64),
-    /// Bucket counts (finite buckets by upper bound, then overflow),
-    /// total observation count and sum.
-    Histogram {
-        /// Inclusive upper bounds of the finite buckets.
-        bounds: Vec<u64>,
-        /// Per-bucket counts; `counts.len() == bounds.len() + 1` (the
-        /// last entry is the overflow bucket).
-        counts: Vec<u64>,
-        /// Total observations.
-        total: u64,
-        /// Sum of observations.
-        sum: u64,
-    },
-}
-
-#[derive(Debug, Clone)]
-enum Slot {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicI64>),
-    Histogram(Arc<HistogramCore>),
-}
-
-impl Slot {
-    fn value(&self) -> MetricValue {
-        match self {
-            Slot::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-            Slot::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
-            Slot::Histogram(h) => MetricValue::Histogram {
-                bounds: h.bounds.clone(),
-                counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                total: h.total.load(Ordering::Relaxed),
-                sum: h.sum.load(Ordering::Relaxed),
-            },
-        }
-    }
 }
 
 /// The shared registry. Cloning shares the underlying table; handle
@@ -175,7 +95,7 @@ impl Slot {
 /// returned atomic handles.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Arc<Mutex<BTreeMap<MetricKey, Slot>>>,
+    inner: Arc<Mutex<BTreeMap<MetricKey, Arc<AtomicU64>>>>,
 }
 
 impl MetricsRegistry {
@@ -184,69 +104,14 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<MetricKey, Slot>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<MetricKey, Arc<AtomicU64>>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Resolves (registering on first use) a counter handle. If the key
-    /// is already registered as a different metric kind the returned
-    /// handle is detached (its updates are not exported) — a total
-    /// function beats a panic in instrumentation code.
+    /// Resolves (registering on first use) a counter handle.
     pub fn counter(&self, component: &str, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey::new(component, name, labels);
-        let mut table = self.lock();
-        let slot = table
-            .entry(key)
-            .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))));
-        match slot {
-            Slot::Counter(c) => Counter(Arc::clone(c)),
-            _ => Counter(Arc::new(AtomicU64::new(0))),
-        }
-    }
-
-    /// Resolves (registering on first use) a gauge handle; kind
-    /// mismatches detach, as for [`MetricsRegistry::counter`].
-    pub fn gauge(&self, component: &str, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = MetricKey::new(component, name, labels);
-        let mut table = self.lock();
-        let slot = table
-            .entry(key)
-            .or_insert_with(|| Slot::Gauge(Arc::new(AtomicI64::new(0))));
-        match slot {
-            Slot::Gauge(g) => Gauge(Arc::clone(g)),
-            _ => Gauge(Arc::new(AtomicI64::new(0))),
-        }
-    }
-
-    /// Resolves (registering on first use) a histogram with the given
-    /// finite bucket bounds (sorted ascending by the caller); kind
-    /// mismatches detach, as for [`MetricsRegistry::counter`].
-    pub fn histogram(
-        &self,
-        component: &str,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[u64],
-    ) -> Histogram {
-        let key = MetricKey::new(component, name, labels);
-        let mut table = self.lock();
-        let slot = table.entry(key).or_insert_with(|| {
-            Slot::Histogram(Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
-                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                total: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }))
-        });
-        match slot {
-            Slot::Histogram(h) => Histogram(Arc::clone(h)),
-            _ => Histogram(Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
-                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                total: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            })),
-        }
+        Counter(Arc::clone(self.lock().entry(key).or_default()))
     }
 
     /// One-shot counter add for cold paths (takes the lock; hot paths
@@ -255,57 +120,18 @@ impl MetricsRegistry {
         self.counter(component, name, labels).add(n);
     }
 
-    /// Folds a snapshot into this registry: counters add, gauges take
-    /// the snapshot's value, histograms add bucket counts, total and sum
-    /// (created with the snapshot's bounds when absent). Keys are
+    /// Folds a snapshot into this registry: counters add. Keys are
     /// registered even at zero value, so merging the K per-shard
     /// registries of a sharded run reproduces the sequential registry's
     /// key set *and* totals exactly — the determinism contract the
-    /// sharded executor's observability path rests on. Kind mismatches
-    /// are ignored, consistent with the detached-handle policy above.
+    /// sharded executor's observability path rests on.
     pub fn merge(&self, other: &MetricsSnapshot) {
         let mut table = self.lock();
-        for (key, value) in &other.metrics {
-            match value {
-                MetricValue::Counter(v) => {
-                    let slot = table
-                        .entry(key.clone())
-                        .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))));
-                    if let Slot::Counter(c) = slot {
-                        c.fetch_add(*v, Ordering::Relaxed);
-                    }
-                }
-                MetricValue::Gauge(v) => {
-                    let slot = table
-                        .entry(key.clone())
-                        .or_insert_with(|| Slot::Gauge(Arc::new(AtomicI64::new(0))));
-                    if let Slot::Gauge(g) = slot {
-                        g.store(*v, Ordering::Relaxed);
-                    }
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    total,
-                    sum,
-                } => {
-                    let slot = table.entry(key.clone()).or_insert_with(|| {
-                        Slot::Histogram(Arc::new(HistogramCore {
-                            bounds: bounds.clone(),
-                            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                            total: AtomicU64::new(0),
-                            sum: AtomicU64::new(0),
-                        }))
-                    });
-                    if let Slot::Histogram(h) = slot {
-                        for (bucket, add) in h.counts.iter().zip(counts) {
-                            bucket.fetch_add(*add, Ordering::Relaxed);
-                        }
-                        h.total.fetch_add(*total, Ordering::Relaxed);
-                        h.sum.fetch_add(*sum, Ordering::Relaxed);
-                    }
-                }
-            }
+        for (key, MetricValue::Counter(v)) in &other.metrics {
+            table
+                .entry(key.clone())
+                .or_default()
+                .fetch_add(*v, Ordering::Relaxed);
         }
     }
 
@@ -316,7 +142,7 @@ impl MetricsRegistry {
             metrics: self
                 .lock()
                 .iter()
-                .map(|(k, slot)| (k.clone(), slot.value()))
+                .map(|(k, c)| (k.clone(), MetricValue::Counter(c.load(Ordering::Relaxed))))
                 .collect(),
         }
     }
@@ -335,12 +161,9 @@ impl MetricsSnapshot {
         self.metrics.is_empty()
     }
 
-    /// The value of one counter (0 when absent or not a counter).
+    /// The value of one counter (0 when absent).
     pub fn counter(&self, component: &str, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self.metrics.get(&MetricKey::new(component, name, labels)) {
-            Some(MetricValue::Counter(v)) => *v,
-            _ => 0,
-        }
+        self.counter_at(&MetricKey::new(component, name, labels))
     }
 
     /// The sum of every counter with this component and name, across
@@ -350,73 +173,37 @@ impl MetricsSnapshot {
         self.metrics
             .iter()
             .filter(|(k, _)| k.component == component && k.name == name)
-            .map(|(_, v)| match v {
-                MetricValue::Counter(c) => *c,
-                _ => 0,
-            })
+            .map(|(_, MetricValue::Counter(c))| *c)
             .sum()
     }
 
-    /// The component-wise difference `self - earlier`: counters and
-    /// histogram counts subtract (saturating), gauges keep their current
-    /// value. Metrics that did not change (zero delta) are omitted, so a
-    /// delta renders as exactly the activity since `earlier`.
+    /// The counter-wise difference `self - earlier` (saturating).
+    /// Metrics that did not change (zero delta) are omitted, so a delta
+    /// renders as exactly the activity since `earlier`.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = BTreeMap::new();
-        for (key, value) in &self.metrics {
-            let diff = match (value, earlier.metrics.get(key)) {
-                (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                    let d = now.saturating_sub(*then);
-                    (d > 0).then_some(MetricValue::Counter(d))
-                }
-                (MetricValue::Counter(now), _) => (*now > 0).then_some(MetricValue::Counter(*now)),
-                (MetricValue::Gauge(now), Some(MetricValue::Gauge(then))) => {
-                    (now != then).then_some(MetricValue::Gauge(*now))
-                }
-                (MetricValue::Gauge(now), _) => Some(MetricValue::Gauge(*now)),
-                (
-                    MetricValue::Histogram {
-                        bounds,
-                        counts,
-                        total,
-                        sum,
-                    },
-                    earlier_value,
-                ) => {
-                    let (then_counts, then_total, then_sum) = match earlier_value {
-                        Some(MetricValue::Histogram {
-                            counts: c,
-                            total: t,
-                            sum: s,
-                            ..
-                        }) => (c.clone(), *t, *s),
-                        _ => (vec![0; counts.len()], 0, 0),
-                    };
-                    let d_total = total.saturating_sub(then_total);
-                    (d_total > 0).then(|| MetricValue::Histogram {
-                        bounds: bounds.clone(),
-                        counts: counts
-                            .iter()
-                            .zip(then_counts.iter().chain(std::iter::repeat(&0)))
-                            .map(|(now, then)| now.saturating_sub(*then))
-                            .collect(),
-                        total: d_total,
-                        sum: sum.saturating_sub(then_sum),
-                    })
-                }
-            };
-            if let Some(d) = diff {
-                out.insert(key.clone(), d);
-            }
+        let metrics = self
+            .metrics
+            .iter()
+            .filter_map(|(key, MetricValue::Counter(now))| {
+                let d = now.saturating_sub(earlier.counter_at(key));
+                (d > 0).then(|| (key.clone(), MetricValue::Counter(d)))
+            })
+            .collect();
+        MetricsSnapshot { metrics }
+    }
+
+    fn counter_at(&self, key: &MetricKey) -> u64 {
+        match self.metrics.get(key) {
+            Some(MetricValue::Counter(v)) => *v,
+            None => 0,
         }
-        MetricsSnapshot { metrics: out }
     }
 
     /// The stable JSON array: one object per metric, keys and rows in
     /// deterministic order.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, (key, value)) in self.metrics.iter().enumerate() {
+        for (i, (key, MetricValue::Counter(v))) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -431,38 +218,7 @@ impl MetricsSnapshot {
                 }
                 out.push_str(&format!("\"{}\": \"{}\"", escape(k), escape(v)));
             }
-            out.push_str("}, ");
-            match value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("\"kind\": \"counter\", \"value\": {v}"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("\"kind\": \"gauge\", \"value\": {v}"));
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    total,
-                    sum,
-                } => {
-                    out.push_str("\"kind\": \"histogram\", \"buckets\": [");
-                    for (j, count) in counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        match bounds.get(j) {
-                            Some(le) => {
-                                out.push_str(&format!("{{\"le\": {le}, \"count\": {count}}}"))
-                            }
-                            None => {
-                                out.push_str(&format!("{{\"le\": \"inf\", \"count\": {count}}}"))
-                            }
-                        }
-                    }
-                    out.push_str(&format!("], \"total\": {total}, \"sum\": {sum}"));
-                }
-            }
-            out.push('}');
+            out.push_str(&format!("}}, \"kind\": \"counter\", \"value\": {v}}}"));
         }
         out.push(']');
         out
@@ -480,18 +236,8 @@ impl fmt::Display for MetricsSnapshot {
             .map(|k| k.to_string().len())
             .max()
             .unwrap_or(0);
-        for (key, value) in &self.metrics {
-            match value {
-                MetricValue::Counter(v) => {
-                    writeln!(f, "  {:<width$}  {v}", key.to_string())?;
-                }
-                MetricValue::Gauge(v) => {
-                    writeln!(f, "  {:<width$}  {v}", key.to_string())?;
-                }
-                MetricValue::Histogram { total, sum, .. } => {
-                    writeln!(f, "  {:<width$}  n={total} sum={sum}", key.to_string())?
-                }
-            }
+        for (key, MetricValue::Counter(v)) in &self.metrics {
+            writeln!(f, "  {:<width$}  {v}", key.to_string())?;
         }
         Ok(())
     }
@@ -520,41 +266,6 @@ mod tests {
         reg.add("p", "cost.io", &[("node", "N0"), ("op", "read")], 1);
         assert_eq!(reg.snapshot().metrics.len(), 1);
         assert_eq!(reg.snapshot().sum_counters("p", "cost.io"), 2);
-    }
-
-    #[test]
-    fn kind_mismatch_detaches_instead_of_panicking() {
-        let reg = MetricsRegistry::new();
-        reg.add("a", "x", &[], 5);
-        let g = reg.gauge("a", "x", &[]);
-        g.set(9);
-        assert_eq!(reg.snapshot().counter("a", "x", &[]), 5);
-    }
-
-    #[test]
-    fn gauges_and_histograms_snapshot() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("p", "join_list", &[("node", "N1")]).set(3);
-        let h = reg.histogram("p", "read_latency", &[], &[1, 4, 16]);
-        h.observe(0);
-        h.observe(5);
-        h.observe(100);
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.metrics
-                .get(&MetricKey::new("p", "join_list", &[("node", "N1")])),
-            Some(&MetricValue::Gauge(3))
-        );
-        match snap.metrics.get(&MetricKey::new("p", "read_latency", &[])) {
-            Some(MetricValue::Histogram {
-                counts, total, sum, ..
-            }) => {
-                assert_eq!(counts, &vec![1, 0, 1, 1]);
-                assert_eq!(*total, 3);
-                assert_eq!(*sum, 105);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

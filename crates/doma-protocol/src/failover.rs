@@ -98,8 +98,8 @@ impl FailoverDriver {
 
     /// Crashes a processor. If it is a member of the home allocation
     /// scheme, the cluster is switched to quorum mode (the paper's
-    /// fallback).
-    pub fn crash(&mut self, p: ProcessorId) {
+    /// fallback). Fails if a settle trips the event budget.
+    pub fn crash(&mut self, p: ProcessorId) -> Result<()> {
         let was_scheme = self.in_home_scheme(p);
         if self.normal_cost_before_failure.is_none() {
             self.normal_cost_before_failure = Some(self.sim.report().cost);
@@ -107,10 +107,11 @@ impl FailoverDriver {
         self.crashed[p.index()] = true;
         let node = NodeId(p.index());
         self.sim.engine_mut().schedule_crash(node, 0);
-        self.sim.engine_mut().run_until_idle();
+        self.sim.settle()?;
         if was_scheme {
-            self.broadcast_mode(true);
+            self.broadcast_mode(true)?;
         }
+        Ok(())
     }
 
     /// Schedules a crash of `p` after `delay` ticks *without* running the
@@ -133,19 +134,20 @@ impl FailoverDriver {
 
     /// Recovers a processor: replays its log, performs the missing-writes
     /// catch-up, and — once no home-scheme member remains down — returns
-    /// the cluster to normal mode.
-    pub fn recover(&mut self, p: ProcessorId) {
+    /// the cluster to normal mode. Fails if a settle trips the event
+    /// budget.
+    pub fn recover(&mut self, p: ProcessorId) -> Result<()> {
         self.crashed[p.index()] = false;
         let node = NodeId(p.index());
         self.sim.engine_mut().schedule_recover(node, 0);
-        self.sim.engine_mut().run_until_idle();
+        self.sim.settle()?;
         if self.quorum_engaged {
             // Re-sync the recovered node's mode flag *before* its
             // catch-up (it may have crashed before the original
             // broadcast, and a catch-up in the wrong mode fetches from
             // the wrong place); the missing-writes push riding on the
             // broadcast also refreshes it.
-            self.broadcast_mode(true);
+            self.broadcast_mode(true)?;
         }
         // Missing-writes transition: quorum-read the latest version of
         // every object in the catalog (scheme-fetch in normal mode).
@@ -154,7 +156,7 @@ impl FailoverDriver {
             self.sim
                 .engine_mut()
                 .inject(node, 1, DomMsg::CatchUp { object });
-            self.sim.engine_mut().run_until_idle();
+            self.sim.settle()?;
         }
         let any_scheme_down = match self.sim.config() {
             // Adaptive: every node is a potential scheme member (see
@@ -173,11 +175,12 @@ impl FailoverDriver {
             // (the `ModeChange { quorum: false }` reset re-homes the
             // allocation to exactly that scheme, so all of it must be live
             // and refreshed).
-            self.broadcast_mode(false);
+            self.broadcast_mode(false)?;
         }
+        Ok(())
     }
 
-    fn broadcast_mode(&mut self, quorum: bool) {
+    fn broadcast_mode(&mut self, quorum: bool) -> Result<()> {
         self.quorum_engaged = quorum;
         if !quorum {
             // The `ModeChange { quorum: false }` transition snaps every
@@ -193,7 +196,7 @@ impl FailoverDriver {
                     .inject(NodeId(i), 0, DomMsg::ModeChange { quorum });
             }
         }
-        self.sim.engine_mut().run_until_idle();
+        self.sim.settle().map(|_| ())
     }
 
     /// Broadcasts a mode change to every live node — the failure
@@ -201,19 +204,19 @@ impl FailoverDriver {
     /// degrade the cluster *before* making the network lossy (quorum mode
     /// is the only mode whose reads and writes tolerate message loss) and
     /// restore it afterwards.
-    pub fn set_quorum_mode(&mut self, quorum: bool) {
-        self.broadcast_mode(quorum);
+    pub fn set_quorum_mode(&mut self, quorum: bool) -> Result<()> {
+        self.broadcast_mode(quorum)
     }
 
     /// Full repair after an arbitrary fault episode: recovers every
     /// crashed processor, runs a missing-writes [`DomMsg::CatchUp`] on
     /// every node for every object (partition/loss faults can leave *any*
     /// node behind, not just crashed ones), and returns the cluster to
-    /// normal mode.
-    pub fn heal(&mut self) {
+    /// normal mode. Fails if a settle trips the event budget.
+    pub fn heal(&mut self) -> Result<()> {
         for i in 0..self.n {
             if self.crashed[i] {
-                self.recover(ProcessorId::new(i));
+                self.recover(ProcessorId::new(i))?;
             }
         }
         let objects: Vec<doma_core::ObjectId> = self.sim.catalog().keys().copied().collect();
@@ -222,12 +225,13 @@ impl FailoverDriver {
                 self.sim
                     .engine_mut()
                     .inject(NodeId(i), 1, DomMsg::CatchUp { object: *object });
-                self.sim.engine_mut().run_until_idle();
+                self.sim.settle()?;
             }
         }
         if self.quorum_engaged || self.bug_destructive_mode_reset {
-            self.broadcast_mode(false);
+            self.broadcast_mode(false)?;
         }
+        Ok(())
     }
 
     /// Whether `p` is currently crashed (as far as the driver knows).
@@ -242,7 +246,7 @@ impl FailoverDriver {
         self.sim.execute_request(request)?;
         if self.pending_detection {
             self.pending_detection = false;
-            self.broadcast_mode(true);
+            self.broadcast_mode(true)?;
         }
         Ok(())
     }
@@ -282,7 +286,7 @@ mod tests {
     #[test]
     fn core_crash_switches_to_quorum_mode() {
         let mut d = da_cluster(5);
-        d.crash(ProcessorId::new(0));
+        d.crash(ProcessorId::new(0)).unwrap();
         for i in 1..5 {
             assert!(
                 d.sim().engine_ref_actor_in_quorum(i),
@@ -294,7 +298,7 @@ mod tests {
     #[test]
     fn writes_survive_core_failure_and_reads_see_them() {
         let mut d = da_cluster(5);
-        d.crash(ProcessorId::new(0));
+        d.crash(ProcessorId::new(0)).unwrap();
         // A write in quorum mode reaches a majority of the 5 nodes.
         d.execute_request(Request::write(3usize)).unwrap();
         let v = d.sim().latest_version();
@@ -311,12 +315,12 @@ mod tests {
     #[test]
     fn recovery_catches_up_missing_writes_and_resumes_normal_mode() {
         let mut d = da_cluster(5);
-        d.crash(ProcessorId::new(0));
+        d.crash(ProcessorId::new(0)).unwrap();
         // Two writes happen while the core member is down.
         d.execute_request(Request::write(2usize)).unwrap();
         d.execute_request(Request::write(3usize)).unwrap();
         let v = d.sim().latest_version();
-        d.recover(ProcessorId::new(0));
+        d.recover(ProcessorId::new(0)).unwrap();
         // The recovered core member holds the latest version again.
         assert!(
             d.sim().holders_of(v).contains(ProcessorId::new(0)),
@@ -334,7 +338,7 @@ mod tests {
     #[test]
     fn non_core_crash_does_not_trigger_quorum_mode() {
         let mut d = da_cluster(5);
-        d.crash(ProcessorId::new(4));
+        d.crash(ProcessorId::new(4)).unwrap();
         assert!(!d.sim().engine_ref_actor_in_quorum(2));
         // Normal operation continues for live nodes.
         d.execute_request(Request::read(3usize)).unwrap();
@@ -348,7 +352,7 @@ mod tests {
         // mode, and a majority does in quorum mode.
         let mut d = da_cluster(5);
         d.execute_request(Request::write(2usize)).unwrap();
-        d.crash(ProcessorId::new(0)); // core member down → quorum mode
+        d.crash(ProcessorId::new(0)).unwrap(); // core member down → quorum mode
         d.execute_request(Request::write(3usize)).unwrap();
         let v = d.sim().latest_version();
         assert!(d.live_holders_of(v) >= 2, "t=2 availability must survive");

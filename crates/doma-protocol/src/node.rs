@@ -426,23 +426,6 @@ impl DomNode {
         h.finish()
     }
 
-    /// Single-object node with a memory cache (object id 0).
-    pub fn with_cache(
-        id: ProcessorId,
-        n: usize,
-        config: ProtocolConfig,
-        cache_capacity: usize,
-    ) -> Self {
-        let mut configs = BTreeMap::new();
-        configs.insert(OBJECT, config);
-        Self::with_catalog(id, n, configs, cache_capacity)
-    }
-
-    /// Single-object node without a memory cache (the paper's model).
-    pub fn new(id: ProcessorId, n: usize, config: ProtocolConfig) -> Self {
-        Self::with_cache(id, n, config, 0)
-    }
-
     /// This node's processor id.
     pub fn processor(&self) -> ProcessorId {
         self.id
@@ -1206,6 +1189,16 @@ mod tests {
         v.iter().copied().collect()
     }
 
+    /// Node `id` of an `n`-node cluster serving object 0 alone, no cache.
+    fn single(id: usize, n: usize, config: ProtocolConfig) -> DomNode {
+        DomNode::with_catalog(
+            ProcessorId::new(id),
+            n,
+            BTreeMap::from([(OBJECT, config)]),
+            0,
+        )
+    }
+
     #[test]
     fn config_accessors() {
         let sa = ProtocolConfig::Sa { q: ps(&[0, 1, 2]) };
@@ -1228,10 +1221,10 @@ mod tests {
             f: ps(&[0]),
             p: ProcessorId::new(1),
         };
-        let member = DomNode::new(ProcessorId::new(0), 4, cfg);
+        let member = single(0, 4, cfg);
         assert!(member.holds_valid());
         assert_eq!(member.io_stats().total(), 0);
-        let outsider = DomNode::new(ProcessorId::new(3), 4, cfg);
+        let outsider = single(3, 4, cfg);
         assert!(!outsider.holds_valid());
     }
 
@@ -1242,10 +1235,10 @@ mod tests {
             p: ProcessorId::new(3),
         };
         assert!(cfg.is_primary(ProcessorId::new(0)));
-        let primary = DomNode::new(ProcessorId::new(0), 5, cfg);
+        let primary = single(0, 5, cfg);
         assert_eq!(primary.da_extra(OBJECT), Some(ProcessorId::new(3)));
         assert!(cfg.is_core(ProcessorId::new(2)) && !cfg.is_primary(ProcessorId::new(2)));
-        let other_core = DomNode::new(ProcessorId::new(2), 5, cfg);
+        let other_core = single(2, 5, cfg);
         assert_eq!(other_core.da_extra(OBJECT), None);
         assert!(!cfg.is_core(ProcessorId::new(3)), "the floater is not core");
     }
@@ -1253,7 +1246,7 @@ mod tests {
     #[test]
     fn quorum_peers_exclude_self_and_quorum_is_majority() {
         let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
-        let n = DomNode::new(ProcessorId::new(1), 5, cfg);
+        let n = single(1, 5, cfg);
         let peers = n.all_peers();
         assert_eq!(peers.len(), 4);
         assert!(!peers.contains(ProcessorId::new(1)));
@@ -1289,7 +1282,7 @@ mod tests {
     #[test]
     fn unknown_object_is_an_error_not_a_panic() {
         let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
-        let mut n = DomNode::new(ProcessorId::new(0), 4, cfg);
+        let mut n = single(0, 4, cfg);
         assert_eq!(n.slot_or_record(ObjectId(99)), None);
         let [err] = n.protocol_errors() else {
             panic!("one error, got {:?}", n.protocol_errors());
@@ -1343,7 +1336,7 @@ mod tests {
         ];
         for quorum in [false, true] {
             let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
-            let mut node = DomNode::new(ProcessorId::new(0), 2, cfg);
+            let mut node = single(0, 2, cfg);
             let mut t = Loopback::default();
             if quorum {
                 node.deliver(&mut t, NodeId(1), DomMsg::ModeChange { quorum });
@@ -1369,22 +1362,21 @@ mod tests {
 
     #[test]
     fn stale_write_prop_does_not_regress_the_replica() {
-        use doma_sim::{Engine, EngineConfig};
-        let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
-        let mut engine: Engine<DomMsg, DomNode> = Engine::new(EngineConfig::default());
-        let a = engine.add_node(DomNode::new(ProcessorId::new(0), 2, cfg));
-        engine.add_node(DomNode::new(ProcessorId::new(1), 2, cfg));
+        let mut sim = crate::ProtocolSim::new_sa(2, ps(&[0, 1])).unwrap();
+        let a = NodeId(0);
         let wp = |v: u64| DomMsg::WriteProp {
             object: OBJECT,
             version: Version(v),
             payload: [v as u8].into(),
             writer: NodeId(1),
         };
+        let engine = sim.engine_mut();
         engine.inject(a, 0, wp(5));
         engine.inject(a, 1, wp(3)); // late, out-of-order propagation
         engine.inject(a, 2, wp(5)); // duplicate
-        engine.run_until_idle();
-        assert_eq!(engine.actor(a).replica_version(), Some(Version(5)));
-        assert!(engine.actor(a).holds_valid());
+        sim.settle().unwrap();
+        let node = sim.engine_ref().actor(a);
+        assert_eq!(node.replica_version(), Some(Version(5)));
+        assert!(node.holds_valid());
     }
 }

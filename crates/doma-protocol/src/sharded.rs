@@ -137,7 +137,7 @@ impl ShardedSim {
 
     /// Requests causal tracing on top of observability: every shard
     /// cluster additionally records message deliveries
-    /// ([`ProtocolSim::attach_tracer_on`]) and per-request spans
+    /// ([`ProtocolSim::attach_tracer`]) and per-request spans
     /// ([`ProtocolSim::enable_request_spans`]) into its obs event log.
     /// The merged log's records carry shard labels and interleave by the
     /// existing `(time, shard, index)` order, so
@@ -328,10 +328,9 @@ impl ShardedSim {
         let mut sim = ProtocolSim::new_catalog(n, catalog)?;
         let obs = event_capacity.map(|capacity| sim.attach_obs(capacity));
         if traced {
-            if let Some(obs) = &obs {
-                sim.attach_tracer_on(obs.events().clone());
-                sim.enable_request_spans();
-            }
+            // Both are no-ops without the bundle.
+            sim.attach_tracer();
+            sim.enable_request_spans();
         }
         let report = sim.execute_multi(schedule)?;
         let holders = sim
@@ -423,6 +422,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A catalog mixing SA with an adaptive entrant: every way of building
+    /// it installs the adaptive object's plan oracle, so the sequential
+    /// catalog, the sharded run and the per-object roster deployments
+    /// agree, and no node ever sees a request without its plan.
+    #[test]
+    fn adaptive_catalog_objects_get_their_plan_oracle() {
+        let n = 6;
+        let entrants = [
+            (ObjectId(0), crate::Entrant::Sa),
+            (ObjectId(1), crate::Entrant::MobileMirror),
+        ];
+        let configs: BTreeMap<_, _> = entrants.iter().map(|(o, e)| (*o, e.config())).collect();
+        let errors = |sim: &ProtocolSim| -> usize {
+            (0..n)
+                .map(|i| {
+                    sim.engine_ref()
+                        .actor(doma_sim::NodeId(i))
+                        .protocol_errors()
+                        .len()
+                })
+                .sum()
+        };
+        let schedule = traffic(2, 40, n);
+        let mut sequential = ProtocolSim::new_catalog(n, configs.clone()).unwrap();
+        let expected = sequential.execute_multi(&schedule).unwrap();
+        assert_eq!(errors(&sequential), 0);
+        let sharded = ShardedSim::new(n, configs, 2, Placement::RoundRobin)
+            .unwrap()
+            .execute_multi(&schedule)
+            .unwrap();
+        assert_eq!(sharded.report, expected);
+        let per_object = schedule.per_object();
+        let mut cost = doma_core::CostVector::ZERO;
+        for (object, entrant) in entrants {
+            let mut alone = entrant.sim(n).unwrap();
+            cost += alone.execute(&per_object[&object]).unwrap().cost;
+            assert_eq!(errors(&alone), 0, "{entrant}");
+            let holders = alone.valid_holders_of(ProtocolSim::object());
+            assert_eq!(sequential.valid_holders_of(object), holders, "{entrant}");
+            assert_eq!(sharded.holders[&object], holders, "{entrant}");
+        }
+        assert_eq!(expected.cost, cost);
     }
 
     #[test]

@@ -127,15 +127,13 @@ impl ProtocolSim {
     }
 
     /// Stands up one object under `config` on `n` nodes — the way every
-    /// harness builds the cluster of an [`Entrant`]. SA and DA run
-    /// natively; an adaptive configuration additionally gets its plan
-    /// oracle ([`ProtocolConfig::oracle`], built with `tunables`)
-    /// installed in the driver: each injected request is decided by it,
-    /// and the nodes execute the shipped plans exactly.
+    /// harness builds the cluster of an [`Entrant`]. Like any catalog
+    /// (see [`ProtocolSim::build_catalog`]), except that an adaptive
+    /// configuration's plan oracle is built with `tunables` instead of
+    /// the canonical ones.
     pub fn deploy(n: usize, config: ProtocolConfig, tunables: Tunables) -> Result<Self> {
-        let oracle = config.oracle(n, tunables)?;
         let mut sim = Self::new_catalog(n, BTreeMap::from([(OBJECT, config)]))?;
-        if let Some(oracle) = oracle {
+        if let Some(oracle) = config.oracle(n, tunables)? {
             sim.planner.install_oracle(OBJECT, oracle);
         }
         Ok(sim)
@@ -163,6 +161,11 @@ impl ProtocolSim {
     /// E15 contention experiment) and a per-node memory cache of
     /// `cache_capacity` objects (0 = the paper's no-cache model; E16
     /// varies it).
+    ///
+    /// SA and DA objects run natively; every adaptive object gets its
+    /// plan oracle ([`ProtocolConfig::oracle`], canonical tunables)
+    /// installed in the driver: each injected request on it is decided by
+    /// the oracle, and the nodes execute the shipped plans exactly.
     pub fn build_catalog(
         n: usize,
         configs: BTreeMap<ObjectId, ProtocolConfig>,
@@ -221,7 +224,12 @@ impl ProtocolSim {
                 cache_capacity,
             ));
         }
-        let planner = ClientPlanner::new(n, configs.keys().copied());
+        let mut planner = ClientPlanner::new(n, configs.keys().copied());
+        for (object, config) in &configs {
+            if let Some(oracle) = config.oracle(n, Tunables::CANONICAL)? {
+                planner.install_oracle(*object, oracle);
+            }
+        }
         Ok(ProtocolSim {
             engine,
             configs,
@@ -254,13 +262,16 @@ impl ProtocolSim {
         &self.engine
     }
 
-    /// Attaches a message trace that records into an existing event log
-    /// (typically [`doma_obs::Obs::events`]), so message deliveries
-    /// interleave with the engine's lifecycle events and the protocol's
-    /// spans in one choreography log: every subsequent delivery/drop is
-    /// one `sim.trace` record with a human-readable label.
-    pub fn attach_tracer_on(&mut self, log: doma_obs::EventLog) {
-        self.engine.set_tracer(log, DomMsg::label);
+    /// Attaches a message trace that records into the attached obs
+    /// bundle's event log, so message deliveries interleave with the
+    /// engine's lifecycle events and the protocol's spans in one
+    /// choreography log: every subsequent delivery/drop is one
+    /// `sim.trace` record with a human-readable label. No-op until
+    /// [`ProtocolSim::attach_obs`] is called.
+    pub fn attach_tracer(&mut self) {
+        if let Some(obs) = &self.obs {
+            self.engine.set_tracer(obs.events().clone(), DomMsg::label);
+        }
     }
 
     /// Attaches a fresh observability bundle (event log bounded to
@@ -291,8 +302,8 @@ impl ProtocolSim {
     /// point event carrying the request's *exact* control/data/io delta
     /// (execution is strictly one-request-at-a-time, so the deltas
     /// telescope to the schedule total). Combine with
-    /// [`ProtocolSim::attach_tracer_on`] over the same log so message
-    /// deliveries land inside the span window —
+    /// [`ProtocolSim::attach_tracer`] so message deliveries land inside
+    /// the span window —
     /// [`doma_obs::trace::TraceModel`] then reconstructs per-request
     /// critical paths. No-op until [`ProtocolSim::attach_obs`] is called.
     /// Opt-in because span records change obs snapshots (and therefore
@@ -371,7 +382,7 @@ impl ProtocolSim {
         let span = self.request_span_enter(object, request);
         let result = self
             .inject_request_on(object, request)
-            .and_then(|_| self.run_settle());
+            .and_then(|_| self.settle());
         self.request_span_exit(span);
         result.map(|_| ())
     }
@@ -411,22 +422,18 @@ impl ProtocolSim {
         );
     }
 
-    /// Drains the event queue, surfacing the engine's event budget (a
-    /// livelock guard counted from the start of this settle) as an error
-    /// instead of a hang.
-    fn run_settle(&mut self) -> Result<u64> {
+    /// Runs the cluster to quiescence (after [`ProtocolSim::inject_request`]
+    /// or fault scheduling) — the one way every driver drains the event
+    /// queue. Surfaces the engine's event budget (a livelock guard counted
+    /// from the start of this settle) as
+    /// [`DomaError::EventBudgetExceeded`] instead of a hang. Returns the
+    /// number of events dispatched.
+    pub fn settle(&mut self) -> Result<u64> {
         let dispatched = self.engine.run_until_idle();
         if self.engine.budget_exhausted() {
             return Err(DomaError::EventBudgetExceeded { dispatched });
         }
         Ok(dispatched)
-    }
-
-    /// Runs the cluster to quiescence (after [`ProtocolSim::inject_request`]
-    /// or fault scheduling), surfacing a tripped event budget as
-    /// [`DomaError::EventBudgetExceeded`].
-    pub fn settle(&mut self) -> Result<u64> {
-        self.run_settle()
     }
 
     /// Every queued event as a model-checker choice point, labelled with
@@ -583,12 +590,12 @@ impl ProtocolSim {
                 self.engine.inject(planned.to, pending_offset, planned.msg);
             } else {
                 // Barrier: drain the in-flight reads, then the write.
-                self.run_settle()?;
+                self.settle()?;
                 pending_offset = 0;
                 self.execute_request(request)?;
             }
         }
-        self.run_settle()?;
+        self.settle()?;
         Ok(())
     }
 
@@ -803,14 +810,15 @@ mod tests {
     #[test]
     fn trace_records_the_da_message_choreography() {
         let mut sim = ProtocolSim::new_da(4, ps(&[0]), ProcessorId::new(1)).unwrap();
-        let log = doma_obs::EventLog::new(64);
-        sim.attach_tracer_on(log.clone());
+        let log = sim.attach_obs(64).events().clone();
+        sim.attach_tracer();
         // Saving-read by 2, then a core write that must invalidate 2.
         sim.execute_request(Request::read(2usize)).unwrap();
         sim.execute_request(Request::write(0usize)).unwrap();
         let labels: Vec<String> = log
             .snapshot()
             .iter()
+            .filter(|r| r.name == doma_obs::trace::MESSAGE_EVENT)
             .map(|r| {
                 let field = |key: &str| r.fields.get(key).unwrap();
                 format!("{}->{} {}", field("from"), field("to"), field("label"))

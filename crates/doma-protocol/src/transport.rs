@@ -25,11 +25,11 @@
 //!   reports simulated time; the socket transport reports a per-node
 //!   delivery tick. Protocol behavior must not depend on the absolute
 //!   values (they only timestamp read-latency samples and obs events).
-//! * **No timers.** No protocol code sets one, and a method one transport
-//!   could only discard would hide a lost failure-detection timer. The
-//!   engine's own `Context::set_timer`/`Actor::on_timer` stay; when the
-//!   failover layer needs timers (ROADMAP item 4) both transports get a
-//!   real implementation together.
+//! * **No timers.** Neither transport has them: no protocol code sets
+//!   one, and the engine carries messages and crash/recover lifecycle
+//!   events only. When the failover layer needs timers (ROADMAP item 4)
+//!   they arrive as effects the node returns, the same on both
+//!   transports.
 
 use crate::msg::DomMsg;
 use doma_sim::{Context, MsgKind, NodeId, SimTime};

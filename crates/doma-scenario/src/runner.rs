@@ -261,7 +261,7 @@ fn run_impl(
     let schedule = build_schedule(scenario)?;
     let mut sim = scenario.entrant.sim(scenario.n).map_err(runtime)?;
     let obs = sim.attach_obs(scenario.events);
-    sim.attach_tracer_on(obs.events().clone());
+    sim.attach_tracer();
     if traced {
         sim.enable_request_spans();
     }

@@ -25,14 +25,11 @@ impl From<NodeId> for doma_obs::FieldValue {
     }
 }
 
-/// A protocol participant. Actors receive messages, timers and failure
-/// notifications, and emit messages/timers through the [`Context`].
+/// A protocol participant. Actors receive messages and failure
+/// notifications, and emit messages through the [`Context`].
 pub trait Actor<M> {
     /// A message arrived.
     fn on_message(&mut self, ctx: &mut Context<M>, from: NodeId, kind: MsgKind, msg: M);
-
-    /// A timer set via [`Context::set_timer`] fired.
-    fn on_timer(&mut self, _ctx: &mut Context<M>, _token: u64) {}
 
     /// The node is about to crash (volatile state is lost by the actor's
     /// own logic; the engine only stops delivering to it).
@@ -42,14 +39,13 @@ pub trait Actor<M> {
     fn on_recover(&mut self, _ctx: &mut Context<M>) {}
 }
 
-/// The per-dispatch effect buffer an actor writes its outputs into. The
-/// engine keeps the two buffers' storage between dispatches and hands
-/// them to each handler empty.
+/// The per-dispatch effect buffer an actor writes its sends into. The
+/// engine keeps the buffer's storage between dispatches and hands it to
+/// each handler empty.
 pub struct Context<M> {
     now: SimTime,
     self_id: NodeId,
     sends: Vec<(NodeId, MsgKind, M)>,
-    timers: Vec<(u64, u64)>,
 }
 
 impl<M> Context<M> {
@@ -69,11 +65,6 @@ impl<M> Context<M> {
     pub fn send(&mut self, to: NodeId, kind: MsgKind, msg: M) {
         self.sends.push((to, kind, msg));
     }
-
-    /// Schedules `on_timer(token)` after `delay` ticks.
-    pub fn set_timer(&mut self, delay: u64, token: u64) {
-        self.timers.push((delay, token));
-    }
 }
 
 #[derive(Clone)]
@@ -89,10 +80,6 @@ enum EventKind<M> {
     Local {
         to: NodeId,
         msg: M,
-    },
-    Timer {
-        node: NodeId,
-        token: u64,
     },
     Crash(NodeId),
     Recover(NodeId),
@@ -212,9 +199,8 @@ pub struct Engine<M, A: Actor<M>> {
     /// Pending events in dispatch order, ascending `(time, seq)`: the
     /// invariant [`Engine::push`] keeps (see the crate docs for its cost).
     queue: VecDeque<Event<M>>,
-    /// The storage of [`Context`]'s buffers, kept between dispatches.
+    /// The storage of [`Context`]'s buffer, kept between dispatches.
     sends: Vec<(NodeId, MsgKind, M)>,
-    timers: Vec<(u64, u64)>,
     network: Network,
     now: SimTime,
     seq: u64,
@@ -234,7 +220,6 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             alive: Vec::new(),
             queue: VecDeque::new(),
             sends: Vec::new(),
-            timers: Vec::new(),
             network: Network::new(config.network),
             now: SimTime::ZERO,
             seq: 0,
@@ -386,31 +371,17 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
     }
 
     /// Installs a [`FaultPlan`]: its message-fault rules and partitions
-    /// take effect on every subsequent send, and its crash/recover events
-    /// are scheduled immediately (`at` is an absolute tick; events in the
-    /// past fire at the current instant). Replaces any previous plan and
-    /// resets [`Engine::fault_stats`].
+    /// take effect on every subsequent send. Replaces any previous plan
+    /// and its tallies. Crashes are not part of a plan: they are engine
+    /// events ([`Engine::schedule_crash`], [`Engine::schedule_recover`]).
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        for ev in plan.crashes() {
-            let delay = ev.at.saturating_sub(self.now.ticks());
-            if ev.recover {
-                self.schedule_recover(ev.node, delay);
-            } else {
-                self.schedule_crash(ev.node, delay);
-            }
-        }
         self.faults = Some(FaultState::new(plan));
     }
 
-    /// Removes the installed fault plan (already-scheduled crash events
-    /// still fire), returning the final injection tallies.
+    /// Removes the installed fault plan, returning the tallies of the
+    /// faults it injected.
     pub fn clear_faults(&mut self) -> FaultStats {
         self.faults.take().map(|s| s.stats()).unwrap_or_default()
-    }
-
-    /// Tallies of the faults injected by the installed plan so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 
     fn dispatch_to(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Context<M>)) {
@@ -418,7 +389,6 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             now: self.now,
             self_id: node,
             sends: std::mem::take(&mut self.sends),
-            timers: std::mem::take(&mut self.timers),
         };
         f(&mut self.actors[node.0], &mut ctx);
         for (to, kind, msg) in ctx.sends.drain(..) {
@@ -501,12 +471,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 }
             }
         }
-        for (delay, token) in ctx.timers.drain(..) {
-            let time = self.now + delay;
-            self.push(time, EventKind::Timer { node, token });
-        }
         self.sends = ctx.sends;
-        self.timers = ctx.timers;
     }
 
     fn dispatch_event(&mut self, kind: EventKind<M>) {
@@ -541,11 +506,6 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 if self.alive[to.0] {
                     // Local requests arrive "from" the node itself.
                     self.dispatch_to(to, |a, ctx| a.on_message(ctx, to, MsgKind::Control, msg));
-                }
-            }
-            EventKind::Timer { node, token } => {
-                if self.alive[node.0] {
-                    self.dispatch_to(node, |a, ctx| a.on_timer(ctx, token));
                 }
             }
             EventKind::Crash(node) => {
@@ -647,12 +607,6 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
                         msg.hash(&mut h);
                         (*to, format!("local@{to} {}", labeller(msg)))
                     }
-                    EventKind::Timer { node, token } => {
-                        2u8.hash(&mut h);
-                        node.hash(&mut h);
-                        token.hash(&mut h);
-                        (*node, format!("timer@{node} t{token}"))
-                    }
                     EventKind::Crash(node) => {
                         3u8.hash(&mut h);
                         node.hash(&mut h);
@@ -703,11 +657,6 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
     pub fn has_pending(&self) -> bool {
         !self.queue.is_empty()
     }
-
-    /// Number of queued events.
-    pub fn pending_len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
@@ -724,7 +673,6 @@ impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
             alive: self.alive.clone(),
             queue: self.queue.clone(),
             sends: Vec::new(),
-            timers: Vec::new(),
             network: self.network.clone(),
             now: self.now,
             seq: self.seq,
@@ -845,28 +793,6 @@ mod tests {
         assert_eq!(engine.actor(b).seen, vec![0]);
     }
 
-    struct TimerActor {
-        fired: Vec<u64>,
-    }
-    impl Actor<u32> for TimerActor {
-        fn on_message(&mut self, ctx: &mut Context<u32>, _from: NodeId, _k: MsgKind, _msg: u32) {
-            ctx.set_timer(10, 7);
-            ctx.set_timer(5, 3);
-        }
-        fn on_timer(&mut self, _ctx: &mut Context<u32>, token: u64) {
-            self.fired.push(token);
-        }
-    }
-
-    #[test]
-    fn timers_fire_in_order() {
-        let mut engine: Engine<u32, TimerActor> = Engine::new(EngineConfig::default());
-        let a = engine.add_node(TimerActor { fired: Vec::new() });
-        engine.inject(a, 0, 0);
-        engine.run_until_idle();
-        assert_eq!(engine.actor(a).fired, vec![3, 7]);
-    }
-
     #[test]
     fn runaway_protocol_trips_the_valve() {
         /// Replies forever.
@@ -933,9 +859,8 @@ mod tests {
         let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 1, "sender still pays");
         assert_eq!(stats.dropped, 1);
-        assert_eq!(engine.fault_stats().dropped, 1);
         assert_eq!(engine.clear_faults().dropped, 1);
-        assert_eq!(engine.fault_stats(), crate::fault::FaultStats::default());
+        assert_eq!(engine.clear_faults(), crate::fault::FaultStats::default());
     }
 
     #[test]
@@ -971,7 +896,7 @@ mod tests {
         engine.inject(a, 0, 9);
         engine.run_until_idle();
         assert_eq!(engine.actor(b).got, vec![9, 9], "original plus one copy");
-        assert_eq!(engine.fault_stats().duplicated, 1);
+        assert_eq!(engine.clear_faults().duplicated, 1);
         // Exactly one send was tallied: the duplicate is injected, not paid.
         let stats = engine.net_stats();
         assert_eq!(stats.data_sent, 1);
@@ -1010,16 +935,16 @@ mod tests {
         engine.inject(NodeId(0), 0, 0);
         engine.run_until_idle();
         assert_eq!(engine.actor(NodeId(1)).got, vec![2, 1], "reordered");
-        assert_eq!(engine.fault_stats().delayed, 1);
+        assert_eq!(engine.clear_faults().delayed, 1);
     }
 
     #[test]
-    fn plan_crash_events_fire_at_absolute_ticks() {
-        use crate::fault::FaultPlan;
+    fn scheduled_crash_events_fire_at_their_ticks() {
         let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig::default());
         let a = engine.add_node(PingPong::new(Some(NodeId(1))));
         let b = engine.add_node(PingPong::new(Some(NodeId(0))));
-        engine.install_faults(FaultPlan::new(0).crash_at(b, 0).recover_at(b, 5));
+        engine.schedule_crash(b, 0);
+        engine.schedule_recover(b, 5);
         engine.inject(a, 1, 3); // a replies 2 → b at t=2 — b is down until t=5
         engine.run_until_idle();
         assert!(engine.is_alive(b));
@@ -1172,7 +1097,7 @@ mod tests {
         fork.run_until_idle();
         assert_eq!(fork.actor(a).got, vec![1, 2]);
         assert!(engine.actor(a).got.is_empty(), "original untouched");
-        assert_eq!(engine.pending_len(), 2);
+        assert_eq!(engine.pending_events(|m| format!("m{m}")).len(), 2);
     }
 
     #[test]

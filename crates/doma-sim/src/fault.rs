@@ -1,7 +1,8 @@
 //! Deterministic fault injection: a declarative plan of message faults
-//! (drop / delay / duplicate / jitter-reorder), network partitions and
-//! crash events, executed by the [`crate::Engine`] at delivery-scheduling
-//! time.
+//! (drop / delay / duplicate / jitter-reorder) and network partitions,
+//! executed by the [`crate::Engine`] at delivery-scheduling time. Crashes
+//! are not plan entries: they are engine events
+//! ([`crate::Engine::schedule_crash`] / [`crate::Engine::schedule_recover`]).
 //!
 //! Everything is reproducible by construction: probabilistic rules carry
 //! their own SplitMix64 stream (seeded from the plan seed and the rule
@@ -167,17 +168,6 @@ impl Partition {
     }
 }
 
-/// A scheduled node failure event carried by the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashEvent {
-    /// The node affected.
-    pub node: NodeId,
-    /// Absolute tick at which the event fires.
-    pub at: u64,
-    /// `false` = crash, `true` = recover.
-    pub recover: bool,
-}
-
 /// A declarative schedule of adversities, installed into an engine with
 /// [`crate::Engine::install_faults`].
 ///
@@ -188,17 +178,14 @@ pub struct CrashEvent {
 ///     .rule(FaultRule::always(LinkFilter::link(NodeId(0), NodeId(2)), FaultAction::Drop)
 ///         .during(0, 100)
 ///         .with_budget(1))
-///     .partition(50, 80, vec![0, 1])
-///     .crash_at(NodeId(3), 10)
-///     .recover_at(NodeId(3), 60);
-/// assert_eq!(plan.crashes().len(), 2);
+///     .partition(50, 80, vec![0, 1]);
+/// assert_eq!((plan.rules().len(), plan.partitions().len()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
     partitions: Vec<Partition>,
-    crashes: Vec<CrashEvent>,
 }
 
 impl FaultPlan {
@@ -226,31 +213,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a crash of `node` at absolute tick `at`.
-    pub fn crash_at(mut self, node: NodeId, at: u64) -> Self {
-        self.crashes.push(CrashEvent {
-            node,
-            at,
-            recover: false,
-        });
-        self
-    }
-
-    /// Schedules a recovery of `node` at absolute tick `at`.
-    pub fn recover_at(mut self, node: NodeId, at: u64) -> Self {
-        self.crashes.push(CrashEvent {
-            node,
-            at,
-            recover: true,
-        });
-        self
-    }
-
-    /// The crash/recover events carried by the plan.
-    pub fn crashes(&self) -> &[CrashEvent] {
-        &self.crashes
-    }
-
     /// The plan's message-fault rules, in evaluation order.
     pub fn rules(&self) -> &[FaultRule] {
         &self.rules
@@ -263,7 +225,7 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.partitions.is_empty() && self.crashes.is_empty()
+        self.rules.is_empty() && self.partitions.is_empty()
     }
 }
 
@@ -559,15 +521,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_builder_collects_crashes() {
-        let plan = FaultPlan::new(0)
-            .crash_at(NodeId(2), 5)
-            .recover_at(NodeId(2), 15);
-        assert_eq!(plan.crashes().len(), 2);
-        assert!(!plan.crashes()[0].recover);
-        assert!(plan.crashes()[1].recover);
-        assert!(!plan.is_empty());
+    fn plan_builder_collects_rules_and_partitions() {
         assert!(FaultPlan::new(9).is_empty());
+        let cut = FaultPlan::new(0).partition(5, 15, vec![2]);
+        assert_eq!(cut.partitions().len(), 1);
+        assert!(!cut.is_empty());
+        let lossy = FaultPlan::new(0).rule(FaultRule::always(LinkFilter::any(), FaultAction::Drop));
+        assert_eq!(lossy.rules().len(), 1);
+        assert!(!lossy.is_empty());
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //!   (matching the paper's cost model, which prices transmissions).
 //! * [`Engine`] — the event loop: actors implement [`Actor`]; events are
 //!   delivered in `(time, sequence)` order, so runs are fully
-//!   deterministic. Crash/recover events model processor failures:
-//!   messages to a crashed node are dropped (and counted as such).
+//!   deterministic. Two kinds of event carry messages (a network delivery
+//!   and a local client injection) and two are lifecycle (crash and
+//!   recover): messages to a crashed node are dropped (and counted as
+//!   such). There are no timers; the paper's failure model is crash plus
+//!   quorum fallback, with no timeouts.
 //!
 //!   The pending events sit in a `VecDeque` kept sorted by `(time, seq)`,
 //!   the order they are dispatched in. Sequence numbers only grow, so a
@@ -25,9 +28,10 @@
 //!   [`Engine::dispatch_by_seq`] removes one element; neither rebuilds
 //!   anything.
 //! * [`FaultPlan`] — deterministic fault injection: declarative
-//!   drop/delay/duplicate/jitter rules, partitions and crash schedules,
-//!   installed via [`Engine::install_faults`] and reproducible from a
-//!   single seed.
+//!   drop/delay/duplicate/jitter rules and partitions, installed via
+//!   [`Engine::install_faults`] and reproducible from a single seed.
+//!   Crashes are engine events ([`Engine::schedule_crash`],
+//!   [`Engine::schedule_recover`]), not plan entries.
 //!
 //! Each engine is intentionally single-threaded: determinism is worth
 //! more than parallelism inside one event loop. Parallelism happens
@@ -53,6 +57,6 @@ pub mod shard;
 mod time;
 
 pub use engine::{Actor, Context, Engine, EngineConfig, NodeId, PendingEvent};
-pub use fault::{CrashEvent, FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, Partition};
+pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, Partition};
 pub use network::{Medium, MsgKind, NetStats, Network, NetworkConfig};
 pub use time::SimTime;

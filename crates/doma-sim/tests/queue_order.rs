@@ -344,7 +344,7 @@ doma_testkit::property! {
 /// An event parked far in the future sits at the back of the queue; the
 /// sends of one tick still go in front of it in the order they were made.
 #[test]
-fn a_far_future_crash_at_the_back_does_not_reorder_same_tick_sends() {
+fn a_far_future_crash_queued_last_does_not_reorder_same_tick_sends() {
     struct Burst {
         got: Vec<u32>,
     }

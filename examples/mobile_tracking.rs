@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = Entrant::Da.sim(n)?;
     let mut driver = FailoverDriver::new(sim, n);
     driver.execute_request(Request::write(2usize))?;
-    driver.crash(ProcessorId::new(0)); // the core fails → quorum mode
+    driver.crash(ProcessorId::new(0))?; // the core fails → quorum mode
     driver.execute_request(Request::write(3usize))?; // still writable
     driver.execute_request(Request::read(5usize))?; // still readable
     let v = driver.sim().latest_version();
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  while down: version {v} reached {} live replicas via quorum writes",
         driver.live_holders_of(v)
     );
-    driver.recover(ProcessorId::new(0)); // missing-writes catch-up
+    driver.recover(ProcessorId::new(0))?; // missing-writes catch-up
     assert!(
         driver.sim().holders_of(v).contains(ProcessorId::new(0)),
         "recovered base station must hold the latest version"

@@ -8,9 +8,10 @@
 # (b) a Cargo.lock references a crate outside the tree, (c) the offline
 # build or test run fails, (d) the entrant roster is spelled out in a second
 # file, (e) an event record or a registry lookup bypasses the typed/pre-resolved
-# obs path, or (f) any wall below — lint, allocation wall, byte-stability,
-# paper evidence, cluster parity, model check (and its pinned counts), shard
-# parity, fault matrix, benchmark smoke — does.
+# obs path, (f) a driver drains the sim engine outside ProtocolSim::settle, or
+# (g) any wall below — lint, allocation wall, byte-stability, paper evidence,
+# cluster parity, model check (and its pinned counts), shard parity, fault
+# matrix, benchmark smoke — does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -95,14 +96,35 @@ if [ -n "$stringly" ]; then
 fi
 # shellcheck disable=SC2086
 by_name=$(awk '
-    /\.metrics\(\)[ \t]*(;|\.(add|counter|gauge|histogram)\()/ { print FILENAME }
-    chained && /^[ \t]*\.(add|counter|gauge|histogram)\(/ { print FILENAME }
+    /\.metrics\(\)[ \t]*(;|\.(add|counter)\()/ { print FILENAME }
+    chained && /^[ \t]*\.(add|counter)\(/ { print FILENAME }
     { chained = ($0 ~ /\.metrics\(\)[ \t]*$/) }
 ' $obs_src | sort -u | tr '\n' ' ')
 if [ "$by_name" != "crates/doma-protocol/src/obs.rs crates/doma-sim/src/engine.rs " ]; then
     echo "error: the metrics registry is resolved by name outside NodeObs / Engine::set_obs:" >&2
     echo "${by_name:-<nowhere>}" >&2
     echo "verify: FAILED (pre-resolved counter guard)" >&2
+    exit 1
+fi
+
+# ---------------------------------------------------------------------------
+# Guard 5: one budgeted settle. Outside doma-sim, the engine is drained only
+# by `ProtocolSim::settle`, which turns a tripped event budget into an error;
+# a bare `run_until_idle()` elsewhere would let the budget trip silently and
+# leave a half-run queue for the next request. Unit-test modules, tests/ and
+# examples/ included.
+# ---------------------------------------------------------------------------
+idle_files=$(grep -rlF --include='*.rs' 'run_until_idle(' crates/*/src tests examples |
+    grep -v '^crates/doma-sim/' || true)
+# shellcheck disable=SC2086
+idle=$(awk '
+    /fn [A-Za-z0-9_]+[<(]/ { match($0, /fn [A-Za-z0-9_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /run_until_idle\(/ && !/^[ \t]*\/\// { print FILENAME ": fn " f }
+' $idle_files < /dev/null | sort -u | tr '\n' ' ')
+if [ "$idle" != "crates/doma-protocol/src/sim.rs: fn settle " ]; then
+    echo "error: drain the engine through ProtocolSim::settle, not run_until_idle():" >&2
+    echo "${idle:-<nowhere>}" >&2
+    echo "verify: FAILED (one budgeted settle guard)" >&2
     exit 1
 fi
 

@@ -21,14 +21,14 @@ fn full_failure_cycle_preserves_latest_version() {
     d.execute_request(Request::read(4usize)).unwrap();
 
     // Core failure → quorum mode; service continues.
-    d.crash(ProcessorId::new(0));
+    d.crash(ProcessorId::new(0)).unwrap();
     d.execute_request(Request::write(3usize)).unwrap();
     d.execute_request(Request::read(2usize)).unwrap();
     let v_during = d.sim().latest_version();
     assert!(d.live_holders_of(v_during) >= 2);
 
     // Recovery: catch-up then normal mode; more traffic.
-    d.recover(ProcessorId::new(0));
+    d.recover(ProcessorId::new(0)).unwrap();
     assert!(d.sim().holders_of(v_during).contains(ProcessorId::new(0)));
     d.execute_request(Request::write(4usize)).unwrap();
     d.execute_request(Request::read(3usize)).unwrap();
@@ -48,16 +48,16 @@ fn repeated_failures_of_different_nodes() {
     for (k, request) in schedule.iter().enumerate() {
         // Periodically bounce a node (alternating core / non-core).
         if k == 10 {
-            d.crash(ProcessorId::new(0));
+            d.crash(ProcessorId::new(0)).unwrap();
         }
         if k == 15 {
-            d.recover(ProcessorId::new(0));
+            d.recover(ProcessorId::new(0)).unwrap();
         }
         if k == 20 {
-            d.crash(ProcessorId::new(4));
+            d.crash(ProcessorId::new(4)).unwrap();
         }
         if k == 25 {
-            d.recover(ProcessorId::new(4));
+            d.recover(ProcessorId::new(4)).unwrap();
         }
         // Skip requests issued by currently crashed processors (their
         // clients are down too).
@@ -86,9 +86,9 @@ fn store_recovery_is_exact_after_crash() {
         .actor(doma::sim::NodeId(3))
         .replica_version();
     sim.engine_mut().schedule_crash(doma::sim::NodeId(3), 0);
-    sim.engine_mut().run_until_idle();
+    sim.settle().unwrap();
     sim.engine_mut().schedule_recover(doma::sim::NodeId(3), 0);
-    sim.engine_mut().run_until_idle();
+    sim.settle().unwrap();
     let node = sim.engine_ref().actor(doma::sim::NodeId(3));
     assert_eq!(node.replica_version(), before_version);
     assert!(
@@ -132,7 +132,7 @@ fn crash_during_write_is_detected_at_quiescence() {
     // Quorum service continues; recovery resolves the missing writes.
     d.execute_request(Request::write(4usize)).unwrap();
     let v_during = d.sim().latest_version();
-    d.recover(ProcessorId::new(0));
+    d.recover(ProcessorId::new(0)).unwrap();
     assert!(
         d.sim().holders_of(v_during).contains(ProcessorId::new(0)),
         "catch-up must deliver the writes the core member missed"
@@ -153,7 +153,7 @@ fn floating_member_crash_engages_failover() {
     // next write exactly like a core crash and must engage the fallback.
     let mut d = da_cluster(5);
     d.execute_request(Request::write(0usize)).unwrap(); // core write: scheme F ∪ {p}
-    d.crash(ProcessorId::new(1)); // p down
+    d.crash(ProcessorId::new(1)).unwrap(); // p down
     assert!(
         d.sim()
             .engine_ref()
@@ -170,7 +170,7 @@ fn floating_member_crash_engages_failover() {
 
     // Recovery: p catches up on the writes it missed, normal mode
     // resumes, and the home scheme is fully current again.
-    d.recover(ProcessorId::new(1));
+    d.recover(ProcessorId::new(1)).unwrap();
     assert!(
         d.sim().holders_of(v).contains(ProcessorId::new(1)),
         "the floater must be current after catch-up"
@@ -195,7 +195,7 @@ fn quorum_mode_intersects_reads_and_writes() {
     // read from yet another: the read must return the *latest* version
     // (read quorum ∩ write quorum ≠ ∅).
     let mut d = da_cluster(7);
-    d.crash(ProcessorId::new(0));
+    d.crash(ProcessorId::new(0)).unwrap();
     for w in [2usize, 3, 4, 5] {
         d.execute_request(Request::write(w)).unwrap();
     }
