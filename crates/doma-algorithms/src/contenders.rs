@@ -18,13 +18,8 @@
 //!   pulls a mirror to the reader (saving-read); every write collapses
 //!   the mirrors back onto the writer and the `t - 1` most recently
 //!   active sites.
-//! * [`ClusteredAllocation`] — clustering-based fragment allocation in
-//!   the spirit of arXiv:1310.1190: exponentially decayed per-processor
-//!   affinities define a *hot cluster*, outsider reads join the scheme
-//!   only while the reader is hot, and writes re-home the scheme onto
-//!   the cluster.
 //!
-//! All three implement [`OnlineDom`] and are deterministic pure
+//! Both implement [`OnlineDom`] and are deterministic pure
 //! functions of the request sequence, which is what lets the protocol
 //! simulator replay them as driver-side plan oracles with exact cost
 //! parity.
@@ -270,108 +265,6 @@ impl OnlineDom for MobileMirror {
     }
 }
 
-/// Per-request affinity boost (integer-scaled so the whole algorithm is
-/// exact and deterministic).
-const AFFINITY_BOOST: u64 = 256;
-
-/// Clustering-based fragment allocation (after arXiv:1310.1190):
-/// exponentially decayed per-processor affinities define a *hot
-/// cluster* — every processor whose affinity is at least half the
-/// maximum. Outsider reads join the scheme only while the reader is in
-/// the cluster; writes re-home the scheme onto the cluster (padded to
-/// `t` by affinity rank, ties to the lower index).
-#[derive(Debug, Clone)]
-pub struct ClusteredAllocation {
-    n: usize,
-    t: usize,
-    initial: ProcSet,
-    // --- mutable state ---
-    scheme: ProcSet,
-    affinity: Vec<u64>,
-}
-
-impl ClusteredAllocation {
-    /// Creates the allocator (`1 ≤ t ≤ n`, `|initial| ≥ t`).
-    pub fn new(n: usize, t: usize, initial: ProcSet) -> Result<Self> {
-        validate_adaptive(n, t, initial)?;
-        Ok(ClusteredAllocation {
-            n,
-            t,
-            initial,
-            scheme: initial,
-            affinity: vec![0; n],
-        })
-    }
-
-    /// Decays every affinity by 1/8 and boosts the issuer — the
-    /// exponential forgetting that keeps the cluster tracking the
-    /// *current* access pattern.
-    fn observe(&mut self, p: ProcessorId) {
-        for a in &mut self.affinity {
-            *a -= *a / 8;
-        }
-        self.affinity[p.index()] += AFFINITY_BOOST;
-    }
-
-    fn in_cluster(&self, p: ProcessorId) -> bool {
-        let max = self.affinity.iter().copied().max().unwrap_or(0);
-        2 * self.affinity[p.index()] >= max
-    }
-
-    /// Processors ordered by descending affinity, ties to lower index.
-    fn affinity_rank(&self) -> Vec<ProcessorId> {
-        let mut order: Vec<usize> = (0..self.n).collect();
-        order.sort_by_key(|&p| (std::cmp::Reverse(self.affinity[p]), p));
-        order.into_iter().map(ProcessorId::new).collect()
-    }
-}
-
-impl DomAlgorithm for ClusteredAllocation {
-    fn name(&self) -> &str {
-        "Clustered"
-    }
-    fn t(&self) -> usize {
-        self.t
-    }
-    fn initial_scheme(&self) -> ProcSet {
-        self.initial
-    }
-}
-
-impl OnlineDom for ClusteredAllocation {
-    fn decide(&mut self, request: Request) -> Decision {
-        let i = request.issuer;
-        self.observe(i);
-        if request.is_read() {
-            if self.scheme.contains(i) {
-                return Decision::exec(ProcSet::singleton(i));
-            }
-            let server = self.scheme.any_member().unwrap_or(i);
-            if self.in_cluster(i) {
-                self.scheme.insert(i);
-                Decision::saving(ProcSet::singleton(server))
-            } else {
-                Decision::exec(ProcSet::singleton(server))
-            }
-        } else {
-            let mut cluster = ProcSet::singleton(i);
-            for p in 0..self.n {
-                if self.in_cluster(ProcessorId::new(p)) {
-                    cluster.insert(ProcessorId::new(p));
-                }
-            }
-            let exec = pad_to_t(cluster, self.t, self.n, self.affinity_rank().into_iter());
-            self.scheme = exec;
-            Decision::exec(exec)
-        }
-    }
-
-    fn reset(&mut self) {
-        self.scheme = self.initial;
-        self.affinity.fill(0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,8 +284,6 @@ mod tests {
         assert!(CostOblivious::new(4, 2, ps(&[0, 1]), 2).is_ok());
         assert!(MobileMirror::new(4, 5, ps(&[0, 1]),).is_err());
         assert!(MobileMirror::new(4, 2, ps(&[0, 1])).is_ok());
-        assert!(ClusteredAllocation::new(4, 2, ps(&[0])).is_err());
-        assert!(ClusteredAllocation::new(4, 2, ps(&[0, 1])).is_ok());
     }
 
     #[test]
@@ -429,26 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn clustered_ignores_cold_readers() {
-        let mut algo = ClusteredAllocation::new(5, 2, ps(&[0, 1])).unwrap();
-        // Processor 2 dominates the affinity mass; a lone read by 4 stays
-        // remote (no save) because 4 is far below half the max affinity.
-        let schedule: Schedule = "r2 r2 r2 r2 r4".parse().unwrap();
-        let out = run_online(&mut algo, &schedule).unwrap();
-        assert!(!out.alloc.steps[4].saving, "cold reader must not join");
-    }
-
-    #[test]
-    fn clustered_write_lands_on_hot_cluster() {
-        let mut algo = ClusteredAllocation::new(5, 2, ps(&[0, 1])).unwrap();
-        let schedule: Schedule = "r2 r3 r2 r3 w2".parse().unwrap();
-        let out = run_online(&mut algo, &schedule).unwrap();
-        let scheme = out.costed.final_scheme;
-        assert!(scheme.contains(ProcessorId::new(2)), "{scheme}");
-        assert!(scheme.contains(ProcessorId::new(3)), "{scheme}");
-    }
-
-    #[test]
     fn all_contenders_stay_legal_on_a_mixed_schedule() {
         let schedule: Schedule = "r4 w2 r3 r3 w4 r0 w1 r2 r2 r2 w3 r1 w0 r4".parse().unwrap();
         run_online(
@@ -461,11 +332,6 @@ mod tests {
             &schedule,
         )
         .expect("mobile-mirror must stay legal and t-available");
-        run_online(
-            &mut ClusteredAllocation::new(5, 2, ps(&[0, 1])).unwrap(),
-            &schedule,
-        )
-        .expect("clustered must stay legal and t-available");
     }
 
     #[test]

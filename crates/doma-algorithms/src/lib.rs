@@ -28,9 +28,8 @@
 //!   matrix and model checker cover them too.
 //! * [`contenders`] — tournament contenders adapted from the online
 //!   allocation literature: cost-oblivious reallocation (Bender et al.,
-//!   arXiv:1404.2019), multiple-mobile-resource allocation (Feldkord
-//!   et al., arXiv:1907.09834) and clustering-based fragment allocation
-//!   (arXiv:1310.1190).
+//!   arXiv:1404.2019) and multiple-mobile-resource allocation (Feldkord
+//!   et al., arXiv:1907.09834).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,7 +56,7 @@ mod static_opt;
 
 pub use baselines::{SlidingWindowConvergent, WriteInvalidateCache};
 pub use brute::{BruteForceOptimal, NaiveDpOptimal};
-pub use contenders::{ClusteredAllocation, CostOblivious, MobileMirror};
+pub use contenders::{CostOblivious, MobileMirror};
 pub use da::DynamicAllocation;
 pub use opt::OfflineOptimal;
 pub use quorum::QuorumConsensus;

@@ -29,8 +29,10 @@
 //! (the format `doma_workload::trace::write_trace` emits: `#` comments,
 //! blank lines and any line wrapping are fine).
 //! `<entrant>` is any name of the roster ([`doma_protocol::Entrant`]):
-//! `sa`, `da`, `convergent`, `write-invalidate`, `cost-oblivious`,
-//! `mobile-mirror` or `clustered`, always in its canonical deployment.
+//! `sa`, `da`, `convergent`, `write-invalidate`, `cost-oblivious` or
+//! `mobile-mirror`, always in its canonical deployment. Each command
+//! accepts only the flags it reads ([`accepted_flags`]); any other flag
+//! is a usage error that names the accepted ones.
 //! `<scenario|workload>` is a builtin scenario name, a scenario `.toml`
 //! path, or an ad-hoc workload kind (the `generate --workload` list).
 
@@ -69,6 +71,25 @@ fn positional_arity(command: &str) -> usize {
     }
 }
 
+/// The flags a command reads, space-separated (`target` tells `obs diff`
+/// from `obs`); `None` for an unknown command, which `main` reports.
+fn accepted_flags(command: &str, target: Option<&str>) -> Option<&'static str> {
+    Some(match (command, target) {
+        ("cost", _) => "schedule file algo model cc cd t n verbose",
+        ("stats", _) => "schedule file",
+        ("simulate", _) => "schedule file algo n",
+        ("obs", Some("diff")) => "scenario",
+        ("obs", _) => "schedule file algo n format events",
+        ("generate", _) => "workload n len seed read-fraction",
+        ("tournament", _) => "n len seed out format",
+        ("scenario", _) => "name format diff transport",
+        ("cluster", _) => "nodes transport entrant n len seed read-fraction",
+        ("trace", _) => "format top events algo n len seed read-fraction",
+        ("lint", _) => "root format rule",
+        _ => return None,
+    })
+}
+
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts::default();
     let mut positionals: Vec<String> = Vec::new();
@@ -100,6 +121,17 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut it = positionals.into_iter();
     opts.target = it.next();
     opts.extra = it.collect();
+    if let Some(accepted) = accepted_flags(&opts.command, opts.target.as_deref()) {
+        let verbose = opts.verbose.then_some("verbose");
+        let mut given = opts.flags.keys().map(String::as_str).chain(verbose);
+        if let Some(unknown) = given.find(|f| !accepted.split(' ').any(|a| a == *f)) {
+            return Err(format!(
+                "{} does not take --{unknown} (accepted: --{})",
+                opts.command,
+                accepted.replace(' ', ", --")
+            ));
+        }
+    }
     Ok(opts)
 }
 
@@ -479,9 +511,7 @@ fn resolve_target(
         seed: opts.get_usize("seed", default_seed)? as u64,
         entrant: opts.entrant(entrant_flag, default_entrant)?,
         events: 65_536,
-        environment: "sc".to_string(),
-        cc: 0.25,
-        cd: 1.0,
+        model: CostModel::stationary(0.25, 1.0).map_err(|e| e.to_string())?,
         phases: vec![doma_scenario::Phase {
             name: "main".to_string(),
             len: opts.get_usize("len", default_len)?,
@@ -500,10 +530,11 @@ fn resolve_target(
 /// (or the JSON export with `--format json`); `--out <path>` additionally
 /// writes the byte-stable JSON artifact.
 fn cmd_tournament(opts: &Opts) -> Result<(), String> {
+    let defaults = doma_analysis::tournament::TournamentSpec::default();
     let spec = doma_analysis::tournament::TournamentSpec {
-        n: opts.get_usize("n", 6)?,
-        len: opts.get_usize("len", 40)?,
-        seed: opts.get_usize("seed", 7)? as u64,
+        n: opts.get_usize("n", defaults.n)?,
+        len: opts.get_usize("len", defaults.len)?,
+        seed: opts.get_usize("seed", defaults.seed as usize)? as u64,
     };
     let cells = doma_analysis::tournament::run_tournament(&spec).map_err(|e| e.to_string())?;
     let json = doma_analysis::tournament::render_json(&spec, &cells);
@@ -793,6 +824,61 @@ mod tests {
         assert!(parse_args(&args(&["trace", "a", "b"])).is_err());
         let o = parse_args(&args(&["cost", "--cc", "abc"])).unwrap();
         assert!(o.get_f64("cc", 0.0).is_err());
+        // A flag the command never reads is an error naming the accepted
+        // ones; an unknown command is left to `main`, which prints usage.
+        for (argv, flag) in [
+            (
+                &["tournament", "--sead", "3"][..],
+                "--sead (accepted: --n, --len, --seed,",
+            ),
+            (&["obs", "--schedule", "r1", "--formt", "table"], "--formt"),
+            (&["cost", "--schedule", "r1", "--alog", "sa"], "--alog"),
+            (&["stats", "--schedule", "r1", "--verbose"], "--verbose"),
+            (&["obs", "diff", "a", "b", "--schedule", "r1"], "--schedule"),
+        ] {
+            let e = parse_args(&args(argv)).unwrap_err();
+            assert!(e.contains(flag) && e.contains("(accepted: --"), "{e}");
+        }
+        assert!(parse_args(&args(&["bogus", "--x", "1"])).is_ok());
+    }
+
+    /// Every command line in this file's usage block parses: the block
+    /// and [`accepted_flags`] cannot drift apart.
+    #[test]
+    fn every_documented_usage_line_parses() {
+        let mut lines: Vec<String> = Vec::new();
+        for l in include_str!("domactl.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"))
+            .skip_while(|l| !l.contains("```text"))
+            .skip(1)
+            .take_while(|l| !l.contains("```"))
+        {
+            match l.trim_start().strip_prefix("domactl ") {
+                Some(command) => lines.push(command.to_string()),
+                None => lines.last_mut().unwrap().push_str(l),
+            }
+        }
+        assert!(lines.len() >= 10, "{lines:?}");
+        for line in &lines {
+            // `[--flag value]` → `--flag value`; a quoted schedule is one
+            // operand.
+            let argv: Vec<String> = line
+                .replace(['[', ']'], " ")
+                .split('"')
+                .enumerate()
+                .flat_map(|(i, part)| match i % 2 {
+                    1 => vec![part],
+                    _ => part.split_whitespace().collect(),
+                })
+                .map(str::to_string)
+                .collect();
+            let opts = parse_args(&argv).unwrap_or_else(|e| panic!("domactl {line}: {e}"));
+            assert!(
+                accepted_flags(&opts.command, opts.target.as_deref()).is_some(),
+                "domactl {line}"
+            );
+        }
     }
 
     #[test]

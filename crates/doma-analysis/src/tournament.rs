@@ -50,8 +50,8 @@ impl Default for TournamentSpec {
 /// One `(algorithm, workload, model)` cell of the tournament.
 #[derive(Debug, Clone)]
 pub struct TournamentCell {
-    /// Algorithm label (matches the obs `algo` metric label).
-    pub algo: &'static str,
+    /// The entrant (its name is the obs `algo` metric label).
+    pub algo: Entrant,
     /// Workload generator name.
     pub workload: String,
     /// `"sc"` (stationary) or `"mc"` (mobile).
@@ -162,7 +162,7 @@ pub fn run_tournament(spec: &TournamentSpec) -> Result<Vec<TournamentCell>> {
                 let opt_cost = opt.optimal_cost(&schedule)?;
                 let algo_cost = measured.eval(model);
                 cells.push(TournamentCell {
-                    algo: entrant.as_str(),
+                    algo: entrant,
                     workload: gen.name().to_string(),
                     environment: env_label(model),
                     cc: model.cc(),
@@ -207,7 +207,7 @@ pub fn render_json(spec: &TournamentSpec, cells: &[TournamentCell]) -> String {
              \"control\": {}, \"data\": {}, \"io\": {}, \
              \"algo_cost\": {}, \"opt_cost\": {}, \"ratio\": {}, \
              \"bound\": {}, \"within_bound\": {}}},\n",
-            cell.algo,
+            cell.algo.as_str(),
             cell.workload,
             cell.environment,
             cell.cc,
@@ -224,7 +224,7 @@ pub fn render_json(spec: &TournamentSpec, cells: &[TournamentCell]) -> String {
     }
     let algos = cells
         .iter()
-        .map(|c| c.algo)
+        .map(|c| c.algo.as_str())
         .collect::<std::collections::BTreeSet<_>>();
     let gens = cells
         .iter()
@@ -249,7 +249,9 @@ pub fn render_json(spec: &TournamentSpec, cells: &[TournamentCell]) -> String {
 }
 
 /// Renders a human-readable summary: one line per cell plus a per-entrant
-/// worst-ratio standings table.
+/// worst-ratio standings table. Only entrants at the paper algorithms'
+/// threshold are ranked against each other; an entrant of another `t`
+/// (write-invalidate, t = 1) is listed on its own line, unranked.
 pub fn render_table(cells: &[TournamentCell]) -> String {
     let mut out = String::new();
     out.push_str("algo              workload  model cc    cd     cost      opt     ratio  bound\n");
@@ -259,7 +261,7 @@ pub fn render_table(cells: &[TournamentCell]) -> String {
             .map_or_else(|| "-".to_string(), |b| format!("{b:.2}"));
         out.push_str(&format!(
             "{:<17} {:<9} {:<5} {:<5.2} {:<5.2} {:>8.2} {:>8.2} {:>9} {:>6}\n",
-            cell.algo,
+            cell.algo.as_str(),
             cell.workload,
             cell.environment,
             cell.cc,
@@ -275,7 +277,7 @@ pub fn render_table(cells: &[TournamentCell]) -> String {
         ));
     }
     out.push_str("\nstandings (worst measured ratio, finite cells):\n");
-    let mut worst: Vec<(&str, f64)> = Vec::new();
+    let mut worst: Vec<(Entrant, f64)> = Vec::new();
     for cell in cells {
         if !cell.ratio.is_finite() {
             continue;
@@ -286,8 +288,23 @@ pub fn render_table(cells: &[TournamentCell]) -> String {
         }
     }
     worst.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    for (rank, (algo, ratio)) in worst.iter().enumerate() {
-        out.push_str(&format!("  {}. {:<17} {:.4}\n", rank + 1, algo, ratio));
+    let t = Entrant::Da.t();
+    let (ranked, apart): (Vec<_>, Vec<_>) = worst.iter().partition(|(algo, _)| algo.t() == t);
+    for (rank, (algo, ratio)) in ranked.iter().enumerate() {
+        out.push_str(&format!(
+            "  {}. {:<17} {:.4}\n",
+            rank + 1,
+            algo.as_str(),
+            ratio
+        ));
+    }
+    for (algo, ratio) in apart {
+        out.push_str(&format!(
+            "  -  {:<17} {:.4}  (t = {}, not ranked against t = {t})\n",
+            algo.as_str(),
+            ratio,
+            algo.t()
+        ));
     }
     out
 }
@@ -300,9 +317,9 @@ mod tests {
     fn tournament_covers_the_full_grid() {
         let spec = TournamentSpec::default();
         let cells = run_tournament(&spec).unwrap();
-        // 7 algorithms × 5 workloads × 8 models.
-        assert_eq!(cells.len(), 7 * 5 * 8);
-        let algos: std::collections::BTreeSet<_> = cells.iter().map(|c| c.algo).collect();
+        // Every roster entrant × 5 workloads × 8 models.
+        assert_eq!(cells.len(), Entrant::ALL.len() * 5 * 8);
+        let algos: std::collections::BTreeSet<_> = cells.iter().map(|c| c.algo.as_str()).collect();
         assert_eq!(algos, Entrant::ALL.iter().map(|e| e.as_str()).collect());
         for cell in &cells {
             assert!(
@@ -372,9 +389,16 @@ mod tests {
             seed: 3,
         };
         let table = render_table(&run_tournament(&spec).unwrap());
-        assert!(table.contains("standings"));
-        for name in Entrant::ALL.map(|e| e.as_str()) {
-            assert!(table.contains(name), "missing {name} in standings table");
+        let standings = table.split_once("standings").unwrap().1;
+        for entrant in Entrant::ALL {
+            let name = entrant.as_str();
+            let line = standings
+                .lines()
+                .find(|l| l.split_whitespace().nth(1) == Some(name))
+                .unwrap_or_else(|| panic!("missing {name} in standings table"));
+            // Ranked (`N.`) exactly when the entrant shares DA's threshold.
+            let ranked = line.trim_start().starts_with(|c: char| c.is_ascii_digit());
+            assert_eq!(ranked, entrant.t() == Entrant::Da.t(), "{line}");
         }
     }
 }

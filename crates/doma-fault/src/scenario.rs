@@ -292,7 +292,6 @@ pub fn write_invalidate_small() -> Scenario {
         "write-invalidate-small",
         3,
         ProtocolConfig::Adaptive {
-            t: Entrant::WriteInvalidate.t(),
             initial: ProcSet::from_iter([0usize]),
             algo: Entrant::WriteInvalidate,
         },
@@ -335,17 +334,6 @@ pub fn mobile_mirror_resurrect() -> Scenario {
         .phase(&[Action::Read(2)])
 }
 
-/// Small-bound scenario for the clustered-allocation contender: an
-/// outsider read pulls node 2 toward the scheme, a write re-anchors the
-/// cluster, and the final outsider write forces a full migration plan.
-pub fn clustered_small() -> Scenario {
-    Scenario::new("clustered-small", 3, Entrant::Clustered.config())
-        .phase(&[Action::Read(2)])
-        .phase(&[Action::Write(0)])
-        .phase(&[Action::Read(2)])
-        .phase(&[Action::Write(2)])
-}
-
 /// Every built-in scenario, clean by construction on the fixed protocol.
 pub fn builtin() -> Vec<Scenario> {
     vec![
@@ -358,6 +346,5 @@ pub fn builtin() -> Vec<Scenario> {
         write_invalidate_small(),
         cost_oblivious_quorum_overlap(),
         mobile_mirror_resurrect(),
-        clustered_small(),
     ]
 }

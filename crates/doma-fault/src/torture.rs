@@ -1,6 +1,6 @@
 //! The randomized torture driver: seeded fault plans crossed with the
 //! workload generators, run against the full tournament roster (SA, DA
-//! and the five adaptive allocators) and the failover path with
+//! and the four adaptive allocators) and the failover path with
 //! [`InvariantChecker`] auditing every step.
 //!
 //! Every random decision of an episode — cluster size, scheme membership,
@@ -276,7 +276,6 @@ fn run_episode_observed(
                 _ => {}
             }
             ProtocolConfig::Adaptive {
-                t: adaptive.t(),
                 initial,
                 algo: adaptive,
             }

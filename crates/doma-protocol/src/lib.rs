@@ -29,7 +29,7 @@
 //!   fails, the cluster falls back to majority-quorum reads/writes and a
 //!   recovering node catches up via a quorum read (the missing-writes
 //!   transition) before normal DA operation resumes.
-//! * [`Entrant`] — the roster: the seven allocators every harness
+//! * [`Entrant`] — the roster: the six allocators every harness
 //!   compares, with their labels, thresholds, canonical deployment
 //!   ([`Entrant::config`], [`Entrant::sim`]) and the one table mapping a
 //!   configuration to its `doma-algorithms` constructor

@@ -33,10 +33,9 @@ pub enum ProtocolConfig {
     /// An adaptive algorithm whose placement decisions are computed by a
     /// driver-side oracle ([`ProtocolConfig::oracle`]) and carried in the
     /// client requests' plans. Nodes execute the plans
-    /// exactly; the quorum failure fallback ignores them.
+    /// exactly; the quorum failure fallback ignores them. The threshold
+    /// the oracle maintains is the entrant's own ([`Entrant::t`]).
     Adaptive {
-        /// The availability threshold the oracle maintains.
-        t: usize,
         /// The oracle's initial allocation scheme (preloaded replicas).
         initial: ProcSet,
         /// Which adaptive entrant the oracle runs.
@@ -50,7 +49,7 @@ impl ProtocolConfig {
         match self {
             ProtocolConfig::Sa { q } => q.len(),
             ProtocolConfig::Da { f, .. } => f.len() + 1,
-            ProtocolConfig::Adaptive { t, .. } => *t,
+            ProtocolConfig::Adaptive { algo, .. } => algo.t(),
         }
     }
 

@@ -1,4 +1,4 @@
-//! The roster: the seven entrants every harness compares, declared once.
+//! The roster: the six entrants every harness compares, declared once.
 //!
 //! The paper's results are comparisons under one deployment (`|Q| = t`,
 //! core `F` plus floater `p`), so a tournament cell, a golden scenario
@@ -12,13 +12,13 @@
 use crate::sim::PlanOracle;
 use crate::{ProtocolConfig, ProtocolSim};
 use doma_algorithms::{
-    ClusteredAllocation, CostOblivious, DynamicAllocation, MobileMirror, SlidingWindowConvergent,
-    StaticAllocation, WriteInvalidateCache,
+    CostOblivious, DynamicAllocation, MobileMirror, SlidingWindowConvergent, StaticAllocation,
+    WriteInvalidateCache,
 };
 use doma_core::{DomaError, ProcSet, ProcessorId, Result};
 
-/// One of the seven allocators the repo compares: the paper's SA and DA,
-/// the two promoted ablation baselines, and the three contenders.
+/// One of the six allocators the repo compares: the paper's SA and DA,
+/// the two promoted ablation baselines, and the two contenders.
 /// [`Entrant::as_str`] is the spelling used everywhere a name is written
 /// down — scenario files, CLI flags, tournament rows and the obs `algo`
 /// metric label.
@@ -36,8 +36,6 @@ pub enum Entrant {
     CostOblivious,
     /// Mobile-resource mirroring (Feldkord et al.).
     MobileMirror,
-    /// Clustering-based fragment allocation.
-    Clustered,
 }
 
 /// The constructor arguments of the adaptive allocators that are not
@@ -64,14 +62,13 @@ impl Tunables {
 
 impl Entrant {
     /// Every entrant, in tournament order.
-    pub const ALL: [Entrant; 7] = [
+    pub const ALL: [Entrant; 6] = [
         Entrant::Sa,
         Entrant::Da,
         Entrant::Convergent,
         Entrant::WriteInvalidate,
         Entrant::CostOblivious,
         Entrant::MobileMirror,
-        Entrant::Clustered,
     ];
 
     /// The entrant's name.
@@ -83,7 +80,6 @@ impl Entrant {
             Entrant::WriteInvalidate => "write-invalidate",
             Entrant::CostOblivious => "cost-oblivious",
             Entrant::MobileMirror => "mobile-mirror",
-            Entrant::Clustered => "clustered",
         }
     }
 
@@ -108,8 +104,7 @@ impl Entrant {
             | Entrant::Da
             | Entrant::Convergent
             | Entrant::CostOblivious
-            | Entrant::MobileMirror
-            | Entrant::Clustered => 2,
+            | Entrant::MobileMirror => 2,
         }
     }
 
@@ -128,9 +123,7 @@ impl Entrant {
             adaptive @ (Entrant::Convergent
             | Entrant::WriteInvalidate
             | Entrant::CostOblivious
-            | Entrant::MobileMirror
-            | Entrant::Clustered) => ProtocolConfig::Adaptive {
-                t: adaptive.t(),
+            | Entrant::MobileMirror) => ProtocolConfig::Adaptive {
                 initial: ProcSet::from_iter([0usize, 1]),
                 algo: *adaptive,
             },
@@ -168,20 +161,22 @@ impl ProtocolConfig {
         Ok(match *self {
             ProtocolConfig::Sa { q } => Box::new(StaticAllocation::new(q)?),
             ProtocolConfig::Da { f, p } => Box::new(DynamicAllocation::new(f, p)?),
-            ProtocolConfig::Adaptive { t, initial, algo } => match algo {
+            ProtocolConfig::Adaptive { initial, algo } => match algo {
                 Entrant::Convergent => Box::new(SlidingWindowConvergent::new(
                     n,
-                    t,
+                    algo.t(),
                     initial,
                     tunables.window,
                     tunables.period,
                 )?),
                 Entrant::WriteInvalidate => Box::new(WriteInvalidateCache::new(initial)?),
-                Entrant::CostOblivious => {
-                    Box::new(CostOblivious::new(n, t, initial, tunables.threshold)?)
-                }
-                Entrant::MobileMirror => Box::new(MobileMirror::new(n, t, initial)?),
-                Entrant::Clustered => Box::new(ClusteredAllocation::new(n, t, initial)?),
+                Entrant::CostOblivious => Box::new(CostOblivious::new(
+                    n,
+                    algo.t(),
+                    initial,
+                    tunables.threshold,
+                )?),
+                Entrant::MobileMirror => Box::new(MobileMirror::new(n, algo.t(), initial)?),
                 Entrant::Sa | Entrant::Da => {
                     return Err(DomaError::InvalidConfig(format!(
                         "{algo} runs its native protocol, not oracle plans"

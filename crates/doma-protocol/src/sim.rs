@@ -195,13 +195,11 @@ impl ProtocolSim {
                         "{object}: DA requires non-empty F with p outside F"
                     )));
                 }
-                ProtocolConfig::Adaptive { t, initial, algo }
-                    if *t == 0
-                        || initial.len() < *t
-                        || matches!(algo, Entrant::Sa | Entrant::Da) =>
+                ProtocolConfig::Adaptive { initial, algo }
+                    if initial.len() < algo.t() || matches!(algo, Entrant::Sa | Entrant::Da) =>
                 {
                     return Err(DomaError::InvalidConfig(format!(
-                        "{object}: adaptive config requires 1 <= t <= |initial scheme| \
+                        "{object}: adaptive config requires t <= |initial scheme| \
                          and an adaptive entrant"
                     )));
                 }
@@ -1295,7 +1293,6 @@ mod tests {
         // table nor the catalog accepts them as an adaptive configuration.
         for algo in [Entrant::Sa, Entrant::Da] {
             let config = ProtocolConfig::Adaptive {
-                t: 2,
                 initial: ps(&[0, 1]),
                 algo,
             };

@@ -4,7 +4,7 @@
 //! [`doma_obs::trace::TraceModel`] sum to **exactly** the schedule's
 //! analytic cost — `doma_core::cost_of_schedule` for SA and DA, and the
 //! analytic engine's `run_online` of the same algorithm for each of the
-//! five adaptive entrants. Execution is strictly one-request-at-a-time,
+//! four adaptive entrants. Execution is strictly one-request-at-a-time,
 //! so the deltas telescope: any drift in the span bracketing, the cost
 //! attribution or the analytic parity breaks the sum.
 //!
@@ -173,7 +173,7 @@ doma_testkit::property! {
     }
 
     #[cases(12)]
-    /// All five adaptive entrants: span-window cost sums == run_online.
+    /// All four adaptive entrants: span-window cost sums == run_online.
     fn adaptive_critical_path_sums_equal_run_online(case in CaseGen) {
         // Fixed n = 6 cluster (the tournament shape); only the schedule
         // varies. Reject issuers outside the cluster.

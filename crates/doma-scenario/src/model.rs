@@ -8,7 +8,7 @@
 
 use crate::toml::{self, Entry, Table, Value};
 use crate::ScenarioError;
-use doma_core::MAX_PROCESSORS;
+use doma_core::{CostModel, Environment, MAX_PROCESSORS};
 use doma_protocol::Entrant;
 
 /// The request mix of one phase.
@@ -220,12 +220,10 @@ pub struct Scenario {
     pub entrant: Entrant,
     /// Obs event-log capacity.
     pub events: usize,
-    /// `"sc"` (stationary, cio > 0) or `"mc"` (mobile, cio = 0).
-    pub environment: String,
-    /// Control-message unit cost.
-    pub cc: f64,
-    /// Data-message unit cost.
-    pub cd: f64,
+    /// The cost model the run is priced under: `environment = "sc"`
+    /// (stationary, cio = 1) or `"mc"` (mobile, cio = 0), with the unit
+    /// costs `cc ≤ cd`.
+    pub model: CostModel,
     /// The phases, executed in order.
     pub phases: Vec<Phase>,
     /// Declarative faults (empty = failure-free).
@@ -753,13 +751,16 @@ impl Scenario {
             .ok_or_else(|| fail(1, "missing [model] table"))?;
         check_keys(model, MODEL_KEYS)?;
         let env_entry = required(model, "environment")?;
-        let environment = as_str(env_entry)?.to_string();
-        if environment != "sc" && environment != "mc" {
-            return Err(fail(
-                env_entry.line,
-                format!("'environment' must be sc or mc, got '{environment}'"),
-            ));
-        }
+        let build = match as_str(env_entry)? {
+            "sc" => CostModel::stationary,
+            "mc" => CostModel::mobile,
+            other => {
+                return Err(fail(
+                    env_entry.line,
+                    format!("'environment' must be sc or mc, got '{other}'"),
+                ))
+            }
+        };
         let unit_cost = |key: &str| -> Result<f64, ScenarioError> {
             let entry = required(model, key)?;
             let v = as_f64(entry)?;
@@ -769,6 +770,9 @@ impl Scenario {
             Ok(v)
         };
         let (cc, cd) = (unit_cost("cc")?, unit_cost("cd")?);
+        // Report a `cc > cd` model where the reader fixes it: at `cd`.
+        let cd_line = required(model, "cd")?.line;
+        let model = build(cc, cd).map_err(|e| fail(cd_line, e.to_string()))?;
 
         let phases: Vec<Phase> = doc
             .tables_named("phase")
@@ -814,9 +818,7 @@ impl Scenario {
             seed,
             entrant,
             events,
-            environment,
-            cc,
-            cd,
+            model,
             phases,
             faults,
             expect,
@@ -851,9 +853,13 @@ impl Scenario {
         out.push_str(&format!("entrant = {}\n", esc(self.entrant.as_str())));
         out.push_str(&format!("events = {}\n", self.events));
         out.push_str("\n[model]\n");
-        out.push_str(&format!("environment = {}\n", esc(&self.environment)));
-        out.push_str(&format!("cc = {}\n", self.cc));
-        out.push_str(&format!("cd = {}\n", self.cd));
+        let environment = match self.model.environment() {
+            Environment::Stationary => "sc",
+            Environment::Mobile => "mc",
+        };
+        out.push_str(&format!("environment = {}\n", esc(environment)));
+        out.push_str(&format!("cc = {}\n", self.model.cc()));
+        out.push_str(&format!("cd = {}\n", self.model.cd()));
         for phase in &self.phases {
             out.push_str("\n[[phase]]\n");
             out.push_str(&format!("name = {}\n", esc(&phase.name)));
@@ -1031,6 +1037,7 @@ mod tests {
                 "must be sc or mc",
             ),
             ("cc = 0.25", "cc = 0.0", "'cc' must be > 0"),
+            ("cc = 0.25", "cc = 2.0", "cc=2 > cd=1"),
             (
                 "read_fraction = 0.7",
                 "read_fraction = 1.5",

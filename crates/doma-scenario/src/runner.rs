@@ -14,7 +14,7 @@ use crate::model::{FaultKind, MsgFilter, Scenario, WorkloadSpec};
 use crate::{digest64, format_digest, ScenarioError};
 use doma_algorithms::search::ratio;
 use doma_algorithms::OfflineOptimal;
-use doma_core::{CostModel, CostVector, ProcSet, Schedule};
+use doma_core::{CostVector, ProcSet, Schedule};
 use doma_obs::json::escape;
 use doma_protocol::{registry_cost, ProtocolSim};
 use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind, NodeId};
@@ -228,15 +228,6 @@ pub fn build_fault_plan(scenario: &Scenario) -> FaultPlan {
     plan
 }
 
-/// The scenario's cost model.
-pub fn build_model(scenario: &Scenario) -> Result<CostModel, ScenarioError> {
-    if scenario.environment == "mc" {
-        CostModel::mobile(scenario.cc, scenario.cd).map_err(runtime)
-    } else {
-        CostModel::stationary(scenario.cc, scenario.cd).map_err(runtime)
-    }
-}
-
 /// Runs the scenario end to end and audits its expected-invariant block.
 /// Returns `Ok` even when expectations fail — inspect
 /// [`RunReport::passed`]; `Err` means the scenario could not execute.
@@ -272,8 +263,7 @@ fn run_impl(
     let report = sim.execute(&schedule).map_err(runtime)?;
     sim.obs_flush();
 
-    let model = build_model(scenario)?;
-    let algo_cost = report.cost.eval(&model);
+    let algo_cost = report.cost.eval(&scenario.model);
     let snapshot_json = obs.snapshot_json();
     let digest = format_digest(digest64(snapshot_json.as_bytes()));
     let snap = obs.metrics().snapshot();
@@ -323,7 +313,7 @@ fn run_impl(
     let (mut opt_cost, mut measured_ratio) = (None, None);
     if let Some(ceiling) = expect.max_ratio_vs_opt {
         let initial = scenario.entrant.config().initial_scheme();
-        let opt = OfflineOptimal::new(scenario.n, scenario.entrant.t(), initial, model)
+        let opt = OfflineOptimal::new(scenario.n, scenario.entrant.t(), initial, scenario.model)
             .map_err(runtime)?
             .optimal_cost(&schedule)
             .map_err(runtime)?;

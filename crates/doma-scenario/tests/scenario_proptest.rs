@@ -10,6 +10,7 @@
 //! Failures print a `DOMA_PROP_SEED=…` replay line via the testkit
 //! harness.
 
+use doma_core::CostModel;
 use doma_scenario::{
     Entrant, Expect, FaultKind, FaultSpec, MsgFilter, Phase, Scenario, WorkloadSpec,
 };
@@ -153,6 +154,16 @@ impl Gen for ScenarioGen {
         let faults = (0..prop::range(0usize..3).generate(rng))
             .map(|_| fault(rng, n))
             .collect();
+        // A data message cannot cost less than a control message: draw
+        // both unit costs, then order them so `cc <= cd`.
+        let (a, b) = (frac(rng) * 4.0, frac(rng) * 4.0);
+        let (cc, cd) = (a.min(b), a.max(b));
+        let model = if prop::bools().generate(rng) {
+            CostModel::stationary(cc, cd)
+        } else {
+            CostModel::mobile(cc, cd)
+        }
+        .expect("cc <= cd");
         Scenario {
             name: format!("prop-{}", prop::range(0u64..1_000_000).generate(rng)),
             description: "randomly generated by scenario_proptest \"quoted\"".into(),
@@ -160,14 +171,7 @@ impl Gen for ScenarioGen {
             seed: prop::range(0u64..u64::MAX).generate(rng),
             entrant,
             events: prop::range(16usize..1024).generate(rng),
-            environment: if prop::bools().generate(rng) {
-                "sc"
-            } else {
-                "mc"
-            }
-            .into(),
-            cc: frac(rng) * 4.0,
-            cd: frac(rng) * 4.0,
+            model,
             phases,
             faults,
             expect: Expect {

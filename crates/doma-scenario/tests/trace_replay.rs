@@ -7,6 +7,7 @@
 //! This pins the contract that trace files are a faithful interchange
 //! format between the workload generators and the scenario engine.
 
+use doma_core::CostModel;
 use doma_scenario::{runner, Entrant, Expect, Phase, Scenario, WorkloadSpec};
 use doma_workload::trace::{read_trace, write_trace};
 
@@ -18,9 +19,7 @@ fn base_scenario(workload: WorkloadSpec, len: usize) -> Scenario {
         seed: 0xD0_0D,
         entrant: Entrant::Da,
         events: 512,
-        environment: "sc".into(),
-        cc: 1.0,
-        cd: 2.0,
+        model: CostModel::stationary(1.0, 2.0).unwrap(),
         phases: vec![Phase {
             name: "only".into(),
             len,

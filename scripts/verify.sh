@@ -65,8 +65,8 @@ done
 # harness cannot quietly grow its own copy of the deployment decision.
 # ---------------------------------------------------------------------------
 roster=crates/doma-protocol/src/roster.rs
-for needle in 'CostOblivious::new' 'MobileMirror::new' 'ClusteredAllocation::new' \
-    'SlidingWindowConvergent::new' 'WriteInvalidateCache::new' '"write-invalidate"'; do
+for needle in 'CostOblivious::new' 'MobileMirror::new' 'SlidingWindowConvergent::new' \
+    'WriteInvalidateCache::new' '"write-invalidate"'; do
     sites=$(grep -rlF -- "$needle" crates/*/src | grep -v '^crates/doma-algorithms/' || true)
     if [ "$sites" != "$roster" ]; then
         echo "error: $needle belongs in $roster alone, found in:" >&2
@@ -212,8 +212,10 @@ fi
 # Byte-stability table: each row is one CLI export that must be identical
 # across two invocations, plus the keys its JSON must carry.
 #   obs        — the doma-obs snapshot contract.
-#   tournament — a small seven-entrant tournament through the protocol sim:
-#                the stable-bench contract for BENCH_tournament.json.
+#   tournament — a small six-entrant tournament through the protocol sim:
+#                the stable-bench contract for BENCH_tournament.json. It
+#                must name exactly the six roster labels, so a roster change
+#                updates this wall on purpose.
 #   scenario   — every builtin scenario with obs attached; `domactl scenario`
 #                exits non-zero if any expected-invariant block (cost vs OPT,
 #                t-availability, churn ceilings, obs parity, golden digest)
@@ -225,9 +227,16 @@ same_bytes obs "$domactl" obs --schedule "r2 w3 r2 r1 w0 r3 w2 r0" --algo da
 has_keys obs '"metrics"' '"events"' '"dropped_events"'
 
 same_bytes tournament "$domactl" tournament --n 5 --len 12 --seed 3 --format json
-has_keys tournament '"group": "tournament"' '"algo": "sa"' '"algo": "da"' \
-    '"algo": "convergent"' '"algo": "write-invalidate"' '"algo": "cost-oblivious"' \
-    '"algo": "mobile-mirror"' '"algo": "clustered"' '"attachment": "tournament/spec"'
+has_keys tournament '"group": "tournament"' '"attachment": "tournament/spec"'
+roster_labels='sa da convergent write-invalidate cost-oblivious mobile-mirror'
+algos=$(grep -o '"algo": "[^"]*"' "$out/tournament" | cut -d'"' -f4 | sort -u | tr '\n' ' ')
+# shellcheck disable=SC2086
+expected=$(printf '%s\n' $roster_labels | sort | tr '\n' ' ')
+if [ "$algos" != "$expected" ]; then
+    echo "error: tournament entrants are '$algos', expected exactly: $roster_labels" >&2
+    echo "verify: FAILED (tournament roster labels)" >&2
+    exit 1
+fi
 
 same_bytes scenario "$domactl" scenario all --format json
 has_keys scenario '"scenario": "append-only-6-2"' '"scenario": "trace-replay"' \
@@ -315,8 +324,8 @@ fi
 
 # ---------------------------------------------------------------------------
 # Fault matrix: 32 seeded fault plans per cell over the full tournament
-# roster — {SA,DA} × {crash,partition,drop} plus two fault classes per
-# adaptive allocator and the pinned per-allocator regression episodes —
+# roster — every entrant × {crash,partition,drop} and the pinned
+# per-allocator regression episodes —
 # with the invariant checker auditing every step. On a violation the
 # harness itself prints the exact `DOMA_FAULT_SEED=…` replay line; the hint
 # below covers infrastructure failures (build breaks, panics outside the

@@ -1,6 +1,7 @@
 //! Seed-replay torture matrix: randomized fault episodes against the full
-//! tournament roster (SA, DA and the five adaptive allocators) and the
-//! failover path, with every step audited by the invariant checker.
+//! tournament roster (SA, DA and the four adaptive allocators, each under
+//! every fault class) and the failover path, with every step audited by
+//! the invariant checker.
 //!
 //! Seeds come from the environment (`DOMA_FAULT_SEEDS` sizes the sweep,
 //! default 32; `DOMA_FAULT_SEED=0x…` replays exactly one episode). On a
@@ -58,8 +59,18 @@ fn fault_torture_convergent_crash() {
 }
 
 #[test]
+fn fault_torture_convergent_partition() {
+    torture_cell(Entrant::Convergent, FaultClass::Partition);
+}
+
+#[test]
 fn fault_torture_convergent_drop() {
     torture_cell(Entrant::Convergent, FaultClass::Drop);
+}
+
+#[test]
+fn fault_torture_write_invalidate_crash() {
+    torture_cell(Entrant::WriteInvalidate, FaultClass::Crash);
 }
 
 #[test]
@@ -83,23 +94,23 @@ fn fault_torture_cost_oblivious_partition() {
 }
 
 #[test]
+fn fault_torture_cost_oblivious_drop() {
+    torture_cell(Entrant::CostOblivious, FaultClass::Drop);
+}
+
+#[test]
 fn fault_torture_mobile_mirror_crash() {
     torture_cell(Entrant::MobileMirror, FaultClass::Crash);
 }
 
 #[test]
+fn fault_torture_mobile_mirror_partition() {
+    torture_cell(Entrant::MobileMirror, FaultClass::Partition);
+}
+
+#[test]
 fn fault_torture_mobile_mirror_drop() {
     torture_cell(Entrant::MobileMirror, FaultClass::Drop);
-}
-
-#[test]
-fn fault_torture_clustered_crash() {
-    torture_cell(Entrant::Clustered, FaultClass::Crash);
-}
-
-#[test]
-fn fault_torture_clustered_partition() {
-    torture_cell(Entrant::Clustered, FaultClass::Partition);
 }
 
 /// Pinned regression episodes: one fixed seed per adaptive algorithm,
@@ -119,7 +130,6 @@ fn pinned_adaptive_regression_episodes() {
         (Entrant::WriteInvalidate, FaultClass::Drop, 0x0C02),
         (Entrant::CostOblivious, FaultClass::Partition, 0x0C03),
         (Entrant::MobileMirror, FaultClass::Crash, 0x0C04),
-        (Entrant::Clustered, FaultClass::Drop, 0x0C05),
     ];
     for (algo, class, seed) in cells {
         let a = run_episode(seed, algo, class).unwrap_or_else(|f| panic!("{f}"));

@@ -7,29 +7,11 @@
 
 use doma::algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
 use doma::core::{run_online, CostModel, ProcSet, ProcessorId, Request, Schedule};
-use doma::protocol::{registry_cost, Entrant, ProtocolSim, Tunables};
+use doma::protocol::{registry_cost, Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use doma_testkit::property::{self as prop, Gen};
 use doma_testkit::TestRng;
 
 const N: usize = 6;
-
-/// One roster entrant in its canonical deployment: the plan-executing
-/// protocol must match `run_online` on the roster's own algorithm
-/// instance exactly.
-fn check_entrant_parity(entrant: Entrant, schedule: &Schedule) {
-    let name = entrant.as_str();
-    let report = entrant.sim(N).unwrap().execute(schedule).unwrap();
-    let mut algo = entrant.config().algorithm(N, Tunables::CANONICAL).unwrap();
-    let analytic = run_online(&mut *algo, schedule).unwrap();
-    assert_eq!(report.cost, analytic.costed.total, "{name} on {schedule}");
-    assert_eq!(report.final_holders, analytic.costed.final_scheme, "{name}");
-    assert_eq!(report.dropped_messages, 0, "{name}");
-    assert_eq!(
-        report.reads_completed as usize,
-        schedule.read_count(),
-        "{name}"
-    );
-}
 
 /// Requests over `N` issuers; shrinks writes to reads and issuers toward 0.
 struct RequestGen;
@@ -113,20 +95,26 @@ doma_testkit::property! {
     }
 
     #[cases(16)]
-    /// The promoted baselines run through the plan-oracle driver match
-    /// `run_online` exactly — the tournament-promotion analogue of
-    /// `sa_parity`/`da_parity`.
-    fn promoted_baseline_parity(schedule in arb_schedule()) {
-        check_entrant_parity(Entrant::Convergent, &schedule);
-        check_entrant_parity(Entrant::WriteInvalidate, &schedule);
-    }
-
-    #[cases(16)]
-    /// The three tournament contenders match `run_online` exactly too.
-    fn contender_parity(schedule in arb_schedule()) {
-        check_entrant_parity(Entrant::CostOblivious, &schedule);
-        check_entrant_parity(Entrant::MobileMirror, &schedule);
-        check_entrant_parity(Entrant::Clustered, &schedule);
+    /// Every adaptive roster entrant, run through the plan-oracle driver
+    /// in its canonical deployment, matches `run_online` on the roster's
+    /// own algorithm instance exactly — the plan-executing analogue of
+    /// `sa_parity`/`da_parity`. Driven by `Entrant::ALL`, so a roster
+    /// edit cannot drop an entrant from the property.
+    fn adaptive_entrant_parity(schedule in arb_schedule()) {
+        for entrant in Entrant::ALL {
+            let config = entrant.config();
+            if !matches!(config, ProtocolConfig::Adaptive { .. }) {
+                continue;
+            }
+            let name = entrant.as_str();
+            let report = entrant.sim(N).unwrap().execute(&schedule).unwrap();
+            let mut algo = config.algorithm(N, Tunables::CANONICAL).unwrap();
+            let analytic = run_online(&mut *algo, &schedule).unwrap();
+            assert_eq!(report.cost, analytic.costed.total, "{name} on {schedule}");
+            assert_eq!(report.final_holders, analytic.costed.final_scheme, "{name}");
+            assert_eq!(report.dropped_messages, 0, "{name}");
+            assert_eq!(report.reads_completed as usize, schedule.read_count(), "{name}");
+        }
     }
 
     #[cases(16)]

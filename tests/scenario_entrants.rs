@@ -5,7 +5,7 @@
 //! digest.
 //!
 //! The builtin file pins the digest for its own entrant (`sa`); this
-//! wall extends the pin to all seven allocators so a behavioural drift
+//! wall extends the pin to all six allocators so a behavioural drift
 //! in *any* entrant — not just the one the builtin happens to name — is
 //! caught by `cargo test`.
 //!
@@ -16,14 +16,13 @@ use doma::scenario::{builtin, runner, Entrant};
 
 /// Pinned FNV-1a digests of the obs snapshot for `append-only-6-2`, one
 /// per entrant, in `Entrant::ALL` order.
-const GOLDEN: [(&str, &str); 7] = [
+const GOLDEN: [(&str, &str); 6] = [
     ("sa", "0xb64ce3fa9b390fdb"),
     ("da", "0x773b0d7e294d00b2"),
     ("convergent", "0xfc0c7651e2b1c10f"),
     ("write-invalidate", "0xa1b34cf52d14f5b5"),
     ("cost-oblivious", "0xf676c9b71f1558ff"),
     ("mobile-mirror", "0xabc95445324d6957"),
-    ("clustered", "0x70cc709293a64cad"),
 ];
 
 /// The §6.2 scenario re-targeted at `entrant`: same catalog, seed and
