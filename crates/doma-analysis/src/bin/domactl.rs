@@ -8,20 +8,19 @@
 //! domactl simulate --schedule "..." [--algo <entrant>] [--n 6]
 //! domactl obs      --schedule "..." [--algo <entrant>] [--n 6]
 //!                  [--format json|table] [--events 256]
-//! domactl generate --workload uniform|zipf|hotspot|chaotic|mobile|append
+//! domactl generate --workload uniform|zipf|hotspot|chaotic|mobile|append-only
 //!                  [--n 6] [--len 50] [--seed 0] [--read-fraction 0.7]
 //! domactl tournament [--n 6] [--len 40] [--seed 7] [--out BENCH_tournament.json]
 //!                  [--format table|json]
 //! domactl scenario <name|path|all|list> [--format table|json]
-//!                  [--diff <baseline.json>] [--transport sim|tcp|uds]
-//! domactl cluster  <scenario|workload> --nodes N [--transport tcp|uds]
+//!                  [--diff <baseline.json>]
+//! domactl cluster  <scenario|workload|all> [--nodes N] [--transport tcp|uds]
 //!                  [--entrant <entrant>] [--n 6] [--len 40] [--seed 7]
 //!                  [--read-fraction 0.7]
 //! domactl trace    <scenario|workload> [--format table|chrome] [--top 10]
 //!                  [--events N] [--algo <entrant>] [--n 6] [--len 50]
 //!                  [--seed 0] [--read-fraction 0.7]
 //! domactl obs diff <a.json> <b.json> [--scenario NAME]
-//! domactl lint     [--root PATH] [--format table|json] [--rule <id>]
 //! ```
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
@@ -82,10 +81,9 @@ fn accepted_flags(command: &str, target: Option<&str>) -> Option<&'static str> {
         ("obs", _) => "schedule file algo n format events",
         ("generate", _) => "workload n len seed read-fraction",
         ("tournament", _) => "n len seed out format",
-        ("scenario", _) => "name format diff transport",
+        ("scenario", _) => "format diff",
         ("cluster", _) => "nodes transport entrant n len seed read-fraction",
         ("trace", _) => "format top events algo n len seed read-fraction",
-        ("lint", _) => "root format rule",
         _ => return None,
     })
 }
@@ -110,7 +108,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     }
     if opts.command.is_empty() {
         return Err(
-            "missing command (cost | stats | simulate | obs | generate | tournament | scenario | cluster | trace | lint)"
+            "missing command (cost | stats | simulate | obs | generate | tournament | scenario | cluster | trace)"
                 .to_string(),
         );
     }
@@ -434,42 +432,60 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The ad-hoc workload kinds `generate`, `trace` and `cluster` accept.
-const WORKLOADS: &[&str] = &["uniform", "zipf", "hotspot", "chaotic", "mobile", "append"];
-
-/// The one table behind [`WORKLOADS`]: each kind's shape on `n`
-/// processors, with the parameters the CLI does not expose fixed.
-fn adhoc_workload(kind: &str, n: usize, rf: f64) -> Result<WorkloadSpec, String> {
-    Ok(match kind {
-        "uniform" => WorkloadSpec::Uniform { read_fraction: rf },
-        "zipf" => WorkloadSpec::Zipf {
+/// The ad-hoc workloads `generate`, `trace` and `cluster` accept, named
+/// as scenario files name them ([`WorkloadSpec::name`]): every generator
+/// kind shaped for `n` processors, with the parameters the CLI does not
+/// expose fixed.
+fn adhoc_workloads(n: usize, rf: f64) -> [WorkloadSpec; 6] {
+    [
+        WorkloadSpec::Uniform { read_fraction: rf },
+        WorkloadSpec::Zipf {
             theta: 1.0,
             read_fraction: rf,
         },
-        "hotspot" => WorkloadSpec::Hotspot {
+        WorkloadSpec::Hotspot {
             phase_len: 20,
             hot_prob: rf,
         },
-        "chaotic" => WorkloadSpec::Chaotic { redraw_every: 8 },
-        "mobile" => WorkloadSpec::Mobile {
+        WorkloadSpec::Chaotic { redraw_every: 8 },
+        WorkloadSpec::Mobile {
             cells: n / 2,
-            callers: n - n / 2 - 1,
+            callers: n.saturating_sub(n / 2 + 1),
             move_prob: 0.3,
             read_fraction: rf,
         },
-        "append" => WorkloadSpec::AppendOnly {
+        WorkloadSpec::AppendOnly {
             generators: 2,
             reads_per_write: 3.0,
         },
-        other => return Err(format!("unknown --workload '{other}'")),
-    })
+    ]
+}
+
+/// The names [`adhoc_workloads`] answers to.
+fn workload_names() -> Vec<&'static str> {
+    adhoc_workloads(0, 0.0)
+        .iter()
+        .map(WorkloadSpec::name)
+        .collect()
+}
+
+fn adhoc_workload(kind: &str, n: usize, rf: f64) -> Result<WorkloadSpec, String> {
+    adhoc_workloads(n, rf)
+        .into_iter()
+        .find(|w| w.name() == kind)
+        .ok_or_else(|| {
+            format!(
+                "unknown --workload '{kind}' (expected one of: {})",
+                workload_names().join(", ")
+            )
+        })
 }
 
 fn targets_help() -> String {
     format!(
         "builtins: {}\nworkloads: {}",
         doma_scenario::builtin::names().join(", "),
-        WORKLOADS.join(", ")
+        workload_names().join(", ")
     )
 }
 
@@ -482,6 +498,14 @@ fn load_scenario(target: &str) -> Result<Scenario, String> {
     } else {
         doma_scenario::builtin::load(target).map_err(|e| e.to_string())
     }
+}
+
+/// Every builtin scenario, in roster order.
+fn builtins() -> Result<Vec<Scenario>, String> {
+    doma_scenario::builtin::names()
+        .into_iter()
+        .map(|name| doma_scenario::builtin::load(name).map_err(|e| format!("{name}: {e}")))
+        .collect()
 }
 
 /// The one way `trace` and `cluster` name a run: anything
@@ -498,9 +522,9 @@ fn resolve_target(
     default_len: usize,
     default_seed: usize,
 ) -> Result<Scenario, String> {
-    if !WORKLOADS.contains(&target) {
+    if !workload_names().contains(&target) {
         return load_scenario(target)
-            .map_err(|e| format!("{e}\nworkloads: {}", WORKLOADS.join(", ")));
+            .map_err(|e| format!("{e}\nworkloads: {}", workload_names().join(", ")));
     }
     let n = opts.get_usize("n", 6)?;
     let workload = adhoc_workload(target, n, opts.get_f64("read-fraction", 0.7)?)?;
@@ -518,6 +542,7 @@ fn resolve_target(
             workload,
         }],
         faults: Vec::new(),
+        partitions: Vec::new(),
         expect: doma_scenario::Expect::default(),
         golden: None,
     };
@@ -558,47 +583,61 @@ fn cmd_tournament(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a `--transport` value for the socket runtime commands.
-fn socket_transport(value: &str) -> Result<doma_net::TransportKind, String> {
-    doma_net::TransportKind::parse(value)
-        .ok_or_else(|| format!("--transport must be tcp or uds, got '{value}'"))
-}
-
-/// `domactl cluster <scenario|workload>` — spawn N protocol nodes over
-/// real sockets, drive the scenario's schedule through them, and
+/// `domactl cluster <scenario|workload|all>` — spawn N protocol nodes
+/// over real sockets, drive the scenario's schedule through them, and
 /// cross-check the run against the deterministic sim twin: same seed,
 /// same request schedule, therefore (if the transport layer is correct)
 /// the same allocation-scheme trajectory and the same obs cost totals.
+/// `all` runs every builtin and reports a fault-bearing one as skipped
+/// (the real runtime is failure-free). `--nodes N` resizes the scenario
+/// before it is validated, so a size its file could not declare is an
+/// error naming the broken rule.
 fn cmd_cluster(opts: &Opts) -> Result<(), String> {
     let target = opts.target.as_deref().ok_or_else(|| {
         format!(
-            "need a target: domactl cluster <scenario|workload> --nodes N [--transport tcp|uds]\n{}",
+            "need a target: domactl cluster <scenario|workload|all> [--nodes N] [--transport tcp|uds]\n{}",
             targets_help()
         )
     })?;
-    let kind = socket_transport(&opts.get("transport", "uds"))?;
-    let scenario = resolve_target(opts, target, "entrant", "sa", 40, 7)?;
-    let nodes = match opts.flags.get("nodes") {
-        Some(_) => Some(opts.get_usize("nodes", scenario.n)?),
-        None => None,
+    let transport = opts.get("transport", "uds");
+    let kind = doma_net::TransportKind::parse(&transport)
+        .ok_or_else(|| format!("--transport must be tcp or uds, got '{transport}'"))?;
+    let scenarios = match target {
+        "all" => builtins()?,
+        _ => vec![resolve_target(opts, target, "entrant", "sa", 40, 7)?],
     };
-    match doma_analysis::cluster::run_twin(&scenario, kind, nodes) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.matches() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "cluster diverged from the sim twin ({} difference(s))",
-                    report.diffs.len()
-                ))
+    let mut diverged = 0;
+    for mut scenario in scenarios {
+        if target == "all" && !scenario.is_failure_free() {
+            println!(
+                "cluster {}: skipped (scenario injects faults; the real runtime is failure-free)",
+                scenario.name
+            );
+            continue;
+        }
+        if opts.flags.contains_key("nodes") {
+            let n = opts.get_usize("nodes", scenario.n)?;
+            scenario.n = n;
+            scenario = Scenario::parse(&scenario.to_toml())
+                .map_err(|e| format!("{} --nodes {n}: {}", scenario.name, e.message))?;
+        }
+        match doma_analysis::cluster::run_twin(&scenario, kind) {
+            Ok(report) => {
+                print!("{}", report.render());
+                diverged += usize::from(!report.matches());
             }
+            Err(e) if e.starts_with("sockets unavailable") => {
+                println!("notice: {e}; cluster run skipped");
+                return Ok(());
+            }
+            Err(e) => return Err(e),
         }
-        Err(e) if e.starts_with("sockets unavailable") => {
-            println!("notice: {e}; cluster run skipped");
-            Ok(())
-        }
-        Err(e) => Err(e),
+    }
+    match diverged {
+        0 => Ok(()),
+        _ => Err(format!(
+            "cluster diverged from the sim twin in {diverged} scenario(s)"
+        )),
     }
 }
 
@@ -608,40 +647,25 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
 /// prints the builtin roster; `scenario all` replays every builtin and
 /// fails if any expectation (golden digest included) is violated.
 fn cmd_scenario(opts: &Opts) -> Result<(), String> {
-    let target = opts
-        .target
-        .clone()
-        .or_else(|| opts.flags.get("name").cloned())
-        .ok_or_else(|| {
-            format!(
-                "need a scenario: domactl scenario <name|path|all|list>\nbuiltins: {}",
-                doma_scenario::builtin::names().join(", ")
-            )
-        })?;
+    let target = opts.target.clone().ok_or_else(|| {
+        format!(
+            "need a scenario: domactl scenario <name|path|all|list>\nbuiltins: {}",
+            doma_scenario::builtin::names().join(", ")
+        )
+    })?;
     let format = opts.get("format", "table");
     if !["table", "json"].contains(&format.as_str()) {
         return Err(format!("--format must be table or json, got '{format}'"));
     }
-    let transport = opts.get("transport", "sim");
-    if !["sim", "tcp", "uds"].contains(&transport.as_str()) {
-        return Err(format!(
-            "--transport must be sim, tcp or uds, got '{transport}'"
-        ));
-    }
     if target == "list" {
-        for name in doma_scenario::builtin::names() {
-            let s = doma_scenario::builtin::load(name).map_err(|e| format!("{name}: {e}"))?;
-            println!("{name:<22} {}", s.description);
+        for s in builtins()? {
+            println!("{:<22} {}", s.name, s.description);
         }
         return Ok(());
     }
-    let scenarios: Vec<Scenario> = if target == "all" {
-        doma_scenario::builtin::names()
-            .into_iter()
-            .map(|name| doma_scenario::builtin::load(name).map_err(|e| format!("{name}: {e}")))
-            .collect::<Result<_, _>>()?
-    } else {
-        vec![load_scenario(&target)?]
+    let scenarios = match target.as_str() {
+        "all" => builtins()?,
+        _ => vec![load_scenario(&target)?],
     };
 
     let baseline = match opts.flags.get("diff") {
@@ -679,44 +703,6 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
                 report.violations.join("; ")
             ));
         }
-        // `--transport tcp|uds`: replay the scenario over real sockets
-        // and hold the cluster to the sim run the golden digest pinned.
-        if transport != "sim" {
-            let note = |msg: &str| {
-                if format != "json" {
-                    println!("{msg}");
-                }
-            };
-            if !scenario.faults.is_empty() {
-                note(&format!(
-                    "  transport {transport}: skipped (scenario injects faults; \
-                     the real runtime is failure-free)"
-                ));
-                continue;
-            }
-            match doma_analysis::cluster::run_twin(scenario, socket_transport(&transport)?, None) {
-                Ok(twin) if twin.matches() => note(&format!(
-                    "  transport {transport}: MATCH — cluster reproduced the sim twin \
-                     ({} requests)",
-                    twin.requests
-                )),
-                Ok(twin) => {
-                    for d in &twin.diffs {
-                        note(&format!("  transport {transport}: DIVERGED — {d}"));
-                    }
-                    failed.push(format!(
-                        "{}: cluster diverged from the sim twin over {transport} \
-                         ({} difference(s))",
-                        report.scenario,
-                        twin.diffs.len()
-                    ));
-                }
-                Err(e) if e.starts_with("sockets unavailable") => {
-                    note(&format!("notice: {e}; cluster replay skipped"));
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
     if format == "json" {
         println!("[\n  {}\n]", json_rows.join(",\n  "));
@@ -733,57 +719,36 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `domactl lint [--root PATH] [--format table|json] [--rule <id>]` —
-/// the static-analysis wall, runnable outside verify.sh. Exits nonzero
-/// on any finding (after `--rule` filtering), so scripts can gate on it.
-fn cmd_lint(opts: &Opts) -> Result<(), String> {
-    let root = opts.get("root", ".");
-    let ws = doma_lint::load_workspace(std::path::Path::new(&root))?;
-    let mut report = doma_lint::run(&ws);
-    if let Some(rule) = opts.flags.get("rule") {
-        report.findings.retain(|f| f.rule == rule);
-    }
-    match opts.get("format", "table").as_str() {
-        "json" => print!("{}", doma_lint::render_json(&report)),
-        "table" => print!("{}", doma_lint::render_table(&report)),
-        other => return Err(format!("--format must be table or json, got '{other}'")),
-    }
-    if report.findings.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{} lint finding(s)", report.findings.len()))
-    }
-}
-
 fn usage() -> String {
     format!(
-        "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace|lint> [--flags]\n\
+        "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace> [--flags]\n\
          try: domactl cost --schedule \"r1 r1 r2 w2 r2 r2 r2\" --cc 0.5 --cd 1.0\n\
          try: domactl simulate --schedule \"r2 w3 r2\" --algo <{}>\n\
          try: domactl scenario list\n\
          try: domactl cluster append-only-6-2 --nodes 3 --transport uds\n\
-         try: domactl trace append-only-6-2 --format chrome\n\
-         try: domactl lint --format json",
+         try: domactl trace append-only-6-2 --format chrome",
         Entrant::ALL.map(|e| e.as_str()).join("|")
     )
 }
 
+fn dispatch(opts: &Opts) -> Result<(), String> {
+    match opts.command.as_str() {
+        "cost" => cmd_cost(opts),
+        "stats" => cmd_stats(opts),
+        "simulate" => cmd_simulate(opts),
+        "obs" => cmd_obs(opts),
+        "generate" => cmd_generate(opts),
+        "tournament" => cmd_tournament(opts),
+        "scenario" => cmd_scenario(opts),
+        "cluster" => cmd_cluster(opts),
+        "trace" => cmd_trace(opts),
+        other => Err(format!("unknown command '{other}'\n{}", usage())),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = parse_args(&args).and_then(|opts| match opts.command.as_str() {
-        "cost" => cmd_cost(&opts),
-        "stats" => cmd_stats(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "obs" => cmd_obs(&opts),
-        "generate" => cmd_generate(&opts),
-        "tournament" => cmd_tournament(&opts),
-        "scenario" => cmd_scenario(&opts),
-        "cluster" => cmd_cluster(&opts),
-        "trace" => cmd_trace(&opts),
-        "lint" => cmd_lint(&opts),
-        other => Err(format!("unknown command '{other}'\n{}", usage())),
-    });
-    match result {
+    match parse_args(&args).and_then(|opts| dispatch(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1120,6 +1085,53 @@ mod tests {
         ]))
         .unwrap();
         assert!(cmd_scenario(&o).unwrap_err().contains("--diff"));
+    }
+
+    /// `generate` takes every generator kind by the name a scenario file
+    /// gives it, read off the builtins' phases.
+    #[test]
+    fn generate_takes_the_scenario_file_workload_names() {
+        let names: Vec<&str> = builtins()
+            .unwrap()
+            .into_iter()
+            .flat_map(|s| s.phases)
+            .map(|p| p.workload.name())
+            .filter(|name| *name != "trace")
+            .collect();
+        assert!(names.contains(&"append-only"), "{names:?}");
+        for name in names {
+            let o = parse_args(&args(&["generate", "--workload", name, "--len", "8"])).unwrap();
+            cmd_generate(&o).unwrap_or_else(|e| panic!("generate --workload {name}: {e}"));
+        }
+        let o = parse_args(&args(&["generate", "--workload", "append"])).unwrap();
+        assert!(cmd_generate(&o).unwrap_err().contains("append-only"));
+    }
+
+    /// Lint and the socket twin each have one path: `lint` is no command,
+    /// `scenario` takes no `--transport`, and `cluster` runs `all`.
+    #[test]
+    fn one_command_per_job() {
+        let e = parse_args(&args(&["scenario", "all", "--transport", "uds"])).unwrap_err();
+        assert!(e.contains("does not take --transport"), "{e}");
+        let e = dispatch(&parse_args(&args(&["lint"])).unwrap()).unwrap_err();
+        assert!(e.starts_with("unknown command 'lint'"), "{e}");
+        // Sockets refused by the platform print a notice and pass.
+        let o = parse_args(&args(&["cluster", "all", "--transport", "uds"])).unwrap();
+        dispatch(&o).unwrap();
+    }
+
+    /// `cluster --nodes N` resizes the scenario before validation: a size
+    /// its file could not declare fails naming the broken rule.
+    #[test]
+    fn cluster_nodes_go_through_the_scenario_validator() {
+        for (line, rule) in [
+            ("cluster uniform --nodes 2", "'n' must be in 3..=64"),
+            ("cluster mobile-handoff --nodes 3", "mobile universe"),
+        ] {
+            let argv: Vec<&str> = line.split(' ').collect();
+            let e = cmd_cluster(&parse_args(&args(&argv)).unwrap()).unwrap_err();
+            assert!(e.contains("--nodes") && e.contains(rule), "{line}: {e}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the obs comparison covers the `protocol` *metrics* — all of which
 //! are delivery-order-independent counters — and excludes the event log.
 
-use doma_core::{CostVector, DomaError, ProcSet, Request, Schedule};
+use doma_core::{CostVector, DomaError, ProcSet, Request};
 use doma_net::{Cluster, TransportKind};
 use doma_obs::{MetricsSnapshot, Obs};
 use doma_protocol::Tunables;
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 pub struct TwinReport {
     /// The scenario that ran.
     pub scenario: String,
-    /// Cluster size (after any `--nodes` override).
+    /// Cluster size.
     pub n: usize,
     /// The socket transport the cluster used.
     pub transport: &'static str,
@@ -104,40 +104,24 @@ fn protocol_metrics(obs: &Obs) -> MetricsSnapshot {
     }
 }
 
-/// Runs `scenario` through the socket cluster and the deterministic sim
-/// and diffs the two runs. `nodes` overrides the scenario's cluster size
-/// (both twins are resized, so parity still holds).
+/// Runs `scenario` through the socket cluster and the deterministic sim,
+/// both `scenario.n` nodes wide, and diffs the two runs.
 ///
-/// Returns `Err(DomaError::Net)` when the platform refuses sockets —
-/// callers report "runtime unavailable" and skip, rather than failing.
-pub fn run_twin(
-    scenario: &Scenario,
-    kind: TransportKind,
-    nodes: Option<usize>,
-) -> Result<TwinReport, String> {
-    let mut scenario = scenario.clone();
-    if let Some(n) = nodes {
-        scenario.n = n;
-    }
-    if !scenario.faults.is_empty() {
+/// Returns an error starting `sockets unavailable` when the platform
+/// refuses sockets — callers report "runtime unavailable" and skip,
+/// rather than failing.
+pub fn run_twin(scenario: &Scenario, kind: TransportKind) -> Result<TwinReport, String> {
+    if !scenario.is_failure_free() {
         return Err(format!(
             "scenario '{}' injects faults; the real runtime executes failure-free \
-             workloads only — replay it with --transport sim",
-            scenario.name
+             workloads only — run it in the sim with `domactl scenario {}`",
+            scenario.name, scenario.name
         ));
     }
-    let schedule =
-        doma_scenario::build_schedule(&scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
-    run_twin_schedule(&scenario, &schedule, kind)
-}
-
-fn run_twin_schedule(
-    scenario: &Scenario,
-    schedule: &Schedule,
-    kind: TransportKind,
-) -> Result<TwinReport, String> {
-    let object = doma_protocol::ProtocolSim::object();
     let err = |e: DomaError| format!("{}: {e}", scenario.name);
+    let schedule =
+        doma_scenario::build_schedule(scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
+    let object = doma_protocol::ProtocolSim::object();
     let config = scenario.entrant.config();
     let oracle = config
         .oracle(scenario.n, Tunables::CANONICAL)
@@ -167,7 +151,7 @@ fn run_twin_schedule(
             other => format!("{}: {other}", scenario.name),
         })?;
     let run = (|| -> doma_core::Result<(Vec<ProcSet>, doma_net::ClusterReport)> {
-        let trajectory = cluster.execute_schedule(object, schedule)?;
+        let trajectory = cluster.execute_schedule(object, &schedule)?;
         let report = cluster.report()?;
         Ok((trajectory, report))
     })();

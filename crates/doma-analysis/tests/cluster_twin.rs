@@ -11,9 +11,8 @@ use doma_net::TransportKind;
 fn twin_or_skip(
     scenario: &doma_scenario::Scenario,
     kind: TransportKind,
-    nodes: Option<usize>,
 ) -> Option<doma_analysis::cluster::TwinReport> {
-    match run_twin(scenario, kind, nodes) {
+    match run_twin(scenario, kind) {
         Ok(report) => Some(report),
         Err(e) if e.starts_with("sockets unavailable") => {
             eprintln!("skipping cluster twin test: {e}");
@@ -33,7 +32,8 @@ fn append_only_6_2_matches_sim_across_k_and_seeds() {
         for seed in [7u64, 11, 1994] {
             let mut scenario = base.clone();
             scenario.seed = seed;
-            let Some(report) = twin_or_skip(&scenario, TransportKind::Uds, Some(k)) else {
+            scenario.n = k;
+            let Some(report) = twin_or_skip(&scenario, TransportKind::Uds) else {
                 return;
             };
             assert!(
@@ -63,7 +63,7 @@ fn append_only_6_2_matches_sim_across_k_and_seeds() {
 #[test]
 fn adaptive_entrant_matches_sim_over_tcp() {
     let scenario = doma_scenario::builtin::load("diurnal-drift").unwrap();
-    let Some(report) = twin_or_skip(&scenario, TransportKind::Tcp, None) else {
+    let Some(report) = twin_or_skip(&scenario, TransportKind::Tcp) else {
         return;
     };
     assert!(report.matches(), "diverged: {:?}", report.diffs);
@@ -76,17 +76,21 @@ fn adaptive_entrant_matches_sim_over_tcp() {
 #[test]
 fn fault_scenarios_are_rejected() {
     let scenario = doma_scenario::builtin::load("jittery-uplink").unwrap();
-    assert!(!scenario.faults.is_empty(), "fixture lost its faults");
-    let err = run_twin(&scenario, TransportKind::Uds, None).unwrap_err();
-    assert!(err.contains("failure-free"), "unexpected error: {err}");
+    assert!(!scenario.is_failure_free(), "fixture lost its faults");
+    let err = run_twin(&scenario, TransportKind::Uds).unwrap_err();
+    assert!(
+        err.contains("failure-free") && err.contains("domactl scenario jittery-uplink"),
+        "unexpected error: {err}"
+    );
 }
 
-/// `--nodes` overrides resize both twins coherently: parity holds at a
+/// A resized scenario resizes both twins coherently: parity holds at a
 /// size the scenario author never pinned.
 #[test]
 fn nodes_override_resizes_both_twins() {
-    let scenario = doma_scenario::builtin::load("trace-replay").unwrap();
-    let Some(report) = twin_or_skip(&scenario, TransportKind::Uds, Some(8)) else {
+    let mut scenario = doma_scenario::builtin::load("trace-replay").unwrap();
+    scenario.n = 8;
+    let Some(report) = twin_or_skip(&scenario, TransportKind::Uds) else {
         return;
     };
     assert_eq!(report.n, 8);

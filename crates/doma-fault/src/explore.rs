@@ -58,9 +58,6 @@ pub struct CheckOptions {
     /// Apply sleep-set partial-order reduction (on by default; the
     /// unreduced search is the reference that proves it sound).
     pub sleep_sets: bool,
-    /// On violation, re-search breadth-first for a globally shortest
-    /// counterexample trace.
-    pub minimize: bool,
 }
 
 impl Default for CheckOptions {
@@ -69,7 +66,6 @@ impl Default for CheckOptions {
             max_states: 200_000,
             max_depth: 400,
             sleep_sets: true,
-            minimize: true,
         }
     }
 }
@@ -476,7 +472,8 @@ impl Explorer<'_> {
 }
 
 /// Exhaustively explores every delivery interleaving of `scenario`
-/// within the given budgets, auditing each reached state.
+/// within the given budgets, auditing each reached state. A violation is
+/// re-searched breadth-first for a globally shortest trace.
 pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckReport> {
     let initial = SearchState::initial(scenario)?;
     let mut explorer = Explorer {
@@ -501,10 +498,8 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckReport> {
         }
         Err(Stop::Violation(cex)) => {
             let mut cex = *cex;
-            if opts.minimize {
-                if let Some(short) = crate::minimize::shortest_counterexample(scenario, opts)? {
-                    cex = short;
-                }
+            if let Some(short) = crate::minimize::shortest_counterexample(scenario, opts)? {
+                cex = short;
             }
             // Replay the final trace on an instrumented fresh instance so
             // the report carries the metric activity of the violating

@@ -179,9 +179,7 @@ fn reverting_the_mode_reset_gate_is_caught() {
 fn sleep_sets_prune_without_changing_the_verdict() {
     let mut bare = opts();
     bare.sleep_sets = false;
-    bare.minimize = false;
-    let mut por = opts();
-    por.minimize = false;
+    let por = opts();
 
     // Clean scenario: identical verdict, strictly less work with POR.
     let slow = check(&da_small(), &bare).unwrap();
@@ -209,7 +207,6 @@ fn sleep_sets_prune_without_changing_the_verdict() {
 fn state_budget_is_reported_as_incomplete() {
     let mut tight = opts();
     tight.max_states = 5;
-    tight.minimize = false;
     let report = check(&sa_small(), &tight).unwrap();
     assert!(!report.complete);
     assert!(report.counterexample.is_none());

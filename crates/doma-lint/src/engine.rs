@@ -1,13 +1,10 @@
-//! The lint engine: workspace loading, rule orchestration and byte-stable
-//! rendering.
+//! The lint engine: workspace loading and rule orchestration.
 //!
 //! [`run`] is pure — it consumes an in-memory [`Workspace`], so the
 //! mutation self-tests feed it synthetic workspaces without touching
-//! the disk; [`load_workspace`] walks a real checkout. Findings are
-//! sorted by `(file, line, col, rule, message)` and rendered with a
-//! hand-rolled JSON writer, so two runs over the same tree are
-//! byte-identical — the same determinism bar the obs and scenario walls
-//! hold themselves to (verify.sh diffs two invocations).
+//! the disk; [`load_workspace`] walks a real checkout (the tree wall,
+//! `tests/tree_wall.rs`, walks this one). Findings are sorted by
+//! `(file, line, col, rule, message)`.
 
 use crate::rules;
 use crate::tree::{parse, strip_cfg_test, Tree};
@@ -57,8 +54,6 @@ pub struct Workspace {
     /// `DESIGN.md` contents (source of the §8 metric catalog and the
     /// §13 span catalog).
     pub design: String,
-    /// Number of crate directories seen (reporting only).
-    pub crates: usize,
 }
 
 /// The result of a lint run.
@@ -68,8 +63,6 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Number of source files checked.
     pub files_checked: usize,
-    /// Number of crate directories seen.
-    pub crates: usize,
 }
 
 /// Runs the full rule catalog over `ws`. Every source file, however
@@ -117,7 +110,6 @@ pub fn run(ws: &Workspace) -> LintReport {
     LintReport {
         findings,
         files_checked: ws.files.len(),
-        crates: ws.crates,
     }
 }
 
@@ -156,10 +148,7 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
         .collect();
     crate_dirs.sort();
 
-    let mut ws = Workspace {
-        crates: crate_dirs.len(),
-        ..Workspace::default()
-    };
+    let mut ws = Workspace::default();
     for dir in &crate_dirs {
         let crate_name = dir
             .file_name()
@@ -181,91 +170,4 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     }
     ws.design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
     Ok(ws)
-}
-
-/// Renders the report as the human table (one `file:line:col: [rule]
-/// message` row per finding plus a summary line).
-pub fn render_table(report: &LintReport) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        out.push_str(&format!("{f}\n"));
-    }
-    out.push_str(&format!(
-        "doma-lint: {} crates, {} files checked, {} finding(s)\n",
-        report.crates,
-        report.files_checked,
-        report.findings.len()
-    ));
-    out
-}
-
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders the report as byte-stable JSON: fixed key order, findings
-/// pre-sorted, minimal escaping, trailing newline. Two runs over the
-/// same tree produce identical bytes.
-pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": 1,\n");
-    out.push_str(&format!("  \"crates\": {},\n", report.crates));
-    out.push_str(&format!("  \"files_checked\": {},\n", report.files_checked));
-    out.push_str(&format!("  \"findings\": {},\n", report.findings.len()));
-    out.push_str("  \"items\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"file\": \"");
-        json_escape(&f.file, &mut out);
-        out.push_str(&format!(
-            "\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": \"",
-            f.line, f.col, f.rule
-        ));
-        json_escape(&f.message, &mut out);
-        out.push_str("\"}");
-    }
-    if report.findings.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_output_is_byte_stable_and_sorted() {
-        let ws = Workspace {
-            files: vec![SourceFile {
-                path: "crates/doma-sim/src/z.rs".to_string(),
-                crate_name: "doma-sim".to_string(),
-                text: "fn g(a: f64) { a.partial_cmp(&2.0); }\n\
-                       fn f(a: f64) { a.partial_cmp(&1.0); }\n"
-                    .to_string(),
-            }],
-            ..Workspace::default()
-        };
-        let r1 = run(&ws);
-        let r2 = run(&ws);
-        assert_eq!(render_json(&r1), render_json(&r2));
-        let lines: Vec<_> = r1.findings.iter().map(|f| f.line).collect();
-        assert_eq!(lines, [1, 2]);
-        let json = render_json(&r1);
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"findings\": 2"));
-    }
 }

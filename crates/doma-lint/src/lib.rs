@@ -49,9 +49,10 @@
 //!   critical-path report key on span names.
 //!
 //! The engine ([`engine`]) loads every crate's `src/` (or accepts a
-//! synthetic in-memory workspace — the mutation self-tests use that),
-//! runs the catalog, and renders a table or byte-stable JSON. Two runs
-//! over the same tree are byte-identical; verify.sh gates on it.
+//! synthetic in-memory workspace — the mutation self-tests use that)
+//! and runs the catalog. The wall itself is a test:
+//! `tests/tree_wall.rs` lints this checkout and fails listing every
+//! finding as `file:line:col: [rule] message`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -61,7 +62,7 @@ pub mod lex;
 pub mod rules;
 pub mod tree;
 
-pub use engine::{load_workspace, render_json, render_table, run, LintReport, Workspace};
+pub use engine::{load_workspace, run, LintReport, Workspace};
 
 /// A single lint violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

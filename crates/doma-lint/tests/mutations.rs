@@ -7,9 +7,7 @@
 //! Fixtures are synthetic in-memory workspaces fed straight to
 //! [`doma_lint::run`]; nothing touches the disk.
 
-use doma_lint::engine::{SourceFile, Workspace, LOCK_ORDER_CRATES};
-use doma_lint::lex::Delim;
-use doma_lint::tree::{parse, strip_cfg_test, walk_levels};
+use doma_lint::engine::{SourceFile, Workspace};
 use doma_lint::{run, Finding};
 
 fn sf(path: &str, text: &str) -> SourceFile {
@@ -376,47 +374,5 @@ fn span_catalog_only_reads_section_thirteen() {
         "crates/doma-sim/src/s.rs",
         1,
         "span-catalog",
-    );
-}
-
-// ---------------------------------------------------------------------------
-// The real tree
-// ---------------------------------------------------------------------------
-
-#[test]
-fn the_real_tree_is_findings_free() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let ws = doma_lint::load_workspace(&root).expect("workspace loads");
-    let report = run(&ws);
-    assert!(
-        report.findings.is_empty(),
-        "the checked-in tree must lint clean: {:#?}",
-        report.findings
-    );
-    assert!(report.files_checked > 100, "walker saw the whole tree");
-
-    // A rule that audits nothing passes forever: the lock-order crates
-    // must hold at least one lock for the clean verdict above to mean
-    // anything.
-    let mut acquisitions = 0;
-    for f in &ws.files {
-        if LOCK_ORDER_CRATES.contains(&f.crate_name.as_str()) {
-            walk_levels(&strip_cfg_test(parse(&f.text)), &mut |level| {
-                acquisitions += level
-                    .windows(3)
-                    .filter(|w| {
-                        w[0].is_punct('.')
-                            && w[1].is_ident("lock")
-                            && w[2]
-                                .group_with(Delim::Paren)
-                                .is_some_and(|args| args.children.is_empty())
-                    })
-                    .count();
-            });
-        }
-    }
-    assert!(
-        acquisitions > 0,
-        "no `.lock()` in {LOCK_ORDER_CRATES:?}: the lock-order rule audits an empty set"
     );
 }

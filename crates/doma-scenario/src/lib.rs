@@ -34,7 +34,7 @@ pub mod runner;
 pub mod toml;
 
 pub use doma_protocol::Entrant;
-pub use model::{Expect, FaultKind, FaultSpec, MsgFilter, Phase, Scenario, WorkloadSpec};
+pub use model::{Expect, Phase, Scenario, WorkloadSpec};
 pub use runner::{build_schedule, run, run_traced, RunReport};
 
 use std::fmt;

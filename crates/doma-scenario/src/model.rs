@@ -10,6 +10,7 @@ use crate::toml::{self, Entry, Table, Value};
 use crate::ScenarioError;
 use doma_core::{CostModel, Environment, MAX_PROCESSORS};
 use doma_protocol::Entrant;
+use doma_sim::{FaultAction, FaultRule, LinkFilter, MsgKind, NodeId, Partition};
 
 /// The request mix of one phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,88 +92,9 @@ pub struct Phase {
     pub workload: WorkloadSpec,
 }
 
-/// What a fault rule does to matched messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Messages vanish in transit.
-    Drop,
-    /// Delivery postponed by `amount` ticks.
-    Delay,
-    /// Delivered twice, the copy `amount` ticks late.
-    Duplicate,
-    /// Random extra delay in `0..=amount` (reordering).
-    Jitter,
-    /// A network partition separating `side` from the rest.
-    Partition,
-}
-
-impl FaultKind {
-    /// The scenario-file spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Delay => "delay",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::Jitter => "jitter",
-            FaultKind::Partition => "partition",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Self> {
-        [
-            FaultKind::Drop,
-            FaultKind::Delay,
-            FaultKind::Duplicate,
-            FaultKind::Jitter,
-            FaultKind::Partition,
-        ]
-        .into_iter()
-        .find(|k| k.as_str() == name)
-    }
-}
-
-/// Message-kind filter for fault rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgFilter {
-    /// Only control messages.
-    Control,
-    /// Only data messages.
-    Data,
-}
-
-impl MsgFilter {
-    /// The scenario-file spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MsgFilter::Control => "control",
-            MsgFilter::Data => "data",
-        }
-    }
-}
-
-/// One declarative fault: a message-fault rule or a partition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// What the fault does.
-    pub kind: FaultKind,
-    /// Tick window `[start, end)` during which the fault is armed
-    /// (required for partitions; rules default to always-armed).
-    pub window: Option<(u64, u64)>,
-    /// Only messages sent by this node (rules only).
-    pub from: Option<usize>,
-    /// Only messages destined for this node (rules only).
-    pub to: Option<usize>,
-    /// Only messages of this kind (rules only).
-    pub msg: Option<MsgFilter>,
-    /// Probability the rule fires on a match (rules only).
-    pub probability: f64,
-    /// Maximum number of firings (rules only).
-    pub budget: Option<u64>,
-    /// Ticks of delay / duplicate lag / jitter bound (kind-dependent).
-    pub amount: u64,
-    /// One side of the cut (partitions only).
-    pub side: Vec<usize>,
-}
+/// The window of a `[[fault]]` rule written without one: armed for the
+/// whole run, as [`FaultRule::always`] arms it.
+const ALWAYS: (u64, u64) = (0, u64::MAX);
 
 /// The expected-invariant block checked after the run.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,8 +148,12 @@ pub struct Scenario {
     pub model: CostModel,
     /// The phases, executed in order.
     pub phases: Vec<Phase>,
-    /// Declarative faults (empty = failure-free).
-    pub faults: Vec<FaultSpec>,
+    /// The `[[fault]]` message-fault rules, in file order; the runner
+    /// installs them into a [`doma_sim::FaultPlan`] seeded by
+    /// [`Scenario::seed`].
+    pub faults: Vec<FaultRule>,
+    /// The `[[fault]]` partitions (`kind = "partition"`), in file order.
+    pub partitions: Vec<Partition>,
     /// The expected-invariant block.
     pub expect: Expect,
     /// Pinned golden obs digest (`"0x…"`, 16 hex digits), if any.
@@ -542,20 +468,26 @@ fn parse_phase(table: &Table, n: usize) -> Result<Phase, ScenarioError> {
     })
 }
 
-fn parse_fault(table: &Table, n: usize) -> Result<FaultSpec, ScenarioError> {
+/// Parses one `[[fault]]` table into a rule or a partition.
+fn parse_fault(
+    table: &Table,
+    n: usize,
+    rules: &mut Vec<FaultRule>,
+    partitions: &mut Vec<Partition>,
+) -> Result<(), ScenarioError> {
     check_keys(table, FAULT_KEYS)?;
     let kind_entry = required(table, "kind")?;
-    let kind = FaultKind::from_name(as_str(kind_entry)?).ok_or_else(|| {
-        fail(
+    let kind = as_str(kind_entry)?;
+    if !["drop", "delay", "duplicate", "jitter", "partition"].contains(&kind) {
+        return Err(fail(
             kind_entry.line,
             format!(
-                "unknown fault kind '{}' (expected drop, delay, duplicate, jitter or partition)",
-                as_str(kind_entry).unwrap_or_default()
+                "unknown fault kind '{kind}' (expected drop, delay, duplicate, jitter or partition)"
             ),
-        )
-    })?;
+        ));
+    }
     let window = table.get("window").map(as_window).transpose()?;
-    let node = |key: &str| -> Result<Option<usize>, ScenarioError> {
+    let node = |key: &str| -> Result<Option<NodeId>, ScenarioError> {
         match table.get(key) {
             None => Ok(None),
             Some(entry) => {
@@ -566,20 +498,18 @@ fn parse_fault(table: &Table, n: usize) -> Result<FaultSpec, ScenarioError> {
                         format!("'{key}' node {v} outside cluster of {n}"),
                     ));
                 }
-                Ok(Some(v))
+                Ok(Some(NodeId(v)))
             }
         }
     };
-    let spec = FaultSpec {
-        kind,
-        window,
+    let filter = LinkFilter {
         from: node("from")?,
         to: node("to")?,
-        msg: match table.get("msg") {
+        kind: match table.get("msg") {
             None => None,
             Some(entry) => Some(match as_str(entry)? {
-                "control" => MsgFilter::Control,
-                "data" => MsgFilter::Data,
+                "control" => MsgKind::Control,
+                "data" => MsgKind::Data,
                 other => {
                     return Err(fail(
                         entry.line,
@@ -588,64 +518,82 @@ fn parse_fault(table: &Table, n: usize) -> Result<FaultSpec, ScenarioError> {
                 }
             }),
         },
-        probability: match table.get("probability") {
-            None => 1.0,
-            Some(entry) => fraction(entry)?,
-        },
-        budget: table.get("budget").map(as_u64).transpose()?,
-        amount: table.get("amount").map(as_u64).transpose()?.unwrap_or(0),
-        side: match table.get("side") {
-            None => Vec::new(),
-            Some(entry) => {
-                let side = as_usize_array(entry)?;
-                if let Some(&bad) = side.iter().find(|&&p| p >= n) {
-                    return Err(fail(
-                        entry.line,
-                        format!("'side' node {bad} outside cluster of {n}"),
-                    ));
-                }
-                side
-            }
-        },
     };
-    match kind {
-        FaultKind::Partition => {
-            if spec.window.is_none() {
-                return Err(fail(table.line, "partitions require a 'window'"));
-            }
-            if spec.side.is_empty() {
-                return Err(fail(table.line, "partitions require a non-empty 'side'"));
-            }
-            for key in ["from", "to", "msg", "probability", "budget", "amount"] {
-                if let Some(entry) = table.get(key) {
-                    return Err(fail(
-                        entry.line,
-                        format!("'{key}' does not apply to partitions"),
-                    ));
-                }
-            }
-        }
-        FaultKind::Delay | FaultKind::Duplicate | FaultKind::Jitter => {
-            if table.get("amount").is_none() {
+    let probability = match table.get("probability") {
+        None => 1.0,
+        Some(entry) => fraction(entry)?,
+    };
+    let budget = table.get("budget").map(as_u64).transpose()?;
+    let amount = table.get("amount").map(as_u64).transpose()?;
+    let side = match table.get("side") {
+        None => Vec::new(),
+        Some(entry) => {
+            let side = as_usize_array(entry)?;
+            if let Some(&bad) = side.iter().find(|&&p| p >= n) {
                 return Err(fail(
-                    table.line,
-                    format!("'{}' faults require an 'amount' of ticks", kind.as_str()),
+                    entry.line,
+                    format!("'side' node {bad} outside cluster of {n}"),
                 ));
             }
-            if !spec.side.is_empty() {
-                return Err(fail(table.line, "'side' only applies to partitions"));
+            // A cut needs a node on each side, each named once.
+            let mut distinct = side.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if distinct.len() < side.len() || distinct.len() == n {
+                return Err(fail(
+                    entry.line,
+                    format!("'side' must name distinct nodes, and not all {n} of them"),
+                ));
+            }
+            side
+        }
+    };
+
+    if kind == "partition" {
+        let Some(window) = window else {
+            return Err(fail(table.line, "partitions require a 'window'"));
+        };
+        if side.is_empty() {
+            return Err(fail(table.line, "partitions require a non-empty 'side'"));
+        }
+        for key in ["from", "to", "msg", "probability", "budget", "amount"] {
+            if let Some(entry) = table.get(key) {
+                return Err(fail(
+                    entry.line,
+                    format!("'{key}' does not apply to partitions"),
+                ));
             }
         }
-        FaultKind::Drop => {
-            if table.get("amount").is_some() {
-                return Err(fail(table.line, "'amount' does not apply to drop faults"));
-            }
-            if !spec.side.is_empty() {
-                return Err(fail(table.line, "'side' only applies to partitions"));
-            }
-        }
+        partitions.push(Partition { window, side });
+        return Ok(());
     }
-    Ok(spec)
+    let action = match (kind, amount) {
+        ("drop", None) => FaultAction::Drop,
+        ("drop", Some(_)) => {
+            return Err(fail(table.line, "'amount' does not apply to drop faults"))
+        }
+        (_, None) => {
+            return Err(fail(
+                table.line,
+                format!("'{kind}' faults require an 'amount' of ticks"),
+            ))
+        }
+        ("delay", Some(ticks)) => FaultAction::Delay(ticks),
+        ("duplicate", Some(ticks)) => FaultAction::Duplicate(ticks),
+        // `kind` was checked against the five names above.
+        (_, Some(max)) => FaultAction::Jitter { max },
+    };
+    if !side.is_empty() {
+        return Err(fail(table.line, "'side' only applies to partitions"));
+    }
+    rules.push(FaultRule {
+        window: window.unwrap_or(ALWAYS),
+        filter,
+        action,
+        probability,
+        budget,
+    });
+    Ok(())
 }
 
 fn parse_expect(table: &Table, n: usize) -> Result<Expect, ScenarioError> {
@@ -784,10 +732,10 @@ impl Scenario {
                 "a scenario needs at least one [[phase]]",
             ));
         }
-        let faults: Vec<FaultSpec> = doc
-            .tables_named("fault")
-            .map(|t| parse_fault(t, n))
-            .collect::<Result<_, _>>()?;
+        let (mut faults, mut partitions) = (Vec::new(), Vec::new());
+        for table in doc.tables_named("fault") {
+            parse_fault(table, n, &mut faults, &mut partitions)?;
+        }
 
         let expect = match doc.table("expect") {
             Some(table) => parse_expect(table, n)?,
@@ -821,9 +769,15 @@ impl Scenario {
             model,
             phases,
             faults,
+            partitions,
             expect,
             golden,
         })
+    }
+
+    /// Whether the scenario declares no `[[fault]]` at all.
+    pub fn is_failure_free(&self) -> bool {
+        self.faults.is_empty() && self.partitions.is_empty()
     }
 
     /// Total scheduled request count across phases (trace phases count
@@ -911,33 +865,47 @@ impl Scenario {
                 }
             }
         }
-        for fault in &self.faults {
+        for rule in &self.faults {
             out.push_str("\n[[fault]]\n");
-            out.push_str(&format!("kind = {}\n", esc(fault.kind.as_str())));
-            if let Some((start, end)) = fault.window {
+            let (kind, amount) = match rule.action {
+                FaultAction::Drop => ("drop", None),
+                FaultAction::Delay(ticks) => ("delay", Some(ticks)),
+                FaultAction::Duplicate(ticks) => ("duplicate", Some(ticks)),
+                FaultAction::Jitter { max } => ("jitter", Some(max)),
+            };
+            out.push_str(&format!("kind = {}\n", esc(kind)));
+            if rule.window != ALWAYS {
+                let (start, end) = rule.window;
                 out.push_str(&format!("window = [{start}, {end}]\n"));
             }
-            if fault.kind == FaultKind::Partition {
-                let side: Vec<String> = fault.side.iter().map(|p| p.to_string()).collect();
-                out.push_str(&format!("side = [{}]\n", side.join(", ")));
-            } else {
-                if let Some(from) = fault.from {
-                    out.push_str(&format!("from = {from}\n"));
-                }
-                if let Some(to) = fault.to {
-                    out.push_str(&format!("to = {to}\n"));
-                }
-                if let Some(msg) = fault.msg {
-                    out.push_str(&format!("msg = {}\n", esc(msg.as_str())));
-                }
-                out.push_str(&format!("probability = {}\n", fault.probability));
-                if let Some(budget) = fault.budget {
-                    out.push_str(&format!("budget = {budget}\n"));
-                }
-                if fault.kind != FaultKind::Drop {
-                    out.push_str(&format!("amount = {}\n", fault.amount));
-                }
+            if let Some(from) = rule.filter.from {
+                out.push_str(&format!("from = {}\n", from.0));
             }
+            if let Some(to) = rule.filter.to {
+                out.push_str(&format!("to = {}\n", to.0));
+            }
+            if let Some(msg) = rule.filter.kind {
+                let msg = match msg {
+                    MsgKind::Control => "control",
+                    MsgKind::Data => "data",
+                };
+                out.push_str(&format!("msg = {}\n", esc(msg)));
+            }
+            out.push_str(&format!("probability = {}\n", rule.probability));
+            if let Some(budget) = rule.budget {
+                out.push_str(&format!("budget = {budget}\n"));
+            }
+            if let Some(amount) = amount {
+                out.push_str(&format!("amount = {amount}\n"));
+            }
+        }
+        for partition in &self.partitions {
+            out.push_str("\n[[fault]]\n");
+            out.push_str(&format!("kind = {}\n", esc("partition")));
+            let (start, end) = partition.window;
+            out.push_str(&format!("window = [{start}, {end}]\n"));
+            let side: Vec<String> = partition.side.iter().map(|p| p.to_string()).collect();
+            out.push_str(&format!("side = [{}]\n", side.join(", ")));
         }
         out.push_str("\n[expect]\n");
         if let Some(v) = self.expect.max_ratio_vs_opt {
@@ -1071,7 +1039,7 @@ mod tests {
         let partition_ok =
             minimal() + "[[fault]]\nkind = \"partition\"\nwindow = [5, 9]\nside = [0, 1]\n";
         let s = Scenario::parse(&partition_ok).unwrap();
-        assert_eq!(s.faults.len(), 1);
+        assert_eq!((s.faults.len(), s.partitions.len()), (0, 1));
         assert_eq!(Scenario::parse(&s.to_toml()).unwrap(), s);
 
         let missing_window = minimal() + "[[fault]]\nkind = \"partition\"\nside = [0]\n";
@@ -1097,6 +1065,19 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("outside cluster"));
+
+        // A partition must cut something: no repeated node, and not
+        // every node on one side. Both are reported at the `side` line.
+        let side_line = minimal().lines().count() + 4;
+        for (side, needle) in [
+            ("[0, 1, 2, 2]", "distinct nodes"),
+            ("[5, 4, 3, 2, 1, 0]", "not all 6 of them"),
+        ] {
+            let src = partition_ok.replace("side = [0, 1]", &format!("side = {side}"));
+            let e = Scenario::parse(&src).unwrap_err();
+            assert_eq!(e.line, Some(side_line), "{side}: {e}");
+            assert!(e.to_string().contains(needle), "{side}: {e}");
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! into the scenario's digest; builtin scenarios pin that digest
 //! in-repo, turning every run into a conformance check.
 
-use crate::model::{FaultKind, MsgFilter, Scenario, WorkloadSpec};
+use crate::model::{Scenario, WorkloadSpec};
 use crate::{digest64, format_digest, ScenarioError};
 use doma_algorithms::search::ratio;
 use doma_algorithms::OfflineOptimal;
 use doma_core::{CostVector, ProcSet, Schedule};
 use doma_obs::json::escape;
 use doma_protocol::{registry_cost, ProtocolSim};
-use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind, NodeId};
+use doma_sim::FaultPlan;
 use doma_testkit::rng::splitmix64;
 use doma_workload::{
     AppendOnlyWorkload, ChaoticWorkload, HotspotWorkload, MobileWorkload, ScheduleGen,
@@ -191,43 +191,6 @@ pub fn build_schedule(scenario: &Scenario) -> Result<Schedule, ScenarioError> {
     Ok(schedule)
 }
 
-/// Translates the scenario's declarative faults into an engine
-/// [`FaultPlan`] seeded by the scenario seed.
-pub fn build_fault_plan(scenario: &Scenario) -> FaultPlan {
-    let mut plan = FaultPlan::new(scenario.seed);
-    for fault in &scenario.faults {
-        if fault.kind == FaultKind::Partition {
-            if let Some((start, end)) = fault.window {
-                plan = plan.partition(start, end, fault.side.clone());
-            }
-            continue;
-        }
-        let filter = LinkFilter {
-            from: fault.from.map(NodeId),
-            to: fault.to.map(NodeId),
-            kind: fault.msg.map(|m| match m {
-                MsgFilter::Control => MsgKind::Control,
-                MsgFilter::Data => MsgKind::Data,
-            }),
-        };
-        let action = match fault.kind {
-            FaultKind::Delay => FaultAction::Delay(fault.amount),
-            FaultKind::Duplicate => FaultAction::Duplicate(fault.amount),
-            FaultKind::Jitter => FaultAction::Jitter { max: fault.amount },
-            _ => FaultAction::Drop,
-        };
-        let mut rule = FaultRule::always(filter, action).with_probability(fault.probability);
-        if let Some((start, end)) = fault.window {
-            rule = rule.during(start, end);
-        }
-        if let Some(budget) = fault.budget {
-            rule = rule.with_budget(budget);
-        }
-        plan = plan.rule(rule);
-    }
-    plan
-}
-
 /// Runs the scenario end to end and audits its expected-invariant block.
 /// Returns `Ok` even when expectations fail — inspect
 /// [`RunReport::passed`]; `Err` means the scenario could not execute.
@@ -256,8 +219,14 @@ fn run_impl(
     if traced {
         sim.enable_request_spans();
     }
-    let plan = build_fault_plan(scenario);
-    if !plan.is_empty() {
+    if !scenario.is_failure_free() {
+        let mut plan = FaultPlan::new(scenario.seed);
+        for rule in &scenario.faults {
+            plan = plan.rule(rule.clone());
+        }
+        for p in &scenario.partitions {
+            plan = plan.partition(p.window.0, p.window.1, p.side.clone());
+        }
         sim.engine_mut().install_faults(plan);
     }
     let report = sim.execute(&schedule).map_err(runtime)?;

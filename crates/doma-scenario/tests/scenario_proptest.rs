@@ -11,9 +11,8 @@
 //! harness.
 
 use doma_core::CostModel;
-use doma_scenario::{
-    Entrant, Expect, FaultKind, FaultSpec, MsgFilter, Phase, Scenario, WorkloadSpec,
-};
+use doma_scenario::{Entrant, Expect, Phase, Scenario, WorkloadSpec};
+use doma_sim::{FaultAction, FaultRule, LinkFilter, MsgKind, NodeId, Partition};
 use doma_testkit::property::{self as prop, Gen};
 use doma_testkit::TestRng;
 
@@ -68,62 +67,58 @@ fn workload(rng: &mut TestRng, n: usize) -> WorkloadSpec {
     }
 }
 
-fn fault(rng: &mut TestRng, n: usize) -> FaultSpec {
-    let kind = [
-        FaultKind::Drop,
-        FaultKind::Delay,
-        FaultKind::Duplicate,
-        FaultKind::Jitter,
-        FaultKind::Partition,
-    ][prop::range(0usize..5).generate(rng)];
-    if kind == FaultKind::Partition {
+/// Draws one `[[fault]]`: a message-fault rule or a single-node
+/// partition, pushed onto the matching list.
+fn fault(rng: &mut TestRng, n: usize, rules: &mut Vec<FaultRule>, partitions: &mut Vec<Partition>) {
+    let kind = prop::range(0usize..5).generate(rng);
+    let window = |rng: &mut TestRng| {
         let start = prop::range(0u64..20).generate(rng);
         let span = prop::range(1u64..40).generate(rng);
-        FaultSpec {
-            kind,
-            window: Some((start, start + span)),
-            from: None,
-            to: None,
-            msg: None,
-            probability: 1.0,
-            budget: None,
-            amount: 0,
+        (start, start + span)
+    };
+    if kind == 4 {
+        partitions.push(Partition {
+            window: window(rng),
             side: vec![prop::range(0usize..n).generate(rng)],
-        }
-    } else {
-        let window = if prop::bools().generate(rng) {
-            let start = prop::range(0u64..20).generate(rng);
-            let span = prop::range(1u64..40).generate(rng);
-            Some((start, start + span))
-        } else {
-            None
-        };
-        FaultSpec {
-            kind,
-            window,
-            from: prop::bools()
-                .generate(rng)
-                .then(|| prop::range(0usize..n).generate(rng)),
-            to: prop::bools()
-                .generate(rng)
-                .then(|| prop::range(0usize..n).generate(rng)),
-            msg: match prop::range(0usize..3).generate(rng) {
-                0 => None,
-                1 => Some(MsgFilter::Control),
-                _ => Some(MsgFilter::Data),
-            },
-            probability: frac(rng),
-            budget: prop::bools()
-                .generate(rng)
-                .then(|| prop::range(1u64..16).generate(rng)),
-            amount: if kind == FaultKind::Drop {
-                0
-            } else {
-                prop::range(1u64..8).generate(rng)
-            },
-            side: Vec::new(),
-        }
+        });
+        return;
     }
+    let window = if prop::bools().generate(rng) {
+        window(rng)
+    } else {
+        (0, u64::MAX)
+    };
+    let node = |rng: &mut TestRng| {
+        prop::bools()
+            .generate(rng)
+            .then(|| NodeId(prop::range(0usize..n).generate(rng)))
+    };
+    // Fields are drawn in the order written (a struct literal evaluates
+    // top to bottom).
+    rules.push(FaultRule {
+        window,
+        filter: LinkFilter {
+            from: node(rng),
+            to: node(rng),
+            kind: match prop::range(0usize..3).generate(rng) {
+                0 => None,
+                1 => Some(MsgKind::Control),
+                _ => Some(MsgKind::Data),
+            },
+        },
+        probability: frac(rng),
+        budget: prop::bools()
+            .generate(rng)
+            .then(|| prop::range(1u64..16).generate(rng)),
+        action: match kind {
+            0 => FaultAction::Drop,
+            1 => FaultAction::Delay(prop::range(1u64..8).generate(rng)),
+            2 => FaultAction::Duplicate(prop::range(1u64..8).generate(rng)),
+            _ => FaultAction::Jitter {
+                max: prop::range(1u64..8).generate(rng),
+            },
+        },
+    });
 }
 
 struct ScenarioGen;
@@ -151,9 +146,10 @@ impl Gen for ScenarioGen {
                 }
             })
             .collect();
-        let faults = (0..prop::range(0usize..3).generate(rng))
-            .map(|_| fault(rng, n))
-            .collect();
+        let (mut faults, mut partitions) = (Vec::new(), Vec::new());
+        for _ in 0..prop::range(0usize..3).generate(rng) {
+            fault(rng, n, &mut faults, &mut partitions);
+        }
         // A data message cannot cost less than a control message: draw
         // both unit costs, then order them so `cc <= cd`.
         let (a, b) = (frac(rng) * 4.0, frac(rng) * 4.0);
@@ -174,6 +170,7 @@ impl Gen for ScenarioGen {
             model,
             phases,
             faults,
+            partitions,
             expect: Expect {
                 max_ratio_vs_opt: prop::bools().generate(rng).then(|| 1.0 + frac(rng) * 8.0),
                 min_valid_holders: prop::bools()
@@ -196,9 +193,10 @@ impl Gen for ScenarioGen {
 
     fn shrink(&self, v: &Scenario) -> Vec<Scenario> {
         let mut out = Vec::new();
-        if !v.faults.is_empty() {
+        if !v.is_failure_free() {
             let mut s = v.clone();
             s.faults.clear();
+            s.partitions.clear();
             out.push(s);
         }
         if v.phases.len() > 1 {

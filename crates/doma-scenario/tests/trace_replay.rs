@@ -26,6 +26,7 @@ fn base_scenario(workload: WorkloadSpec, len: usize) -> Scenario {
             workload,
         }],
         faults: Vec::new(),
+        partitions: Vec::new(),
         expect: Expect::default(),
         golden: None,
     }

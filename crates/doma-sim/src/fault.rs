@@ -102,7 +102,7 @@ impl LinkFilter {
 ///
 /// Rules are consulted in plan order; the first rule that fires wins (so
 /// a plan reads top-to-bottom like a schedule of adversities).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
     /// Half-open tick window `[start, end)` during which the rule is armed.
     pub window: (u64, u64),
@@ -149,7 +149,7 @@ impl FaultRule {
 
 /// A network partition: during `window`, messages crossing the cut between
 /// `side` and its complement are dropped (both directions).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// Half-open tick window `[start, end)`.
     pub window: (u64, u64),

@@ -34,8 +34,7 @@ use std::sync::Mutex;
 ///
 /// `shrink` returns *candidate simplifications* of a failing value,
 /// simplest first; the harness keeps any candidate that still fails and
-/// recurses. The trait is object-safe, so heterogeneous generators can be
-/// boxed (see [`one_of`]).
+/// recurses.
 pub trait Gen {
     /// The generated type.
     type Value: Clone + Debug;
@@ -145,24 +144,6 @@ impl Gen for BoolGen {
         } else {
             Vec::new()
         }
-    }
-}
-
-/// Always the same value; never shrinks.
-pub fn just<T: Clone + Debug>(value: T) -> JustGen<T> {
-    JustGen { value }
-}
-
-/// See [`just`].
-#[derive(Debug, Clone)]
-pub struct JustGen<T> {
-    value: T,
-}
-
-impl<T: Clone + Debug> Gen for JustGen<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.value.clone()
     }
 }
 
@@ -318,29 +299,6 @@ impl<A: Gen, B: Gen> Gen for PairGen<A, B> {
             .collect();
         out.extend(self.b.shrink(&v.1).into_iter().map(|b| (v.0.clone(), b)));
         out
-    }
-}
-
-/// Picks one of several same-typed generators uniformly. Values shrink
-/// through every branch that proposes candidates.
-pub fn one_of<T: Clone + Debug>(gens: Vec<Box<dyn Gen<Value = T>>>) -> OneOfGen<T> {
-    assert!(!gens.is_empty(), "one_of needs at least one generator");
-    OneOfGen { gens }
-}
-
-/// See [`one_of`].
-pub struct OneOfGen<T> {
-    gens: Vec<Box<dyn Gen<Value = T>>>,
-}
-
-impl<T: Clone + Debug> Gen for OneOfGen<T> {
-    type Value = T;
-    fn generate(&self, rng: &mut TestRng) -> T {
-        let i = rng.gen_range(0..self.gens.len());
-        self.gens[i].generate(rng)
-    }
-    fn shrink(&self, v: &T) -> Vec<T> {
-        self.gens.iter().flat_map(|g| g.shrink(v)).collect()
     }
 }
 

@@ -9,9 +9,10 @@
 # build or test run fails, (d) the entrant roster is spelled out in a second
 # file, (e) an event record or a registry lookup bypasses the typed/pre-resolved
 # obs path, (f) a driver drains the sim engine outside ProtocolSim::settle, or
-# (g) any wall below — lint, allocation wall, byte-stability, paper evidence,
+# (g) any wall below — allocation wall, byte-stability, paper evidence,
 # cluster parity, model check (and its pinned counts), shard parity, fault
-# matrix, benchmark smoke — does.
+# matrix, benchmark smoke — does. The semantic lint wall is a tier-1 test
+# (crates/doma-lint/tests/tree_wall.rs), run by the workspace test step.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -154,7 +155,7 @@ cargo build --release --offline --workspace
 # Determinism helper: `same_bytes <label> <cmd…>` runs the command twice,
 # keeps the first run's stdout in $out/<label> for the key-presence checks
 # below, and fails the wall unless both runs exit 0 with identical bytes —
-# the bar every byte-stable export (lint, obs, tournament, scenario, trace)
+# the bar every byte-stable export (obs, tournament, scenario, trace)
 # is held to, checked end to end through the CLI.
 # ---------------------------------------------------------------------------
 out=$(mktemp -d)
@@ -188,13 +189,11 @@ has_keys() {
 }
 
 # ---------------------------------------------------------------------------
-# Semantic lint wall: doma-lint's token-tree rules, the facts clippy cannot
-# check (lock-order, message-flow, obs/span catalogs, fp-ordering, lint
-# headers), must be findings-free and byte-stable.
+# Tier-1 tests, the semantic lint wall among them: doma-lint's token-tree
+# rules (lock-order, message-flow, obs/span catalogs, fp-ordering, lint
+# headers) over this checkout must report no finding
+# (crates/doma-lint/tests/tree_wall.rs).
 # ---------------------------------------------------------------------------
-same_bytes lint "$domactl" lint --format json
-has_keys lint '"findings": 0'
-
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
