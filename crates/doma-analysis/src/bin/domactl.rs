@@ -21,6 +21,7 @@
 //!                  [--events N] [--algo <entrant>] [--n 6] [--len 50]
 //!                  [--seed 0] [--read-fraction 0.7]
 //! domactl obs diff <a.json> <b.json> [--scenario NAME]
+//! domactl repro    [<experiment>|all] [--fast]
 //! ```
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
@@ -34,6 +35,9 @@
 //! is a usage error that names the accepted ones.
 //! `<scenario|workload>` is a builtin scenario name, a scenario `.toml`
 //! path, or an ad-hoc workload kind (the `generate --workload` list).
+//! `repro` regenerates every figure and bound of the paper (the roster
+//! is `doma_analysis::experiments`); `--fast` shrinks grids and batteries
+//! for a smoke run, and the default settings match EXPERIMENTS.md.
 
 use doma_algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
 use doma_core::{
@@ -46,7 +50,8 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Parsed command-line options: positional command + `--key value` flags
-/// (`--verbose` is a bare flag).
+/// (`--verbose` and `--fast` are bare flags). A flag given twice is an
+/// error.
 #[derive(Debug, Default)]
 struct Opts {
     command: String,
@@ -59,12 +64,13 @@ struct Opts {
     extra: Vec<String>,
     flags: BTreeMap<String, String>,
     verbose: bool,
+    fast: bool,
 }
 
 /// How many positional operands a command accepts after its name.
 fn positional_arity(command: &str) -> usize {
     match command {
-        "scenario" | "trace" | "cluster" => 1,
+        "scenario" | "trace" | "cluster" | "repro" => 1,
         "obs" => 3, // bare `obs`, or `obs diff <a> <b>`
         _ => 0,
     }
@@ -84,6 +90,7 @@ fn accepted_flags(command: &str, target: Option<&str>) -> Option<&'static str> {
         ("scenario", _) => "format diff",
         ("cluster", _) => "nodes transport entrant n len seed read-fraction",
         ("trace", _) => "format top events algo n len seed read-fraction",
+        ("repro", _) => "fast",
         _ => return None,
     })
 }
@@ -93,13 +100,24 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut positionals: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
-        if arg == "--verbose" {
-            opts.verbose = true;
+        let bare = match arg.as_str() {
+            "--verbose" => Some(&mut opts.verbose),
+            "--fast" => Some(&mut opts.fast),
+            _ => None,
+        };
+        if let Some(flag) = bare {
+            if std::mem::replace(flag, true) {
+                return Err(format!("flag {arg} given twice"));
+            }
         } else if let Some(key) = arg.strip_prefix("--") {
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            opts.flags.insert(key.to_string(), value.clone());
+            if opts.flags.insert(key.to_string(), value.clone()).is_some() {
+                return Err(format!("flag --{key} given twice"));
+            }
+        } else if arg.starts_with('-') {
+            return Err(format!("unexpected argument '{arg}'"));
         } else if opts.command.is_empty() {
             opts.command = arg.clone();
         } else {
@@ -108,7 +126,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     }
     if opts.command.is_empty() {
         return Err(
-            "missing command (cost | stats | simulate | obs | generate | tournament | scenario | cluster | trace)"
+            "missing command (cost | stats | simulate | obs | generate | tournament | scenario | cluster | trace | repro)"
                 .to_string(),
         );
     }
@@ -120,8 +138,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     opts.target = it.next();
     opts.extra = it.collect();
     if let Some(accepted) = accepted_flags(&opts.command, opts.target.as_deref()) {
-        let verbose = opts.verbose.then_some("verbose");
-        let mut given = opts.flags.keys().map(String::as_str).chain(verbose);
+        let bare = [("verbose", opts.verbose), ("fast", opts.fast)];
+        let bare = bare.into_iter().filter_map(|(flag, on)| on.then_some(flag));
+        let mut given = opts.flags.keys().map(String::as_str).chain(bare);
         if let Some(unknown) = given.find(|f| !accepted.split(' ').any(|a| a == *f)) {
             return Err(format!(
                 "{} does not take --{unknown} (accepted: --{})",
@@ -322,6 +341,12 @@ fn cmd_obs(opts: &Opts) -> Result<(), String> {
         Some(other) => return Err(format!("unexpected argument '{other}'")),
         None => {}
     }
+    print!("{}", obs_output(opts)?);
+    Ok(())
+}
+
+/// What `domactl obs` prints.
+fn obs_output(opts: &Opts) -> Result<String, String> {
     let schedule = opts.schedule()?;
     let n = universe_for(&schedule, opts)?;
     let events = opts.get_usize("events", 256)?;
@@ -332,17 +357,18 @@ fn cmd_obs(opts: &Opts) -> Result<(), String> {
     sim.execute(&schedule).map_err(err)?;
     sim.obs_flush();
     match opts.get("format", "json").as_str() {
-        "json" => println!("{}", obs.snapshot_json()),
+        "json" => Ok(format!("{}\n", obs.snapshot_json())),
         "table" => {
-            println!("{}", obs.metrics().snapshot());
+            let mut out = format!("{}\n", obs.metrics().snapshot());
             let rendered = obs.events().render();
             if !rendered.is_empty() {
-                println!("{rendered}");
+                out.push_str(&rendered);
+                out.push('\n');
             }
+            Ok(out)
         }
-        other => return Err(format!("--format must be json or table, got '{other}'")),
+        other => Err(format!("--format must be json or table, got '{other}'")),
     }
-    Ok(())
 }
 
 /// `domactl obs diff <a.json> <b.json>` — structural diff of two obs
@@ -374,6 +400,12 @@ fn cmd_obs_diff(opts: &Opts) -> Result<(), String> {
 /// An ad-hoc workload runs under `--algo` (`--n`, `--len`, `--seed`,
 /// `--read-fraction` shape it).
 fn cmd_trace(opts: &Opts) -> Result<(), String> {
+    print!("{}", trace_output(opts)?);
+    Ok(())
+}
+
+/// What `domactl trace` prints (violations go to stderr as warnings).
+fn trace_output(opts: &Opts) -> Result<String, String> {
     use doma_obs::trace::{chrome_trace, slowest_report, TraceModel};
     let target = opts.target.as_deref().ok_or_else(|| {
         format!(
@@ -395,28 +427,26 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     }
     let model = TraceModel::from_obs(&obs);
 
-    match format.as_str() {
-        "chrome" => println!("{}", chrome_trace(&model)),
-        _ => {
-            println!(
-                "trace: scenario {} ({} entrant, {} requests, cost {} control / {} data / {} I/O)",
-                report.scenario,
-                report.entrant,
-                report.requests,
-                report.cost.control,
-                report.cost.data,
-                report.cost.io
-            );
-            if model.truncated() {
-                println!(
-                    "  WARNING: event log truncated ({} dropped, {} orphan exits) — raise --events",
-                    model.dropped_events, model.orphan_exits
-                );
-            }
-            print!("{}", slowest_report(&model, top));
-        }
+    if format == "chrome" {
+        return Ok(format!("{}\n", chrome_trace(&model)));
     }
-    Ok(())
+    let mut out = format!(
+        "trace: scenario {} ({} entrant, {} requests, cost {} control / {} data / {} I/O)\n",
+        report.scenario,
+        report.entrant,
+        report.requests,
+        report.cost.control,
+        report.cost.data,
+        report.cost.io
+    );
+    if model.truncated() {
+        out.push_str(&format!(
+            "  WARNING: event log truncated ({} dropped, {} orphan exits) — raise --events\n",
+            model.dropped_events, model.orphan_exits
+        ));
+    }
+    out.push_str(&slowest_report(&model, top));
+    Ok(out)
 }
 
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
@@ -719,9 +749,22 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// `domactl repro [<experiment>|all] [--fast]` — runs the experiment
+/// roster and prints the reproduction document (`repro all` is
+/// `repro_full_output.md`, `repro all --fast` is `tests/golden/repro_fast.md`).
+fn cmd_repro(opts: &Opts) -> Result<(), String> {
+    let which = opts.target.as_deref().unwrap_or("all");
+    let reports = doma_analysis::experiments::run(which, opts.fast).map_err(|e| e.to_string())?;
+    print!(
+        "{}",
+        doma_analysis::experiments::render(&reports, opts.fast)
+    );
+    Ok(())
+}
+
 fn usage() -> String {
     format!(
-        "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace> [--flags]\n\
+        "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace|repro> [--flags]\n\
          try: domactl cost --schedule \"r1 r1 r2 w2 r2 r2 r2\" --cc 0.5 --cd 1.0\n\
          try: domactl simulate --schedule \"r2 w3 r2\" --algo <{}>\n\
          try: domactl scenario list\n\
@@ -742,6 +785,7 @@ fn dispatch(opts: &Opts) -> Result<(), String> {
         "scenario" => cmd_scenario(opts),
         "cluster" => cmd_cluster(opts),
         "trace" => cmd_trace(opts),
+        "repro" => cmd_repro(opts),
         other => Err(format!("unknown command '{other}'\n{}", usage())),
     }
 }
@@ -773,6 +817,16 @@ mod tests {
         assert_eq!(o.get("algo", "all"), "da");
         assert_eq!(o.get_f64("cc", 0.0).unwrap(), 0.5);
         assert_eq!(o.get_f64("cd", 1.25).unwrap(), 1.25);
+        // `repro` takes at most one experiment name and one bare `--fast`.
+        for (argv, which, fast) in [
+            (&["repro"][..], None, false),
+            (&["repro", "--fast"], None, true),
+            (&["repro", "fig1"], Some("fig1"), false),
+            (&["repro", "--fast", "fig1"], Some("fig1"), true),
+        ] {
+            let o = parse_args(&args(argv)).unwrap();
+            assert_eq!((o.target.as_deref(), o.fast), (which, fast), "{argv:?}");
+        }
     }
 
     #[test]
@@ -805,6 +859,30 @@ mod tests {
             assert!(e.contains(flag) && e.contains("(accepted: --"), "{e}");
         }
         assert!(parse_args(&args(&["bogus", "--x", "1"])).is_ok());
+        // A misspelt or repeated flag, a second operand or a short option
+        // is a usage error, never a silently different run.
+        for (argv, error) in [
+            (&["repro", "--fsat"][..], "flag --fsat needs a value"),
+            (&["repro", "--fsat", "x"], "repro does not take --fsat"),
+            (&["repro", "fig1", "fig2"], "unexpected argument 'fig2'"),
+            (
+                &["repro", "fig1", "--fast", "--fast"],
+                "flag --fast given twice",
+            ),
+            (&["repro", "-f"], "unexpected argument '-f'"),
+            (
+                &["cost", "--verbose", "--verbose"],
+                "flag --verbose given twice",
+            ),
+            (
+                &["tournament", "--n", "5", "--n", "6"],
+                "flag --n given twice",
+            ),
+            (&["cost", "--fast"], "cost does not take --fast"),
+        ] {
+            let e = parse_args(&args(argv)).unwrap_err();
+            assert!(e.contains(error), "{argv:?}: {e}");
+        }
     }
 
     /// Every command line in this file's usage block parses: the block
@@ -985,6 +1063,49 @@ mod tests {
         assert_eq!(o.schedule().unwrap(), schedule);
         let missing = parse_args(&args(&["cost", "--file", "/no/such/trace.txt"])).unwrap();
         assert!(missing.schedule().unwrap_err().starts_with("--file "));
+    }
+
+    /// `obs` and `trace` print the same bytes on every run of the same
+    /// inputs, and each export carries its contract's keys: the obs
+    /// snapshot, the Chrome trace-event JSON and the slowest-K report.
+    #[test]
+    fn obs_and_trace_exports_are_byte_stable() {
+        let obs = [
+            "obs",
+            "--schedule",
+            "r2 w3 r2 r1 w0 r3 w2 r0",
+            "--algo",
+            "da",
+        ];
+        let chrome = ["trace", "append-only-6-2", "--format", "chrome"];
+        let table = ["trace", "append-only-6-2", "--top", "5"];
+        for (argv, keys) in [
+            (
+                &obs[..],
+                &["\"metrics\"", "\"events\"", "\"dropped_events\""][..],
+            ),
+            (
+                &chrome,
+                &[
+                    "\"traceEvents\"",
+                    "\"ph\": \"X\"",
+                    "\"protocol.request\"",
+                    "\"cp\": \"1\"",
+                ],
+            ),
+            (&table, &["slowest 5 of"]),
+        ] {
+            let o = parse_args(&args(argv)).unwrap();
+            let output = || match o.command.as_str() {
+                "obs" => obs_output(&o).unwrap(),
+                _ => trace_output(&o).unwrap(),
+            };
+            let first = output();
+            assert_eq!(first, output(), "{argv:?} differs across identical runs");
+            for key in keys {
+                assert!(first.contains(key), "{argv:?} output lacks {key}");
+            }
+        }
     }
 
     #[test]

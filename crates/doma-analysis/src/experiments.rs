@@ -1,8 +1,8 @@
 //! One driver per experiment (the E-ids of DESIGN.md §4). Each returns an
 //! [`ExpReport`]: a rendered table plus machine-readable `metrics` the
-//! integration tests assert on and the `repro` binary prints. [`run`]
+//! integration tests assert on and `domactl repro` prints. [`run`]
 //! picks drivers from the one roster by name, and [`render`] turns their
-//! reports into the document `repro` prints.
+//! reports into the document `domactl repro` prints.
 
 use crate::battery::{standard_battery, worst_ratio};
 use crate::region::{empirical_region_map, RegionConfig, RegionMap};

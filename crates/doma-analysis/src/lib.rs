@@ -17,9 +17,8 @@
 //!   the exact offline optimum, with a byte-stable JSON export
 //!   (`BENCH_tournament.json`).
 //! * [`experiments`] — one driver per experiment id (E1–E21 in DESIGN.md)
-//!   and the one roster `repro` runs them from, returning structured
-//!   reports the `repro` binary prints and the integration tests assert
-//!   on.
+//!   and the one roster `domactl repro` runs them from, returning
+//!   structured reports it prints and the integration tests assert on.
 //! * [`report`] — markdown table rendering.
 //! * [`stats`] — percentiles, for E20's latency report.
 //! * [`jsonv`] — a minimal JSON value parser for reading back the
@@ -30,9 +29,9 @@
 //!   over the socket cluster (`doma-net`) and diffed against the
 //!   deterministic simulator (`domactl cluster`).
 //!
-//! Two binaries ship with the crate: `repro` (regenerates every paper
-//! artifact) and `domactl` (a CLI for costing, simulating, generating and
-//! inspecting schedules).
+//! One binary ships with the crate: `domactl`, a CLI for costing,
+//! simulating, generating and inspecting schedules, and for regenerating
+//! every paper artifact (`domactl repro`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -120,6 +120,10 @@ impl Scenario {
     /// Validates the scenario and builds the cluster it runs against,
     /// with bug toggles applied and the fault plan installed.
     ///
+    /// A phase holds at most one write: the §3.1 schedule model orders
+    /// writes, and two concurrent writes would surface later as a
+    /// `VersionRegression` instead of as the script error they are.
+    ///
     /// Fault plans are restricted to shapes whose judgements are a pure
     /// function of the message (probability 1, no budget, unbounded
     /// window, no partitions): the explorer
@@ -141,6 +145,22 @@ impl Scenario {
                 return Err(DomaError::InvalidConfig(format!(
                     "scenario {}: action {action} outside cluster of {n}",
                     self.name
+                )));
+            }
+        }
+        for (k, phase) in self.phases.iter().enumerate() {
+            if phase
+                .iter()
+                .filter(|a| matches!(a, Action::Write(_)))
+                .count()
+                > 1
+            {
+                let actions: Vec<String> = phase.iter().map(Action::to_string).collect();
+                return Err(DomaError::InvalidConfig(format!(
+                    "scenario {}: phase {k} [{}] holds more than one write; the §3.1 \
+                     schedule model puts each write in its own phase",
+                    self.name,
+                    actions.join(", ")
                 )));
             }
         }
@@ -347,4 +367,28 @@ pub fn builtin() -> Vec<Scenario> {
         cost_oblivious_quorum_overlap(),
         mobile_mirror_resurrect(),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_phase_with_two_writes_is_a_typed_build_error() {
+        let scenario = Scenario::new("two-writers", 3, Entrant::Da.config())
+            .phase(&[Action::Read(2)])
+            .phase(&[Action::Write(2), Action::Read(1), Action::Write(0)]);
+        match scenario.build_sim() {
+            Err(DomaError::InvalidConfig(msg)) => assert!(
+                msg.contains("two-writers") && msg.contains("phase 1 [w2, r1, w0]"),
+                "{msg}"
+            ),
+            Err(other) => panic!("expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("a phase with two writes must not build"),
+        }
+        // One write per phase, however many reads, still builds.
+        for scenario in builtin() {
+            scenario.build_sim().unwrap();
+        }
+    }
 }

@@ -32,13 +32,26 @@ fn small_bound_da_configuration_is_exhaustively_clean() {
     assert!(report.states_explored > 10, "{report}");
 }
 
+/// Every builtin explores to completion with no violation, and the
+/// report `doma-check` prints for them — state, transition, dedup and
+/// prune counts — is the committed `tests/golden/doma_check.txt` that
+/// EXPERIMENTS.md cites.
 #[test]
 fn every_builtin_scenario_is_exhaustively_clean() {
+    let mut printed = String::new();
     for scenario in builtin() {
         let report = check(&scenario, &opts()).unwrap();
         assert!(report.complete, "{report}");
         assert!(report.counterexample.is_none(), "{report}");
+        printed.push_str(&format!("{report}\n"));
     }
+    assert_eq!(
+        printed,
+        include_str!("../../../tests/golden/doma_check.txt"),
+        "doma-check drifted from tests/golden/doma_check.txt; if the move is deliberate, \
+         regenerate it with `cargo run -q --release --offline -p doma-fault --bin doma-check \
+         > tests/golden/doma_check.txt` and say why in CHANGES.md"
+    );
 }
 
 /// Runs a bug-toggled scenario, asserts the checker catches it with the

@@ -33,6 +33,18 @@ pub const OBS_CATALOG_CRATES: &[&str] = &[
 ];
 /// The enum audited by the `message-flow` rule.
 pub const MESSAGE_ENUM: &str = "DomMsg";
+/// The one file outside `doma-algorithms` that may spell out the roster
+/// (`roster-once`).
+pub const ROSTER_FILE: &str = "crates/doma-protocol/src/roster.rs";
+/// Where the metrics registry may be looked up by name (`counter-handles`):
+/// `NodeObs` and `Engine::set_obs`, which resolve handles once per cell.
+pub const REGISTRY_FILES: &[&str] = &[
+    "crates/doma-protocol/src/obs.rs",
+    "crates/doma-sim/src/engine.rs",
+];
+/// The file whose `fn settle` is the one engine drain outside `doma-sim`
+/// (`one-settle`).
+pub const SETTLE_FILE: &str = "crates/doma-protocol/src/sim.rs";
 
 /// One source file of the workspace, path workspace-relative with `/`
 /// separators.
@@ -40,7 +52,8 @@ pub const MESSAGE_ENUM: &str = "DomMsg";
 pub struct SourceFile {
     /// Workspace-relative path (`crates/doma-sim/src/engine.rs`).
     pub path: String,
-    /// The owning crate's directory name (`doma-sim`).
+    /// The owning crate's directory name (`doma-sim`); empty for the root
+    /// package's `tests/` and `examples/`.
     pub crate_name: String,
     /// File contents.
     pub text: String,
@@ -49,7 +62,8 @@ pub struct SourceFile {
 /// Everything the engine lints, fully in memory.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// All `.rs` files under `crates/*/src`.
+    /// All `.rs` files under `crates/*/src`, then the root `tests/` and
+    /// `examples/` (which only `one-settle` audits).
     pub files: Vec<SourceFile>,
     /// `DESIGN.md` contents (source of the §8 metric catalog and the
     /// §13 span catalog).
@@ -68,14 +82,18 @@ pub struct LintReport {
 /// Runs the full rule catalog over `ws`. Every source file, however
 /// broken, lints: the parser is tolerant by design.
 pub fn run(ws: &Workspace) -> LintReport {
-    let parsed: Vec<(&SourceFile, Vec<Tree<'_>>)> = ws
+    // Each file as (source, unstripped trees, `#[cfg(test)]`-stripped trees).
+    let parsed: Vec<(&SourceFile, Vec<Tree<'_>>, Vec<Tree<'_>>)> = ws
         .files
         .iter()
-        .map(|file| (file, strip_cfg_test(parse(&file.text))))
+        .map(|file| {
+            let raw = parse(&file.text);
+            (file, raw.clone(), strip_cfg_test(raw))
+        })
         .collect();
 
     let mut findings = Vec::new();
-    for (file, trees) in &parsed {
+    for (file, _, trees) in &parsed {
         if file.path.ends_with("src/lib.rs") {
             findings.extend(rules::check_lint_headers(&file.path, &file.text));
         }
@@ -87,8 +105,8 @@ pub fn run(ws: &Workspace) -> LintReport {
     let cross = |set: &[&str]| -> Vec<(&str, &[Tree<'_>])> {
         parsed
             .iter()
-            .filter(|(file, _)| set.contains(&file.crate_name.as_str()))
-            .map(|(file, trees)| (file.path.as_str(), trees.as_slice()))
+            .filter(|(file, _, _)| set.contains(&file.crate_name.as_str()))
+            .map(|(file, _, trees)| (file.path.as_str(), trees.as_slice()))
             .collect()
     };
     findings.extend(rules::check_lock_order(&cross(LOCK_ORDER_CRATES)));
@@ -105,6 +123,32 @@ pub fn run(ws: &Workspace) -> LintReport {
         &rules::design_catalog(&ws.design, 13),
     ));
 
+    // The site rules see unit-test modules too. `outside` is every crate's
+    // `src/` but one crate's.
+    let sites = |keep: &dyn Fn(&SourceFile) -> bool| -> Vec<(&str, &[Tree<'_>])> {
+        parsed
+            .iter()
+            .filter(|(file, _, _)| keep(file))
+            .map(|(file, raw, _)| (file.path.as_str(), raw.as_slice()))
+            .collect()
+    };
+    let outside = |skip: &'static str| {
+        move |file: &SourceFile| !file.crate_name.is_empty() && file.crate_name != skip
+    };
+    findings.extend(rules::check_roster_once(
+        &sites(&outside("doma-algorithms")),
+        ROSTER_FILE,
+    ));
+    findings.extend(rules::check_typed_events(&sites(&outside("doma-obs"))));
+    findings.extend(rules::check_counter_handles(
+        &sites(&outside("doma-obs")),
+        REGISTRY_FILES,
+    ));
+    findings.extend(rules::check_one_settle(
+        &sites(&|file| file.crate_name != "doma-sim"),
+        SETTLE_FILE,
+    ));
+
     // `Finding`'s derived order is `(file, line, col, rule, message)`.
     findings.sort();
     LintReport {
@@ -113,7 +157,8 @@ pub fn run(ws: &Workspace) -> LintReport {
     }
 }
 
-/// Walks a real checkout rooted at `root` into a [`Workspace`].
+/// Walks a real checkout rooted at `root` into a [`Workspace`]: every
+/// crate's `src/`, then the root package's `tests/` and `examples/`.
 pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     fn rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
         let Ok(entries) = std::fs::read_dir(dir) else {
@@ -148,15 +193,21 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
         .collect();
     crate_dirs.sort();
 
+    // (directory to walk, owning crate's name): every crate's `src/`,
+    // then the root package's `tests/` and `examples/`.
+    let mut sources: Vec<(std::path::PathBuf, String)> = crate_dirs
+        .iter()
+        .map(|dir| {
+            let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            (dir.join("src"), name.to_string())
+        })
+        .collect();
+    sources.extend(["tests", "examples"].map(|dir| (root.join(dir), String::new())));
+
     let mut ws = Workspace::default();
-    for dir in &crate_dirs {
-        let crate_name = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("")
-            .to_string();
+    for (dir, crate_name) in sources {
         let mut files = Vec::new();
-        rs_files(&dir.join("src"), &mut files);
+        rs_files(&dir, &mut files);
         for file in files {
             let Ok(text) = std::fs::read_to_string(&file) else {
                 continue;

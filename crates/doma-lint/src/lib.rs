@@ -3,11 +3,11 @@
 //! A zero-dependency static analysis engine built on a hand-written
 //! Rust lexer ([`lex`]) and a nested token-tree parser ([`tree`]).
 //! Every rule operates on token trees with exact `file:line:col` spans
-//! — comments and string literals are invisible, `#[cfg(test)]`-gated
-//! items are stripped at the tree level, and sibling sequences at each
-//! nesting depth let rules tell patterns from expressions and method
-//! calls from definitions, distinctions the old character-masking
-//! scanner could not make.
+//! — comments and string literals are invisible, the catalog rules see
+//! `#[cfg(test)]`-gated items stripped at the tree level, and sibling
+//! sequences at each nesting depth let rules tell patterns from
+//! expressions and method calls from definitions, distinctions the old
+//! character-masking scanner could not make.
 //!
 //! # Rule catalog
 //!
@@ -48,11 +48,26 @@
 //!   appear in the DESIGN §13 span catalog; the trace exporter and the
 //!   critical-path report key on span names.
 //!
-//! The engine ([`engine`]) loads every crate's `src/` (or accepts a
-//! synthetic in-memory workspace — the mutation self-tests use that)
-//! and runs the catalog. The wall itself is a test:
-//! `tests/tree_wall.rs` lints this checkout and fails listing every
-//! finding as `file:line:col: [rule] message`.
+//! Site rules (where one kind of call may live; unit-test modules
+//! included):
+//!
+//! * **roster-once** — outside `doma-algorithms`, the contenders'
+//!   constructors and the `"write-invalidate"` label appear only in
+//!   `doma-protocol`'s roster module.
+//! * **typed-events** — outside `doma-obs`, no direct `.record(…)` or
+//!   `.span_enter(…)`: events go through `event!`/`span!`.
+//! * **counter-handles** — outside `doma-obs`, the metrics registry is
+//!   looked up by name (`.metrics();`, `.metrics().add(…)`,
+//!   `.metrics().counter(…)`) only in `doma-protocol/src/obs.rs` and
+//!   `doma-sim/src/engine.rs`, where handles are resolved.
+//! * **one-settle** — outside `doma-sim`, root `tests/` and `examples/`
+//!   included, `run_until_idle(…)` is called only in `ProtocolSim::settle`.
+//!
+//! The engine ([`engine`]) loads every crate's `src/` and the root
+//! `tests/` and `examples/` (or accepts a synthetic in-memory workspace —
+//! the mutation self-tests use that) and runs the catalog. The wall
+//! itself is a test: `tests/tree_wall.rs` lints this checkout and fails
+//! listing every finding as `file:line:col: [rule] message`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,11 +1,14 @@
 //! The rule catalog, implemented over token trees.
 //!
-//! Every rule reads `#[cfg(test)]`-stripped token trees. Per-file rules
-//! (`determinism`, `lint-headers`) take one file; cross-file rules
+//! The catalog rules read `#[cfg(test)]`-stripped token trees. Per-file
+//! rules (`determinism`, `lint-headers`) take one file; cross-file rules
 //! (`lock-order`, `message-flow`, `obs-catalog`, `span-catalog`) take the
 //! whole file set of the crates they audit, because their facts — lock
 //! acquisition edges, enum variants vs. use sites, metric and span names
-//! vs. the DESIGN catalogs — only exist across files.
+//! vs. the DESIGN catalogs — only exist across files. The site rules
+//! (`roster-once`, `typed-events`, `counter-handles`, `one-settle`) read
+//! unstripped trees: they say where one kind of call may live, and a
+//! unit-test module is no exception.
 
 use crate::lex::{Delim, TokKind, Token};
 use crate::tree::{walk_levels, Tree};
@@ -872,6 +875,227 @@ pub fn check_span_catalog(
                 }
             }
         });
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Site rules: roster-once, typed-events, counter-handles, one-settle
+// ---------------------------------------------------------------------------
+//
+// Each site rule finds one kind of call site in a file's *unstripped*
+// trees (a unit-test module is where a second roster or a bare drain
+// would hide) and reports every site outside the place it belongs. The
+// `*_sites` finders are public so the tree wall can prove each rule
+// audits a non-empty set.
+
+/// What only `doma-protocol`'s roster module may spell out: the
+/// contenders' constructors and the one entrant label no constructor
+/// names.
+pub const ROSTER_NEEDLES: [&str; 5] = [
+    "CostOblivious::new",
+    "MobileMirror::new",
+    "SlidingWindowConvergent::new",
+    "WriteInvalidateCache::new",
+    "\"write-invalidate\"",
+];
+
+/// Every [`ROSTER_NEEDLES`] occurrence in `trees`: a `Type::new` path
+/// (however qualified) or the exact string literal.
+pub fn roster_sites<'a>(trees: &[Tree<'a>]) -> Vec<(&'static str, Token<'a>)> {
+    let mut out = Vec::new();
+    walk_levels(trees, &mut |level| {
+        for (i, tree) in level.iter().enumerate() {
+            let Some(tok) = tree.leaf() else { continue };
+            let hit = ROSTER_NEEDLES
+                .iter()
+                .find(|needle| match needle.strip_suffix("::new") {
+                    Some(ty) => {
+                        tok.is_ident(ty)
+                            && path_sep(level, i + 1)
+                            && level.get(i + 3).is_some_and(|t| t.is_ident("new"))
+                    }
+                    None => tok.kind == TokKind::Str && tok.text == **needle,
+                });
+            if let Some(needle) = hit {
+                out.push((*needle, *tok));
+            }
+        }
+    });
+    out
+}
+
+/// The `roster-once` rule: outside `roster_file`, no audited file spells
+/// out a contender constructor or the entrant label table, so a harness
+/// cannot quietly grow its own copy of the deployment decision.
+pub fn check_roster_once(files: &[(&str, &[Tree<'_>])], roster_file: &str) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for (file, trees) in files.iter().filter(|(file, _)| *file != roster_file) {
+        for (needle, tok) in roster_sites(trees) {
+            out.push(finding(
+                file,
+                &tok,
+                "roster-once",
+                format!("`{needle}` belongs in {roster_file} alone — ask `Entrant` instead"),
+            ));
+        }
+    }
+    out
+}
+
+/// Whether `level[i..]` is the method call `.name(…)`.
+fn method_call_at(level: &[Tree<'_>], i: usize, name: &str) -> bool {
+    level[i].is_punct('.')
+        && level.get(i + 1).is_some_and(|t| t.is_ident(name))
+        && level
+            .get(i + 2)
+            .is_some_and(|t| t.group_with(Delim::Paren).is_some())
+}
+
+/// Every direct `.record(…)`/`.span_enter(…)` call in `trees`, anchored
+/// at the method name.
+pub fn event_record_sites<'a>(trees: &[Tree<'a>]) -> Vec<Token<'a>> {
+    let mut out = Vec::new();
+    walk_levels(trees, &mut |level| {
+        for i in 0..level.len() {
+            if method_call_at(level, i, "record") || method_call_at(level, i, "span_enter") {
+                out.push(*level[i + 1].anchor());
+            }
+        }
+    });
+    out
+}
+
+/// The `typed-events` rule: in the audited files (everything outside
+/// `doma-obs`) every event record is an `event!`/`span!` over typed
+/// values, never a direct `.record(…)`/`.span_enter(…)` — which is where
+/// hand-built `("key".to_string(), v.to_string())` vectors came from.
+pub fn check_typed_events(files: &[(&str, &[Tree<'_>])]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for (file, trees) in files {
+        for tok in event_record_sites(trees) {
+            out.push(finding(
+                file,
+                &tok,
+                "typed-events",
+                format!(
+                    "direct `.{}(…)` — record events through `event!`/`span!` with typed fields",
+                    tok.text
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// Every by-name registry lookup in `trees`: `.metrics()` bound on its
+/// own (`….metrics();`) or called through (`.metrics().add(…)`,
+/// `.metrics().counter(…)`), anchored at `metrics`.
+pub fn registry_lookup_sites<'a>(trees: &[Tree<'a>]) -> Vec<Token<'a>> {
+    let mut out = Vec::new();
+    walk_levels(trees, &mut |level| {
+        for i in 0..level.len() {
+            let bare_metrics = method_call_at(level, i, "metrics")
+                && level[i + 2]
+                    .group_with(Delim::Paren)
+                    .is_some_and(|args| args.children.is_empty());
+            if !bare_metrics {
+                continue;
+            }
+            let by_name = level.get(i + 3).is_some_and(|t| t.is_punct(';'))
+                || method_call_at(level, i + 3, "add")
+                || method_call_at(level, i + 3, "counter");
+            if by_name {
+                out.push(*level[i + 1].anchor());
+            }
+        }
+    });
+    out
+}
+
+/// The `counter-handles` rule: the metrics registry is looked up by name
+/// only in `allowed` — where handles are resolved, once per cell. A
+/// `.metrics().add(…)` on a request path pays key strings, a mutex and a
+/// B-tree walk per call.
+pub fn check_counter_handles(files: &[(&str, &[Tree<'_>])], allowed: &[&str]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for (file, trees) in files.iter().filter(|(file, _)| !allowed.contains(file)) {
+        for tok in registry_lookup_sites(trees) {
+            out.push(finding(
+                file,
+                &tok,
+                "counter-handles",
+                format!(
+                    "the metrics registry is looked up by name outside {} — resolve a \
+                     counter handle there and keep it",
+                    allowed.join(" and ")
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// Every `run_until_idle(…)` call in `trees` with the name of the
+/// innermost enclosing `fn` (`None` at item level).
+pub fn engine_drain_sites<'a>(trees: &[Tree<'a>]) -> Vec<(Option<&'a str>, Token<'a>)> {
+    fn walk<'a>(
+        level: &[Tree<'a>],
+        in_fn: Option<&'a str>,
+        out: &mut Vec<(Option<&'a str>, Token<'a>)>,
+    ) {
+        // The `fn` whose header is open at this level: its first brace
+        // group is its body; a `;` first means a bodiless declaration.
+        let mut header: Option<&'a str> = None;
+        for (i, tree) in level.iter().enumerate() {
+            match tree {
+                Tree::Leaf(tok) => {
+                    let after_fn = i > 0 && level[i - 1].is_ident("fn");
+                    if after_fn && tok.kind == TokKind::Ident {
+                        header = Some(tok.text);
+                    } else if tok.is_punct(';') {
+                        header = None;
+                    } else if tok.is_ident("run_until_idle")
+                        && level
+                            .get(i + 1)
+                            .is_some_and(|t| t.group_with(Delim::Paren).is_some())
+                    {
+                        out.push((in_fn, *tok));
+                    }
+                }
+                Tree::Group(g) if g.delim == Delim::Brace && header.is_some() => {
+                    walk(&g.children, header.take(), out);
+                }
+                Tree::Group(g) => walk(&g.children, in_fn, out),
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(trees, None, &mut out);
+    out
+}
+
+/// The `one-settle` rule: in the audited files (everything outside
+/// `doma-sim`, root tests and examples included) the engine is drained
+/// only by `fn settle` in `settle_file`, which turns a tripped event
+/// budget into an error. A bare `run_until_idle()` elsewhere lets the
+/// budget trip silently and leaves a half-run queue for the next request.
+pub fn check_one_settle(files: &[(&str, &[Tree<'_>])], settle_file: &str) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for (file, trees) in files {
+        for (in_fn, tok) in engine_drain_sites(trees) {
+            if *file == settle_file && in_fn == Some("settle") {
+                continue;
+            }
+            out.push(finding(
+                file,
+                &tok,
+                "one-settle",
+                "`run_until_idle()` outside `ProtocolSim::settle` — drain the engine \
+                 through `settle()`, which reports a tripped event budget"
+                    .to_string(),
+            ));
+        }
     }
     out
 }

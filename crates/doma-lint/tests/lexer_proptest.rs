@@ -10,7 +10,9 @@
 //! 2. **Masked regions are invisible** — a randomly generated
 //!    `#[cfg(test)]` module stuffed with rule violations (`partial_cmp`
 //!    calls, re-entrant locks, uncatalogued metric and span names)
-//!    produces zero findings when run through the full engine.
+//!    produces zero findings when run through the full engine. (The site
+//!    rules read unstripped trees on purpose; none of these violations
+//!    is a site-rule needle in `doma-obs`.)
 //!
 //! Failures print a `DOMA_PROP_SEED=…` replay line via the testkit
 //! harness.
@@ -174,8 +176,8 @@ impl Gen for MaskedGen {
 
 doma_testkit::property! {
     #[cases(96)]
-    /// `#[cfg(test)]`-gated violations are invisible to the whole rule
-    /// catalog — the mask works at any nesting depth.
+    /// `#[cfg(test)]`-gated violations are invisible to the catalog
+    /// rules — the mask works at any nesting depth.
     fn masked_test_regions_never_produce_findings(src in MaskedGen) {
         let ws = Workspace {
             files: vec![SourceFile {

@@ -376,3 +376,157 @@ fn span_catalog_only_reads_section_thirteen() {
         "span-catalog",
     );
 }
+
+// ---------------------------------------------------------------------------
+// Site rules: each fires on its needle, and a needle that sits only in a
+// trailing comment (where the old grep/awk guards saw it) stays silent.
+// ---------------------------------------------------------------------------
+
+fn findings_of<'f>(findings: &'f [Finding], rule: &str) -> Vec<&'f Finding> {
+    findings.iter().filter(|f| f.rule == rule).collect()
+}
+
+#[test]
+fn roster_once_catches_a_second_roster() {
+    let roster = "pub fn build() { let w = WriteInvalidateCache::new(1); }\n\
+                  pub const LABEL: &str = \"write-invalidate\";\n";
+    let copy = "fn harness() {\n\
+                \x20   let w = doma_algorithms::WriteInvalidateCache::new(1);\n\
+                }\n\
+                #[cfg(test)]\n\
+                mod tests {\n\
+                \x20   const L: &str = \"write-invalidate\";\n\
+                }\n";
+    let report = run(&ws(vec![
+        sf("crates/doma-protocol/src/roster.rs", roster),
+        sf("crates/doma-analysis/src/copy.rs", copy),
+        // doma-algorithms defines the contenders; it is out of scope.
+        sf("crates/doma-algorithms/src/c.rs", copy),
+    ]));
+    let f = findings_of(&report.findings, "roster-once");
+    assert_eq!(f.len(), 2, "{report:?}");
+    assert_finding(
+        &report.findings,
+        "crates/doma-analysis/src/copy.rs",
+        2,
+        "roster-once",
+    );
+    assert_finding(
+        &report.findings,
+        "crates/doma-analysis/src/copy.rs",
+        6,
+        "roster-once",
+    );
+}
+
+#[test]
+fn roster_once_ignores_a_trailing_comment() {
+    let src = "fn harness() { let e = Entrant::ALL; } // not WriteInvalidateCache::new(1)\n\
+               fn other() {} /* \"write-invalidate\" */\n";
+    let report = run(&ws(vec![sf("crates/doma-analysis/src/copy.rs", src)]));
+    assert_clean(&report.findings);
+}
+
+#[test]
+fn typed_events_catch_a_direct_record() {
+    let src = "fn deliver(log: &EventLog) {\n\
+               \x20   event!(log, 1, \"proto.ok\", node = 1);\n\
+               \x20   log.record(2, \"proto.raw\", vec![(\"k\".to_string(), v.to_string())]);\n\
+               }\n";
+    let report = run(&ws(vec![
+        sf("crates/doma-protocol/src/node.rs", src),
+        // doma-obs owns `record` and its macros; it is out of scope.
+        sf("crates/doma-obs/src/event.rs", src),
+    ]));
+    let f = findings_of(&report.findings, "typed-events");
+    assert_eq!(f.len(), 1, "{report:?}");
+    assert_finding(
+        &report.findings,
+        "crates/doma-protocol/src/node.rs",
+        3,
+        "typed-events",
+    );
+}
+
+#[test]
+fn typed_events_ignore_a_trailing_comment() {
+    let src = "fn deliver(log: &EventLog) {\n\
+               \x20   event!(log, 1, \"proto.ok\", node = 1); // not log.record(…)\n\
+               }\n";
+    let report = run(&ws(vec![sf("crates/doma-protocol/src/node.rs", src)]));
+    assert_clean(&report.findings);
+}
+
+#[test]
+fn counter_handles_catch_a_third_lookup_site() {
+    let src = "fn tally(obs: &ObsBundle) {\n\
+               \x20   let handle = obs.metrics().snapshot();\n\
+               \x20   obs.metrics()\n\
+               \x20       .add(\"protocol\", \"cost.control\", &[], 1);\n\
+               \x20   let reg = obs.metrics();\n\
+               }\n";
+    let report = run(&ws(vec![
+        sf("crates/doma-protocol/src/obs.rs", src),
+        sf("crates/doma-sim/src/engine.rs", src),
+        sf("crates/doma-protocol/src/node.rs", src),
+    ]));
+    let f = findings_of(&report.findings, "counter-handles");
+    assert_eq!(f.len(), 2, "only the third file, twice: {report:?}");
+    assert_finding(
+        &report.findings,
+        "crates/doma-protocol/src/node.rs",
+        3,
+        "counter-handles",
+    );
+    assert_finding(
+        &report.findings,
+        "crates/doma-protocol/src/node.rs",
+        5,
+        "counter-handles",
+    );
+}
+
+#[test]
+fn counter_handles_ignore_a_trailing_comment() {
+    let src = "fn tally(c: &Counter) {\n\
+               \x20   c.add(1); // was obs.metrics().add(\"protocol\", \"x\", &[], 1)\n\
+               }\n";
+    let report = run(&ws(vec![sf("crates/doma-protocol/src/node.rs", src)]));
+    assert_clean(&report.findings);
+}
+
+#[test]
+fn one_settle_catches_a_bare_drain() {
+    let sim = "impl ProtocolSim {\n\
+               \x20   pub fn settle(&mut self) -> u64 { self.engine.run_until_idle() }\n\
+               \x20   pub fn shortcut(&mut self) -> u64 { self.engine.run_until_idle() }\n\
+               }\n";
+    let test = "#[test]\n\
+                fn drains() {\n\
+                \x20   sim.engine_mut().run_until_idle();\n\
+                }\n";
+    let report = run(&ws(vec![
+        sf("crates/doma-protocol/src/sim.rs", sim),
+        sf("tests/event_budget.rs", test),
+        // doma-sim defines the drain; it is out of scope.
+        sf("crates/doma-sim/src/engine.rs", test),
+    ]));
+    let f = findings_of(&report.findings, "one-settle");
+    assert_eq!(f.len(), 2, "{report:?}");
+    assert_finding(
+        &report.findings,
+        "crates/doma-protocol/src/sim.rs",
+        3,
+        "one-settle",
+    );
+    assert_finding(&report.findings, "tests/event_budget.rs", 3, "one-settle");
+}
+
+#[test]
+fn one_settle_ignores_a_trailing_comment() {
+    let src = "fn drains() {\n\
+               \x20   sim.settle().unwrap(); // not engine_mut().run_until_idle()\n\
+               }\n";
+    let report = run(&ws(vec![sf("examples/quickstart.rs", src)]));
+    assert_clean(&report.findings);
+}

@@ -110,4 +110,4 @@
 //!
 //! Continue with the runnable examples (`cargo run --example quickstart`)
 //! and the experiment harness (`cargo run --release -p doma-analysis --bin
-//! repro`).
+//! domactl -- repro`).

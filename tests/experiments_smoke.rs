@@ -10,7 +10,7 @@ use doma::core::CostModel;
 /// `repro all --fast`, rendered, must equal the committed golden document:
 /// a change that moves any E-row fails here, not only in the full-mode
 /// wall. After a deliberate change, regenerate with
-/// `cargo run --release -p doma-analysis --bin repro -- all --fast > tests/golden/repro_fast.md`.
+/// `cargo run --release -p doma-analysis --bin domactl -- repro all --fast > tests/golden/repro_fast.md`.
 #[test]
 fn fast_reproduction_matches_the_golden_document() {
     let doc = experiments::render(&experiments::run("all", true).unwrap(), true);
