@@ -1,189 +1,288 @@
 //! `domactl` — command-line front end for the library.
 //!
-//! ```text
-//! domactl cost     --schedule "r1 r1 w2 r2" [--algo sa|da|opt|all]
-//!                  [--model sc|mc] [--cc 0.25] [--cd 1.0] [--t 2]
-//!                  [--verbose]
-//! domactl stats    --schedule "r1 r1 w2 r2"
-//! domactl simulate --schedule "..." [--algo <entrant>] [--n 6]
-//! domactl obs      --schedule "..." [--algo <entrant>] [--n 6]
-//!                  [--format json|table] [--events 256]
-//! domactl generate --workload uniform|zipf|hotspot|chaotic|mobile|append-only
-//!                  [--n 6] [--len 50] [--seed 0] [--read-fraction 0.7]
-//! domactl tournament [--n 6] [--len 40] [--seed 7] [--out BENCH_tournament.json]
-//!                  [--format table|json]
-//! domactl scenario <name|path|all|list> [--format table|json]
-//!                  [--diff <baseline.json>]
-//! domactl cluster  <scenario|workload|all> [--nodes N] [--transport tcp|uds]
-//!                  [--entrant <entrant>] [--n 6] [--len 40] [--seed 7]
-//!                  [--read-fraction 0.7]
-//! domactl trace    <scenario|workload> [--format table|chrome] [--top 10]
-//!                  [--events N] [--algo <entrant>] [--n 6] [--len 50]
-//!                  [--seed 0] [--read-fraction 0.7]
-//! domactl obs diff <a.json> <b.json> [--scenario NAME]
-//! domactl repro    [<experiment>|all] [--fast]
-//! ```
+//! Every command is one row of [`COMMANDS`]: its operands, and each flag
+//! it reads with that flag's default and allowed values. The parser, the
+//! usage text (printed after a missing or unknown command) and dispatch
+//! read that table alone, so a flag the row does not list is a usage
+//! error naming the ones it does.
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
 //! tokens. `--file <path>` reads the schedule from a trace file instead
 //! (the format `doma_workload::trace::write_trace` emits: `#` comments,
 //! blank lines and any line wrapping are fine).
-//! `<entrant>` is any name of the roster ([`doma_protocol::Entrant`]):
-//! `sa`, `da`, `convergent`, `write-invalidate`, `cost-oblivious` or
-//! `mobile-mirror`, always in its canonical deployment. Each command
-//! accepts only the flags it reads ([`accepted_flags`]); any other flag
-//! is a usage error that names the accepted ones.
+//! An entrant flag (`--algo`, `--entrant`) takes any name of the roster
+//! ([`doma_protocol::Entrant`]), always in its canonical deployment.
 //! `<scenario|workload>` is a builtin scenario name, a scenario `.toml`
 //! path, or an ad-hoc workload kind (the `generate --workload` list).
 //! `repro` regenerates every figure and bound of the paper (the roster
 //! is `doma_analysis::experiments`); `--fast` shrinks grids and batteries
 //! for a smoke run, and the default settings match EXPERIMENTS.md.
+//! Every command writes to the one `out` that `main` owns; a reader that
+//! closes it early (`domactl generate --len 5000 | head`) ends the run
+//! cleanly.
 
 use doma_algorithms::{DynamicAllocation, OfflineOptimal, StaticAllocation};
+use doma_analysis::obsdiff;
 use doma_core::{
-    run_offline, run_online, schedule_stats, CostModel, ProcSet, ProcessorId, RunOutcome, Schedule,
+    run_offline, run_online, schedule_stats, CostModel, ProcSet, ProcessorId, Schedule,
 };
 use doma_protocol::Entrant;
 use doma_scenario::{Scenario, WorkloadSpec};
 use doma_workload::trace::read_trace;
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
-/// Parsed command-line options: positional command + `--key value` flags
-/// (`--verbose` and `--fast` are bare flags). A flag given twice is an
-/// error.
-#[derive(Debug, Default)]
-struct Opts {
-    command: String,
-    /// The first positional operand after the command (the scenario
-    /// name or path for `domactl scenario …`, the trace target, the
-    /// `diff` subcommand of `obs`, …).
-    target: Option<String>,
-    /// Further positional operands, for the commands that take them
-    /// (`obs diff <a> <b>`).
-    extra: Vec<String>,
-    flags: BTreeMap<String, String>,
-    verbose: bool,
-    fast: bool,
+/// What a command returns: a message for stderr, or a failed write to
+/// `out`.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
+/// One `domactl` command: everything the parser, the usage text and
+/// dispatch know about it.
+struct Command {
+    /// The command words (`obs diff` is two).
+    name: &'static str,
+    /// The positional operands as usage shows them; at most this many.
+    operands: &'static [&'static str],
+    /// Every flag the command reads, in usage order.
+    flags: &'static [(&'static str, Value)],
+    run: fn(&Opts, &mut dyn Write) -> Outcome,
 }
 
-/// How many positional operands a command accepts after its name.
-fn positional_arity(command: &str) -> usize {
-    match command {
-        "scenario" | "trace" | "cluster" | "repro" => 1,
-        "obs" => 3, // bare `obs`, or `obs diff <a> <b>`
-        _ => 0,
+/// What a flag takes, and what it is when absent.
+#[derive(Clone, Copy)]
+enum Value {
+    /// A bare switch: off when absent.
+    Switch,
+    /// Any value; unset when absent. The text names it.
+    Optional(&'static str),
+    /// Any value; this literal when absent.
+    Is(&'static str),
+    /// Any value; when absent the command computes it, as the text says.
+    Computed(&'static str),
+    /// One of these values; the first when absent.
+    OneOf(&'static [&'static str]),
+    /// A roster entrant ([`Entrant::ALL`]); this one when absent.
+    Roster(&'static str),
+    /// An ad-hoc workload kind ([`workload_names`]); this one when absent.
+    Workload(&'static str),
+}
+use Value::{Computed, Is, OneOf, Optional, Roster, Switch, Workload};
+
+const SCHEDULE: (&str, Value) = ("schedule", Optional("r1 w2 ..."));
+const FILE: (&str, Value) = ("file", Optional("path"));
+const UNIVERSE: (&str, Value) = ("n", Computed("the schedule's processors, at least 3"));
+const READ_FRACTION: (&str, Value) = ("read-fraction", Is("0.7"));
+
+/// The CLI: one row per command, laid out as a table.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "cost", operands: &[], run: cmd_cost, flags: &[
+        SCHEDULE, FILE, ("algo", OneOf(&["all", "sa", "da", "opt"])), ("model", OneOf(&["sc", "mc"])),
+        ("cc", Is("0.25")), ("cd", Is("1.0")), ("t", Is("2")), UNIVERSE, ("verbose", Switch),
+    ] },
+    Command { name: "stats", operands: &[], run: cmd_stats, flags: &[SCHEDULE, FILE] },
+    Command { name: "simulate", operands: &[], run: cmd_simulate, flags: &[
+        SCHEDULE, FILE, ("algo", Roster("da")), UNIVERSE,
+    ] },
+    Command { name: "obs", operands: &[], run: cmd_obs, flags: &[
+        SCHEDULE, FILE, ("algo", Roster("da")), UNIVERSE, ("format", OneOf(&["json", "table"])),
+        ("events", Is("256")),
+    ] },
+    Command { name: "obs diff", operands: &["<a.json>", "<b.json>"], run: cmd_obs_diff, flags: &[
+        ("scenario", Optional("name")),
+    ] },
+    Command { name: "generate", operands: &[], run: cmd_generate, flags: &[
+        ("workload", Workload("uniform")), ("n", Is("6")), ("len", Is("50")), ("seed", Is("0")),
+        READ_FRACTION,
+    ] },
+    Command { name: "tournament", operands: &[], run: cmd_tournament, flags: &[
+        ("n", Is("6")), ("len", Is("40")), ("seed", Is("7")), ("out", Optional("path")),
+        ("format", OneOf(&["table", "json"])),
+    ] },
+    Command { name: "scenario", operands: &["<name|path|all|list>"], run: cmd_scenario, flags: &[
+        ("format", OneOf(&["table", "json"])), ("diff", Optional("baseline.json")),
+    ] },
+    Command { name: "cluster", operands: &["<scenario|workload|all>"], run: cmd_cluster, flags: &[
+        ("nodes", Computed("the scenario's n")), ("transport", OneOf(&["uds", "tcp"])),
+        ("entrant", Roster("sa")), ("n", Is("6")), ("len", Is("40")), ("seed", Is("7")), READ_FRACTION,
+    ] },
+    Command { name: "trace", operands: &["<scenario|workload>"], run: cmd_trace, flags: &[
+        ("format", OneOf(&["table", "chrome"])), ("top", Is("10")), ("events", Computed("the scenario's")),
+        ("algo", Roster("da")), ("n", Is("6")), ("len", Is("50")), ("seed", Is("0")), READ_FRACTION,
+    ] },
+    Command { name: "repro", operands: &["[<experiment|all>]"], run: cmd_repro, flags: &[
+        ("fast", Switch),
+    ] },
+];
+
+impl Value {
+    /// The literal default, if the flag has one.
+    fn default(self) -> Option<&'static str> {
+        match self {
+            Is(v) | Roster(v) | Workload(v) => Some(v),
+            OneOf(values) => values.first().copied(),
+            Switch | Optional(_) | Computed(_) => None,
+        }
+    }
+
+    /// The allowed values, default first; `None` when any value goes.
+    fn choices(self) -> Option<Vec<&'static str>> {
+        let mut all = match self {
+            OneOf(values) => values.to_vec(),
+            Roster(_) => Entrant::ALL.map(|e| e.as_str()).to_vec(),
+            Workload(_) => workload_names(),
+            Switch | Optional(_) | Is(_) | Computed(_) => return None,
+        };
+        all.sort_by_key(|v| Some(*v) != self.default());
+        Some(all)
+    }
+
+    /// How the usage text shows the value: `a|b` is a choice with the
+    /// default first, and `<...>` names a value with no literal default.
+    fn usage(self) -> String {
+        match (self, self.choices()) {
+            (_, Some(choices)) => format!(" {}", choices.join("|")),
+            (Optional(what), None) => format!(" <{what}>"),
+            (Computed(how), None) => format!(" <default: {how}>"),
+            (Is(v), None) => format!(" {v}"),
+            _ => String::new(),
+        }
     }
 }
 
-/// The flags a command reads, space-separated (`target` tells `obs diff`
-/// from `obs`); `None` for an unknown command, which `main` reports.
-fn accepted_flags(command: &str, target: Option<&str>) -> Option<&'static str> {
-    Some(match (command, target) {
-        ("cost", _) => "schedule file algo model cc cd t n verbose",
-        ("stats", _) => "schedule file",
-        ("simulate", _) => "schedule file algo n",
-        ("obs", Some("diff")) => "scenario",
-        ("obs", _) => "schedule file algo n format events",
-        ("generate", _) => "workload n len seed read-fraction",
-        ("tournament", _) => "n len seed out format",
-        ("scenario", _) => "format diff",
-        ("cluster", _) => "nodes transport entrant n len seed read-fraction",
-        ("trace", _) => "format top events algo n len seed read-fraction",
-        ("repro", _) => "fast",
-        _ => return None,
+impl Command {
+    fn flag(&self, key: &str) -> Option<Value> {
+        self.flags.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    fn words(&self) -> Vec<String> {
+        self.name.split(' ').map(str::to_string).collect()
+    }
+
+    /// `domactl <name> <operands> [--flag value]...`
+    fn usage(&self) -> String {
+        let mut line = format!("domactl {}", self.name);
+        for operand in self.operands {
+            line += &format!(" {operand}");
+        }
+        for &(key, value) in self.flags {
+            line += &format!(" [--{key}{}]", value.usage());
+        }
+        line
+    }
+}
+
+/// The usage text: one line per [`COMMANDS`] row.
+fn usage() -> String {
+    let head = "usage (a|b: one of these, the first is the default):";
+    COMMANDS.iter().fold(head.to_string(), |text, c| {
+        format!("{text}\n  {}", c.usage())
     })
 }
 
+/// A parsed command line: the command's row, its operands, and the flags
+/// given (a switch maps to an empty value).
+struct Opts {
+    command: &'static Command,
+    operands: Vec<String>,
+    flags: BTreeMap<String, String>,
+}
+
 fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts::default();
-    let mut positionals: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
+    let is_switch = |key| COMMANDS.iter().any(|c| matches!(c.flag(key), Some(Switch)));
+    let (mut flags, mut words) = (BTreeMap::new(), Vec::new());
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let bare = match arg.as_str() {
-            "--verbose" => Some(&mut opts.verbose),
-            "--fast" => Some(&mut opts.fast),
-            _ => None,
-        };
-        if let Some(flag) = bare {
-            if std::mem::replace(flag, true) {
-                return Err(format!("flag {arg} given twice"));
-            }
-        } else if let Some(key) = arg.strip_prefix("--") {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            if opts.flags.insert(key.to_string(), value.clone()).is_some() {
+        if let Some(key) = arg.strip_prefix("--") {
+            let value = match is_switch(key) {
+                true => "",
+                false => it
+                    .next()
+                    .ok_or_else(|| format!("flag --{key} needs a value"))?,
+            };
+            if flags.insert(key.to_string(), value.to_string()).is_some() {
                 return Err(format!("flag --{key} given twice"));
             }
         } else if arg.starts_with('-') {
             return Err(format!("unexpected argument '{arg}'"));
-        } else if opts.command.is_empty() {
-            opts.command = arg.clone();
         } else {
-            positionals.push(arg.clone());
+            words.push(arg.clone());
         }
     }
-    if opts.command.is_empty() {
-        return Err(
-            "missing command (cost | stats | simulate | obs | generate | tournament | scenario | cluster | trace | repro)"
-                .to_string(),
-        );
+    let Some(first) = words.first() else {
+        return Err(format!("missing command\n{}", usage()));
+    };
+    let command = COMMANDS
+        .iter()
+        .filter(|c| words.starts_with(&c.words()))
+        .max_by_key(|c| c.words().len())
+        .ok_or_else(|| format!("unknown command '{first}'\n{}", usage()))?;
+    let operands = words.split_off(command.words().len());
+    if let Some(extra) = operands.get(command.operands.len()) {
+        return Err(format!("unexpected argument '{extra}'"));
     }
-    let arity = positional_arity(&opts.command);
-    if positionals.len() > arity {
-        return Err(format!("unexpected argument '{}'", positionals[arity]));
-    }
-    let mut it = positionals.into_iter();
-    opts.target = it.next();
-    opts.extra = it.collect();
-    if let Some(accepted) = accepted_flags(&opts.command, opts.target.as_deref()) {
-        let bare = [("verbose", opts.verbose), ("fast", opts.fast)];
-        let bare = bare.into_iter().filter_map(|(flag, on)| on.then_some(flag));
-        let mut given = opts.flags.keys().map(String::as_str).chain(bare);
-        if let Some(unknown) = given.find(|f| !accepted.split(' ').any(|a| a == *f)) {
+    for (key, value) in &flags {
+        let Some(kind) = command.flag(key) else {
+            let accepted: Vec<&str> = command.flags.iter().map(|(k, _)| *k).collect();
+            let accepted = accepted.join(", --");
             return Err(format!(
-                "{} does not take --{unknown} (accepted: --{})",
-                opts.command,
-                accepted.replace(' ', ", --")
+                "{} does not take --{key} (accepted: --{accepted})",
+                command.name
+            ));
+        };
+        let choices = kind.choices().unwrap_or_default();
+        if !choices.is_empty() && !choices.contains(&value.as_str()) {
+            let expected = choices.join(", ");
+            return Err(format!(
+                "unknown --{key} '{value}' (expected one of: {expected})"
             ));
         }
     }
-    Ok(opts)
+    Ok(Opts {
+        command,
+        operands,
+        flags,
+    })
 }
 
 impl Opts {
-    fn get(&self, key: &str, default: &str) -> String {
-        self.flags
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    fn given(&self, key: &str) -> bool {
+        self.flags.contains_key(key)
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+    /// `--key`'s value as given, else the table's literal default.
+    fn value(&self, key: &str) -> Option<&str> {
         match self.flags.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number '{v}'")),
+            Some(v) => Some(v),
+            None => self.command.flag(key).and_then(Value::default),
         }
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.flags.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
-        }
+    /// `--key`'s value parsed; a flag whose default is computed must be
+    /// [`given`](Self::given).
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        let v = self.value(key).ok_or_else(|| format!("need --{key}"))?;
+        v.parse().map_err(|_| format!("--{key}: bad number '{v}'"))
     }
 
     /// The roster entrant named by `--<key>`.
-    fn entrant(&self, key: &str, default: &str) -> Result<Entrant, String> {
-        Entrant::from_name(&self.get(key, default)).map_err(|e| format!("--{key}: {e}"))
+    fn entrant(&self, key: &str) -> Result<Entrant, String> {
+        Entrant::from_name(self.value(key).unwrap_or_default())
+    }
+
+    /// The first operand, or an error naming what goes there.
+    fn target(&self, help: String) -> Result<&str, String> {
+        let (name, operands) = (self.command.name, self.command.operands.join(" "));
+        let need = || format!("need a target: domactl {name} {operands}\n{help}");
+        self.operands.first().map(String::as_str).ok_or_else(need)
     }
 
     fn schedule(&self) -> Result<Schedule, String> {
-        if let Some(path) = self.flags.get("file") {
+        if let Some(path) = self.value("file") {
             let file = std::fs::File::open(path).map_err(|e| format!("--file {path}: {e}"))?;
             read_trace(file).map_err(|e| format!("--file {path}: {e}"))
-        } else if let Some(s) = self.flags.get("schedule") {
+        } else if let Some(s) = self.value("schedule") {
             s.parse::<Schedule>().map_err(|e| e.to_string())
         } else {
             Err("need --schedule \"r1 w2 ...\" or --file <path>".to_string())
@@ -191,142 +290,119 @@ impl Opts {
     }
 
     fn model(&self) -> Result<CostModel, String> {
-        let cc = self.get_f64("cc", 0.25)?;
-        let cd = self.get_f64("cd", 1.0)?;
-        match self.get("model", "sc").as_str() {
-            "sc" => CostModel::stationary(cc, cd).map_err(|e| e.to_string()),
-            "mc" => CostModel::mobile(cc, cd).map_err(|e| e.to_string()),
-            other => Err(format!("--model must be sc or mc, got '{other}'")),
+        let (cc, cd) = (self.num("cc")?, self.num("cd")?);
+        match self.value("model") {
+            Some("mc") => CostModel::mobile(cc, cd),
+            _ => CostModel::stationary(cc, cd),
         }
+        .map_err(|e| e.to_string())
     }
 }
 
 fn universe_for(schedule: &Schedule, opts: &Opts) -> Result<usize, String> {
     let min = schedule.min_processors().max(3);
-    let n = opts.get_usize("n", min)?;
-    if n < min {
-        return Err(format!(
+    let n = if opts.given("n") { opts.num("n")? } else { min };
+    match n < min {
+        true => Err(format!(
             "--n {n} too small; the schedule uses {min} processors"
-        ));
-    }
-    Ok(n)
-}
-
-fn print_outcome(name: &str, outcome: &RunOutcome, model: &CostModel, verbose: bool) {
-    let t = &outcome.costed.total;
-    println!(
-        "{name:>4}: cost {:.3}  ({} control, {} data, {} I/O)  final scheme {}",
-        outcome.costed.total_cost(model),
-        t.control,
-        t.data,
-        t.io,
-        outcome.costed.final_scheme
-    );
-    if verbose {
-        for pr in &outcome.costed.per_request {
-            println!(
-                "        {}  scheme {}  cost {}",
-                pr.step, pr.scheme, pr.cost
-            );
-        }
+        )),
+        false => Ok(n),
     }
 }
 
-fn cmd_cost(opts: &Opts) -> Result<(), String> {
+fn cmd_cost(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let schedule = opts.schedule()?;
     let model = opts.model()?;
-    let t = opts.get_usize("t", 2)?;
+    let t: usize = opts.num("t")?;
     let n = universe_for(&schedule, opts)?;
     if t < 2 || t >= n {
-        return Err(format!("need 2 <= t < n (t={t}, n={n})"));
+        return Err(format!("need 2 <= t < n (t={t}, n={n})").into());
     }
-    let algo = opts.get("algo", "all");
     let q: ProcSet = (0..t).collect();
     let f: ProcSet = (0..t - 1).collect();
     let p = ProcessorId::new(t - 1);
-    println!(
+    writeln!(
+        out,
         "schedule: {schedule}\nmodel: {} cc={} cd={} cio={}  t={t}  n={n}  initial scheme {q}",
         model.environment(),
         model.cc(),
         model.cd(),
         model.cio()
-    );
-    let err = |e: doma_core::DomaError| e.to_string();
-    if algo == "sa" || algo == "all" {
-        let mut sa = StaticAllocation::new(q).map_err(err)?;
-        print_outcome(
-            "SA",
-            &run_online(&mut sa, &schedule).map_err(err)?,
-            &model,
-            opts.verbose,
-        );
-    }
-    if algo == "da" || algo == "all" {
-        let mut da = DynamicAllocation::new(f, p).map_err(err)?;
-        print_outcome(
-            "DA",
-            &run_online(&mut da, &schedule).map_err(err)?,
-            &model,
-            opts.verbose,
-        );
-    }
-    if algo == "opt" || algo == "all" {
-        let opt = OfflineOptimal::new(n, t, q, model).map_err(err)?;
-        print_outcome(
-            "OPT",
-            &run_offline(&opt, &schedule).map_err(err)?,
-            &model,
-            opts.verbose,
-        );
-    }
-    if !["sa", "da", "opt", "all"].contains(&algo.as_str()) {
-        return Err(format!("--algo must be sa, da, opt or all, got '{algo}'"));
-    }
-    Ok(())
-}
-
-fn cmd_stats(opts: &Opts) -> Result<(), String> {
-    let schedule = opts.schedule()?;
-    let stats = schedule_stats(&schedule);
-    println!(
-        "{} requests ({} reads / {} writes), read fraction {:.2}",
-        schedule.len(),
-        schedule.read_count(),
-        schedule.write_count(),
-        stats.read_fraction
-    );
-    println!(
-        "mean read-run length {:.2}; mean distinct readers per write interval {:.2}",
-        stats.mean_read_run(),
-        stats.mean_readers_per_interval
-    );
-    println!("active processors: {}", stats.active_processors());
-    for (i, a) in stats.per_processor.iter().enumerate() {
-        if a.total() > 0 {
-            println!("  P{i}: {} reads, {} writes", a.reads, a.writes);
+    )?;
+    let algo = opts.value("algo").unwrap_or_default();
+    for name in ["sa", "da", "opt"] {
+        if algo != name && algo != "all" {
+            continue;
+        }
+        let outcome = match name {
+            "sa" => run_online(&mut StaticAllocation::new(q)?, &schedule)?,
+            "da" => run_online(&mut DynamicAllocation::new(f, p)?, &schedule)?,
+            _ => run_offline(&OfflineOptimal::new(n, t, q, model)?, &schedule)?,
+        };
+        let (costed, name) = (&outcome.costed, name.to_uppercase());
+        writeln!(
+            out,
+            "{name:>4}: cost {:.3}  ({} control, {} data, {} I/O)  final scheme {}",
+            costed.total_cost(&model),
+            costed.total.control,
+            costed.total.data,
+            costed.total.io,
+            costed.final_scheme
+        )?;
+        if opts.given("verbose") {
+            for pr in &costed.per_request {
+                let (step, scheme, cost) = (&pr.step, &pr.scheme, &pr.cost);
+                writeln!(out, "        {step}  scheme {scheme}  cost {cost}")?;
+            }
         }
     }
     Ok(())
 }
 
-fn cmd_simulate(opts: &Opts) -> Result<(), String> {
+fn cmd_stats(opts: &Opts, out: &mut dyn Write) -> Outcome {
+    let schedule = opts.schedule()?;
+    let stats = schedule_stats(&schedule);
+    writeln!(
+        out,
+        "{} requests ({} reads / {} writes), read fraction {:.2}",
+        schedule.len(),
+        schedule.read_count(),
+        schedule.write_count(),
+        stats.read_fraction
+    )?;
+    writeln!(
+        out,
+        "mean read-run length {:.2}; mean distinct readers per write interval {:.2}",
+        stats.mean_read_run(),
+        stats.mean_readers_per_interval
+    )?;
+    writeln!(out, "active processors: {}", stats.active_processors())?;
+    for (i, a) in stats.per_processor.iter().enumerate() {
+        if a.total() > 0 {
+            writeln!(out, "  P{i}: {} reads, {} writes", a.reads, a.writes)?;
+        }
+    }
+    Ok(())
+}
+
+fn cmd_simulate(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let schedule = opts.schedule()?;
     let n = universe_for(&schedule, opts)?;
-    let algo = opts.entrant("algo", "da")?;
-    let err = |e: doma_core::DomaError| e.to_string();
-    let mut sim = algo.sim(n).map_err(err)?;
-    let report = sim.execute(&schedule).map_err(err)?;
-    println!(
+    let algo = opts.entrant("algo")?;
+    let report = algo.sim(n)?.execute(&schedule)?;
+    writeln!(
+        out,
         "{} protocol on {n} simulated nodes: {} control msgs, {} data msgs, {} I/Os",
         algo.as_str().to_uppercase(),
         report.cost.control,
         report.cost.data,
         report.cost.io
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "final replica set {}; {} reads completed, mean latency {:.1} ticks",
         report.final_holders, report.reads_completed, report.mean_read_latency
-    );
+    )?;
     Ok(())
 }
 
@@ -335,61 +411,41 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
 /// snapshot — stable JSON by default (byte-identical across runs of the
 /// same inputs), or the aligned metric table plus event log with
 /// `--format table`.
-fn cmd_obs(opts: &Opts) -> Result<(), String> {
-    match opts.target.as_deref() {
-        Some("diff") => return cmd_obs_diff(opts),
-        Some(other) => return Err(format!("unexpected argument '{other}'")),
-        None => {}
-    }
-    print!("{}", obs_output(opts)?);
-    Ok(())
-}
-
-/// What `domactl obs` prints.
-fn obs_output(opts: &Opts) -> Result<String, String> {
+fn cmd_obs(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let schedule = opts.schedule()?;
     let n = universe_for(&schedule, opts)?;
-    let events = opts.get_usize("events", 256)?;
-    let err = |e: doma_core::DomaError| e.to_string();
-    let mut sim = opts.entrant("algo", "da")?.sim(n).map_err(err)?;
+    let events = opts.num("events")?;
+    let mut sim = opts.entrant("algo")?.sim(n)?;
     let obs = sim.attach_obs(events);
     sim.attach_tracer();
-    sim.execute(&schedule).map_err(err)?;
+    sim.execute(&schedule)?;
     sim.obs_flush();
-    match opts.get("format", "json").as_str() {
-        "json" => Ok(format!("{}\n", obs.snapshot_json())),
-        "table" => {
-            let mut out = format!("{}\n", obs.metrics().snapshot());
-            let rendered = obs.events().render();
-            if !rendered.is_empty() {
-                out.push_str(&rendered);
-                out.push('\n');
-            }
-            Ok(out)
+    if opts.value("format") == Some("table") {
+        writeln!(out, "{}", obs.metrics().snapshot())?;
+        let rendered = obs.events().render();
+        if !rendered.is_empty() {
+            writeln!(out, "{rendered}")?;
         }
-        other => Err(format!("--format must be json or table, got '{other}'")),
+    } else {
+        writeln!(out, "{}", obs.snapshot_json())?;
     }
+    Ok(())
 }
 
 /// `domactl obs diff <a.json> <b.json>` — structural diff of two obs
 /// snapshots (raw, or wrapped in scenario reports / report arrays;
 /// `--scenario NAME` picks one report out of an array). Exits nonzero
 /// when the snapshots differ, so scripts can gate on it.
-fn cmd_obs_diff(opts: &Opts) -> Result<(), String> {
-    let [path_a, path_b] = opts.extra.as_slice() else {
-        return Err("usage: domactl obs diff <a.json> <b.json> [--scenario NAME]".to_string());
+fn cmd_obs_diff(opts: &Opts, out: &mut dyn Write) -> Outcome {
+    let [path_a, path_b] = opts.operands.as_slice() else {
+        return Err(format!("usage: {}", opts.command.usage()).into());
     };
-    let text_a =
-        std::fs::read_to_string(path_a).map_err(|e| format!("cannot read {path_a}: {e}"))?;
-    let text_b =
-        std::fs::read_to_string(path_b).map_err(|e| format!("cannot read {path_b}: {e}"))?;
-    let which = opts.flags.get("scenario").map(String::as_str);
-    let diff = doma_analysis::obsdiff::diff_texts(&text_a, &text_b, which)?;
-    print!("{}", doma_analysis::obsdiff::render(&diff));
-    if diff.is_clean() {
-        Ok(())
-    } else {
-        Err(format!("{path_a} and {path_b} differ"))
+    let read = |path| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let diff = obsdiff::diff_texts(&read(path_a)?, &read(path_b)?, opts.value("scenario"))?;
+    write!(out, "{}", obsdiff::render(&diff))?;
+    match diff.is_clean() {
+        true => Ok(()),
+        false => Err(format!("{path_a} and {path_b} differ").into()),
     }
 }
 
@@ -398,28 +454,15 @@ fn cmd_obs_diff(opts: &Opts) -> Result<(), String> {
 /// (`--format chrome`, perfetto-loadable, byte-stable for a fixed seed)
 /// or the slowest-K critical-path report (`--format table`, default).
 /// An ad-hoc workload runs under `--algo` (`--n`, `--len`, `--seed`,
-/// `--read-fraction` shape it).
-fn cmd_trace(opts: &Opts) -> Result<(), String> {
-    print!("{}", trace_output(opts)?);
-    Ok(())
-}
-
-/// What `domactl trace` prints (violations go to stderr as warnings).
-fn trace_output(opts: &Opts) -> Result<String, String> {
+/// `--read-fraction` shape it). Violations go to stderr as warnings.
+fn cmd_trace(opts: &Opts, out: &mut dyn Write) -> Outcome {
     use doma_obs::trace::{chrome_trace, slowest_report, TraceModel};
-    let target = opts.target.as_deref().ok_or_else(|| {
-        format!(
-            "need a target: domactl trace <scenario|workload>\n{}",
-            targets_help()
-        )
-    })?;
-    let format = opts.get("format", "table");
-    if !["table", "chrome"].contains(&format.as_str()) {
-        return Err(format!("--format must be table or chrome, got '{format}'"));
+    let target = opts.target(targets_help())?;
+    let top = opts.num("top")?;
+    let mut scenario = resolve_target(opts, target, "algo")?;
+    if opts.given("events") {
+        scenario.events = opts.num("events")?;
     }
-    let top = opts.get_usize("top", 10)?;
-    let mut scenario = resolve_target(opts, target, "algo", "da", 50, 0)?;
-    scenario.events = opts.get_usize("events", scenario.events)?;
     let (report, obs) =
         doma_scenario::run_traced(&scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
     for violation in &report.violations {
@@ -427,38 +470,38 @@ fn trace_output(opts: &Opts) -> Result<String, String> {
     }
     let model = TraceModel::from_obs(&obs);
 
-    if format == "chrome" {
-        return Ok(format!("{}\n", chrome_trace(&model)));
+    if opts.value("format") == Some("chrome") {
+        writeln!(out, "{}", chrome_trace(&model))?;
+        return Ok(());
     }
-    let mut out = format!(
-        "trace: scenario {} ({} entrant, {} requests, cost {} control / {} data / {} I/O)\n",
+    writeln!(
+        out,
+        "trace: scenario {} ({} entrant, {} requests, cost {} control / {} data / {} I/O)",
         report.scenario,
         report.entrant,
         report.requests,
         report.cost.control,
         report.cost.data,
         report.cost.io
-    );
+    )?;
     if model.truncated() {
-        out.push_str(&format!(
-            "  WARNING: event log truncated ({} dropped, {} orphan exits) — raise --events\n",
+        writeln!(
+            out,
+            "  WARNING: event log truncated ({} dropped, {} orphan exits) — raise --events",
             model.dropped_events, model.orphan_exits
-        ));
+        )?;
     }
-    out.push_str(&slowest_report(&model, top));
-    Ok(out)
+    write!(out, "{}", slowest_report(&model, top))?;
+    Ok(())
 }
 
-fn cmd_generate(opts: &Opts) -> Result<(), String> {
-    let n = opts.get_usize("n", 6)?;
-    let len = opts.get_usize("len", 50)?;
-    let seed = opts.get_usize("seed", 0)? as u64;
-    let rf = opts.get_f64("read-fraction", 0.7)?;
-    let kind = opts.get("workload", "uniform");
+fn cmd_generate(opts: &Opts, out: &mut dyn Write) -> Outcome {
+    let n = opts.num("n")?;
+    let kind = opts.value("workload").unwrap_or_default();
+    let workload = adhoc_workload(kind, n, opts.num("read-fraction")?)?;
     let schedule =
-        doma_scenario::runner::generate_phase(&adhoc_workload(&kind, n, rf)?, n, len, seed)
-            .map_err(|e| e.to_string())?;
-    println!("{schedule}");
+        doma_scenario::runner::generate_phase(&workload, n, opts.num("len")?, opts.num("seed")?)?;
+    writeln!(out, "{schedule}")?;
     Ok(())
 }
 
@@ -493,22 +536,14 @@ fn adhoc_workloads(n: usize, rf: f64) -> [WorkloadSpec; 6] {
 
 /// The names [`adhoc_workloads`] answers to.
 fn workload_names() -> Vec<&'static str> {
-    adhoc_workloads(0, 0.0)
-        .iter()
-        .map(WorkloadSpec::name)
-        .collect()
+    adhoc_workloads(0, 0.0).map(|w| w.name()).to_vec()
 }
 
 fn adhoc_workload(kind: &str, n: usize, rf: f64) -> Result<WorkloadSpec, String> {
     adhoc_workloads(n, rf)
         .into_iter()
         .find(|w| w.name() == kind)
-        .ok_or_else(|| {
-            format!(
-                "unknown --workload '{kind}' (expected one of: {})",
-                workload_names().join(", ")
-            )
-        })
+        .ok_or_else(|| format!("unknown workload '{kind}'"))
 }
 
 fn targets_help() -> String {
@@ -541,34 +576,28 @@ fn builtins() -> Result<Vec<Scenario>, String> {
 /// The one way `trace` and `cluster` name a run: anything
 /// [`load_scenario`] takes, or an ad-hoc workload kind synthesized into a
 /// one-phase scenario so every harness behind the CLI needs only one
-/// input shape. `entrant_flag` and the defaults apply to the ad-hoc case
-/// only; the draft round-trips through the scenario text so the flags get
-/// the validation a scenario file gets.
-fn resolve_target(
-    opts: &Opts,
-    target: &str,
-    entrant_flag: &str,
-    default_entrant: &str,
-    default_len: usize,
-    default_seed: usize,
-) -> Result<Scenario, String> {
+/// input shape. `entrant_flag`, `--n`, `--len`, `--seed` and
+/// `--read-fraction` apply to the ad-hoc case only; the draft round-trips
+/// through the scenario text so the flags get the validation a scenario
+/// file gets.
+fn resolve_target(opts: &Opts, target: &str, entrant_flag: &str) -> Result<Scenario, String> {
     if !workload_names().contains(&target) {
         return load_scenario(target)
             .map_err(|e| format!("{e}\nworkloads: {}", workload_names().join(", ")));
     }
-    let n = opts.get_usize("n", 6)?;
-    let workload = adhoc_workload(target, n, opts.get_f64("read-fraction", 0.7)?)?;
+    let n = opts.num("n")?;
+    let workload = adhoc_workload(target, n, opts.num("read-fraction")?)?;
     let draft = Scenario {
         name: format!("adhoc-{}", workload.name()),
         description: "ad-hoc workload".to_string(),
         n,
-        seed: opts.get_usize("seed", default_seed)? as u64,
-        entrant: opts.entrant(entrant_flag, default_entrant)?,
+        seed: opts.num("seed")?,
+        entrant: opts.entrant(entrant_flag)?,
         events: 65_536,
         model: CostModel::stationary(0.25, 1.0).map_err(|e| e.to_string())?,
         phases: vec![doma_scenario::Phase {
             name: "main".to_string(),
-            len: opts.get_usize("len", default_len)?,
+            len: opts.num("len")?,
             workload,
         }],
         faults: Vec::new(),
@@ -584,30 +613,28 @@ fn resolve_target(
 /// sim with the obs registry cross-checked. Prints the standings table
 /// (or the JSON export with `--format json`); `--out <path>` additionally
 /// writes the byte-stable JSON artifact.
-fn cmd_tournament(opts: &Opts) -> Result<(), String> {
-    let defaults = doma_analysis::tournament::TournamentSpec::default();
+fn cmd_tournament(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let spec = doma_analysis::tournament::TournamentSpec {
-        n: opts.get_usize("n", defaults.n)?,
-        len: opts.get_usize("len", defaults.len)?,
-        seed: opts.get_usize("seed", defaults.seed as usize)? as u64,
+        n: opts.num("n")?,
+        len: opts.num("len")?,
+        seed: opts.num("seed")?,
     };
-    let cells = doma_analysis::tournament::run_tournament(&spec).map_err(|e| e.to_string())?;
+    let cells = doma_analysis::tournament::run_tournament(&spec)?;
     let json = doma_analysis::tournament::render_json(&spec, &cells);
-    match opts.get("format", "table").as_str() {
-        "table" => {
-            println!(
-                "tournament: n={} len={} seed={} ({} cells)",
-                spec.n,
-                spec.len,
-                spec.seed,
-                cells.len()
-            );
-            print!("{}", doma_analysis::tournament::render_table(&cells));
-        }
-        "json" => print!("{json}"),
-        other => return Err(format!("--format must be table or json, got '{other}'")),
+    if opts.value("format") == Some("json") {
+        write!(out, "{json}")?;
+    } else {
+        writeln!(
+            out,
+            "tournament: n={} len={} seed={} ({} cells)",
+            spec.n,
+            spec.len,
+            spec.seed,
+            cells.len()
+        )?;
+        write!(out, "{}", doma_analysis::tournament::render_table(&cells))?;
     }
-    if let Some(path) = opts.flags.get("out") {
+    if let Some(path) = opts.value("out") {
         std::fs::write(path, &json).map_err(|e| format!("--out {path}: {e}"))?;
     }
     Ok(())
@@ -622,52 +649,45 @@ fn cmd_tournament(opts: &Opts) -> Result<(), String> {
 /// (the real runtime is failure-free). `--nodes N` resizes the scenario
 /// before it is validated, so a size its file could not declare is an
 /// error naming the broken rule.
-fn cmd_cluster(opts: &Opts) -> Result<(), String> {
-    let target = opts.target.as_deref().ok_or_else(|| {
-        format!(
-            "need a target: domactl cluster <scenario|workload|all> [--nodes N] [--transport tcp|uds]\n{}",
-            targets_help()
-        )
-    })?;
-    let transport = opts.get("transport", "uds");
-    let kind = doma_net::TransportKind::parse(&transport)
-        .ok_or_else(|| format!("--transport must be tcp or uds, got '{transport}'"))?;
+fn cmd_cluster(opts: &Opts, out: &mut dyn Write) -> Outcome {
+    let target = opts.target(targets_help())?;
+    let kind = doma_net::TransportKind::parse(opts.value("transport").unwrap_or_default())
+        .ok_or("unknown --transport")?;
     let scenarios = match target {
         "all" => builtins()?,
-        _ => vec![resolve_target(opts, target, "entrant", "sa", 40, 7)?],
+        _ => vec![resolve_target(opts, target, "entrant")?],
     };
     let mut diverged = 0;
     for mut scenario in scenarios {
         if target == "all" && !scenario.is_failure_free() {
-            println!(
+            writeln!(
+                out,
                 "cluster {}: skipped (scenario injects faults; the real runtime is failure-free)",
                 scenario.name
-            );
+            )?;
             continue;
         }
-        if opts.flags.contains_key("nodes") {
-            let n = opts.get_usize("nodes", scenario.n)?;
+        if opts.given("nodes") {
+            let n = opts.num("nodes")?;
             scenario.n = n;
             scenario = Scenario::parse(&scenario.to_toml())
                 .map_err(|e| format!("{} --nodes {n}: {}", scenario.name, e.message))?;
         }
         match doma_analysis::cluster::run_twin(&scenario, kind) {
             Ok(report) => {
-                print!("{}", report.render());
+                write!(out, "{}", report.render())?;
                 diverged += usize::from(!report.matches());
             }
             Err(e) if e.starts_with("sockets unavailable") => {
-                println!("notice: {e}; cluster run skipped");
+                writeln!(out, "notice: {e}; cluster run skipped")?;
                 return Ok(());
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
     match diverged {
         0 => Ok(()),
-        _ => Err(format!(
-            "cluster diverged from the sim twin in {diverged} scenario(s)"
-        )),
+        _ => Err(format!("cluster diverged from the sim twin in {diverged} scenario(s)").into()),
     }
 }
 
@@ -676,75 +696,52 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
 /// expected-invariant block, and prints the report. `scenario list`
 /// prints the builtin roster; `scenario all` replays every builtin and
 /// fails if any expectation (golden digest included) is violated.
-fn cmd_scenario(opts: &Opts) -> Result<(), String> {
-    let target = opts.target.clone().ok_or_else(|| {
-        format!(
-            "need a scenario: domactl scenario <name|path|all|list>\nbuiltins: {}",
-            doma_scenario::builtin::names().join(", ")
-        )
-    })?;
-    let format = opts.get("format", "table");
-    if !["table", "json"].contains(&format.as_str()) {
-        return Err(format!("--format must be table or json, got '{format}'"));
-    }
+fn cmd_scenario(opts: &Opts, out: &mut dyn Write) -> Outcome {
+    let names = doma_scenario::builtin::names();
+    let target = opts.target(format!("builtins: {}", names.join(", ")))?;
+    let json = opts.value("format") == Some("json");
     if target == "list" {
         for s in builtins()? {
-            println!("{:<22} {}", s.name, s.description);
+            writeln!(out, "{:<22} {}", s.name, s.description)?;
         }
         return Ok(());
     }
-    let scenarios = match target.as_str() {
+    let scenarios = match target {
         "all" => builtins()?,
-        _ => vec![load_scenario(&target)?],
+        _ => vec![load_scenario(target)?],
     };
-
-    let baseline = match opts.flags.get("diff") {
-        Some(path) => {
-            Some(std::fs::read_to_string(path).map_err(|e| format!("--diff {path}: {e}"))?)
-        }
-        None => None,
-    };
+    let baseline = (opts
+        .value("diff")
+        .map(|path| std::fs::read_to_string(path).map_err(|e| format!("--diff {path}: {e}"))))
+    .transpose()?;
     let mut failed = Vec::new();
     let mut json_rows = Vec::new();
     let mut diffs = Vec::new();
     for scenario in &scenarios {
         let report = doma_scenario::run(scenario).map_err(|e| format!("{}: {e}", scenario.name))?;
-        match format.as_str() {
-            "json" => json_rows.push(report.render_json()),
-            _ => print!("{}", report.render_table()),
+        match json {
+            true => json_rows.push(report.render_json()),
+            false => write!(out, "{}", report.render_table())?,
         }
         if let Some(baseline_text) = &baseline {
-            let d = doma_analysis::obsdiff::diff_texts(
-                baseline_text,
-                &report.snapshot_json,
-                Some(&report.scenario),
-            )
-            .map_err(|e| format!("--diff {}: {e}", report.scenario))?;
-            diffs.push(format!(
-                "{}: {}",
-                report.scenario,
-                doma_analysis::obsdiff::render(&d)
-            ));
+            let d =
+                obsdiff::diff_texts(baseline_text, &report.snapshot_json, Some(&report.scenario))
+                    .map_err(|e| format!("--diff {}: {e}", report.scenario))?;
+            diffs.push(format!("{}: {}", report.scenario, obsdiff::render(&d)));
         }
         if !report.passed() {
-            failed.push(format!(
-                "{}: {}",
-                report.scenario,
-                report.violations.join("; ")
-            ));
+            let violations = report.violations.join("; ");
+            failed.push(format!("{}: {violations}", report.scenario));
         }
     }
-    if format == "json" {
-        println!("[\n  {}\n]", json_rows.join(",\n  "));
+    if json {
+        writeln!(out, "[\n  {}\n]", json_rows.join(",\n  "))?;
     }
     for diff in &diffs {
-        print!("{diff}");
+        write!(out, "{diff}")?;
     }
     if !failed.is_empty() {
-        return Err(format!(
-            "scenario expectations failed:\n  {}",
-            failed.join("\n  ")
-        ));
+        return Err(format!("scenario expectations failed:\n  {}", failed.join("\n  ")).into());
     }
     Ok(())
 }
@@ -752,47 +749,30 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
 /// `domactl repro [<experiment>|all] [--fast]` — runs the experiment
 /// roster and prints the reproduction document (`repro all` is
 /// `repro_full_output.md`, `repro all --fast` is `tests/golden/repro_fast.md`).
-fn cmd_repro(opts: &Opts) -> Result<(), String> {
-    let which = opts.target.as_deref().unwrap_or("all");
-    let reports = doma_analysis::experiments::run(which, opts.fast).map_err(|e| e.to_string())?;
-    print!(
-        "{}",
-        doma_analysis::experiments::render(&reports, opts.fast)
-    );
-    Ok(())
+fn cmd_repro(opts: &Opts, out: &mut dyn Write) -> Outcome {
+    let which = opts.operands.first().map_or("all", String::as_str);
+    let fast = opts.given("fast");
+    let reports = doma_analysis::experiments::run(which, fast)?;
+    let doc = doma_analysis::experiments::render(&reports, fast);
+    Ok(write!(out, "{doc}")?)
 }
 
-fn usage() -> String {
-    format!(
-        "usage: domactl <cost|stats|simulate|obs|generate|tournament|scenario|cluster|trace|repro> [--flags]\n\
-         try: domactl cost --schedule \"r1 r1 r2 w2 r2 r2 r2\" --cc 0.5 --cd 1.0\n\
-         try: domactl simulate --schedule \"r2 w3 r2\" --algo <{}>\n\
-         try: domactl scenario list\n\
-         try: domactl cluster append-only-6-2 --nodes 3 --transport uds\n\
-         try: domactl trace append-only-6-2 --format chrome",
-        Entrant::ALL.map(|e| e.as_str()).join("|")
-    )
-}
-
-fn dispatch(opts: &Opts) -> Result<(), String> {
-    match opts.command.as_str() {
-        "cost" => cmd_cost(opts),
-        "stats" => cmd_stats(opts),
-        "simulate" => cmd_simulate(opts),
-        "obs" => cmd_obs(opts),
-        "generate" => cmd_generate(opts),
-        "tournament" => cmd_tournament(opts),
-        "scenario" => cmd_scenario(opts),
-        "cluster" => cmd_cluster(opts),
-        "trace" => cmd_trace(opts),
-        "repro" => cmd_repro(opts),
-        other => Err(format!("unknown command '{other}'\n{}", usage())),
+/// Parses `args` and runs the command into `out`. A reader that closes
+/// `out` early has read all it wanted: that run ends cleanly.
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
+    let opts = parse_args(args)?;
+    let Err(e) = (opts.command.run)(&opts, out).and_then(|()| Ok(out.flush()?)) else {
+        return Ok(());
+    };
+    match e.downcast_ref::<std::io::Error>().map(std::io::Error::kind) {
+        Some(ErrorKind::BrokenPipe) => Ok(()),
+        _ => Err(e.to_string()),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args).and_then(|opts| dispatch(&opts)) {
+    match run(&args, &mut std::io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -805,249 +785,308 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parsed(line: &str) -> Opts {
+        parse_args(&shell_words(line)).unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    /// The parse error of `domactl <line>`.
+    fn rejected(line: &str) -> String {
+        parse_args(&shell_words(line)).err().expect(line)
+    }
+
+    /// What `domactl <line>` prints, or its error.
+    fn domactl(line: &str) -> Result<String, String> {
+        let mut out = Vec::new();
+        run(&shell_words(line), &mut out)?;
+        Ok(String::from_utf8(out).unwrap())
+    }
+
+    /// Splits a command line as a shell would, after the usage text's own
+    /// conventions: `[...]` is optional, `<...>` is one value and `a|b`
+    /// is a choice whose first entry is taken.
+    fn shell_words(line: &str) -> Vec<String> {
+        let line = line.replace(['[', ']'], " ").replace(['<', '>'], "\"");
+        let words = line
+            .split('"')
+            .enumerate()
+            .flat_map(|(i, part)| match i % 2 {
+                1 => vec![part],
+                _ => part.split_whitespace().collect(),
+            });
+        words
+            .map(|w| w.split('|').next().unwrap_or(w).to_string())
+            .collect()
     }
 
     #[test]
     fn parser_accepts_flags_and_command() {
-        let o = parse_args(&args(&["cost", "--cc", "0.5", "--verbose", "--algo", "da"])).unwrap();
-        assert_eq!(o.command, "cost");
-        assert!(o.verbose);
-        assert_eq!(o.get("algo", "all"), "da");
-        assert_eq!(o.get_f64("cc", 0.0).unwrap(), 0.5);
-        assert_eq!(o.get_f64("cd", 1.25).unwrap(), 1.25);
+        let o = parsed("cost --cc 0.5 --verbose --algo da");
+        assert_eq!(o.command.name, "cost");
+        assert!(o.given("verbose"));
+        assert_eq!(o.value("algo"), Some("da"));
+        assert_eq!(o.num::<f64>("cc").unwrap(), 0.5);
+        assert_eq!(o.num::<f64>("cd").unwrap(), 1.0);
         // `repro` takes at most one experiment name and one bare `--fast`.
-        for (argv, which, fast) in [
-            (&["repro"][..], None, false),
-            (&["repro", "--fast"], None, true),
-            (&["repro", "fig1"], Some("fig1"), false),
-            (&["repro", "--fast", "fig1"], Some("fig1"), true),
+        for (line, which, fast) in [
+            ("repro", None, false),
+            ("repro --fast", None, true),
+            ("repro fig1", Some("fig1"), false),
+            ("repro --fast fig1", Some("fig1"), true),
         ] {
-            let o = parse_args(&args(argv)).unwrap();
-            assert_eq!((o.target.as_deref(), o.fast), (which, fast), "{argv:?}");
+            let o = parsed(line);
+            let given = (o.operands.first().map(String::as_str), o.given("fast"));
+            assert_eq!(given, (which, fast), "{line}");
         }
     }
 
     #[test]
     fn parser_rejects_malformed_input() {
-        assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["cost", "--cc"])).is_err());
+        rejected("");
+        rejected("cost --cc");
         // Positional arity is per-command: `scenario` takes one operand,
-        // `cost` takes none, `obs diff` takes three.
-        let o = parse_args(&args(&["scenario", "flash-crowd"])).unwrap();
-        assert_eq!(o.target.as_deref(), Some("flash-crowd"));
-        assert!(parse_args(&args(&["cost", "stray", "stray2"])).is_err());
-        assert!(parse_args(&args(&["cost", "stray"])).is_err());
-        assert!(parse_args(&args(&["scenario", "a", "b"])).is_err());
-        assert!(parse_args(&args(&["trace", "a", "b"])).is_err());
-        let o = parse_args(&args(&["cost", "--cc", "abc"])).unwrap();
-        assert!(o.get_f64("cc", 0.0).is_err());
+        // `cost` takes none, `obs diff` takes two.
+        assert_eq!(parsed("scenario flash-crowd").operands, ["flash-crowd"]);
+        rejected("cost stray stray2");
+        rejected("cost stray");
+        rejected("scenario a b");
+        rejected("trace a b");
+        assert!(parsed("cost --cc abc").num::<f64>("cc").is_err());
         // A flag the command never reads is an error naming the accepted
-        // ones; an unknown command is left to `main`, which prints usage.
-        for (argv, flag) in [
+        // ones.
+        for (line, flag) in [
             (
-                &["tournament", "--sead", "3"][..],
+                "tournament --sead 3",
                 "--sead (accepted: --n, --len, --seed,",
             ),
-            (&["obs", "--schedule", "r1", "--formt", "table"], "--formt"),
-            (&["cost", "--schedule", "r1", "--alog", "sa"], "--alog"),
-            (&["stats", "--schedule", "r1", "--verbose"], "--verbose"),
-            (&["obs", "diff", "a", "b", "--schedule", "r1"], "--schedule"),
+            ("obs --schedule r1 --formt table", "--formt"),
+            ("cost --schedule r1 --alog sa", "--alog"),
+            ("stats --schedule r1 --verbose", "--verbose"),
+            ("obs diff a b --schedule r1", "--schedule"),
         ] {
-            let e = parse_args(&args(argv)).unwrap_err();
+            let e = rejected(line);
             assert!(e.contains(flag) && e.contains("(accepted: --"), "{e}");
         }
-        assert!(parse_args(&args(&["bogus", "--x", "1"])).is_ok());
-        // A misspelt or repeated flag, a second operand or a short option
-        // is a usage error, never a silently different run.
-        for (argv, error) in [
-            (&["repro", "--fsat"][..], "flag --fsat needs a value"),
-            (&["repro", "--fsat", "x"], "repro does not take --fsat"),
-            (&["repro", "fig1", "fig2"], "unexpected argument 'fig2'"),
+        // An unknown command is a parse error that prints the usage.
+        let e = rejected("bogus --x 1");
+        assert!(e.starts_with("unknown command 'bogus'\nusage"), "{e}");
+        // A misspelt or repeated flag, a second operand, a short option or
+        // a value outside a flag's choices is a usage error, never a
+        // silently different run.
+        for (line, error) in [
+            ("repro --fsat", "flag --fsat needs a value"),
+            ("repro --fsat x", "repro does not take --fsat"),
+            ("repro fig1 fig2", "unexpected argument 'fig2'"),
+            ("repro fig1 --fast --fast", "flag --fast given twice"),
+            ("repro -f", "unexpected argument '-f'"),
+            ("cost --verbose --verbose", "flag --verbose given twice"),
+            ("tournament --n 5 --n 6", "flag --n given twice"),
+            ("cost --fast", "cost does not take --fast"),
             (
-                &["repro", "fig1", "--fast", "--fast"],
-                "flag --fast given twice",
-            ),
-            (&["repro", "-f"], "unexpected argument '-f'"),
-            (
-                &["cost", "--verbose", "--verbose"],
-                "flag --verbose given twice",
+                "cost --algo zzz",
+                "unknown --algo 'zzz' (expected one of: all, sa, da, opt)",
             ),
             (
-                &["tournament", "--n", "5", "--n", "6"],
-                "flag --n given twice",
+                "cluster all --transport udp",
+                "--transport 'udp' (expected one of: uds, tcp)",
             ),
-            (&["cost", "--fast"], "cost does not take --fast"),
         ] {
-            let e = parse_args(&args(argv)).unwrap_err();
-            assert!(e.contains(error), "{argv:?}: {e}");
+            let e = rejected(line);
+            assert!(e.contains(error), "{line}: {e}");
         }
     }
 
-    /// Every command line in this file's usage block parses: the block
-    /// and [`accepted_flags`] cannot drift apart.
+    /// Every usage line the table generates parses, and so does every
+    /// `domactl` command line in the docs and scripts that drive it
+    /// (`\`-continued lines joined; a redirect, pipe or comment ends one).
     #[test]
     fn every_documented_usage_line_parses() {
-        let mut lines: Vec<String> = Vec::new();
-        for l in include_str!("domactl.rs")
-            .lines()
-            .map_while(|l| l.strip_prefix("//!"))
-            .skip_while(|l| !l.contains("```text"))
-            .skip(1)
-            .take_while(|l| !l.contains("```"))
-        {
-            match l.trim_start().strip_prefix("domactl ") {
-                Some(command) => lines.push(command.to_string()),
-                None => lines.last_mut().unwrap().push_str(l),
-            }
-        }
-        assert!(lines.len() >= 10, "{lines:?}");
-        for line in &lines {
-            // `[--flag value]` → `--flag value`; a quoted schedule is one
-            // operand.
-            let argv: Vec<String> = line
-                .replace(['[', ']'], " ")
-                .split('"')
-                .enumerate()
-                .flat_map(|(i, part)| match i % 2 {
-                    1 => vec![part],
-                    _ => part.split_whitespace().collect(),
-                })
-                .map(str::to_string)
-                .collect();
-            let opts = parse_args(&argv).unwrap_or_else(|e| panic!("domactl {line}: {e}"));
-            assert!(
-                accepted_flags(&opts.command, opts.target.as_deref()).is_some(),
-                "domactl {line}"
+        for command in COMMANDS {
+            let line = command.usage();
+            assert_eq!(
+                parsed(line.strip_prefix("domactl ").unwrap()).command.name,
+                command.name
             );
         }
+        let docs = [
+            include_str!("../../../../README.md"),
+            include_str!("../../../../EXPERIMENTS.md"),
+            include_str!("../../../../scripts/verify.sh"),
+            include_str!("../../../../.claude/skills/verify/SKILL.md"),
+        ];
+        let mut lines = Vec::new();
+        for doc in docs.map(|doc| doc.replace("\\\n", " ")) {
+            for line in doc.lines() {
+                let invocation = ["release/domactl ", "\"$domactl\" "]
+                    .into_iter()
+                    .find_map(|program| line.split_once(program))
+                    .or_else(|| line.split_once("--bin domactl")?.1.split_once("-- "));
+                if let Some((_, rest)) = invocation {
+                    lines.push(
+                        rest.split(['>', '|', '#', '`'])
+                            .next()
+                            .unwrap_or(rest)
+                            .to_string(),
+                    );
+                }
+            }
+        }
+        assert!(lines.len() >= 30, "{lines:?}");
+        for line in lines {
+            parsed(&line);
+        }
+    }
+
+    /// The table accepts exactly the (command, flag) pairs and operand
+    /// counts the hand-written parser it replaced accepted (`obs` took up
+    /// to three operands there: `diff <a> <b>`), and its defaults agree
+    /// with its choices, across rows, and with the library's own.
+    #[test]
+    fn the_table_accepts_what_the_cli_always_accepted() {
+        let before = [
+            ("cost", 0, "schedule file algo model cc cd t n verbose"),
+            ("stats", 0, "schedule file"),
+            ("simulate", 0, "schedule file algo n"),
+            ("obs", 0, "schedule file algo n format events"),
+            ("obs diff", 2, "scenario"),
+            ("generate", 0, "workload n len seed read-fraction"),
+            ("tournament", 0, "n len seed out format"),
+            ("scenario", 1, "format diff"),
+            (
+                "cluster",
+                1,
+                "nodes transport entrant n len seed read-fraction",
+            ),
+            (
+                "trace",
+                1,
+                "format top events algo n len seed read-fraction",
+            ),
+            ("repro", 1, "fast"),
+        ];
+        assert_eq!(COMMANDS.len(), before.len());
+        for (command, (name, arity, flags)) in COMMANDS.iter().zip(before) {
+            let keys: Vec<&str> = command.flags.iter().map(|(k, _)| *k).collect();
+            assert_eq!(
+                (command.name, command.operands.len(), keys.join(" ")),
+                (name, arity, flags.to_string())
+            );
+            for &(key, value) in command.flags {
+                // A switch is a switch in every row that names it.
+                let switch = matches!(value, Switch);
+                let mut rows = COMMANDS.iter().filter_map(|c| c.flag(key));
+                assert!(rows.all(|v| matches!(v, Switch) == switch), "--{key}");
+                if let Some(choices) = value.choices() {
+                    assert_eq!(choices.first().copied(), value.default(), "--{key}");
+                }
+            }
+        }
+        let spec = doma_analysis::tournament::TournamentSpec::default();
+        let o = parsed("tournament");
+        let table = (
+            o.num("n").unwrap(),
+            o.num("len").unwrap(),
+            o.num("seed").unwrap(),
+        );
+        assert_eq!(table, (spec.n, spec.len, spec.seed));
     }
 
     #[test]
     fn parser_accepts_multi_positional_obs_diff() {
-        let o = parse_args(&args(&["obs", "diff", "a.json", "b.json"])).unwrap();
-        assert_eq!(o.target.as_deref(), Some("diff"));
-        assert_eq!(o.extra, vec!["a.json".to_string(), "b.json".to_string()]);
-        assert!(parse_args(&args(&["obs", "diff", "a", "b", "c"])).is_err());
-        // `obs` with a non-diff positional is rejected by the command.
-        let o = parse_args(&args(&["obs", "bogus", "--schedule", "r1"])).unwrap();
-        assert!(cmd_obs(&o).unwrap_err().contains("unexpected argument"));
+        let o = parsed("obs diff a.json b.json");
+        assert_eq!(
+            (o.command.name, o.operands),
+            ("obs diff", shell_words("a.json b.json"))
+        );
+        rejected("obs diff a b c");
+        // `obs` with a non-diff positional is a parse error.
+        let e = rejected("obs bogus --schedule r1");
+        assert!(e.contains("unexpected argument 'bogus'"), "{e}");
         // `obs diff` with fewer than two files is a usage error.
-        let o = parse_args(&args(&["obs", "diff", "only-one"])).unwrap();
-        assert!(cmd_obs(&o).unwrap_err().contains("usage:"));
+        let e = domactl("obs diff only-one").unwrap_err();
+        assert!(
+            e.starts_with("usage: domactl obs diff <a.json> <b.json>"),
+            "{e}"
+        );
     }
 
     #[test]
     fn schedule_and_model_extraction() {
-        let o = parse_args(&args(&[
-            "cost",
-            "--schedule",
-            "r1 w2",
-            "--model",
-            "mc",
-            "--cc",
-            "0.2",
-            "--cd",
-            "0.9",
-        ]))
-        .unwrap();
-        let s = o.schedule().unwrap();
-        assert_eq!(s.len(), 2);
-        let m = o.model().unwrap();
-        assert_eq!(m.cio(), 0.0);
-        let bad = parse_args(&args(&["cost", "--model", "xy", "--schedule", "r1"])).unwrap();
-        assert!(bad.model().is_err());
-        let none = parse_args(&args(&["cost"])).unwrap();
-        assert!(none.schedule().is_err());
+        let o = parsed("cost --schedule \"r1 w2\" --model mc --cc 0.2 --cd 0.9");
+        assert_eq!(o.schedule().unwrap().len(), 2);
+        assert_eq!(o.model().unwrap().cio(), 0.0);
+        rejected("cost --model xy --schedule r1");
+        assert!(parsed("cost").schedule().is_err());
     }
 
     #[test]
     fn commands_run_end_to_end() {
-        let o = parse_args(&args(&["cost", "--schedule", "r1 r1 r2 w2 r2"])).unwrap();
-        cmd_cost(&o).unwrap();
-        let o = parse_args(&args(&["stats", "--schedule", "r1 r1 w0 r2"])).unwrap();
-        cmd_stats(&o).unwrap();
-        let o = parse_args(&args(&[
-            "simulate",
-            "--schedule",
-            "r2 w3 r2",
-            "--algo",
-            "da",
-        ]))
-        .unwrap();
-        cmd_simulate(&o).unwrap();
-        let o = parse_args(&args(&["generate", "--workload", "zipf", "--len", "10"])).unwrap();
-        cmd_generate(&o).unwrap();
-        let o = parse_args(&args(&["obs", "--schedule", "r2 w3 r2", "--algo", "sa"])).unwrap();
-        cmd_obs(&o).unwrap();
+        domactl("cost --schedule \"r1 r1 r2 w2 r2\"").unwrap();
+        domactl("stats --schedule \"r1 r1 w0 r2\"").unwrap();
+        // `--n` defaults to the schedule's processors, at least 3.
+        let sim = domactl("simulate --schedule \"r2 w3 r2\" --algo da").unwrap();
+        assert!(
+            sim.starts_with("DA protocol on 4 simulated nodes:"),
+            "{sim}"
+        );
+        domactl("generate --workload zipf --len 10").unwrap();
+        domactl("obs --schedule \"r2 w3 r2\" --algo sa").unwrap();
         // `--algo` takes any roster entrant, and names the roster when it
         // rejects one.
-        let o = parse_args(&args(&[
-            "simulate",
-            "--schedule",
-            "r2 w3 r2",
-            "--algo",
-            "cost-oblivious",
-        ]))
-        .unwrap();
-        cmd_simulate(&o).unwrap();
-        cmd_obs(&o).unwrap();
-        let o = parse_args(&args(&["simulate", "--schedule", "r2", "--algo", "opt"])).unwrap();
-        let e = cmd_simulate(&o).unwrap_err();
+        for command in ["simulate", "obs"] {
+            domactl(&format!(
+                "{command} --schedule \"r2 w3 r2\" --algo cost-oblivious"
+            ))
+            .unwrap();
+        }
+        let e = domactl("simulate --schedule r2 --algo opt").unwrap_err();
         for entrant in Entrant::ALL {
             assert!(e.contains(entrant.as_str()), "{e}");
         }
-        let o = parse_args(&args(&[
-            "obs",
-            "--schedule",
-            "r2 w3 r2",
-            "--format",
-            "table",
-        ]))
-        .unwrap();
-        cmd_obs(&o).unwrap();
+        domactl("obs --schedule \"r2 w3 r2\" --format table").unwrap();
+    }
+
+    /// A reader that has gone: every write fails as a closed pipe does.
+    struct ClosedPipe(ErrorKind);
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `domactl generate --len 5000 | head -c 10` exits 0: a closed
+    /// stdout ends the run cleanly, and any other write failure is still
+    /// an error.
+    #[test]
+    fn a_closed_stdout_ends_the_run_cleanly() {
+        let argv = shell_words("generate --len 5000");
+        assert_eq!(run(&argv, &mut ClosedPipe(ErrorKind::BrokenPipe)), Ok(()));
+        assert!(run(&argv, &mut ClosedPipe(ErrorKind::StorageFull)).is_err());
     }
 
     #[test]
     fn tournament_runs_and_rejects_bad_format() {
-        let o = parse_args(&args(&[
-            "tournament",
-            "--n",
-            "5",
-            "--len",
-            "12",
-            "--seed",
-            "3",
-        ]))
-        .unwrap();
-        cmd_tournament(&o).unwrap();
-        let o = parse_args(&args(&[
-            "tournament",
-            "--n",
-            "5",
-            "--len",
-            "12",
-            "--format",
-            "yaml",
-        ]))
-        .unwrap();
-        assert!(cmd_tournament(&o).is_err());
+        domactl("tournament --n 5 --len 12 --seed 3").unwrap();
+        let e = domactl("tournament --n 5 --len 12 --format yaml");
+        assert!(e.unwrap_err().contains("--format"));
     }
 
     #[test]
     fn scenario_lists_and_runs_builtins() {
-        let o = parse_args(&args(&["scenario", "list"])).unwrap();
-        cmd_scenario(&o).unwrap();
-        let o = parse_args(&args(&["scenario"])).unwrap();
-        let e = cmd_scenario(&o).unwrap_err();
-        assert!(e.contains("builtins:"), "{e}");
-        let o = parse_args(&args(&["scenario", "flash-crowd", "--format", "yaml"])).unwrap();
-        assert!(cmd_scenario(&o).unwrap_err().contains("--format"));
-        let o = parse_args(&args(&["scenario", "no-such-scenario"])).unwrap();
-        assert!(cmd_scenario(&o).unwrap_err().contains("unknown builtin"));
-        let o = parse_args(&args(&["scenario", "/no/such/file.toml"])).unwrap();
-        assert!(cmd_scenario(&o).unwrap_err().contains("cannot read"));
+        domactl("scenario list").unwrap();
+        for (line, error) in [
+            ("scenario", "builtins:"),
+            ("scenario flash-crowd --format yaml", "--format"),
+            ("scenario no-such-scenario", "unknown builtin"),
+            ("scenario /no/such/file.toml", "cannot read"),
+        ] {
+            let e = domactl(line).unwrap_err();
+            assert!(e.contains(error), "{line}: {e}");
+        }
     }
 
     #[test]
@@ -1059,9 +1098,9 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("# written by write_trace\n"));
         let path = temp_file("trace.txt", &text);
-        let o = parse_args(&args(&["cost", "--file", path.to_str().unwrap()])).unwrap();
+        let o = parsed(&format!("cost --file {}", path.display()));
         assert_eq!(o.schedule().unwrap(), schedule);
-        let missing = parse_args(&args(&["cost", "--file", "/no/such/trace.txt"])).unwrap();
+        let missing = parsed("cost --file /no/such/trace.txt");
         assert!(missing.schedule().unwrap_err().starts_with("--file "));
     }
 
@@ -1070,22 +1109,13 @@ mod tests {
     /// snapshot, the Chrome trace-event JSON and the slowest-K report.
     #[test]
     fn obs_and_trace_exports_are_byte_stable() {
-        let obs = [
-            "obs",
-            "--schedule",
-            "r2 w3 r2 r1 w0 r3 w2 r0",
-            "--algo",
-            "da",
-        ];
-        let chrome = ["trace", "append-only-6-2", "--format", "chrome"];
-        let table = ["trace", "append-only-6-2", "--top", "5"];
-        for (argv, keys) in [
+        for (line, keys) in [
             (
-                &obs[..],
+                "obs --schedule \"r2 w3 r2 r1 w0 r3 w2 r0\" --algo da",
                 &["\"metrics\"", "\"events\"", "\"dropped_events\""][..],
             ),
             (
-                &chrome,
+                "trace append-only-6-2 --format chrome",
                 &[
                     "\"traceEvents\"",
                     "\"ph\": \"X\"",
@@ -1093,25 +1123,27 @@ mod tests {
                     "\"cp\": \"1\"",
                 ],
             ),
-            (&table, &["slowest 5 of"]),
+            ("trace append-only-6-2 --top 5", &["slowest 5 of"]),
         ] {
-            let o = parse_args(&args(argv)).unwrap();
-            let output = || match o.command.as_str() {
-                "obs" => obs_output(&o).unwrap(),
-                _ => trace_output(&o).unwrap(),
-            };
-            let first = output();
-            assert_eq!(first, output(), "{argv:?} differs across identical runs");
+            let first = domactl(line).unwrap();
+            assert_eq!(
+                first,
+                domactl(line).unwrap(),
+                "{line} differs across identical runs"
+            );
             for key in keys {
-                assert!(first.contains(key), "{argv:?} output lacks {key}");
+                assert!(first.contains(key), "{line} output lacks {key}");
             }
         }
     }
 
     #[test]
     fn obs_rejects_bad_format() {
-        let o = parse_args(&args(&["obs", "--schedule", "r1", "--format", "xml"])).unwrap();
-        assert!(cmd_obs(&o).is_err());
+        let e = domactl("obs --schedule r1 --format xml").unwrap_err();
+        assert!(
+            e.contains("unknown --format 'xml' (expected one of: json, table)"),
+            "{e}"
+        );
     }
 
     fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
@@ -1124,39 +1156,22 @@ mod tests {
 
     #[test]
     fn trace_runs_scenarios_and_workloads() {
-        let o = parse_args(&args(&["trace", "append-only-6-2"])).unwrap();
-        cmd_trace(&o).unwrap();
-        let o = parse_args(&args(&["trace", "append-only-6-2", "--format", "chrome"])).unwrap();
-        cmd_trace(&o).unwrap();
-        let o = parse_args(&args(&[
-            "trace", "uniform", "--len", "12", "--algo", "sa", "--top", "3",
-        ]))
-        .unwrap();
-        cmd_trace(&o).unwrap();
-        let o = parse_args(&args(&[
-            "trace",
-            "zipf",
-            "--len",
-            "12",
-            "--algo",
-            "mobile-mirror",
-        ]))
-        .unwrap();
-        cmd_trace(&o).unwrap();
-        let o = parse_args(&args(&["trace", "zipf", "--algo", "opt"])).unwrap();
-        assert!(cmd_trace(&o)
-            .unwrap_err()
-            .contains("expected one of: sa, da"));
-        let o = parse_args(&args(&["trace", "no-such-target"])).unwrap();
-        let e = cmd_trace(&o).unwrap_err();
-        assert!(
-            e.contains("unknown builtin") && e.contains("workloads:"),
-            "{e}"
-        );
-        let o = parse_args(&args(&["trace", "uniform", "--format", "svg"])).unwrap();
-        assert!(cmd_trace(&o).unwrap_err().contains("--format"));
-        let o = parse_args(&args(&["trace"])).unwrap();
-        assert!(cmd_trace(&o).unwrap_err().contains("need a target"));
+        domactl("trace append-only-6-2").unwrap();
+        domactl("trace append-only-6-2 --format chrome").unwrap();
+        domactl("trace uniform --len 12 --algo sa --top 3").unwrap();
+        domactl("trace zipf --len 12 --algo mobile-mirror").unwrap();
+        for (line, errors) in [
+            (
+                "trace zipf --algo opt",
+                &["--algo 'opt' (expected one of: da, sa,"][..],
+            ),
+            ("trace no-such-target", &["unknown builtin", "workloads:"]),
+            ("trace uniform --format svg", &["--format"]),
+            ("trace", &["need a target"]),
+        ] {
+            let e = domactl(line).unwrap_err();
+            assert!(errors.iter().all(|error| e.contains(error)), "{line}: {e}");
+        }
     }
 
     #[test]
@@ -1165,24 +1180,15 @@ mod tests {
              [{\"component\": \"p\", \"name\": \"x\", \"labels\": {}, \
              \"kind\": \"counter\", \"value\": 1}]}";
         let snap_b = snap_a.replace("\"value\": 1", "\"value\": 2");
-        let a = temp_file("diff_a.json", snap_a);
-        let b = temp_file("diff_b.json", &snap_b);
-        let same = parse_args(&args(&[
-            "obs",
-            "diff",
-            a.to_str().unwrap(),
-            a.to_str().unwrap(),
-        ]))
-        .unwrap();
-        cmd_obs(&same).unwrap();
-        let differ = parse_args(&args(&[
-            "obs",
-            "diff",
-            a.to_str().unwrap(),
-            b.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(cmd_obs(&differ).unwrap_err().contains("differ"));
+        let (a, b) = (
+            temp_file("diff_a.json", snap_a),
+            temp_file("diff_b.json", &snap_b),
+        );
+        let (a, b) = (a.display(), b.display());
+        domactl(&format!("obs diff {a} {a}")).unwrap();
+        assert!(domactl(&format!("obs diff {a} {b}"))
+            .unwrap_err()
+            .contains("differ"));
     }
 
     #[test]
@@ -1190,55 +1196,42 @@ mod tests {
         let scenario = doma_scenario::builtin::load("append-only-6-2").unwrap();
         let report = doma_scenario::run(&scenario).unwrap();
         let baseline = temp_file("scenario_baseline.json", &report.snapshot_json);
-        let o = parse_args(&args(&[
-            "scenario",
-            "append-only-6-2",
-            "--diff",
-            baseline.to_str().unwrap(),
-        ]))
+        domactl(&format!(
+            "scenario append-only-6-2 --diff {}",
+            baseline.display()
+        ))
         .unwrap();
-        cmd_scenario(&o).unwrap();
-        let o = parse_args(&args(&[
-            "scenario",
-            "append-only-6-2",
-            "--diff",
-            "/no/such/baseline.json",
-        ]))
-        .unwrap();
-        assert!(cmd_scenario(&o).unwrap_err().contains("--diff"));
+        let e = domactl("scenario append-only-6-2 --diff /no/such/baseline.json");
+        assert!(e.unwrap_err().contains("--diff"));
     }
 
     /// `generate` takes every generator kind by the name a scenario file
     /// gives it, read off the builtins' phases.
     #[test]
     fn generate_takes_the_scenario_file_workload_names() {
-        let names: Vec<&str> = builtins()
-            .unwrap()
-            .into_iter()
-            .flat_map(|s| s.phases)
+        let phases = builtins().unwrap().into_iter().flat_map(|s| s.phases);
+        let names: Vec<&str> = phases
             .map(|p| p.workload.name())
-            .filter(|name| *name != "trace")
+            .filter(|n| *n != "trace")
             .collect();
         assert!(names.contains(&"append-only"), "{names:?}");
         for name in names {
-            let o = parse_args(&args(&["generate", "--workload", name, "--len", "8"])).unwrap();
-            cmd_generate(&o).unwrap_or_else(|e| panic!("generate --workload {name}: {e}"));
+            domactl(&format!("generate --workload {name} --len 8")).unwrap();
         }
-        let o = parse_args(&args(&["generate", "--workload", "append"])).unwrap();
-        assert!(cmd_generate(&o).unwrap_err().contains("append-only"));
+        let e = domactl("generate --workload append").unwrap_err();
+        assert!(e.contains("append-only"), "{e}");
     }
 
     /// Lint and the socket twin each have one path: `lint` is no command,
     /// `scenario` takes no `--transport`, and `cluster` runs `all`.
     #[test]
     fn one_command_per_job() {
-        let e = parse_args(&args(&["scenario", "all", "--transport", "uds"])).unwrap_err();
+        let e = rejected("scenario all --transport uds");
         assert!(e.contains("does not take --transport"), "{e}");
-        let e = dispatch(&parse_args(&args(&["lint"])).unwrap()).unwrap_err();
+        let e = domactl("lint").unwrap_err();
         assert!(e.starts_with("unknown command 'lint'"), "{e}");
         // Sockets refused by the platform print a notice and pass.
-        let o = parse_args(&args(&["cluster", "all", "--transport", "uds"])).unwrap();
-        dispatch(&o).unwrap();
+        domactl("cluster all --transport uds").unwrap();
     }
 
     /// `cluster --nodes N` resizes the scenario before validation: a size
@@ -1249,17 +1242,14 @@ mod tests {
             ("cluster uniform --nodes 2", "'n' must be in 3..=64"),
             ("cluster mobile-handoff --nodes 3", "mobile universe"),
         ] {
-            let argv: Vec<&str> = line.split(' ').collect();
-            let e = cmd_cluster(&parse_args(&args(&argv)).unwrap()).unwrap_err();
+            let e = domactl(line).unwrap_err();
             assert!(e.contains("--nodes") && e.contains(rule), "{line}: {e}");
         }
     }
 
     #[test]
     fn cost_rejects_bad_t_and_algo() {
-        let o = parse_args(&args(&["cost", "--schedule", "r1", "--t", "9"])).unwrap();
-        assert!(cmd_cost(&o).is_err());
-        let o = parse_args(&args(&["cost", "--schedule", "r1", "--algo", "zzz"])).unwrap();
-        assert!(cmd_cost(&o).is_err());
+        assert!(domactl("cost --schedule r1 --t 9").is_err());
+        assert!(domactl("cost --schedule r1 --algo zzz").is_err());
     }
 }

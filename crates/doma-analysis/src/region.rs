@@ -198,7 +198,8 @@ impl RegionMap {
     }
 
     /// Renders the map like the paper's figures: `cc` on the vertical
-    /// axis (top = high), `cd` on the horizontal, one glyph per cell
+    /// axis (top = high), `cd` on the horizontal (each grid value printed
+    /// exactly, so `0.25` is not rounded to `0.2`), one glyph per cell
     /// (`D` = DA superior, `S` = SA superior, `?` = unknown, `x` = cannot
     /// be true). `analytic = true` renders the paper's boundaries instead
     /// of the measured winners.
@@ -229,7 +230,7 @@ impl RegionMap {
             &self
                 .cd_values
                 .iter()
-                .map(|v| format!("{v:.1}"))
+                .map(|v| format!("{v:?}"))
                 .collect::<Vec<_>>()
                 .join(" "),
         );

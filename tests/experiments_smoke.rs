@@ -32,6 +32,21 @@ fn fast_reproduction_matches_the_golden_document() {
     }
 }
 
+/// EXPERIMENTS.md's E1 map is a verbatim copy of the measured SC map in
+/// `repro_full_output.md`, which `scripts/verify.sh` holds to `repro all`.
+#[test]
+fn e1_map_in_experiments_md_matches_the_full_reproduction() {
+    let e1 = include_str!("../EXPERIMENTS.md").split("### E1 ").nth(1);
+    let map = e1
+        .and_then(|e1| e1.split("```\n").nth(1))
+        .expect("a fenced map under E1");
+    assert!(map.starts_with("> Measured region map (SC)"), "{map}");
+    assert!(
+        include_str!("../repro_full_output.md").contains(map),
+        "EXPERIMENTS.md's E1 map drifted from repro_full_output.md:\n{map}"
+    );
+}
+
 #[test]
 fn roster_runs_one_experiment_by_name_and_rejects_unknown_names() {
     let picked = experiments::run("thm4", true).unwrap();
