@@ -26,6 +26,7 @@ use doma_analysis::obsdiff;
 use doma_core::{
     run_offline, run_online, schedule_stats, CostModel, ProcSet, ProcessorId, Schedule,
 };
+use doma_obs::json::escape;
 use doma_protocol::Entrant;
 use doma_scenario::{Scenario, WorkloadSpec};
 use doma_workload::trace::read_trace;
@@ -279,13 +280,14 @@ impl Opts {
     }
 
     fn schedule(&self) -> Result<Schedule, String> {
-        if let Some(path) = self.value("file") {
-            let file = std::fs::File::open(path).map_err(|e| format!("--file {path}: {e}"))?;
-            read_trace(file).map_err(|e| format!("--file {path}: {e}"))
-        } else if let Some(s) = self.value("schedule") {
-            s.parse::<Schedule>().map_err(|e| e.to_string())
-        } else {
-            Err("need --schedule \"r1 w2 ...\" or --file <path>".to_string())
+        match (self.value("schedule"), self.value("file")) {
+            (Some(s), None) => s.parse::<Schedule>().map_err(|e| e.to_string()),
+            (None, Some(path)) => {
+                let file = std::fs::File::open(path).map_err(|e| format!("--file {path}: {e}"))?;
+                read_trace(file).map_err(|e| format!("--file {path}: {e}"))
+            }
+            (Some(_), Some(_)) => Err("--schedule and --file both given: give one".to_string()),
+            (None, None) => Err("need --schedule \"r1 w2 ...\" or --file <path>".to_string()),
         }
     }
 
@@ -701,10 +703,20 @@ fn cmd_scenario(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let target = opts.target(format!("builtins: {}", names.join(", ")))?;
     let json = opts.value("format") == Some("json");
     if target == "list" {
-        for s in builtins()? {
-            writeln!(out, "{:<22} {}", s.name, s.description)?;
+        let roster = builtins()?;
+        if !json {
+            for s in &roster {
+                writeln!(out, "{:<22} {}", s.name, s.description)?;
+            }
+            return Ok(());
         }
-        return Ok(());
+        let rows: Vec<String> = (roster.iter())
+            .map(|s| {
+                let (name, description) = (escape(&s.name), escape(&s.description));
+                format!(r#"{{"name": "{name}", "description": "{description}"}}"#)
+            })
+            .collect();
+        return Ok(writeln!(out, "[\n  {}\n]", rows.join(",\n  "))?);
     }
     let scenarios = match target {
         "all" => builtins()?,
@@ -851,6 +863,9 @@ mod tests {
         rejected("scenario a b");
         rejected("trace a b");
         assert!(parsed("cost --cc abc").num::<f64>("cc").is_err());
+        // A schedule comes from one of --schedule and --file, never both.
+        let e = parsed("stats --schedule \"r2 r2 w2\" --file t.txt").schedule();
+        assert_eq!(e.unwrap_err(), "--schedule and --file both given: give one");
         // A flag the command never reads is an error naming the accepted
         // ones.
         for (line, flag) in [
@@ -1086,6 +1101,27 @@ mod tests {
         ] {
             let e = domactl(line).unwrap_err();
             assert!(e.contains(error), "{line}: {e}");
+        }
+    }
+
+    /// `scenario list --format json` is the text roster as a JSON array
+    /// of `{"name", "description"}`, in the same order.
+    #[test]
+    fn scenario_list_prints_json_when_asked() {
+        use doma_analysis::jsonv::Jv;
+        let text = domactl("scenario list").unwrap();
+        let json = Jv::parse(&domactl("scenario list --format json").unwrap()).unwrap();
+        let rows = json.as_array().expect("an array");
+        let roster = builtins().unwrap();
+        assert_eq!(
+            (rows.len(), text.lines().count()),
+            (roster.len(), roster.len())
+        );
+        for ((row, line), s) in rows.iter().zip(text.lines()).zip(&roster) {
+            assert_eq!(row.get("name").and_then(Jv::as_str), Some(s.name.as_str()));
+            let description = row.get("description").and_then(Jv::as_str);
+            assert_eq!(description, Some(s.description.as_str()));
+            assert_eq!(line, format!("{:<22} {}", s.name, s.description));
         }
     }
 

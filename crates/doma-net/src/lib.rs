@@ -6,16 +6,17 @@
 //! length-prefixed wire codec instead of the sim engine's event queue.
 //!
 //! The crate is deliberately thin — all protocol logic stays in
-//! `doma-protocol` behind the [`doma_protocol::Transport`] trait, and all
-//! request planning in [`doma_protocol::ClientPlanner`]. What lives here:
+//! [`doma_protocol::DomNode`], which writes its sends into the sim
+//! engine's own buffer, [`doma_sim::Context`], and all request planning
+//! in [`doma_protocol::ClientPlanner`]. What lives here:
 //!
 //! * [`codec`] — the wire format: `u32`-LE length prefix, tagged bodies,
 //!   typed [`doma_core::DomaError`]s for truncation and corruption, an
 //!   incremental [`codec::Decoder`] for split reads. Never panics on
 //!   hostile bytes.
-//! * [`NetTransport`] — the socket-side [`doma_protocol::Transport`]
-//!   impl: buffered sends, a logical per-node delivery tick for
-//!   timestamps, per-class send counters.
+//! * [`NetTransport`] — a node's `Context` (its send buffer and its
+//!   per-node delivery tick) plus the per-class tallies of what the event
+//!   loop drained from it.
 //! * [`runtime`] — per-node event loop: a listener + per-connection
 //!   reader threads feeding one inbox, full-mesh outgoing connections
 //!   with connect-retry and a node-id handshake.

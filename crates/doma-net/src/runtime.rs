@@ -374,7 +374,7 @@ fn reply_driver(driver: &mut Option<Conn>, frame: &WireFrame) -> Result<()> {
     }
 }
 
-/// Drains the transport's outbox onto the peer sockets. Called after
+/// Drains the node's send buffer onto the peer sockets. Called after
 /// every `deliver`.
 fn flush(id: usize, transport: &mut NetTransport, out: &mut [Option<Conn>]) -> Result<()> {
     for (to, kind, msg) in transport.drain() {

@@ -1,48 +1,35 @@
-//! The socket-side [`Transport`] implementation.
+//! A node's send buffer in the real runtime, with its per-class tallies.
 
-use doma_protocol::{DomMsg, Transport};
-use doma_sim::{MsgKind, NodeId, SimTime};
+use doma_protocol::DomMsg;
+use doma_sim::{Context, MsgKind, NodeId};
+use std::ops::{Deref, DerefMut};
 
-/// The [`Transport`] a protocol node runs against in the real runtime.
-///
-/// Sends are buffered exactly like the sim engine's [`doma_sim::Context`]
-/// buffers them: the node's event loop calls
-/// [`doma_protocol::DomNode::deliver`] and then [`NetTransport::drain`]s
-/// the buffer onto the peer sockets. Time is a logical per-node delivery
-/// tick — it timestamps latency samples, never drives protocol decisions
-/// (see the trait docs).
-#[derive(Debug, Default)]
+/// The engine's [`Context`] a node writes its sends into, plus what the
+/// event loop has drained from it per pricing class. It derefs to the
+/// `Context`, so [`doma_protocol::DomNode::deliver`] takes it as it is.
+#[derive(Default)]
 pub struct NetTransport {
-    tick: u64,
-    outbox: Vec<(NodeId, MsgKind, DomMsg)>,
+    ctx: Context<DomMsg>,
     control_sent: u64,
     data_sent: u64,
 }
 
 impl NetTransport {
-    /// A fresh transport at tick 0 with an empty outbox.
+    /// An empty buffer at tick 0 with nothing sent.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Advances the logical clock by one delivery tick. The event loop
-    /// calls this once per inbound message, before delivering it.
-    pub fn advance(&mut self) {
-        self.tick += 1;
-    }
-
-    /// Takes the buffered sends, tallying them per pricing class. The
-    /// event loop calls this after every
-    /// [`doma_protocol::DomNode::deliver`]; the outbox keeps its buffer,
-    /// so a delivery allocates nothing once it has grown.
+    /// [`Context::drain`], tallying the sends per pricing class.
     pub fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, MsgKind, DomMsg)> {
-        for (_, kind, _) in &self.outbox {
+        let sends = self.ctx.drain();
+        for (_, kind, _) in sends.as_slice() {
             match kind {
                 MsgKind::Control => self.control_sent += 1,
                 MsgKind::Data => self.data_sent += 1,
             }
         }
-        self.outbox.drain(..)
+        sends
     }
 
     /// Control messages drained so far (mirrors the sim engine's
@@ -57,13 +44,17 @@ impl NetTransport {
     }
 }
 
-impl Transport for NetTransport {
-    fn now(&self) -> SimTime {
-        SimTime(self.tick)
-    }
+impl Deref for NetTransport {
+    type Target = Context<DomMsg>;
 
-    fn send(&mut self, to: NodeId, kind: MsgKind, msg: DomMsg) {
-        self.outbox.push((to, kind, msg));
+    fn deref(&self) -> &Context<DomMsg> {
+        &self.ctx
+    }
+}
+
+impl DerefMut for NetTransport {
+    fn deref_mut(&mut self) -> &mut Context<DomMsg> {
+        &mut self.ctx
     }
 }
 
@@ -71,44 +62,32 @@ impl Transport for NetTransport {
 mod tests {
     use super::*;
     use doma_core::ObjectId;
+    use doma_sim::SimTime;
 
     #[test]
     fn drain_tallies_by_kind_and_clears() {
         let mut t = NetTransport::new();
         t.advance();
-        assert_eq!(Transport::now(&t), SimTime(1));
-        t.send(
-            NodeId(1),
-            MsgKind::Control,
-            DomMsg::CatchUp {
-                object: ObjectId(0),
-            },
-        );
-        t.send(
-            NodeId(2),
-            MsgKind::Data,
-            DomMsg::ObjData {
-                object: ObjectId(0),
-                version: doma_storage::Version(1),
-                payload: [1].into(),
-                save: false,
-                round: 0,
-            },
-        );
-        assert_eq!(t.outbox.len(), 2);
-        let capacity = t.outbox.capacity();
-        assert_eq!(t.drain().count(), 2);
-        assert_eq!((t.control_sent(), t.data_sent()), (1, 1));
-        assert!(t.outbox.is_empty());
-        // The next delivery reuses the buffer instead of allocating one.
-        assert_eq!(t.outbox.capacity(), capacity);
-        let catch_up = DomMsg::CatchUp {
+        assert_eq!(t.now(), SimTime(1));
+        let catch_up = || DomMsg::CatchUp {
             object: ObjectId(0),
         };
-        t.send(NodeId(3), MsgKind::Control, catch_up);
-        assert_eq!(t.outbox.capacity(), capacity);
-        assert_eq!(t.drain().count(), 1);
+        t.send(NodeId(1), MsgKind::Control, catch_up());
+        let obj_data = DomMsg::ObjData {
+            object: ObjectId(0),
+            version: doma_storage::Version(1),
+            payload: [1].into(),
+            save: false,
+            round: 0,
+        };
+        t.send(NodeId(2), MsgKind::Data, obj_data);
+        assert_eq!(t.drain().count(), 2);
+        assert_eq!((t.control_sent(), t.data_sent()), (1, 1));
+        assert_eq!(t.drain().count(), 0);
+        // A send dropped undrained is tallied all the same, like a
+        // message the engine's sender paid for.
+        t.send(NodeId(3), MsgKind::Control, catch_up());
+        drop(t.drain());
         assert_eq!((t.control_sent(), t.data_sent()), (2, 1));
-        assert_eq!(t.outbox.capacity(), capacity);
     }
 }

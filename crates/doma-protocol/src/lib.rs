@@ -69,7 +69,6 @@ mod planner;
 mod roster;
 mod sharded;
 mod sim;
-mod transport;
 
 pub use msg::{DomMsg, ReadPlan, WritePlan};
 pub use node::{BugSwitches, CompletedRead, DomNode, ProtocolConfig};
@@ -78,4 +77,3 @@ pub use planner::{ClientPlanner, PlannedRequest};
 pub use roster::{Entrant, Tunables};
 pub use sharded::{ShardInput, ShardOutcome, ShardedRun, ShardedSim};
 pub use sim::{OpenLoopReport, PlanOracle, ProtocolSim, SimReport};
-pub use transport::Transport;

@@ -3,7 +3,6 @@
 use crate::catalog::ObjectCatalog;
 use crate::obs::{object_field, object_of, op_of, Dim, NodeObs, NodeTally, Op};
 use crate::roster::Entrant;
-use crate::transport::Transport;
 use crate::{DomMsg, ReadPlan, WritePlan};
 use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId};
 use doma_obs::{event, span};
@@ -607,18 +606,12 @@ impl DomNode {
         self.n / 2 + 1
     }
 
-    /// The one way a message leaves the node: queued on the transport
-    /// and, with obs attached, charged to the entrant governing its
-    /// object under the *sent* message's own op class (so the
-    /// invalidations a write fans out land under `op=invalidate` while
-    /// the propagation lands under `op=write`).
-    fn send<T: Transport + ?Sized>(
-        &mut self,
-        ctx: &mut T,
-        slot: usize,
-        to: ProcessorId,
-        msg: DomMsg,
-    ) {
+    /// The one way a message leaves the node: queued in `ctx` and, with
+    /// obs attached, charged to the entrant governing its object under
+    /// the *sent* message's own op class (so the invalidations a write
+    /// fans out land under `op=invalidate` while the propagation lands
+    /// under `op=write`).
+    fn send(&mut self, ctx: &mut Context<DomMsg>, slot: usize, to: ProcessorId, msg: DomMsg) {
         let kind = if msg.is_data() {
             MsgKind::Data
         } else {
@@ -632,9 +625,9 @@ impl DomNode {
     }
 
     /// Asks every member of `servers` for the object.
-    fn send_read_req<T: Transport + ?Sized>(
+    fn send_read_req(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         slot: usize,
         servers: impl IntoIterator<Item = ProcessorId>,
         saving: bool,
@@ -653,9 +646,9 @@ impl DomNode {
 
     /// Propagates this node's write of `version` to every member of
     /// `targets` but itself.
-    fn send_write_prop<T: Transport + ?Sized>(
+    fn send_write_prop(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         slot: usize,
         targets: ProcSet,
         version: Version,
@@ -675,9 +668,9 @@ impl DomNode {
 
     /// Tells every member of `targets` that `version` superseded its
     /// replica.
-    fn send_invalidate<T: Transport + ?Sized>(
+    fn send_invalidate(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         slot: usize,
         targets: impl IntoIterator<Item = ProcessorId>,
         version: Version,
@@ -688,12 +681,7 @@ impl DomNode {
         }
     }
 
-    fn start_quorum_read<T: Transport + ?Sized>(
-        &mut self,
-        ctx: &mut T,
-        slot: usize,
-        store_result: bool,
-    ) {
+    fn start_quorum_read(&mut self, ctx: &mut Context<DomMsg>, slot: usize, store_result: bool) {
         let object = self.catalog.id(slot);
         let local = self.input_shared(object);
         let mut responders = ProcSet::EMPTY;
@@ -727,9 +715,9 @@ impl DomNode {
         self.maybe_finish_quorum(ctx, slot);
     }
 
-    fn handle_client_read<T: Transport + ?Sized>(
+    fn handle_client_read(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         slot: usize,
         plan: Option<ReadPlan>,
     ) {
@@ -804,9 +792,9 @@ impl DomNode {
         }
     }
 
-    fn handle_client_write<T: Transport + ?Sized>(
+    fn handle_client_write(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         slot: usize,
         version: Version,
         payload: Payload,
@@ -860,9 +848,9 @@ impl DomNode {
     /// A core member's duties when it learns of the write of `version` by
     /// `writer`: invalidate its join-list outside the new execution set,
     /// and (primary only) invalidate and re-track the "extra" member.
-    fn da_invalidate_duties<T: Transport + ?Sized>(
+    fn da_invalidate_duties(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         slot: usize,
         version: Version,
         writer: ProcessorId,
@@ -888,9 +876,9 @@ impl DomNode {
         }
     }
 
-    fn handle_quorum_reply<T: Transport + ?Sized>(
+    fn handle_quorum_reply(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         from: NodeId,
         slot: usize,
         round: u64,
@@ -925,7 +913,7 @@ impl DomNode {
         self.maybe_finish_quorum(ctx, slot);
     }
 
-    fn maybe_finish_quorum<T: Transport + ?Sized>(&mut self, ctx: &mut T, slot: usize) {
+    fn maybe_finish_quorum(&mut self, ctx: &mut Context<DomMsg>, slot: usize) {
         let count_duplicates = self.bugs.count_duplicate_responders;
         let assembled = |p: &mut PendingQuorum| {
             let reached = if count_duplicates {
@@ -955,7 +943,7 @@ impl DomNode {
     }
 
     /// A whole-node mode switch: every object's record is visited.
-    fn handle_mode_change<T: Transport + ?Sized>(&mut self, ctx: &mut T, quorum: bool) {
+    fn handle_mode_change(&mut self, ctx: &mut Context<DomMsg>, quorum: bool) {
         self.obs_mode_change(ctx.now(), quorum);
         self.quorum_mode = quorum;
         for slot in 0..self.catalog.len() {
@@ -996,38 +984,38 @@ impl DomNode {
 }
 
 impl DomNode {
-    /// Deliver one inbound message through any [`Transport`]: resolve the
-    /// object it names to its catalog slot — once; every handler below
-    /// takes the slot — run the state machine, then account the step's
-    /// I/O to observability. This is the single entry point both
-    /// runtimes share — the sim engine's [`Actor::on_message`] delegates
-    /// here, and `doma-net`'s event loop calls it directly, so the two
-    /// execute literally the same code path.
+    /// Deliver one inbound message, writing the sends it causes into
+    /// `ctx`: resolve the object it names to its catalog slot — once;
+    /// every handler below takes the slot — run the state machine, then
+    /// account the step's I/O to observability. This is the single entry
+    /// point both runtimes share — the sim engine's [`Actor::on_message`]
+    /// delegates here, and `doma-net`'s event loop calls it with the
+    /// node's own [`Context`], so the two execute literally the same code.
     ///
     /// A message naming an object outside the catalog — whoever sent it —
     /// records [`DomaError::UnknownObject`] and does nothing else: no
     /// store or log write, no reply.
-    pub fn deliver<T: Transport + ?Sized>(&mut self, t: &mut T, from: NodeId, msg: DomMsg) {
+    pub fn deliver(&mut self, ctx: &mut Context<DomMsg>, from: NodeId, msg: DomMsg) {
         // Classify before handling (the handler consumes the message),
         // account after: the I/O cursor delta is then exactly this
         // dispatch's I/O.
         let op = op_of(&msg);
         if let DomMsg::ModeChange { quorum } = msg {
             // The one message naming no object: it visits every record.
-            self.handle_mode_change(t, quorum);
+            self.handle_mode_change(ctx, quorum);
             return self.obs_account_io(op, None);
         }
         let Some(slot) = object_of(&msg).and_then(|object| self.slot_or_record(object)) else {
             return;
         };
-        self.handle_message(t, from, slot, msg);
+        self.handle_message(ctx, from, slot, msg);
         self.obs_account_io(op, Some(slot));
     }
 
     /// Runs the state machine for a message about the object in `slot`.
-    fn handle_message<T: Transport + ?Sized>(
+    fn handle_message(
         &mut self,
-        ctx: &mut T,
+        ctx: &mut Context<DomMsg>,
         from: NodeId,
         slot: usize,
         msg: DomMsg,
@@ -1298,7 +1286,6 @@ mod tests {
 
     #[test]
     fn unknown_object_requests_record_errors_and_send_nothing() {
-        use crate::transport::tests::Loopback;
         let object = ObjectId(9);
         let version = Version(1);
         let payload = || Payload::from([1]);
@@ -1336,19 +1323,19 @@ mod tests {
         for quorum in [false, true] {
             let cfg = ProtocolConfig::Sa { q: ps(&[0, 1]) };
             let mut node = single(0, 2, cfg);
-            let mut t = Loopback::default();
+            let mut ctx = Context::default();
             if quorum {
-                node.deliver(&mut t, NodeId(1), DomMsg::ModeChange { quorum });
-                t.outbox.clear();
+                node.deliver(&mut ctx, NodeId(1), DomMsg::ModeChange { quorum });
+                ctx.drain();
             }
             let (io, logged) = (node.io_stats(), node.redo_log().len());
             for (i, msg) in msgs.iter().enumerate() {
-                node.deliver(&mut t, NodeId(1), msg.clone());
+                node.deliver(&mut ctx, NodeId(1), msg.clone());
                 // The error path is local: nothing stored, logged or sent.
                 assert_eq!(node.protocol_errors().len(), i + 1, "{msg:?}");
                 assert_eq!(node.io_stats(), io, "{msg:?}");
                 assert_eq!(node.redo_log().len(), logged, "{msg:?}");
-                assert!(t.outbox.is_empty(), "{msg:?}");
+                assert_eq!(ctx.drain().len(), 0, "{msg:?}");
                 assert_eq!(node.replica_version_of(object), None, "{msg:?}");
             }
             assert!(node

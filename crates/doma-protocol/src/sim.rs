@@ -132,11 +132,8 @@ impl ProtocolSim {
     /// configuration's plan oracle is built with `tunables` instead of
     /// the canonical ones.
     pub fn deploy(n: usize, config: ProtocolConfig, tunables: Tunables) -> Result<Self> {
-        let mut sim = Self::new_catalog(n, BTreeMap::from([(OBJECT, config)]))?;
-        if let Some(oracle) = config.oracle(n, tunables)? {
-            sim.planner.install_oracle(OBJECT, oracle);
-        }
-        Ok(sim)
+        let configs = BTreeMap::from([(OBJECT, config)]);
+        Self::build(n, configs, doma_sim::NetworkConfig::default(), 0, tunables)
     }
 
     /// Resets every adaptive oracle to its initial state (scheme
@@ -171,6 +168,18 @@ impl ProtocolSim {
         configs: BTreeMap<ObjectId, ProtocolConfig>,
         network: doma_sim::NetworkConfig,
         cache_capacity: usize,
+    ) -> Result<Self> {
+        Self::build(n, configs, network, cache_capacity, Tunables::CANONICAL)
+    }
+
+    /// [`ProtocolSim::build_catalog`] with the adaptive oracles built
+    /// with `tunables`.
+    fn build(
+        n: usize,
+        configs: BTreeMap<ObjectId, ProtocolConfig>,
+        network: doma_sim::NetworkConfig,
+        cache_capacity: usize,
+        tunables: Tunables,
     ) -> Result<Self> {
         if n == 0 || n > doma_core::MAX_PROCESSORS {
             return Err(DomaError::InvalidConfig(format!("bad cluster size {n}")));
@@ -224,7 +233,7 @@ impl ProtocolSim {
         }
         let mut planner = ClientPlanner::new(n, configs.keys().copied());
         for (object, config) in &configs {
-            if let Some(oracle) = config.oracle(n, Tunables::CANONICAL)? {
+            if let Some(oracle) = config.oracle(n, tunables)? {
                 planner.install_oracle(*object, oracle);
             }
         }

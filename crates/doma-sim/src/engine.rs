@@ -39,24 +39,28 @@ pub trait Actor<M> {
     fn on_recover(&mut self, _ctx: &mut Context<M>) {}
 }
 
-/// The per-dispatch effect buffer an actor writes its sends into. The
-/// engine keeps the buffer's storage between dispatches and hands it to
-/// each handler empty.
+/// The send buffer an actor writes into, and the logical time it reads:
+/// the one buffer of every runtime. The engine hands each handler one
+/// stamped with the virtual time and drains it after the dispatch; a
+/// socket event loop keeps one per node, [`advance`](Context::advance)s
+/// it once per delivery and drains it onto the wire. Either way the
+/// buffer's storage is kept between deliveries.
 pub struct Context<M> {
     now: SimTime,
-    self_id: NodeId,
     sends: Vec<(NodeId, MsgKind, M)>,
 }
 
 impl<M> Context<M> {
-    /// The current virtual time.
+    /// The current logical time: virtual time under the engine, the
+    /// per-node delivery tick in a socket runtime. It timestamps latency
+    /// samples and obs events; no protocol decision reads it.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// This actor's node id.
-    pub fn id(&self) -> NodeId {
-        self.self_id
+    /// Moves the logical clock on by one delivery.
+    pub fn advance(&mut self) {
+        self.now = self.now + 1;
     }
 
     /// Sends a message; it is tallied (and priced) even if the destination
@@ -64,6 +68,23 @@ impl<M> Context<M> {
     /// transmission.
     pub fn send(&mut self, to: NodeId, kind: MsgKind, msg: M) {
         self.sends.push((to, kind, msg));
+    }
+
+    /// Takes the buffered sends in the order they were made. The buffer
+    /// keeps its storage, so a delivery allocates nothing once it has
+    /// grown.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, MsgKind, M)> {
+        self.sends.drain(..)
+    }
+}
+
+/// An empty buffer at time 0.
+impl<M> Default for Context<M> {
+    fn default() -> Self {
+        Context {
+            now: SimTime::ZERO,
+            sends: Vec::new(),
+        }
     }
 }
 
@@ -387,11 +408,10 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
     fn dispatch_to(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Context<M>)) {
         let mut ctx = Context {
             now: self.now,
-            self_id: node,
             sends: std::mem::take(&mut self.sends),
         };
         f(&mut self.actors[node.0], &mut ctx);
-        for (to, kind, msg) in ctx.sends.drain(..) {
+        for (to, kind, msg) in ctx.drain() {
             // The sender pays for the transmission before any fault can
             // eat it — send tallies match the paper's cost model even on
             // lossy runs.
@@ -692,6 +712,31 @@ impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
 mod tests {
     use super::*;
 
+    /// What a socket runtime does with a buffer: build it empty at time
+    /// 0, advance it once per delivery, drain it in send order in place.
+    #[test]
+    fn context_drains_in_send_order_and_keeps_its_buffer() {
+        let mut ctx: Context<u32> = Context::default();
+        assert_eq!(ctx.now(), SimTime::ZERO);
+        ctx.advance();
+        assert_eq!(ctx.now(), SimTime(1));
+        ctx.send(NodeId(1), MsgKind::Control, 7);
+        ctx.send(NodeId(2), MsgKind::Data, 8);
+        let capacity = ctx.sends.capacity();
+        let sent: Vec<_> = ctx.drain().collect();
+        let want = [
+            (NodeId(1), MsgKind::Control, 7),
+            (NodeId(2), MsgKind::Data, 8),
+        ];
+        assert_eq!(sent, want);
+        assert!(ctx.sends.is_empty());
+        // The next delivery reuses the buffer instead of allocating one.
+        ctx.send(NodeId(3), MsgKind::Control, 9);
+        assert_eq!(ctx.sends.capacity(), capacity);
+        assert_eq!(ctx.drain().count(), 1);
+        assert_eq!(ctx.sends.capacity(), capacity);
+    }
+
     /// A ping-pong actor: replies to `n > 0` with `n - 1`, alternating
     /// message kinds; records everything it saw.
     #[derive(Clone)]
@@ -911,8 +956,8 @@ mod tests {
         impl Actor<u32> for Rec {
             fn on_message(&mut self, ctx: &mut Context<u32>, _f: NodeId, _k: MsgKind, msg: u32) {
                 self.got.push(msg);
-                // Node 0 fans out two messages to node 1 on injection.
-                if ctx.id() == NodeId(0) {
+                // Node 0 fans out two messages to node 1 on its injected 0.
+                if msg == 0 {
                     ctx.send(NodeId(1), MsgKind::Control, 1);
                     ctx.send(NodeId(1), MsgKind::Control, 2);
                 }

@@ -351,7 +351,8 @@ fn a_far_future_crash_queued_last_does_not_reorder_same_tick_sends() {
     impl Actor<u32> for Burst {
         fn on_message(&mut self, ctx: &mut Context<u32>, _from: NodeId, _kind: MsgKind, msg: u32) {
             self.got.push(msg);
-            if ctx.id() == NodeId(0) {
+            // The kick, 0, is injected at node 0; node 1 gets 1 to 4.
+            if msg == 0 {
                 for m in 1..=4 {
                     ctx.send(NodeId(1), MsgKind::Control, m);
                 }

@@ -17,8 +17,9 @@
 #                  a debug test run);
 #   cluster        sim/socket parity over Unix domain sockets;
 #   fault matrix   32 seeds per cell (tier 1 runs the default count);
-#   bench smoke    benchmark/run.sh --smoke, which opens sockets and builds
-#                  the standalone benchmark crate.
+#   benchmark      the standalone benchmark crate's release build and unit
+#                  tests, always; benchmark/run.sh --smoke, which opens
+#                  sockets, where the sandbox allows them.
 #
 # Ends in `verify: OK`. Run from any directory.
 set -euo pipefail
@@ -157,28 +158,27 @@ if ! DOMA_FAULT_SEEDS=32 cargo test -q --offline --test fault_torture; then
 fi
 
 # ---------------------------------------------------------------------------
-# Perf wall: the one stopwatch. `benchmark/run.sh --smoke` builds the
-# benchmark crate against this tree (so a change under crates/ that stops
-# it compiling fails here, not only in the pipeline) and runs all three
-# workloads at one-tenth size with every check on — sim/shard/cluster
-# agreement, ok_share, cost_per_req, layer attribution; then the
-# benchmark's own unit tests. Neither may leave a trace in benchmark/
-# (a rewritten benchmark/Cargo.lock means a dependency edge among the
-# crates it links changed). The smoke run opens sockets, so it is skipped
-# with the cluster-parity wall's notice where the sandbox refuses them.
+# Perf wall: the one stopwatch. The benchmark crate is built against this
+# tree and its own unit tests run (none opens a socket), whatever the
+# sandbox allows, so a change under crates/ that stops it compiling fails
+# here, not only in the pipeline. `benchmark/run.sh --smoke` then runs all
+# three workloads at one-tenth size with every check on — sim/shard/cluster
+# agreement, ok_share, cost_per_req, layer attribution. It opens sockets,
+# so it is skipped with the cluster-parity wall's notice where the sandbox
+# refuses them. Nothing may leave a trace in benchmark/ (a rewritten
+# benchmark/Cargo.lock means a dependency edge among the crates it links
+# changed).
 # ---------------------------------------------------------------------------
+if ! (cd benchmark && cargo build --release --offline -q && cargo test --offline -q); then
+    echo "verify: FAILED (benchmark crate build or unit tests)" >&2
+    exit 1
+fi
 if [ "$sockets" -eq 0 ]; then
     echo "verify: NOTICE (sockets unavailable in this sandbox; benchmark smoke skipped)"
-else
-    if ! benchmark/run.sh --smoke > "$out/smoke" 2> "$out/smoke.err"; then
-        cat "$out/smoke.err" "$out/smoke" >&2
-        echo "verify: FAILED (benchmark/run.sh --smoke)" >&2
-        exit 1
-    fi
-    if ! (cd benchmark && cargo test --offline -q); then
-        echo "verify: FAILED (benchmark crate unit tests)" >&2
-        exit 1
-    fi
+elif ! benchmark/run.sh --smoke > "$out/smoke" 2> "$out/smoke.err"; then
+    cat "$out/smoke.err" "$out/smoke" >&2
+    echo "verify: FAILED (benchmark/run.sh --smoke)" >&2
+    exit 1
 fi
 dirty=$(git status --porcelain benchmark/ 2> /dev/null || true) # no-op outside a git checkout
 if [ -n "$dirty" ]; then

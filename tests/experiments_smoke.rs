@@ -32,19 +32,52 @@ fn fast_reproduction_matches_the_golden_document() {
     }
 }
 
-/// EXPERIMENTS.md's E1 map is a verbatim copy of the measured SC map in
-/// `repro_full_output.md`, which `scripts/verify.sh` holds to `repro all`.
+/// The cells after the label of the first row under `doc`'s `## <id> `
+/// heading whose label starts with `label`.
+fn row<'a>(doc: &'a str, id: &str, label: &str) -> Vec<&'a str> {
+    let section = doc.split(&format!("## {id} ")).nth(1).expect(id);
+    let row = format!("| {label}");
+    let line = section.lines().find(|l| l.starts_with(&row)).expect(&row);
+    let cells = line.split('|').map(str::trim).filter(|c| !c.is_empty());
+    cells.skip(1).collect()
+}
+
+/// EXPERIMENTS.md quotes `repro_full_output.md`, which `scripts/verify.sh`
+/// holds to `repro all`: the E1 map verbatim, the E11 tallies and final
+/// replica set, and the E12 DA/SA ratios to two places.
 #[test]
 fn e1_map_in_experiments_md_matches_the_full_reproduction() {
-    let e1 = include_str!("../EXPERIMENTS.md").split("### E1 ").nth(1);
+    let doc = include_str!("../EXPERIMENTS.md");
+    let full = include_str!("../repro_full_output.md");
+    let e1 = doc.split("### E1 ").nth(1);
     let map = e1
         .and_then(|e1| e1.split("```\n").nth(1))
         .expect("a fenced map under E1");
     assert!(map.starts_with("> Measured region map (SC)"), "{map}");
     assert!(
-        include_str!("../repro_full_output.md").contains(map),
+        full.contains(map),
         "EXPERIMENTS.md's E1 map drifted from repro_full_output.md:\n{map}"
     );
+    // E11's protocol and analytic columns agree, and the prose quotes them.
+    let e11 = |label| match row(full, "E11", label)[..] {
+        [protocol, analytic] if protocol == analytic => protocol,
+        ref cells => panic!("E11 {label}: {cells:?}"),
+    };
+    let (control, data, io) = (e11("control"), e11("data"), e11("I/O"));
+    let ratio = |model| row(full, "E12", model)[2].parse::<f64>().unwrap();
+    let quotes = [
+        format!("exchanged {control} control + {data} data messages and performed {io} I/Os"),
+        format!("final replica set {}.", e11("final replica set")),
+        format!("SC: DA/SA = {:.2}", ratio("SC")),
+        format!("MC: DA/SA = {:.2}", ratio("MC")),
+    ];
+    let prose = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+    for quote in quotes {
+        assert!(
+            prose.contains(&quote),
+            "EXPERIMENTS.md does not say '{quote}'"
+        );
+    }
 }
 
 #[test]
