@@ -4,7 +4,8 @@
 //! it reads with that flag's default and allowed values. The parser, the
 //! usage text (printed after a missing or unknown command) and dispatch
 //! read that table alone, so a flag the row does not list is a usage
-//! error naming the ones it does.
+//! error naming the ones it does, and two flags the row says exclude each
+//! other are one too.
 //!
 //! Schedules use the paper's notation: whitespace-separated `r<i>` / `w<i>`
 //! tokens. `--file <path>` reads the schedule from a trace file instead
@@ -67,11 +68,14 @@ enum Value {
     Roster(&'static str),
     /// An ad-hoc workload kind ([`workload_names`]); this one when absent.
     Workload(&'static str),
+    /// Any value, instead of the flag listed just before it in the row:
+    /// never both. Unset when absent; the text names it.
+    Instead(&'static str),
 }
-use Value::{Computed, Is, OneOf, Optional, Roster, Switch, Workload};
+use Value::{Computed, Instead, Is, OneOf, Optional, Roster, Switch, Workload};
 
 const SCHEDULE: (&str, Value) = ("schedule", Optional("r1 w2 ..."));
-const FILE: (&str, Value) = ("file", Optional("path"));
+const FILE: (&str, Value) = ("file", Instead("path"));
 const UNIVERSE: (&str, Value) = ("n", Computed("the schedule's processors, at least 3"));
 const READ_FRACTION: (&str, Value) = ("read-fraction", Is("0.7"));
 
@@ -123,7 +127,7 @@ impl Value {
         match self {
             Is(v) | Roster(v) | Workload(v) => Some(v),
             OneOf(values) => values.first().copied(),
-            Switch | Optional(_) | Computed(_) => None,
+            Switch | Optional(_) | Computed(_) | Instead(_) => None,
         }
     }
 
@@ -133,7 +137,7 @@ impl Value {
             OneOf(values) => values.to_vec(),
             Roster(_) => Entrant::ALL.map(|e| e.as_str()).to_vec(),
             Workload(_) => workload_names(),
-            Switch | Optional(_) | Is(_) | Computed(_) => return None,
+            Switch | Optional(_) | Is(_) | Computed(_) | Instead(_) => return None,
         };
         all.sort_by_key(|v| Some(*v) != self.default());
         Some(all)
@@ -144,7 +148,7 @@ impl Value {
     fn usage(self) -> String {
         match (self, self.choices()) {
             (_, Some(choices)) => format!(" {}", choices.join("|")),
-            (Optional(what), None) => format!(" <{what}>"),
+            (Optional(what) | Instead(what), None) => format!(" <{what}>"),
             (Computed(how), None) => format!(" <default: {how}>"),
             (Is(v), None) => format!(" {v}"),
             _ => String::new(),
@@ -161,16 +165,30 @@ impl Command {
         self.name.split(' ').map(str::to_string).collect()
     }
 
-    /// `domactl <name> <operands> [--flag value]...`
+    /// `domactl <name> <operands> [--flag value]...`, where two flags
+    /// that exclude each other share one bracket: `[--a x | --b y]`.
     fn usage(&self) -> String {
         let mut line = format!("domactl {}", self.name);
         for operand in self.operands {
             line += &format!(" {operand}");
         }
         for &(key, value) in self.flags {
-            line += &format!(" [--{key}{}]", value.usage());
+            if let Instead(_) = value {
+                line.pop();
+                line += &format!(" | --{key}{}]", value.usage());
+            } else {
+                line += &format!(" [--{key}{}]", value.usage());
+            }
         }
         line
+    }
+
+    /// The `(flag, flag)` pairs of the row that exclude each other.
+    fn exclusions(&self) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
+        self.flags.windows(2).filter_map(|pair| match pair {
+            [(before, _), (key, Instead(_))] => Some((*before, *key)),
+            _ => None,
+        })
     }
 }
 
@@ -240,6 +258,12 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             ));
         }
     }
+    if let Some((a, b)) = command
+        .exclusions()
+        .find(|(a, b)| flags.contains_key(*a) && flags.contains_key(*b))
+    {
+        return Err(format!("--{a} and --{b} both given: give one"));
+    }
     Ok(Opts {
         command,
         operands,
@@ -279,14 +303,15 @@ impl Opts {
         self.operands.first().map(String::as_str).ok_or_else(need)
     }
 
+    /// The schedule of `--schedule` or `--file` (the parser has made sure
+    /// that at most one is given).
     fn schedule(&self) -> Result<Schedule, String> {
         match (self.value("schedule"), self.value("file")) {
-            (Some(s), None) => s.parse::<Schedule>().map_err(|e| e.to_string()),
+            (Some(s), _) => s.parse::<Schedule>().map_err(|e| e.to_string()),
             (None, Some(path)) => {
                 let file = std::fs::File::open(path).map_err(|e| format!("--file {path}: {e}"))?;
                 read_trace(file).map_err(|e| format!("--file {path}: {e}"))
             }
-            (Some(_), Some(_)) => Err("--schedule and --file both given: give one".to_string()),
             (None, None) => Err("need --schedule \"r1 w2 ...\" or --file <path>".to_string()),
         }
     }
@@ -814,9 +839,14 @@ mod tests {
     }
 
     /// Splits a command line as a shell would, after the usage text's own
-    /// conventions: `[...]` is optional, `<...>` is one value and `a|b`
-    /// is a choice whose first entry is taken.
+    /// conventions: `[...]` is optional, `<...>` is one value, and `a|b`
+    /// and `[--a x | --b y]` are choices whose first entry is taken.
     fn shell_words(line: &str) -> Vec<String> {
+        let mut line = line.to_string();
+        while let Some(at) = line.find(" | ") {
+            let end = line[at..].find(']').map_or(line.len(), |end| at + end);
+            line.replace_range(at..end, "");
+        }
         let line = line.replace(['[', ']'], " ").replace(['<', '>'], "\"");
         let words = line
             .split('"')
@@ -864,8 +894,8 @@ mod tests {
         rejected("trace a b");
         assert!(parsed("cost --cc abc").num::<f64>("cc").is_err());
         // A schedule comes from one of --schedule and --file, never both.
-        let e = parsed("stats --schedule \"r2 r2 w2\" --file t.txt").schedule();
-        assert_eq!(e.unwrap_err(), "--schedule and --file both given: give one");
+        let e = rejected("stats --schedule \"r2 r2 w2\" --file t.txt");
+        assert_eq!(e, "--schedule and --file both given: give one");
         // A flag the command never reads is an error naming the accepted
         // ones.
         for (line, flag) in [
@@ -910,17 +940,27 @@ mod tests {
         }
     }
 
-    /// Every usage line the table generates parses, and so does every
-    /// `domactl` command line in the docs and scripts that drive it
-    /// (`\`-continued lines joined; a redirect, pipe or comment ends one).
+    /// Every usage line the table generates parses, each alternative of
+    /// a `[--a x | --b y]` group on its own, and so does every `domactl`
+    /// command line in the docs and scripts that drive it (`\`-continued
+    /// lines joined; a redirect, pipe or comment ends one). A line that
+    /// showed two exclusive flags as independent brackets would give both
+    /// and be rejected.
     #[test]
     fn every_documented_usage_line_parses() {
         for command in COMMANDS {
             let line = command.usage();
-            assert_eq!(
-                parsed(line.strip_prefix("domactl ").unwrap()).command.name,
-                command.name
-            );
+            let line = line.strip_prefix("domactl ").unwrap();
+            let mut readings = vec![line.to_string()];
+            for (a, b) in command.exclusions() {
+                let shown = command.flag(a).unwrap().usage();
+                let group = format!("[--{a}{shown} | --{b}");
+                assert!(line.contains(&group), "{line}");
+                readings.push(line.replace(&group, &format!("[--{b}")));
+            }
+            for reading in readings {
+                assert_eq!(parsed(&reading).command.name, command.name, "{reading}");
+            }
         }
         let docs = [
             include_str!("../../../../README.md"),

@@ -85,7 +85,7 @@ impl Cluster {
     /// given, every node tallies into it — node threads share the bundle,
     /// and all protocol metrics are commutative counters, so totals are
     /// deterministic regardless of delivery interleaving. Returns once
-    /// every node's mesh is up and its event loop is running.
+    /// every node's mesh is up and the node is reading its connections.
     ///
     /// Fails with [`DomaError::Net`] when the platform refuses sockets
     /// (sandboxes without network namespaces) — callers treat that as
@@ -169,10 +169,10 @@ impl Cluster {
             handles,
             uds_dir,
         };
-        // A node answers a report only from its event loop, which starts
-        // once its own mesh connections are up: after this round every
-        // node is past dialling its peers, so an immediate `shutdown`
-        // cannot strand a late dialler on a closed listener.
+        // A node accepts the driver's connection only once it has dialled
+        // every peer: after this round every node's mesh is up, so an
+        // immediate `shutdown` cannot strand a late dialler on a closed
+        // listener.
         cluster.node_reports()?;
         Ok(cluster)
     }
@@ -218,14 +218,11 @@ impl Cluster {
                 conn.writer().write_frame(&WireFrame::Poll)?;
             }
             for conn in &mut self.conns {
-                match conn.read_frame()? {
-                    Some(WireFrame::PollReply { sent, received }) => {
-                        counts.push((sent, received));
-                    }
-                    Some(other) => {
+                match read_reply(conn, "poll")? {
+                    WireFrame::PollReply { sent, received } => counts.push((sent, received)),
+                    other => {
                         return Err(DomaError::Net(format!("expected PollReply, got {other:?}")))
                     }
-                    None => return Err(DomaError::Net("node closed connection mid-poll".into())),
                 }
             }
             let sent: u64 = counts.iter().map(|(s, _)| s).sum();
@@ -250,8 +247,8 @@ impl Cluster {
             conn.writer().write_frame(&WireFrame::Report)?;
         }
         for conn in &mut self.conns {
-            match conn.read_frame()? {
-                Some(WireFrame::ReportReply {
+            match read_reply(conn, "report")? {
+                WireFrame::ReportReply {
                     holds,
                     io,
                     control_sent,
@@ -259,7 +256,7 @@ impl Cluster {
                     reads,
                     latency,
                     errors,
-                }) => reports.push(NodeReport {
+                } => reports.push(NodeReport {
                     holds,
                     io,
                     control_sent,
@@ -268,12 +265,11 @@ impl Cluster {
                     latency,
                     errors,
                 }),
-                Some(other) => {
+                other => {
                     return Err(DomaError::Net(format!(
                         "expected ReportReply, got {other:?}"
                     )))
                 }
-                None => return Err(DomaError::Net("node closed connection mid-report".into())),
             }
         }
         Ok(reports)
@@ -314,8 +310,9 @@ impl Cluster {
         })
     }
 
-    /// Stops every node, joins their threads (surfacing any event-loop
-    /// error), and removes the UDS directory.
+    /// Stops every node, joins every thread the cluster spawned
+    /// (surfacing the first error any of them met), and removes the UDS
+    /// directory.
     pub fn shutdown(mut self) -> Result<()> {
         let mut first_err = None;
         for conn in &mut self.conns {
@@ -337,4 +334,11 @@ impl Cluster {
             None => Ok(()),
         }
     }
+}
+
+/// The driver's next frame from one node; its connection closing is an
+/// error, since the driver reads only what it asked for.
+fn read_reply(conn: &mut FrameConn, what: &str) -> Result<WireFrame> {
+    conn.read_frame()?
+        .ok_or_else(|| DomaError::Net(format!("node closed connection mid-{what}")))
 }

@@ -36,7 +36,8 @@ pub const DRIVER_ID: u64 = u64::MAX;
 /// client request from the driver (delivered with `from = self`, exactly
 /// like the sim engine's local injection); `Poll`/`PollReply` implement
 /// the driver's double-poll quiescence barrier; `Report`/`ReportReply`
-/// collect per-node tallies; `Shutdown` ends a node's event loop.
+/// collect per-node tallies; `Shutdown` stops a node. Tags follow
+/// declaration order, `Hello` 0 to `Shutdown` 7.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
     /// Connection opener: who is talking.
@@ -87,7 +88,7 @@ pub enum WireFrame {
         /// Protocol errors recorded at this node.
         errors: u64,
     },
-    /// Driver → node: drain and exit the event loop.
+    /// Driver → node: close the node's connections and stop its threads.
     Shutdown,
 }
 

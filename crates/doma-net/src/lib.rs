@@ -15,15 +15,17 @@
 //!   incremental [`codec::Decoder`] for split reads. Never panics on
 //!   hostile bytes.
 //! * [`NetTransport`] — a node's `Context` (its send buffer and its
-//!   per-node delivery tick) plus the per-class tallies of what the event
-//!   loop drained from it.
-//! * [`runtime`] — per-node event loop: a listener + per-connection
-//!   reader threads feeding one inbox, full-mesh outgoing connections
-//!   with connect-retry and a node-id handshake.
+//!   per-node delivery tick) plus the per-class tallies of what the node
+//!   drained from it.
+//! * [`runtime`] — per-node plumbing: a listener and one reader thread
+//!   per inbound connection, each handling its frames itself under the
+//!   node's one lock; full-mesh outgoing connections with connect-retry
+//!   and a node-id handshake.
 //! * [`Cluster`] — the loopback cluster driver: spawns N node threads,
 //!   plans and injects client requests, reaches quiescence with a
-//!   double-poll barrier, and collects per-node tallies. Its results are
-//!   cross-checked against the sim twin by `domactl cluster`.
+//!   double-poll barrier, collects per-node tallies, and joins every
+//!   thread it spawned at shutdown. Its results are cross-checked against
+//!   the sim twin by `domactl cluster`.
 //!
 //! Failure injection is *not* supported here — the real runtime executes
 //! healthy, closed-loop workloads only (the fault harness and model

@@ -1,20 +1,29 @@
-//! Per-node runtime: socket plumbing, the connection handshake, and the
-//! node event loop.
+//! Per-node runtime: socket plumbing, the connection handshake, and
+//! frame handling on the thread that read the frame.
 //!
 //! Topology: every node binds a listener; the cluster driver (and each
 //! peer) opens one outgoing connection per target and introduces itself
-//! with a [`WireFrame::Hello`]. Inbound connections get a dedicated
-//! reader thread that parses frames with the incremental
-//! [`codec::Decoder`] and forwards them into the node's single inbox
-//! channel, so the node's event loop handles messages strictly one at a
-//! time — the same per-node atomicity the sim engine guarantees. Replies
-//! to the driver travel back on the driver's own connection (cloned
-//! writer half); node-to-node protocol messages travel on the sender's
-//! outgoing connections.
+//! with a [`WireFrame::Hello`]. A node dials its peers before it starts
+//! accepting, so it answers the driver only once its mesh is up. Every
+//! inbound connection gets a reader thread that parses frames with the
+//! incremental [`codec::Decoder`] and handles each one itself, under the
+//! node's one lock: the [`DomNode`], its [`NetTransport`], its outgoing
+//! connections, the driver writer and its count of handled `Peer` frames live
+//! behind it. A handler therefore runs whole and one at a time — the same
+//! per-node atomicity the sim engine guarantees — and each link keeps its
+//! FIFO order. Replies to the driver travel back on the driver's own
+//! connection (cloned writer half); node-to-node frames travel on the
+//! sender's outgoing connections. A node counts the `Peer` frames it has
+//! handled and answers the driver's quiescence [`WireFrame::Poll`] with
+//! them and its send tallies (see [`crate::Cluster`]).
 //!
-//! This module is the workspace's only sanctioned home for sockets and
-//! for spawning threads outside the two fan-out points (`run_shards`, the
-//! sweep runner) — both banned everywhere else by `clippy.toml`.
+//! A writer may block while it holds the lock only if a socket buffer is
+//! full, and with one request in flight each link carries a few frames,
+//! far below any socket buffer — so no cycle of lock holders can form.
+//!
+//! This module is the workspace's only sanctioned home for sockets, and
+//! with `doma_sim::shard::run_shards` one of the two for spawning threads
+//! — both banned everywhere else by `clippy.toml`.
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
@@ -24,17 +33,16 @@
 use crate::codec::{self, Decoder, WireFrame, DRIVER_ID};
 use crate::NetTransport;
 use doma_core::{DomaError, Result};
-use doma_protocol::DomNode;
+use doma_protocol::{DomMsg, DomNode};
 use doma_sim::NodeId;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{
-    atomic::{AtomicBool, Ordering},
-    Arc,
-};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Which socket family a cluster runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +101,7 @@ impl Conn {
                 Ok(c) => return Ok(c),
                 Err(e) => {
                     last = Some(e);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    std::thread::sleep(Duration::from_millis(2));
                 }
             }
         }
@@ -103,7 +111,7 @@ impl Conn {
         ))
     }
 
-    pub(crate) fn try_clone(&self) -> Result<Conn> {
+    fn try_clone(&self) -> Result<Conn> {
         match self {
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
             Conn::Uds(s) => s.try_clone().map(Conn::Uds),
@@ -111,7 +119,16 @@ impl Conn {
         .map_err(|e| net_err("clone stream", e))
     }
 
-    pub(crate) fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// Shuts both directions of the socket, waking any thread blocked
+    /// reading it (a clone shares the socket).
+    fn shutdown(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+            Conn::Uds(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+
+    fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             Conn::Tcp(s) => s.read(buf),
             Conn::Uds(s) => s.read(buf),
@@ -206,15 +223,6 @@ impl Listener {
     }
 }
 
-/// What reader threads push into a node's inbox.
-enum NodeEvent {
-    /// A decoded frame from any inbound connection.
-    Frame(WireFrame),
-    /// The writer half of the driver's connection (sent once, right
-    /// after the driver's `Hello`): replies travel back on it.
-    DriverConn(Box<Conn>),
-}
-
 /// Everything a node thread needs to run.
 pub(crate) struct NodeSetup {
     pub id: usize,
@@ -228,59 +236,152 @@ pub(crate) struct NodeSetup {
 
 /// A handle on a spawned node thread.
 pub(crate) struct NodeHandle {
-    join: std::thread::JoinHandle<Result<()>>,
+    join: JoinHandle<Result<()>>,
 }
 
 impl NodeHandle {
-    /// Joins the node thread, surfacing its event-loop error if any.
+    /// Joins the node thread — which has joined every reader thread it
+    /// spawned — surfacing the first error any of them met.
     pub(crate) fn join(self) -> Result<()> {
-        match self.join.join() {
-            Ok(r) => r,
-            Err(_) => Err(DomaError::Net("node thread panicked".into())),
+        joined(self.join)
+    }
+}
+
+fn joined(handle: JoinHandle<Result<()>>) -> Result<()> {
+    handle
+        .join()
+        .unwrap_or_else(|_| Err(DomaError::Net("node thread panicked".into())))
+}
+
+/// What one node's reader threads share: the node behind its lock, and
+/// what stops the node's acceptor.
+struct Shared {
+    state: Mutex<NodeState>,
+    stop: AtomicBool,
+    self_addr: Addr,
+}
+
+/// Everything a handler touches, behind the node's one lock.
+struct NodeState {
+    id: usize,
+    node: DomNode,
+    transport: NetTransport,
+    /// Outgoing connection per peer index (`None` for this node).
+    out: Vec<Option<Conn>>,
+    /// The writer half of the driver's connection, once it said `Hello`.
+    driver: Option<Conn>,
+    /// `Peer` frames handled, for the driver's quiescence poll.
+    received: u64,
+}
+
+impl Shared {
+    fn lock(&self) -> Result<MutexGuard<'_, NodeState>> {
+        self.state
+            .lock()
+            .map_err(|_| DomaError::Net("node state poisoned by a panicked handler".into()))
+    }
+
+    /// Stops the node: closes its outgoing connections (so its peers'
+    /// readers see EOF), shuts the driver's connection (so a driver
+    /// waiting on it sees EOF instead of blocking), and wakes the acceptor
+    /// with a connection of its own. Idempotent.
+    fn teardown(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.out.clear();
+        if let Some(driver) = state.driver.take() {
+            driver.shutdown();
+        }
+        drop(state);
+        let _ = Conn::connect(&self.self_addr);
+    }
+}
+
+impl NodeState {
+    /// Handles one frame; `false` once the node must stop.
+    fn handle(&mut self, frame: WireFrame) -> Result<bool> {
+        match frame {
+            // Locally injected request: arrives "from" the node itself,
+            // exactly like the sim engine's inject.
+            WireFrame::Client { msg } => self.deliver(NodeId(self.id), msg)?,
+            WireFrame::Peer { from, msg, .. } => {
+                self.received += 1;
+                self.deliver(NodeId(from as usize), msg)?;
+            }
+            WireFrame::Poll => {
+                let reply = WireFrame::PollReply {
+                    sent: self.transport.control_sent() + self.transport.data_sent(),
+                    received: self.received,
+                };
+                self.write_driver(&reply)?;
+            }
+            WireFrame::Report => {
+                let (reads, latency) = self.node.read_metrics();
+                let reply = WireFrame::ReportReply {
+                    holds: self.node.holds_valid(),
+                    io: self.node.io_stats().total(),
+                    control_sent: self.transport.control_sent(),
+                    data_sent: self.transport.data_sent(),
+                    reads,
+                    latency,
+                    errors: self.node.protocol_errors().len() as u64,
+                };
+                self.write_driver(&reply)?;
+            }
+            WireFrame::Shutdown => return Ok(false),
+            // `Hello` only opens a connection, and replies are addressed
+            // to the driver.
+            WireFrame::Hello { .. }
+            | WireFrame::PollReply { .. }
+            | WireFrame::ReportReply { .. } => {
+                return Err(DomaError::Net(format!(
+                    "node {}: unexpected {frame:?}",
+                    self.id
+                )))
+            }
+        }
+        Ok(true)
+    }
+
+    /// Runs one protocol handler and writes its sends.
+    fn deliver(&mut self, from: NodeId, msg: DomMsg) -> Result<()> {
+        self.transport.advance();
+        self.node.deliver(&mut self.transport, from, msg);
+        for (to, kind, msg) in self.transport.drain() {
+            let frame = WireFrame::Peer {
+                from: self.id as u64,
+                kind,
+                msg,
+            };
+            peer(&mut self.out, self.id, to.0)?.write_frame(&frame)?;
+        }
+        Ok(())
+    }
+
+    /// Writes on the driver connection (a node never needs to before the
+    /// driver has connected — its frames are what the node answers).
+    fn write_driver(&mut self, frame: &WireFrame) -> Result<()> {
+        match &mut self.driver {
+            Some(conn) => conn.write_frame(frame),
+            None => Err(DomaError::Net(
+                "reply with no driver connection registered".into(),
+            )),
         }
     }
 }
 
-/// Spawns the acceptor for one node: each inbound connection gets a
-/// reader thread that performs the `Hello` handshake and forwards frames
-/// to `tx`. `stop` + a dummy self-connection unblock the accept loop at
-/// shutdown.
-fn spawn_acceptor(listener: Listener, tx: mpsc::Sender<NodeEvent>, stop: Arc<AtomicBool>) {
-    std::thread::spawn(move || {
-        loop {
-            let Ok(conn) = listener.accept() else { return };
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let mut fc = FrameConn::new(conn);
-                // Handshake: the first frame must identify the peer.
-                let hello = match fc.read_frame() {
-                    Ok(Some(WireFrame::Hello { node })) => node,
-                    _ => return,
-                };
-                if hello == DRIVER_ID {
-                    let Ok(writer) = fc.conn.try_clone() else {
-                        return;
-                    };
-                    if tx.send(NodeEvent::DriverConn(Box::new(writer))).is_err() {
-                        return;
-                    }
-                }
-                while let Ok(Some(frame)) = fc.read_frame() {
-                    if tx.send(NodeEvent::Frame(frame)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
+/// The outgoing connection from node `id` to node `to`.
+fn peer(out: &mut [Option<Conn>], id: usize, to: usize) -> Result<&mut Conn> {
+    out.get_mut(to)
+        .and_then(Option::as_mut)
+        .ok_or_else(|| DomaError::Net(format!("node {id} has no connection to node {to}")))
 }
 
-/// Spawns one protocol node: acceptor + event loop. Returns once the
-/// node's listener is live and its outgoing mesh connections are being
-/// established (the event loop runs until a `Shutdown` frame).
+/// Spawns one protocol node. Its thread dials every peer, then accepts
+/// connections until the node is torn down, giving each a reader thread,
+/// and finally joins them all.
 pub(crate) fn spawn_node(setup: NodeSetup) -> NodeHandle {
     let join = std::thread::spawn(move || node_main(setup));
     NodeHandle { join }
@@ -289,18 +390,16 @@ pub(crate) fn spawn_node(setup: NodeSetup) -> NodeHandle {
 fn node_main(setup: NodeSetup) -> Result<()> {
     let NodeSetup {
         id,
-        mut node,
+        node,
         listener,
         peers,
         self_addr,
     } = setup;
-    let (tx, rx) = mpsc::channel::<NodeEvent>();
-    let stop = Arc::new(AtomicBool::new(false));
-    spawn_acceptor(listener, tx, stop.clone());
 
     // Full mesh: one outgoing connection per peer, introduced by Hello.
     // Every node's listener is bound before any node thread starts, so
-    // these connects succeed (with retry absorbing scheduler noise).
+    // these connects land in the peers' accept backlogs (with retry
+    // absorbing scheduler noise).
     let max_peer = peers.iter().map(|(i, _)| *i).max().unwrap_or(0);
     let mut out: Vec<Option<Conn>> = (0..=max_peer).map(|_| None).collect();
     for (peer, addr) in &peers {
@@ -309,84 +408,77 @@ fn node_main(setup: NodeSetup) -> Result<()> {
         out[*peer] = Some(conn);
     }
 
-    let mut transport = NetTransport::new();
-    let mut driver: Option<Conn> = None;
-    let mut received: u64 = 0;
-
-    while let Ok(event) = rx.recv() {
-        match event {
-            NodeEvent::DriverConn(conn) => driver = Some(*conn),
-            NodeEvent::Frame(WireFrame::Client { msg }) => {
-                // Locally injected request: arrives "from" the node
-                // itself, exactly like the sim engine's inject.
-                transport.advance();
-                node.deliver(&mut transport, NodeId(id), msg);
-                flush(id, &mut transport, &mut out)?;
+    let shared = Arc::new(Shared {
+        state: Mutex::new(NodeState {
+            id,
+            node,
+            transport: NetTransport::new(),
+            out,
+            driver: None,
+            received: 0,
+        }),
+        stop: AtomicBool::new(false),
+        self_addr,
+    });
+    let mut readers = Vec::new();
+    let mut first_err = None;
+    loop {
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
+            Err(e) => {
+                first_err = Some(net_err("accept", e));
+                shared.teardown();
+                break;
             }
-            NodeEvent::Frame(WireFrame::Peer { from, msg, .. }) => {
-                received += 1;
-                transport.advance();
-                node.deliver(&mut transport, NodeId(from as usize), msg);
-                flush(id, &mut transport, &mut out)?;
-            }
-            NodeEvent::Frame(WireFrame::Poll) => {
-                let reply = WireFrame::PollReply {
-                    sent: transport.control_sent() + transport.data_sent(),
-                    received,
-                };
-                reply_driver(&mut driver, &reply)?;
-            }
-            NodeEvent::Frame(WireFrame::Report) => {
-                let (reads, latency) = node.read_metrics();
-                let reply = WireFrame::ReportReply {
-                    holds: node.holds_valid(),
-                    io: node.io_stats().total(),
-                    control_sent: transport.control_sent(),
-                    data_sent: transport.data_sent(),
-                    reads,
-                    latency,
-                    errors: node.protocol_errors().len() as u64,
-                };
-                reply_driver(&mut driver, &reply)?;
-            }
-            NodeEvent::Frame(WireFrame::Shutdown) => break,
-            // Hello frames are consumed by reader threads; reply frames
-            // are never addressed to a node. Ignore strays.
-            NodeEvent::Frame(_) => {}
+        };
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let shared = shared.clone();
+        readers.push(std::thread::spawn(move || read_loop(conn, &shared)));
+    }
+    for reader in readers {
+        if let Err(e) = joined(reader) {
+            first_err.get_or_insert(e);
         }
     }
-
-    // Unblock the acceptor (it is parked in accept()) so its thread
-    // exits: flag it, then poke our own listener with a dummy connect.
-    stop.store(true, Ordering::SeqCst);
-    let _ = Conn::connect(&self_addr);
-    Ok(())
+    first_err.map_or(Ok(()), Err)
 }
 
-/// Writes a reply on the driver connection (a node never needs to reply
-/// before the driver has connected — its frames are what we reply to).
-fn reply_driver(driver: &mut Option<Conn>, frame: &WireFrame) -> Result<()> {
-    match driver {
-        Some(conn) => conn.write_frame(frame),
-        None => Err(DomaError::Net(
-            "reply with no driver connection registered".into(),
-        )),
+/// One inbound connection's reader: the `Hello` handshake, then every
+/// frame handled under the node lock. The driver's connection ending —
+/// by `Shutdown` or EOF — or any error tears the node down; a peer's
+/// connection ending cleanly does not.
+fn read_loop(conn: Conn, shared: &Shared) -> Result<()> {
+    let mut fc = FrameConn::new(conn);
+    let outcome = serve(&mut fc, shared);
+    if !matches!(outcome, Ok(Link::Peer)) {
+        shared.teardown();
     }
+    outcome.map(drop)
 }
 
-/// Drains the node's send buffer onto the peer sockets. Called after
-/// every `deliver`.
-fn flush(id: usize, transport: &mut NetTransport, out: &mut [Option<Conn>]) -> Result<()> {
-    for (to, kind, msg) in transport.drain() {
-        let conn = out
-            .get_mut(to.0)
-            .and_then(|c| c.as_mut())
-            .ok_or_else(|| DomaError::Net(format!("node {id} has no connection to {to:?}")))?;
-        conn.write_frame(&WireFrame::Peer {
-            from: id as u64,
-            kind,
-            msg,
-        })?;
+/// Who is on the other end of an inbound connection.
+enum Link {
+    Driver,
+    Peer,
+}
+
+/// Reads and handles frames until the connection ends or the driver
+/// says `Shutdown`.
+fn serve(fc: &mut FrameConn, shared: &Shared) -> Result<Link> {
+    let link = match fc.read_frame()? {
+        Some(WireFrame::Hello { node: DRIVER_ID }) => {
+            shared.lock()?.driver = Some(fc.conn.try_clone()?);
+            Link::Driver
+        }
+        Some(WireFrame::Hello { .. }) | None => Link::Peer,
+        Some(other) => return Err(DomaError::Net(format!("expected Hello, got {other:?}"))),
+    };
+    while let Some(frame) = fc.read_frame()? {
+        if !shared.lock()?.handle(frame)? {
+            break;
+        }
     }
-    Ok(())
+    Ok(link)
 }

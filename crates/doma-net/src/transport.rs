@@ -5,7 +5,7 @@ use doma_sim::{Context, MsgKind, NodeId};
 use std::ops::{Deref, DerefMut};
 
 /// The engine's [`Context`] a node writes its sends into, plus what the
-/// event loop has drained from it per pricing class. It derefs to the
+/// node has drained from it per pricing class. It derefs to the
 /// `Context`, so [`doma_protocol::DomNode::deliver`] takes it as it is.
 #[derive(Default)]
 pub struct NetTransport {

@@ -5,7 +5,7 @@
 
 use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId, Schedule};
 use doma_net::{Cluster, TransportKind};
-use doma_protocol::{ProtocolConfig, ProtocolSim};
+use doma_protocol::{Entrant, ProtocolConfig, ProtocolSim, Tunables};
 use std::collections::BTreeMap;
 
 fn pair(a: u8, b: u8) -> ProcSet {
@@ -149,4 +149,52 @@ fn planner_rejects_bad_requests_before_sending() {
         .execute_request(object, doma_core::Request::write(ProcessorId::new(2)))
         .unwrap();
     cluster.shutdown().unwrap();
+}
+
+/// A request completes only when the driver's double poll finds every
+/// frame it caused handled. So after *each* `execute_request` the
+/// cluster's tallies must already equal the sim twin's after the same
+/// number of requests: a barrier that let go early would let the `Report`
+/// round overtake a frame still in flight and show as a cost, holder or
+/// read-count mismatch. SA, DA and an adaptive entrant whose two-replica
+/// scheme makes every write fan out, over both transports.
+#[test]
+fn every_request_is_complete_when_the_cluster_is_quiet() {
+    let n = 5;
+    let schedule: Schedule = "w3 r2 r4 w0 r3 r3 w4 r1 r2 w2 r0 r4 w1 r3 r2 r4 w3 r0"
+        .parse()
+        .unwrap();
+    let object = ProtocolSim::object();
+    for kind in [TransportKind::Uds, TransportKind::Tcp] {
+        for entrant in [Entrant::Sa, Entrant::Da, Entrant::Convergent] {
+            let config = entrant.config();
+            let oracles = config
+                .oracle(n, Tunables::CANONICAL)
+                .unwrap()
+                .map(|o| (object, o))
+                .into_iter()
+                .collect();
+            let mut cluster =
+                match Cluster::new(n, BTreeMap::from([(object, config)]), oracles, kind, None) {
+                    Ok(c) => c,
+                    Err(DomaError::Net(msg)) => {
+                        eprintln!("skipping per-request twin test: sockets unavailable ({msg})");
+                        return;
+                    }
+                    Err(other) => panic!("cluster boot failed: {other}"),
+                };
+            let mut sim = entrant.sim(n).unwrap();
+            for (step, request) in schedule.iter().enumerate() {
+                sim.execute_request_on(object, request).unwrap();
+                cluster.execute_request(object, request).unwrap();
+                let (want, got) = (sim.report(), cluster.report().unwrap());
+                let at = format!("{entrant} over {kind:?}, after request {step} ({request:?})");
+                assert_eq!(got.cost, want.cost, "{at}: cost");
+                assert_eq!(got.final_holders, want.final_holders, "{at}: holders");
+                assert_eq!(got.reads_completed, want.reads_completed, "{at}: reads");
+                assert_eq!(got.errors, 0, "{at}: protocol errors");
+            }
+            cluster.shutdown().unwrap();
+        }
+    }
 }

@@ -253,3 +253,57 @@ fn random_bytes_never_panic() {
         }
     }
 }
+
+/// A length-prefixed frame around `body`.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut out = (body.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(body);
+    out
+}
+
+/// The byte layout of the frames the benchmark encodes — `Peer` and
+/// `Client`, tags 1 and 2 — is pinned field by field, so a change to the
+/// frame set cannot renumber or reshape them unnoticed.
+#[test]
+fn peer_and_client_frames_keep_their_bytes() {
+    let peer = WireFrame::Peer {
+        from: 2,
+        kind: MsgKind::Control,
+        msg: DomMsg::ReadReq {
+            object: ObjectId(5),
+            saving: true,
+            round: 9,
+        },
+    };
+    let mut body = vec![1]; // Peer
+    body.extend(2u64.to_le_bytes()); // from
+    body.push(0); // MsgKind::Control
+    body.push(2); // ReadReq
+    body.extend(5u64.to_le_bytes()); // object
+    body.push(1); // saving
+    body.extend(9u64.to_le_bytes()); // round
+    assert_eq!(encode_frame(&peer), framed(&body));
+
+    let client = WireFrame::Client {
+        msg: DomMsg::ClientWrite {
+            object: ObjectId(7),
+            version: Version(3),
+            payload: b"ab".to_vec().into(),
+            plan: Some(WritePlan {
+                exec: ProcSet::from_bits(0b101),
+                invalidate: ProcSet::from_bits(0b10),
+                self_invalidate: false,
+            }),
+        },
+    };
+    let mut body = vec![2, 1]; // Client, ClientWrite
+    body.extend(7u64.to_le_bytes()); // object
+    body.extend(3u64.to_le_bytes()); // version
+    body.extend(2u32.to_le_bytes()); // payload length
+    body.extend(b"ab"); // payload
+    body.push(1); // plan present
+    body.extend(0b101u64.to_le_bytes()); // exec
+    body.extend(0b10u64.to_le_bytes()); // invalidate
+    body.push(0); // self_invalidate
+    assert_eq!(encode_frame(&client), framed(&body));
+}

@@ -15,7 +15,7 @@
 #                  measures;
 #   repro all      == repro_full_output.md (≈15 s in release, too slow for
 #                  a debug test run);
-#   cluster        sim/socket parity over Unix domain sockets;
+#   cluster        sim/socket parity, every scenario over UDS and TCP;
 #   fault matrix   32 seeds per cell (tier 1 runs the default count);
 #   benchmark      the standalone benchmark crate's release build and unit
 #                  tests, always; benchmark/run.sh --smoke, which opens
@@ -121,26 +121,37 @@ fi
 
 # ---------------------------------------------------------------------------
 # Cluster-parity wall: the real runtime (doma-net) must reproduce the
-# deterministic sim twin exactly — §6.2 append-only scenario over Unix
-# domain sockets on loopback, 3 nodes, same seed and request schedule ⇒
-# identical allocation-scheme trajectory, cost totals and protocol obs
-# metrics. Fully offline (loopback only). Sandboxes that refuse sockets
-# print a notice and skip; anything else is a wall failure.
+# deterministic sim twin exactly — every failure-free built-in scenario
+# (`cluster all`) over Unix domain sockets and over TCP on loopback, same
+# seed and request schedule ⇒ identical allocation-scheme trajectory, cost
+# totals and protocol obs metrics, one `parity: MATCH` per scenario. Fully
+# offline (loopback only). Sandboxes that refuse sockets print a notice and
+# skip; anything else is a wall failure.
 # ---------------------------------------------------------------------------
-if ! "$domactl" cluster append-only-6-2 --nodes 3 --transport uds > "$out/cluster" 2>&1; then
-    cat "$out/cluster" >&2
-    echo "verify: FAILED (cluster diverged from the sim oracle)" >&2
-    exit 1
-fi
 sockets=1
-if grep -q "notice: sockets unavailable" "$out/cluster"; then
-    echo "verify: NOTICE (sockets unavailable in this sandbox; cluster-parity wall skipped)"
-    sockets=0
-elif ! grep -q "parity: MATCH" "$out/cluster"; then
-    cat "$out/cluster" >&2
-    echo "verify: FAILED (cluster run produced no parity verdict)" >&2
-    exit 1
-fi
+failed=" "
+"$domactl" cluster all --transport uds > "$out/cluster-uds" 2>&1 || failed+="uds "
+"$domactl" cluster all --transport tcp > "$out/cluster-tcp" 2>&1 || failed+="tcp "
+for transport in uds tcp; do
+    log="$out/cluster-$transport"
+    if [[ "$failed" == *" $transport "* ]]; then
+        cat "$log" >&2
+        echo "verify: FAILED (cluster over $transport diverged from the sim oracle)" >&2
+        exit 1
+    fi
+    if grep -q "notice: sockets unavailable" "$log"; then
+        echo "verify: NOTICE (sockets unavailable in this sandbox; cluster-parity wall skipped)"
+        sockets=0
+        break
+    fi
+    runs=$(grep -c "^cluster .* requests)$" "$log" || true)
+    matches=$(grep -c "parity: MATCH" "$log" || true)
+    if [ "$runs" -eq 0 ] || [ "$matches" -ne "$runs" ]; then
+        cat "$log" >&2
+        echo "verify: FAILED (cluster over $transport: $matches parity verdicts for $runs scenarios)" >&2
+        exit 1
+    fi
+done
 
 # ---------------------------------------------------------------------------
 # Fault matrix: 32 seeded fault plans per cell over the full tournament
